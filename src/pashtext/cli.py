@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
+    Corpus,
     LabelSet,
     SplitSpec,
     load_corpus,
@@ -32,19 +33,16 @@ from .metrics import EvalReport, evaluate_predictions
 from .models import ModelKind, train
 from .models.io import model_document, model_from_document
 from .models.params import DEFAULT_SEED, params_with_overrides
-from .pipeline import PASHTO_DEFAULT, PipelineConfig, preprocess
+from .pipeline import PASHTO_DEFAULT, PipelineConfig
 from .synth import generate_corpus
 from .vectorize import (
     FEATURE_MODES,
-    FeatureMask,
+    TEST,
+    TRAIN,
     UNIGRAM,
+    FeatureMask,
     Vocabulary,
-    apply_mask,
-    apply_mask_vector,
-    build_vocabulary,
-    chi2_scores,
-    select_top_k,
-    vectorize_documents,
+    split_features,
 )
 
 logger = logging.getLogger(__name__)
@@ -114,32 +112,25 @@ def _load_bundle(path):
         raise DataError(f"{path} is not a {BUNDLE_FORMAT} file")
     if bundle.get("version") != BUNDLE_VERSION:
         raise DataError(f"unsupported bundle version {bundle.get('version')!r}")
-    mask = bundle["mask"]
-    return {
-        "labels": LabelSet(bundle["labels"]),
-        "config": PipelineConfig.from_json_dict(bundle["pipeline"]),
-        "mode": bundle["mode"],
-        "vocab": Vocabulary.from_json_dict(bundle["vocabulary"]),
-        "mask": None
-        if mask is None
-        else FeatureMask(
-            kept_indices=np.asarray(mask["kept"], dtype=np.int64),
-            scores=np.asarray(mask["scores"], dtype=np.float64),
-        ),
-        "model": model_from_document(bundle["model"]),
-    }
-
-
-def _split_docs(tokenized, ids, side: str):
-    by_id = {doc.id: doc for doc in tokenized.documents}
-    docs = [by_id[i] for i in ids if i in by_id]
-    if len(docs) < len(ids):
-        logger.warning(
-            "%d %s documents were excluded by preprocessing", len(ids) - len(docs), side
-        )
-    if not docs:
-        raise DataError(f"no usable documents on the {side} side of the split")
-    return docs
+    try:
+        mask = bundle["mask"]
+        return {
+            "labels": LabelSet(bundle["labels"]),
+            "config": PipelineConfig.from_json_dict(bundle["pipeline"]),
+            "mode": bundle["mode"],
+            "vocab": Vocabulary.from_json_dict(bundle["vocabulary"]),
+            "mask": None
+            if mask is None
+            else FeatureMask(
+                kept_indices=np.asarray(mask["kept"], dtype=np.int64),
+                scores=np.asarray(mask["scores"], dtype=np.float64),
+            ),
+            "model": model_from_document(bundle["model"]),
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(
+            f"malformed model bundle {path}: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def _cmd_ingest(args) -> int:
@@ -170,16 +161,11 @@ def _cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
     split, _spec = load_split(args.split)
     config = PASHTO_DEFAULT
-    tokenized = preprocess(corpus, config)
-    train_docs = _split_docs(tokenized, split.train_ids, "train")
-    vocab = build_vocabulary(train_docs)
-    mask = None
-    if args.select_k is not None:
-        counts = vectorize_documents(train_docs, vocab, UNIGRAM, corpus.labels)
-        mask = select_top_k(chi2_scores(counts, len(corpus.labels)), args.select_k)
-    matrix = vectorize_documents(train_docs, vocab, args.features, corpus.labels)
-    if mask is not None:
-        matrix = apply_mask(mask, matrix)
+    features = split_features(
+        corpus, split, config, [args.features], sides=[TRAIN], select_k=args.select_k
+    )
+    vocab, mask = features.vocab, features.mask
+    matrix = features.train[args.features]
     started = time.perf_counter()
     model = train(kind, matrix, params, label_count=len(corpus.labels))
     elapsed = time.perf_counter() - started
@@ -190,14 +176,14 @@ def _cmd_train(args) -> int:
         f"classifier: {kind.value}",
         f"features: {args.features}",
         f"params: {params!r}",
-        f"train_documents: {len(train_docs)}",
+        f"train_documents: {matrix.n_rows}",
         f"vocabulary: {len(vocab)} tokens"
         + (f" (top {mask.kept_indices.size} kept)" if mask is not None else ""),
         f"seconds: {elapsed:.3f}",
     ]
     _write_text(out / "train.log", "\n".join(log_lines) + "\n")
     print(
-        f"trained {kind.value} on {len(train_docs)} documents "
+        f"trained {kind.value} on {matrix.n_rows} documents "
         f"({matrix.dim} features) in {elapsed:.2f}s -> {bundle_path}"
     )
     return EXIT_OK
@@ -213,13 +199,13 @@ def _cmd_evaluate(args) -> int:
             raise DataError(
                 f"document {doc.id!r} has label {doc.label!r} unknown to the model"
             )
-    tokenized = preprocess(corpus, bundle["config"])
-    test_docs = _split_docs(tokenized, split.test_ids, "test")
-    matrix = vectorize_documents(test_docs, bundle["vocab"], bundle["mode"], labels)
-    if bundle["mask"] is not None:
-        matrix = apply_mask(bundle["mask"], matrix)
-    model = bundle["model"]
-    preds = model.predict_rows(matrix.rows)
+    # Re-labelled with the model's label set, so rows carry its class indices.
+    features = split_features(
+        Corpus(corpus.documents, labels), split, bundle["config"], [bundle["mode"]],
+        sides=[TEST], vocab=bundle["vocab"], mask=bundle["mask"],
+    )
+    matrix = features.test[bundle["mode"]]
+    preds = bundle["model"].predict_rows(matrix)
     report = evaluate_predictions(
         matrix.row_labels, preds, len(labels), labels.names
     )
@@ -234,7 +220,7 @@ def _cmd_evaluate(args) -> int:
         path = out / "eval.csv"
         _write_text(path, report.to_csv())
     print(
-        f"evaluated {len(test_docs)} documents: accuracy {report.accuracy:.4f} "
+        f"evaluated {matrix.n_rows} documents: accuracy {report.accuracy:.4f} "
         f"-> {path}"
     )
     return EXIT_OK
@@ -250,7 +236,6 @@ def _cmd_grid(args) -> int:
         PASHTO_DEFAULT,
         seed=args.seed,
         select_k=args.select_k,
-        jobs=args.jobs,
     )
     out = _out_dir(args)
     save_split(split, spec, out / "split.json")
@@ -392,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="seed for the split and all cells")
     grid.add_argument("--select-k", type=int, default=None,
                       help="keep only the k best chi-square features")
-    grid.add_argument("--jobs", type=int, default=1,
-                      help="concurrent grid cells")
     grid.add_argument("--out", required=True, help="output directory")
 
     report = command("report", "re-emit a saved grid/eval report", _cmd_report)

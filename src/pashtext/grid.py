@@ -1,10 +1,10 @@
 """The 16-cell comparison grid: eight classifier kinds times two features.
 
 Every cell shares one tokenization, one vocabulary and one train/test
-split, isolating the classifier and feature-mode effects.  Cells run
-independently (optionally in threads) but the report is always assembled
-in canonical order, and it contains no wall-clock data, so a repeated run
-with the same seed serialises byte-for-byte identically.
+split, isolating the classifier and feature-mode effects.  Cells run one
+after another in canonical order, and the report contains no wall-clock
+data, so a repeated run with the same seed serialises byte-for-byte
+identically.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import io
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import Corpus, CorpusSplit
@@ -22,18 +21,9 @@ from .errors import DataError
 from .metrics import EvalReport, evaluate_predictions
 from .models import KIND_DISPLAY_NAMES, ModelKind, default_params, train
 from .models.params import DEFAULT_SEED
-from .pipeline import PASHTO_DEFAULT, PipelineConfig, preprocess
+from .pipeline import PASHTO_DEFAULT, PipelineConfig
 from .prng import derive_seed
-from .vectorize import (
-    FEATURE_MODES,
-    TFIDF,
-    UNIGRAM,
-    apply_mask,
-    build_vocabulary,
-    chi2_scores,
-    select_top_k,
-    vectorize_documents,
-)
+from .vectorize import FEATURE_MODES, TFIDF, UNIGRAM, SplitFeatures, split_features
 
 logger = logging.getLogger(__name__)
 
@@ -220,47 +210,12 @@ class GridReport:
         return out.getvalue()
 
 
-def _prepare_matrices(
-    corpus: Corpus,
-    split: CorpusSplit,
-    config: PipelineConfig,
-    select_k: int | None,
-):
-    """Tokenize once, fit vocabulary and optional mask on train only."""
-    tokenized = preprocess(corpus, config)
-    by_id = {doc.id: doc for doc in tokenized.documents}
-    train_docs = [by_id[i] for i in split.train_ids if i in by_id]
-    test_docs = [by_id[i] for i in split.test_ids if i in by_id]
-    dropped = (len(split.train_ids) - len(train_docs)) + (
-        len(split.test_ids) - len(test_docs)
-    )
-    if dropped:
-        logger.warning("%d split documents were excluded by preprocessing", dropped)
-    if not train_docs or not test_docs:
-        raise DataError("split has no usable documents on one side")
-    vocab = build_vocabulary(train_docs)
-    mask = None
-    if select_k is not None:
-        counts = vectorize_documents(train_docs, vocab, UNIGRAM, corpus.labels)
-        mask = select_top_k(chi2_scores(counts, len(corpus.labels)), select_k)
-    matrices = {}
-    for mode in FEATURE_MODES:
-        pair = [
-            vectorize_documents(docs, vocab, mode, corpus.labels)
-            for docs in (train_docs, test_docs)
-        ]
-        if mask is not None:
-            pair = [apply_mask(mask, matrix) for matrix in pair]
-        matrices[mode] = tuple(pair)
-    return matrices
-
-
-def _run_cell(kind, mode, matrices, label_names, params) -> GridCell:
-    train_matrix, test_matrix = matrices[mode]
+def _run_cell(kind, mode, features: SplitFeatures, label_names, params) -> GridCell:
+    train_matrix, test_matrix = features.train[mode], features.test[mode]
     started = time.perf_counter()
     try:
         model = train(kind, train_matrix, params, label_count=len(label_names))
-        preds = model.predict_rows(test_matrix.rows)
+        preds = model.predict_rows(test_matrix)
         report = evaluate_predictions(
             test_matrix.row_labels, preds, len(label_names), label_names
         )
@@ -280,7 +235,6 @@ def run_grid(
     config: PipelineConfig = PASHTO_DEFAULT,
     seed: int = DEFAULT_SEED,
     select_k: int | None = None,
-    jobs: int = 1,
     params_by_kind: dict | None = None,
 ) -> GridReport:
     """Train and evaluate all 16 cells on one shared split.
@@ -290,35 +244,20 @@ def run_grid(
     defaults for specific kinds; otherwise each cell gets defaults with a
     seed derived from `seed` and the cell position.
     """
-    if jobs < 1:
-        raise DataError("jobs must be >= 1")
-    matrices = _prepare_matrices(corpus, split, config, select_k)
+    features = split_features(corpus, split, config, FEATURE_MODES, select_k=select_k)
     label_names = tuple(corpus.labels.names)
-    tasks = []
+    cells = []
     for kind in ModelKind:
         for mode in FEATURE_MODES:
             if params_by_kind is not None and kind in params_by_kind:
                 params = params_by_kind[kind]
             else:
                 params = default_params(kind, seed=cell_seed(seed, kind, mode))
-            tasks.append((kind, mode, params))
-    if jobs == 1:
-        cells = [
-            _run_cell(kind, mode, matrices, label_names, params)
-            for kind, mode, params in tasks
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(
-                pool.map(
-                    lambda task: _run_cell(task[0], task[1], matrices, label_names, task[2]),
-                    tasks,
-                )
-            )
+            cells.append(_run_cell(kind, mode, features, label_names, params))
     report = GridReport(
         seed=seed,
-        n_train=matrices[UNIGRAM][0].n_rows,
-        n_test=matrices[UNIGRAM][1].n_rows,
+        n_train=features.train[UNIGRAM].n_rows,
+        n_test=features.test[UNIGRAM].n_rows,
         select_k=select_k,
         label_names=label_names,
         cells=tuple(cells),

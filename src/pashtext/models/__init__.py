@@ -1,11 +1,13 @@
 """Eight classifier families behind one train/predict contract.
 
 All families are implemented from first principles on top of numpy arrays;
-the only shared machinery is the sparse vector type from
-:mod:`pashtext.vectorize` and the package PRNG.
+the only shared machinery is the sparse feature matrix from
+:mod:`pashtext.vectorize` and the package PRNG.  Every model scores whole
+matrices at once: ``predict_scores`` returns an (n_rows, K) array and
+``predict_rows`` its row-wise argmax.
 """
 
-from .base import KIND_DISPLAY_NAMES, Model, ModelKind, argmax_lowest
+from .base import KIND_DISPLAY_NAMES, Model, ModelKind
 from .params import (
     COSINE,
     DEFAULT_SEED,
@@ -21,26 +23,14 @@ from .params import (
     params_class_for,
     params_with_overrides,
 )
-from .knn import KNNModel, knn_neighbors, train_knn
+from .knn import KNNModel, train_knn
 from .linear import (
     LinearSVMModel,
     LogisticRegressionModel,
-    hinge_loss_value,
-    logistic_loss_and_grads,
-    svm_loss_and_grads,
     train_linear_svm,
     train_logistic_regression,
 )
-from .mlp import (
-    AdamState,
-    MLPModel,
-    init_mlp,
-    mlp_epoch,
-    mlp_loss,
-    mlp_loss_and_grads,
-    relu,
-    train_mlp,
-)
+from .mlp import MLPModel, train_mlp
 from .naive_bayes import (
     GaussianNBModel,
     MultinomialNBModel,
@@ -50,8 +40,6 @@ from .naive_bayes import (
 from .tree import (
     DecisionTreeModel,
     RandomForestModel,
-    TreeNode,
-    gini_impurity,
     train_decision_tree,
     train_random_forest,
 )
@@ -59,7 +47,6 @@ from .io import load_model, model_document, model_from_document, save_model
 from .train import train
 
 __all__ = [
-    "AdamState",
     "COSINE",
     "DEFAULT_SEED",
     "DecisionTreeModel",
@@ -81,25 +68,13 @@ __all__ = [
     "MultinomialNBParams",
     "RandomForestModel",
     "RandomForestParams",
-    "TreeNode",
-    "argmax_lowest",
     "default_params",
-    "gini_impurity",
-    "hinge_loss_value",
-    "init_mlp",
-    "knn_neighbors",
     "load_model",
-    "logistic_loss_and_grads",
-    "mlp_epoch",
-    "mlp_loss",
-    "mlp_loss_and_grads",
     "model_document",
     "model_from_document",
     "params_class_for",
     "params_with_overrides",
-    "relu",
     "save_model",
-    "svm_loss_and_grads",
     "train",
     "train_decision_tree",
     "train_gaussian_nb",

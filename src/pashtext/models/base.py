@@ -1,4 +1,4 @@
-"""Model kind enumeration and the common predict contract."""
+"""Model kind enumeration and the common batched predict contract."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from enum import Enum
 import numpy as np
 
 from ..errors import DataError
-from ..vectorize import SparseVector
+from ..vectorize import FeatureMatrix
 
 
 class ModelKind(str, Enum):
@@ -40,39 +40,57 @@ KIND_DISPLAY_NAMES = {
 }
 
 
-def argmax_lowest(scores: np.ndarray) -> int:
-    """Index of the maximum score; exact ties go to the lowest index."""
-    return int(np.argmax(scores))
+# Dense cells per scoring block: large enough that per-block overhead is
+# negligible, small enough that no (rows x block width) temporary grows with
+# the number of rows scored.
+_BLOCK_CELLS = 1 << 16
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax along the last axis, shifted by the row maximum."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 class Model(ABC):
     """A trained classifier: immutable, shareable, pure at prediction time.
 
-    `predict_scores` returns one finite real per class; its meaning is
-    family-specific (log-posteriors, votes, margins or probabilities) but
-    argmax with lowest-index tie-break is the prediction for every family.
+    `predict_scores` returns one finite real per row and class; its meaning
+    is family-specific (log-posteriors, votes, margins or probabilities) but
+    the row-wise argmax with lowest-index tie-break is the prediction for
+    every family.
     """
 
     kind: ModelKind
     label_count: int
     feature_dimension: int
 
-    def _check_vector(self, vector: SparseVector) -> None:
-        if vector.dim != self.feature_dimension:
+    def predict_scores(self, matrix: FeatureMatrix) -> np.ndarray:
+        """(n_rows, label_count) per-class scores, computed block by block."""
+        if matrix.dim != self.feature_dimension:
             raise DataError(
-                f"vector dimension {vector.dim} does not match model "
+                f"matrix dimension {matrix.dim} does not match model "
                 f"feature dimension {self.feature_dimension}"
             )
+        step = max(1, _BLOCK_CELLS // max(self._block_width(), 1))
+        blocks = [
+            self._scores(matrix.row_block(start, start + step))
+            for start in range(0, matrix.n_rows, step)
+        ]
+        return np.concatenate(blocks) if blocks else np.zeros((0, self.label_count))
+
+    def _block_width(self) -> int:
+        """Columns of the widest temporary `_scores` makes per scored row."""
+        return self.feature_dimension
 
     @abstractmethod
-    def predict_scores(self, vector: SparseVector) -> np.ndarray:
-        """Per-class scores for one document vector."""
+    def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
+        """Family-specific scores of a matrix whose dimension was checked."""
 
-    def predict(self, vector: SparseVector) -> int:
-        return argmax_lowest(self.predict_scores(vector))
-
-    def predict_rows(self, rows) -> np.ndarray:
-        return np.array([self.predict(row) for row in rows], dtype=np.int64)
+    def predict_rows(self, matrix: FeatureMatrix) -> np.ndarray:
+        """Predicted class index of every row (lowest index wins ties)."""
+        return np.argmax(self.predict_scores(matrix), axis=1).astype(np.int64)
 
     @abstractmethod
     def payload(self) -> dict:

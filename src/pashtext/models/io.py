@@ -65,18 +65,23 @@ def model_from_document(document: dict) -> Model:
         kind = ModelKind(document["kind"])
     except (KeyError, ValueError):
         raise DataError(f"unknown model kind {document.get('kind')!r}") from None
-    params = params_class_for(kind)(**document["hyperparams"])
-    model_class = _MODEL_CLASSES[kind]
-    if kind in _NEEDS_DIMENSIONS:
-        model = model_class.from_payload(
-            document["payload"], params,
-            document["label_count"], document["feature_dimension"],
-        )
-    else:
-        model = model_class.from_payload(document["payload"], params)
-    if model.label_count != document["label_count"]:
+    try:
+        params = params_class_for(kind)(**document["hyperparams"])
+        model_class = _MODEL_CLASSES[kind]
+        if kind in _NEEDS_DIMENSIONS:
+            model = model_class.from_payload(
+                document["payload"], params,
+                document["label_count"], document["feature_dimension"],
+            )
+        else:
+            model = model_class.from_payload(document["payload"], params)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise DataError(
+            f"malformed {kind.value} model document: {type(exc).__name__}: {exc}"
+        ) from None
+    if model.label_count != document.get("label_count"):
         raise DataError("model payload does not match its declared label count")
-    if model.feature_dimension != document["feature_dimension"]:
+    if model.feature_dimension != document.get("feature_dimension"):
         raise DataError("model payload does not match its declared dimension")
     return model
 

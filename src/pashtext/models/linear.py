@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingDivergedError
-from ..vectorize import FeatureMatrix, SparseVector
-from .base import Model, ModelKind
+from ..vectorize import FeatureMatrix
+from .base import Model, ModelKind, softmax
 from .params import LinearParams
 
 
@@ -54,12 +54,6 @@ def svm_loss_and_grads(
     return loss, grad_w, grad_b
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
-
-
 def logistic_loss_and_grads(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -69,7 +63,7 @@ def logistic_loss_and_grads(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy with L2 on the weights, plus gradients."""
     n = dense.shape[0]
-    probs = _softmax(dense @ weights.T + bias)
+    probs = softmax(dense @ weights.T + bias)
     picked = probs[np.arange(n), labels]
     loss = float(
         -np.log(picked).mean() + 0.5 * l2_strength * (weights**2).sum()
@@ -89,11 +83,8 @@ class _LinearModel(Model):
         self.label_count = self.weights.shape[0]
         self.feature_dimension = self.weights.shape[1]
 
-    def _logits(self, vector: SparseVector) -> np.ndarray:
-        self._check_vector(vector)
-        if vector.nnz:
-            return self.weights[:, vector.indices] @ vector.values + self.bias
-        return self.bias.copy()
+    def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
+        return matrix.dot(self.weights.T) + self.bias
 
     def payload(self) -> dict:
         return {"weights": self.weights.tolist(), "bias": self.bias.tolist()}
@@ -108,17 +99,14 @@ class LinearSVMModel(_LinearModel):
 
     kind = ModelKind.LINEAR_SVM
 
-    def predict_scores(self, vector: SparseVector) -> np.ndarray:
-        return self._logits(vector)
-
 
 class LogisticRegressionModel(_LinearModel):
     """Softmax regression; scores are class probabilities."""
 
     kind = ModelKind.LOGISTIC_REGRESSION
 
-    def predict_scores(self, vector: SparseVector) -> np.ndarray:
-        return _softmax(self._logits(vector))
+    def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
+        return softmax(super()._scores(matrix))
 
 
 def _fit(matrix: FeatureMatrix, params: LinearParams, label_count: int, loss_and_grads):

@@ -16,8 +16,8 @@ import numpy as np
 
 from ..errors import TrainingDivergedError
 from ..prng import SplitMix64, derive_seed
-from ..vectorize import FeatureMatrix, SparseVector
-from .base import Model, ModelKind
+from ..vectorize import FeatureMatrix
+from .base import Model, ModelKind, softmax
 from .params import MLPParams
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -29,12 +29,6 @@ def relu(a):
     The backprop subgradient is 0 for a <= 0 and 1 for a > 0.
     """
     return np.maximum(a, 0.0)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -89,15 +83,9 @@ class MLPModel(Model):
         self.feature_dimension = self.w1.shape[0]
         self.label_count = self.w2.shape[1]
 
-    def _hidden_pre(self, vector: SparseVector) -> np.ndarray:
-        if vector.nnz:
-            return vector.values @ self.w1[vector.indices] + self.b1
-        return self.b1.copy()
-
-    def predict_scores(self, vector: SparseVector) -> np.ndarray:
-        self._check_vector(vector)
-        hidden = relu(self._hidden_pre(vector))
-        return _softmax(hidden @ self.w2 + self.b2)
+    def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
+        hidden = relu(matrix.dot(self.w1) + self.b1)
+        return softmax(hidden @ self.w2 + self.b2)
 
     def payload(self) -> dict:
         return {name: getattr(self, name).tolist() for name in _PARAM_NAMES}
@@ -124,23 +112,27 @@ def init_mlp(dim: int, label_count: int, params: MLPParams) -> MLPModel:
     )
 
 
-def mlp_loss_and_grads(model: MLPModel, rows, labels):
-    """Mean cross-entropy and mean gradients over a batch of sparse rows."""
+def mlp_loss_and_grads(model: MLPModel, matrix: FeatureMatrix, rows, labels):
+    """Mean cross-entropy and mean gradients over a batch of matrix rows.
+
+    `rows` are row indices into `matrix` and `labels` their classes; each
+    row's forward and backward pass touches only its stored entries.
+    """
     batch = len(rows)
     grads = {name: np.zeros_like(getattr(model, name)) for name in _PARAM_NAMES}
     loss = 0.0
     for row, label in zip(rows, labels):
-        hidden_pre = model._hidden_pre(row)
+        columns, values = matrix.row(row)
+        hidden_pre = values @ model.w1[columns] + model.b1
         hidden = relu(hidden_pre)
-        probs = _softmax(hidden @ model.w2 + model.b2)
+        probs = softmax(hidden @ model.w2 + model.b2)
         loss -= float(np.log(probs[label]))
         d_logits = probs.copy()
         d_logits[label] -= 1.0
         grads["w2"] += np.outer(hidden, d_logits)
         grads["b2"] += d_logits
         d_hidden = (model.w2 @ d_logits) * (hidden_pre > 0)
-        if row.nnz:
-            grads["w1"][row.indices] += np.outer(row.values, d_hidden)
+        grads["w1"][columns] += np.outer(values, d_hidden)
         grads["b1"] += d_hidden
     for name in _PARAM_NAMES:
         grads[name] /= batch
@@ -148,12 +140,9 @@ def mlp_loss_and_grads(model: MLPModel, rows, labels):
 
 
 def mlp_loss(model: MLPModel, matrix: FeatureMatrix, labels: np.ndarray) -> float:
-    """Mean categorical cross-entropy of the model over the given rows."""
-    total = 0.0
-    for row, label in zip(matrix.rows, labels):
-        scores = model.predict_scores(row)
-        total -= float(np.log(scores[label]))
-    return total / len(matrix.rows)
+    """Mean categorical cross-entropy of the model over the matrix rows."""
+    probs = model.predict_scores(matrix)
+    return float(-np.log(probs[np.arange(matrix.n_rows), labels]).mean())
 
 
 def mlp_epoch(
@@ -170,7 +159,7 @@ def mlp_epoch(
     updated in place; the returned model is the same object.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    n = len(matrix.rows)
+    n = matrix.n_rows
     steps_per_epoch = -(-n // params.batch_size)
     epoch = adam.step // steps_per_epoch
     order = list(range(n))
@@ -178,9 +167,7 @@ def mlp_epoch(
     epoch_loss = 0.0
     for start in range(0, n, params.batch_size):
         chosen = order[start : start + params.batch_size]
-        batch_rows = [matrix.rows[i] for i in chosen]
-        batch_labels = labels[chosen]
-        loss, grads = mlp_loss_and_grads(model, batch_rows, batch_labels)
+        loss, grads = mlp_loss_and_grads(model, matrix, chosen, labels[chosen])
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch)
         epoch_loss += loss * len(chosen)

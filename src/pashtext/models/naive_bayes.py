@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError, TrainingError
-from ..vectorize import FeatureMatrix, SparseVector
+from ..vectorize import FeatureMatrix, class_sums
 from .base import Model, ModelKind
 from .params import GaussianNBParams, MultinomialNBParams
 
@@ -18,8 +18,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _log_normalize(joint: np.ndarray) -> np.ndarray:
-    peak = joint.max()
-    return joint - (peak + np.log(np.exp(joint - peak).sum()))
+    """Row-wise log-softmax of (n_rows, K) joint log-probabilities."""
+    peak = joint.max(axis=1, keepdims=True)
+    return joint - (peak + np.log(np.exp(joint - peak).sum(axis=1, keepdims=True)))
 
 
 def _class_priors(row_labels: np.ndarray, label_count: int) -> np.ndarray:
@@ -28,10 +29,11 @@ def _class_priors(row_labels: np.ndarray, label_count: int) -> np.ndarray:
 
 
 class GaussianNBModel(Model):
-    """Per-class feature means and variances; densifies each scored vector.
+    """Per-class feature means and variances; densifies the scored matrix.
 
-    Memory cost of scoring/fitting is O(V * K): this family needs per-feature
-    statistics, so rows are densified internally.
+    This family needs per-feature statistics, so fitting and scoring work on
+    dense rows; scoring loops over classes, so each row's log-likelihood is
+    one contiguous sum over the features.
     """
 
     kind = ModelKind.GAUSSIAN_NB
@@ -48,14 +50,14 @@ class GaussianNBModel(Model):
         if np.any(self.variances <= 0):
             raise TrainingError("variances must be strictly positive after flooring")
 
-    def predict_scores(self, vector: SparseVector) -> np.ndarray:
-        self._check_vector(vector)
-        dense = vector.to_dense()
-        diff = dense[None, :] - self.means
-        log_likelihood = -0.5 * (
-            _LOG_2PI + np.log(self.variances) + diff**2 / self.variances
-        ).sum(axis=1)
-        return _log_normalize(np.log(self.priors) + log_likelihood)
+    def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
+        dense = matrix.to_dense()
+        log_norms = _LOG_2PI + np.log(self.variances)
+        joint = np.empty((matrix.n_rows, self.label_count), dtype=np.float64)
+        for c in range(self.label_count):
+            terms = log_norms[c] + (dense - self.means[c]) ** 2 / self.variances[c]
+            joint[:, c] = -0.5 * terms.sum(axis=1)
+        return _log_normalize(np.log(self.priors) + joint)
 
     def payload(self) -> dict:
         return {
@@ -112,12 +114,8 @@ class MultinomialNBModel(Model):
         if np.any(np.abs(prob_sums - 1.0) > 1e-9):
             raise TrainingError("per-class token probabilities must sum to 1")
 
-    def predict_scores(self, vector: SparseVector) -> np.ndarray:
-        self._check_vector(vector)
-        joint = np.log(self.priors).copy()
-        if vector.nnz:
-            joint += self.log_token_probs[:, vector.indices] @ vector.values
-        return _log_normalize(joint)
+    def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
+        return _log_normalize(np.log(self.priors) + matrix.dot(self.log_token_probs.T))
 
     def payload(self) -> dict:
         return {
@@ -135,14 +133,10 @@ class MultinomialNBModel(Model):
 def train_multinomial_nb(
     matrix: FeatureMatrix, params: MultinomialNBParams, label_count: int
 ) -> MultinomialNBModel:
-    for row in matrix.rows:
-        if row.values.size and row.values.min() < 0:
-            raise DataError("multinomial NB requires non-negative feature values")
-    labels = matrix.row_labels
-    priors = _class_priors(labels, label_count)
-    token_sums = np.zeros((label_count, matrix.dim))
-    for row, label in zip(matrix.rows, labels):
-        token_sums[label, row.indices] += row.values
+    if matrix.nnz and matrix.data.min() < 0:
+        raise DataError("multinomial NB requires non-negative feature values")
+    priors = _class_priors(matrix.row_labels, label_count)
+    token_sums = class_sums(matrix, label_count)
     alpha = params.laplace_alpha
     smoothed = token_sums + alpha
     log_probs = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))

@@ -51,13 +51,10 @@ def train(
             f"{kind.value} expects {params_class_for(kind).__name__}, "
             f"got {type(params).__name__}"
         )
-    if len(matrix.rows) == 0:
+    if matrix.n_rows == 0:
         raise DataError("cannot train on an empty feature matrix")
     if matrix.dim == 0:
         raise DataError("cannot train on zero-dimensional features")
-    for row in matrix.rows:
-        if not np.all(np.isfinite(row.values)):
-            raise DataError("training matrix contains non-finite values")
     present = np.unique(matrix.row_labels)
     if present.size < 2:
         raise DataError("training requires at least two distinct classes")
@@ -69,6 +66,6 @@ def train(
     model = _TRAINERS[kind](matrix, params, label_count)
     logger.debug(
         "trained %s on %d rows x %d features in %.3fs",
-        kind.value, len(matrix.rows), matrix.dim, time.perf_counter() - started,
+        kind.value, matrix.n_rows, matrix.dim, time.perf_counter() - started,
     )
     return model

@@ -15,8 +15,8 @@ import numpy as np
 
 from ..errors import DataError
 from ..prng import SplitMix64, derive_seed
-from ..vectorize import FeatureMatrix, SparseVector
-from .base import Model, ModelKind, argmax_lowest
+from ..vectorize import FeatureMatrix
+from .base import Model, ModelKind
 from .params import DecisionTreeParams, RandomForestParams
 
 
@@ -143,6 +143,40 @@ def _grow(
     return TreeNode(feature, threshold, children[0], children[1], ())
 
 
+def _route(node: TreeNode, dense: np.ndarray, row_ids: np.ndarray, out: np.ndarray):
+    """Write each row's leaf class frequencies into `out`, partitioning the
+    row ids at every split (`value <= threshold` goes left)."""
+    if row_ids.size == 0:
+        return
+    if node.is_leaf:
+        counts = np.asarray(node.class_counts, dtype=np.float64)
+        out[row_ids] = counts / counts.sum()
+        return
+    goes_left = dense[row_ids, node.feature] <= node.threshold
+    _route(node.left, dense, row_ids[goes_left], out)
+    _route(node.right, dense, row_ids[~goes_left], out)
+
+
+def _check_tree(node: TreeNode, label_count: int, feature_dimension: int) -> None:
+    """Reject payload trees that could not have come from training."""
+    if node.is_leaf:
+        counts = node.class_counts
+        if len(counts) != label_count or min(counts) < 0 or sum(counts) <= 0:
+            raise DataError(
+                f"tree leaf counts {list(counts)} must be {label_count} "
+                "non-negative counts with a positive sum"
+            )
+        return
+    if not 0 <= node.feature < feature_dimension:
+        raise DataError(
+            f"tree split feature {node.feature} outside [0, {feature_dimension})"
+        )
+    if not np.isfinite(node.threshold):
+        raise DataError(f"tree split threshold {node.threshold} is not finite")
+    _check_tree(node.left, label_count, feature_dimension)
+    _check_tree(node.right, label_count, feature_dimension)
+
+
 class DecisionTreeModel(Model):
     """Single CART tree; scores are the reached leaf's class frequencies."""
 
@@ -154,28 +188,23 @@ class DecisionTreeModel(Model):
         self.label_count = label_count
         self.feature_dimension = feature_dimension
 
-    def _leaf_for(self, vector: SparseVector) -> TreeNode:
-        node = self.root
-        while not node.is_leaf:
-            if vector.get(node.feature) <= node.threshold:
-                node = node.left
-            else:
-                node = node.right
-        return node
+    def _leaf_frequencies(self, dense: np.ndarray) -> np.ndarray:
+        out = np.empty((dense.shape[0], self.label_count), dtype=np.float64)
+        _route(self.root, dense, np.arange(dense.shape[0]), out)
+        return out
 
-    def predict_scores(self, vector: SparseVector) -> np.ndarray:
-        self._check_vector(vector)
-        counts = np.asarray(self._leaf_for(vector).class_counts, dtype=np.float64)
-        return counts / counts.sum()
+    def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
+        return self._leaf_frequencies(matrix.to_dense())
 
     def payload(self) -> dict:
         return {"root": self.root.to_payload()}
 
     @classmethod
-    def from_payload(cls, payload: dict, params, label_count: int = 0,
-                     feature_dimension: int = 0) -> "DecisionTreeModel":
-        return cls(TreeNode.from_payload(payload["root"]), params,
-                   label_count, feature_dimension)
+    def from_payload(cls, payload: dict, params, label_count: int,
+                     feature_dimension: int) -> "DecisionTreeModel":
+        root = TreeNode.from_payload(payload["root"])
+        _check_tree(root, label_count, feature_dimension)
+        return cls(root, params, label_count, feature_dimension)
 
 
 def train_decision_tree(
@@ -186,7 +215,7 @@ def train_decision_tree(
     root = _grow(
         dense,
         matrix.row_labels,
-        np.arange(len(matrix.rows)),
+        np.arange(matrix.n_rows),
         0,
         label_count,
         params.max_depth,
@@ -208,11 +237,12 @@ class RandomForestModel(Model):
         self.label_count = label_count
         self.feature_dimension = feature_dimension
 
-    def predict_scores(self, vector: SparseVector) -> np.ndarray:
-        self._check_vector(vector)
-        votes = np.zeros(self.label_count, dtype=np.float64)
+    def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
+        dense = matrix.to_dense()
+        votes = np.zeros((matrix.n_rows, self.label_count), dtype=np.float64)
+        rows = np.arange(matrix.n_rows)
         for tree in self.trees:
-            votes[argmax_lowest(tree.predict_scores(vector))] += 1.0
+            votes[rows, np.argmax(tree._leaf_frequencies(dense), axis=1)] += 1.0
         return votes
 
     def payload(self) -> dict:
@@ -220,7 +250,7 @@ class RandomForestModel(Model):
 
     @classmethod
     def from_payload(cls, payload: dict, params: RandomForestParams,
-                     label_count: int = 0, feature_dimension: int = 0) -> "RandomForestModel":
+                     label_count: int, feature_dimension: int) -> "RandomForestModel":
         trees = [
             DecisionTreeModel.from_payload(entry, None, label_count, feature_dimension)
             for entry in payload["trees"]

@@ -1,4 +1,4 @@
-"""Vocabulary building, unigram/TFIDF sparse vectors, chi-square selection.
+"""Vocabulary building, unigram/TFIDF sparse matrices, chi-square selection.
 
 Everything here is fitted on training documents only. Transforming a test
 document never mutates the vocabulary; unseen tokens are simply dropped.
@@ -8,16 +8,16 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import LabelSet
+from .corpus import Corpus, CorpusSplit, LabelSet
 from .errors import DataError
-from .pipeline import TokenizedDocument
+from .pipeline import PipelineConfig, TokenizedDocument, preprocess
 
 logger = logging.getLogger(__name__)
 
@@ -27,106 +27,117 @@ FEATURE_MODES = (UNIGRAM, TFIDF)
 
 
 @dataclass(eq=False)
-class SparseVector:
-    """Sorted (index, value) pairs over a fixed dimension; no explicit zeros."""
-
-    indices: np.ndarray  # int64, strictly increasing
-    values: np.ndarray  # float64, finite, nonzero
-    dim: int
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.indices.shape != self.values.shape:
-            raise DataError("indices and values must have equal length")
-        if self.indices.size:
-            if np.any(np.diff(self.indices) <= 0):
-                raise DataError("sparse indices must be strictly increasing")
-            if self.indices[0] < 0 or self.indices[-1] >= self.dim:
-                raise DataError("sparse index out of range")
-            if not np.all(np.isfinite(self.values)):
-                raise DataError("sparse values must be finite")
-
-    @classmethod
-    def from_dict(cls, entries: dict[int, float], dim: int) -> "SparseVector":
-        items = sorted((i, v) for i, v in entries.items() if v != 0.0)
-        indices = np.array([i for i, _ in items], dtype=np.int64)
-        values = np.array([v for _, v in items], dtype=np.float64)
-        return cls(indices=indices, values=values, dim=dim)
-
-    @classmethod
-    def from_dense(cls, dense: Sequence[float]) -> "SparseVector":
-        arr = np.asarray(dense, dtype=np.float64)
-        nz = np.nonzero(arr)[0]
-        return cls(indices=nz, values=arr[nz], dim=arr.size)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def get(self, index: int) -> float:
-        pos = np.searchsorted(self.indices, index)
-        if pos < self.indices.size and self.indices[pos] == index:
-            return float(self.values[pos])
-        return 0.0
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim, dtype=np.float64)
-        dense[self.indices] = self.values
-        return dense
-
-    def dot(self, other: "SparseVector") -> float:
-        if self.dim != other.dim:
-            raise DataError("dimension mismatch in sparse dot product")
-        # Two-pointer merge over the sorted index arrays.
-        i = j = 0
-        total = 0.0
-        a_idx, a_val = self.indices, self.values
-        b_idx, b_val = other.indices, other.values
-        while i < a_idx.size and j < b_idx.size:
-            ai, bj = a_idx[i], b_idx[j]
-            if ai == bj:
-                total += a_val[i] * b_val[j]
-                i += 1
-                j += 1
-            elif ai < bj:
-                i += 1
-            else:
-                j += 1
-        return total
-
-    def norm_sq(self) -> float:
-        return float(np.dot(self.values, self.values))
-
-
-@dataclass(eq=False)
 class FeatureMatrix:
-    """Row-per-document sparse matrix with class indices and a feature mode."""
+    """Compressed sparse rows: one row per document, plus class indices.
 
-    rows: list[SparseVector]
-    row_labels: np.ndarray  # int64 class indices, aligned with rows
+    Row i stores its column indices in ``indices[indptr[i]:indptr[i + 1]]``
+    (strictly increasing, within [0, dim)) and the matching finite values
+    in the same slice of ``data``.  The whole layout is validated once, here.
+    """
+
+    indptr: np.ndarray  # int64, n_rows + 1 offsets, starts at 0, non-decreasing
+    indices: np.ndarray  # int64 column per stored value
+    data: np.ndarray  # float64 stored values
+    row_labels: np.ndarray  # int64 class indices, one per row
     mode: str
     dim: int
 
     def __post_init__(self):
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.data = np.asarray(self.data, dtype=np.float64)
         self.row_labels = np.asarray(self.row_labels, dtype=np.int64)
         if self.mode not in FEATURE_MODES:
             raise DataError(f"unknown feature mode {self.mode!r}")
-        if len(self.rows) != self.row_labels.size:
-            raise DataError("rows and row_labels must have equal length")
-        for row in self.rows:
-            if row.dim != self.dim:
-                raise DataError("all rows must share the matrix dimension")
+        if self.dim < 0:
+            raise DataError("matrix dimension must be non-negative")
+        if (
+            self.indptr.ndim != 1
+            or self.indptr.size != self.row_labels.size + 1
+            or self.indptr[0] != 0
+            or np.any(np.diff(self.indptr) < 0)
+        ):
+            raise DataError("indptr must hold n_rows + 1 non-decreasing offsets from 0")
+        if not self.indices.shape == self.data.shape == (int(self.indptr[-1]),):
+            raise DataError("indices and data must hold indptr[-1] entries each")
+        if self.indices.size:
+            if self.indices.min() < 0 or self.indices.max() >= self.dim:
+                raise DataError("sparse index out of range")
+            increasing = np.diff(self.indices) > 0
+            starts = self.indptr[1:-1]
+            increasing[starts[(starts > 0) & (starts < self.indices.size)] - 1] = True
+            if not increasing.all():
+                raise DataError("sparse indices must be strictly increasing within a row")
+            if not np.all(np.isfinite(self.data)):
+                raise DataError("sparse values must be finite")
+
+    @classmethod
+    def from_dense(cls, dense, row_labels=None) -> "FeatureMatrix":
+        """Unigram matrix of the nonzero entries of a 2-D array (labels default to 0)."""
+        dense = np.asarray(dense, dtype=np.float64)
+        rows, cols = np.nonzero(dense)
+        if row_labels is None:
+            row_labels = np.zeros(dense.shape[0], dtype=np.int64)
+        return cls(
+            _indptr(rows, dense.shape[0]), cols, dense[rows, cols], row_labels,
+            UNIGRAM, dense.shape[1],
+        )
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.row_labels.size
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def row_ids(self) -> np.ndarray:
+        """Row index of every stored value."""
+        return np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, values) views of row i."""
+        start, end = self.indptr[i], self.indptr[i + 1]
+        return self.indices[start:end], self.data[start:end]
+
+    def row_block(self, start: int, stop: int) -> "FeatureMatrix":
+        """Rows [start, stop) as a matrix of their own."""
+        stop = min(stop, self.n_rows)
+        first, last = self.indptr[start], self.indptr[stop]
+        return FeatureMatrix(
+            self.indptr[start : stop + 1] - first, self.indices[first:last],
+            self.data[first:last], self.row_labels[start:stop], self.mode, self.dim,
+        )
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((len(self.rows), self.dim), dtype=np.float64)
-        for i, row in enumerate(self.rows):
-            dense[i, row.indices] = row.values
+        dense = np.zeros((self.n_rows, self.dim), dtype=np.float64)
+        dense[self.row_ids(), self.indices] = self.data
         return dense
+
+    def dot(self, weights: np.ndarray) -> np.ndarray:
+        """(n_rows, m) product with a dense (dim, m) array.
+
+        Each entry sums its row's stored products in index order, so memory
+        stays O(nnz + n_rows * m) however wide the matrix is.
+        """
+        rows = self.row_ids()
+        out = np.empty((self.n_rows, weights.shape[1]), dtype=np.float64)
+        for j in range(weights.shape[1]):
+            out[:, j] = np.bincount(
+                rows, weights=self.data * weights[self.indices, j], minlength=self.n_rows
+            )
+        return out
+
+    def squared_norms(self) -> np.ndarray:
+        """Per-row sum of squared values, accumulated in index order."""
+        return np.bincount(
+            self.row_ids(), weights=self.data * self.data, minlength=self.n_rows
+        )
+
+
+def _indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR offsets for entries whose (sorted) row indices are `rows`."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
 
 
 @dataclass
@@ -175,22 +186,28 @@ class Vocabulary:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Vocabulary":
-        entries = payload["entries"]
-        token_to_index = {token: int(index) for token, index, _ in entries}
-        df = np.zeros(len(entries), dtype=np.int64)
-        for _, index, count in entries:
-            df[int(index)] = int(count)
+        try:
+            entries = payload["entries"]
+            token_to_index = {token: int(index) for token, index, _ in entries}
+            df = np.zeros(len(entries), dtype=np.int64)
+            for _, index, count in entries:
+                df[int(index)] = int(count)
+            n_train_docs = int(payload["n_train_docs"])
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise DataError(
+                f"malformed vocabulary: {type(exc).__name__}: {exc}"
+            ) from None
         return cls(
             token_to_index=token_to_index,
             document_frequency=df,
-            n_train_docs=int(payload["n_train_docs"]),
+            n_train_docs=n_train_docs,
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read vocabulary {path}: {exc}") from None
         return cls.from_json_dict(payload)
 
@@ -251,31 +268,9 @@ def build_vocabulary(
     )
 
 
-def unigram_vector(tokens: Iterable[str], vocab: Vocabulary) -> SparseVector:
-    """Raw occurrence counts against the vocabulary; unknown tokens ignored."""
-    counts: dict[int, float] = {}
-    lookup = vocab.token_to_index
-    for token in tokens:
-        index = lookup.get(token)
-        if index is not None:
-            counts[index] = counts.get(index, 0.0) + 1.0
-    return SparseVector.from_dict(counts, dim=len(vocab))
-
-
 def idf_weights(vocab: Vocabulary) -> np.ndarray:
     """Natural-log inverse document frequency: ln(n_train_docs / df)."""
     return np.log(vocab.n_train_docs / vocab.document_frequency.astype(np.float64))
-
-
-def tfidf_vector(counts: SparseVector, idf: np.ndarray) -> SparseVector:
-    """Weight raw counts by idf; entries that become exactly zero are pruned."""
-    if counts.dim != idf.shape[0]:
-        raise DataError(
-            f"dimension mismatch: counts dim {counts.dim}, idf dim {idf.shape[0]}"
-        )
-    values = counts.values * idf[counts.indices]
-    keep = values != 0.0
-    return SparseVector(indices=counts.indices[keep], values=values[keep], dim=counts.dim)
 
 
 def vectorize_documents(
@@ -284,22 +279,42 @@ def vectorize_documents(
     mode: str,
     labels: LabelSet,
 ) -> FeatureMatrix:
-    """Build the unigram or TFIDF matrix for a document sequence."""
+    """Build the unigram or TFIDF matrix for a document sequence.
+
+    Unigram values are raw occurrence counts; TFIDF multiplies each count by
+    its idf and drops the entries that become exactly zero.  Tokens outside
+    the vocabulary are ignored.
+    """
     if mode not in FEATURE_MODES:
         raise DataError(f"unknown feature mode {mode!r}")
-    idf = idf_weights(vocab) if mode == TFIDF else None
-    rows = []
-    row_labels = []
-    for doc in docs:
-        counts = unigram_vector(doc.tokens, vocab)
-        rows.append(tfidf_vector(counts, idf) if idf is not None else counts)
-        row_labels.append(labels.index(doc.label))
+    lookup = vocab.token_to_index
+    dim = len(vocab)
+    found = [[lookup[token] for token in doc.tokens if token in lookup] for doc in docs]
+    rows = np.repeat(np.arange(len(docs), dtype=np.int64), [len(f) for f in found])
+    columns = np.fromiter(chain.from_iterable(found), dtype=np.int64, count=rows.size)
+    # One sorted (row, column) key per distinct cell gives CSR order directly.
+    keys, counts = np.unique(rows * dim + columns, return_counts=True)
+    cell_rows, indices = np.divmod(keys, max(dim, 1))
+    values = counts.astype(np.float64)
+    if mode == TFIDF:
+        values = values * idf_weights(vocab)[indices]
+        keep = values != 0.0
+        cell_rows, indices, values = cell_rows[keep], indices[keep], values[keep]
     return FeatureMatrix(
-        rows=rows,
-        row_labels=np.asarray(row_labels, dtype=np.int64),
+        indptr=_indptr(cell_rows, len(docs)),
+        indices=indices,
+        data=values,
+        row_labels=np.array([labels.index(doc.label) for doc in docs], dtype=np.int64),
         mode=mode,
-        dim=len(vocab),
+        dim=dim,
     )
+
+
+def class_sums(matrix: FeatureMatrix, n_classes: int) -> np.ndarray:
+    """(n_classes, dim) per-class column sums, accumulated in row order."""
+    sums = np.zeros((n_classes, matrix.dim), dtype=np.float64)
+    np.add.at(sums, (matrix.row_labels[matrix.row_ids()], matrix.indices), matrix.data)
+    return sums
 
 
 def chi2_scores(matrix: FeatureMatrix, n_classes: int) -> np.ndarray:
@@ -314,11 +329,9 @@ def chi2_scores(matrix: FeatureMatrix, n_classes: int) -> np.ndarray:
         raise DataError("cannot score features of an empty matrix")
     if n_classes < 1 or np.any(matrix.row_labels >= n_classes):
         raise DataError("row label out of range for n_classes")
-    observed = np.zeros((n_classes, matrix.dim), dtype=np.float64)
-    for row, label in zip(matrix.rows, matrix.row_labels):
-        if row.values.size and row.values.min() < 0:
-            raise DataError("chi-square selection requires non-negative features")
-        observed[label, row.indices] += row.values
+    if matrix.nnz and matrix.data.min() < 0:
+        raise DataError("chi-square selection requires non-negative features")
+    observed = class_sums(matrix, n_classes)
     class_share = np.bincount(matrix.row_labels, minlength=n_classes) / matrix.n_rows
     feature_totals = observed.sum(axis=0)
     expected = np.outer(class_share, feature_totals)
@@ -348,26 +361,72 @@ def select_top_k(scores: np.ndarray, k: int) -> FeatureMask:
 def apply_mask(mask: FeatureMask, matrix: FeatureMatrix) -> FeatureMatrix:
     """Project the matrix onto the mask's features, remapped densely."""
     kept = mask.kept_indices
-    rows = []
-    for row in matrix.rows:
-        positions = np.searchsorted(kept, row.indices)
-        positions = np.clip(positions, 0, kept.size - 1)
-        hit = kept[positions] == row.indices
-        rows.append(
-            SparseVector(
-                indices=positions[hit], values=row.values[hit], dim=int(kept.size)
-            )
-        )
+    hit = np.isin(matrix.indices, kept)
+    hits_before = np.concatenate(([0], np.cumsum(hit)))
     return FeatureMatrix(
-        rows=rows, row_labels=matrix.row_labels.copy(), mode=matrix.mode, dim=int(kept.size)
+        indptr=hits_before[matrix.indptr],
+        indices=np.searchsorted(kept, matrix.indices[hit]),
+        data=matrix.data[hit],
+        row_labels=matrix.row_labels.copy(),
+        mode=matrix.mode,
+        dim=int(kept.size),
     )
 
 
-def apply_mask_vector(mask: FeatureMask, vector: SparseVector) -> SparseVector:
-    kept = mask.kept_indices
-    positions = np.searchsorted(kept, vector.indices)
-    positions = np.clip(positions, 0, kept.size - 1)
-    hit = kept[positions] == vector.indices
-    return SparseVector(
-        indices=positions[hit], values=vector.values[hit], dim=int(kept.size)
-    )
+TRAIN = "train"
+TEST = "test"
+
+
+@dataclass
+class SplitFeatures:
+    """Vocabulary, optional mask, and each requested side's matrix per mode."""
+
+    vocab: Vocabulary
+    mask: FeatureMask | None
+    train: dict[str, FeatureMatrix]
+    test: dict[str, FeatureMatrix]
+
+
+def split_features(
+    corpus: Corpus,
+    split: CorpusSplit,
+    config: PipelineConfig,
+    modes: Sequence[str],
+    sides: Sequence[str] = (TRAIN, TEST),
+    select_k: int | None = None,
+    vocab: Vocabulary | None = None,
+    mask: FeatureMask | None = None,
+) -> SplitFeatures:
+    """Turn split ids into a vocabulary, an optional mask and feature matrices.
+
+    Only the sides that are needed are looked up (ids missing from the corpus
+    are a DataError) and preprocessed.  Without a fitted `vocab`, the
+    vocabulary (and, when `select_k` is set, the top-k chi-square mask over
+    unigram counts) is fitted on the train side.  Every requested side is
+    then vectorized in every requested mode and masked.
+    """
+    needed = set(sides) if vocab is not None else {TRAIN, *sides}
+    docs = {}
+    for side, ids in ((TRAIN, split.train_ids), (TEST, split.test_ids)):
+        if side not in needed:
+            continue
+        result = preprocess(Corpus(corpus.subset(ids), corpus.labels), config)
+        if result.excluded:
+            logger.warning(
+                "%d %s documents were excluded by preprocessing",
+                len(result.excluded), side,
+            )
+        if not result.documents:
+            raise DataError(f"no usable documents on the {side} side of the split")
+        docs[side] = result.documents
+    if vocab is None:
+        vocab = build_vocabulary(docs[TRAIN])
+        if select_k is not None:
+            counts = vectorize_documents(docs[TRAIN], vocab, UNIGRAM, corpus.labels)
+            mask = select_top_k(chi2_scores(counts, len(corpus.labels)), select_k)
+    matrices: dict[str, dict[str, FeatureMatrix]] = {TRAIN: {}, TEST: {}}
+    for side in sides:
+        for mode in modes:
+            matrix = vectorize_documents(docs[side], vocab, mode, corpus.labels)
+            matrices[side][mode] = matrix if mask is None else apply_mask(mask, matrix)
+    return SplitFeatures(vocab, mask, matrices[TRAIN], matrices[TEST])

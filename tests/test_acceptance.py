@@ -25,40 +25,31 @@ from pashtext.models import (
     MultinomialNBParams,
     GaussianNBParams,
     RandomForestParams,
-    argmax_lowest,
-    logistic_loss_and_grads,
-    mlp_loss_and_grads,
-    init_mlp,
-    svm_loss_and_grads,
     train,
     train_decision_tree,
     train_gaussian_nb,
     train_multinomial_nb,
     train_random_forest,
 )
-from pashtext.pipeline import PASHTO_DEFAULT, preprocess, preprocess_text
+from pashtext.models.linear import logistic_loss_and_grads, svm_loss_and_grads
+from pashtext.models.mlp import init_mlp, mlp_loss_and_grads
+from pashtext.pipeline import (
+    PASHTO_DEFAULT,
+    TokenizedDocument,
+    preprocess,
+    preprocess_text,
+)
 from pashtext.synth import generate_corpus
 from pashtext.vectorize import (
+    TFIDF,
     UNIGRAM,
     FeatureMatrix,
-    SparseVector,
     build_vocabulary,
     chi2_scores,
-    idf_weights,
-    tfidf_vector,
-    unigram_vector,
     vectorize_documents,
 )
 
-
-def matrix_from_dense(dense, labels):
-    dense = np.asarray(dense, dtype=np.float64)
-    return FeatureMatrix(
-        rows=[SparseVector.from_dense(row) for row in dense],
-        row_labels=np.asarray(labels, dtype=np.int64),
-        mode=UNIGRAM,
-        dim=dense.shape[1],
-    )
+matrix_from_dense = FeatureMatrix.from_dense
 
 
 # --------------------------------------------------------------------------
@@ -82,13 +73,8 @@ def test_criterion_1_tfidf_oracle():
     target = "خير"
     assert target in vocab.token_to_index
     assert int(vocab.document_frequency[vocab.token_to_index[target]]) == 2
-    idf = idf_weights(vocab)
-    weights = [
-        tfidf_vector(unigram_vector(list(doc.tokens), vocab), idf).get(
-            vocab.token_to_index[target]
-        )
-        for doc in result.documents
-    ]
+    matrix = vectorize_documents(result.documents, vocab, TFIDF, corpus.labels)
+    weights = matrix.to_dense()[:, vocab.token_to_index[target]].tolist()
     expected_single = 1.0 * math.log(3.0 / 2.0)  # 0.405465...
     expected_double = 2.0 * math.log(3.0 / 2.0)  # 0.810930...
     assert weights[0] == pytest.approx(expected_single, abs=1e-9)
@@ -219,17 +205,17 @@ def test_criterion_3_naive_bayes_oracle():
             continue  # keep the generous variance floor well-defined
         query = [float(rng.randrange(4)) for _ in range(dim)]
         matrix = matrix_from_dense(dense, labels)
-        query_vec = SparseVector.from_dense(query)
+        query_matrix = matrix_from_dense([query])
 
         mnb = train_multinomial_nb(matrix, MultinomialNBParams(laplace_alpha=1.0),
                                    label_count)
-        got = np.exp(mnb.predict_scores(query_vec))
+        got = np.exp(mnb.predict_scores(query_matrix)[0])
         expected = brute_multinomial_posterior(dense, labels, query, label_count, 1.0)
         assert np.allclose(got, expected, atol=1e-9)
 
         params = GaussianNBParams(variance_floor=0.5)
         gnb = train_gaussian_nb(matrix, params, label_count)
-        got = np.exp(gnb.predict_scores(query_vec))
+        got = np.exp(gnb.predict_scores(query_matrix)[0])
         expected = brute_gaussian_posterior(
             dense, labels, query, label_count, params.variance_floor
         )
@@ -304,26 +290,25 @@ def check_mlp_gradients(rng):
         params = MLPParams(hidden_units=20, seed=rng.randrange(10000))
         model = init_mlp(dim, label_count, params)
         model.b1 += np.array([rng.uniform(-0.3, 0.3) for _ in range(20)])
-        rows = [
-            SparseVector.from_dense([rng.uniform(-1, 1) for _ in range(dim)])
-            for _ in range(n)
-        ]
+        dense = [[rng.uniform(-1, 1) for _ in range(dim)] for _ in range(n)]
         labels = np.array([rng.randrange(label_count) for _ in range(n)])
-        pres = [row.to_dense() @ model.w1 + model.b1 for row in rows]
-        if all(np.abs(pre).min() > 1e-3 for pre in pres):
+        matrix = matrix_from_dense(dense, labels)
+        rows = range(n)
+        pres = np.asarray(dense) @ model.w1 + model.b1
+        if np.abs(pres).min() > 1e-3:
             break
     else:
         raise AssertionError("could not sample an instance away from the ReLU kink")
-    _, grads = mlp_loss_and_grads(model, rows, labels)
+    _, grads = mlp_loss_and_grads(model, matrix, rows, labels)
     for name in ("w1", "b1", "w2", "b2"):
         tensor = getattr(model, name)
         numeric = np.zeros_like(tensor)
         for idx in np.ndindex(tensor.shape):
             original = tensor[idx]
             tensor[idx] = original + _H
-            up = mlp_loss_and_grads(model, rows, labels)[0]
+            up = mlp_loss_and_grads(model, matrix, rows, labels)[0]
             tensor[idx] = original - _H
-            down = mlp_loss_and_grads(model, rows, labels)[0]
+            down = mlp_loss_and_grads(model, matrix, rows, labels)[0]
             tensor[idx] = original
             numeric[idx] = (up - down) / (2 * _H)
         assert relative_error(grads[name], numeric) < _REL_TOL, name
@@ -522,8 +507,8 @@ def test_criterion_7_determinism(desk_grid):
         ),
         4,
     )
-    for row in train_matrix.rows + test_matrix.rows:
-        assert forest.predict(row) == tree.predict(row)
+    for matrix in (train_matrix, test_matrix):
+        assert np.array_equal(forest.predict_rows(matrix), tree.predict_rows(matrix))
     print("CRITERION 7 PASS: repeated grid runs are byte-identical and the "
           "one-tree forest equals the plain tree on every row")
 
@@ -547,16 +532,18 @@ def test_criterion_8_out_of_vocabulary_robustness():
     }
     oov_tokens = preprocess_text("کلمات ناپيژندلي بهرنيان", PASHTO_DEFAULT)
     assert all(token not in vocab.token_to_index for token in oov_tokens)
-    oov_vector = unigram_vector(oov_tokens, vocab)
-    assert oov_vector.nnz == 0
+    oov_doc = TokenizedDocument(id="oov", tokens=tuple(oov_tokens), label="history")
+    oov_matrix = vectorize_documents([oov_doc], vocab, UNIGRAM, corpus.labels)
+    assert oov_matrix.nnz == 0
     label_count = len(corpus.labels)
     for kind in ModelKind:
         model = train(kind, matrix, quick.get(kind), label_count=label_count)
-        scores = model.predict_scores(oov_vector)
-        assert scores.shape == (label_count,)
+        scores = model.predict_scores(oov_matrix)
+        assert scores.shape == (1, label_count)
         assert np.isfinite(scores).all(), kind
-        predicted = model.predict(oov_vector)
+        (predicted,) = model.predict_rows(oov_matrix)
         assert 0 <= predicted < label_count
-        assert predicted == argmax_lowest(scores)
+        # the prediction is the first of the maximal scores
+        assert predicted == min(np.flatnonzero(scores[0] == scores[0].max()))
     print("CRITERION 8 PASS: the all-OOV document gets a valid tie-broken "
           "class from all eight models")

@@ -231,6 +231,125 @@ def test_evaluate_rejects_foreign_labels(workspace, tmp_path, capsys):
     assert "unknown to the model" in capsys.readouterr().err
 
 
+def _evaluate(workspace, tmp_path, bundle=None, split=None):
+    return main(
+        [
+            "evaluate",
+            "--model", str(bundle or workspace["bundle"]),
+            "--corpus", str(workspace["corpus"]),
+            "--split", str(split or workspace["split"]),
+            "--out", str(tmp_path / "eval"),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("labels",),
+        ("pipeline",),
+        ("mode",),
+        ("mask",),
+        ("vocabulary",),
+        ("vocabulary", "entries"),
+        ("vocabulary", "n_train_docs"),
+        ("model",),
+        ("model", "kind"),
+        ("model", "hyperparams"),
+        ("model", "payload"),
+        ("model", "payload", "log_token_probs"),
+        ("model", "label_count"),
+        ("model", "feature_dimension"),
+    ],
+)
+def test_evaluate_rejects_bundle_missing_a_key(workspace, tmp_path, path):
+    bundle = json.loads(workspace["bundle"].read_text(encoding="utf-8"))
+    owner = bundle
+    for key in path[:-1]:
+        owner = owner[key]
+    del owner[path[-1]]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(bundle), encoding="utf-8")
+    assert _evaluate(workspace, tmp_path, bundle=broken) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("mode", "bigram"), ("mode", ["tfidf"]), ("labels", 3), ("vocabulary", [])],
+)
+def test_evaluate_rejects_bundle_with_wrong_type(workspace, tmp_path, key, value):
+    bundle = json.loads(workspace["bundle"].read_text(encoding="utf-8"))
+    bundle[key] = value
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(bundle), encoding="utf-8")
+    assert _evaluate(workspace, tmp_path, bundle=broken) == 2
+
+
+def test_split_ids_missing_from_corpus_are_a_data_error(workspace, tmp_path, capsys):
+    split = json.loads(workspace["split"].read_text(encoding="utf-8"))
+    split["test_ids"] += ["ghost-1", "ghost-2"]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(split), encoding="utf-8")
+    assert _evaluate(workspace, tmp_path, split=path) == 2
+    assert "ghost-1" in capsys.readouterr().err
+    code = main(
+        [
+            "train",
+            "--corpus", str(workspace["corpus"]),
+            "--split", str(path),
+            "--classifier", "multinomial_nb",
+            "--out", str(tmp_path / "model"),
+        ]
+    )
+    assert code == 0  # train reads only the train side, which is intact
+    split["train_ids"].append("ghost-3")
+    path.write_text(json.dumps(split), encoding="utf-8")
+    code = main(
+        [
+            "train",
+            "--corpus", str(workspace["corpus"]),
+            "--split", str(path),
+            "--classifier", "multinomial_nb",
+            "--out", str(tmp_path / "model"),
+        ]
+    )
+    assert code == 2
+    assert "ghost-3" in capsys.readouterr().err
+
+
+def test_documents_emptied_by_preprocessing_only_warn(tmp_path, caplog):
+    lines = [
+        {"id": f"d{i}", "text": f"کلمه{i % 2} متن", "label": "ab"[i % 2]}
+        for i in range(8)
+    ]
+    lines.append({"id": "latin", "text": "only latin words 123", "label": "a"})
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines),
+        encoding="utf-8",
+    )
+    split = tmp_path / "split.json"
+    split.write_text(
+        json.dumps(
+            {
+                "train_fraction": 0.5,
+                "seed": 1,
+                "train_ids": ["d0", "d1", "d2", "d3"],
+                "test_ids": ["d4", "d5", "d6", "d7", "latin"],
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "model"
+    args = ["--corpus", str(corpus), "--split", str(split), "--out", str(out)]
+    assert main(["train", "--classifier", "multinomial_nb", *args]) == 0
+    with caplog.at_level("WARNING"):
+        assert main(["evaluate", "--model", str(out / "model.json"), *args]) == 0
+    assert "1 test documents were excluded by preprocessing" in caplog.text
+    report = json.loads((out / "eval.json").read_text(encoding="utf-8"))
+    assert sum(map(sum, report["confusion"])) == 4
+
+
 def test_grid_command_and_report_round_trip(workspace, tmp_path, capsys):
     out = tmp_path / "grid"
     code = main(

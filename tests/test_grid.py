@@ -66,10 +66,39 @@ def test_grid_is_deterministic(small_setup, small_report):
     assert again.to_json_text() == small_report.to_json_text()
 
 
-def test_parallel_jobs_match_serial(small_setup, small_report):
-    corpus, split = small_setup
-    parallel = run_grid(corpus, split, seed=11, jobs=4, params_by_kind=QUICK_PARAMS)
-    assert parallel.to_json_text() == small_report.to_json_text()
+# Per-cell confusion matrices of the small grid.  Feature building and
+# prediction are meant to be exact, so any change that moves one cell here
+# changes the answers the grid gives, not just its speed.
+PINNED_CONFUSION = {
+    ("gaussian_nb", "unigram"): [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+    ("gaussian_nb", "tfidf"): [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+    ("multinomial_nb", "unigram"): [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+    ("multinomial_nb", "tfidf"): [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+    ("knn", "unigram"): [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+    ("knn", "tfidf"): [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 1, 2]],
+    ("decision_tree", "unigram"): [[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, 1], [0, 0, 0, 3]],
+    ("decision_tree", "tfidf"): [[2, 0, 0, 1], [0, 2, 0, 1], [0, 0, 2, 1], [0, 0, 0, 3]],
+    ("random_forest", "unigram"): [[2, 1, 0, 0], [0, 3, 0, 0], [0, 1, 2, 0], [0, 1, 0, 2]],
+    ("random_forest", "tfidf"): [[2, 1, 0, 0], [0, 3, 0, 0], [0, 1, 2, 0], [0, 1, 0, 2]],
+    ("logistic_regression", "unigram"): [
+        [3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]
+    ],
+    ("logistic_regression", "tfidf"): [
+        [3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]
+    ],
+    ("linear_svm", "unigram"): [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+    ("linear_svm", "tfidf"): [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+    ("mlp", "unigram"): [[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+    ("mlp", "tfidf"): [[2, 0, 1, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]],
+}
+
+
+def test_cell_confusion_matrices_are_pinned(small_report):
+    got = {
+        (cell.kind.value, cell.mode): cell.report.to_dict()["confusion"]
+        for cell in small_report.cells
+    }
+    assert got == PINNED_CONFUSION
 
 
 def test_failing_cell_is_recorded_not_fatal(small_setup):
@@ -143,12 +172,6 @@ def test_select_k_grid(small_setup):
     for cell in report.cells:
         assert cell.error is None
         assert 0.0 <= cell.accuracy <= 1.0
-
-
-def test_jobs_validation(small_setup):
-    corpus, split = small_setup
-    with pytest.raises(DataError, match="jobs"):
-        run_grid(corpus, split, jobs=0)
 
 
 def test_cell_dict_round_trip(small_report):

@@ -11,23 +11,21 @@ from pashtext.models import (
     LinearParams,
     LinearSVMModel,
     LogisticRegressionModel,
-    hinge_loss_value,
-    logistic_loss_and_grads,
-    svm_loss_and_grads,
     train_linear_svm,
     train_logistic_regression,
 )
-from pashtext.vectorize import UNIGRAM, FeatureMatrix, SparseVector
+from pashtext.models.linear import (
+    hinge_loss_value,
+    logistic_loss_and_grads,
+    svm_loss_and_grads,
+)
+from pashtext.vectorize import FeatureMatrix
+
+matrix_from_dense = FeatureMatrix.from_dense
 
 
-def matrix_from_dense(dense, labels):
-    dense = np.asarray(dense, dtype=np.float64)
-    return FeatureMatrix(
-        rows=[SparseVector.from_dense(row) for row in dense],
-        row_labels=np.asarray(labels, dtype=np.int64),
-        mode=UNIGRAM,
-        dim=dense.shape[1],
-    )
+def queries(*rows):
+    return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
 
 
 def test_hinge_loss_values():
@@ -145,7 +143,7 @@ def test_training_separates_simple_data():
     m = matrix_from_dense(dense, labels)
     for train in (train_linear_svm, train_logistic_regression):
         model = train(m, LinearParams(learning_rate=0.5, epochs=300), 2)
-        assert [model.predict(row) for row in m.rows] == labels
+        assert model.predict_rows(m).tolist() == labels
 
 
 def test_training_loss_decreases():
@@ -180,17 +178,15 @@ def test_logistic_scores_are_probabilities():
     dense = [[0.0, 1.0], [1.0, 0.0]]
     m = matrix_from_dense(dense, [0, 1])
     model = train_logistic_regression(m, LinearParams(epochs=20), 2)
-    scores = model.predict_scores(SparseVector.from_dense([0.5, 0.5]))
-    assert scores.sum() == pytest.approx(1.0, abs=1e-12)
+    scores = model.predict_scores(queries([0.5, 0.5], [0.0, 0.0], [3.0, 1.0]))
+    assert scores.sum(axis=1) == pytest.approx([1.0] * 3, abs=1e-12)
     assert (scores >= 0).all()
 
 
 def test_svm_scores_are_margins():
     model = LinearSVMModel([[1.0, 0.0], [0.0, -2.0]], [0.5, -0.5], LinearParams())
-    scores = model.predict_scores(SparseVector.from_dense([2.0, 3.0]))
-    assert scores.tolist() == [2.5, -6.5]
-    empty = model.predict_scores(SparseVector.from_dense([0.0, 0.0]))
-    assert empty.tolist() == [0.5, -0.5]
+    scores = model.predict_scores(queries([2.0, 3.0], [0.0, 0.0]))
+    assert scores.tolist() == [[2.5, -6.5], [0.5, -0.5]]
 
 
 def test_payload_round_trip():
@@ -202,7 +198,7 @@ def test_payload_round_trip():
     ):
         model = train(m, LinearParams(epochs=30), 2)
         restored = cls.from_payload(model.payload(), model.params)
-        query = SparseVector.from_dense([0.3, 0.7])
+        query = queries([0.3, 0.7], [0.0, 0.0])
         assert np.allclose(
             restored.predict_scores(query), model.predict_scores(query)
         )

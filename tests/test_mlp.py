@@ -7,30 +7,24 @@ import numpy as np
 import pytest
 
 from pashtext.errors import TrainingDivergedError
-from pashtext.models import (
+from pashtext.models import MLPModel, MLPParams, train_mlp
+from pashtext.models.mlp import (
     AdamState,
-    MLPModel,
-    MLPParams,
     init_mlp,
     mlp_epoch,
     mlp_loss,
     mlp_loss_and_grads,
     relu,
-    train_mlp,
 )
-from pashtext.vectorize import UNIGRAM, FeatureMatrix, SparseVector
+from pashtext.vectorize import FeatureMatrix
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
+matrix_from_dense = FeatureMatrix.from_dense
 
-def matrix_from_dense(dense, labels):
-    dense = np.asarray(dense, dtype=np.float64)
-    return FeatureMatrix(
-        rows=[SparseVector.from_dense(row) for row in dense],
-        row_labels=np.asarray(labels, dtype=np.int64),
-        mode=UNIGRAM,
-        dim=dense.shape[1],
-    )
+
+def queries(*rows):
+    return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
 
 
 def test_relu_values():
@@ -72,18 +66,17 @@ def random_instance(rng, away_from_kink=True):
         )
         dense = [[rng.uniform(-1, 1) for _ in range(dim)] for _ in range(n)]
         labels = np.array([rng.randrange(label_count) for _ in range(n)])
-        rows = [SparseVector.from_dense(v) for v in dense]
+        matrix = matrix_from_dense(dense, labels)
         if not away_from_kink:
-            return model, rows, labels
-        pres = [
-            row.to_dense() @ model.w1 + model.b1 for row in rows
-        ]
-        if all(np.abs(pre).min() > 1e-3 for pre in pres):
-            return model, rows, labels
+            return model, matrix, labels
+        pres = np.asarray(dense) @ model.w1 + model.b1
+        if np.abs(pres).min() > 1e-3:
+            return model, matrix, labels
     raise AssertionError("could not build a kink-free instance")
 
 
-def numeric_grads(model, rows, labels, h=1e-6):
+def numeric_grads(model, matrix, labels, h=1e-6):
+    rows = range(matrix.n_rows)
     out = {}
     for name in _PARAM_NAMES:
         tensor = getattr(model, name)
@@ -91,9 +84,9 @@ def numeric_grads(model, rows, labels, h=1e-6):
         for idx in np.ndindex(tensor.shape):
             original = tensor[idx]
             tensor[idx] = original + h
-            up = mlp_loss_and_grads(model, rows, labels)[0]
+            up = mlp_loss_and_grads(model, matrix, rows, labels)[0]
             tensor[idx] = original - h
-            down = mlp_loss_and_grads(model, rows, labels)[0]
+            down = mlp_loss_and_grads(model, matrix, rows, labels)[0]
             tensor[idx] = original
             grad[idx] = (up - down) / (2 * h)
         out[name] = grad
@@ -103,9 +96,9 @@ def numeric_grads(model, rows, labels, h=1e-6):
 def test_backprop_matches_finite_differences():
     rng = random.Random(19)
     for _ in range(8):
-        model, rows, labels = random_instance(rng)
-        _, grads = mlp_loss_and_grads(model, rows, labels)
-        numeric = numeric_grads(model, rows, labels)
+        model, matrix, labels = random_instance(rng)
+        _, grads = mlp_loss_and_grads(model, matrix, range(matrix.n_rows), labels)
+        numeric = numeric_grads(model, matrix, labels)
         for name in _PARAM_NAMES:
             scale = max(1.0, float(np.abs(numeric[name]).max()))
             assert np.allclose(grads[name], numeric[name], atol=1e-4 * scale), name
@@ -113,14 +106,18 @@ def test_backprop_matches_finite_differences():
 
 def test_loss_is_mean_cross_entropy():
     rng = random.Random(27)
-    model, rows, labels = random_instance(rng, away_from_kink=False)
-    loss, _ = mlp_loss_and_grads(model, rows, labels)
+    model, matrix, labels = random_instance(rng, away_from_kink=False)
+    loss, _ = mlp_loss_and_grads(model, matrix, range(matrix.n_rows), labels)
+    scores = model.predict_scores(matrix)
     expected = -sum(
-        math.log(model.predict_scores(row)[label]) for row, label in zip(rows, labels)
-    ) / len(rows)
+        math.log(row_scores[label]) for row_scores, label in zip(scores, labels)
+    ) / matrix.n_rows
     assert loss == pytest.approx(expected, abs=1e-12)
-    matrix = FeatureMatrix(rows, np.asarray(labels), UNIGRAM, rows[0].dim)
     assert mlp_loss(model, matrix, labels) == pytest.approx(expected, abs=1e-12)
+    # a batch is any subset of row indices, in any order
+    reversed_rows = list(range(matrix.n_rows))[::-1]
+    loss, _ = mlp_loss_and_grads(model, matrix, reversed_rows, labels[::-1])
+    assert loss == pytest.approx(expected, abs=1e-12)
 
 
 def test_adam_single_update_matches_hand_computation():
@@ -182,7 +179,7 @@ def test_training_reduces_loss_and_overfits():
     model = train_mlp(m, params, 2)
     end = mlp_loss(model, m, m.row_labels)
     assert end < start
-    assert [model.predict(row) for row in m.rows] == labels
+    assert model.predict_rows(m).tolist() == labels
 
 
 def test_training_is_deterministic_and_seed_sensitive():
@@ -209,10 +206,8 @@ def test_divergence_raises():
 def test_scores_are_probabilities_and_zero_vector_works():
     params = MLPParams(hidden_units=3, seed=4)
     model = init_mlp(4, 3, params)
-    scores = model.predict_scores(SparseVector.from_dense([0.0, 0.0, 0.0, 0.0]))
-    assert scores.sum() == pytest.approx(1.0, abs=1e-12)
-    scores = model.predict_scores(SparseVector.from_dense([1.0, 0.0, 2.0, 0.0]))
-    assert scores.sum() == pytest.approx(1.0, abs=1e-12)
+    scores = model.predict_scores(queries([0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0]))
+    assert scores.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
     assert (scores > 0).all()
 
 
@@ -221,5 +216,5 @@ def test_payload_round_trip():
     m = matrix_from_dense(dense, [0, 1])
     model = train_mlp(m, MLPParams(hidden_units=3, epochs=5, seed=3), 2)
     restored = MLPModel.from_payload(model.payload(), model.params)
-    query = SparseVector.from_dense([0.4, 0.6])
+    query = queries([0.4, 0.6], [0.0, 0.0])
     assert np.allclose(restored.predict_scores(query), model.predict_scores(query))

@@ -15,17 +15,13 @@ from pashtext.models import (
     train_gaussian_nb,
     train_multinomial_nb,
 )
-from pashtext.vectorize import UNIGRAM, FeatureMatrix, SparseVector
+from pashtext.vectorize import FeatureMatrix
+
+matrix_from_dense = FeatureMatrix.from_dense
 
 
-def matrix_from_dense(dense, labels):
-    dense = np.asarray(dense, dtype=np.float64)
-    return FeatureMatrix(
-        rows=[SparseVector.from_dense(row) for row in dense],
-        row_labels=np.asarray(labels, dtype=np.int64),
-        mode=UNIGRAM,
-        dim=dense.shape[1],
-    )
+def queries(*rows):
+    return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
 
 
 def brute_gaussian_posterior(dense, labels, query, label_count, variance_floor):
@@ -97,10 +93,14 @@ def test_multinomial_posteriors_match_brute_force():
         model = train_multinomial_nb(
             matrix_from_dense(dense, labels), MultinomialNBParams(alpha), label_count
         )
-        query = [float(rng.randrange(3)) for _ in range(dim)]
-        scores = model.predict_scores(SparseVector.from_dense(query))
-        expected = brute_multinomial_posterior(dense, labels, query, label_count, alpha)
-        assert np.allclose(np.exp(scores), expected, atol=1e-9)
+        batch = [[float(rng.randrange(3)) for _ in range(dim)] for _ in range(3)]
+        scores = model.predict_scores(queries(*batch))
+        assert scores.shape == (3, label_count)
+        for query, row_scores in zip(batch, scores):
+            expected = brute_multinomial_posterior(
+                dense, labels, query, label_count, alpha
+            )
+            assert np.allclose(np.exp(row_scores), expected, atol=1e-9)
 
 
 def test_multinomial_accepts_fractional_rejects_negative():
@@ -108,7 +108,7 @@ def test_multinomial_accepts_fractional_rejects_negative():
     model = train_multinomial_nb(
         matrix_from_dense(dense, [0, 1]), MultinomialNBParams(), 2
     )
-    scores = model.predict_scores(SparseVector.from_dense([0.7, 0.0]))
+    scores = model.predict_scores(queries([0.7, 0.0]))
     assert np.isfinite(scores).all()
     with pytest.raises(DataError, match="non-negative"):
         train_multinomial_nb(
@@ -128,12 +128,14 @@ def test_gaussian_posteriors_match_brute_force():
         dense = [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(n)]
         params = GaussianNBParams(variance_floor=1e-6)
         model = train_gaussian_nb(matrix_from_dense(dense, labels), params, label_count)
-        query = [rng.uniform(-2, 2) for _ in range(dim)]
-        scores = model.predict_scores(SparseVector.from_dense(query))
-        expected = brute_gaussian_posterior(
-            dense, labels, query, label_count, params.variance_floor
-        )
-        assert np.allclose(np.exp(scores), expected, atol=1e-9)
+        batch = [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(3)]
+        scores = model.predict_scores(queries(*batch))
+        assert scores.shape == (3, label_count)
+        for query, row_scores in zip(batch, scores):
+            expected = brute_gaussian_posterior(
+                dense, labels, query, label_count, params.variance_floor
+            )
+            assert np.allclose(np.exp(row_scores), expected, atol=1e-9)
 
 
 def test_gaussian_variance_floor_keeps_constant_features_finite():
@@ -144,7 +146,7 @@ def test_gaussian_variance_floor_keeps_constant_features_finite():
         matrix_from_dense(dense, [0, 0, 1, 1]), GaussianNBParams(), 2
     )
     assert (model.variances > 0).all()
-    scores = model.predict_scores(SparseVector.from_dense([2.0, 5.0]))
+    scores = model.predict_scores(queries([2.0, 5.0]))
     assert np.isfinite(scores).all()
 
 
@@ -152,7 +154,7 @@ def test_gaussian_all_constant_matrix_uses_absolute_fallback():
     dense = [[1.0], [1.0], [1.0]]
     model = train_gaussian_nb(matrix_from_dense(dense, [0, 0, 1]), GaussianNBParams(), 2)
     assert (model.variances > 0).all()
-    scores = model.predict_scores(SparseVector.from_dense([1.0]))
+    scores = model.predict_scores(queries([1.0]))
     assert np.isfinite(scores).all()
 
 
@@ -164,13 +166,13 @@ def test_scores_are_log_posteriors():
             GaussianNBParams() if train is train_gaussian_nb else MultinomialNBParams()
         )
         model = train(matrix_from_dense(dense, labels), params, 2)
-        scores = model.predict_scores(SparseVector.from_dense([1.0, 0.5]))
-        assert np.exp(scores).sum() == pytest.approx(1.0, abs=1e-12)
+        scores = model.predict_scores(queries([1.0, 0.5]))
+        assert np.exp(scores).sum(axis=1) == pytest.approx([1.0], abs=1e-12)
 
 
 def test_nb_payload_round_trips():
     dense = [[1.0, 0.0], [0.0, 2.0]]
-    query = SparseVector.from_dense([0.5, 0.5])
+    query = queries([0.5, 0.5])
     gnb = train_gaussian_nb(matrix_from_dense(dense, [0, 1]), GaussianNBParams(), 2)
     restored = GaussianNBModel.from_payload(gnb.payload(), gnb.params)
     assert np.allclose(restored.predict_scores(query), gnb.predict_scores(query))
@@ -193,4 +195,4 @@ def test_dimension_mismatch_rejected():
         matrix_from_dense([[1.0, 0.0], [0.0, 1.0]], [0, 1]), MultinomialNBParams(), 2
     )
     with pytest.raises(DataError):
-        model.predict_scores(SparseVector.from_dense([1.0, 0.0, 0.0]))
+        model.predict_scores(queries([1.0, 0.0, 0.0]))

@@ -11,22 +11,17 @@ from pashtext.models import (
     DecisionTreeParams,
     RandomForestModel,
     RandomForestParams,
-    TreeNode,
-    gini_impurity,
     train_decision_tree,
     train_random_forest,
 )
-from pashtext.vectorize import UNIGRAM, FeatureMatrix, SparseVector
+from pashtext.models.tree import TreeNode, gini_impurity
+from pashtext.vectorize import FeatureMatrix
+
+matrix_from_dense = FeatureMatrix.from_dense
 
 
-def matrix_from_dense(dense, labels):
-    dense = np.asarray(dense, dtype=np.float64)
-    return FeatureMatrix(
-        rows=[SparseVector.from_dense(row) for row in dense],
-        row_labels=np.asarray(labels, dtype=np.int64),
-        mode=UNIGRAM,
-        dim=dense.shape[1],
-    )
+def queries(*rows):
+    return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
 
 
 def test_gini_worked_examples():
@@ -131,8 +126,7 @@ def test_midpoint_threshold_and_left_rule():
     feature, threshold = root_split(model)
     assert feature == 0 and threshold == 1.0
     # value == threshold goes left
-    assert model.predict(SparseVector.from_dense([1.0])) == 0
-    assert model.predict(SparseVector.from_dense([1.0000001])) == 1
+    assert model.predict_rows(queries([1.0], [1.0000001])).tolist() == [0, 1]
 
 
 def test_split_tie_prefers_lower_feature_index():
@@ -151,8 +145,7 @@ def test_tree_overfits_training_data():
     labels[0], labels[1] = 0, 1
     m = matrix_from_dense(dense, labels)
     model = train_decision_tree(m, DecisionTreeParams(), 2)
-    preds = [model.predict(row) for row in m.rows]
-    assert preds == labels
+    assert model.predict_rows(m).tolist() == labels
 
 
 def test_zero_gain_splits_still_reach_purity():
@@ -161,7 +154,7 @@ def test_zero_gain_splits_still_reach_purity():
     labels = [0, 0, 1, 1]
     m = matrix_from_dense(dense, labels)
     model = train_decision_tree(m, DecisionTreeParams(), 2)
-    assert [model.predict(row) for row in m.rows] == labels
+    assert model.predict_rows(m).tolist() == labels
 
 
 def test_depth_and_size_limits():
@@ -185,8 +178,8 @@ def test_leaf_scores_are_class_frequencies():
     model = train_decision_tree(
         matrix_from_dense(dense, labels), DecisionTreeParams(max_depth=1), 2
     )
-    scores = model.predict_scores(SparseVector.from_dense([0.0]))
-    assert scores.tolist() == [2 / 3, 1 / 3]
+    scores = model.predict_scores(queries([0.0], [7.0]))
+    assert scores.tolist() == [[2 / 3, 1 / 3], [0.0, 1.0]]
 
 
 def test_tree_payload_round_trip():
@@ -196,8 +189,8 @@ def test_tree_payload_round_trip():
     restored = DecisionTreeModel.from_payload(
         model.payload(), model.params, label_count=2, feature_dimension=2
     )
-    for row in matrix_from_dense(dense, labels).rows:
-        assert np.array_equal(restored.predict_scores(row), model.predict_scores(row))
+    m = matrix_from_dense(dense, labels)
+    assert np.array_equal(restored.predict_scores(m), model.predict_scores(m))
     node = TreeNode.from_payload(model.root.to_payload())
     assert node.to_payload() == model.root.to_payload()
 
@@ -215,8 +208,7 @@ def test_single_tree_forest_matches_plain_tree():
         3,
     )
     assert forest.trees[0].payload() == tree.payload()
-    for row in m.rows:
-        assert forest.predict(row) == tree.predict(row)
+    assert np.array_equal(forest.predict_rows(m), tree.predict_rows(m))
 
 
 def test_forest_votes_sum_to_tree_count():
@@ -225,8 +217,8 @@ def test_forest_votes_sum_to_tree_count():
     forest = train_random_forest(
         matrix_from_dense(dense, labels), RandomForestParams(n_trees=7, seed=3), 2
     )
-    votes = forest.predict_scores(SparseVector.from_dense([0.5]))
-    assert votes.sum() == 7.0
+    votes = forest.predict_scores(queries([0.5], [2.5], [9.0]))
+    assert votes.sum(axis=1).tolist() == [7.0, 7.0, 7.0]
 
 
 def test_forest_determinism_and_seed_sensitivity():
@@ -252,7 +244,7 @@ def test_forest_default_feature_subsampling():
     forest = train_random_forest(
         m, RandomForestParams(n_trees=3, features_per_split=0, seed=1), 2
     )
-    preds = [forest.predict(row) for row in m.rows]
+    preds = forest.predict_rows(m)
     assert all(p in (0, 1) for p in preds)
 
 
@@ -264,5 +256,4 @@ def test_forest_payload_round_trip():
     restored = RandomForestModel.from_payload(
         forest.payload(), forest.params, label_count=2, feature_dimension=2
     )
-    for row in m.rows:
-        assert np.array_equal(restored.predict_scores(row), forest.predict_scores(row))
+    assert np.array_equal(restored.predict_scores(m), forest.predict_scores(m))

@@ -1,5 +1,6 @@
-"""Sparse vectors, vocabulary fitting, TFIDF weights and chi-square selection."""
+"""Sparse feature matrices, vocabulary fitting, TFIDF weights and chi-square selection."""
 
+import json
 import math
 import random
 
@@ -13,16 +14,12 @@ from pashtext.vectorize import (
     TFIDF,
     UNIGRAM,
     FeatureMatrix,
-    SparseVector,
     Vocabulary,
     apply_mask,
-    apply_mask_vector,
     build_vocabulary,
     chi2_scores,
     idf_weights,
     select_top_k,
-    tfidf_vector,
-    unigram_vector,
     vectorize_documents,
 )
 
@@ -31,44 +28,72 @@ def tdoc(doc_id, tokens, label="a"):
     return TokenizedDocument(id=doc_id, tokens=tuple(tokens), label=label)
 
 
+def csr(indptr, indices, data, dim, labels=None):
+    n = len(indptr) - 1
+    labels = [0] * n if labels is None else labels
+    return FeatureMatrix(
+        np.array(indptr), np.array(indices), np.array(data, dtype=float),
+        np.array(labels), UNIGRAM, dim,
+    )
+
+
 def test_sparse_vector_invariants():
+    """Every CSR row must hold strictly increasing, in-range, finite entries."""
+    ok = csr([0, 2, 3], [0, 2, 1], [1.0, 2.0, 3.0], 3)
+    assert ok.n_rows == 2 and ok.nnz == 3
+    # a row boundary may restart the index order; within a row it may not
     with pytest.raises(DataError):
-        SparseVector(np.array([1, 1]), np.array([1.0, 2.0]), 3)
+        csr([0, 2], [1, 1], [1.0, 2.0], 3)
     with pytest.raises(DataError):
-        SparseVector(np.array([2, 1]), np.array([1.0, 2.0]), 3)
+        csr([0, 2], [2, 1], [1.0, 2.0], 3)
     with pytest.raises(DataError):
-        SparseVector(np.array([0, 3]), np.array([1.0, 2.0]), 3)
+        csr([0, 2], [0, 3], [1.0, 2.0], 3)
     with pytest.raises(DataError):
-        SparseVector(np.array([-1]), np.array([1.0]), 3)
+        csr([0, 1], [-1], [1.0], 3)
     with pytest.raises(DataError):
-        SparseVector(np.array([0]), np.array([np.inf]), 3)
+        csr([0, 1], [0], [np.inf], 3)
     with pytest.raises(DataError):
-        SparseVector(np.array([0]), np.array([1.0, 2.0]), 3)
+        csr([0, 1], [0], [1.0, 2.0], 3)
+    # offsets must start at 0, never decrease and cover every entry
+    with pytest.raises(DataError):
+        csr([1, 1], [0], [1.0], 3)
+    with pytest.raises(DataError):
+        csr([0, 2, 1], [0, 1], [1.0, 2.0], 3)
+    with pytest.raises(DataError):
+        csr([0, 1], [0, 1], [1.0, 2.0], 3)
+    with pytest.raises(DataError):
+        csr([0, 1], [0], [1.0], 3, labels=[0, 1])
+    with pytest.raises(DataError):
+        FeatureMatrix(np.array([0]), [], [], [], "bigram", 3)
 
 
 def test_sparse_vector_round_trips_and_get():
-    dense = [0.0, 2.0, 0.0, -1.5]
-    vec = SparseVector.from_dense(dense)
-    assert vec.nnz == 2
-    assert vec.get(1) == 2.0
-    assert vec.get(0) == 0.0
-    assert vec.get(3) == -1.5
-    assert np.array_equal(vec.to_dense(), np.asarray(dense))
-    again = SparseVector.from_dict({3: -1.5, 1: 2.0, 0: 0.0}, 4)
-    assert np.array_equal(again.to_dense(), vec.to_dense())
+    dense = np.array([[0.0, 2.0, 0.0, -1.5], [0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]])
+    m = FeatureMatrix.from_dense(dense, [1, 0, 1])
+    assert m.nnz == 3 and m.n_rows == 3 and m.dim == 4
+    assert m.indptr.tolist() == [0, 2, 2, 3]
+    indices, values = m.row(0)
+    assert indices.tolist() == [1, 3] and values.tolist() == [2.0, -1.5]
+    assert m.row(1)[0].size == 0
+    assert m.row_ids().tolist() == [0, 0, 2]
+    assert m.row_labels.tolist() == [1, 0, 1]
+    assert np.array_equal(m.to_dense(), dense)
+    assert FeatureMatrix.from_dense(dense).row_labels.tolist() == [0, 0, 0]
 
 
 def test_sparse_dot_matches_dense_sweep():
     rng = random.Random(13)
     for _ in range(200):
         dim = rng.randrange(1, 12)
-        a = [rng.choice([0.0, 0.0, rng.uniform(-2, 2)]) for _ in range(dim)]
-        b = [rng.choice([0.0, 0.0, rng.uniform(-2, 2)]) for _ in range(dim)]
-        va, vb = SparseVector.from_dense(a), SparseVector.from_dense(b)
-        assert va.dot(vb) == pytest.approx(float(np.dot(a, b)), abs=1e-12)
-        assert va.norm_sq() == pytest.approx(float(np.dot(a, a)), abs=1e-12)
-    with pytest.raises(DataError):
-        SparseVector.from_dense([1.0]).dot(SparseVector.from_dense([1.0, 2.0]))
+        n = rng.randrange(1, 5)
+        a = [[rng.choice([0.0, 0.0, rng.uniform(-2, 2)]) for _ in range(dim)]
+             for _ in range(n)]
+        width = rng.randrange(1, 4)
+        b = [[rng.uniform(-2, 2) for _ in range(width)] for _ in range(dim)]
+        m = FeatureMatrix.from_dense(a)
+        assert np.allclose(m.dot(np.array(b)), np.dot(a, b), atol=1e-12)
+        squares = (np.asarray(a) ** 2).sum(axis=1)
+        assert np.allclose(m.squared_norms(), squares, atol=1e-12)
 
 
 def test_build_vocabulary_first_occurrence_order():
@@ -90,14 +115,18 @@ def test_build_vocabulary_min_df():
 
 
 def test_unigram_vector_counts_and_oov():
+    labels = LabelSet(["a"])
     vocab = build_vocabulary([tdoc("1", ["a", "b"]), tdoc("2", ["b", "c"])])
-    vec = unigram_vector(["b", "a", "b", "zzz"], vocab)
-    assert vec.dim == 3
-    assert vec.get(vocab.token_to_index["a"]) == 1.0
-    assert vec.get(vocab.token_to_index["b"]) == 2.0
-    assert vec.get(vocab.token_to_index["c"]) == 0.0
-    empty = unigram_vector(["zzz", "yyy"], vocab)
-    assert empty.nnz == 0 and empty.dim == 3
+    m = vectorize_documents(
+        [tdoc("q", ["b", "a", "b", "zzz"]), tdoc("oov", ["zzz", "yyy"])],
+        vocab, UNIGRAM, labels,
+    )
+    assert m.dim == 3
+    dense = m.to_dense()
+    assert dense[0, vocab.token_to_index["a"]] == 1.0
+    assert dense[0, vocab.token_to_index["b"]] == 2.0
+    assert dense[0, vocab.token_to_index["c"]] == 0.0
+    assert m.row(1)[0].size == 0 and m.nnz == 2
 
 
 def test_idf_is_natural_log_of_inverse_df():
@@ -112,12 +141,13 @@ def test_idf_is_natural_log_of_inverse_df():
 def test_tfidf_prunes_zero_weights():
     docs = [tdoc("1", ["a", "b"]), tdoc("2", ["b"])]
     vocab = build_vocabulary(docs)
-    counts = unigram_vector(["a", "b", "b"], vocab)
-    weighted = tfidf_vector(counts, idf_weights(vocab))
+    weighted = vectorize_documents(
+        [tdoc("q", ["a", "b", "b"])], vocab, TFIDF, LabelSet(["a"])
+    )
     # "b" appears in every training doc, so its idf (and weight) is 0.
-    assert weighted.get(vocab.token_to_index["b"]) == 0.0
+    assert weighted.to_dense()[0, vocab.token_to_index["b"]] == 0.0
     assert vocab.token_to_index["b"] not in weighted.indices.tolist()
-    assert weighted.get(vocab.token_to_index["a"]) == pytest.approx(
+    assert weighted.to_dense()[0, vocab.token_to_index["a"]] == pytest.approx(
         1.0 * math.log(2.0), abs=1e-12
     )
 
@@ -129,7 +159,7 @@ def test_vectorize_documents_modes_and_labels():
     counts = vectorize_documents(docs, vocab, UNIGRAM, labels)
     assert counts.mode == UNIGRAM
     assert counts.row_labels.tolist() == [0, 1]
-    assert counts.rows[0].get(vocab.token_to_index["a"]) == 2.0
+    assert counts.to_dense()[0, vocab.token_to_index["a"]] == 2.0
     weighted = vectorize_documents(docs, vocab, TFIDF, labels)
     assert weighted.mode == TFIDF
     with pytest.raises(DataError):
@@ -139,28 +169,13 @@ def test_vectorize_documents_modes_and_labels():
 def test_chi2_worked_examples():
     # Two docs, one per class. Feature present with weight 2 in class 0:
     # O = (2, 0), E = (1, 1), score = (2-1)^2/1 + (0-1)^2/1 = 2.
-    m = FeatureMatrix(
-        rows=[SparseVector.from_dense([2.0]), SparseVector.from_dense([0.0])],
-        row_labels=np.array([0, 1]),
-        mode=UNIGRAM,
-        dim=1,
-    )
+    m = FeatureMatrix.from_dense([[2.0], [0.0]], [0, 1])
     assert chi2_scores(m, 2)[0] == pytest.approx(2.0, abs=1e-12)
     # O = (1, 0), E = (0.5, 0.5) -> 1.0
-    m = FeatureMatrix(
-        rows=[SparseVector.from_dense([1.0]), SparseVector.from_dense([0.0])],
-        row_labels=np.array([0, 1]),
-        mode=UNIGRAM,
-        dim=1,
-    )
+    m = FeatureMatrix.from_dense([[1.0], [0.0]], [0, 1])
     assert chi2_scores(m, 2)[0] == pytest.approx(1.0, abs=1e-12)
     # A feature absent everywhere has E = 0 for every class: score 0.
-    m = FeatureMatrix(
-        rows=[SparseVector.from_dense([0.0, 1.0]), SparseVector.from_dense([0.0, 1.0])],
-        row_labels=np.array([0, 1]),
-        mode=UNIGRAM,
-        dim=2,
-    )
+    m = FeatureMatrix.from_dense([[0.0, 1.0], [0.0, 1.0]], [0, 1])
     assert chi2_scores(m, 2)[0] == 0.0
 
 
@@ -193,29 +208,16 @@ def test_chi2_matches_brute_force_sweep():
         dense = np.array(
             [[rng.choice([0.0, 0.0, 1.0, 2.0]) for _ in range(dim)] for _ in range(n)]
         )
-        m = FeatureMatrix(
-            rows=[SparseVector.from_dense(row) for row in dense],
-            row_labels=np.array(labels),
-            mode=UNIGRAM,
-            dim=dim,
-        )
+        m = FeatureMatrix.from_dense(dense, labels)
         expected = brute_force_chi2(dense, labels, n_classes)
         assert np.allclose(chi2_scores(m, n_classes), expected, atol=1e-12)
 
 
 def test_chi2_rejects_negative_values_and_bad_labels():
-    m = FeatureMatrix(
-        rows=[SparseVector.from_dense([-1.0]), SparseVector.from_dense([1.0])],
-        row_labels=np.array([0, 1]),
-        mode=UNIGRAM,
-        dim=1,
-    )
+    m = FeatureMatrix.from_dense([[-1.0], [1.0]], [0, 1])
     with pytest.raises(DataError):
         chi2_scores(m, 2)
-    ok = FeatureMatrix(
-        rows=[SparseVector.from_dense([1.0])], row_labels=np.array([1]),
-        mode=UNIGRAM, dim=1,
-    )
+    ok = FeatureMatrix.from_dense([[1.0]], [1])
     with pytest.raises(DataError):
         chi2_scores(ok, 1)
 
@@ -244,22 +246,14 @@ def test_apply_mask_matches_dense_slicing():
             [[rng.choice([0.0, 0.0, rng.uniform(0, 3)]) for _ in range(dim)]
              for _ in range(n)]
         )
-        m = FeatureMatrix(
-            rows=[SparseVector.from_dense(row) for row in dense],
-            row_labels=np.zeros(n, dtype=np.int64),
-            mode=UNIGRAM,
-            dim=dim,
-        )
+        m = FeatureMatrix.from_dense(dense)
         k = rng.randrange(1, dim + 1)
         scores = np.array([rng.random() for _ in range(dim)])
         mask = select_top_k(scores, k)
         masked = apply_mask(mask, m)
         assert masked.dim == k
-        assert np.allclose(masked.to_dense(), dense[:, mask.kept_indices])
-        vec = SparseVector.from_dense(dense[0])
-        assert np.allclose(
-            apply_mask_vector(mask, vec).to_dense(), dense[0][mask.kept_indices]
-        )
+        assert np.array_equal(masked.to_dense(), dense[:, mask.kept_indices])
+        assert masked.row_labels.tolist() == m.row_labels.tolist()
 
 
 def test_vocabulary_round_trip_and_validation(tmp_path):
@@ -275,3 +269,9 @@ def test_vocabulary_round_trip_and_validation(tmp_path):
         Vocabulary({"a": 0, "b": 2}, np.array([1, 1]), 2)
     with pytest.raises(DataError):
         Vocabulary({"a": 0}, np.array([5]), 2)
+    # malformed files fail as data errors, not as KeyError/TypeError
+    for payload in ({"n_train_docs": 2}, {"entries": []}, {"entries": [["a", 0]],
+                    "n_train_docs": 1}, {"entries": 5, "n_train_docs": 1}):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match="malformed vocabulary"):
+            Vocabulary.load(path)
