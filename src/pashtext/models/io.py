@@ -11,7 +11,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from ..errors import DataError
+from ..errors import DataError, InvalidHyperparameterError
 from .base import Model, ModelKind
 from .knn import KNNModel
 from .linear import LinearSVMModel, LogisticRegressionModel
@@ -75,6 +75,10 @@ def model_from_document(document: dict) -> Model:
             )
         else:
             model = model_class.from_payload(document["payload"], params)
+    except InvalidHyperparameterError as exc:
+        raise DataError(
+            f"{kind.value} model document has an out-of-range hyperparameter: {exc}"
+        ) from None
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DataError(
             f"malformed {kind.value} model document: {type(exc).__name__}: {exc}"

@@ -6,15 +6,19 @@ update per mini-batch (default batch size 1).  Initial hidden and output
 weights are He-style uniform draws from the model seed; biases start at
 zero.  RNG streams: stream 0 of the seed initialises weights, stream 1+e
 shuffles epoch e.
+
+The four weight tensors are views into one contiguous float64 buffer,
+`MLPModel.flat`, laid out w1, b1, w2, b2.  Gradients and Adam's moments use
+the same layout, so an Adam step is one pass of in-place ufuncs over every
+parameter at once.  Elementwise arithmetic does not depend on memory layout,
+so this trains bit-for-bit the same weights as per-tensor updates would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import TrainingDivergedError
+from ..errors import DataError, TrainingDivergedError
 from ..prng import SplitMix64, derive_seed
 from ..vectorize import FeatureMatrix
 from .base import Model, ModelKind, softmax
@@ -31,57 +35,77 @@ def relu(a):
     return np.maximum(a, 0.0)
 
 
-@dataclass
 class AdamState:
-    """First/second moment accumulators and the shared step counter."""
+    """Flat first/second moments, the shared step counter and two scratch
+    buffers, all in the model's flat layout."""
 
-    first: dict[str, np.ndarray]
-    second: dict[str, np.ndarray]
-    step: int = 0
+    def __init__(self, size: int):
+        self.first = np.zeros(size)
+        self.second = np.zeros(size)
+        self.step = 0
+        self._scratch = (np.empty(size), np.empty(size))
 
     @classmethod
     def for_model(cls, model: "MLPModel") -> "AdamState":
-        shapes = {name: getattr(model, name).shape for name in _PARAM_NAMES}
-        return cls(
-            first={name: np.zeros(shape) for name, shape in shapes.items()},
-            second={name: np.zeros(shape) for name, shape in shapes.items()},
-        )
+        return cls(model.flat.size)
 
-    def apply(self, model: "MLPModel", grads: dict[str, np.ndarray],
-              params: MLPParams) -> None:
-        """One Adam update: m, v accumulation, bias correction, step."""
+    def apply(self, model: "MLPModel", grad: np.ndarray, params: MLPParams) -> None:
+        """One Adam update of `model.flat` from the flat gradient `grad`.
+
+        Computes, in this order, m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
+        and w -= (lr*(m/c1)) / (sqrt(v/c2) + eps), with the bias corrections
+        c = 1 - beta**step; no temporary is allocated.
+        """
         self.step += 1
         b1, b2 = params.adam_beta1, params.adam_beta2
-        correction1 = 1.0 - b1**self.step
-        correction2 = 1.0 - b2**self.step
-        for name in _PARAM_NAMES:
-            g = grads[name]
-            m = self.first[name]
-            v = self.second[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / correction1
-            v_hat = v / correction2
-            getattr(model, name)[...] -= (
-                params.learning_rate * m_hat / (np.sqrt(v_hat) + params.adam_epsilon)
-            )
+        m, v = self.first, self.second
+        delta, denom = self._scratch
+        np.multiply(m, b1, out=m)
+        np.multiply(grad, 1.0 - b1, out=delta)
+        np.add(m, delta, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(grad, 1.0 - b2, out=denom)
+        np.multiply(denom, grad, out=denom)
+        np.add(v, denom, out=v)
+        np.divide(m, 1.0 - b1**self.step, out=delta)
+        np.multiply(delta, params.learning_rate, out=delta)
+        np.divide(v, 1.0 - b2**self.step, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, params.adam_epsilon, out=denom)
+        np.divide(delta, denom, out=delta)
+        np.subtract(model.flat, delta, out=model.flat)
 
 
 class MLPModel(Model):
-    """Weights w1 (V x H), b1 (H), w2 (H x K), b2 (K)."""
+    """Weights w1 (V x H), b1 (H), w2 (H x K), b2 (K), as views of `flat`."""
 
     kind = ModelKind.MLP
 
     def __init__(self, w1, b1, w2, b2, params: MLPParams):
-        self.w1 = np.asarray(w1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
-        self.w2 = np.asarray(w2, dtype=np.float64)
-        self.b2 = np.asarray(b2, dtype=np.float64)
+        tensors = [np.asarray(t, dtype=np.float64) for t in (w1, b1, w2, b2)]
+        dim = tensors[0].shape[0] if tensors[0].ndim else 0
+        label_count = tensors[2].shape[-1] if tensors[2].ndim else 0
+        hidden = params.hidden_units
+        shapes = ((dim, hidden), (hidden,), (hidden, label_count), (label_count,))
+        for name, tensor, shape in zip(_PARAM_NAMES, tensors, shapes):
+            if tensor.shape != shape:
+                raise DataError(
+                    f"malformed mlp weights: {name} has shape {tensor.shape}, "
+                    f"expected {shape} for hidden_units={hidden}"
+                )
+            if not np.all(np.isfinite(tensor)):
+                raise DataError(f"malformed mlp weights: {name} holds a non-finite value")
+        ends = np.cumsum([t.size for t in tensors]).tolist()
+        self._layout = list(zip([0] + ends, ends, [t.shape for t in tensors]))
+        self.flat = np.concatenate([t.ravel() for t in tensors])
+        self.w1, self.b1, self.w2, self.b2 = self.split(self.flat)
         self.params = params
-        self.feature_dimension = self.w1.shape[0]
-        self.label_count = self.w2.shape[1]
+        self.feature_dimension = dim
+        self.label_count = label_count
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """w1, b1, w2, b2 views of a flat buffer in this model's layout."""
+        return [flat[start:end].reshape(shape) for start, end, shape in self._layout]
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         hidden = relu(matrix.dot(self.w1) + self.b1)
@@ -112,31 +136,37 @@ def init_mlp(dim: int, label_count: int, params: MLPParams) -> MLPModel:
     )
 
 
-def mlp_loss_and_grads(model: MLPModel, matrix: FeatureMatrix, rows, labels):
-    """Mean cross-entropy and mean gradients over a batch of matrix rows.
+def mlp_loss_and_grads(
+    model: MLPModel, matrix: FeatureMatrix, rows, labels, grad: np.ndarray | None = None
+):
+    """Mean cross-entropy and mean gradient over a batch of matrix rows.
 
     `rows` are row indices into `matrix` and `labels` their classes; each
-    row's forward and backward pass touches only its stored entries.
+    row's forward and backward pass touches only its stored entries.  The
+    gradient is written into `grad` (a new buffer when None), a flat array
+    in the model's layout whose parts `model.split(grad)` names.
     """
-    batch = len(rows)
-    grads = {name: np.zeros_like(getattr(model, name)) for name in _PARAM_NAMES}
+    if grad is None:
+        grad = np.empty_like(model.flat)
+    grad.fill(0.0)
+    g_w1, g_b1, g_w2, g_b2 = model.split(grad)
+    w1, b1, w2, b2 = model.w1, model.b1, model.w2, model.b2
     loss = 0.0
     for row, label in zip(rows, labels):
         columns, values = matrix.row(row)
-        hidden_pre = values @ model.w1[columns] + model.b1
+        hidden_pre = values @ w1[columns] + b1
         hidden = relu(hidden_pre)
-        probs = softmax(hidden @ model.w2 + model.b2)
+        probs = softmax(hidden @ w2 + b2)
         loss -= float(np.log(probs[label]))
-        d_logits = probs.copy()
-        d_logits[label] -= 1.0
-        grads["w2"] += np.outer(hidden, d_logits)
-        grads["b2"] += d_logits
-        d_hidden = (model.w2 @ d_logits) * (hidden_pre > 0)
-        grads["w1"][columns] += np.outer(values, d_hidden)
-        grads["b1"] += d_hidden
-    for name in _PARAM_NAMES:
-        grads[name] /= batch
-    return loss / batch, grads
+        probs[label] -= 1.0  # probs now holds d(loss)/d(logits)
+        g_w2 += hidden[:, None] * probs  # np.outer, without its argument checks
+        g_b2 += probs
+        d_hidden = (w2 @ probs) * (hidden_pre > 0)
+        g_w1[columns] += values[:, None] * d_hidden
+        g_b1 += d_hidden
+    if len(rows) > 1:  # x / 1 == x exactly, so a batch of one skips the pass
+        grad /= len(rows)
+    return loss / len(rows), grad
 
 
 def mlp_loss(model: MLPModel, matrix: FeatureMatrix, labels: np.ndarray) -> float:
@@ -164,14 +194,15 @@ def mlp_epoch(
     epoch = adam.step // steps_per_epoch
     order = list(range(n))
     SplitMix64(derive_seed(params.seed, 1 + epoch)).shuffle(order)
+    grad = np.empty_like(model.flat)
     epoch_loss = 0.0
     for start in range(0, n, params.batch_size):
         chosen = order[start : start + params.batch_size]
-        loss, grads = mlp_loss_and_grads(model, matrix, chosen, labels[chosen])
+        loss, _ = mlp_loss_and_grads(model, matrix, chosen, labels[chosen], grad)
         if not np.isfinite(loss):
             raise TrainingDivergedError(epoch)
         epoch_loss += loss * len(chosen)
-        adam.apply(model, grads, params)
+        adam.apply(model, grad, params)
     return model, epoch_loss / n
 
 

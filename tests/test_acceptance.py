@@ -299,7 +299,8 @@ def check_mlp_gradients(rng):
             break
     else:
         raise AssertionError("could not sample an instance away from the ReLU kink")
-    _, grads = mlp_loss_and_grads(model, matrix, rows, labels)
+    _, grad = mlp_loss_and_grads(model, matrix, rows, labels)
+    grads = dict(zip(("w1", "b1", "w2", "b2"), model.split(grad)))
     for name in ("w1", "b1", "w2", "b2"):
         tensor = getattr(model, name)
         numeric = np.zeros_like(tensor)

@@ -285,6 +285,49 @@ def test_evaluate_rejects_bundle_with_wrong_type(workspace, tmp_path, key, value
     assert _evaluate(workspace, tmp_path, bundle=broken) == 2
 
 
+@pytest.fixture(scope="module")
+def mlp_bundle(workspace):
+    out = workspace["root"] / "mlp"
+    code = main(
+        [
+            "train",
+            "--corpus", str(workspace["corpus"]),
+            "--split", str(workspace["split"]),
+            "--classifier", "mlp",
+            "--features", "tfidf",
+            "--param", "epochs=2",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    return json.loads((out / "model.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        lambda model: model["payload"]["b1"].pop(),
+        lambda model: model["payload"]["w2"].pop(),
+        lambda model: model["payload"]["b2"].append(0.0),
+        lambda model: model["payload"]["w1"][0].__setitem__(0, float("nan")),
+        lambda model: model["hyperparams"].update(hidden_units=3),
+        lambda model: model["hyperparams"].update(epochs=0),
+    ],
+    ids=["b1-short", "w2-short", "b2-long", "w1-nan", "hidden-units", "epochs-0"],
+)
+def test_evaluate_rejects_malformed_mlp_bundle(
+    workspace, mlp_bundle, tmp_path, capsys, defect
+):
+    bundle = json.loads(json.dumps(mlp_bundle))
+    defect(bundle["model"])
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(bundle), encoding="utf-8")
+    assert _evaluate(workspace, tmp_path, bundle=broken) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mlp" in err
+    assert "Traceback" not in err
+
+
 def test_split_ids_missing_from_corpus_are_a_data_error(workspace, tmp_path, capsys):
     split = json.loads(workspace["split"].read_text(encoding="utf-8"))
     split["test_ids"] += ["ghost-1", "ghost-2"]

@@ -2,12 +2,15 @@
 
 import math
 import random
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pashtext.errors import TrainingDivergedError
 from pashtext.models import MLPModel, MLPParams, train_mlp
+from pashtext.models.base import softmax
 from pashtext.models.mlp import (
     AdamState,
     init_mlp,
@@ -16,6 +19,7 @@ from pashtext.models.mlp import (
     mlp_loss_and_grads,
     relu,
 )
+from pashtext.prng import SplitMix64, derive_seed
 from pashtext.vectorize import FeatureMatrix
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -75,6 +79,10 @@ def random_instance(rng, away_from_kink=True):
     raise AssertionError("could not build a kink-free instance")
 
 
+def named_grads(model, grad):
+    return dict(zip(_PARAM_NAMES, model.split(grad)))
+
+
 def numeric_grads(model, matrix, labels, h=1e-6):
     rows = range(matrix.n_rows)
     out = {}
@@ -97,7 +105,8 @@ def test_backprop_matches_finite_differences():
     rng = random.Random(19)
     for _ in range(8):
         model, matrix, labels = random_instance(rng)
-        _, grads = mlp_loss_and_grads(model, matrix, range(matrix.n_rows), labels)
+        _, grad = mlp_loss_and_grads(model, matrix, range(matrix.n_rows), labels)
+        grads = named_grads(model, grad)
         numeric = numeric_grads(model, matrix, labels)
         for name in _PARAM_NAMES:
             scale = max(1.0, float(np.abs(numeric[name]).max()))
@@ -124,13 +133,9 @@ def test_adam_single_update_matches_hand_computation():
     params = MLPParams(hidden_units=1, learning_rate=0.1, seed=0)
     model = MLPModel([[0.5]], [0.0], [[0.25, -0.25]], [0.0, 0.0], params)
     adam = AdamState.for_model(model)
-    grads = {
-        "w1": np.array([[0.3]]),
-        "b1": np.array([0.0]),
-        "w2": np.array([[0.1, -0.1]]),
-        "b2": np.array([0.0, 0.0]),
-    }
-    adam.apply(model, grads, params)
+    # flat layout: w1 (1 x 1), b1 (1), w2 (1 x 2), b2 (2)
+    grad = np.array([0.3, 0.0, 0.1, -0.1, 0.0, 0.0])
+    adam.apply(model, grad, params)
     assert adam.step == 1
     # first step: m_hat = g, v_hat = g^2, delta = lr * g / (|g| + eps)
     lr, eps = params.learning_rate, params.adam_epsilon
@@ -149,8 +154,8 @@ def test_adam_single_update_matches_hand_computation():
     m_hat = m / (1 - b1**2)
     v_hat = v / (1 - b2**2)
     before = float(model.w1[0, 0])
-    grads["w1"] = np.array([[g2]])
-    adam.apply(model, grads, params)
+    grad[0] = g2
+    adam.apply(model, grad, params)
     assert adam.step == 2
     expected = before - lr * m_hat / (math.sqrt(v_hat) + eps)
     assert model.w1[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -218,3 +223,151 @@ def test_payload_round_trip():
     restored = MLPModel.from_payload(model.payload(), model.params)
     query = queries([0.4, 0.6], [0.0, 0.0])
     assert np.allclose(restored.predict_scores(query), model.predict_scores(query))
+
+
+def test_weights_are_views_of_one_flat_buffer():
+    model = init_mlp(5, 3, MLPParams(hidden_units=4, seed=1))
+    assert model.flat.shape == (5 * 4 + 4 + 4 * 3 + 3,)
+    start = 0
+    for name, tensor in zip(_PARAM_NAMES, model.split(model.flat)):
+        assert getattr(model, name).shape == tensor.shape
+        assert np.shares_memory(getattr(model, name), model.flat)
+        assert np.array_equal(model.flat[start : start + tensor.size], tensor.ravel())
+        start += tensor.size
+
+
+# The per-tensor training code that the flat buffer replaced, kept verbatim
+# (apart from names) as the reference the flat path must match bit for bit.
+
+
+@dataclass
+class ReferenceAdamState:
+    """First/second moment accumulators and the shared step counter."""
+
+    first: dict[str, np.ndarray]
+    second: dict[str, np.ndarray]
+    step: int = 0
+
+    @classmethod
+    def for_model(cls, model) -> "ReferenceAdamState":
+        shapes = {name: getattr(model, name).shape for name in _PARAM_NAMES}
+        return cls(
+            first={name: np.zeros(shape) for name, shape in shapes.items()},
+            second={name: np.zeros(shape) for name, shape in shapes.items()},
+        )
+
+    def apply(self, model, grads: dict[str, np.ndarray],
+              params: MLPParams) -> None:
+        """One Adam update: m, v accumulation, bias correction, step."""
+        self.step += 1
+        b1, b2 = params.adam_beta1, params.adam_beta2
+        correction1 = 1.0 - b1**self.step
+        correction2 = 1.0 - b2**self.step
+        for name in _PARAM_NAMES:
+            g = grads[name]
+            m = self.first[name]
+            v = self.second[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / correction1
+            v_hat = v / correction2
+            getattr(model, name)[...] -= (
+                params.learning_rate * m_hat / (np.sqrt(v_hat) + params.adam_epsilon)
+            )
+
+
+def reference_loss_and_grads(model, matrix: FeatureMatrix, rows, labels):
+    """Mean cross-entropy and mean gradients over a batch of matrix rows."""
+    batch = len(rows)
+    grads = {name: np.zeros_like(getattr(model, name)) for name in _PARAM_NAMES}
+    loss = 0.0
+    for row, label in zip(rows, labels):
+        columns, values = matrix.row(row)
+        hidden_pre = values @ model.w1[columns] + model.b1
+        hidden = relu(hidden_pre)
+        probs = softmax(hidden @ model.w2 + model.b2)
+        loss -= float(np.log(probs[label]))
+        d_logits = probs.copy()
+        d_logits[label] -= 1.0
+        grads["w2"] += np.outer(hidden, d_logits)
+        grads["b2"] += d_logits
+        d_hidden = (model.w2 @ d_logits) * (hidden_pre > 0)
+        grads["w1"][columns] += np.outer(values, d_hidden)
+        grads["b1"] += d_hidden
+    for name in _PARAM_NAMES:
+        grads[name] /= batch
+    return loss / batch, grads
+
+
+def reference_epoch(model, matrix, labels, params, adam):
+    """One pass over a shuffled epoch; returns the mean batch loss."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = matrix.n_rows
+    steps_per_epoch = -(-n // params.batch_size)
+    epoch = adam.step // steps_per_epoch
+    order = list(range(n))
+    SplitMix64(derive_seed(params.seed, 1 + epoch)).shuffle(order)
+    epoch_loss = 0.0
+    for start in range(0, n, params.batch_size):
+        chosen = order[start : start + params.batch_size]
+        loss, grads = reference_loss_and_grads(model, matrix, chosen, labels[chosen])
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(epoch)
+        epoch_loss += loss * len(chosen)
+        adam.apply(model, grads, params)
+    return epoch_loss / n
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3])
+@pytest.mark.parametrize(
+    "dim, hidden, label_count, n_rows",
+    # Row counts leave an uneven last batch for batch sizes 2 and 3; the
+    # last shape is the desk grid's (224 features, 20 hidden units, 8 classes).
+    [(6, 4, 3, 7), (9, 5, 2, 11), (224, 20, 8, 40)],
+)
+def test_flat_training_matches_per_tensor_reference(
+    batch_size, dim, hidden, label_count, n_rows
+):
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        # Sparse rows of mixed sign, so some products are -0.0; one empty row.
+        dense = rng.uniform(-1.0, 1.0, (n_rows, dim))
+        dense[rng.random((n_rows, dim)) < 0.6] = 0.0
+        dense[0] = 0.0
+        labels = rng.integers(0, label_count, n_rows)
+        matrix = matrix_from_dense(dense, labels)
+        params = MLPParams(
+            hidden_units=hidden, learning_rate=0.05, batch_size=batch_size, seed=seed
+        )
+        model = init_mlp(dim, label_count, params)
+        reference = SimpleNamespace(
+            **{name: getattr(model, name).copy() for name in _PARAM_NAMES}
+        )
+        adam = AdamState.for_model(model)
+        reference_adam = ReferenceAdamState.for_model(reference)
+        for _ in range(4):
+            _, loss = mlp_epoch(model, matrix, labels, params, adam)
+            reference_loss = reference_epoch(
+                reference, matrix, labels, params, reference_adam
+            )
+            assert loss == reference_loss
+            for name in _PARAM_NAMES:
+                ours, theirs = getattr(model, name), getattr(reference, name)
+                assert np.array_equal(ours, theirs), name
+                assert np.array_equal(np.signbit(ours), np.signbit(theirs)), name
+        assert adam.step == reference_adam.step
+
+
+def test_gradient_matches_per_tensor_reference():
+    rng = random.Random(31)
+    for _ in range(10):
+        model, matrix, labels = random_instance(rng, away_from_kink=False)
+        rows = list(range(matrix.n_rows))
+        loss, grad = mlp_loss_and_grads(model, matrix, rows, labels)
+        reference_loss, reference = reference_loss_and_grads(model, matrix, rows, labels)
+        assert loss == reference_loss
+        for name, part in named_grads(model, grad).items():
+            assert np.array_equal(part, reference[name]), name
+            assert np.array_equal(np.signbit(part), np.signbit(reference[name])), name

@@ -196,6 +196,48 @@ def test_tree_payloads_are_validated_on_load():
         assert model_from_document(doc).payload() == doc["payload"]
 
 
+@pytest.mark.parametrize(
+    "defect",
+    [
+        lambda doc: doc["payload"]["b1"].pop(),  # b1 one element short
+        lambda doc: doc["payload"]["w2"].pop(),  # w2 one row short
+        lambda doc: doc["payload"]["b2"].append(0.0),  # b2 one element long
+        lambda doc: doc["payload"]["w1"][0].__setitem__(0, float("nan")),
+        lambda doc: doc["payload"]["b2"].__setitem__(0, float("inf")),
+        lambda doc: doc["hyperparams"].update(hidden_units=2),  # w1 is 3 wide
+    ],
+    ids=["b1-short", "w2-short", "b2-long", "w1-nan", "b2-inf", "hidden-units"],
+)
+def test_mlp_payloads_are_validated_on_load(defect):
+    doc = model_document(train(ModelKind.MLP, toy_matrix(), QUICK_PARAMS[ModelKind.MLP]))
+    broken = json.loads(json.dumps(doc))
+    defect(broken)
+    with pytest.raises(DataError, match="mlp"):
+        model_from_document(broken)
+    assert model_from_document(doc).payload() == doc["payload"]
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        (ModelKind.GAUSSIAN_NB, "variance_floor", 0.0),
+        (ModelKind.MULTINOMIAL_NB, "laplace_alpha", -1.0),
+        (ModelKind.KNN, "k", 0),
+        (ModelKind.DECISION_TREE, "min_samples_split", 1),
+        (ModelKind.RANDOM_FOREST, "n_trees", 0),
+        (ModelKind.LOGISTIC_REGRESSION, "learning_rate", 0.0),
+        (ModelKind.LINEAR_SVM, "l2_strength", -1.0),
+        (ModelKind.MLP, "epochs", 0),
+    ],
+)
+def test_out_of_range_hyperparameters_are_data_errors(kind, field, value):
+    model = train(kind, toy_matrix(), QUICK_PARAMS.get(kind))
+    doc = json.loads(json.dumps(model_document(model)))
+    doc["hyperparams"][field] = value
+    with pytest.raises(DataError, match="out-of-range hyperparameter"):
+        model_from_document(doc)
+
+
 def test_load_rejects_broken_files(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
