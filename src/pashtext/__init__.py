@@ -54,16 +54,12 @@ from .models import (
     train,
 )
 from .pipeline import (
-    PASHTO_DEFAULT,
-    PipelineConfig,
     PreprocessResult,
     TokenizedDocument,
-    get_profile,
     normalize_text,
     preprocess,
     preprocess_text,
     strip_noise,
-    tokenize,
 )
 from .prng import GOLDEN_GAMMA, SplitMix64, derive_seed, mix64
 from .synth import generate_corpus
@@ -107,9 +103,7 @@ __all__ = [
     "LabelSet",
     "Model",
     "ModelKind",
-    "PASHTO_DEFAULT",
     "PashtextError",
-    "PipelineConfig",
     "PreprocessResult",
     "SplitFeatures",
     "SplitMix64",
@@ -133,7 +127,6 @@ __all__ = [
     "derive_seed",
     "evaluate_predictions",
     "generate_corpus",
-    "get_profile",
     "idf_weights",
     "load_corpus",
     "load_model",
@@ -151,7 +144,6 @@ __all__ = [
     "split_features",
     "stratified_split",
     "strip_noise",
-    "tokenize",
     "train",
     "validate",
     "vectorize_documents",

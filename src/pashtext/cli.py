@@ -33,7 +33,7 @@ from .metrics import EvalReport, evaluate_predictions
 from .models import ModelKind, train
 from .models.io import model_document, model_from_document
 from .models.params import DEFAULT_SEED, params_with_overrides
-from .pipeline import PASHTO_DEFAULT, PipelineConfig
+from .pipeline import PROFILE_RECORD
 from .synth import generate_corpus
 from .vectorize import (
     FEATURE_MODES,
@@ -86,13 +86,12 @@ def _parse_params(pairs) -> dict[str, str]:
 
 
 def _save_bundle(path: Path, model, vocab: Vocabulary, mode: str,
-                 config: PipelineConfig, labels: LabelSet,
-                 mask: FeatureMask | None) -> None:
+                 labels: LabelSet, mask: FeatureMask | None) -> None:
     bundle = {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
         "labels": list(labels.names),
-        "pipeline": config.to_json_dict(),
+        "pipeline": PROFILE_RECORD,
         "mode": mode,
         "vocabulary": vocab.to_json_dict(),
         "mask": None
@@ -113,10 +112,14 @@ def _load_bundle(path):
     if bundle.get("version") != BUNDLE_VERSION:
         raise DataError(f"unsupported bundle version {bundle.get('version')!r}")
     try:
+        if bundle["pipeline"] != PROFILE_RECORD:
+            raise DataError(
+                f"model bundle {path} was made with another preprocessing profile: "
+                f"{json.dumps(bundle['pipeline'], sort_keys=True)}"
+            )
         mask = bundle["mask"]
         return {
             "labels": LabelSet(bundle["labels"]),
-            "config": PipelineConfig.from_json_dict(bundle["pipeline"]),
             "mode": bundle["mode"],
             "vocab": Vocabulary.from_json_dict(bundle["vocabulary"]),
             "mask": None
@@ -160,9 +163,8 @@ def _cmd_train(args) -> int:
     params = params_with_overrides(kind, args.seed, overrides)
     corpus = load_corpus(args.corpus)
     split, _spec = load_split(args.split)
-    config = PASHTO_DEFAULT
     features = split_features(
-        corpus, split, config, [args.features], sides=[TRAIN], select_k=args.select_k
+        corpus, split, [args.features], sides=[TRAIN], select_k=args.select_k
     )
     vocab, mask = features.vocab, features.mask
     matrix = features.train[args.features]
@@ -171,7 +173,7 @@ def _cmd_train(args) -> int:
     elapsed = time.perf_counter() - started
     out = _out_dir(args)
     bundle_path = out / "model.json"
-    _save_bundle(bundle_path, model, vocab, args.features, config, corpus.labels, mask)
+    _save_bundle(bundle_path, model, vocab, args.features, corpus.labels, mask)
     log_lines = [
         f"classifier: {kind.value}",
         f"features: {args.features}",
@@ -201,7 +203,7 @@ def _cmd_evaluate(args) -> int:
             )
     # Re-labelled with the model's label set, so rows carry its class indices.
     features = split_features(
-        Corpus(corpus.documents, labels), split, bundle["config"], [bundle["mode"]],
+        Corpus(corpus.documents, labels), split, [bundle["mode"]],
         sides=[TEST], vocab=bundle["vocab"], mask=bundle["mask"],
     )
     matrix = features.test[bundle["mode"]]
@@ -230,13 +232,7 @@ def _cmd_grid(args) -> int:
     corpus = load_corpus(args.corpus)
     spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
     split = stratified_split(corpus, spec)
-    report = run_grid(
-        corpus,
-        split,
-        PASHTO_DEFAULT,
-        seed=args.seed,
-        select_k=args.select_k,
-    )
+    report = run_grid(corpus, split, seed=args.seed, select_k=args.select_k)
     out = _out_dir(args)
     save_split(split, spec, out / "split.json")
     _write_text(out / "grid.json", report.to_json_text())

@@ -21,7 +21,6 @@ from .errors import DataError
 from .metrics import EvalReport, evaluate_predictions
 from .models import KIND_DISPLAY_NAMES, ModelKind, default_params, train
 from .models.params import DEFAULT_SEED
-from .pipeline import PASHTO_DEFAULT, PipelineConfig
 from .prng import derive_seed
 from .vectorize import FEATURE_MODES, TFIDF, UNIGRAM, SplitFeatures, split_features
 
@@ -232,7 +231,6 @@ def _run_cell(kind, mode, features: SplitFeatures, label_names, params) -> GridC
 def run_grid(
     corpus: Corpus,
     split: CorpusSplit,
-    config: PipelineConfig = PASHTO_DEFAULT,
     seed: int = DEFAULT_SEED,
     select_k: int | None = None,
     params_by_kind: dict | None = None,
@@ -244,7 +242,7 @@ def run_grid(
     defaults for specific kinds; otherwise each cell gets defaults with a
     seed derived from `seed` and the cell position.
     """
-    features = split_features(corpus, split, config, FEATURE_MODES, select_k=select_k)
+    features = split_features(corpus, split, FEATURE_MODES, select_k=select_k)
     label_names = tuple(corpus.labels.names)
     cells = []
     for kind in ModelKind:

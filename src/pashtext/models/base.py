@@ -53,6 +53,23 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
+def checked_array(kind: ModelKind, name: str, values, shape: tuple) -> np.ndarray:
+    """`values` as a float64 array of `shape` (None matches any length) whose
+    entries are all finite; otherwise a DataError naming `kind` and `name`."""
+    array = np.asarray(values, dtype=np.float64)
+    if array.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(array.shape, shape)
+    ):
+        expected = ", ".join("any" if want is None else str(want) for want in shape)
+        raise DataError(
+            f"malformed {kind.value} weights: {name} has shape {array.shape}, "
+            f"expected ({expected})"
+        )
+    if not np.all(np.isfinite(array)):
+        raise DataError(f"malformed {kind.value} weights: {name} holds a non-finite value")
+    return array
+
+
 class Model(ABC):
     """A trained classifier: immutable, shareable, pure at prediction time.
 

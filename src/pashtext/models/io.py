@@ -11,7 +11,7 @@ import dataclasses
 import json
 from pathlib import Path
 
-from ..errors import DataError, InvalidHyperparameterError
+from ..errors import DataError, InvalidHyperparameterError, TrainingError
 from .base import Model, ModelKind
 from .knn import KNNModel
 from .linear import LinearSVMModel, LogisticRegressionModel
@@ -79,7 +79,7 @@ def model_from_document(document: dict) -> Model:
         raise DataError(
             f"{kind.value} model document has an out-of-range hyperparameter: {exc}"
         ) from None
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, TrainingError) as exc:
         raise DataError(
             f"malformed {kind.value} model document: {type(exc).__name__}: {exc}"
         ) from None

@@ -72,6 +72,12 @@ class KNNModel(Model):
     kind = ModelKind.KNN
 
     def __init__(self, matrix: FeatureMatrix, params: KNNParams, label_count: int):
+        if matrix.n_rows and (
+            matrix.row_labels.min() < 0 or matrix.row_labels.max() >= label_count
+        ):
+            raise DataError("knn row labels must lie in [0, label_count)")
+        if params.k > matrix.n_rows:
+            raise DataError(f"knn stores {matrix.n_rows} rows, fewer than k={params.k}")
         self.matrix = matrix
         self.params = params
         self.label_count = label_count

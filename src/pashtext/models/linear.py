@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import TrainingDivergedError
 from ..vectorize import FeatureMatrix
-from .base import Model, ModelKind, softmax
+from .base import Model, ModelKind, checked_array, softmax
 from .params import LinearParams
 
 
@@ -77,11 +77,10 @@ def logistic_loss_and_grads(
 
 class _LinearModel(Model):
     def __init__(self, weights, bias, params: LinearParams):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64)
+        self.weights = checked_array(self.kind, "weights", weights, (None, None))
+        self.label_count, self.feature_dimension = self.weights.shape
+        self.bias = checked_array(self.kind, "bias", bias, (self.label_count,))
         self.params = params
-        self.label_count = self.weights.shape[0]
-        self.feature_dimension = self.weights.shape[1]
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         return matrix.dot(self.weights.T) + self.bias

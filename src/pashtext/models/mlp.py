@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DataError, TrainingDivergedError
+from ..errors import TrainingDivergedError
 from ..prng import SplitMix64, derive_seed
 from ..vectorize import FeatureMatrix
-from .base import Model, ModelKind, softmax
+from .base import Model, ModelKind, checked_array, softmax
 from .params import MLPParams
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -82,26 +82,18 @@ class MLPModel(Model):
     kind = ModelKind.MLP
 
     def __init__(self, w1, b1, w2, b2, params: MLPParams):
-        tensors = [np.asarray(t, dtype=np.float64) for t in (w1, b1, w2, b2)]
-        dim = tensors[0].shape[0] if tensors[0].ndim else 0
-        label_count = tensors[2].shape[-1] if tensors[2].ndim else 0
         hidden = params.hidden_units
-        shapes = ((dim, hidden), (hidden,), (hidden, label_count), (label_count,))
-        for name, tensor, shape in zip(_PARAM_NAMES, tensors, shapes):
-            if tensor.shape != shape:
-                raise DataError(
-                    f"malformed mlp weights: {name} has shape {tensor.shape}, "
-                    f"expected {shape} for hidden_units={hidden}"
-                )
-            if not np.all(np.isfinite(tensor)):
-                raise DataError(f"malformed mlp weights: {name} holds a non-finite value")
+        w1 = checked_array(self.kind, "w1", w1, (None, hidden))
+        w2 = checked_array(self.kind, "w2", w2, (hidden, None))
+        self.feature_dimension, self.label_count = w1.shape[0], w2.shape[1]
+        b1 = checked_array(self.kind, "b1", b1, (hidden,))
+        b2 = checked_array(self.kind, "b2", b2, (self.label_count,))
+        tensors = [w1, b1, w2, b2]
         ends = np.cumsum([t.size for t in tensors]).tolist()
         self._layout = list(zip([0] + ends, ends, [t.shape for t in tensors]))
         self.flat = np.concatenate([t.ravel() for t in tensors])
         self.w1, self.b1, self.w2, self.b2 = self.split(self.flat)
         self.params = params
-        self.feature_dimension = dim
-        self.label_count = label_count
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """w1, b1, w2, b2 views of a flat buffer in this model's layout."""

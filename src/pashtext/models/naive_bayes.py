@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import DataError, TrainingError
 from ..vectorize import FeatureMatrix, class_sums
-from .base import Model, ModelKind
+from .base import Model, ModelKind, checked_array
 from .params import GaussianNBParams, MultinomialNBParams
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -39,12 +39,11 @@ class GaussianNBModel(Model):
     kind = ModelKind.GAUSSIAN_NB
 
     def __init__(self, priors, means, variances, params: GaussianNBParams):
-        self.priors = np.asarray(priors, dtype=np.float64)
-        self.means = np.asarray(means, dtype=np.float64)
-        self.variances = np.asarray(variances, dtype=np.float64)
+        self.means = checked_array(self.kind, "means", means, (None, None))
+        self.label_count, self.feature_dimension = self.means.shape
+        self.priors = checked_array(self.kind, "priors", priors, (self.label_count,))
+        self.variances = checked_array(self.kind, "variances", variances, self.means.shape)
         self.params = params
-        self.label_count = self.priors.size
-        self.feature_dimension = self.means.shape[1]
         if abs(self.priors.sum() - 1.0) > 1e-9:
             raise TrainingError("class priors must sum to 1")
         if np.any(self.variances <= 0):
@@ -103,11 +102,12 @@ class MultinomialNBModel(Model):
     kind = ModelKind.MULTINOMIAL_NB
 
     def __init__(self, priors, log_token_probs, params: MultinomialNBParams):
-        self.priors = np.asarray(priors, dtype=np.float64)
-        self.log_token_probs = np.asarray(log_token_probs, dtype=np.float64)
+        self.log_token_probs = checked_array(
+            self.kind, "log_token_probs", log_token_probs, (None, None)
+        )
+        self.label_count, self.feature_dimension = self.log_token_probs.shape
+        self.priors = checked_array(self.kind, "priors", priors, (self.label_count,))
         self.params = params
-        self.label_count = self.priors.size
-        self.feature_dimension = self.log_token_probs.shape[1]
         if abs(self.priors.sum() - 1.0) > 1e-9:
             raise TrainingError("class priors must sum to 1")
         prob_sums = np.exp(self.log_token_probs).sum(axis=1)

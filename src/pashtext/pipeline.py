@@ -1,26 +1,23 @@
 """Normalization, cleaning and whitespace tokenization for Arabic-script text.
 
-The pipeline is three pure stages applied per document:
+Every document goes through one fixed profile of three pure stages:
 
-    normalize_text -> strip_noise -> tokenize
+    normalize_text -> strip_noise -> str.split
 
 Tokens are kept in their surface form; there is no stemming, lemmatization
-or sentence segmentation. The default profile ("pashto-default") keeps the
-Arabic script blocks and strips URLs, digits and punctuation.
+or sentence segmentation. The profile keeps the Arabic script blocks and
+strips URLs, digits and punctuation; each saved model bundle records it as
+`PROFILE_RECORD`.
 """
 
 from __future__ import annotations
 
-import bisect
-import json
 import logging
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .corpus import Corpus
-from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -55,94 +52,28 @@ _DIGITS = set("0123456789") | {chr(c) for c in range(0x0660, 0x066A)} | {
 }
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Cleaning switches plus the set of Unicode ranges worth keeping.
+# Everything strip_noise keeps besides whitespace: the script ranges minus
+# digits and punctuation (Unicode categories P*).
+_KEPT = "".join(
+    ch
+    for start, end in ARABIC_SCRIPT_RANGES
+    for ch in map(chr, range(start, end + 1))
+    if not ch.isspace()
+    and ch not in _DIGITS
+    and not unicodedata.category(ch).startswith("P")
+)
+_NOISE_RE = re.compile(f"[^\\s{re.escape(_KEPT)}]+")
 
-    Code points outside `allowed_script_ranges` are always dropped (except
-    whitespace); `strip_digits` and `strip_punctuation` additionally remove
-    digits and punctuation that fall inside allowed ranges, e.g. the
-    Arabic-Indic digits and Arabic punctuation marks.
-    """
-
-    strip_urls: bool = True
-    strip_digits: bool = True
-    strip_punctuation: bool = True
-    allowed_script_ranges: tuple[tuple[int, int], ...] = ARABIC_SCRIPT_RANGES
-    lowercase_latin: bool = True
-    stop_words: frozenset[str] = frozenset()  # hook; empty by default
-
-    def __post_init__(self):
-        if not self.allowed_script_ranges:
-            raise DataError("allowed_script_ranges must be non-empty")
-        ranges = sorted(self.allowed_script_ranges)
-        for (a1, b1), (a2, _) in zip(ranges, ranges[1:]):
-            if a2 <= b1:
-                raise DataError("allowed_script_ranges must not overlap")
-        for a, b in ranges:
-            if a > b:
-                raise DataError(f"invalid code point range {a:#06x}-{b:#06x}")
-        object.__setattr__(self, "allowed_script_ranges", tuple(ranges))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "strip_urls": self.strip_urls,
-            "strip_digits": self.strip_digits,
-            "strip_punctuation": self.strip_punctuation,
-            "allowed_script_ranges": [
-                f"{a:04X}-{b:04X}" for a, b in self.allowed_script_ranges
-            ],
-            "lowercase_latin": self.lowercase_latin,
-            "stop_words": sorted(self.stop_words),
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "PipelineConfig":
-        ranges = []
-        for item in payload.get("allowed_script_ranges", []):
-            if isinstance(item, str):
-                try:
-                    start, end = item.split("-")
-                    ranges.append((int(start, 16), int(end, 16)))
-                except ValueError:
-                    raise DataError(f"bad code point range {item!r}") from None
-            else:
-                start, end = item
-                ranges.append((int(start), int(end)))
-        kwargs = {}
-        for key in ("strip_urls", "strip_digits", "strip_punctuation", "lowercase_latin"):
-            if key in payload:
-                kwargs[key] = bool(payload[key])
-        if ranges:
-            kwargs["allowed_script_ranges"] = tuple(ranges)
-        if payload.get("stop_words"):
-            kwargs["stop_words"] = frozenset(payload["stop_words"])
-        return cls(**kwargs)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PipelineConfig":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read pipeline config {path}: {exc}") from None
-        return cls.from_json_dict(payload)
-
-
-PASHTO_DEFAULT = PipelineConfig()
-PROFILES = {"pashto-default": PASHTO_DEFAULT}
-
-
-def get_profile(name: str) -> PipelineConfig:
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise DataError(f"unknown pipeline profile {name!r}") from None
+# The profile as each model bundle records it.  A bundle that records
+# anything else was made with preprocessing this version cannot reproduce.
+PROFILE_RECORD = {
+    "allowed_script_ranges": ["0020-0020", "0600-06FF", "0750-077F", "08A0-08FF"],
+    "lowercase_latin": True,
+    "stop_words": [],
+    "strip_digits": True,
+    "strip_punctuation": True,
+    "strip_urls": True,
+}
 
 
 @dataclass(frozen=True)
@@ -171,67 +102,26 @@ def normalize_text(raw: str) -> str:
     return _WHITESPACE_RE.sub(" ", text).strip()
 
 
-def strip_noise(text: str, config: PipelineConfig = PASHTO_DEFAULT) -> str:
-    """Remove URLs, out-of-range code points, and (per flags) digits/punctuation.
+def strip_noise(text: str) -> str:
+    """Remove URLs, digits, punctuation and code points outside the script ranges.
 
     URL-shaped substrings (scheme:// or www.) are replaced by a space first;
     other removals drop individual code points. Whitespace is preserved.
     """
-    if config.strip_urls:
-        text = _URL_RE.sub(" ", text)
-    if config.lowercase_latin:
-        text = re.sub("[A-Z]+", lambda m: m.group(0).lower(), text)
-    starts = [a for a, _ in config.allowed_script_ranges]
-    ends = [b for _, b in config.allowed_script_ranges]
-    kept: list[str] = []
-    for ch in text:
-        if ch.isspace():
-            kept.append(ch)
-            continue
-        pos = bisect.bisect_right(starts, ord(ch)) - 1
-        if pos < 0 or ord(ch) > ends[pos]:
-            continue
-        if config.strip_digits and ch in _DIGITS:
-            continue
-        if config.strip_punctuation and unicodedata.category(ch).startswith("P"):
-            continue
-        kept.append(ch)
-    return "".join(kept)
+    return _NOISE_RE.sub("", _URL_RE.sub(" ", text))
 
 
-def _trim_edge_punctuation(token: str) -> str:
-    start, end = 0, len(token)
-    while start < end and unicodedata.category(token[start]).startswith("P"):
-        start += 1
-    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
-        end -= 1
-    return token[start:end]
+def preprocess_text(text: str) -> list[str]:
+    """normalize -> strip -> whitespace split for a single string."""
+    return strip_noise(normalize_text(text)).split()
 
 
-def tokenize(text: str) -> list[str]:
-    """Split on whitespace, trim residual edge punctuation, drop empties."""
-    tokens = []
-    for piece in text.split():
-        token = _trim_edge_punctuation(piece)
-        if token:
-            tokens.append(token)
-    return tokens
-
-
-def preprocess_text(text: str, config: PipelineConfig = PASHTO_DEFAULT) -> list[str]:
-    """normalize -> strip -> tokenize for a single string."""
-    tokens = tokenize(strip_noise(normalize_text(text), config))
-    if config.stop_words:
-        tokens = [t for t in tokens if t not in config.stop_words]
-    return tokens
-
-
-def preprocess(corpus: Corpus, config: PipelineConfig = PASHTO_DEFAULT) -> PreprocessResult:
+def preprocess(corpus: Corpus) -> PreprocessResult:
     """Tokenize every corpus document; documents left with no tokens are
     excluded from the output and listed in the result instead of raising."""
     result = PreprocessResult(documents=[])
     for doc in corpus.documents:
-        tokens = preprocess_text(doc.text, config)
+        tokens = preprocess_text(doc.text)
         if tokens:
             result.documents.append(
                 TokenizedDocument(id=doc.id, tokens=tuple(tokens), label=doc.label)

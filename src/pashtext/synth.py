@@ -6,7 +6,7 @@ separability: each class owns a disjoint set of signature tokens, and all
 classes share one pool of noise tokens (pool size fixed at
 NOISE_VOCABULARY_SIZE).  Token ids are rendered as fixed-width base-32
 strings over Arabic-script letters, so the generated text flows through
-the default preprocessing pipeline unchanged.
+the preprocessing pipeline unchanged.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Corpus, CorpusSplit, LabelSet
 from .errors import DataError
-from .pipeline import PipelineConfig, TokenizedDocument, preprocess
+from .pipeline import TokenizedDocument, preprocess
 
 logger = logging.getLogger(__name__)
 
@@ -232,38 +232,23 @@ class FeatureMask:
             raise DataError("selection scores must be finite and non-negative")
 
 
-def build_vocabulary(
-    train_docs: Sequence[TokenizedDocument], min_df: int = 1
-) -> Vocabulary:
-    """Collect tokens appearing in at least `min_df` training documents.
+def build_vocabulary(train_docs: Sequence[TokenizedDocument]) -> Vocabulary:
+    """Collect every token of the training documents.
 
     Index order is first-occurrence order (document order, then token order
     within the document).
     """
     if not train_docs:
         raise DataError("cannot build a vocabulary from zero documents")
-    if min_df < 1:
-        raise DataError("min_df must be >= 1")
-    df: dict[str, int] = {}
+    df: dict[str, int] = {}  # keys in first-occurrence order
     for doc in train_docs:
         for token in dict.fromkeys(doc.tokens):  # distinct, first-occurrence order
             df[token] = df.get(token, 0) + 1
-    kept = {token for token, count in df.items() if count >= min_df}
-    if not kept:
-        raise DataError(
-            f"vocabulary is empty after filtering at min_df={min_df}"
-        )
-    token_to_index: dict[str, int] = {}
-    for doc in train_docs:
-        for token in doc.tokens:
-            if token in kept and token not in token_to_index:
-                token_to_index[token] = len(token_to_index)
-    frequencies = np.zeros(len(token_to_index), dtype=np.int64)
-    for token, index in token_to_index.items():
-        frequencies[index] = df[token]
+    if not df:
+        raise DataError("cannot build a vocabulary from documents without tokens")
     return Vocabulary(
-        token_to_index=token_to_index,
-        document_frequency=frequencies,
+        token_to_index={token: index for index, token in enumerate(df)},
+        document_frequency=np.fromiter(df.values(), dtype=np.int64, count=len(df)),
         n_train_docs=len(train_docs),
     )
 
@@ -390,7 +375,6 @@ class SplitFeatures:
 def split_features(
     corpus: Corpus,
     split: CorpusSplit,
-    config: PipelineConfig,
     modes: Sequence[str],
     sides: Sequence[str] = (TRAIN, TEST),
     select_k: int | None = None,
@@ -410,7 +394,7 @@ def split_features(
     for side, ids in ((TRAIN, split.train_ids), (TEST, split.test_ids)):
         if side not in needed:
             continue
-        result = preprocess(Corpus(corpus.subset(ids), corpus.labels), config)
+        result = preprocess(Corpus(corpus.subset(ids), corpus.labels))
         if result.excluded:
             logger.warning(
                 "%d %s documents were excluded by preprocessing",

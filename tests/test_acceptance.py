@@ -34,7 +34,6 @@ from pashtext.models import (
 from pashtext.models.linear import logistic_loss_and_grads, svm_loss_and_grads
 from pashtext.models.mlp import init_mlp, mlp_loss_and_grads
 from pashtext.pipeline import (
-    PASHTO_DEFAULT,
     TokenizedDocument,
     preprocess,
     preprocess_text,
@@ -67,7 +66,7 @@ def test_criterion_1_tfidf_oracle():
         [Document(id=f"t{i}", text=t, label="a") for i, t in enumerate(texts)],
         LabelSet(["a"]),
     )
-    result = preprocess(corpus, PASHTO_DEFAULT)
+    result = preprocess(corpus)
     assert not result.excluded
     vocab = build_vocabulary(result.documents)
     target = "خير"
@@ -493,7 +492,7 @@ def test_criterion_7_determinism(desk_grid):
     # a one-tree, no-bootstrap, all-features forest is exactly a plain tree
     corpus = generate_corpus(classes=4, per_class=12, seed=6)
     split = stratified_split(corpus, SplitSpec(train_fraction=0.75, seed=6))
-    tokenized = preprocess(corpus, PASHTO_DEFAULT)
+    tokenized = preprocess(corpus)
     by_id = {doc.id: doc for doc in tokenized.documents}
     train_docs = [by_id[i] for i in split.train_ids]
     test_docs = [by_id[i] for i in split.test_ids]
@@ -521,7 +520,7 @@ def test_criterion_7_determinism(desk_grid):
 
 def test_criterion_8_out_of_vocabulary_robustness():
     corpus = generate_corpus(classes=3, per_class=10, seed=8)
-    tokenized = preprocess(corpus, PASHTO_DEFAULT)
+    tokenized = preprocess(corpus)
     vocab = build_vocabulary(tokenized.documents)
     matrix = vectorize_documents(tokenized.documents, vocab, UNIGRAM, corpus.labels)
     quick = {
@@ -531,7 +530,7 @@ def test_criterion_8_out_of_vocabulary_robustness():
         ModelKind.LINEAR_SVM: LinearParams(epochs=20),
         ModelKind.MLP: MLPParams(hidden_units=6, epochs=10, seed=1),
     }
-    oov_tokens = preprocess_text("کلمات ناپيژندلي بهرنيان", PASHTO_DEFAULT)
+    oov_tokens = preprocess_text("کلمات ناپيژندلي بهرنيان")
     assert all(token not in vocab.token_to_index for token in oov_tokens)
     oov_doc = TokenizedDocument(id="oov", tokens=tuple(oov_tokens), label="history")
     oov_matrix = vectorize_documents([oov_doc], vocab, UNIGRAM, corpus.labels)

@@ -132,6 +132,14 @@ def test_train_bundle_contents(workspace):
     assert bundle["mode"] == "unigram"
     assert bundle["model"]["kind"] == "multinomial_nb"
     assert bundle["mask"] is None
+    assert bundle["pipeline"] == {
+        "allowed_script_ranges": ["0020-0020", "0600-06FF", "0750-077F", "08A0-08FF"],
+        "lowercase_latin": True,
+        "stop_words": [],
+        "strip_digits": True,
+        "strip_punctuation": True,
+        "strip_urls": True,
+    }
     log_text = (workspace["bundle"].parent / "train.log").read_text(encoding="utf-8")
     assert "classifier: multinomial_nb" in log_text
 
@@ -283,6 +291,24 @@ def test_evaluate_rejects_bundle_with_wrong_type(workspace, tmp_path, key, value
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(bundle), encoding="utf-8")
     assert _evaluate(workspace, tmp_path, bundle=broken) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("strip_digits", False), ("stop_words", ["په"]),
+     ("allowed_script_ranges", ["0020-0020", "0600-06FF"])],
+)
+def test_evaluate_rejects_bundle_with_another_profile(
+    workspace, tmp_path, capsys, key, value
+):
+    bundle = json.loads(workspace["bundle"].read_text(encoding="utf-8"))
+    bundle["pipeline"][key] = value
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(bundle), encoding="utf-8")
+    assert _evaluate(workspace, tmp_path, bundle=broken) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "preprocessing profile" in err
+    assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

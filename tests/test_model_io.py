@@ -217,6 +217,47 @@ def test_mlp_payloads_are_validated_on_load(defect):
     assert model_from_document(doc).payload() == doc["payload"]
 
 
+def _set(path, value):
+    def defect(doc):
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+    return defect
+
+
+@pytest.mark.parametrize(
+    "kind, defect",
+    [
+        (ModelKind.MULTINOMIAL_NB, _set(("payload", "priors", 0), 0.9)),
+        (ModelKind.MULTINOMIAL_NB, _set(("payload", "priors", 1), float("nan"))),
+        (ModelKind.MULTINOMIAL_NB, lambda doc: doc["payload"]["priors"].pop()),
+        (ModelKind.GAUSSIAN_NB, _set(("payload", "variances", 0, 0), -1.0)),
+        (ModelKind.GAUSSIAN_NB, _set(("payload", "means", 0, 0), float("nan"))),
+        (ModelKind.GAUSSIAN_NB, lambda doc: doc["payload"]["variances"][2].pop()),
+        (ModelKind.LOGISTIC_REGRESSION, lambda doc: doc["payload"]["bias"].pop()),
+        (ModelKind.LOGISTIC_REGRESSION, _set(("payload", "weights", 1, 2), float("nan"))),
+        (ModelKind.LINEAR_SVM, _set(("payload", "bias", 0), float("inf"))),
+        (ModelKind.KNN, _set(("payload", "row_labels", 0), 7)),
+        (ModelKind.KNN, _set(("payload", "row_labels", 5), -1)),
+        (ModelKind.KNN, _set(("hyperparams", "k"), 7)),  # six stored rows
+    ],
+    ids=[
+        "mnb-priors-sum", "mnb-priors-nan", "mnb-priors-short",
+        "gnb-negative-variance", "gnb-mean-nan", "gnb-variances-ragged",
+        "logistic-bias-short", "logistic-weight-nan", "svm-bias-inf",
+        "knn-label-7", "knn-label-minus-1", "knn-k-above-rows",
+    ],
+)
+def test_nb_linear_knn_payloads_are_validated_on_load(kind, defect):
+    doc = model_document(train(kind, toy_matrix(), QUICK_PARAMS.get(kind)))
+    broken = json.loads(json.dumps(doc))
+    defect(broken)
+    with pytest.raises(DataError, match=kind.value):
+        model_from_document(broken)
+    assert model_from_document(doc).payload() == doc["payload"]
+
+
 @pytest.mark.parametrize(
     "kind, field, value",
     [

@@ -1,27 +1,93 @@
 """Normalization, cleaning and tokenization behaviour."""
 
+import bisect
 import random
+import re
 import unicodedata
-
-import pytest
+from types import SimpleNamespace
 
 from pashtext.corpus import Corpus, Document, LabelSet
-from pashtext.errors import DataError
 from pashtext.pipeline import (
-    PASHTO_DEFAULT,
-    PipelineConfig,
-    get_profile,
+    ARABIC_SCRIPT_RANGES,
     normalize_text,
     preprocess,
     preprocess_text,
     strip_noise,
-    tokenize,
 )
 
 ZWNJ = "‌"
 ZWJ = "‍"
 RLM = "‏"
 BOM = "﻿"
+
+# The per-character cleaner and punctuation-trimming tokenizer that
+# `strip_noise` and `str.split` replaced, kept verbatim as a reference under
+# the one profile every caller used.
+_URL_RE = re.compile(r"(?:[a-zA-Z][a-zA-Z0-9+.-]*://|www\.)\S+")
+_DIGITS = set("0123456789") | {chr(c) for c in range(0x0660, 0x066A)} | {
+    chr(c) for c in range(0x06F0, 0x06FA)
+}
+PASHTO_DEFAULT = SimpleNamespace(
+    strip_urls=True,
+    strip_digits=True,
+    strip_punctuation=True,
+    allowed_script_ranges=ARABIC_SCRIPT_RANGES,
+    lowercase_latin=True,
+)
+
+
+def reference_strip_noise(text, config=PASHTO_DEFAULT):
+    if config.strip_urls:
+        text = _URL_RE.sub(" ", text)
+    if config.lowercase_latin:
+        text = re.sub("[A-Z]+", lambda m: m.group(0).lower(), text)
+    starts = [a for a, _ in config.allowed_script_ranges]
+    ends = [b for _, b in config.allowed_script_ranges]
+    kept = []
+    for ch in text:
+        if ch.isspace():
+            kept.append(ch)
+            continue
+        pos = bisect.bisect_right(starts, ord(ch)) - 1
+        if pos < 0 or ord(ch) > ends[pos]:
+            continue
+        if config.strip_digits and ch in _DIGITS:
+            continue
+        if config.strip_punctuation and unicodedata.category(ch).startswith("P"):
+            continue
+        kept.append(ch)
+    return "".join(kept)
+
+
+def _trim_edge_punctuation(token):
+    start, end = 0, len(token)
+    while start < end and unicodedata.category(token[start]).startswith("P"):
+        start += 1
+    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+        end -= 1
+    return token[start:end]
+
+
+def reference_tokenize(text):
+    tokens = []
+    for piece in text.split():
+        token = _trim_edge_punctuation(piece)
+        if token:
+            tokens.append(token)
+    return tokens
+
+
+def reference_preprocess_text(text):
+    return reference_tokenize(reference_strip_noise(normalize_text(text)))
+
+
+RANDOM_POOL = "ابپتخدړزسقکلمنوي هڅ«»؟،.abcXY019۳٤www.x.co http://t.ly/z " + ZWNJ
+
+
+def random_pool_strings():
+    rng = random.Random(7)
+    for _ in range(200):
+        yield "".join(rng.choice(RANDOM_POOL) for _ in range(rng.randrange(0, 60)))
 
 
 def test_normalize_collapses_whitespace():
@@ -57,44 +123,43 @@ def test_normalize_idempotent_sweep():
 
 def test_strip_noise_removes_urls():
     text = "خبر http://example.com/a?b=1 پای"
-    assert tokenize(strip_noise(text)) == ["خبر", "پای"]
+    assert strip_noise(text).split() == ["خبر", "پای"]
     text = "خبر www.example.com پای"
-    assert tokenize(strip_noise(text)) == ["خبر", "پای"]
+    assert strip_noise(text).split() == ["خبر", "پای"]
 
 
 def test_strip_noise_drops_out_of_range_codepoints():
-    assert tokenize(strip_noise("hello خبر world")) == ["خبر"]
+    assert strip_noise("hello خبر world").split() == ["خبر"]
 
 
 def test_strip_noise_digit_handling():
     text = "شمېره 123 ۱۲۳ ٤٥"
-    assert tokenize(strip_noise(text)) == ["شمېره"]
-    keep_digits = PipelineConfig(strip_digits=False)
-    # ASCII digits stay out of range; Arabic-Indic digits survive.
-    assert tokenize(strip_noise(text, keep_digits)) == ["شمېره", "۱۲۳", "٤٥"]
+    assert strip_noise(text).split() == ["شمېره"]
 
 
 def test_strip_noise_punctuation_handling():
     text = "خير، دى؟"
-    assert tokenize(strip_noise(text)) == ["خير", "دى"]
-    keep_punct = PipelineConfig(strip_punctuation=False)
-    # the marks survive strip_noise; tokenize still trims them at token edges
-    assert strip_noise(text, keep_punct) == "خير، دى؟"
-    assert tokenize(strip_noise(text, keep_punct)) == ["خير", "دى"]
+    assert strip_noise(text).split() == ["خير", "دى"]
 
 
-def test_lowercase_latin_when_latin_range_allowed():
-    config = PipelineConfig(
-        allowed_script_ranges=((0x0020, 0x0020), (0x0041, 0x007A), (0x0600, 0x06FF)),
-        strip_punctuation=False,
-    )
-    assert tokenize(strip_noise("Hello خبر WORLD", config)) == ["hello", "خبر", "world"]
+def test_strip_noise_matches_reference_on_every_code_point():
+    text = "".join(chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF)
+    assert strip_noise(text) == reference_strip_noise(text)
 
 
-def test_tokenize_trims_edge_punctuation_only():
-    keep_punct = PipelineConfig(strip_punctuation=False)
-    cleaned = strip_noise(normalize_text("«خير» د،ى."), keep_punct)
-    assert tokenize(cleaned) == ["خير", "د،ى"]
+def test_strip_noise_matches_reference_one_code_point_at_a_time():
+    for code in range(0x0900):
+        ch = chr(code)
+        assert strip_noise(ch) == reference_strip_noise(ch), f"U+{code:04X}"
+        framed = f"ب{ch}ب"
+        assert strip_noise(framed) == reference_strip_noise(framed), f"U+{code:04X}"
+
+
+def test_preprocess_text_matches_reference_tokenizer():
+    # The reference trimmed edge punctuation; stripping already removed it all.
+    assert reference_preprocess_text("«خير» د،ى.") == ["خير", "دى"]
+    for raw in ["«خير» د،ى.", *random_pool_strings()]:
+        assert preprocess_text(raw) == reference_preprocess_text(raw), repr(raw)
 
 
 def test_preprocess_text_example_sentences():
@@ -106,11 +171,6 @@ def test_preprocess_text_example_sentences():
 
 def test_preprocess_text_zwnj_variants_collapse_to_one_token():
     assert preprocess_text(f"کور{ZWNJ}ونه") == preprocess_text("کورونه")
-
-
-def test_stop_words_hook():
-    config = PipelineConfig(stop_words=frozenset({"په"}))
-    assert preprocess_text("سهار مو په خير", config) == ["سهار", "مو", "خير"]
 
 
 def test_preprocess_excludes_empty_documents():
@@ -135,45 +195,14 @@ def test_preprocess_excludes_empty_documents():
 
 
 def test_preprocessed_output_contains_only_allowed_characters():
-    rng = random.Random(7)
-    pool = "ابپتخدړزسقکلمنوي هڅ«»؟،.abcXY019۳٤www.x.co http://t.ly/z " + ZWNJ
-    for _ in range(200):
-        raw = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 60)))
+    for raw in random_pool_strings():
         for token in preprocess_text(raw):
             assert token.strip() == token and token
             for ch in token:
                 code = ord(ch)
                 assert any(
                     a <= code <= b
-                    for a, b in PASHTO_DEFAULT.allowed_script_ranges
+                    for a, b in ARABIC_SCRIPT_RANGES
                 ), f"{ch!r} leaked through in {token!r}"
                 assert not unicodedata.category(ch).startswith("P")
                 assert not ch.isdigit()
-
-
-def test_config_round_trip_and_profiles(tmp_path):
-    config = PipelineConfig(
-        strip_digits=False,
-        allowed_script_ranges=((0x0600, 0x06FF), (0x0020, 0x0020)),
-        stop_words=frozenset({"او"}),
-    )
-    payload = config.to_json_dict()
-    assert payload["allowed_script_ranges"] == ["0020-0020", "0600-06FF"]
-    assert PipelineConfig.from_json_dict(payload) == config
-    path = tmp_path / "pipe.json"
-    config.save(path)
-    assert PipelineConfig.load(path) == config
-    assert get_profile("pashto-default") == PASHTO_DEFAULT
-    with pytest.raises(DataError):
-        get_profile("nope")
-
-
-def test_config_validation():
-    with pytest.raises(DataError):
-        PipelineConfig(allowed_script_ranges=())
-    with pytest.raises(DataError):
-        PipelineConfig(allowed_script_ranges=((0x20, 0x30), (0x25, 0x40)))
-    with pytest.raises(DataError):
-        PipelineConfig(allowed_script_ranges=((0x30, 0x20),))
-    with pytest.raises(DataError):
-        PipelineConfig.from_json_dict({"allowed_script_ranges": ["junk"]})

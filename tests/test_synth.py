@@ -4,7 +4,7 @@ import pytest
 
 from pashtext.corpus import DEFAULT_LABEL_NAMES
 from pashtext.errors import UsageError
-from pashtext.pipeline import PASHTO_DEFAULT, preprocess
+from pashtext.pipeline import preprocess
 from pashtext.synth import NOISE_VOCABULARY_SIZE, generate_corpus
 
 
@@ -78,7 +78,7 @@ def test_noise_pool_is_shared_and_bounded():
 
 def test_generated_text_survives_default_pipeline():
     corpus = generate_corpus(classes=2, per_class=10, seed=9)
-    result = preprocess(corpus, PASHTO_DEFAULT)
+    result = preprocess(corpus)
     assert not result.excluded
     for doc, original in zip(result.documents, corpus.documents):
         assert list(doc.tokens) == original.text.split(" ")

@@ -102,16 +102,31 @@ def test_build_vocabulary_first_occurrence_order():
     assert vocab.token_to_index == {"b": 0, "a": 1, "c": 2}
     assert vocab.document_frequency.tolist() == [1, 2, 1]
     assert vocab.n_train_docs == 2
+    rng = random.Random(5)
+    for _ in range(50):
+        docs = [
+            tdoc(str(i), [rng.choice("abcdefgh") for _ in range(rng.randrange(0, 6))])
+            for i in range(rng.randrange(1, 6))
+        ]
+        if not any(doc.tokens for doc in docs):
+            continue
+        order = []
+        for token in (token for doc in docs for token in doc.tokens):
+            if token not in order:
+                order.append(token)
+        vocab = build_vocabulary(docs)
+        assert list(vocab.token_to_index) == order
+        assert list(vocab.token_to_index.values()) == list(range(len(order)))
+        assert vocab.document_frequency.tolist() == [
+            sum(token in doc.tokens for doc in docs) for token in order
+        ]
 
 
-def test_build_vocabulary_min_df():
-    docs = [tdoc("1", ["a", "b"]), tdoc("2", ["a", "c"])]
-    vocab = build_vocabulary(docs, min_df=2)
-    assert list(vocab.token_to_index) == ["a"]
-    with pytest.raises(DataError, match="empty after filtering"):
-        build_vocabulary(docs, min_df=3)
-    with pytest.raises(DataError):
-        build_vocabulary([], min_df=1)
+def test_build_vocabulary_rejects_empty_input():
+    with pytest.raises(DataError, match="zero documents"):
+        build_vocabulary([])
+    with pytest.raises(DataError, match="without tokens"):
+        build_vocabulary([tdoc("1", []), tdoc("2", [])])
 
 
 def test_unigram_vector_counts_and_oov():
