@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import DataError
 from ..prng import SplitMix64, derive_seed
 from ..vectorize import FeatureMatrix
+from . import base
 from .base import Model, ModelKind
 from .params import DecisionTreeParams, RandomForestParams
 
@@ -81,32 +82,56 @@ def _best_split(
     Returns None when every candidate feature is constant on the node.
     Zero-gain splits are still returned; they keep growth moving toward
     purity and each one strictly shrinks both children.
+
+    All candidate features are scanned together, in blocks whose
+    (rows x classes x features) temporaries fit in `_BLOCK_CELLS`.  Child
+    class counts are exact integers and the Gini terms are summed over the
+    contiguous class axis, so every score equals the one a per-feature scan
+    computes, and the feature-major `argmin` keeps its tie-break: lowest
+    feature, then lowest threshold.
     """
     n = row_ids.size
-    best: tuple[float, int, float] | None = None
     node_labels = labels[row_ids]
-    for feature in feature_ids:
-        col = dense[row_ids, feature]
-        order = np.argsort(col, kind="stable")
-        sorted_col = col[order]
-        boundaries = np.nonzero(sorted_col[:-1] < sorted_col[1:])[0]
-        if boundaries.size == 0:
+    node_counts = np.bincount(node_labels, minlength=label_count)
+    step = max(1, base._BLOCK_CELLS // (n * label_count))
+    best: tuple[float, int, float] | None = None
+    for start in range(0, feature_ids.size, step):
+        block = feature_ids[start:start + step]
+        values = dense[row_ids[None, :], block[:, None]]  # (features, rows)
+        varies = (values != values[:, :1]).any(axis=1)
+        if not varies.any():
             continue
-        one_hot = np.zeros((n, label_count), dtype=np.float64)
-        one_hot[np.arange(n), node_labels[order]] = 1.0
-        prefix = one_hot.cumsum(axis=0)
-        left = prefix[boundaries]
-        right = prefix[-1] - left
-        n_left = left.sum(axis=1)
+        block, values = block[varies], values[varies]
+        order = values.argsort(axis=1, kind="stable")
+        sorted_values = np.sort(values, axis=1)
+        rises = sorted_values[:, :-1] < sorted_values[:, 1:]
+        # Number the runs of equal values through the whole block, feature
+        # after feature, and count the classes of each run.
+        run_starts = np.ones(values.shape, dtype=bool)
+        run_starts[:, 1:] = rises
+        run_ids = run_starts.ravel().cumsum() - 1
+        run_counts = np.bincount(
+            run_ids * label_count + node_labels[order].ravel(),
+            minlength=(run_ids[-1] + 1) * label_count,
+        ).reshape(-1, label_count)
+        # A threshold follows each rise.  The runs up to it hold its left
+        # child plus all rows of each earlier feature in the block.
+        feature_at, position = rises.nonzero()
+        ends = run_ids.reshape(values.shape)[feature_at, position]
+        left = (
+            run_counts.cumsum(axis=0)[ends] - feature_at[:, None] * node_counts
+        ).astype(np.float64)
+        right = node_counts - left
+        n_left = position + 1.0
         n_right = n - n_left
         gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
         gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
         weighted = (n_left * gini_left + n_right * gini_right) / n
-        at = int(np.argmin(weighted))
-        threshold = float((sorted_col[boundaries[at]] + sorted_col[boundaries[at] + 1]) / 2.0)
-        candidate = (float(weighted[at]), int(feature), threshold)
-        if best is None or candidate[0] < best[0]:
-            best = candidate
+        at = int(weighted.argmin())
+        if best is None or weighted[at] < best[0]:
+            feature, pos = feature_at[at], position[at]
+            threshold = (sorted_values[feature, pos] + sorted_values[feature, pos + 1]) / 2.0
+            best = (float(weighted[at]), int(block[feature]), float(threshold))
     if best is None:
         return None
     return best[1], best[2]
@@ -161,10 +186,16 @@ def _check_tree(node: TreeNode, label_count: int, feature_dimension: int) -> Non
     """Reject payload trees that could not have come from training."""
     if node.is_leaf:
         counts = node.class_counts
-        if len(counts) != label_count or min(counts) < 0 or sum(counts) <= 0:
+        total = sum(counts)  # an int only if every count is an int
+        if (
+            len(counts) != label_count
+            or not isinstance(total, int)
+            or min(counts) < 0
+            or total <= 0
+        ):
             raise DataError(
                 f"tree leaf counts {list(counts)} must be {label_count} "
-                "non-negative counts with a positive sum"
+                "non-negative integer counts with a positive sum"
             )
         return
     if not 0 <= node.feature < feature_dimension:
@@ -251,9 +282,15 @@ class RandomForestModel(Model):
     @classmethod
     def from_payload(cls, payload: dict, params: RandomForestParams,
                      label_count: int, feature_dimension: int) -> "RandomForestModel":
+        entries = payload["trees"]
+        if len(entries) != params.n_trees:
+            raise DataError(
+                f"random forest payload holds {len(entries)} trees, "
+                f"expected n_trees = {params.n_trees}"
+            )
         trees = [
             DecisionTreeModel.from_payload(entry, None, label_count, feature_dimension)
-            for entry in payload["trees"]
+            for entry in entries
         ]
         return cls(trees, params, label_count, feature_dimension)
 

@@ -354,6 +354,53 @@ def test_evaluate_rejects_malformed_mlp_bundle(
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def forest_bundle(workspace):
+    out = workspace["root"] / "forest"
+    code = main(
+        [
+            "train",
+            "--corpus", str(workspace["corpus"]),
+            "--split", str(workspace["split"]),
+            "--classifier", "random_forest",
+            "--param", "n_trees=5",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    return json.loads((out / "model.json").read_text(encoding="utf-8"))
+
+
+def _first_leaf(node):
+    while "counts" not in node:
+        node = node["left"]
+    return node
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        lambda model: model["payload"].update(trees=[]),
+        lambda model: model["payload"].update(trees=model["payload"]["trees"][:2]),
+        lambda model: _first_leaf(model["payload"]["trees"][0]["root"]).update(
+            counts=[0.5, 0.25, 0.25]
+        ),
+    ],
+    ids=["no-trees", "two-of-five-trees", "fractional-counts"],
+)
+def test_evaluate_rejects_malformed_forest_bundle(
+    workspace, forest_bundle, tmp_path, capsys, defect
+):
+    bundle = json.loads(json.dumps(forest_bundle))
+    defect(bundle["model"])
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(bundle), encoding="utf-8")
+    assert _evaluate(workspace, tmp_path, bundle=broken) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tree" in err
+    assert "Traceback" not in err
+
+
 def test_split_ids_missing_from_corpus_are_a_data_error(workspace, tmp_path, capsys):
     split = json.loads(workspace["split"].read_text(encoding="utf-8"))
     split["test_ids"] += ["ghost-1", "ghost-2"]

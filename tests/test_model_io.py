@@ -157,8 +157,9 @@ def test_wrong_types_are_data_errors():
 
 
 def test_tree_payloads_are_validated_on_load():
-    """Splits must name a real feature with a finite threshold, and leaves
-    must hold label_count non-negative counts with a positive sum."""
+    """Splits must name a real feature with a finite threshold, leaves must
+    hold label_count non-negative integer counts with a positive sum, and a
+    forest must hold the n_trees trees its hyperparameters declare."""
     for kind in (ModelKind.DECISION_TREE, ModelKind.RANDOM_FOREST):
         doc = model_document(train(kind, toy_matrix(), QUICK_PARAMS.get(kind)))
 
@@ -181,6 +182,7 @@ def test_tree_payloads_are_validated_on_load():
             lambda node: leaf(node).update(counts=[1, 1]),
             lambda node: leaf(node).update(counts=[2, -1, 0]),
             lambda node: leaf(node).update(counts=[0, 0, 0]),
+            lambda node: leaf(node).update(counts=[0.5, 0.25, 0.25]),
         ]
         for defect in defects:
             broken = json.loads(json.dumps(doc))
@@ -194,6 +196,12 @@ def test_tree_payloads_are_validated_on_load():
         with pytest.raises(DataError, match="tree"):
             model_from_document(broken)
         assert model_from_document(doc).payload() == doc["payload"]
+    # a forest with no trees, or fewer than it declares
+    for trees in ([], doc["payload"]["trees"][:1]):
+        broken = json.loads(json.dumps(doc))
+        broken["payload"]["trees"] = trees
+        with pytest.raises(DataError, match="trees"):
+            model_from_document(broken)
 
 
 @pytest.mark.parametrize(

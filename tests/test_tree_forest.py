@@ -5,17 +5,21 @@ import random
 import numpy as np
 import pytest
 
+from pashtext.corpus import SplitSpec, stratified_split
 from pashtext.errors import DataError
 from pashtext.models import (
     DecisionTreeModel,
     DecisionTreeParams,
     RandomForestModel,
     RandomForestParams,
+    base,
     train_decision_tree,
     train_random_forest,
 )
+from pashtext.models import tree as tree_module
 from pashtext.models.tree import TreeNode, gini_impurity
-from pashtext.vectorize import FeatureMatrix
+from pashtext.synth import generate_corpus
+from pashtext.vectorize import FEATURE_MODES, FeatureMatrix, split_features
 
 matrix_from_dense = FeatureMatrix.from_dense
 
@@ -257,3 +261,121 @@ def test_forest_payload_round_trip():
         forest.payload(), forest.params, label_count=2, feature_dimension=2
     )
     assert np.array_equal(restored.predict_scores(m), forest.predict_scores(m))
+
+
+def reference_best_split(dense, labels, row_ids, feature_ids, label_count):
+    """The per-feature split search that `tree._best_split` replaced, verbatim."""
+    n = row_ids.size
+    best = None
+    node_labels = labels[row_ids]
+    for feature in feature_ids:
+        col = dense[row_ids, feature]
+        order = np.argsort(col, kind="stable")
+        sorted_col = col[order]
+        boundaries = np.nonzero(sorted_col[:-1] < sorted_col[1:])[0]
+        if boundaries.size == 0:
+            continue
+        one_hot = np.zeros((n, label_count), dtype=np.float64)
+        one_hot[np.arange(n), node_labels[order]] = 1.0
+        prefix = one_hot.cumsum(axis=0)
+        left = prefix[boundaries]
+        right = prefix[-1] - left
+        n_left = left.sum(axis=1)
+        n_right = n - n_left
+        gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+        gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        at = int(np.argmin(weighted))
+        threshold = float((sorted_col[boundaries[at]] + sorted_col[boundaries[at] + 1]) / 2.0)
+        candidate = (float(weighted[at]), int(feature), threshold)
+        if best is None or candidate[0] < best[0]:
+            best = candidate
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def permuted_tie_node(rng, dim, label_count):
+    """Ten rows per class; each 0/1 column sends to the left a permutation of
+    one class-count vector, so every split ties before rounding and only
+    the order of the Gini sums picks the winner."""
+    labels = np.repeat(np.arange(label_count), 10)
+    rank = np.tile(np.arange(10), label_count)
+    counts = rng.integers(1, 10, label_count)
+    left = np.array([rng.permutation(counts) for _ in range(dim)])
+    dense = (rank[:, None] >= left[:, labels].T).astype(np.float64)
+    return dense, labels, np.arange(labels.size), np.arange(dim), label_count
+
+
+def random_node(rng):
+    """A node of a random matrix: repeated rows, repeated and negative values,
+    duplicated columns (ties across features and blocks), sometimes nothing
+    that varies, sometimes only ties that rounding breaks."""
+    n_total = int(rng.integers(2, 200))
+    dim = int(rng.integers(1, 301))
+    label_count = int(rng.integers(2, 9))
+    style = int(rng.integers(5))
+    if style == 4:
+        return permuted_tie_node(rng, dim, label_count)
+    if style == 0:
+        dense = rng.integers(-3, 4, (n_total, dim)).astype(np.float64)
+    elif style == 1:
+        dense = rng.integers(1, 4, (n_total, dim)) * (rng.random((n_total, dim)) < 0.1)
+        dense = dense.astype(np.float64)
+    elif style == 2:
+        dense = np.round(rng.uniform(-1.0, 1.0, (n_total, dim)), 1)
+        dense[dense == 0.0] = -0.0
+    else:
+        dense = np.full((n_total, dim), float(rng.integers(-2, 3)))
+    copies = rng.integers(0, dim, (dim // 3, 2))
+    dense[:, copies[:, 0]] = dense[:, copies[:, 1]]
+    labels = rng.integers(0, label_count, n_total)
+    row_ids = rng.integers(0, n_total, int(rng.integers(2, n_total + 2)))
+    feature_ids = np.sort(rng.choice(dim, int(rng.integers(1, dim + 1)), replace=False))
+    return dense, labels, row_ids, feature_ids, label_count
+
+
+def test_split_search_matches_per_feature_reference(monkeypatch):
+    rng = np.random.default_rng(11)
+    found, blocked = 0, 0
+    for case in range(400):
+        dense, labels, row_ids, feature_ids, label_count = random_node(rng)
+        # Every other node under a smaller budget, so most span several blocks.
+        budget = (1 << 16) if case % 2 else int(rng.integers(1, 1 << 13))
+        monkeypatch.setattr(base, "_BLOCK_CELLS", budget)
+        want = reference_best_split(dense, labels, row_ids, feature_ids, label_count)
+        got = tree_module._best_split(dense, labels, row_ids, feature_ids, label_count)
+        assert got == want
+        found += want is not None
+        blocked += row_ids.size * label_count * feature_ids.size > budget
+    assert found >= 250 and blocked >= 120
+
+
+def grown_payloads(matrix, seed):
+    forest = train_random_forest(matrix, RandomForestParams(n_trees=4, seed=seed), 4)
+    plain = train_decision_tree(matrix, DecisionTreeParams(), 4)
+    return plain.payload(), forest.payload()
+
+
+def small_corpus_matrices(seed):
+    corpus = generate_corpus(4, 30, noise_rate=0.6, seed=seed)
+    split = stratified_split(corpus, SplitSpec(0.8, seed))
+    return split_features(corpus, split, FEATURE_MODES, sides=("train",)).train
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_grown_trees_match_per_feature_reference(seed, monkeypatch):
+    for mode, matrix in small_corpus_matrices(seed).items():
+        got = grown_payloads(matrix, seed)
+        with monkeypatch.context() as patched:
+            patched.setattr(tree_module, "_best_split", reference_best_split)
+            assert grown_payloads(matrix, seed) == got, mode
+
+
+def test_blocked_split_search_equals_single_block(monkeypatch):
+    matrix = small_corpus_matrices(4)["tfidf"]
+    assert matrix.n_rows * 4 * matrix.dim <= base._BLOCK_CELLS
+    whole = grown_payloads(matrix, 4)
+    # 40 cells: at most one feature per block at the root, five near leaves.
+    monkeypatch.setattr(base, "_BLOCK_CELLS", 40)
+    assert grown_payloads(matrix, 4) == whole
