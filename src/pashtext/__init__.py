@@ -8,6 +8,12 @@ and a deterministic 16-cell comparison grid, all scriptable through the
 ``pashtext`` command.
 """
 
+import os
+
+# Before any submodule imports numpy: the models' matrix products are small,
+# and OpenBLAS threads made them slower, never different.  A set value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .corpus import (
     DEFAULT_LABEL_NAMES,
     Corpus,

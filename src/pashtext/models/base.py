@@ -48,9 +48,10 @@ _BLOCK_CELLS = 1 << 16
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax along the last axis, shifted by the row maximum."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # The ufuncs behind ndarray.max/.sum, without their per-call Python wrappers.
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    return exps / np.add.reduce(exps, axis=-1, keepdims=True)
 
 
 def checked_array(kind: ModelKind, name: str, values, shape: tuple) -> np.ndarray:

@@ -16,11 +16,6 @@ from .base import Model, ModelKind, checked_array, softmax
 from .params import LinearParams
 
 
-def hinge_loss_value(margin: float) -> float:
-    """Hinge loss max(0, 1 - margin) for a signed margin y * f(x)."""
-    return max(0.0, 1.0 - margin)
-
-
 def _one_vs_rest_targets(labels: np.ndarray, label_count: int) -> np.ndarray:
     targets = -np.ones((labels.size, label_count), dtype=np.float64)
     targets[np.arange(labels.size), labels] = 1.0

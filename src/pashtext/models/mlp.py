@@ -16,6 +16,8 @@ so this trains bit-for-bit the same weights as per-tensor updates would.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import TrainingDivergedError
@@ -113,9 +115,7 @@ class MLPModel(Model):
 
 def _he_uniform(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / rows)
-    draws = np.array(
-        [rng.next_float() for _ in range(rows * cols)], dtype=np.float64
-    )
+    draws = (rng.next_uint64_block(rows * cols) >> 11) * 2.0**-53  # next_float
     return (2.0 * draws - 1.0).reshape(rows, cols) * limit
 
 
@@ -128,25 +128,26 @@ def init_mlp(dim: int, label_count: int, params: MLPParams) -> MLPModel:
     )
 
 
-def mlp_loss_and_grads(
-    model: MLPModel, matrix: FeatureMatrix, rows, labels, grad: np.ndarray | None = None
-):
-    """Mean cross-entropy and mean gradient over a batch of matrix rows.
+def row_samples(matrix: FeatureMatrix, rows, labels) -> list[tuple]:
+    """(columns, values, label) of each of `rows`, taken once for reuse."""
+    return [(*matrix.row(row), int(label)) for row, label in zip(rows, labels)]
 
-    `rows` are row indices into `matrix` and `labels` their classes; each
-    row's forward and backward pass touches only its stored entries.  The
-    gradient is written into `grad` (a new buffer when None), a flat array
-    in the model's layout whose parts `model.split(grad)` names.
+
+def mlp_loss_and_grads(model: MLPModel, batch, grad=None, parts=None):
+    """Mean cross-entropy and mean gradient over a batch of `row_samples`.
+
+    Each row's forward and backward pass touches only its stored entries.
+    The gradient is added into `grad`, a flat buffer in the model's layout
+    that must hold zeros (a new one when None); `parts` are its
+    `model.split` views, which a training loop takes once.
     """
     if grad is None:
-        grad = np.empty_like(model.flat)
-    grad.fill(0.0)
-    g_w1, g_b1, g_w2, g_b2 = model.split(grad)
+        grad = np.zeros_like(model.flat)
+    g_w1, g_b1, g_w2, g_b2 = parts or model.split(grad)
     w1, b1, w2, b2 = model.w1, model.b1, model.w2, model.b2
     loss = 0.0
-    for row, label in zip(rows, labels):
-        columns, values = matrix.row(row)
-        hidden_pre = values @ w1[columns] + b1
+    for columns, values, label in batch:
+        hidden_pre = values @ w1.take(columns, axis=0) + b1
         hidden = relu(hidden_pre)
         probs = softmax(hidden @ w2 + b2)
         loss -= float(np.log(probs[label]))
@@ -154,53 +155,47 @@ def mlp_loss_and_grads(
         g_w2 += hidden[:, None] * probs  # np.outer, without its argument checks
         g_b2 += probs
         d_hidden = (w2 @ probs) * (hidden_pre > 0)
-        g_w1[columns] += values[:, None] * d_hidden
+        touched = g_w1.take(columns, axis=0)  # g_w1[columns] +=, gathered faster
+        touched += values[:, None] * d_hidden
+        g_w1[columns] = touched
         g_b1 += d_hidden
-    if len(rows) > 1:  # x / 1 == x exactly, so a batch of one skips the pass
-        grad /= len(rows)
-    return loss / len(rows), grad
-
-
-def mlp_loss(model: MLPModel, matrix: FeatureMatrix, labels: np.ndarray) -> float:
-    """Mean categorical cross-entropy of the model over the matrix rows."""
-    probs = model.predict_scores(matrix)
-    return float(-np.log(probs[np.arange(matrix.n_rows), labels]).mean())
+    if len(batch) > 1:  # x / 1 == x exactly, so a batch of one skips the pass
+        grad /= len(batch)
+    return loss / len(batch), grad
 
 
 def mlp_epoch(
-    model: MLPModel,
-    matrix: FeatureMatrix,
-    labels: np.ndarray,
-    params: MLPParams,
-    adam: AdamState,
+    model: MLPModel, samples: list[tuple], params: MLPParams, adam: AdamState
 ) -> tuple[MLPModel, float]:
-    """One pass over a shuffled epoch; returns the model and mean batch loss.
-
-    The epoch index is recovered from adam.step, so repeated calls walk
-    through distinct shuffles without extra bookkeeping.  Weights are
-    updated in place; the returned model is the same object.
+    """One pass over a shuffled epoch of all training `row_samples`; returns
+    the model, updated in place, and the mean batch loss.  The epoch index
+    is recovered from adam.step, so repeated calls walk distinct shuffles.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    n = matrix.n_rows
-    steps_per_epoch = -(-n // params.batch_size)
-    epoch = adam.step // steps_per_epoch
+    n = len(samples)
+    epoch = adam.step // -(-n // params.batch_size)
     order = list(range(n))
     SplitMix64(derive_seed(params.seed, 1 + epoch)).shuffle(order)
-    grad = np.empty_like(model.flat)
+    grad = np.zeros_like(model.flat)
+    parts = model.split(grad)
+    tail = grad[model.w1.size :]  # b1, w2 and b2
     epoch_loss = 0.0
     for start in range(0, n, params.batch_size):
-        chosen = order[start : start + params.batch_size]
-        loss, _ = mlp_loss_and_grads(model, matrix, chosen, labels[chosen], grad)
-        if not np.isfinite(loss):
+        batch = [samples[i] for i in order[start : start + params.batch_size]]
+        loss, _ = mlp_loss_and_grads(model, batch, grad, parts)
+        if not math.isfinite(loss):
             raise TrainingDivergedError(epoch)
-        epoch_loss += loss * len(chosen)
+        epoch_loss += loss * len(batch)
         adam.apply(model, grad, params)
+        for columns, _, _ in batch:  # zero what the batch wrote
+            parts[0][columns] = 0.0
+        tail.fill(0.0)
     return model, epoch_loss / n
 
 
 def train_mlp(matrix: FeatureMatrix, params: MLPParams, label_count: int) -> MLPModel:
     model = init_mlp(matrix.dim, label_count, params)
     adam = AdamState.for_model(model)
+    samples = row_samples(matrix, range(matrix.n_rows), matrix.row_labels)
     for _ in range(params.epochs):
-        model, _loss = mlp_epoch(model, matrix, matrix.row_labels, params, adam)
+        model, _loss = mlp_epoch(model, samples, params, adam)
     return model

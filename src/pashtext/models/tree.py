@@ -21,18 +21,6 @@ from .base import Model, ModelKind
 from .params import DecisionTreeParams, RandomForestParams
 
 
-def gini_impurity(class_counts) -> float:
-    """Gini impurity 1 - sum((n_c / n)^2) of a count vector."""
-    counts = np.asarray(class_counts, dtype=np.float64)
-    if counts.size == 0 or np.any(counts < 0):
-        raise DataError("class counts must be non-negative and non-empty")
-    total = counts.sum()
-    if total == 0:
-        raise DataError("class counts must not all be zero")
-    shares = counts / total
-    return float(1.0 - (shares**2).sum())
-
-
 @dataclass(frozen=True)
 class TreeNode:
     """Internal split node or leaf; leaves keep the class counts they saw."""
@@ -295,6 +283,14 @@ class RandomForestModel(Model):
         return cls(trees, params, label_count, feature_dimension)
 
 
+def _feature_samples(rng: SplitMix64, dim: int, per_split: int):
+    """Each node's sorted candidate features: successive
+    `rng.sample_indices(dim, per_split)` draws, made 64 nodes at a time.
+    Drawing ahead only moves the tree's own stream past the tree's last use."""
+    while True:
+        yield from np.sort(rng.sample_index_sets(dim, per_split, 64), axis=1)
+
+
 def train_random_forest(
     matrix: FeatureMatrix, params: RandomForestParams, label_count: int
 ) -> RandomForestModel:
@@ -309,7 +305,7 @@ def train_random_forest(
     for tree_index in range(params.n_trees):
         rng = SplitMix64(derive_seed(params.seed, tree_index))
         if params.bootstrap:
-            row_ids = np.array([rng.next_below(n) for _ in range(n)], dtype=np.int64)
+            row_ids = rng.next_below_block(np.full(n, n)).astype(np.int64)
         else:
             row_ids = np.arange(n)
         if per_split >= dim:
@@ -317,7 +313,7 @@ def train_random_forest(
             # which is what makes the one-tree forest match it exactly.
             picker = lambda: all_features
         else:
-            picker = lambda: np.sort(rng.sample_indices(dim, per_split))
+            picker = _feature_samples(rng, dim, per_split).__next__
         root = _grow(
             dense, labels, row_ids, 0, label_count,
             params.max_depth, params.min_samples_split, picker,

@@ -10,9 +10,17 @@ reimplementations of the same algorithm.
 SplitMix64 reference behaviour: starting from state 0 the first outputs are
 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F (checked in the
 test suite).
+
+Outputs are counter-based: the k-th after state s is mix64(s + k * GOLDEN_GAMMA),
+so `next_uint64_block` computes n of them as one numpy uint64 expression.
+Bounded block draws test the block against each bound's rejection threshold
+and, at the first rejection, hand that bound to the scalar `next_below`, so
+they give the values and end state of one `next_below` call per bound.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,6 +64,14 @@ class SplitMix64:
         self._state = (self._state + GOLDEN_GAMMA) & _MASK64
         return mix64(self._state)
 
+    def next_uint64_block(self, count: int) -> np.ndarray:
+        """The next `count` outputs as a uint64 array, in stream order."""
+        z = np.arange(1, count + 1, dtype=np.uint64) * GOLDEN_GAMMA + np.uint64(self._state)
+        self._state = (self._state + count * GOLDEN_GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * _MIX_MULT_1
+        z = (z ^ (z >> 27)) * _MIX_MULT_2
+        return z ^ (z >> 31)
+
     def next_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) via rejection sampling (no modulo bias)."""
         if bound <= 0:
@@ -70,21 +86,50 @@ class SplitMix64:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_uint64() >> 11) * 2.0**-53
 
+    def next_below_block(self, bounds) -> np.ndarray:
+        """`next_below(b)` for each of `bounds` (in [1, 2**64)), in order, as uint64."""
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        out, done = np.empty_like(bounds), 0
+        while done < bounds.size:
+            start, rest = self._state, bounds[done:]
+            draws = self.next_uint64_block(rest.size)
+            # next_below's draw < 2**64 - 2**64 % b, where 2**64 % b == (2**64 - b) % b
+            rejected = np.flatnonzero(draws > _MASK64 - (0 - rest) % rest)
+            kept = int(rejected[0]) if rejected.size else rest.size
+            out[done : done + kept] = draws[:kept] % rest[:kept]
+            done += kept
+            if done < bounds.size:  # redraw from the rejected draw on, one by one
+                self._state = (start + kept * GOLDEN_GAMMA) & _MASK64
+                out[done] = self.next_below(int(bounds[done]))
+                done += 1
+        return out
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, iterating from the last index down."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+        n = len(items)
+        picks = self.next_below_block(np.arange(n, 1, -1)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, population: int, count: int) -> list[int]:
         """Draw `count` distinct indices from range(population), order randomised.
 
-        Partial Fisher-Yates: only the first `count` positions are settled.
+        Partial Fisher-Yates: only the first `count` positions are settled,
+        and only the positions a swap moved are stored.
         """
+        return self.sample_index_sets(population, count, 1)[0]
+
+    def sample_index_sets(self, population: int, count: int, sets: int) -> list[list[int]]:
+        """`sets` successive `sample_indices(population, count)`, from one block."""
         if count > population:
             raise ValueError("cannot sample more indices than the population size")
-        pool = list(range(population))
-        for i in range(count):
-            j = i + self.next_below(population - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:count]
+        bounds = population - np.arange(sets * count) % max(count, 1)
+        offsets = iter(self.next_below_block(bounds).tolist())
+        samples = []
+        for _ in range(sets):
+            moved, picked = {}, []  # position -> index, for positions swapped into
+            for i, offset in zip(range(count), offsets):
+                picked.append(moved.get(i + offset, i + offset))
+                moved[i + offset] = moved.get(i, i)
+            samples.append(picked)
+        return samples

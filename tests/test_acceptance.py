@@ -32,7 +32,7 @@ from pashtext.models import (
     train_random_forest,
 )
 from pashtext.models.linear import logistic_loss_and_grads, svm_loss_and_grads
-from pashtext.models.mlp import init_mlp, mlp_loss_and_grads
+from pashtext.models.mlp import init_mlp, mlp_loss_and_grads, row_samples
 from pashtext.pipeline import (
     TokenizedDocument,
     preprocess,
@@ -298,7 +298,7 @@ def check_mlp_gradients(rng):
             break
     else:
         raise AssertionError("could not sample an instance away from the ReLU kink")
-    _, grad = mlp_loss_and_grads(model, matrix, rows, labels)
+    _, grad = mlp_loss_and_grads(model, row_samples(matrix, rows, labels))
     grads = dict(zip(("w1", "b1", "w2", "b2"), model.split(grad)))
     for name in ("w1", "b1", "w2", "b2"):
         tensor = getattr(model, name)
@@ -306,9 +306,9 @@ def check_mlp_gradients(rng):
         for idx in np.ndindex(tensor.shape):
             original = tensor[idx]
             tensor[idx] = original + _H
-            up = mlp_loss_and_grads(model, matrix, rows, labels)[0]
+            up = mlp_loss_and_grads(model, row_samples(matrix, rows, labels))[0]
             tensor[idx] = original - _H
-            down = mlp_loss_and_grads(model, matrix, rows, labels)[0]
+            down = mlp_loss_and_grads(model, row_samples(matrix, rows, labels))[0]
             tensor[idx] = original
             numeric[idx] = (up - down) / (2 * _H)
         assert relative_error(grads[name], numeric) < _REL_TOL, name

@@ -14,11 +14,7 @@ from pashtext.models import (
     train_linear_svm,
     train_logistic_regression,
 )
-from pashtext.models.linear import (
-    hinge_loss_value,
-    logistic_loss_and_grads,
-    svm_loss_and_grads,
-)
+from pashtext.models.linear import logistic_loss_and_grads, svm_loss_and_grads
 from pashtext.vectorize import FeatureMatrix
 
 matrix_from_dense = FeatureMatrix.from_dense
@@ -26,6 +22,11 @@ matrix_from_dense = FeatureMatrix.from_dense
 
 def queries(*rows):
     return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
+
+
+def hinge_loss_value(margin: float) -> float:
+    """Hinge loss max(0, 1 - margin) for a signed margin y * f(x)."""
+    return max(0.0, 1.0 - margin)
 
 
 def test_hinge_loss_values():

@@ -10,17 +10,17 @@ import pytest
 
 from pashtext.errors import TrainingDivergedError
 from pashtext.models import MLPModel, MLPParams, train_mlp
-from pashtext.models.base import softmax
 from pashtext.models.mlp import (
     AdamState,
     init_mlp,
     mlp_epoch,
-    mlp_loss,
     mlp_loss_and_grads,
     relu,
+    row_samples,
 )
-from pashtext.prng import SplitMix64, derive_seed
+from pashtext.prng import derive_seed
 from pashtext.vectorize import FeatureMatrix
+from scalar_prng import ScalarSplitMix64
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
@@ -29,6 +29,16 @@ matrix_from_dense = FeatureMatrix.from_dense
 
 def queries(*rows):
     return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
+
+
+def all_samples(matrix, labels):
+    return row_samples(matrix, range(matrix.n_rows), labels)
+
+
+def mlp_loss(model: MLPModel, matrix: FeatureMatrix, labels: np.ndarray) -> float:
+    """Mean categorical cross-entropy of the model over the matrix rows."""
+    probs = model.predict_scores(matrix)
+    return float(-np.log(probs[np.arange(matrix.n_rows), labels]).mean())
 
 
 def test_relu_values():
@@ -92,9 +102,9 @@ def numeric_grads(model, matrix, labels, h=1e-6):
         for idx in np.ndindex(tensor.shape):
             original = tensor[idx]
             tensor[idx] = original + h
-            up = mlp_loss_and_grads(model, matrix, rows, labels)[0]
+            up = mlp_loss_and_grads(model, row_samples(matrix, rows, labels))[0]
             tensor[idx] = original - h
-            down = mlp_loss_and_grads(model, matrix, rows, labels)[0]
+            down = mlp_loss_and_grads(model, row_samples(matrix, rows, labels))[0]
             tensor[idx] = original
             grad[idx] = (up - down) / (2 * h)
         out[name] = grad
@@ -105,7 +115,7 @@ def test_backprop_matches_finite_differences():
     rng = random.Random(19)
     for _ in range(8):
         model, matrix, labels = random_instance(rng)
-        _, grad = mlp_loss_and_grads(model, matrix, range(matrix.n_rows), labels)
+        _, grad = mlp_loss_and_grads(model, all_samples(matrix, labels))
         grads = named_grads(model, grad)
         numeric = numeric_grads(model, matrix, labels)
         for name in _PARAM_NAMES:
@@ -116,7 +126,7 @@ def test_backprop_matches_finite_differences():
 def test_loss_is_mean_cross_entropy():
     rng = random.Random(27)
     model, matrix, labels = random_instance(rng, away_from_kink=False)
-    loss, _ = mlp_loss_and_grads(model, matrix, range(matrix.n_rows), labels)
+    loss, _ = mlp_loss_and_grads(model, all_samples(matrix, labels))
     scores = model.predict_scores(matrix)
     expected = -sum(
         math.log(row_scores[label]) for row_scores, label in zip(scores, labels)
@@ -125,7 +135,8 @@ def test_loss_is_mean_cross_entropy():
     assert mlp_loss(model, matrix, labels) == pytest.approx(expected, abs=1e-12)
     # a batch is any subset of row indices, in any order
     reversed_rows = list(range(matrix.n_rows))[::-1]
-    loss, _ = mlp_loss_and_grads(model, matrix, reversed_rows, labels[::-1])
+    batch = row_samples(matrix, reversed_rows, labels[::-1])
+    loss, _ = mlp_loss_and_grads(model, batch)
     assert loss == pytest.approx(expected, abs=1e-12)
 
 
@@ -168,10 +179,11 @@ def test_epoch_counts_steps_and_reports_mean_loss():
     params = MLPParams(hidden_units=4, batch_size=2, seed=5)
     model = init_mlp(2, 2, params)
     adam = AdamState.for_model(model)
-    model, loss = mlp_epoch(model, m, m.row_labels, params, adam)
+    samples = all_samples(m, m.row_labels)
+    model, loss = mlp_epoch(model, samples, params, adam)
     assert adam.step == 2  # ceil(3 / 2) batches
     assert loss > 0.0
-    model, _ = mlp_epoch(model, m, m.row_labels, params, adam)
+    model, _ = mlp_epoch(model, samples, params, adam)
     assert adam.step == 4
 
 
@@ -278,6 +290,13 @@ class ReferenceAdamState:
             )
 
 
+def reference_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax along the last axis, shifted by the row maximum."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / exps.sum(axis=-1, keepdims=True)
+
+
 def reference_loss_and_grads(model, matrix: FeatureMatrix, rows, labels):
     """Mean cross-entropy and mean gradients over a batch of matrix rows."""
     batch = len(rows)
@@ -287,7 +306,7 @@ def reference_loss_and_grads(model, matrix: FeatureMatrix, rows, labels):
         columns, values = matrix.row(row)
         hidden_pre = values @ model.w1[columns] + model.b1
         hidden = relu(hidden_pre)
-        probs = softmax(hidden @ model.w2 + model.b2)
+        probs = reference_softmax(hidden @ model.w2 + model.b2)
         loss -= float(np.log(probs[label]))
         d_logits = probs.copy()
         d_logits[label] -= 1.0
@@ -308,7 +327,7 @@ def reference_epoch(model, matrix, labels, params, adam):
     steps_per_epoch = -(-n // params.batch_size)
     epoch = adam.step // steps_per_epoch
     order = list(range(n))
-    SplitMix64(derive_seed(params.seed, 1 + epoch)).shuffle(order)
+    ScalarSplitMix64(derive_seed(params.seed, 1 + epoch)).shuffle(order)
     epoch_loss = 0.0
     for start in range(0, n, params.batch_size):
         chosen = order[start : start + params.batch_size]
@@ -318,6 +337,33 @@ def reference_epoch(model, matrix, labels, params, adam):
         epoch_loss += loss * len(chosen)
         adam.apply(model, grads, params)
     return epoch_loss / n
+
+
+def check_flat_training_against_reference(dense, labels, hidden, label_count,
+                                          batch_size, seed):
+    """Four epochs of flat training equal the per-tensor reference bit for bit."""
+    matrix = matrix_from_dense(dense, labels)
+    params = MLPParams(
+        hidden_units=hidden, learning_rate=0.05, batch_size=batch_size, seed=seed
+    )
+    model = init_mlp(dense.shape[1], label_count, params)
+    reference = SimpleNamespace(
+        **{name: getattr(model, name).copy() for name in _PARAM_NAMES}
+    )
+    adam = AdamState.for_model(model)
+    reference_adam = ReferenceAdamState.for_model(reference)
+    samples = all_samples(matrix, labels)
+    for _ in range(4):
+        _, loss = mlp_epoch(model, samples, params, adam)
+        reference_loss = reference_epoch(
+            reference, matrix, labels, params, reference_adam
+        )
+        assert loss == reference_loss
+        for name in _PARAM_NAMES:
+            ours, theirs = getattr(model, name), getattr(reference, name)
+            assert np.array_equal(ours, theirs), name
+            assert np.array_equal(np.signbit(ours), np.signbit(theirs)), name
+    assert adam.step == reference_adam.step
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 3])
@@ -337,27 +383,24 @@ def test_flat_training_matches_per_tensor_reference(
         dense[rng.random((n_rows, dim)) < 0.6] = 0.0
         dense[0] = 0.0
         labels = rng.integers(0, label_count, n_rows)
-        matrix = matrix_from_dense(dense, labels)
-        params = MLPParams(
-            hidden_units=hidden, learning_rate=0.05, batch_size=batch_size, seed=seed
+        check_flat_training_against_reference(
+            dense, labels, hidden, label_count, batch_size, seed
         )
-        model = init_mlp(dim, label_count, params)
-        reference = SimpleNamespace(
-            **{name: getattr(model, name).copy() for name in _PARAM_NAMES}
-        )
-        adam = AdamState.for_model(model)
-        reference_adam = ReferenceAdamState.for_model(reference)
-        for _ in range(4):
-            _, loss = mlp_epoch(model, matrix, labels, params, adam)
-            reference_loss = reference_epoch(
-                reference, matrix, labels, params, reference_adam
-            )
-            assert loss == reference_loss
-            for name in _PARAM_NAMES:
-                ours, theirs = getattr(model, name), getattr(reference, name)
-                assert np.array_equal(ours, theirs), name
-                assert np.array_equal(np.signbit(ours), np.signbit(theirs)), name
-        assert adam.step == reference_adam.step
+
+
+@pytest.mark.parametrize("batch_size", [2, 3])
+def test_flat_training_with_shared_columns_matches_reference(batch_size):
+    # Every row stores columns 0 and 1, and the other columns are each held
+    # by a few rows, so batches write some gradient rows twice or more and
+    # consecutive batches write overlapping, but not equal, sets of rows.
+    for seed in (4, 5):
+        rng = np.random.default_rng(seed)
+        dense = np.zeros((13, 12))
+        dense[:, :2] = rng.uniform(0.1, 1.0, (13, 2))
+        for row in range(13):
+            dense[row, 2 + rng.choice(10, 3, replace=False)] = rng.uniform(-1, 1, 3)
+        labels = rng.integers(0, 3, 13)
+        check_flat_training_against_reference(dense, labels, 4, 3, batch_size, seed)
 
 
 def test_gradient_matches_per_tensor_reference():
@@ -365,7 +408,7 @@ def test_gradient_matches_per_tensor_reference():
     for _ in range(10):
         model, matrix, labels = random_instance(rng, away_from_kink=False)
         rows = list(range(matrix.n_rows))
-        loss, grad = mlp_loss_and_grads(model, matrix, rows, labels)
+        loss, grad = mlp_loss_and_grads(model, row_samples(matrix, rows, labels))
         reference_loss, reference = reference_loss_and_grads(model, matrix, rows, labels)
         assert loss == reference_loss
         for name, part in named_grads(model, grad).items():

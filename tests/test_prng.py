@@ -1,9 +1,12 @@
 """SplitMix64 generator tests, anchored to the published reference outputs."""
 
+import random
+
 import numpy as np
 import pytest
 
 from pashtext.prng import GOLDEN_GAMMA, SplitMix64, derive_seed, mix64
+from scalar_prng import ScalarSplitMix64
 
 # First three outputs of SplitMix64 from state 0, as published for the
 # reference implementation.
@@ -110,3 +113,122 @@ def test_sample_indices_full_population_is_permutation():
 def test_sample_indices_rejects_oversized_count():
     with pytest.raises(ValueError):
         SplitMix64(1).sample_indices(3, 4)
+
+
+# Draw outputs and end states pinned from the scalar implementation, so a
+# change of draw order shows even where a test compares two new paths.
+
+
+def test_pinned_bounded_draws():
+    rng = SplitMix64(2024)
+    bounds = (1, 2, 7, 100, 2**63 + 1, 2**64 - 1, 10**6)
+    assert [rng.next_below(b) for b in bounds] == [
+        0, 0, 3, 25, 2522659877027852951, 11000608607208515474, 587888,
+    ]
+    assert rng._state == 10372713005361030309
+
+
+def test_pinned_shuffles():
+    items = list(range(12))
+    rng = SplitMix64(7)
+    rng.shuffle(items)
+    assert items == [10, 11, 5, 1, 7, 4, 8, 2, 9, 6, 0, 3]
+    assert rng._state == 14727398570297873646
+    items = list(range(1000))
+    rng = SplitMix64(3)
+    rng.shuffle(items)
+    assert items[:10] == [738, 232, 493, 581, 172, 263, 83, 56, 917, 936]
+    assert items[-5:] == [294, 838, 503, 687, 53]
+    assert rng._state == 7673011025081939446
+
+
+def test_pinned_samples():
+    rng = SplitMix64(99)
+    assert rng.sample_indices(50, 6) == [3, 18, 45, 29, 42, 9]
+    assert rng._state == 13064056694810536161
+    rng = SplitMix64(4)
+    assert rng.sample_indices(224, 14) == [
+        202, 16, 221, 100, 165, 108, 72, 156, 25, 18, 184, 143, 76, 0,
+    ]
+    assert rng.sample_indices(224, 14) == [
+        201, 144, 89, 182, 222, 132, 30, 139, 66, 42, 200, 108, 157, 155,
+    ]
+    assert rng._state == 5625365687987180112
+
+
+# Block draws against the scalar loops they replaced (tests/scalar_prng.py):
+# equal outputs, item by item, and equal end states.
+
+
+def draws_consumed(before: int, after: int) -> int:
+    """Raw draws between two states of one stream (GOLDEN_GAMMA is odd)."""
+    return (after - before) * pow(GOLDEN_GAMMA, -1, 2**64) % 2**64
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 640])
+def test_uint64_block_equals_scalar_draws(count):
+    for seed in (0, 5, 2**64 - 1):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        values = block.next_uint64_block(count)
+        assert values.dtype == np.uint64
+        assert values.tolist() == [scalar.next_uint64() for _ in range(count)]
+        assert block._state == scalar._state
+
+
+def check_bounded_block(seed, bounds):
+    block, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
+    values = block.next_below_block(bounds)
+    assert values.tolist() == [scalar.next_below(int(b)) for b in bounds]
+    assert block._state == scalar._state
+    return draws_consumed(seed, scalar._state)
+
+
+def test_below_block_equals_scalar_draws():
+    rng = random.Random(8)
+    for seed in range(40):
+        bounds = [rng.choice([1, 2, 3, 640, 2**32 + 1, 2**64 - 1]) for _ in range(50)]
+        assert check_bounded_block(seed, bounds) >= 50
+    assert check_bounded_block(3, []) == 0
+    assert check_bounded_block(3, [1] * 9) == 9
+
+
+def test_below_block_forced_rejections():
+    # Above 2**63, about half of all raw draws fall in the rejected tail, so
+    # the block falls back to the scalar path many times in one call.
+    rng = random.Random(9)
+    consumed = 0
+    for seed in range(20):
+        bounds = [2**63 + rng.randrange(1, 1000) for _ in range(30)]
+        bounds[rng.randrange(30)] = rng.randrange(1, 50)
+        consumed += check_bounded_block(seed, bounds)
+    assert consumed > 1.5 * 20 * 30
+
+
+def test_shuffle_equals_scalar_shuffle():
+    for length in (0, 1, 2, 3, 17, 640):
+        for seed in (1, 2, 3):
+            block, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
+            ours, theirs = list(range(length)), list(range(length))
+            block.shuffle(ours)
+            scalar.shuffle(theirs)
+            assert ours == theirs
+            assert block._state == scalar._state
+
+
+def test_sample_indices_equal_scalar_samples():
+    for population, count in ((1, 0), (1, 1), (5, 0), (5, 5), (20, 7), (224, 14)):
+        for seed in (1, 2, 3):
+            block, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
+            for _ in range(3):
+                assert block.sample_indices(population, count) == (
+                    scalar.sample_indices(population, count)
+                )
+            assert block._state == scalar._state
+            sets = SplitMix64(seed).sample_index_sets(population, count, 3)
+            scalar = ScalarSplitMix64(seed)
+            assert sets == [scalar.sample_indices(population, count) for _ in range(3)]
+
+
+def test_sample_index_sets_reject_oversized_count():
+    with pytest.raises(ValueError):
+        SplitMix64(1).sample_index_sets(3, 4, 2)

