@@ -55,8 +55,6 @@ from .models import (
     Model,
     ModelKind,
     default_params,
-    load_model,
-    save_model,
     train,
 )
 from .pipeline import (
@@ -135,7 +133,6 @@ __all__ = [
     "generate_corpus",
     "idf_weights",
     "load_corpus",
-    "load_model",
     "load_split",
     "mix64",
     "normalize_text",
@@ -144,7 +141,6 @@ __all__ = [
     "preprocess_text",
     "run_grid",
     "save_corpus",
-    "save_model",
     "save_split",
     "select_top_k",
     "split_features",

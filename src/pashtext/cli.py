@@ -14,8 +14,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .corpus import (
     Corpus,
     LabelSet,
@@ -27,7 +25,9 @@ from .corpus import (
     stratified_split,
     validate,
 )
-from .errors import DataError, PashtextError, UsageError
+from .errors import (
+    DataError, PashtextError, UsageError, expect_format, malformed, read_json,
+)
 from .grid import GridReport, run_grid
 from .metrics import EvalReport, evaluate_predictions
 from .models import ModelKind, train
@@ -103,37 +103,32 @@ def _save_bundle(path: Path, model, vocab: Vocabulary, mode: str,
 
 
 def _load_bundle(path):
-    try:
-        bundle = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read model bundle {path}: {exc}") from exc
-    if not isinstance(bundle, dict) or bundle.get("format") != BUNDLE_FORMAT:
-        raise DataError(f"{path} is not a {BUNDLE_FORMAT} file")
-    if bundle.get("version") != BUNDLE_VERSION:
-        raise DataError(f"unsupported bundle version {bundle.get('version')!r}")
-    try:
+    bundle = read_json(path, "model bundle")
+    expect_format(bundle, BUNDLE_FORMAT, BUNDLE_VERSION)
+    with malformed(f"model bundle {path}"):
         if bundle["pipeline"] != PROFILE_RECORD:
             raise DataError(
                 f"model bundle {path} was made with another preprocessing profile: "
                 f"{json.dumps(bundle['pipeline'], sort_keys=True)}"
             )
         mask = bundle["mask"]
-        return {
+        loaded = {
             "labels": LabelSet(bundle["labels"]),
             "mode": bundle["mode"],
             "vocab": Vocabulary.from_json_dict(bundle["vocabulary"]),
             "mask": None
             if mask is None
-            else FeatureMask(
-                kept_indices=np.asarray(mask["kept"], dtype=np.int64),
-                scores=np.asarray(mask["scores"], dtype=np.float64),
-            ),
+            else FeatureMask(kept_indices=mask["kept"], scores=mask["scores"]),
             "model": model_from_document(bundle["model"]),
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    if len(loaded["labels"]) != loaded["model"].label_count:
         raise DataError(
-            f"malformed model bundle {path}: {type(exc).__name__}: {exc}"
-        ) from None
+            f"model bundle {path} names {len(loaded['labels'])} labels "
+            f"for a {loaded['model'].label_count}-class model"
+        )
+    if mask is not None and loaded["mask"].scores.size != len(loaded["vocab"]):
+        raise DataError(f"model bundle {path} has a mask for another vocabulary")
+    return loaded
 
 
 def _cmd_ingest(args) -> int:
@@ -251,10 +246,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        data = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read report {args.input}: {exc}") from exc
+    data = read_json(args.input, "report")
     kind = data.get("format") if isinstance(data, dict) else None
     if kind == "pashtext-grid-report":
         report = GridReport.from_dict(data)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, malformed, read_json
 from .prng import SplitMix64, derive_seed
 
 logger = logging.getLogger(__name__)
@@ -139,6 +140,8 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.seed, int):
+            raise DataError(f"split seed must be an integer, got {self.seed!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise DataError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
@@ -151,6 +154,11 @@ class CorpusSplit:
 
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
+
+    def __post_init__(self):
+        for doc_id, n in Counter(self.train_ids + self.test_ids).items():
+            if n > 1:
+                raise DataError(f"split id {doc_id!r} appears {n} times")
 
 
 @dataclass
@@ -339,17 +347,11 @@ def save_split(split: CorpusSplit, spec: SplitSpec, path: str | Path) -> None:
 
 
 def load_split(path: str | Path) -> tuple[CorpusSplit, SplitSpec]:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read split file {path}: {exc}") from None
-    try:
-        split = CorpusSplit(
-            train_ids=tuple(payload["train_ids"]),
-            test_ids=tuple(payload["test_ids"]),
-        )
+    payload = read_json(path, "split file")
+    with malformed(f"split file {path}"):
+        sides = [payload["train_ids"], payload["test_ids"]]
+        if not all(isinstance(ids, list) for ids in sides):
+            raise TypeError("train_ids and test_ids must be lists")
+        split = CorpusSplit(*map(tuple, sides))
         spec = SplitSpec(train_fraction=payload["train_fraction"], seed=payload["seed"])
-    except KeyError as exc:
-        raise DataError(f"split file {path} is missing key {exc}") from None
     return split, spec

@@ -1,10 +1,15 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one way every
+saved artifact is read: `read_json`, `expect_format` and `malformed`.
 
 The CLI maps these onto exit codes: usage problems exit 1, data problems
 exit 2, anything else that escapes exits 3.
 """
 
 from __future__ import annotations
+
+import json
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class PashtextError(Exception):
@@ -33,3 +38,31 @@ class TrainingDivergedError(TrainingError):
     def __init__(self, epoch: int, detail: str = "non-finite loss"):
         self.epoch = epoch
         super().__init__(f"training diverged at epoch {epoch}: {detail}")
+
+
+def read_json(path, what: str):
+    """The JSON document in the file `path`, which holds a `what`; a file that
+    cannot be read, is not UTF-8 or is not JSON is a DataError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+
+
+def expect_format(document, name: str, version: int) -> None:
+    """Refuse `document` unless it is a JSON object tagged with the format
+    `name` and the version `version`."""
+    if not isinstance(document, dict) or document.get("format") != name:
+        raise DataError(f"not a {name} document")
+    if document.get("version") != version:
+        raise DataError(f"unsupported {name} version {document.get('version')!r}")
+
+
+@contextmanager
+def malformed(what: str):
+    """Turn the lookup and conversion errors raised while reading `what`
+    (a missing key, a value of the wrong type or shape) into a DataError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise DataError(f"malformed {what}: {type(exc).__name__}: {exc}") from None

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .corpus import Corpus, CorpusSplit
-from .errors import DataError
+from .errors import DataError, expect_format, malformed
 from .metrics import EvalReport, evaluate_predictions
 from .models import KIND_DISPLAY_NAMES, ModelKind, default_params, train
 from .models.params import DEFAULT_SEED
@@ -49,6 +49,12 @@ class GridCell:
     report: EvalReport | None
     error: str | None
 
+    def __post_init__(self):
+        accuracy = None if self.report is None else self.report.accuracy
+        if (self.report is None) == (self.error is None) or self.accuracy != accuracy:
+            raise DataError(f"grid cell {self.kind.value}/{self.mode} must hold "
+                            "either a report and its accuracy or an error")
+
     def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,
@@ -60,7 +66,7 @@ class GridCell:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GridCell":
-        report = data.get("report")
+        report = data["report"]
         return cls(
             kind=ModelKind(data["kind"]),
             mode=data["mode"],
@@ -85,6 +91,13 @@ class GridReport:
         expected = [(kind, mode) for kind in ModelKind for mode in FEATURE_MODES]
         if [(c.kind, c.mode) for c in self.cells] != expected:
             raise DataError("grid cells must cover kinds x modes in canonical order")
+        if not all(isinstance(v, int) for v in (self.seed, self.n_train, self.n_test)) or (
+            self.select_k is not None and not isinstance(self.select_k, int)
+        ):
+            raise DataError("grid seed, n_train, n_test and select_k must be integers")
+        if any(c.report and c.report.confusion.label_names != self.label_names
+               for c in self.cells):
+            raise DataError("every grid cell must report on the grid's labels")
 
     def cell(self, kind: ModelKind, mode: str) -> GridCell:
         for cell in self.cells:
@@ -106,16 +119,16 @@ class GridReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GridReport":
-        if data.get("format") != "pashtext-grid-report":
-            raise DataError("not a grid report document")
-        return cls(
-            seed=data["seed"],
-            n_train=data["n_train"],
-            n_test=data["n_test"],
-            select_k=data["select_k"],
-            label_names=tuple(data["labels"]),
-            cells=tuple(GridCell.from_dict(entry) for entry in data["cells"]),
-        )
+        expect_format(data, "pashtext-grid-report", 1)
+        with malformed("grid report"):
+            return cls(
+                seed=data["seed"],
+                n_train=data["n_train"],
+                n_test=data["n_test"],
+                select_k=data["select_k"],
+                label_names=tuple(data["labels"]),
+                cells=tuple(GridCell.from_dict(entry) for entry in data["cells"]),
+            )
 
     def to_json_text(self) -> str:
         return (

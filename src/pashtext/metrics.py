@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, expect_format, malformed
 
 
 class ConfusionMatrix:
@@ -107,16 +107,6 @@ class ClassMetrics:
             "degenerate": self.degenerate,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassMetrics":
-        return cls(
-            precision=data["precision"],
-            recall=data["recall"],
-            f1=data["f1"],
-            support=data["support"],
-            degenerate=data["degenerate"],
-        )
-
 
 def _ratio(numerator: float, denominator: float) -> tuple[float, bool]:
     if denominator == 0:
@@ -156,10 +146,6 @@ class AggregateMetrics:
 
     def to_dict(self) -> dict:
         return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AggregateMetrics":
-        return cls(data["precision"], data["recall"], data["f1"])
 
 
 def aggregate(per_class) -> tuple[AggregateMetrics, AggregateMetrics]:
@@ -214,23 +200,25 @@ class EvalReport:
         }
 
     @classmethod
+    def from_confusion(cls, cm: ConfusionMatrix) -> "EvalReport":
+        """Every metric of a confusion matrix that counts at least one sample."""
+        if cm.total == 0:
+            raise DataError("cannot evaluate zero samples")
+        per_class = tuple(class_metrics(cm, i) for i in range(cm.k))
+        macro, weighted = aggregate(per_class)
+        return cls(cm, per_class, macro, weighted, overall_accuracy(cm))
+
+    @classmethod
     def from_dict(cls, data: dict) -> "EvalReport":
-        if not isinstance(data, dict) or data.get("format") != "pashtext-eval-report":
-            raise DataError("not a pashtext-eval-report document")
-        if data.get("version") != 1:
-            raise DataError(f"unsupported report version {data.get('version')!r}")
-        labels = data["labels"]
-        confusion = ConfusionMatrix(data["confusion"], labels)
-        per_class = tuple(
-            ClassMetrics.from_dict(data["per_class"][name]) for name in labels
-        )
-        return cls(
-            confusion=confusion,
-            per_class=per_class,
-            macro=AggregateMetrics.from_dict(data["macro"]),
-            weighted=AggregateMetrics.from_dict(data["weighted"]),
-            accuracy=data["accuracy"],
-        )
+        """The report of a saved confusion matrix, whose every other field
+        must be exactly what that matrix gives."""
+        expect_format(data, "pashtext-eval-report", 1)
+        with malformed("eval report"):
+            confusion = ConfusionMatrix(data["confusion"], data["labels"])
+            report = cls.from_confusion(confusion)
+            if report.to_dict() != data:
+                raise DataError("eval report fields disagree with its confusion matrix")
+        return report
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
@@ -273,12 +261,4 @@ class EvalReport:
 def evaluate_predictions(truth, preds, label_count: int, label_names=None) -> EvalReport:
     """Confusion matrix plus the full metric block for one prediction set."""
     cm = confusion_matrix(truth, preds, label_count, label_names)
-    per_class = tuple(class_metrics(cm, i) for i in range(label_count))
-    macro, weighted = aggregate(per_class)
-    return EvalReport(
-        confusion=cm,
-        per_class=per_class,
-        macro=macro,
-        weighted=weighted,
-        accuracy=overall_accuracy(cm),
-    )
+    return EvalReport.from_confusion(cm)

@@ -43,7 +43,7 @@ from .tree import (
     train_decision_tree,
     train_random_forest,
 )
-from .io import load_model, model_document, model_from_document, save_model
+from .io import model_document, model_from_document
 from .train import train
 
 __all__ = [
@@ -69,12 +69,10 @@ __all__ = [
     "RandomForestModel",
     "RandomForestParams",
     "default_params",
-    "load_model",
     "model_document",
     "model_from_document",
     "params_class_for",
     "params_with_overrides",
-    "save_model",
     "train",
     "train_decision_tree",
     "train_gaussian_nb",

@@ -116,5 +116,7 @@ class Model(ABC):
 
     @classmethod
     @abstractmethod
-    def from_payload(cls, payload: dict, params) -> "Model":
-        """Rebuild a model from `payload` (inverse of :meth:`payload`)."""
+    def from_payload(cls, payload: dict, params, label_count: int,
+                     feature_dimension: int) -> "Model":
+        """Rebuild a model from `payload` (inverse of :meth:`payload`) and the
+        document's declared sizes, which kinds whose payload implies them ignore."""

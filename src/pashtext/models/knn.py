@@ -112,7 +112,8 @@ class KNNModel(Model):
         }
 
     @classmethod
-    def from_payload(cls, payload: dict, params: KNNParams) -> "KNNModel":
+    def from_payload(cls, payload: dict, params: KNNParams, label_count: int,
+                     feature_dimension: int) -> "KNNModel":
         rows = payload["rows"]
         if any(len(entry["indices"]) != len(entry["values"]) for entry in rows):
             raise DataError("each stored row needs as many indices as values")

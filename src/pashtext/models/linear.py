@@ -84,7 +84,8 @@ class _LinearModel(Model):
         return {"weights": self.weights.tolist(), "bias": self.bias.tolist()}
 
     @classmethod
-    def from_payload(cls, payload: dict, params: LinearParams):
+    def from_payload(cls, payload: dict, params: LinearParams, label_count: int,
+                     feature_dimension: int):
         return cls(payload["weights"], payload["bias"], params)
 
 

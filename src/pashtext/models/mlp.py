@@ -109,7 +109,8 @@ class MLPModel(Model):
         return {name: getattr(self, name).tolist() for name in _PARAM_NAMES}
 
     @classmethod
-    def from_payload(cls, payload: dict, params: MLPParams) -> "MLPModel":
+    def from_payload(cls, payload: dict, params: MLPParams, label_count: int,
+                     feature_dimension: int) -> "MLPModel":
         return cls(payload["w1"], payload["b1"], payload["w2"], payload["b2"], params)
 
 

@@ -66,7 +66,8 @@ class GaussianNBModel(Model):
         }
 
     @classmethod
-    def from_payload(cls, payload: dict, params: GaussianNBParams) -> "GaussianNBModel":
+    def from_payload(cls, payload: dict, params: GaussianNBParams, label_count: int,
+                     feature_dimension: int) -> "GaussianNBModel":
         return cls(payload["priors"], payload["means"], payload["variances"], params)
 
 
@@ -124,9 +125,8 @@ class MultinomialNBModel(Model):
         }
 
     @classmethod
-    def from_payload(
-        cls, payload: dict, params: MultinomialNBParams
-    ) -> "MultinomialNBModel":
+    def from_payload(cls, payload: dict, params: MultinomialNBParams, label_count: int,
+                     feature_dimension: int) -> "MultinomialNBModel":
         return cls(payload["priors"], payload["log_token_probs"], params)
 
 

@@ -130,6 +130,29 @@ def params_class_for(kind: ModelKind):
     return _PARAMS_BY_KIND[kind]
 
 
+# The JSON types that may hold a value of each field annotation.
+_JSON_TYPES = {
+    "int": int, "int | None": (int, type(None)), "float": (int, float),
+    "bool": bool, "str": str,
+}
+
+
+def params_from_dict(kind: ModelKind, values: dict):
+    """The params record of `kind` saved as `values`.
+
+    `values` must name every field, each with a value of the field's type;
+    anything else is a TypeError, so no default fills in for a lost value.
+    """
+    fields = dataclasses.fields(_PARAMS_BY_KIND[kind])
+    names = sorted(f.name for f in fields)
+    if sorted(values) != names:
+        raise TypeError(f"hyperparams must name exactly {names}")
+    for f in fields:
+        if not isinstance(values[f.name], _JSON_TYPES[f.type]):
+            raise TypeError(f"hyperparameter {f.name} must be {f.type}")
+    return _PARAMS_BY_KIND[kind](**values)
+
+
 def default_params(kind: ModelKind, seed: int = DEFAULT_SEED):
     """Default hyperparameters for a kind, with the seed threaded in."""
     cls = _PARAMS_BY_KIND[kind]

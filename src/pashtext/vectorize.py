@@ -6,17 +6,15 @@ document never mutates the vocabulary; unseen tokens are simply dropped.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, CorpusSplit, LabelSet
-from .errors import DataError
+from .errors import DataError, malformed
 from .pipeline import TokenizedDocument, preprocess
 
 logger = logging.getLogger(__name__)
@@ -168,12 +166,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.token_to_index)
 
-    def save(self, path: str | Path) -> None:
-        payload = self.to_json_dict()
-        Path(path).write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
-
     def to_json_dict(self) -> dict:
         entries = sorted(self.token_to_index.items(), key=lambda kv: kv[1])
         return {
@@ -186,30 +178,17 @@ class Vocabulary:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Vocabulary":
-        try:
+        with malformed("vocabulary"):
             entries = payload["entries"]
             token_to_index = {token: int(index) for token, index, _ in entries}
             df = np.zeros(len(entries), dtype=np.int64)
             for _, index, count in entries:
                 df[int(index)] = int(count)
-            n_train_docs = int(payload["n_train_docs"])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise DataError(
-                f"malformed vocabulary: {type(exc).__name__}: {exc}"
-            ) from None
-        return cls(
-            token_to_index=token_to_index,
-            document_frequency=df,
-            n_train_docs=n_train_docs,
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read vocabulary {path}: {exc}") from None
-        return cls.from_json_dict(payload)
+            return cls(
+                token_to_index=token_to_index,
+                document_frequency=df,
+                n_train_docs=int(payload["n_train_docs"]),
+            )
 
 
 @dataclass

@@ -283,7 +283,8 @@ def test_evaluate_rejects_bundle_missing_a_key(workspace, tmp_path, path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("mode", "bigram"), ("mode", ["tfidf"]), ("labels", 3), ("vocabulary", [])],
+    [("mode", "bigram"), ("mode", ["tfidf"]), ("labels", 3), ("vocabulary", []),
+     ("labels", ["history", "technology", "sport", "extra"])],
 )
 def test_evaluate_rejects_bundle_with_wrong_type(workspace, tmp_path, key, value):
     bundle = json.loads(workspace["bundle"].read_text(encoding="utf-8"))
@@ -431,6 +432,27 @@ def test_split_ids_missing_from_corpus_are_a_data_error(workspace, tmp_path, cap
     )
     assert code == 2
     assert "ghost-3" in capsys.readouterr().err
+
+
+def test_overlapping_split_is_a_data_error(workspace, tmp_path, capsys):
+    split = json.loads(workspace["split"].read_text(encoding="utf-8"))
+    split["train_ids"] += split["test_ids"][:3]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(split), encoding="utf-8")
+    code = main(
+        [
+            "train",
+            "--corpus", str(workspace["corpus"]),
+            "--split", str(path),
+            "--classifier", "multinomial_nb",
+            "--out", str(tmp_path / "model"),
+        ]
+    )
+    assert (code, _evaluate(workspace, tmp_path, split=path)) == (2, 2)
+    lines = capsys.readouterr().err.splitlines()  # one line per command
+    assert len(lines) == 2
+    assert all(line.startswith("error: split id ") and "appears 2 times" in line
+               for line in lines)
 
 
 def test_documents_emptied_by_preprocessing_only_warn(tmp_path, caplog):

@@ -110,7 +110,9 @@ def test_vote_tie_resolves_to_lower_class_index():
 def test_payload_round_trip():
     dense = [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [1.0, 1.0, 1.0]]
     model = train_knn(matrix_from_dense(dense, [0, 1, 2]), KNNParams(k=2), 3)
-    restored = KNNModel.from_payload(model.payload(), model.params)
+    restored = KNNModel.from_payload(
+        model.payload(), model.params, model.label_count, model.feature_dimension
+    )
     probes = queries([0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0])
     assert np.array_equal(restored.predict_scores(probes), model.predict_scores(probes))
     assert restored.payload() == model.payload()

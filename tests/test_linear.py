@@ -198,7 +198,9 @@ def test_payload_round_trip():
         (train_logistic_regression, LogisticRegressionModel),
     ):
         model = train(m, LinearParams(epochs=30), 2)
-        restored = cls.from_payload(model.payload(), model.params)
+        restored = cls.from_payload(
+            model.payload(), model.params, model.label_count, model.feature_dimension
+        )
         query = queries([0.3, 0.7], [0.0, 0.0])
         assert np.allclose(
             restored.predict_scores(query), model.predict_scores(query)

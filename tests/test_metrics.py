@@ -8,7 +8,6 @@ import pytest
 
 from pashtext.errors import DataError
 from pashtext.metrics import (
-    AggregateMetrics,
     ClassMetrics,
     ConfusionMatrix,
     EvalReport,
@@ -182,10 +181,3 @@ def test_report_round_trips_and_formats():
     assert "precision" in csv_text and "x" in csv_text
     with pytest.raises(DataError):
         EvalReport.from_dict({"format": "other"})
-
-
-def test_dataclass_dict_round_trips():
-    m = ClassMetrics(0.5, 0.25, 1 / 3, 7, True)
-    assert ClassMetrics.from_dict(m.to_dict()) == m
-    a = AggregateMetrics(0.1, 0.2, 0.3)
-    assert AggregateMetrics.from_dict(a.to_dict()) == a

@@ -232,7 +232,9 @@ def test_payload_round_trip():
     dense = [[0.0, 1.0], [1.0, 0.0]]
     m = matrix_from_dense(dense, [0, 1])
     model = train_mlp(m, MLPParams(hidden_units=3, epochs=5, seed=3), 2)
-    restored = MLPModel.from_payload(model.payload(), model.params)
+    restored = MLPModel.from_payload(
+        model.payload(), model.params, model.label_count, model.feature_dimension
+    )
     query = queries([0.4, 0.6], [0.0, 0.0])
     assert np.allclose(restored.predict_scores(query), model.predict_scores(query))
 

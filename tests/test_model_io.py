@@ -1,4 +1,4 @@
-"""Model save/load round trips and the shared training entry point."""
+"""Model document round trips and the shared training entry point."""
 
 import json
 
@@ -13,10 +13,8 @@ from pashtext.models import (
     MLPParams,
     ModelKind,
     RandomForestParams,
-    load_model,
     model_document,
     model_from_document,
-    save_model,
     train,
 )
 from pashtext.vectorize import UNIGRAM, FeatureMatrix
@@ -46,12 +44,10 @@ def toy_matrix():
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
-def test_round_trip_preserves_predictions(kind, tmp_path):
+def test_round_trip_preserves_predictions(kind):
     m = toy_matrix()
     model = train(kind, m, QUICK_PARAMS.get(kind))
-    path = tmp_path / f"{kind.value}.json"
-    save_model(model, path)
-    restored = load_model(path)
+    restored = model_from_document(json.loads(json.dumps(model_document(model))))
     assert restored.kind == kind
     assert restored.label_count == model.label_count
     assert restored.feature_dimension == model.feature_dimension
@@ -285,15 +281,6 @@ def test_out_of_range_hyperparameters_are_data_errors(kind, field, value):
     doc["hyperparams"][field] = value
     with pytest.raises(DataError, match="out-of-range hyperparameter"):
         model_from_document(doc)
-
-
-def test_load_rejects_broken_files(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(DataError, match="cannot read"):
-        load_model(path)
-    with pytest.raises(DataError):
-        load_model(tmp_path / "absent.json")
 
 
 def test_train_validates_inputs():

@@ -174,12 +174,16 @@ def test_nb_payload_round_trips():
     dense = [[1.0, 0.0], [0.0, 2.0]]
     query = queries([0.5, 0.5])
     gnb = train_gaussian_nb(matrix_from_dense(dense, [0, 1]), GaussianNBParams(), 2)
-    restored = GaussianNBModel.from_payload(gnb.payload(), gnb.params)
+    restored = GaussianNBModel.from_payload(
+        gnb.payload(), gnb.params, gnb.label_count, gnb.feature_dimension
+    )
     assert np.allclose(restored.predict_scores(query), gnb.predict_scores(query))
     mnb = train_multinomial_nb(
         matrix_from_dense(dense, [0, 1]), MultinomialNBParams(), 2
     )
-    restored = MultinomialNBModel.from_payload(mnb.payload(), mnb.params)
+    restored = MultinomialNBModel.from_payload(
+        mnb.payload(), mnb.params, mnb.label_count, mnb.feature_dimension
+    )
     assert np.allclose(restored.predict_scores(query), mnb.predict_scores(query))
 
 

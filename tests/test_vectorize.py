@@ -271,12 +271,10 @@ def test_apply_mask_matches_dense_slicing():
         assert masked.row_labels.tolist() == m.row_labels.tolist()
 
 
-def test_vocabulary_round_trip_and_validation(tmp_path):
+def test_vocabulary_round_trip_and_validation():
     docs = [tdoc("1", ["الف", "ب"]), tdoc("2", ["ب"])]
     vocab = build_vocabulary(docs)
-    path = tmp_path / "vocab.json"
-    vocab.save(path)
-    loaded = Vocabulary.load(path)
+    loaded = Vocabulary.from_json_dict(json.loads(json.dumps(vocab.to_json_dict())))
     assert loaded.token_to_index == vocab.token_to_index
     assert loaded.document_frequency.tolist() == vocab.document_frequency.tolist()
     assert loaded.n_train_docs == vocab.n_train_docs
@@ -284,9 +282,8 @@ def test_vocabulary_round_trip_and_validation(tmp_path):
         Vocabulary({"a": 0, "b": 2}, np.array([1, 1]), 2)
     with pytest.raises(DataError):
         Vocabulary({"a": 0}, np.array([5]), 2)
-    # malformed files fail as data errors, not as KeyError/TypeError
+    # malformed payloads fail as data errors, not as KeyError/TypeError
     for payload in ({"n_train_docs": 2}, {"entries": []}, {"entries": [["a", 0]],
                     "n_train_docs": 1}, {"entries": 5, "n_train_docs": 1}):
-        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(DataError, match="malformed vocabulary"):
-            Vocabulary.load(path)
+            Vocabulary.from_json_dict(payload)
