@@ -55,6 +55,13 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
+# Output file suffix and renderer of each eval report format.
+_EVAL_FORMATS = {
+    "json": ("json", EvalReport.to_json_text),
+    "markdown": ("md", EvalReport.to_markdown),
+    "csv": ("csv", EvalReport.to_csv),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that raises instead of exiting, so main() can map
@@ -206,16 +213,9 @@ def _cmd_evaluate(args) -> int:
     report = evaluate_predictions(
         matrix.row_labels, preds, len(labels), labels.names
     )
-    out = _out_dir(args)
-    if args.format == "json":
-        path = out / "eval.json"
-        _write_text(path, report.to_json_text())
-    elif args.format == "markdown":
-        path = out / "eval.md"
-        _write_text(path, report.to_markdown())
-    else:
-        path = out / "eval.csv"
-        _write_text(path, report.to_csv())
+    suffix, render = _EVAL_FORMATS[args.format]
+    path = _out_dir(args) / f"eval.{suffix}"
+    _write_text(path, render(report))
     print(
         f"evaluated {matrix.n_rows} documents: accuracy {report.accuracy:.4f} "
         f"-> {path}"
@@ -250,28 +250,14 @@ def _cmd_report(args) -> int:
     kind = data.get("format") if isinstance(data, dict) else None
     if kind == "pashtext-grid-report":
         report = GridReport.from_dict(data)
-        if args.format == "json":
-            text = report.to_json_text()
-        elif args.table == "accuracy":
-            text = (
-                report.accuracy_table_markdown()
-                if args.format == "markdown"
-                else report.accuracy_table_csv()
-            )
-        else:
-            text = (
-                report.per_class_tables_markdown()
-                if args.format == "markdown"
-                else report.per_class_tables_csv()
-            )
+        text = {
+            ("accuracy", "markdown"): report.accuracy_table_markdown,
+            ("accuracy", "csv"): report.accuracy_table_csv,
+            ("per-class", "markdown"): report.per_class_tables_markdown,
+            ("per-class", "csv"): report.per_class_tables_csv,
+        }.get((args.table, args.format), report.to_json_text)()
     elif kind == "pashtext-eval-report":
-        report = EvalReport.from_dict(data)
-        if args.format == "json":
-            text = report.to_json_text()
-        elif args.format == "markdown":
-            text = report.to_markdown()
-        else:
-            text = report.to_csv()
+        text = _EVAL_FORMATS[args.format][1](EvalReport.from_dict(data))
     else:
         raise DataError(f"{args.input} is not a known report document")
     if args.out:
@@ -411,10 +397,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except PashtextError as exc:

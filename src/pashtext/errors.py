@@ -42,10 +42,11 @@ class TrainingDivergedError(TrainingError):
 
 def read_json(path, what: str):
     """The JSON document in the file `path`, which holds a `what`; a file that
-    cannot be read, is not UTF-8 or is not JSON is a DataError."""
+    cannot be read, is not UTF-8, is not JSON or nests too deeply to parse is
+    a DataError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # JSON and UTF-8 decode errors are ValueErrors
+    except (OSError, ValueError, RecursionError) as exc:  # decode errors are ValueErrors
         raise DataError(f"cannot read {what} {path}: {exc}") from None
 
 
@@ -61,8 +62,8 @@ def expect_format(document, name: str, version: int) -> None:
 @contextmanager
 def malformed(what: str):
     """Turn the lookup and conversion errors raised while reading `what`
-    (a missing key, a value of the wrong type or shape) into a DataError."""
+    (a missing key, a value of the wrong type, shape or size) into a DataError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DataError(f"malformed {what}: {type(exc).__name__}: {exc}") from None

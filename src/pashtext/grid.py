@@ -95,6 +95,10 @@ class GridReport:
             self.select_k is not None and not isinstance(self.select_k, int)
         ):
             raise DataError("grid seed, n_train, n_test and select_k must be integers")
+        if self.n_train < 0 or self.n_test < 0:
+            raise DataError("grid n_train and n_test must not be negative")
+        if any(c.report and c.report.confusion.total != self.n_test for c in self.cells):
+            raise DataError("every grid cell must count the grid's n_test test rows")
         if any(c.report and c.report.confusion.label_names != self.label_names
                for c in self.cells):
             raise DataError("every grid cell must report on the grid's labels")

@@ -125,6 +125,8 @@ class KNNModel(Model):
             mode=payload["mode"],
             dim=payload["dim"],
         )
+        if (matrix.data < 0).any():  # no unigram or TFIDF value is negative
+            raise DataError("knn stored feature values must not be negative")
         return cls(matrix, params, payload["label_count"])
 
 

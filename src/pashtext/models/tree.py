@@ -5,11 +5,14 @@ grow until leaves are pure, a depth or size limit applies, or no candidate
 feature varies within the node.  Among equally good splits the lowest
 feature index and then the lowest threshold wins, which makes growth fully
 deterministic and lets a one-tree forest reproduce a plain tree exactly.
+
+Trees are flat node arrays, and every row walks every tree of a model at
+once, one level per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,41 +24,92 @@ from .base import Model, ModelKind
 from .params import DecisionTreeParams, RandomForestParams
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Internal split node or leaf; leaves keep the class counts they saw."""
+_SPLIT = object()  # the counts field of a split's record
 
-    feature: int | None
-    threshold: float | None
-    left: "TreeNode | None"
-    right: "TreeNode | None"
-    class_counts: tuple[int, ...]
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+def _integer_rows(entries: list, label_count: int) -> np.ndarray | None:
+    """`entries` as one (len(entries), label_count) int64 array, or None
+    unless each entry is a list of label_count integers."""
+    try:
+        rows = np.array(entries)
+    except ValueError:  # entries of different lengths
+        return None
+    if rows.dtype.kind != "i" or rows.shape != (len(entries), label_count):
+        return None
+    return rows.astype(np.int64, copy=False)
 
-    def to_payload(self) -> dict:
-        if self.is_leaf:
-            return {"counts": list(self.class_counts)}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_payload(),
-            "right": self.right.to_payload(),
-        }
+
+class Nodes(NamedTuple):
+    """Trees as flat node arrays numbered in preorder: a split's left child
+    is the node after it, and a forest's trees follow one another."""
+
+    feature: np.ndarray  # split feature; -1 at a leaf
+    threshold: np.ndarray  # `value <= threshold` goes left; 0.0 at a leaf
+    left: np.ndarray  # -1 at a leaf
+    right: np.ndarray  # -1 at a leaf
+    counts: np.ndarray  # (nodes, classes) training class counts; zero at a split
+    roots: np.ndarray  # one per tree
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "TreeNode":
-        if "counts" in payload:
-            return cls(None, None, None, None, tuple(payload["counts"]))
-        return cls(
-            int(payload["feature"]),
-            float(payload["threshold"]),
-            cls.from_payload(payload["left"]),
-            cls.from_payload(payload["right"]),
-            (),
-        )
+    def from_payload(cls, trees, label_count: int, feature_dimension: int) -> "Nodes":
+        """The trees of JSON entries `{"root": node}`, where a node is a leaf
+        `{"counts"}` or a split `{"feature", "threshold", "left", "right"}`."""
+        records = []
+        for tree in trees:
+            stack = [(tree["root"], -1)]  # (node, right_of)
+            while stack:
+                node, right_of = stack.pop()
+                if "counts" in node:
+                    records += (right_of, -1, 0.0, node["counts"])
+                    continue
+                stack += [(node["right"], len(records) // 4), (node["left"], -1)]
+                records += (right_of, int(node["feature"]), float(node["threshold"]), _SPLIT)
+        return _nodes(records, label_count, feature_dimension)
+
+    def payload(self) -> list[dict]:
+        """Each tree's nested JSON root (the inverse of `from_payload`)."""
+        feature, threshold, left, right, counts = (array.tolist() for array in self[:5])
+        built = [None] * len(feature)
+        for i in reversed(range(len(feature))):  # children come after their parent
+            built[i] = {"counts": counts[i]} if feature[i] < 0 else {
+                "feature": feature[i], "threshold": threshold[i],
+                "left": built[left[i]], "right": built[right[i]]}
+        return [built[root] for root in self.roots.tolist()]
+
+
+def _nodes(records: list, label_count: int, feature_dimension: int) -> Nodes:
+    """The node arrays of `records`, four fields per node in preorder: the
+    split whose right child the node is (or -1), the split feature and
+    threshold (-1 and 0.0 at a leaf), and a leaf's class counts (`_SPLIT` at
+    a split).  A DataError names the first node training could not have made."""
+    entries = records[3::4]
+    split = np.array([entry is _SPLIT for entry in entries])
+    feature = np.array(records[1::4])  # of objects if a value overflows int64
+    threshold = np.array(records[2::4], dtype=np.float64)
+    zero = [0] * label_count  # a split's counts
+    counts = _integer_rows([zero if entry is _SPLIT else entry for entry in entries], label_count)
+    if counts is None:  # find the leaves that are not lists of integers
+        rows = [_integer_rows([entry], label_count) for entry in entries]
+        bad_leaf = [row is None or (row < 0).any() or row.sum() <= 0 for row in rows]
+    else:
+        bad_leaf = (counts < 0).any(axis=1) | (counts.sum(axis=1) <= 0)
+    bad_feature = split & ((feature < 0) | (feature >= feature_dimension))
+    bad = np.where(split, bad_feature | ~np.isfinite(threshold), bad_leaf)
+    if bad.any():
+        at = int(bad.argmax())
+        if not split[at]:
+            raise DataError(f"tree leaf counts {records[4 * at + 3]!r} must be {label_count} "
+                            "non-negative integer counts with a positive sum")
+        if bad_feature[at]:
+            raise DataError(
+                f"tree split feature {records[4 * at + 1]} outside [0, {feature_dimension})")
+        raise DataError(f"tree split threshold {records[4 * at + 2]} is not finite")
+    index, right_of = np.arange(split.size), np.array(records[0::4])
+    right = np.full(split.size, -1)
+    right[right_of[right_of >= 0]] = index[right_of >= 0]
+    left_child = np.append(False, split[:-1])  # the node after a split
+    return Nodes(feature.astype(np.int64), threshold, np.where(split, index + 1, -1), right,
+                 counts, index[(right_of < 0) & ~left_child])
 
 
 def _best_split(
@@ -125,147 +179,106 @@ def _best_split(
     return best[1], best[2]
 
 
-def _grow(
-    dense: np.ndarray,
-    labels: np.ndarray,
-    row_ids: np.ndarray,
-    depth: int,
-    label_count: int,
-    max_depth: int | None,
-    min_samples_split: int,
-    feature_picker,
-) -> TreeNode:
-    counts = np.bincount(labels[row_ids], minlength=label_count)
-    leaf = TreeNode(None, None, None, None, tuple(int(c) for c in counts))
-    if (
-        np.count_nonzero(counts) <= 1
-        or row_ids.size < min_samples_split
-        or (max_depth is not None and depth >= max_depth)
-    ):
-        return leaf
-    split = _best_split(dense, labels, row_ids, feature_picker(), label_count)
-    if split is None:
-        return leaf
-    feature, threshold = split
-    goes_left = dense[row_ids, feature] <= threshold
-    children = [
-        _grow(dense, labels, row_ids[mask], depth + 1, label_count,
-              max_depth, min_samples_split, feature_picker)
-        for mask in (goes_left, ~goes_left)
-    ]
-    return TreeNode(feature, threshold, children[0], children[1], ())
+def _grow(dense: np.ndarray, labels: np.ndarray, row_ids: np.ndarray, label_count: int,
+          params, feature_picker, records: list) -> None:
+    """Append to `records` (see `_nodes`) the tree grown on the rows
+    `row_ids`.  Nodes are split in preorder, a node before its left subtree
+    before its right, which is the order `feature_picker` is asked for
+    candidate features."""
+    stack = [(row_ids, 0, -1)]  # (rows, depth, right_of)
+    while stack:
+        rows, depth, right_of = stack.pop()
+        counts = np.bincount(labels[rows], minlength=label_count)
+        split = None
+        if (np.count_nonzero(counts) > 1 and rows.size >= params.min_samples_split
+                and (params.max_depth is None or depth < params.max_depth)):
+            split = _best_split(dense, labels, rows, feature_picker(), label_count)
+        if split is None:
+            records += (right_of, -1, 0.0, counts.tolist())
+            continue
+        index = len(records) // 4
+        records += (right_of, *split, _SPLIT)
+        goes_left = dense[rows, split[0]] <= split[1]
+        stack += [(rows[~goes_left], depth + 1, index), (rows[goes_left], depth + 1, -1)]
 
 
-def _route(node: TreeNode, dense: np.ndarray, row_ids: np.ndarray, out: np.ndarray):
-    """Write each row's leaf class frequencies into `out`, partitioning the
-    row ids at every split (`value <= threshold` goes left)."""
-    if row_ids.size == 0:
-        return
-    if node.is_leaf:
-        counts = np.asarray(node.class_counts, dtype=np.float64)
-        out[row_ids] = counts / counts.sum()
-        return
-    goes_left = dense[row_ids, node.feature] <= node.threshold
-    _route(node.left, dense, row_ids[goes_left], out)
-    _route(node.right, dense, row_ids[~goes_left], out)
+class _TreeModel(Model):
+    """Trees held as `Nodes`; all rows walk all trees together."""
 
-
-def _check_tree(node: TreeNode, label_count: int, feature_dimension: int) -> None:
-    """Reject payload trees that could not have come from training."""
-    if node.is_leaf:
-        counts = node.class_counts
-        total = sum(counts)  # an int only if every count is an int
-        if (
-            len(counts) != label_count
-            or not isinstance(total, int)
-            or min(counts) < 0
-            or total <= 0
-        ):
-            raise DataError(
-                f"tree leaf counts {list(counts)} must be {label_count} "
-                "non-negative integer counts with a positive sum"
-            )
-        return
-    if not 0 <= node.feature < feature_dimension:
-        raise DataError(
-            f"tree split feature {node.feature} outside [0, {feature_dimension})"
-        )
-    if not np.isfinite(node.threshold):
-        raise DataError(f"tree split threshold {node.threshold} is not finite")
-    _check_tree(node.left, label_count, feature_dimension)
-    _check_tree(node.right, label_count, feature_dimension)
-
-
-class DecisionTreeModel(Model):
-    """Single CART tree; scores are the reached leaf's class frequencies."""
-
-    kind = ModelKind.DECISION_TREE
-
-    def __init__(self, root: TreeNode, params, label_count: int, feature_dimension: int):
-        self.root = root
+    def __init__(self, nodes: Nodes, params, label_count: int, feature_dimension: int):
+        self.nodes = nodes
         self.params = params
         self.label_count = label_count
         self.feature_dimension = feature_dimension
 
-    def _leaf_frequencies(self, dense: np.ndarray) -> np.ndarray:
-        out = np.empty((dense.shape[0], self.label_count), dtype=np.float64)
-        _route(self.root, dense, np.arange(dense.shape[0]), out)
-        return out
+    def _block_width(self) -> int:
+        # A scored row is one dense row plus one walk position per tree.
+        return self.feature_dimension + self.nodes.roots.size
+
+    def _leaves(self, matrix: FeatureMatrix) -> np.ndarray:
+        """(rows, trees) leaf each row reaches in each tree.  Each step moves
+        every (row, tree) pair still at a split one level down and drops the
+        pairs that reached a leaf."""
+        dense = matrix.to_dense().ravel()
+        feature, threshold, left, right = self.nodes[:4]
+        reached = np.tile(self.nodes.roots, (matrix.n_rows, 1))
+        at = reached.reshape(-1)
+        pending = np.flatnonzero(feature[at] >= 0)  # indices into `at`
+        node = at[pending]
+        row_start = pending // self.nodes.roots.size * matrix.dim  # in `dense`
+        while pending.size:
+            goes_left = dense.take(row_start + feature.take(node)) <= threshold.take(node)
+            node = np.where(goes_left, left.take(node), right.take(node))
+            at[pending] = node
+            split = feature.take(node) >= 0
+            pending, node, row_start = pending[split], node[split], row_start[split]
+        return reached
+
+
+class DecisionTreeModel(_TreeModel):
+    """Single CART tree; scores are the reached leaf's class frequencies."""
+
+    kind = ModelKind.DECISION_TREE
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
-        return self._leaf_frequencies(matrix.to_dense())
+        counts = self.nodes.counts[self._leaves(matrix)[:, 0]].astype(np.float64)
+        return counts / counts.sum(axis=1, keepdims=True)
 
     def payload(self) -> dict:
-        return {"root": self.root.to_payload()}
+        return {"root": self.nodes.payload()[0]}
 
     @classmethod
     def from_payload(cls, payload: dict, params, label_count: int,
                      feature_dimension: int) -> "DecisionTreeModel":
-        root = TreeNode.from_payload(payload["root"])
-        _check_tree(root, label_count, feature_dimension)
-        return cls(root, params, label_count, feature_dimension)
+        nodes = Nodes.from_payload([payload], label_count, feature_dimension)
+        return cls(nodes, params, label_count, feature_dimension)
 
 
 def train_decision_tree(
     matrix: FeatureMatrix, params: DecisionTreeParams, label_count: int
 ) -> DecisionTreeModel:
-    dense = matrix.to_dense()
     all_features = np.arange(matrix.dim)
-    root = _grow(
-        dense,
-        matrix.row_labels,
-        np.arange(matrix.n_rows),
-        0,
-        label_count,
-        params.max_depth,
-        params.min_samples_split,
-        lambda: all_features,
-    )
-    return DecisionTreeModel(root, params, label_count, matrix.dim)
+    records = []
+    _grow(matrix.to_dense(), matrix.row_labels, np.arange(matrix.n_rows), label_count,
+          params, lambda: all_features, records)
+    nodes = _nodes(records, label_count, matrix.dim)
+    return DecisionTreeModel(nodes, params, label_count, matrix.dim)
 
 
-class RandomForestModel(Model):
+class RandomForestModel(_TreeModel):
     """Bagged trees; scores are the per-class vote counts across trees."""
 
     kind = ModelKind.RANDOM_FOREST
 
-    def __init__(self, trees: list[DecisionTreeModel], params: RandomForestParams,
-                 label_count: int, feature_dimension: int):
-        self.trees = trees
-        self.params = params
-        self.label_count = label_count
-        self.feature_dimension = feature_dimension
-
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
-        dense = matrix.to_dense()
-        votes = np.zeros((matrix.n_rows, self.label_count), dtype=np.float64)
-        rows = np.arange(matrix.n_rows)
-        for tree in self.trees:
-            votes[rows, np.argmax(tree._leaf_frequencies(dense), axis=1)] += 1.0
-        return votes
+        n, k = matrix.n_rows, self.label_count
+        # Each leaf votes for its most frequent class, the lowest on ties.
+        votes = self.nodes.counts.argmax(axis=1)[self._leaves(matrix)]
+        cells = votes + k * np.arange(n)[:, None]
+        return np.bincount(cells.ravel(), minlength=n * k).reshape(n, k).astype(np.float64)
 
     def payload(self) -> dict:
-        return {"trees": [tree.payload() for tree in self.trees]}
+        return {"trees": [{"root": root} for root in self.nodes.payload()]}
 
     @classmethod
     def from_payload(cls, payload: dict, params: RandomForestParams,
@@ -276,11 +289,8 @@ class RandomForestModel(Model):
                 f"random forest payload holds {len(entries)} trees, "
                 f"expected n_trees = {params.n_trees}"
             )
-        trees = [
-            DecisionTreeModel.from_payload(entry, None, label_count, feature_dimension)
-            for entry in entries
-        ]
-        return cls(trees, params, label_count, feature_dimension)
+        nodes = Nodes.from_payload(entries, label_count, feature_dimension)
+        return cls(nodes, params, label_count, feature_dimension)
 
 
 def _feature_samples(rng: SplitMix64, dim: int, per_split: int):
@@ -295,13 +305,10 @@ def train_random_forest(
     matrix: FeatureMatrix, params: RandomForestParams, label_count: int
 ) -> RandomForestModel:
     dense = matrix.to_dense()
-    labels = matrix.row_labels
     n, dim = dense.shape
-    per_split = params.features_per_split
-    if per_split == 0:
-        per_split = max(1, int(np.sqrt(dim)))
+    per_split = params.features_per_split or max(1, int(np.sqrt(dim)))
     all_features = np.arange(dim)
-    trees = []
+    records = []
     for tree_index in range(params.n_trees):
         rng = SplitMix64(derive_seed(params.seed, tree_index))
         if params.bootstrap:
@@ -314,9 +321,6 @@ def train_random_forest(
             picker = lambda: all_features
         else:
             picker = _feature_samples(rng, dim, per_split).__next__
-        root = _grow(
-            dense, labels, row_ids, 0, label_count,
-            params.max_depth, params.min_samples_split, picker,
-        )
-        trees.append(DecisionTreeModel(root, None, label_count, dim))
-    return RandomForestModel(trees, params, label_count, dim)
+        _grow(dense, matrix.row_labels, row_ids, label_count, params, picker, records)
+    nodes = _nodes(records, label_count, dim)
+    return RandomForestModel(nodes, params, label_count, dim)

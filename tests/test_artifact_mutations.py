@@ -135,14 +135,37 @@ def test_every_mutation_is_refused(saved, artifact, tmp_path, capsys):
         ("bundle-knn", lambda bundle: dict(bundle, mask=dict(
             bundle["mask"], scores=bundle["mask"]["scores"] + [0.0]
         ))),
+        ("grid", lambda grid: dict(grid, n_train=-1)),
+        ("grid", lambda grid: dict(grid, n_test=grid["n_test"] + 1)),
+        ("bundle-knn", lambda bundle: bundle["model"]["payload"]["rows"][0].update(
+            values=[-1.0] + bundle["model"]["payload"]["rows"][0]["values"][1:]
+        ) or bundle),
     ],
     ids=["split-train-ids-5", "split-top-level-list", "grid-kind-zz",
-         "eval-ragged-confusion", "mask-scores-one-long"],
+         "eval-ragged-confusion", "mask-scores-one-long", "grid-n-train-negative",
+         "grid-n-test-not-cell-total", "knn-value-negative"],
 )
 def test_hand_picked_defects_are_refused(saved, artifact, defect, tmp_path, capsys):
     with open(saved[artifact], encoding="utf-8") as handle:
         document = defect(json.load(handle))
     target = tmp_path / "defective.json"
     target.write_text(json.dumps(document), encoding="utf-8")
+    for argv in commands(artifact, str(target), saved, str(tmp_path / "out")):
+        assert refusal_fault(argv, capsys) is None, argv
+
+
+@pytest.mark.parametrize(
+    "artifact, field",
+    [("split", ("train_ids",)), ("bundle-decision_tree", ("model", "payload", "root"))],
+    ids=["split-train-ids", "bundle-tree-root"],
+)
+def test_deeply_nested_json_is_refused(saved, artifact, field, tmp_path, capsys):
+    """A field nested 100,000 lists deep is too deep for the JSON parser."""
+    with open(saved[artifact], encoding="utf-8") as handle:
+        document = json.load(handle)
+    text = json.dumps(mutated(document, field, "NESTED"))
+    target = tmp_path / "nested.json"
+    target.write_text(text.replace('"NESTED"', "[" * 100_000 + "]" * 100_000),
+                      encoding="utf-8")
     for argv in commands(artifact, str(target), saved, str(tmp_path / "out")):
         assert refusal_fault(argv, capsys) is None, argv

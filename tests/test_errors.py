@@ -29,6 +29,7 @@ def test_expect_format_and_malformed():
         "ValueError": lambda: int("x"),
         "TypeError": lambda: len(5),
         "IndexError": lambda: [][0],
+        "OverflowError": lambda: float(10**400),
     }
     for name, fault in faults.items():
         with pytest.raises(DataError, match=f"^malformed thing: {name}: "):

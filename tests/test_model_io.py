@@ -191,6 +191,11 @@ def test_tree_payloads_are_validated_on_load():
         leaf(root(broken))["counts"] = [0, 0, 0]
         with pytest.raises(DataError, match="tree"):
             model_from_document(broken)
+        # a threshold too large for a float
+        broken = json.loads(json.dumps(doc))
+        root(broken)["threshold"] = 10**400
+        with pytest.raises(DataError, match="OverflowError"):
+            model_from_document(broken)
         assert model_from_document(doc).payload() == doc["payload"]
     # a forest with no trees, or fewer than it declares
     for trees in ([], doc["payload"]["trees"][:1]):

@@ -17,7 +17,7 @@ from pashtext.models import (
     train_random_forest,
 )
 from pashtext.models import tree as tree_module
-from pashtext.models.tree import TreeNode
+from pashtext.models.tree import Nodes
 from pashtext.synth import generate_corpus
 from pashtext.vectorize import FEATURE_MODES, FeatureMatrix, split_features
 
@@ -95,9 +95,14 @@ def brute_split_candidates(dense, labels, label_count):
     return out
 
 
+def is_leaf(model, node):
+    return model.nodes.feature[node] == -1
+
+
 def root_split(model):
-    assert not model.root.is_leaf
-    return model.root.feature, model.root.threshold
+    root = model.nodes.roots[0]
+    assert root == 0 and not is_leaf(model, root)
+    return int(model.nodes.feature[root]), float(model.nodes.threshold[root])
 
 
 def test_root_split_matches_exhaustive_search():
@@ -118,7 +123,7 @@ def test_root_split_matches_exhaustive_search():
         model = train_decision_tree(
             matrix_from_dense(dense, labels), DecisionTreeParams(), label_count
         )
-        if model.root.is_leaf:
+        if is_leaf(model, 0):
             continue
         feature, threshold = root_split(model)
         best = min(score for score, _, _ in candidates)
@@ -180,12 +185,13 @@ def test_depth_and_size_limits():
     stump = train_decision_tree(
         matrix_from_dense(dense, labels), DecisionTreeParams(max_depth=1), 2
     )
-    assert stump.root.left.is_leaf and stump.root.right.is_leaf
-    assert not (deep.root.left.is_leaf and deep.root.right.is_leaf)
+    assert stump.nodes.left[0] == 1 and stump.nodes.right[0] == 2
+    assert is_leaf(stump, 1) and is_leaf(stump, 2) and stump.nodes.feature.size == 3
+    assert not (is_leaf(deep, deep.nodes.left[0]) and is_leaf(deep, deep.nodes.right[0]))
     frozen = train_decision_tree(
         matrix_from_dense(dense, labels), DecisionTreeParams(min_samples_split=5), 2
     )
-    assert frozen.root.is_leaf
+    assert is_leaf(frozen, 0) and frozen.nodes.feature.size == 1
 
 
 def test_leaf_scores_are_class_frequencies():
@@ -207,8 +213,9 @@ def test_tree_payload_round_trip():
     )
     m = matrix_from_dense(dense, labels)
     assert np.array_equal(restored.predict_scores(m), model.predict_scores(m))
-    node = TreeNode.from_payload(model.root.to_payload())
-    assert node.to_payload() == model.root.to_payload()
+    nodes = Nodes.from_payload([model.payload()], label_count=2, feature_dimension=2)
+    assert all(map(np.array_equal, nodes, model.nodes))
+    assert nodes.payload() == [model.payload()["root"]]
 
 
 def test_single_tree_forest_matches_plain_tree():
@@ -223,7 +230,8 @@ def test_single_tree_forest_matches_plain_tree():
         RandomForestParams(n_trees=1, bootstrap=False, features_per_split=4),
         3,
     )
-    assert forest.trees[0].payload() == tree.payload()
+    assert forest.payload() == {"trees": [tree.payload()]}
+    assert all(map(np.array_equal, forest.nodes, tree.nodes))
     assert np.array_equal(forest.predict_rows(m), tree.predict_rows(m))
 
 
@@ -391,3 +399,136 @@ def test_blocked_split_search_equals_single_block(monkeypatch):
     # 40 cells: at most one feature per block at the root, five near leaves.
     monkeypatch.setattr(base, "_BLOCK_CELLS", 40)
     assert grown_payloads(matrix, 4) == whole
+
+
+def random_payload_tree(rng, dim, label_count, depth=0):
+    """A random nested payload tree whose thresholds lie on the half-step
+    grid the query rows are drawn from, so rows often equal a threshold."""
+    if depth == 6 or rng.random() < 0.25:
+        counts = rng.integers(0, 4, label_count)
+        counts[rng.integers(label_count)] += 1
+        return {"counts": counts.tolist()}
+    return {
+        "feature": int(rng.integers(dim)),
+        "threshold": float(rng.integers(-2, 3)) / 2,
+        "left": random_payload_tree(rng, dim, label_count, depth + 1),
+        "right": random_payload_tree(rng, dim, label_count, depth + 1),
+    }
+
+
+def reference_leaf_counts(node, row):
+    """Counts of the leaf `row` reaches, walking the nested payload."""
+    if "counts" in node:
+        return np.asarray(node["counts"], dtype=np.float64)
+    child = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+    return reference_leaf_counts(child, row)
+
+
+def test_flat_walk_matches_recursive_payload_walk(monkeypatch):
+    rng = np.random.default_rng(41)
+    on_threshold = 0
+    for _ in range(60):
+        dim, label_count = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        n_trees = int(rng.integers(1, 8))
+        trees = [{"root": random_payload_tree(rng, dim, label_count)}
+                 for _ in range(n_trees)]
+        dense = rng.integers(-2, 3, (int(rng.integers(1, 40)), dim)) / 2
+        matrix = matrix_from_dense(dense)
+        # Most cases span several scoring blocks.
+        monkeypatch.setattr(base, "_BLOCK_CELLS", int(rng.integers(1, 64)))
+        votes = np.zeros((len(dense), label_count))
+        for tree in trees:
+            counts = [reference_leaf_counts(tree["root"], row) for row in dense]
+            plain = DecisionTreeModel.from_payload(tree, None, label_count, dim)
+            want = np.array([c / c.sum() for c in counts])
+            assert np.array_equal(plain.predict_scores(matrix), want)
+            votes[np.arange(len(dense)), want.argmax(axis=1)] += 1
+            assert plain.payload() == tree
+        params = RandomForestParams(n_trees=n_trees)
+        forest = RandomForestModel.from_payload(
+            {"trees": trees}, params, label_count, dim
+        )
+        assert np.array_equal(forest.predict_scores(matrix), votes)
+        assert forest.payload() == {"trees": trees}
+        splits = forest.nodes.feature >= 0
+        on_threshold += np.count_nonzero(
+            dense[:, forest.nodes.feature[splits]] == forest.nodes.threshold[splits]
+        )
+    assert on_threshold >= 500
+
+
+def test_nodes_are_flat_preorder_arrays():
+    rng = random.Random(43)
+    dense = [[rng.uniform(0, 2) for _ in range(5)] for _ in range(40)]
+    labels = [rng.randrange(3) for _ in range(40)]
+    forest = train_random_forest(
+        matrix_from_dense(dense, labels), RandomForestParams(n_trees=6, seed=2), 3
+    )
+    nodes = forest.nodes
+    size = nodes.feature.size
+    split = nodes.feature >= 0
+    index = np.arange(size)
+    assert nodes.roots[0] == 0 and nodes.roots.size == 6
+    assert np.all(np.diff(nodes.roots) > 0)
+    assert np.array_equal(nodes.left[split], index[split] + 1)
+    assert np.all(nodes.right[split] > nodes.left[split])
+    assert np.all(nodes.left[~split] == -1) and np.all(nodes.right[~split] == -1)
+    assert np.all(nodes.counts[split] == 0) and np.all(nodes.counts[~split].sum(axis=1) > 0)
+    # every node but the roots is exactly one split's child
+    children = np.concatenate([nodes.left[split], nodes.right[split]])
+    assert sorted(children.tolist() + nodes.roots.tolist()) == index.tolist()
+    # each tree's nodes follow its root and hold its rows' classes
+    ends = np.append(nodes.roots[1:], size)
+    for root, end, tree in zip(nodes.roots, ends, forest.payload()["trees"]):
+        inside = split[root:end]
+        kids = np.concatenate([nodes.left[root:end][inside], nodes.right[root:end][inside]])
+        assert np.all((kids > root) & (kids < end))
+        single = DecisionTreeModel.from_payload(tree, None, 3, 5)
+        assert np.array_equal(single.nodes.feature, nodes.feature[root:end])
+        assert np.array_equal(single.nodes.right[inside], nodes.right[root:end][inside] - root)
+
+
+def test_deep_payload_loads_walks_and_saves_without_recursion():
+    depth = 20_000
+    leaf = {"counts": [0, 1]}
+    root = leaf
+    for level in range(depth):  # a chain: every split's left child is a leaf
+        root = {"feature": 0, "threshold": float(level), "left": {"counts": [1, 0]},
+                "right": root}
+    model = DecisionTreeModel.from_payload({"root": root}, None, 2, 1)
+    assert model.nodes.feature.size == 2 * depth + 1
+    scores = model.predict_scores(queries([-1.0], [depth / 2], [depth + 1.0]))
+    assert scores.tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    saved = model.payload()["root"]
+    for _ in range(depth):
+        assert saved["left"] == {"counts": [1, 0]}
+        saved = saved["right"]
+    assert saved == leaf
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (dict(feature=10**30), "tree split feature 1000000000000000000000000000000 outside"),
+        (dict(feature=-(10**30)), "tree split feature"),
+        (dict(left={"counts": [10**30, 1]}), r"tree leaf counts \[10+, 1\]"),
+        (dict(left={"counts": [2**63, 1]}), "tree leaf counts"),
+        (dict(left={"counts": None}), "tree leaf counts None"),
+        (dict(feature=-1), r"tree split feature -1 outside \[0, 1\)"),
+        (dict(left={"counts": [[1], [2]]}), "tree leaf counts"),
+        (dict(left={"counts": [1, "2"]}), "tree leaf counts"),
+        (dict(left={"counts": [1]}, threshold=float("inf")), "threshold inf"),
+        (dict(left={"counts": [1]}, right=dict(feature=5, threshold=0.5, left={"counts": [1]},
+                                                right={"counts": [1]})),
+         r"tree leaf counts \[1\]"),
+        (dict(right=dict(feature=5, threshold=0.5, left={"counts": [1]},
+                         right={"counts": [1]})),
+         r"tree split feature 5 outside \[0, 1\)"),
+        (dict(threshold=float("nan"), right={"counts": [1]}), "threshold nan"),
+    ],
+)
+def test_first_defect_in_preorder_is_named(defect, message):
+    root = {"feature": 0, "threshold": 0.5, "left": {"counts": [1, 0]},
+            "right": {"counts": [0, 1]}, **defect}
+    with pytest.raises(DataError, match=message):
+        DecisionTreeModel.from_payload({"root": root}, None, 2, 1)
