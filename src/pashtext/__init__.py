@@ -44,7 +44,6 @@ from .metrics import (
     ConfusionMatrix,
     EvalReport,
     aggregate,
-    class_accuracy,
     class_metrics,
     confusion_matrix,
     evaluate_predictions,
@@ -124,7 +123,6 @@ __all__ = [
     "apply_mask",
     "build_vocabulary",
     "chi2_scores",
-    "class_accuracy",
     "class_metrics",
     "confusion_matrix",
     "default_params",

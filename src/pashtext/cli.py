@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 from .corpus import (
-    Corpus,
     LabelSet,
     SplitSpec,
     load_corpus,
@@ -198,14 +197,9 @@ def _cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
     split, _spec = load_split(args.split)
     labels: LabelSet = bundle["labels"]
-    for doc in corpus.documents:
-        if doc.label not in labels:
-            raise DataError(
-                f"document {doc.id!r} has label {doc.label!r} unknown to the model"
-            )
     # Re-labelled with the model's label set, so rows carry its class indices.
     features = split_features(
-        Corpus(corpus.documents, labels), split, [bundle["mode"]],
+        corpus.relabel(labels), split, [bundle["mode"]],
         sides=[TEST], vocab=bundle["vocab"], mask=bundle["mask"],
     )
     matrix = features.test[bundle["mode"]]

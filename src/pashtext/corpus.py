@@ -96,19 +96,29 @@ class Corpus:
 
     def __init__(self, documents: Iterable[Document], labels: LabelSet):
         documents = tuple(documents)
-        seen: set[str] = set()
+        by_id: dict[str, Document] = {}
         for doc in documents:
-            if doc.id in seen:
+            if doc.id in by_id:
                 raise DataError(f"duplicate document id {doc.id!r}")
-            seen.add(doc.id)
             if doc.label not in labels:
                 raise DataError(
                     f"document {doc.id!r} has label {doc.label!r} "
                     f"outside the label set {list(labels.names)!r}"
                 )
+            by_id[doc.id] = doc
         self.documents = documents
         self.labels = labels
-        self._by_id = {doc.id: doc for doc in documents}
+        self._by_id = by_id
+
+    @classmethod
+    def _checked(
+        cls, documents: tuple[Document, ...], labels: LabelSet, by_id: dict[str, Document]
+    ) -> "Corpus":
+        """A corpus whose documents the caller has already checked: `by_id`
+        maps each one's unique id to it, and `labels` holds every label."""
+        corpus = cls.__new__(cls)
+        corpus.documents, corpus.labels, corpus._by_id = documents, labels, by_id
+        return corpus
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -122,8 +132,24 @@ class Corpus:
         except KeyError:
             raise DataError(f"unknown document id {doc_id!r}") from None
 
-    def subset(self, ids: Sequence[str]) -> tuple[Document, ...]:
-        return tuple(self.by_id(i) for i in ids)
+    def subset(self, ids: Sequence[str]) -> "Corpus":
+        """The documents named by `ids`, in that order, under the same labels."""
+        documents = tuple(map(self.by_id, ids))
+        by_id = dict(zip(ids, documents))
+        if len(by_id) < len(documents):
+            return Corpus(documents, self.labels)  # names the repeated id
+        return Corpus._checked(documents, self.labels, by_id)
+
+    def relabel(self, labels: LabelSet) -> "Corpus":
+        """The same documents under a model's label set `labels`; a document
+        whose label `labels` lacks is a DataError naming it."""
+        if not all(name in labels for name in self.labels):
+            for doc in self.documents:
+                if doc.label not in labels:
+                    raise DataError(
+                        f"document {doc.id!r} has label {doc.label!r} unknown to the model"
+                    )
+        return Corpus._checked(self.documents, labels, self._by_id)
 
     def label_counts(self) -> dict[str, int]:
         counts = {name: 0 for name in self.labels}
@@ -194,16 +220,38 @@ def load_corpus(path: str | Path, labels: LabelSet | None = None) -> Corpus:
     return _load_jsonl(path, labels)
 
 
+# The C scanner behind json.loads, called directly: one call per line instead
+# of json.loads's type checks, whitespace regex matches and decode frames.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _parse_line(line: str):
+    """`json.loads(line)`: the same value, or the same error.
+
+    A line that is one JSON value, starting at its first character and
+    followed only by JSON whitespace (space, tab, newline, carriage return),
+    is decoded by the scanner alone.  Anything else (leading whitespace, a
+    BOM, extra data, a malformed value) goes to `json.loads`, which accepts
+    or refuses it with its own message.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError):  # no value at 0, or a malformed one
+        return json.loads(line)
+    if end < len(line) and line[end:].strip(" \t\n\r"):
+        return json.loads(line)
+    return value
+
+
 def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
-    documents: list[Document] = []
-    seen_ids: set[str] = set()
+    by_id: dict[str, Document] = {}
     observed_labels: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, 1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
-                record = json.loads(line)
+                record = _parse_line(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
             if not isinstance(record, dict):
@@ -214,27 +262,21 @@ def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
                 if not isinstance(record[key], str):
                     raise DataError(f"{path}:{line_no}: key {key!r} must be a string")
             doc_id = record["id"]
-            if doc_id in seen_ids:
+            if doc_id in by_id:
                 raise DataError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
-            seen_ids.add(doc_id)
             label = record["label"]
             if labels is not None and label not in labels:
                 raise DataError(
                     f"{path}:{line_no}: label {label!r} outside the supplied label set"
                 )
             observed_labels.add(label)
-            documents.append(
-                Document(
-                    id=doc_id,
-                    text=record["text"],
-                    label=label,
-                    source=record.get("source"),
-                )
+            by_id[doc_id] = Document(
+                id=doc_id, text=record["text"], label=label, source=record.get("source")
             )
-    if not documents:
+    if not by_id:
         raise DataError(f"corpus file is empty: {path}")
     label_set = labels if labels is not None else LabelSet(sorted(observed_labels))
-    return Corpus(documents, label_set)
+    return Corpus._checked(tuple(by_id.values()), label_set, by_id)
 
 
 def _load_directory(path: Path, labels: LabelSet | None) -> Corpus:
@@ -261,7 +303,8 @@ def _load_directory(path: Path, labels: LabelSet | None) -> Corpus:
     if not documents:
         raise DataError(f"corpus directory contains no documents: {path}")
     label_set = labels if labels is not None else LabelSet(sorted(observed_labels))
-    return Corpus(documents, label_set)
+    # Ids are "<label directory>/<file name>", unique by construction.
+    return Corpus._checked(tuple(documents), label_set, {doc.id: doc for doc in documents})
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -133,11 +133,6 @@ def overall_accuracy(cm: ConfusionMatrix) -> float:
     return float(np.trace(cm.grid)) / cm.total
 
 
-def class_accuracy(cm: ConfusionMatrix, class_index: int) -> float:
-    """One-vs-rest accuracy of a single class: (TP + TN) / total."""
-    return (cm.tp(class_index) + cm.tn(class_index)) / cm.total
-
-
 @dataclass(frozen=True)
 class AggregateMetrics:
     precision: float

@@ -53,7 +53,8 @@ class Nodes(NamedTuple):
     @classmethod
     def from_payload(cls, trees, label_count: int, feature_dimension: int) -> "Nodes":
         """The trees of JSON entries `{"root": node}`, where a node is a leaf
-        `{"counts"}` or a split `{"feature", "threshold", "left", "right"}`."""
+        `{"counts"}` or a split `{"feature", "threshold", "left", "right"}`
+        with an integer feature and a number threshold."""
         records = []
         for tree in trees:
             stack = [(tree["root"], -1)]  # (node, right_of)
@@ -63,7 +64,13 @@ class Nodes(NamedTuple):
                     records += (right_of, -1, 0.0, node["counts"])
                     continue
                 stack += [(node["right"], len(records) // 4), (node["left"], -1)]
-                records += (right_of, int(node["feature"]), float(node["threshold"]), _SPLIT)
+                feature, threshold = node["feature"], node["threshold"]
+                if type(feature) is not int or type(threshold) not in (int, float):
+                    if records:  # a defect earlier in preorder is named first
+                        _nodes(records, label_count, feature_dimension)
+                    raise DataError(f"tree split feature {feature!r} and threshold "
+                                    f"{threshold!r} must be an integer and a number")
+                records += (right_of, feature, float(threshold), _SPLIT)
         return _nodes(records, label_count, feature_dimension)
 
     def payload(self) -> list[dict]:

@@ -1,13 +1,16 @@
 """Normalization, cleaning and whitespace tokenization for Arabic-script text.
 
-Every document goes through one fixed profile of three pure stages:
+Every document goes through one fixed profile. `preprocess_text` runs four
+pure stages on it:
 
-    normalize_text -> strip_noise -> str.split
+    invisible marks removed -> NFC -> strip_noise -> str.split
 
-Tokens are kept in their surface form; there is no stemming, lemmatization
-or sentence segmentation. The profile keeps the Arabic script blocks and
-strips URLs, digits and punctuation; each saved model bundle records it as
-`PROFILE_RECORD`.
+`normalize_text` is the first two stages plus a whitespace collapse and
+strip; the tokens do not depend on those two, so `preprocess_text` skips
+them.  Tokens are kept in their surface form; there is no stemming,
+lemmatization or sentence segmentation. The profile keeps the Arabic script
+blocks and strips URLs, digits and punctuation; each saved model bundle
+records it as `PROFILE_RECORD`.
 """
 
 from __future__ import annotations
@@ -91,15 +94,17 @@ class PreprocessResult:
     excluded: list[tuple[str, str]] = field(default_factory=list)  # (id, reason)
 
 
+def _visible_nfc(raw: str) -> str:
+    return unicodedata.normalize("NFC", _INVISIBLES_RE.sub("", raw))
+
+
 def normalize_text(raw: str) -> str:
     """Canonical text form: NFC, invisible marks removed, whitespace collapsed.
 
     Total and idempotent: invisibles are stripped before NFC so a second
     pass is a no-op.
     """
-    text = _INVISIBLES_RE.sub("", raw)
-    text = unicodedata.normalize("NFC", text)
-    return _WHITESPACE_RE.sub(" ", text).strip()
+    return _WHITESPACE_RE.sub(" ", _visible_nfc(raw)).strip()
 
 
 def strip_noise(text: str) -> str:
@@ -112,8 +117,14 @@ def strip_noise(text: str) -> str:
 
 
 def preprocess_text(text: str) -> list[str]:
-    """normalize -> strip -> whitespace split for a single string."""
-    return strip_noise(normalize_text(text)).split()
+    """The tokens of one string: `strip_noise(normalize_text(text)).split()`.
+
+    The whitespace collapse and strip of `normalize_text` are skipped: `\\s`
+    in the regexes and `str.split` agree on what is whitespace, and neither
+    `strip_noise` regex matches a whitespace character, so they cannot
+    change where the tokens split.
+    """
+    return strip_noise(_visible_nfc(text)).split()
 
 
 def preprocess(corpus: Corpus) -> PreprocessResult:

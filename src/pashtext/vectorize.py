@@ -7,9 +7,10 @@ document never mutates the vocabulary; unseen tokens are simply dropped.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -219,10 +220,9 @@ def build_vocabulary(train_docs: Sequence[TokenizedDocument]) -> Vocabulary:
     """
     if not train_docs:
         raise DataError("cannot build a vocabulary from zero documents")
-    df: dict[str, int] = {}  # keys in first-occurrence order
-    for doc in train_docs:
-        for token in dict.fromkeys(doc.tokens):  # distinct, first-occurrence order
-            df[token] = df.get(token, 0) + 1
+    # Each document's distinct tokens in first-occurrence order; the counter
+    # keeps its keys in the order it first meets them.
+    df = Counter(chain.from_iterable(dict.fromkeys(doc.tokens) for doc in train_docs))
     if not df:
         raise DataError("cannot build a vocabulary from documents without tokens")
     return Vocabulary(
@@ -245,32 +245,45 @@ def vectorize_documents(
 ) -> FeatureMatrix:
     """Build the unigram or TFIDF matrix for a document sequence.
 
-    Unigram values are raw occurrence counts; TFIDF multiplies each count by
-    its idf and drops the entries that become exactly zero.  Tokens outside
-    the vocabulary are ignored.
+    Unigram values are raw occurrence counts; TFIDF is `tfidf_from_counts`
+    of them.  Tokens outside the vocabulary are ignored.
     """
     if mode not in FEATURE_MODES:
         raise DataError(f"unknown feature mode {mode!r}")
-    lookup = vocab.token_to_index
     dim = len(vocab)
-    found = [[lookup[token] for token in doc.tokens if token in lookup] for doc in docs]
-    rows = np.repeat(np.arange(len(docs), dtype=np.int64), [len(f) for f in found])
-    columns = np.fromiter(chain.from_iterable(found), dtype=np.int64, count=rows.size)
+    tokens = list(chain.from_iterable(doc.tokens for doc in docs))
+    columns = np.fromiter(
+        map(vocab.token_to_index.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens)
+    )
+    rows = np.repeat(np.arange(len(docs), dtype=np.int64), [len(doc.tokens) for doc in docs])
+    known = columns >= 0
     # One sorted (row, column) key per distinct cell gives CSR order directly.
-    keys, counts = np.unique(rows * dim + columns, return_counts=True)
+    keys, counts = np.unique(rows[known] * dim + columns[known], return_counts=True)
     cell_rows, indices = np.divmod(keys, max(dim, 1))
-    values = counts.astype(np.float64)
-    if mode == TFIDF:
-        values = values * idf_weights(vocab)[indices]
-        keep = values != 0.0
-        cell_rows, indices, values = cell_rows[keep], indices[keep], values[keep]
-    return FeatureMatrix(
+    matrix = FeatureMatrix(
         indptr=_indptr(cell_rows, len(docs)),
         indices=indices,
-        data=values,
+        data=counts.astype(np.float64),
         row_labels=np.array([labels.index(doc.label) for doc in docs], dtype=np.int64),
-        mode=mode,
+        mode=UNIGRAM,
         dim=dim,
+    )
+    return matrix if mode == UNIGRAM else tfidf_from_counts(matrix, vocab)
+
+
+def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix:
+    """The TFIDF matrix of a unigram count matrix: each count times its
+    token's idf, with the entries that become exactly zero dropped."""
+    values = counts.data * idf_weights(vocab)[counts.indices]
+    keep = values != 0.0
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return FeatureMatrix(
+        indptr=kept_before[counts.indptr],
+        indices=counts.indices[keep],
+        data=values[keep],
+        row_labels=counts.row_labels.copy(),
+        mode=TFIDF,
+        dim=counts.dim,
     )
 
 
@@ -365,15 +378,17 @@ def split_features(
     Only the sides that are needed are looked up (ids missing from the corpus
     are a DataError) and preprocessed.  Without a fitted `vocab`, the
     vocabulary (and, when `select_k` is set, the top-k chi-square mask over
-    unigram counts) is fitted on the train side.  Every requested side is
-    then vectorized in every requested mode and masked.
+    unigram counts) is fitted on the train side.  Each requested side's
+    unigram count matrix is built once (the train side's is the one the
+    chi-square scores read); every requested mode is taken from it, TFIDF by
+    `tfidf_from_counts`, and masked.
     """
     needed = set(sides) if vocab is not None else {TRAIN, *sides}
     docs = {}
     for side, ids in ((TRAIN, split.train_ids), (TEST, split.test_ids)):
         if side not in needed:
             continue
-        result = preprocess(Corpus(corpus.subset(ids), corpus.labels))
+        result = preprocess(corpus.subset(ids))
         if result.excluded:
             logger.warning(
                 "%d %s documents were excluded by preprocessing",
@@ -382,14 +397,19 @@ def split_features(
         if not result.documents:
             raise DataError(f"no usable documents on the {side} side of the split")
         docs[side] = result.documents
+    counts: dict[str, FeatureMatrix] = {}
     if vocab is None:
         vocab = build_vocabulary(docs[TRAIN])
         if select_k is not None:
-            counts = vectorize_documents(docs[TRAIN], vocab, UNIGRAM, corpus.labels)
-            mask = select_top_k(chi2_scores(counts, len(corpus.labels)), select_k)
+            counts[TRAIN] = vectorize_documents(docs[TRAIN], vocab, UNIGRAM, corpus.labels)
+            mask = select_top_k(chi2_scores(counts[TRAIN], len(corpus.labels)), select_k)
     matrices: dict[str, dict[str, FeatureMatrix]] = {TRAIN: {}, TEST: {}}
     for side in sides:
+        if side not in counts:
+            counts[side] = vectorize_documents(docs[side], vocab, UNIGRAM, corpus.labels)
         for mode in modes:
-            matrix = vectorize_documents(docs[side], vocab, mode, corpus.labels)
+            if mode not in FEATURE_MODES:
+                raise DataError(f"unknown feature mode {mode!r}")
+            matrix = counts[side] if mode == UNIGRAM else tfidf_from_counts(counts[side], vocab)
             matrices[side][mode] = matrix if mask is None else apply_mask(mask, matrix)
     return SplitFeatures(vocab, mask, matrices[TRAIN], matrices[TEST])

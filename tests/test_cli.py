@@ -378,6 +378,12 @@ def _first_leaf(node):
     return node
 
 
+def _root_split(model):
+    root = model["payload"]["trees"][0]["root"]
+    assert "feature" in root
+    return root
+
+
 @pytest.mark.parametrize(
     "defect",
     [
@@ -386,8 +392,13 @@ def _first_leaf(node):
         lambda model: _first_leaf(model["payload"]["trees"][0]["root"]).update(
             counts=[0.5, 0.25, 0.25]
         ),
+        lambda model: _root_split(model).update(feature=1.7),
+        lambda model: _root_split(model).update(feature="1"),
+        lambda model: _root_split(model).update(feature=True),
+        lambda model: _root_split(model).update(threshold="0.5"),
     ],
-    ids=["no-trees", "two-of-five-trees", "fractional-counts"],
+    ids=["no-trees", "two-of-five-trees", "fractional-counts", "float-feature",
+         "string-feature", "bool-feature", "string-threshold"],
 )
 def test_evaluate_rejects_malformed_forest_bundle(
     workspace, forest_bundle, tmp_path, capsys, defect

@@ -84,6 +84,68 @@ def test_jsonl_loader_reports_line_numbers(tmp_path):
         load_corpus(path)
 
 
+RECORD = '{"id": "a", "text": "x", "label": "l"}'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        RECORD,
+        "  " + RECORD,
+        "\t" + RECORD,
+        " \t " + RECORD + " \t ",
+        RECORD + "\r",
+        RECORD + "\x0c",
+        RECORD + "\u00a0",
+        RECORD + "\u2028",
+        RECORD + "  \u2029",
+        "\u00a0" + RECORD,
+        "\ufeff" + RECORD,
+        RECORD + RECORD,
+        RECORD + " x",
+        "1, 2",
+        "1",
+        "NaN",
+        "-Infinity",
+        '"text"',
+        "[" + RECORD + "]",
+        '{"id": "a", "text": "x", "label": "l", "meta": {"n": [1, {"k": null}], "x": NaN}}',
+        '{"id": "a", "text": {"nested": "x"}, "label": "l"}',
+        '{"id": 1, "text": "x", "label": "l"}',
+        '{"id": "a", "text": "x", "label": null}',
+        '{"id": "a", "text": "x", "label": "l", "source": "web"}',
+        '{"id": "a", "text": "x", "label": "l", "id": "b"}',
+        '{1: "a", "text": "x", "label": "l"}',
+        '{"id": "a", "text": "x", "label": "l",}',
+        '{"id": "a", "text": "x\u0001", "label": "l"}',
+        '{"id": "a", "text": "\\ud800", "label": "l"}',
+        "{broken",
+    ],
+)
+def test_jsonl_loader_accepts_exactly_what_json_loads_accepts(tmp_path, line):
+    """Each line, after one good line, loads as `json.loads` reads it, or
+    fails with `json.loads`'s message on line 2."""
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "first", "text": "y", "label": "l"}\n' + line + "\n",
+                    encoding="utf-8")
+    with open(path, encoding="utf-8") as handle:
+        read = list(handle)[1]  # the line as the loader reads it
+    try:
+        record = json.loads(read)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(DataError) as raised:
+            load_corpus(path)
+        assert str(raised.value) == f"{path}:2: malformed JSON: {exc.msg}"
+        return
+    keys = ("id", "text", "label")
+    if isinstance(record, dict) and all(isinstance(record.get(k), str) for k in keys):
+        loaded = load_corpus(path).documents[1]
+        assert loaded == Document(*(record[k] for k in keys), record.get("source"))
+    else:
+        with pytest.raises(DataError, match=rf"c\.jsonl:2: (record is not|key '\w+' must)"):
+            load_corpus(path)
+
+
 def test_jsonl_loader_requires_keys(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "label": "l"}\n', encoding="utf-8")

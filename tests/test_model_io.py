@@ -153,7 +153,8 @@ def test_wrong_types_are_data_errors():
 
 
 def test_tree_payloads_are_validated_on_load():
-    """Splits must name a real feature with a finite threshold, leaves must
+    """Splits must name a real feature (an int, not a float, string or bool)
+    with a finite threshold (an int or a float), leaves must
     hold label_count non-negative integer counts with a positive sum, and a
     forest must hold the n_trees trees its hyperparameters declare."""
     for kind in (ModelKind.DECISION_TREE, ModelKind.RANDOM_FOREST):
@@ -179,6 +180,10 @@ def test_tree_payloads_are_validated_on_load():
             lambda node: leaf(node).update(counts=[2, -1, 0]),
             lambda node: leaf(node).update(counts=[0, 0, 0]),
             lambda node: leaf(node).update(counts=[0.5, 0.25, 0.25]),
+            lambda node: node.update(feature=1.7),
+            lambda node: node.update(feature="1"),
+            lambda node: node.update(feature=True),
+            lambda node: node.update(threshold="0.5"),
         ]
         for defect in defects:
             broken = json.loads(json.dumps(doc))

@@ -3,6 +3,7 @@
 import bisect
 import random
 import re
+import sys
 import unicodedata
 from types import SimpleNamespace
 
@@ -81,7 +82,9 @@ def reference_preprocess_text(text):
     return reference_tokenize(reference_strip_noise(normalize_text(text)))
 
 
-RANDOM_POOL = "ابپتخدړزسقکلمنوي هڅ«»؟،.abcXY019۳٤www.x.co http://t.ly/z " + ZWNJ
+# Every code point `str.split` splits on.
+WHITESPACE = "".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
+RANDOM_POOL = "ابپتخدړزسقکلمنوي هڅ«»؟،.abcXY019۳٤www.x.co http://t.ly/z " + ZWNJ + WHITESPACE
 
 
 def random_pool_strings():
@@ -160,6 +163,21 @@ def test_preprocess_text_matches_reference_tokenizer():
     assert reference_preprocess_text("«خير» د،ى.") == ["خير", "دى"]
     for raw in ["«خير» د،ى.", *random_pool_strings()]:
         assert preprocess_text(raw) == reference_preprocess_text(raw), repr(raw)
+
+
+def test_preprocess_text_skips_only_what_cannot_change_tokens():
+    """Without the whitespace collapse and strip of `normalize_text`, the
+    tokens stay the same for every whitespace character, alone, between
+    letters, and inside or after a URL."""
+    assert len(WHITESPACE) > 20 and "\u2028" in WHITESPACE and "\x1c" in WHITESPACE
+    for ws in WHITESPACE:
+        for text in (
+            ws, ws * 3, f"ک{ws}ر", f"{ws}ک{ws}{ws}ر{ws}", f"http://t.ly/{ws}z ک",
+            f"ک http://t.ly/z{ws}ر", f"www.{ws}ک", f"ک{ws}www.x.co/{ws}{ws}ر",
+            f"ا\u0653{ws}{ZWNJ}و\u0654",  # NFC composes each pair
+        ):
+            expected = strip_noise(normalize_text(text)).split()
+            assert preprocess_text(text) == expected, (f"U+{ord(ws):04X}", text)
 
 
 def test_preprocess_text_example_sentences():

@@ -525,6 +525,13 @@ def test_deep_payload_loads_walks_and_saves_without_recursion():
                          right={"counts": [1]})),
          r"tree split feature 5 outside \[0, 1\)"),
         (dict(threshold=float("nan"), right={"counts": [1]}), "threshold nan"),
+        (dict(feature=True), "tree split feature True and threshold 0.5 must be"),
+        (dict(right=dict(feature=0, threshold="0.5", left={"counts": [1, 0]},
+                         right={"counts": [0, 1]})),
+         "tree split feature 0 and threshold '0.5' must be"),
+        (dict(left={"counts": [1]}, right=dict(feature=0.0, threshold=0.5,
+                                                left={"counts": [1]}, right={"counts": [1]})),
+         r"tree leaf counts \[1\]"),
     ],
 )
 def test_first_defect_in_preorder_is_named(defect, message):

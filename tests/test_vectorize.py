@@ -3,23 +3,31 @@
 import json
 import math
 import random
+from itertools import chain
 
 import numpy as np
 import pytest
 
-from pashtext.corpus import LabelSet
+from pashtext.corpus import Corpus, LabelSet, SplitSpec, stratified_split
 from pashtext.errors import DataError
-from pashtext.pipeline import TokenizedDocument
+from pashtext.pipeline import TokenizedDocument, preprocess
+from pashtext.synth import generate_corpus
 from pashtext.vectorize import (
+    FEATURE_MODES,
+    TEST,
     TFIDF,
+    TRAIN,
     UNIGRAM,
     FeatureMatrix,
     Vocabulary,
+    _indptr,
     apply_mask,
     build_vocabulary,
     chi2_scores,
     idf_weights,
     select_top_k,
+    split_features,
+    tfidf_from_counts,
     vectorize_documents,
 )
 
@@ -287,3 +295,128 @@ def test_vocabulary_round_trip_and_validation():
                     "n_train_docs": 1}, {"entries": 5, "n_train_docs": 1}):
         with pytest.raises(DataError, match="malformed vocabulary"):
             Vocabulary.from_json_dict(payload)
+
+
+# The per-token vocabulary loop, per-mode vectorizer and per-mode split path
+# that one document-frequency count and one count matrix per split side
+# replaced, kept verbatim as references.
+def reference_build_vocabulary(train_docs):
+    df = {}
+    for doc in train_docs:
+        for token in dict.fromkeys(doc.tokens):
+            df[token] = df.get(token, 0) + 1
+    return Vocabulary(
+        token_to_index={token: index for index, token in enumerate(df)},
+        document_frequency=np.fromiter(df.values(), dtype=np.int64, count=len(df)),
+        n_train_docs=len(train_docs),
+    )
+
+
+def reference_vectorize_documents(docs, vocab, mode, labels):
+    lookup = vocab.token_to_index
+    dim = len(vocab)
+    found = [[lookup[token] for token in doc.tokens if token in lookup] for doc in docs]
+    rows = np.repeat(np.arange(len(docs), dtype=np.int64), [len(f) for f in found])
+    columns = np.fromiter(chain.from_iterable(found), dtype=np.int64, count=rows.size)
+    keys, counts = np.unique(rows * dim + columns, return_counts=True)
+    cell_rows, indices = np.divmod(keys, max(dim, 1))
+    values = counts.astype(np.float64)
+    if mode == TFIDF:
+        values = values * idf_weights(vocab)[indices]
+        keep = values != 0.0
+        cell_rows, indices, values = cell_rows[keep], indices[keep], values[keep]
+    return FeatureMatrix(
+        indptr=_indptr(cell_rows, len(docs)),
+        indices=indices,
+        data=values,
+        row_labels=np.array([labels.index(doc.label) for doc in docs], dtype=np.int64),
+        mode=mode,
+        dim=dim,
+    )
+
+
+def reference_split_features(corpus, split, modes, sides=(TRAIN, TEST), select_k=None,
+                             vocab=None, mask=None):
+    needed = set(sides) if vocab is not None else {TRAIN, *sides}
+    docs = {}
+    for side, ids in ((TRAIN, split.train_ids), (TEST, split.test_ids)):
+        if side not in needed:
+            continue
+        docs[side] = preprocess(Corpus(corpus.subset(ids), corpus.labels)).documents
+    if vocab is None:
+        vocab = reference_build_vocabulary(docs[TRAIN])
+        if select_k is not None:
+            counts = reference_vectorize_documents(docs[TRAIN], vocab, UNIGRAM, corpus.labels)
+            mask = select_top_k(chi2_scores(counts, len(corpus.labels)), select_k)
+    matrices = {TRAIN: {}, TEST: {}}
+    for side in sides:
+        for mode in modes:
+            matrix = reference_vectorize_documents(docs[side], vocab, mode, corpus.labels)
+            matrices[side][mode] = matrix if mask is None else apply_mask(mask, matrix)
+    return vocab, mask, matrices
+
+
+def assert_same_matrix(got, expected):
+    for name in ("indptr", "indices", "data", "row_labels"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (got.mode, got.dim) == (expected.mode, expected.dim)
+
+
+def test_vocabulary_and_matrices_match_the_per_mode_reference():
+    """Random documents, with one token in every training document (idf 0,
+    so dropped from TFIDF) and unseen tokens on the test side."""
+    rng = random.Random(5)
+    labels = LabelSet(["x", "y", "z"])
+    for case in range(60):
+        alphabet = [f"t{i}" for i in range(rng.randrange(1, 30))]
+
+        def docs(n, extra):
+            return [
+                tdoc(f"{case}-{i}", [rng.choice(alphabet) for _ in range(rng.randrange(0, 12))]
+                     + extra, rng.choice(labels.names))
+                for i in range(n)
+            ]
+
+        train_docs = docs(rng.randrange(1, 20), ["common"] * rng.randrange(1, 3))
+        test_docs = docs(rng.randrange(0, 10), ["unseen", "common"][: rng.randrange(0, 3)])
+        vocab = build_vocabulary(train_docs)
+        expected_vocab = reference_build_vocabulary(train_docs)
+        assert list(vocab.token_to_index.items()) == list(expected_vocab.token_to_index.items())
+        assert vocab.document_frequency.tobytes() == expected_vocab.document_frequency.tobytes()
+        assert idf_weights(vocab)[vocab.token_to_index["common"]] == 0.0
+        for side in (train_docs, test_docs):
+            counts = vectorize_documents(side, vocab, UNIGRAM, labels)
+            assert_same_matrix(counts, reference_vectorize_documents(side, vocab, UNIGRAM, labels))
+            expected = reference_vectorize_documents(side, vocab, TFIDF, labels)
+            assert_same_matrix(tfidf_from_counts(counts, vocab), expected)
+            assert_same_matrix(vectorize_documents(side, vocab, TFIDF, labels), expected)
+            assert vocab.token_to_index["common"] not in expected.indices
+
+
+@pytest.mark.parametrize("select_k", [None, 1, 15, 10**6])
+def test_split_features_matches_the_per_mode_reference(select_k):
+    corpus = generate_corpus(3, 12, noise_rate=0.6, seed=3)
+    split = stratified_split(corpus, SplitSpec(0.75, 4))
+    for modes in (FEATURE_MODES, [TFIDF], [UNIGRAM]):
+        for sides in ((TRAIN, TEST), (TRAIN,), (TEST,)):
+            got = split_features(corpus, split, modes, sides, select_k=select_k)
+            vocab, mask, expected = reference_split_features(corpus, split, modes, sides,
+                                                             select_k)
+            assert got.vocab.to_json_dict() == vocab.to_json_dict()
+            if select_k is None:
+                assert got.mask is None and mask is None
+            else:
+                assert got.mask.kept_indices.tolist() == mask.kept_indices.tolist()
+                assert got.mask.scores.tobytes() == mask.scores.tobytes()
+            # the evaluate path: a fitted vocabulary and mask, the test side only
+            fitted = split_features(corpus, split, modes, [TEST], vocab=vocab, mask=mask)
+            _, _, expected_fitted = reference_split_features(corpus, split, modes, [TEST],
+                                                             vocab=vocab, mask=mask)
+            pairs = [(got.train, expected[TRAIN]), (got.test, expected[TEST]),
+                     (fitted.test, expected_fitted[TEST]), (fitted.train, {})]
+            for matrices, expected_matrices in pairs:
+                assert list(matrices) == list(expected_matrices)
+                for mode, matrix in matrices.items():
+                    assert_same_matrix(matrix, expected_matrices[mode])
+
