@@ -243,36 +243,54 @@ def _parse_line(line: str):
     return value
 
 
+def _text_lines(path: Path):
+    """The lines of the UTF-8 file `path`.  The file iterator decodes ahead
+    of the lines it yields, so a byte that is not UTF-8 is looked for again,
+    line by line, to name its line in the DataError."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError as exc:
+            with open(path, "rb") as raw:
+                for line_no, line in enumerate(raw, 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError:
+                        break
+            raise DataError(f"{path}:{line_no}: not UTF-8: {exc.reason}") from None
+
+
 def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
     by_id: dict[str, Document] = {}
     observed_labels: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            if line.isspace():
-                continue
-            try:
-                record = _parse_line(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
-            if not isinstance(record, dict):
-                raise DataError(f"{path}:{line_no}: record is not a JSON object")
-            for key in ("id", "text", "label"):
-                if key not in record:
-                    raise DataError(f"{path}:{line_no}: missing required key {key!r}")
-                if not isinstance(record[key], str):
-                    raise DataError(f"{path}:{line_no}: key {key!r} must be a string")
-            doc_id = record["id"]
-            if doc_id in by_id:
-                raise DataError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
-            label = record["label"]
-            if labels is not None and label not in labels:
-                raise DataError(
-                    f"{path}:{line_no}: label {label!r} outside the supplied label set"
-                )
-            observed_labels.add(label)
-            by_id[doc_id] = Document(
-                id=doc_id, text=record["text"], label=label, source=record.get("source")
+    for line_no, line in enumerate(_text_lines(path), 1):
+        if line.isspace():
+            continue
+        try:
+            record = _parse_line(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
+        except RecursionError:
+            raise DataError(f"{path}:{line_no}: JSON nested too deeply") from None
+        if not isinstance(record, dict):
+            raise DataError(f"{path}:{line_no}: record is not a JSON object")
+        for key in ("id", "text", "label"):
+            if key not in record:
+                raise DataError(f"{path}:{line_no}: missing required key {key!r}")
+            if not isinstance(record[key], str):
+                raise DataError(f"{path}:{line_no}: key {key!r} must be a string")
+        doc_id = record["id"]
+        if doc_id in by_id:
+            raise DataError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
+        label = record["label"]
+        if labels is not None and label not in labels:
+            raise DataError(
+                f"{path}:{line_no}: label {label!r} outside the supplied label set"
             )
+        observed_labels.add(label)
+        by_id[doc_id] = Document(
+            id=doc_id, text=record["text"], label=label, source=record.get("source")
+        )
     if not by_id:
         raise DataError(f"corpus file is empty: {path}")
     label_set = labels if labels is not None else LabelSet(sorted(observed_labels))
@@ -293,13 +311,11 @@ def _load_directory(path: Path, labels: LabelSet | None) -> Corpus:
             )
         observed_labels.append(label)
         for file in sorted(label_dir.glob("*.txt")):
-            documents.append(
-                Document(
-                    id=f"{label}/{file.name}",
-                    text=file.read_text(encoding="utf-8"),
-                    label=label,
-                )
-            )
+            try:
+                text = file.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{file}: not UTF-8: {exc.reason}") from None
+            documents.append(Document(id=f"{label}/{file.name}", text=text, label=label))
     if not documents:
         raise DataError(f"corpus directory contains no documents: {path}")
     label_set = labels if labels is not None else LabelSet(sorted(observed_labels))

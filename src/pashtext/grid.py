@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from .corpus import Corpus, CorpusSplit
 from .errors import DataError, expect_format, malformed
 from .metrics import EvalReport, evaluate_predictions
-from .models import KIND_DISPLAY_NAMES, ModelKind, default_params, train
-from .models.params import DEFAULT_SEED
+from .models import ModelKind, train
+from .models.base import KIND_CLASSES
+from .models.params import DEFAULT_SEED, default_params
 from .prng import derive_seed
 from .vectorize import FEATURE_MODES, TFIDF, UNIGRAM, SplitFeatures, split_features
 
@@ -146,7 +147,7 @@ class GridReport:
             "| --- | --- | --- |",
         ]
         for kind in ModelKind:
-            row = [KIND_DISPLAY_NAMES[kind]]
+            row = [KIND_CLASSES[kind].display_name]
             for mode in FEATURE_MODES:
                 cell = self.cell(kind, mode)
                 row.append("failed" if cell.accuracy is None else f"{cell.accuracy:.4f}")
@@ -158,7 +159,7 @@ class GridReport:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["classifier", "unigram", "tfidf"])
         for kind in ModelKind:
-            row = [KIND_DISPLAY_NAMES[kind]]
+            row = [KIND_CLASSES[kind].display_name]
             for mode in FEATURE_MODES:
                 cell = self.cell(kind, mode)
                 row.append("" if cell.accuracy is None else f"{cell.accuracy:.6f}")
@@ -168,7 +169,7 @@ class GridReport:
     def per_class_tables_markdown(self) -> str:
         blocks = []
         for kind in ModelKind:
-            lines = [f"## {KIND_DISPLAY_NAMES[kind]}", ""]
+            lines = [f"## {KIND_CLASSES[kind].display_name}", ""]
             cells = {mode: self.cell(kind, mode) for mode in FEATURE_MODES}
             if all(c.report is None for c in cells.values()):
                 errors = "; ".join(
@@ -214,7 +215,7 @@ class GridReport:
                 for name, m in zip(self.label_names, report.per_class):
                     writer.writerow(
                         [
-                            KIND_DISPLAY_NAMES[kind],
+                            KIND_CLASSES[kind].display_name,
                             name,
                             mode,
                             f"{m.precision:.6f}",

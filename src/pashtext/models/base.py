@@ -1,4 +1,5 @@
-"""Model kind enumeration and the common batched predict contract."""
+"""Model kind enumeration, the kind -> class table and the common batched
+predict contract."""
 
 from __future__ import annotations
 
@@ -28,16 +29,8 @@ class ModelKind(str, Enum):
     MLP = "mlp"
 
 
-KIND_DISPLAY_NAMES = {
-    ModelKind.GAUSSIAN_NB: "Gaussian Naive Bayes",
-    ModelKind.MULTINOMIAL_NB: "Multinomial Naive Bayes",
-    ModelKind.KNN: "K Nearest Neighbor",
-    ModelKind.DECISION_TREE: "Decision Tree",
-    ModelKind.RANDOM_FOREST: "Random Forest",
-    ModelKind.LOGISTIC_REGRESSION: "Logistic Regression",
-    ModelKind.LINEAR_SVM: "Linear SVM",
-    ModelKind.MLP: "Multilayer Perceptron",
-}
+# The class of each kind; the family modules fill it as they define them.
+KIND_CLASSES: dict[ModelKind, type["Model"]] = {}
 
 
 # Dense cells per scoring block: large enough that per-block overhead is
@@ -78,11 +71,29 @@ class Model(ABC):
     is family-specific (log-posteriors, votes, margins or probabilities) but
     the row-wise argmax with lowest-index tie-break is the prediction for
     every family.
+
+    Each concrete family sets `kind`, its hyperparameter record class
+    `params_class` and its report name `display_name`; defining the class
+    enters it in `KIND_CLASSES`.
     """
 
     kind: ModelKind
+    params_class: type
+    display_name: str
     label_count: int
     feature_dimension: int
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "kind" in vars(cls):
+            if cls.kind in KIND_CLASSES:
+                raise TypeError(f"a second model class of kind {cls.kind.value}")
+            KIND_CLASSES[cls.kind] = cls
+
+    @classmethod
+    @abstractmethod
+    def fit(cls, matrix: FeatureMatrix, params, label_count: int) -> "Model":
+        """Train on the matrix's rows and labels, which `train` has checked."""
 
     def predict_scores(self, matrix: FeatureMatrix) -> np.ndarray:
         """(n_rows, label_count) per-class scores, computed block by block."""

@@ -16,22 +16,11 @@ from ..errors import (
     expect_format,
     malformed,
 )
-from .base import Model, ModelKind
-from .knn import KNNModel
-from .linear import LinearSVMModel, LogisticRegressionModel
-from .mlp import MLPModel
-from .naive_bayes import GaussianNBModel, MultinomialNBModel
+from .base import KIND_CLASSES, Model, ModelKind
 from .params import params_from_dict
-from .tree import DecisionTreeModel, RandomForestModel
 
 FORMAT_NAME = "pashtext-model"
 FORMAT_VERSION = 1
-
-_MODEL_CLASSES = {
-    cls.kind: cls
-    for cls in (GaussianNBModel, MultinomialNBModel, KNNModel, DecisionTreeModel,
-                RandomForestModel, LogisticRegressionModel, LinearSVMModel, MLPModel)
-}
 
 
 def model_document(model: Model) -> dict:
@@ -55,7 +44,7 @@ def model_from_document(document: dict) -> Model:
     try:
         with malformed(f"{kind.value} model document"):
             params = params_from_dict(kind, document["hyperparams"])
-            model = _MODEL_CLASSES[kind].from_payload(
+            model = KIND_CLASSES[kind].from_payload(
                 document["payload"], params,
                 document["label_count"], document["feature_dimension"],
             )

@@ -70,6 +70,8 @@ class KNNModel(Model):
     """
 
     kind = ModelKind.KNN
+    params_class = KNNParams
+    display_name = "K Nearest Neighbor"
 
     def __init__(self, matrix: FeatureMatrix, params: KNNParams, label_count: int):
         if matrix.n_rows and (
@@ -84,6 +86,14 @@ class KNNModel(Model):
         self.feature_dimension = matrix.dim
         self._row_ids = matrix.row_ids()
         self._row_norm_sq = matrix.squared_norms()
+
+    @classmethod
+    def fit(cls, matrix: FeatureMatrix, params: KNNParams, label_count: int) -> "KNNModel":
+        if params.k > matrix.n_rows:
+            raise InvalidHyperparameterError(
+                f"k={params.k} exceeds the {matrix.n_rows} training rows"
+            )
+        return cls(matrix, params, label_count)
 
     def _block_width(self) -> int:
         # Distances, their sort order and the dense queries: one row each.
@@ -128,11 +138,3 @@ class KNNModel(Model):
         if (matrix.data < 0).any():  # no unigram or TFIDF value is negative
             raise DataError("knn stored feature values must not be negative")
         return cls(matrix, params, payload["label_count"])
-
-
-def train_knn(matrix: FeatureMatrix, params: KNNParams, label_count: int) -> KNNModel:
-    if params.k > matrix.n_rows:
-        raise InvalidHyperparameterError(
-            f"k={params.k} exceeds the {matrix.n_rows} training rows"
-        )
-    return KNNModel(matrix, params, label_count)

@@ -71,11 +71,31 @@ def logistic_loss_and_grads(
 
 
 class _LinearModel(Model):
+    """A weight row and bias per class, fit by full-batch gradient descent on
+    the family's `loss_and_grads`."""
+
+    params_class = LinearParams
+
     def __init__(self, weights, bias, params: LinearParams):
         self.weights = checked_array(self.kind, "weights", weights, (None, None))
         self.label_count, self.feature_dimension = self.weights.shape
         self.bias = checked_array(self.kind, "bias", bias, (self.label_count,))
         self.params = params
+
+    @classmethod
+    def fit(cls, matrix: FeatureMatrix, params: LinearParams, label_count: int):
+        dense = matrix.to_dense()
+        weights = np.zeros((label_count, matrix.dim), dtype=np.float64)
+        bias = np.zeros(label_count, dtype=np.float64)
+        for epoch in range(params.epochs):
+            loss, grad_w, grad_b = cls.loss_and_grads(
+                weights, bias, dense, matrix.row_labels, params.l2_strength
+            )
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch)
+            weights -= params.learning_rate * grad_w
+            bias -= params.learning_rate * grad_b
+        return cls(weights, bias, params)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         return matrix.dot(self.weights.T) + self.bias
@@ -93,41 +113,16 @@ class LinearSVMModel(_LinearModel):
     """One-vs-rest hinge-trained hyperplanes; scores are raw margins."""
 
     kind = ModelKind.LINEAR_SVM
+    display_name = "Linear SVM"
+    loss_and_grads = staticmethod(svm_loss_and_grads)
 
 
 class LogisticRegressionModel(_LinearModel):
     """Softmax regression; scores are class probabilities."""
 
     kind = ModelKind.LOGISTIC_REGRESSION
+    display_name = "Logistic Regression"
+    loss_and_grads = staticmethod(logistic_loss_and_grads)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         return softmax(super()._scores(matrix))
-
-
-def _fit(matrix: FeatureMatrix, params: LinearParams, label_count: int, loss_and_grads):
-    dense = matrix.to_dense()
-    weights = np.zeros((label_count, matrix.dim), dtype=np.float64)
-    bias = np.zeros(label_count, dtype=np.float64)
-    for epoch in range(params.epochs):
-        loss, grad_w, grad_b = loss_and_grads(
-            weights, bias, dense, matrix.row_labels, params.l2_strength
-        )
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch)
-        weights -= params.learning_rate * grad_w
-        bias -= params.learning_rate * grad_b
-    return weights, bias
-
-
-def train_linear_svm(
-    matrix: FeatureMatrix, params: LinearParams, label_count: int
-) -> LinearSVMModel:
-    weights, bias = _fit(matrix, params, label_count, svm_loss_and_grads)
-    return LinearSVMModel(weights, bias, params)
-
-
-def train_logistic_regression(
-    matrix: FeatureMatrix, params: LinearParams, label_count: int
-) -> LogisticRegressionModel:
-    weights, bias = _fit(matrix, params, label_count, logistic_loss_and_grads)
-    return LogisticRegressionModel(weights, bias, params)

@@ -82,6 +82,8 @@ class MLPModel(Model):
     """Weights w1 (V x H), b1 (H), w2 (H x K), b2 (K), as views of `flat`."""
 
     kind = ModelKind.MLP
+    params_class = MLPParams
+    display_name = "Multilayer Perceptron"
 
     def __init__(self, w1, b1, w2, b2, params: MLPParams):
         hidden = params.hidden_units
@@ -96,6 +98,15 @@ class MLPModel(Model):
         self.flat = np.concatenate([t.ravel() for t in tensors])
         self.w1, self.b1, self.w2, self.b2 = self.split(self.flat)
         self.params = params
+
+    @classmethod
+    def fit(cls, matrix: FeatureMatrix, params: MLPParams, label_count: int) -> "MLPModel":
+        model = init_mlp(matrix.dim, label_count, params)
+        adam = AdamState.for_model(model)
+        samples = row_samples(matrix, range(matrix.n_rows), matrix.row_labels)
+        for _ in range(params.epochs):
+            model, _loss = mlp_epoch(model, samples, params, adam)
+        return model
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
         """w1, b1, w2, b2 views of a flat buffer in this model's layout."""
@@ -191,12 +202,3 @@ def mlp_epoch(
             parts[0][columns] = 0.0
         tail.fill(0.0)
     return model, epoch_loss / n
-
-
-def train_mlp(matrix: FeatureMatrix, params: MLPParams, label_count: int) -> MLPModel:
-    model = init_mlp(matrix.dim, label_count, params)
-    adam = AdamState.for_model(model)
-    samples = row_samples(matrix, range(matrix.n_rows), matrix.row_labels)
-    for _ in range(params.epochs):
-        model, _loss = mlp_epoch(model, samples, params, adam)
-    return model

@@ -37,6 +37,8 @@ class GaussianNBModel(Model):
     """
 
     kind = ModelKind.GAUSSIAN_NB
+    params_class = GaussianNBParams
+    display_name = "Gaussian Naive Bayes"
 
     def __init__(self, priors, means, variances, params: GaussianNBParams):
         self.means = checked_array(self.kind, "means", means, (None, None))
@@ -48,6 +50,27 @@ class GaussianNBModel(Model):
             raise TrainingError("class priors must sum to 1")
         if np.any(self.variances <= 0):
             raise TrainingError("variances must be strictly positive after flooring")
+
+    @classmethod
+    def fit(cls, matrix: FeatureMatrix, params: GaussianNBParams,
+            label_count: int) -> "GaussianNBModel":
+        dense = matrix.to_dense()
+        labels = matrix.row_labels
+        priors = _class_priors(labels, label_count)
+        means = np.zeros((label_count, matrix.dim))
+        variances = np.zeros((label_count, matrix.dim))
+        for c in range(label_count):
+            rows = dense[labels == c]
+            if rows.size:
+                means[c] = rows.mean(axis=0)
+                variances[c] = rows.var(axis=0)  # biased (1/n) variance
+        # Floor: variance_floor times the largest pooled per-feature variance.
+        # Falls back to a tiny absolute value when the whole matrix is constant.
+        floor = params.variance_floor * float(dense.var(axis=0).max())
+        if floor == 0.0:
+            floor = 1e-12
+        variances += floor
+        return cls(priors, means, variances, params)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         dense = matrix.to_dense()
@@ -71,28 +94,6 @@ class GaussianNBModel(Model):
         return cls(payload["priors"], payload["means"], payload["variances"], params)
 
 
-def train_gaussian_nb(
-    matrix: FeatureMatrix, params: GaussianNBParams, label_count: int
-) -> GaussianNBModel:
-    dense = matrix.to_dense()
-    labels = matrix.row_labels
-    priors = _class_priors(labels, label_count)
-    means = np.zeros((label_count, matrix.dim))
-    variances = np.zeros((label_count, matrix.dim))
-    for c in range(label_count):
-        rows = dense[labels == c]
-        if rows.size:
-            means[c] = rows.mean(axis=0)
-            variances[c] = rows.var(axis=0)  # biased (1/n) variance
-    # Floor: variance_floor times the largest pooled per-feature variance.
-    # Falls back to a tiny absolute value when the whole matrix is constant.
-    floor = params.variance_floor * float(dense.var(axis=0).max())
-    if floor == 0.0:
-        floor = 1e-12
-    variances += floor
-    return GaussianNBModel(priors, means, variances, params)
-
-
 class MultinomialNBModel(Model):
     """Laplace-smoothed per-class token distributions over sparse counts.
 
@@ -101,6 +102,8 @@ class MultinomialNBModel(Model):
     """
 
     kind = ModelKind.MULTINOMIAL_NB
+    params_class = MultinomialNBParams
+    display_name = "Multinomial Naive Bayes"
 
     def __init__(self, priors, log_token_probs, params: MultinomialNBParams):
         self.log_token_probs = checked_array(
@@ -115,6 +118,18 @@ class MultinomialNBModel(Model):
         if np.any(np.abs(prob_sums - 1.0) > 1e-9):
             raise TrainingError("per-class token probabilities must sum to 1")
 
+    @classmethod
+    def fit(cls, matrix: FeatureMatrix, params: MultinomialNBParams,
+            label_count: int) -> "MultinomialNBModel":
+        if matrix.nnz and matrix.data.min() < 0:
+            raise DataError("multinomial NB requires non-negative feature values")
+        priors = _class_priors(matrix.row_labels, label_count)
+        token_sums = class_sums(matrix, label_count)
+        alpha = params.laplace_alpha
+        smoothed = token_sums + alpha
+        log_probs = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
+        return cls(priors, log_probs, params)
+
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         return _log_normalize(np.log(self.priors) + matrix.dot(self.log_token_probs.T))
 
@@ -128,16 +143,3 @@ class MultinomialNBModel(Model):
     def from_payload(cls, payload: dict, params: MultinomialNBParams, label_count: int,
                      feature_dimension: int) -> "MultinomialNBModel":
         return cls(payload["priors"], payload["log_token_probs"], params)
-
-
-def train_multinomial_nb(
-    matrix: FeatureMatrix, params: MultinomialNBParams, label_count: int
-) -> MultinomialNBModel:
-    if matrix.nnz and matrix.data.min() < 0:
-        raise DataError("multinomial NB requires non-negative feature values")
-    priors = _class_priors(matrix.row_labels, label_count)
-    token_sums = class_sums(matrix, label_count)
-    alpha = params.laplace_alpha
-    smoothed = token_sums + alpha
-    log_probs = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
-    return MultinomialNBModel(priors, log_probs, params)

@@ -6,7 +6,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from ..errors import InvalidHyperparameterError
-from .base import ModelKind
+from .base import KIND_CLASSES, ModelKind
 
 DEFAULT_SEED = 42
 
@@ -114,26 +114,25 @@ class MLPParams:
         _require(self.batch_size >= 1, "batch_size must be >= 1")
 
 
-_PARAMS_BY_KIND = {
-    ModelKind.GAUSSIAN_NB: GaussianNBParams,
-    ModelKind.MULTINOMIAL_NB: MultinomialNBParams,
-    ModelKind.KNN: KNNParams,
-    ModelKind.DECISION_TREE: DecisionTreeParams,
-    ModelKind.RANDOM_FOREST: RandomForestParams,
-    ModelKind.LOGISTIC_REGRESSION: LinearParams,
-    ModelKind.LINEAR_SVM: LinearParams,
-    ModelKind.MLP: MLPParams,
-}
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(raw)
+    return lowered in ("true", "1", "yes")
 
 
-def params_class_for(kind: ModelKind):
-    return _PARAMS_BY_KIND[kind]
+def _parse_int_or_none(raw: str) -> int | None:
+    return None if raw.lower() in ("none", "null") else int(raw)
 
 
-# The JSON types that may hold a value of each field annotation.
-_JSON_TYPES = {
-    "int": int, "int | None": (int, type(None)), "float": (int, float),
-    "bool": bool, "str": str,
+# Per field annotation: the JSON types that may hold a saved value, the
+# parser of a --param string, and what a string it refuses was expected to be.
+_FIELD_TYPES = {
+    "int": (int, int, "int"),
+    "int | None": ((int, type(None)), _parse_int_or_none, "int"),
+    "float": ((int, float), float, "float"),
+    "bool": (bool, _parse_bool, "a boolean"),
+    "str": (str, str, "str"),
 }
 
 
@@ -143,47 +142,28 @@ def params_from_dict(kind: ModelKind, values: dict):
     `values` must name every field, each with a value of the field's type;
     anything else is a TypeError, so no default fills in for a lost value.
     """
-    fields = dataclasses.fields(_PARAMS_BY_KIND[kind])
+    cls = KIND_CLASSES[kind].params_class
+    fields = dataclasses.fields(cls)
     names = sorted(f.name for f in fields)
     if sorted(values) != names:
         raise TypeError(f"hyperparams must name exactly {names}")
     for f in fields:
-        if not isinstance(values[f.name], _JSON_TYPES[f.type]):
+        if not isinstance(values[f.name], _FIELD_TYPES[f.type][0]):
             raise TypeError(f"hyperparameter {f.name} must be {f.type}")
-    return _PARAMS_BY_KIND[kind](**values)
+    return cls(**values)
 
 
 def default_params(kind: ModelKind, seed: int = DEFAULT_SEED):
     """Default hyperparameters for a kind, with the seed threaded in."""
-    cls = _PARAMS_BY_KIND[kind]
+    cls = KIND_CLASSES[kind].params_class
     if "seed" in {f.name for f in dataclasses.fields(cls)}:
         return cls(seed=seed)
     return cls()
 
 
-def _parse_value(raw: str, target_type, field_name: str):
-    if target_type is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise InvalidHyperparameterError(f"{field_name}: expected a boolean, got {raw!r}")
-    try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-    except ValueError:
-        raise InvalidHyperparameterError(
-            f"{field_name}: expected {target_type.__name__}, got {raw!r}"
-        ) from None
-    return raw
-
-
 def params_with_overrides(kind: ModelKind, seed: int, overrides: dict[str, str]):
     """Build a params record from key=value string overrides (CLI surface)."""
-    cls = _PARAMS_BY_KIND[kind]
+    cls = KIND_CLASSES[kind].params_class
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     if "seed" in fields:
@@ -194,16 +174,11 @@ def params_with_overrides(kind: ModelKind, seed: int, overrides: dict[str, str])
                 f"unknown hyperparameter {key!r} for {kind.value}; "
                 f"valid names: {sorted(fields)}"
             )
-        annotation = fields[key].type
-        if key == "max_depth" and raw.lower() in ("none", "null"):
-            kwargs[key] = None
-            continue
-        if annotation in ("int", "int | None"):
-            kwargs[key] = _parse_value(raw, int, key)
-        elif annotation == "float":
-            kwargs[key] = _parse_value(raw, float, key)
-        elif annotation == "bool":
-            kwargs[key] = _parse_value(raw, bool, key)
-        else:
-            kwargs[key] = raw
+        _, parse, expected = _FIELD_TYPES[fields[key].type]
+        try:
+            kwargs[key] = parse(raw)
+        except ValueError:
+            raise InvalidHyperparameterError(
+                f"{key}: expected {expected}, got {raw!r}"
+            ) from None
     return cls(**kwargs)

@@ -9,26 +9,10 @@ import numpy as np
 
 from ..errors import DataError, InvalidHyperparameterError
 from ..vectorize import FeatureMatrix
-from .base import Model, ModelKind
-from .knn import train_knn
-from .linear import train_linear_svm, train_logistic_regression
-from .mlp import train_mlp
-from .naive_bayes import train_gaussian_nb, train_multinomial_nb
-from .params import default_params, params_class_for
-from .tree import train_decision_tree, train_random_forest
+from .base import KIND_CLASSES, Model, ModelKind
+from .params import default_params
 
 logger = logging.getLogger(__name__)
-
-_TRAINERS = {
-    ModelKind.GAUSSIAN_NB: train_gaussian_nb,
-    ModelKind.MULTINOMIAL_NB: train_multinomial_nb,
-    ModelKind.KNN: train_knn,
-    ModelKind.DECISION_TREE: train_decision_tree,
-    ModelKind.RANDOM_FOREST: train_random_forest,
-    ModelKind.LOGISTIC_REGRESSION: train_logistic_regression,
-    ModelKind.LINEAR_SVM: train_linear_svm,
-    ModelKind.MLP: train_mlp,
-}
 
 
 def train(
@@ -44,11 +28,12 @@ def train(
     the seed carried inside `params`.
     """
     kind = ModelKind(kind)
+    model_class = KIND_CLASSES[kind]
     if params is None:
         params = default_params(kind)
-    if not isinstance(params, params_class_for(kind)):
+    if not isinstance(params, model_class.params_class):
         raise InvalidHyperparameterError(
-            f"{kind.value} expects {params_class_for(kind).__name__}, "
+            f"{kind.value} expects {model_class.params_class.__name__}, "
             f"got {type(params).__name__}"
         )
     if matrix.n_rows == 0:
@@ -63,7 +48,7 @@ def train(
     elif label_count <= int(present.max()):
         raise DataError("label_count is smaller than the largest label present")
     started = time.perf_counter()
-    model = _TRAINERS[kind](matrix, params, label_count)
+    model = model_class.fit(matrix, params, label_count)
     logger.debug(
         "trained %s on %d rows x %d features in %.3fs",
         kind.value, matrix.n_rows, matrix.dim, time.perf_counter() - started,

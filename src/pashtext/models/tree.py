@@ -209,6 +209,14 @@ def _grow(dense: np.ndarray, labels: np.ndarray, row_ids: np.ndarray, label_coun
         stack += [(rows[~goes_left], depth + 1, index), (rows[goes_left], depth + 1, -1)]
 
 
+def _feature_samples(rng: SplitMix64, dim: int, per_split: int):
+    """Each node's sorted candidate features: successive
+    `rng.sample_indices(dim, per_split)` draws, made 64 nodes at a time.
+    Drawing ahead only moves the tree's own stream past the tree's last use."""
+    while True:
+        yield from np.sort(rng.sample_index_sets(dim, per_split, 64), axis=1)
+
+
 class _TreeModel(Model):
     """Trees held as `Nodes`; all rows walk all trees together."""
 
@@ -246,6 +254,18 @@ class DecisionTreeModel(_TreeModel):
     """Single CART tree; scores are the reached leaf's class frequencies."""
 
     kind = ModelKind.DECISION_TREE
+    params_class = DecisionTreeParams
+    display_name = "Decision Tree"
+
+    @classmethod
+    def fit(cls, matrix: FeatureMatrix, params: DecisionTreeParams,
+            label_count: int) -> "DecisionTreeModel":
+        all_features = np.arange(matrix.dim)
+        records = []
+        _grow(matrix.to_dense(), matrix.row_labels, np.arange(matrix.n_rows), label_count,
+              params, lambda: all_features, records)
+        nodes = _nodes(records, label_count, matrix.dim)
+        return cls(nodes, params, label_count, matrix.dim)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         counts = self.nodes.counts[self._leaves(matrix)[:, 0]].astype(np.float64)
@@ -261,21 +281,36 @@ class DecisionTreeModel(_TreeModel):
         return cls(nodes, params, label_count, feature_dimension)
 
 
-def train_decision_tree(
-    matrix: FeatureMatrix, params: DecisionTreeParams, label_count: int
-) -> DecisionTreeModel:
-    all_features = np.arange(matrix.dim)
-    records = []
-    _grow(matrix.to_dense(), matrix.row_labels, np.arange(matrix.n_rows), label_count,
-          params, lambda: all_features, records)
-    nodes = _nodes(records, label_count, matrix.dim)
-    return DecisionTreeModel(nodes, params, label_count, matrix.dim)
-
-
 class RandomForestModel(_TreeModel):
     """Bagged trees; scores are the per-class vote counts across trees."""
 
     kind = ModelKind.RANDOM_FOREST
+    params_class = RandomForestParams
+    display_name = "Random Forest"
+
+    @classmethod
+    def fit(cls, matrix: FeatureMatrix, params: RandomForestParams,
+            label_count: int) -> "RandomForestModel":
+        dense = matrix.to_dense()
+        n, dim = dense.shape
+        per_split = params.features_per_split or max(1, int(np.sqrt(dim)))
+        all_features = np.arange(dim)
+        records = []
+        for tree_index in range(params.n_trees):
+            rng = SplitMix64(derive_seed(params.seed, tree_index))
+            if params.bootstrap:
+                row_ids = rng.next_below_block(np.full(n, n)).astype(np.int64)
+            else:
+                row_ids = np.arange(n)
+            if per_split >= dim:
+                # Full ordered scan: identical candidate order to a plain tree,
+                # which is what makes the one-tree forest match it exactly.
+                picker = lambda: all_features
+            else:
+                picker = _feature_samples(rng, dim, per_split).__next__
+            _grow(dense, matrix.row_labels, row_ids, label_count, params, picker, records)
+        nodes = _nodes(records, label_count, dim)
+        return cls(nodes, params, label_count, dim)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         n, k = matrix.n_rows, self.label_count
@@ -298,36 +333,3 @@ class RandomForestModel(_TreeModel):
             )
         nodes = Nodes.from_payload(entries, label_count, feature_dimension)
         return cls(nodes, params, label_count, feature_dimension)
-
-
-def _feature_samples(rng: SplitMix64, dim: int, per_split: int):
-    """Each node's sorted candidate features: successive
-    `rng.sample_indices(dim, per_split)` draws, made 64 nodes at a time.
-    Drawing ahead only moves the tree's own stream past the tree's last use."""
-    while True:
-        yield from np.sort(rng.sample_index_sets(dim, per_split, 64), axis=1)
-
-
-def train_random_forest(
-    matrix: FeatureMatrix, params: RandomForestParams, label_count: int
-) -> RandomForestModel:
-    dense = matrix.to_dense()
-    n, dim = dense.shape
-    per_split = params.features_per_split or max(1, int(np.sqrt(dim)))
-    all_features = np.arange(dim)
-    records = []
-    for tree_index in range(params.n_trees):
-        rng = SplitMix64(derive_seed(params.seed, tree_index))
-        if params.bootstrap:
-            row_ids = rng.next_below_block(np.full(n, n)).astype(np.int64)
-        else:
-            row_ids = np.arange(n)
-        if per_split >= dim:
-            # Full ordered scan: identical candidate order to a plain tree,
-            # which is what makes the one-tree forest match it exactly.
-            picker = lambda: all_features
-        else:
-            picker = _feature_samples(rng, dim, per_split).__next__
-        _grow(dense, matrix.row_labels, row_ids, label_count, params, picker, records)
-    nodes = _nodes(records, label_count, dim)
-    return RandomForestModel(nodes, params, label_count, dim)

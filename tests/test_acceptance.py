@@ -16,23 +16,20 @@ import pytest
 from pashtext.cli import main as cli_main
 from pashtext.corpus import Corpus, Document, LabelSet, SplitSpec, stratified_split
 from pashtext.metrics import evaluate_predictions
-from pashtext.models import (
+from pashtext.models import ModelKind, train
+from pashtext.models.naive_bayes import GaussianNBModel, MultinomialNBModel
+from pashtext.models.params import (
     DecisionTreeParams,
+    GaussianNBParams,
     KNNParams,
     LinearParams,
     MLPParams,
-    ModelKind,
     MultinomialNBParams,
-    GaussianNBParams,
     RandomForestParams,
-    train,
-    train_decision_tree,
-    train_gaussian_nb,
-    train_multinomial_nb,
-    train_random_forest,
 )
 from pashtext.models.linear import logistic_loss_and_grads, svm_loss_and_grads
 from pashtext.models.mlp import init_mlp, mlp_loss_and_grads, row_samples
+from pashtext.models.tree import DecisionTreeModel, RandomForestModel
 from pashtext.pipeline import (
     TokenizedDocument,
     preprocess,
@@ -206,14 +203,14 @@ def test_criterion_3_naive_bayes_oracle():
         matrix = matrix_from_dense(dense, labels)
         query_matrix = matrix_from_dense([query])
 
-        mnb = train_multinomial_nb(matrix, MultinomialNBParams(laplace_alpha=1.0),
-                                   label_count)
+        mnb = MultinomialNBModel.fit(matrix, MultinomialNBParams(laplace_alpha=1.0),
+                                     label_count)
         got = np.exp(mnb.predict_scores(query_matrix)[0])
         expected = brute_multinomial_posterior(dense, labels, query, label_count, 1.0)
         assert np.allclose(got, expected, atol=1e-9)
 
         params = GaussianNBParams(variance_floor=0.5)
-        gnb = train_gaussian_nb(matrix, params, label_count)
+        gnb = GaussianNBModel.fit(matrix, params, label_count)
         got = np.exp(gnb.predict_scores(query_matrix)[0])
         expected = brute_gaussian_posterior(
             dense, labels, query, label_count, params.variance_floor
@@ -499,8 +496,8 @@ def test_criterion_7_determinism(desk_grid):
     vocab = build_vocabulary(train_docs)
     train_matrix = vectorize_documents(train_docs, vocab, UNIGRAM, corpus.labels)
     test_matrix = vectorize_documents(test_docs, vocab, UNIGRAM, corpus.labels)
-    tree = train_decision_tree(train_matrix, DecisionTreeParams(), 4)
-    forest = train_random_forest(
+    tree = DecisionTreeModel.fit(train_matrix, DecisionTreeParams(), 4)
+    forest = RandomForestModel.fit(
         train_matrix,
         RandomForestParams(
             n_trees=1, bootstrap=False, features_per_split=train_matrix.dim

@@ -1,10 +1,13 @@
 """End-to-end CLI coverage: every subcommand, exit codes, artifacts."""
 
+import dataclasses
 import json
 
 import pytest
 
 from pashtext.cli import main
+from pashtext.models import ModelKind
+from pashtext.models.params import default_params
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,40 @@ def test_ingest_with_wrong_label_universe(workspace, capsys):
     assert code == 2
 
 
+def _write_deep_jsonl(root):
+    path = root / "deep.jsonl"
+    path.write_text('{"id": "a", "text": "x", "label": "l"}\n'
+                    + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    return path, "deep.jsonl:2:"
+
+
+def _write_non_utf8_jsonl(root):
+    # Far enough into the file that the file iterator decodes it ahead of its line.
+    lines = [f'{{"id": "d{i}", "text": "x", "label": "l"}}\n'.encode() for i in range(3000)]
+    lines[2500] = b'{"id": "bad", "text": "\xff", "label": "l"}\n'
+    path = root / "latin.jsonl"
+    path.write_bytes(b"".join(lines))
+    return path, "latin.jsonl:2501:"
+
+
+def _write_non_utf8_directory(root):
+    (root / "tree" / "l").mkdir(parents=True)
+    (root / "tree" / "l" / "a.txt").write_text("ok", encoding="utf-8")
+    (root / "tree" / "l" / "b.txt").write_bytes(b"caf\xe9")
+    return root / "tree", "b.txt"
+
+
+@pytest.mark.parametrize(
+    "write", [_write_deep_jsonl, _write_non_utf8_jsonl, _write_non_utf8_directory]
+)
+def test_ingest_of_unreadable_corpus_is_one_line_exit_two(write, tmp_path, capsys):
+    corpus, where = write(tmp_path)
+    assert main(["ingest", "--corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert where in err
+
+
 def test_split_writes_split_file(workspace):
     data = json.loads(workspace["split"].read_text(encoding="utf-8"))
     assert len(data["train_ids"]) == 18
@@ -180,6 +217,102 @@ def test_train_unknown_override_exits_one(workspace, tmp_path, capsys):
     )
     assert code == 1
     assert "nonsense" in capsys.readouterr().err
+
+
+# Every field of every params record: (kind, field, a valid --param value,
+# the value it parses to, a malformed value).
+PARAM_CASES = [
+    ("gaussian_nb", "variance_floor", "1e-6", 1e-6, "tiny"),
+    ("multinomial_nb", "laplace_alpha", "0.5", 0.5, "half"),
+    ("knn", "k", "3", 3, "three"),
+    ("knn", "metric", "cosine", "cosine", "manhattan"),
+    ("decision_tree", "max_depth", "4", 4, "deep"),
+    ("decision_tree", "min_samples_split", "3", 3, "2.5"),
+    ("random_forest", "n_trees", "3", 3, "many"),
+    ("random_forest", "features_per_split", "2", 2, "all"),
+    ("random_forest", "bootstrap", "false", False, "maybe"),
+    ("random_forest", "seed", "7", 7, "x"),
+    ("random_forest", "max_depth", "3", 3, "1e3"),
+    ("random_forest", "min_samples_split", "4", 4, ""),
+    *(
+        (kind, field, valid, value, bad)
+        for kind in ("logistic_regression", "linear_svm")
+        for field, valid, value, bad in (
+            ("learning_rate", "0.05", 0.05, "fast"),
+            ("epochs", "5", 5, "5.0"),
+            ("l2_strength", "0", 0.0, "none"),
+            ("seed", "3", 3, "seed"),
+        )
+    ),
+    ("mlp", "hidden_units", "4", 4, "four"),
+    ("mlp", "learning_rate", "0.01", 0.01, "1/100"),
+    ("mlp", "adam_beta1", "0.8", 0.8, "b1"),
+    ("mlp", "adam_beta2", "0.99", 0.99, "b2"),
+    ("mlp", "adam_epsilon", "1e-7", 1e-7, "eps"),
+    ("mlp", "epochs", "2", 2, "two"),
+    ("mlp", "batch_size", "2", 2, "2x"),
+    ("mlp", "seed", "5", 5, "five"),
+]
+
+
+def _train(workspace, out, kind, *params):
+    return main(
+        [
+            "train",
+            "--corpus", str(workspace["corpus"]),
+            "--split", str(workspace["split"]),
+            "--classifier", kind,
+            *(arg for param in params for arg in ("--param", param)),
+            "--out", str(out),
+        ]
+    )
+
+
+def _hyperparams(out):
+    return json.loads((out / "model.json").read_text(encoding="utf-8"))["model"]["hyperparams"]
+
+
+def test_param_cases_cover_every_field():
+    covered = {(kind, field) for kind, field, *_ in PARAM_CASES}
+    assert len(covered) == len(PARAM_CASES)
+    assert covered == {
+        (kind.value, f.name)
+        for kind in ModelKind
+        for f in dataclasses.fields(default_params(kind))
+    }
+
+
+@pytest.mark.parametrize("kind,field,valid,value,_bad", PARAM_CASES)
+def test_param_valid_value_reaches_the_bundle(workspace, tmp_path, kind, field, valid,
+                                              value, _bad):
+    assert _train(workspace, tmp_path, kind, f"{field}={valid}") == 0
+    assert _hyperparams(tmp_path)[field] == value
+
+
+@pytest.mark.parametrize("kind,field,_valid,_value,bad", PARAM_CASES)
+def test_param_malformed_value_exits_one_naming_the_field(workspace, tmp_path, capsys,
+                                                          kind, field, _valid, _value, bad):
+    assert _train(workspace, tmp_path, kind, f"{field}={bad}") == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize(
+    "spelling,value",
+    [("true", True), ("True", True), ("1", True), ("YES", True),
+     ("false", False), ("FALSE", False), ("0", False), ("no", False)],
+)
+def test_param_bool_spellings(workspace, tmp_path, spelling, value):
+    assert _train(workspace, tmp_path, "random_forest", f"bootstrap={spelling}",
+                  "n_trees=2") == 0
+    assert _hyperparams(tmp_path)["bootstrap"] is value
+
+
+@pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+@pytest.mark.parametrize("spelling", ["none", "None", "null"])
+def test_param_max_depth_none(workspace, tmp_path, kind, spelling):
+    assert _train(workspace, tmp_path, kind, "max_depth=2", f"max_depth={spelling}") == 0
+    assert _hyperparams(tmp_path)["max_depth"] is None
 
 
 def test_evaluate_writes_report(workspace, tmp_path, capsys):

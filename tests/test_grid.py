@@ -7,13 +7,8 @@ import pytest
 from pashtext.corpus import SplitSpec, stratified_split
 from pashtext.errors import DataError
 from pashtext.grid import GridCell, GridReport, cell_seed, run_grid
-from pashtext.models import (
-    KNNParams,
-    LinearParams,
-    MLPParams,
-    ModelKind,
-    RandomForestParams,
-)
+from pashtext.models import ModelKind
+from pashtext.models.params import KNNParams, LinearParams, MLPParams, RandomForestParams
 from pashtext.synth import generate_corpus
 from pashtext.vectorize import FEATURE_MODES, TFIDF, UNIGRAM
 

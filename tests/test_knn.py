@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pashtext.errors import DataError, InvalidHyperparameterError
-from pashtext.models import COSINE, EUCLIDEAN, KNNModel, KNNParams, train_knn
-from pashtext.models.knn import knn_neighbors
+from pashtext.models.knn import KNNModel, knn_neighbors
+from pashtext.models.params import COSINE, EUCLIDEAN, KNNParams
 from pashtext.vectorize import FeatureMatrix
 
 matrix_from_dense = FeatureMatrix.from_dense
@@ -87,7 +87,7 @@ def test_k_larger_than_rows_is_rejected():
     with pytest.raises(InvalidHyperparameterError, match="exceeds"):
         knn_neighbors(rows, queries([1.0]), 2, EUCLIDEAN)
     with pytest.raises(InvalidHyperparameterError, match="exceeds"):
-        train_knn(matrix_from_dense([[1.0], [2.0]], [0, 1]), KNNParams(k=3), 2)
+        KNNModel.fit(matrix_from_dense([[1.0], [2.0]], [0, 1]), KNNParams(k=3), 2)
     with pytest.raises(InvalidHyperparameterError):
         knn_neighbors(rows, queries([1.0]), 1, "manhattan")
 
@@ -95,7 +95,7 @@ def test_k_larger_than_rows_is_rejected():
 def test_scores_are_vote_counts():
     dense = [[0.0], [0.1], [5.0], [5.1], [5.2]]
     labels = [0, 0, 1, 1, 1]
-    model = train_knn(matrix_from_dense(dense, labels), KNNParams(k=3), 2)
+    model = KNNModel.fit(matrix_from_dense(dense, labels), KNNParams(k=3), 2)
     votes = model.predict_scores(queries([5.05], [0.05]))
     assert votes.tolist() == [[0.0, 3.0], [2.0, 1.0]]
     assert votes.sum(axis=1).tolist() == [3.0, 3.0]
@@ -103,13 +103,13 @@ def test_scores_are_vote_counts():
 
 def test_vote_tie_resolves_to_lower_class_index():
     dense = [[0.0], [2.0]]
-    model = train_knn(matrix_from_dense(dense, [1, 0]), KNNParams(k=2), 2)
+    model = KNNModel.fit(matrix_from_dense(dense, [1, 0]), KNNParams(k=2), 2)
     assert model.predict_rows(queries([1.0])).tolist() == [0]
 
 
 def test_payload_round_trip():
     dense = [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [1.0, 1.0, 1.0]]
-    model = train_knn(matrix_from_dense(dense, [0, 1, 2]), KNNParams(k=2), 3)
+    model = KNNModel.fit(matrix_from_dense(dense, [0, 1, 2]), KNNParams(k=2), 3)
     restored = KNNModel.from_payload(
         model.payload(), model.params, model.label_count, model.feature_dimension
     )
@@ -125,6 +125,6 @@ def test_param_validation_and_dimension_check():
         KNNParams(k=0)
     with pytest.raises(InvalidHyperparameterError):
         KNNParams(metric="chebyshev")
-    model = train_knn(matrix_from_dense([[1.0]], [0]), KNNParams(k=1), 1)
+    model = KNNModel.fit(matrix_from_dense([[1.0]], [0]), KNNParams(k=1), 1)
     with pytest.raises(DataError):
         model.predict_scores(queries([1.0, 2.0]))

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from pashtext.errors import InvalidHyperparameterError, TrainingDivergedError
-from pashtext.models import (
-    LinearParams,
+from pashtext.models.linear import (
     LinearSVMModel,
     LogisticRegressionModel,
-    train_linear_svm,
-    train_logistic_regression,
+    logistic_loss_and_grads,
+    svm_loss_and_grads,
 )
-from pashtext.models.linear import logistic_loss_and_grads, svm_loss_and_grads
+from pashtext.models.params import LinearParams
 from pashtext.vectorize import FeatureMatrix
 
 matrix_from_dense = FeatureMatrix.from_dense
@@ -132,8 +131,8 @@ def test_training_is_deterministic_and_seed_free():
     m = matrix_from_dense(dense, labels)
     params_a = LinearParams(epochs=50, seed=1)
     params_b = LinearParams(epochs=50, seed=2)
-    for train in (train_linear_svm, train_logistic_regression):
-        a, b = train(m, params_a, 2), train(m, params_b, 2)
+    for cls in (LinearSVMModel, LogisticRegressionModel):
+        a, b = cls.fit(m, params_a, 2), cls.fit(m, params_b, 2)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
@@ -142,8 +141,8 @@ def test_training_separates_simple_data():
     dense = [[0.0, 2.0], [0.1, 1.8], [2.0, 0.0], [1.9, 0.2]]
     labels = [0, 0, 1, 1]
     m = matrix_from_dense(dense, labels)
-    for train in (train_linear_svm, train_logistic_regression):
-        model = train(m, LinearParams(learning_rate=0.5, epochs=300), 2)
+    for cls in (LinearSVMModel, LogisticRegressionModel):
+        model = cls.fit(m, LinearParams(learning_rate=0.5, epochs=300), 2)
         assert model.predict_rows(m).tolist() == labels
 
 
@@ -155,14 +154,14 @@ def test_training_loss_decreases():
     m = matrix_from_dense(dense, labels)
     arr = m.to_dense()
     row_labels = m.row_labels
-    for train, loss_and_grads in (
-        (train_linear_svm, svm_loss_and_grads),
-        (train_logistic_regression, logistic_loss_and_grads),
+    for cls, loss_and_grads in (
+        (LinearSVMModel, svm_loss_and_grads),
+        (LogisticRegressionModel, logistic_loss_and_grads),
     ):
         start = loss_and_grads(
             np.zeros((2, 2)), np.zeros(2), arr, row_labels, 1e-4
         )[0]
-        model = train(m, LinearParams(learning_rate=0.1, epochs=100), 2)
+        model = cls.fit(m, LinearParams(learning_rate=0.1, epochs=100), 2)
         end = loss_and_grads(model.weights, model.bias, arr, row_labels, 1e-4)[0]
         assert end < start
 
@@ -171,14 +170,14 @@ def test_divergence_raises_with_epoch():
     dense = [[1e30], [-1e30]]
     m = matrix_from_dense(dense, [0, 1])
     with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as info:
-        train_linear_svm(m, LinearParams(learning_rate=1e30, epochs=50), 2)
+        LinearSVMModel.fit(m, LinearParams(learning_rate=1e30, epochs=50), 2)
     assert "epoch" in str(info.value)
 
 
 def test_logistic_scores_are_probabilities():
     dense = [[0.0, 1.0], [1.0, 0.0]]
     m = matrix_from_dense(dense, [0, 1])
-    model = train_logistic_regression(m, LinearParams(epochs=20), 2)
+    model = LogisticRegressionModel.fit(m, LinearParams(epochs=20), 2)
     scores = model.predict_scores(queries([0.5, 0.5], [0.0, 0.0], [3.0, 1.0]))
     assert scores.sum(axis=1) == pytest.approx([1.0] * 3, abs=1e-12)
     assert (scores >= 0).all()
@@ -193,11 +192,8 @@ def test_svm_scores_are_margins():
 def test_payload_round_trip():
     dense = [[0.0, 1.0], [1.0, 0.0]]
     m = matrix_from_dense(dense, [0, 1])
-    for train, cls in (
-        (train_linear_svm, LinearSVMModel),
-        (train_logistic_regression, LogisticRegressionModel),
-    ):
-        model = train(m, LinearParams(epochs=30), 2)
+    for cls in (LinearSVMModel, LogisticRegressionModel):
+        model = cls.fit(m, LinearParams(epochs=30), 2)
         restored = cls.from_payload(
             model.payload(), model.params, model.label_count, model.feature_dimension
         )

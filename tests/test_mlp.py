@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 
 from pashtext.errors import TrainingDivergedError
-from pashtext.models import MLPModel, MLPParams, train_mlp
 from pashtext.models.mlp import (
     AdamState,
+    MLPModel,
     init_mlp,
     mlp_epoch,
     mlp_loss_and_grads,
     relu,
     row_samples,
 )
+from pashtext.models.params import MLPParams
 from pashtext.prng import derive_seed
 from pashtext.vectorize import FeatureMatrix
 from scalar_prng import ScalarSplitMix64
@@ -193,7 +194,7 @@ def test_training_reduces_loss_and_overfits():
     m = matrix_from_dense(dense, labels)
     params = MLPParams(hidden_units=8, learning_rate=0.05, epochs=60, seed=2)
     start = mlp_loss(init_mlp(2, 2, params), m, m.row_labels)
-    model = train_mlp(m, params, 2)
+    model = MLPModel.fit(m, params, 2)
     end = mlp_loss(model, m, m.row_labels)
     assert end < start
     assert model.predict_rows(m).tolist() == labels
@@ -203,9 +204,9 @@ def test_training_is_deterministic_and_seed_sensitive():
     dense = [[0.0, 1.0], [1.0, 0.0], [0.3, 0.7], [0.7, 0.3]]
     labels = [0, 1, 0, 1]
     m = matrix_from_dense(dense, labels)
-    a = train_mlp(m, MLPParams(hidden_units=3, epochs=5, seed=7), 2)
-    b = train_mlp(m, MLPParams(hidden_units=3, epochs=5, seed=7), 2)
-    c = train_mlp(m, MLPParams(hidden_units=3, epochs=5, seed=8), 2)
+    a = MLPModel.fit(m, MLPParams(hidden_units=3, epochs=5, seed=7), 2)
+    b = MLPModel.fit(m, MLPParams(hidden_units=3, epochs=5, seed=7), 2)
+    c = MLPModel.fit(m, MLPParams(hidden_units=3, epochs=5, seed=8), 2)
     for name in _PARAM_NAMES:
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert not np.array_equal(a.w1, c.w1)
@@ -217,7 +218,7 @@ def test_divergence_raises():
     params = MLPParams(hidden_units=2, learning_rate=1e150, epochs=3, seed=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         with pytest.raises(TrainingDivergedError):
-            train_mlp(m, params, 2)
+            MLPModel.fit(m, params, 2)
 
 
 def test_scores_are_probabilities_and_zero_vector_works():
@@ -231,7 +232,7 @@ def test_scores_are_probabilities_and_zero_vector_works():
 def test_payload_round_trip():
     dense = [[0.0, 1.0], [1.0, 0.0]]
     m = matrix_from_dense(dense, [0, 1])
-    model = train_mlp(m, MLPParams(hidden_units=3, epochs=5, seed=3), 2)
+    model = MLPModel.fit(m, MLPParams(hidden_units=3, epochs=5, seed=3), 2)
     restored = MLPModel.from_payload(
         model.payload(), model.params, model.label_count, model.feature_dimension
     )

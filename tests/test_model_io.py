@@ -6,17 +6,9 @@ import numpy as np
 import pytest
 
 from pashtext.errors import DataError, InvalidHyperparameterError
-from pashtext.models import (
-    base,
-    KNNParams,
-    LinearParams,
-    MLPParams,
-    ModelKind,
-    RandomForestParams,
-    model_document,
-    model_from_document,
-    train,
-)
+from pashtext.models import ModelKind, base, train
+from pashtext.models.io import model_document, model_from_document
+from pashtext.models.params import KNNParams, LinearParams, MLPParams, RandomForestParams
 from pashtext.vectorize import UNIGRAM, FeatureMatrix
 
 QUICK_PARAMS = {

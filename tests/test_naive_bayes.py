@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 
 from pashtext.errors import DataError, InvalidHyperparameterError
-from pashtext.models import (
-    GaussianNBModel,
-    GaussianNBParams,
-    MultinomialNBModel,
-    MultinomialNBParams,
-    train_gaussian_nb,
-    train_multinomial_nb,
-)
+from pashtext.models.naive_bayes import GaussianNBModel, MultinomialNBModel
+from pashtext.models.params import GaussianNBParams, MultinomialNBParams
 from pashtext.vectorize import FeatureMatrix
 
 matrix_from_dense = FeatureMatrix.from_dense
@@ -71,7 +65,7 @@ def brute_multinomial_posterior(dense, labels, query, label_count, alpha):
 def test_multinomial_worked_example():
     # Class 0 token totals (1, 3), class 1 totals (2, 0); alpha = 1.
     dense = [[1.0, 3.0], [2.0, 0.0]]
-    model = train_multinomial_nb(
+    model = MultinomialNBModel.fit(
         matrix_from_dense(dense, [0, 1]), MultinomialNBParams(laplace_alpha=1.0), 2
     )
     expected = np.log(np.array([[2 / 6, 4 / 6], [3 / 4, 1 / 4]]))
@@ -90,7 +84,7 @@ def test_multinomial_posteriors_match_brute_force():
             labels[c % n] = c
         dense = [[float(rng.randrange(4)) for _ in range(dim)] for _ in range(n)]
         alpha = rng.choice([0.5, 1.0, 2.0])
-        model = train_multinomial_nb(
+        model = MultinomialNBModel.fit(
             matrix_from_dense(dense, labels), MultinomialNBParams(alpha), label_count
         )
         batch = [[float(rng.randrange(3)) for _ in range(dim)] for _ in range(3)]
@@ -105,13 +99,13 @@ def test_multinomial_posteriors_match_brute_force():
 
 def test_multinomial_accepts_fractional_rejects_negative():
     dense = [[0.5, 1.25], [2.0, 0.0]]
-    model = train_multinomial_nb(
+    model = MultinomialNBModel.fit(
         matrix_from_dense(dense, [0, 1]), MultinomialNBParams(), 2
     )
     scores = model.predict_scores(queries([0.7, 0.0]))
     assert np.isfinite(scores).all()
     with pytest.raises(DataError, match="non-negative"):
-        train_multinomial_nb(
+        MultinomialNBModel.fit(
             matrix_from_dense([[-1.0], [1.0]], [0, 1]), MultinomialNBParams(), 2
         )
 
@@ -127,7 +121,7 @@ def test_gaussian_posteriors_match_brute_force():
             labels[c % n] = c
         dense = [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(n)]
         params = GaussianNBParams(variance_floor=1e-6)
-        model = train_gaussian_nb(matrix_from_dense(dense, labels), params, label_count)
+        model = GaussianNBModel.fit(matrix_from_dense(dense, labels), params, label_count)
         batch = [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(3)]
         scores = model.predict_scores(queries(*batch))
         assert scores.shape == (3, label_count)
@@ -142,7 +136,7 @@ def test_gaussian_variance_floor_keeps_constant_features_finite():
     # Second feature is identical in every row: only the floor keeps its
     # variance positive.
     dense = [[0.0, 5.0], [1.0, 5.0], [3.0, 5.0], [4.0, 5.0]]
-    model = train_gaussian_nb(
+    model = GaussianNBModel.fit(
         matrix_from_dense(dense, [0, 0, 1, 1]), GaussianNBParams(), 2
     )
     assert (model.variances > 0).all()
@@ -152,7 +146,7 @@ def test_gaussian_variance_floor_keeps_constant_features_finite():
 
 def test_gaussian_all_constant_matrix_uses_absolute_fallback():
     dense = [[1.0], [1.0], [1.0]]
-    model = train_gaussian_nb(matrix_from_dense(dense, [0, 0, 1]), GaussianNBParams(), 2)
+    model = GaussianNBModel.fit(matrix_from_dense(dense, [0, 0, 1]), GaussianNBParams(), 2)
     assert (model.variances > 0).all()
     scores = model.predict_scores(queries([1.0]))
     assert np.isfinite(scores).all()
@@ -161,11 +155,8 @@ def test_gaussian_all_constant_matrix_uses_absolute_fallback():
 def test_scores_are_log_posteriors():
     dense = [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
     labels = [0, 1, 1]
-    for train in (train_gaussian_nb, train_multinomial_nb):
-        params = (
-            GaussianNBParams() if train is train_gaussian_nb else MultinomialNBParams()
-        )
-        model = train(matrix_from_dense(dense, labels), params, 2)
+    for cls in (GaussianNBModel, MultinomialNBModel):
+        model = cls.fit(matrix_from_dense(dense, labels), cls.params_class(), 2)
         scores = model.predict_scores(queries([1.0, 0.5]))
         assert np.exp(scores).sum(axis=1) == pytest.approx([1.0], abs=1e-12)
 
@@ -173,12 +164,12 @@ def test_scores_are_log_posteriors():
 def test_nb_payload_round_trips():
     dense = [[1.0, 0.0], [0.0, 2.0]]
     query = queries([0.5, 0.5])
-    gnb = train_gaussian_nb(matrix_from_dense(dense, [0, 1]), GaussianNBParams(), 2)
+    gnb = GaussianNBModel.fit(matrix_from_dense(dense, [0, 1]), GaussianNBParams(), 2)
     restored = GaussianNBModel.from_payload(
         gnb.payload(), gnb.params, gnb.label_count, gnb.feature_dimension
     )
     assert np.allclose(restored.predict_scores(query), gnb.predict_scores(query))
-    mnb = train_multinomial_nb(
+    mnb = MultinomialNBModel.fit(
         matrix_from_dense(dense, [0, 1]), MultinomialNBParams(), 2
     )
     restored = MultinomialNBModel.from_payload(
@@ -195,7 +186,7 @@ def test_nb_param_validation():
 
 
 def test_dimension_mismatch_rejected():
-    model = train_multinomial_nb(
+    model = MultinomialNBModel.fit(
         matrix_from_dense([[1.0, 0.0], [0.0, 1.0]], [0, 1]), MultinomialNBParams(), 2
     )
     with pytest.raises(DataError):

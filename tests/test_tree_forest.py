@@ -7,17 +7,10 @@ import pytest
 
 from pashtext.corpus import SplitSpec, stratified_split
 from pashtext.errors import DataError
-from pashtext.models import (
-    DecisionTreeModel,
-    DecisionTreeParams,
-    RandomForestModel,
-    RandomForestParams,
-    base,
-    train_decision_tree,
-    train_random_forest,
-)
+from pashtext.models import base
 from pashtext.models import tree as tree_module
-from pashtext.models.tree import Nodes
+from pashtext.models.params import DecisionTreeParams, RandomForestParams
+from pashtext.models.tree import DecisionTreeModel, Nodes, RandomForestModel
 from pashtext.synth import generate_corpus
 from pashtext.vectorize import FEATURE_MODES, FeatureMatrix, split_features
 
@@ -120,7 +113,7 @@ def test_root_split_matches_exhaustive_search():
         candidates = brute_split_candidates(dense, labels, label_count)
         if not candidates:
             continue
-        model = train_decision_tree(
+        model = DecisionTreeModel.fit(
             matrix_from_dense(dense, labels), DecisionTreeParams(), label_count
         )
         if is_leaf(model, 0):
@@ -141,7 +134,7 @@ def test_root_split_matches_exhaustive_search():
 
 
 def test_midpoint_threshold_and_left_rule():
-    model = train_decision_tree(
+    model = DecisionTreeModel.fit(
         matrix_from_dense([[0.0], [2.0]], [0, 1]), DecisionTreeParams(), 2
     )
     feature, threshold = root_split(model)
@@ -153,7 +146,7 @@ def test_midpoint_threshold_and_left_rule():
 def test_split_tie_prefers_lower_feature_index():
     # Both features separate the classes perfectly.
     dense = [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]
-    model = train_decision_tree(
+    model = DecisionTreeModel.fit(
         matrix_from_dense(dense, [0, 1, 0, 1]), DecisionTreeParams(), 2
     )
     assert root_split(model)[0] == 0
@@ -165,7 +158,7 @@ def test_tree_overfits_training_data():
     labels = [0 if x + y < 1.0 else 1 for x, y in dense]
     labels[0], labels[1] = 0, 1
     m = matrix_from_dense(dense, labels)
-    model = train_decision_tree(m, DecisionTreeParams(), 2)
+    model = DecisionTreeModel.fit(m, DecisionTreeParams(), 2)
     assert model.predict_rows(m).tolist() == labels
 
 
@@ -174,21 +167,21 @@ def test_zero_gain_splits_still_reach_purity():
     dense = [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
     labels = [0, 0, 1, 1]
     m = matrix_from_dense(dense, labels)
-    model = train_decision_tree(m, DecisionTreeParams(), 2)
+    model = DecisionTreeModel.fit(m, DecisionTreeParams(), 2)
     assert model.predict_rows(m).tolist() == labels
 
 
 def test_depth_and_size_limits():
     dense = [[0.0], [1.0], [2.0], [3.0]]
     labels = [0, 1, 0, 1]
-    deep = train_decision_tree(matrix_from_dense(dense, labels), DecisionTreeParams(), 2)
-    stump = train_decision_tree(
+    deep = DecisionTreeModel.fit(matrix_from_dense(dense, labels), DecisionTreeParams(), 2)
+    stump = DecisionTreeModel.fit(
         matrix_from_dense(dense, labels), DecisionTreeParams(max_depth=1), 2
     )
     assert stump.nodes.left[0] == 1 and stump.nodes.right[0] == 2
     assert is_leaf(stump, 1) and is_leaf(stump, 2) and stump.nodes.feature.size == 3
     assert not (is_leaf(deep, deep.nodes.left[0]) and is_leaf(deep, deep.nodes.right[0]))
-    frozen = train_decision_tree(
+    frozen = DecisionTreeModel.fit(
         matrix_from_dense(dense, labels), DecisionTreeParams(min_samples_split=5), 2
     )
     assert is_leaf(frozen, 0) and frozen.nodes.feature.size == 1
@@ -197,7 +190,7 @@ def test_depth_and_size_limits():
 def test_leaf_scores_are_class_frequencies():
     dense = [[0.0], [0.0], [0.0], [5.0]]
     labels = [0, 0, 1, 1]
-    model = train_decision_tree(
+    model = DecisionTreeModel.fit(
         matrix_from_dense(dense, labels), DecisionTreeParams(max_depth=1), 2
     )
     scores = model.predict_scores(queries([0.0], [7.0]))
@@ -207,7 +200,7 @@ def test_leaf_scores_are_class_frequencies():
 def test_tree_payload_round_trip():
     dense = [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]]
     labels = [0, 1, 0, 1]
-    model = train_decision_tree(matrix_from_dense(dense, labels), DecisionTreeParams(), 2)
+    model = DecisionTreeModel.fit(matrix_from_dense(dense, labels), DecisionTreeParams(), 2)
     restored = DecisionTreeModel.from_payload(
         model.payload(), model.params, label_count=2, feature_dimension=2
     )
@@ -224,8 +217,8 @@ def test_single_tree_forest_matches_plain_tree():
     labels = [rng.randrange(3) for _ in range(25)]
     labels[0], labels[1], labels[2] = 0, 1, 2
     m = matrix_from_dense(dense, labels)
-    tree = train_decision_tree(m, DecisionTreeParams(), 3)
-    forest = train_random_forest(
+    tree = DecisionTreeModel.fit(m, DecisionTreeParams(), 3)
+    forest = RandomForestModel.fit(
         m,
         RandomForestParams(n_trees=1, bootstrap=False, features_per_split=4),
         3,
@@ -238,7 +231,7 @@ def test_single_tree_forest_matches_plain_tree():
 def test_forest_votes_sum_to_tree_count():
     dense = [[0.0], [1.0], [2.0], [3.0]]
     labels = [0, 0, 1, 1]
-    forest = train_random_forest(
+    forest = RandomForestModel.fit(
         matrix_from_dense(dense, labels), RandomForestParams(n_trees=7, seed=3), 2
     )
     votes = forest.predict_scores(queries([0.5], [2.5], [9.0]))
@@ -251,9 +244,9 @@ def test_forest_determinism_and_seed_sensitivity():
     labels = [rng.randrange(2) for _ in range(20)]
     labels[0], labels[1] = 0, 1
     m = matrix_from_dense(dense, labels)
-    a = train_random_forest(m, RandomForestParams(n_trees=5, seed=42), 2)
-    b = train_random_forest(m, RandomForestParams(n_trees=5, seed=42), 2)
-    c = train_random_forest(m, RandomForestParams(n_trees=5, seed=43), 2)
+    a = RandomForestModel.fit(m, RandomForestParams(n_trees=5, seed=42), 2)
+    b = RandomForestModel.fit(m, RandomForestParams(n_trees=5, seed=42), 2)
+    c = RandomForestModel.fit(m, RandomForestParams(n_trees=5, seed=43), 2)
     assert a.payload() == b.payload()
     assert a.payload() != c.payload()
 
@@ -265,7 +258,7 @@ def test_forest_default_feature_subsampling():
     labels[0], labels[1] = 0, 1
     m = matrix_from_dense(dense, labels)
     # features_per_split=0 means floor(sqrt(9)) = 3 candidates per node.
-    forest = train_random_forest(
+    forest = RandomForestModel.fit(
         m, RandomForestParams(n_trees=3, features_per_split=0, seed=1), 2
     )
     preds = forest.predict_rows(m)
@@ -276,7 +269,7 @@ def test_forest_payload_round_trip():
     dense = [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]]
     labels = [0, 1, 0, 1]
     m = matrix_from_dense(dense, labels)
-    forest = train_random_forest(m, RandomForestParams(n_trees=3, seed=9), 2)
+    forest = RandomForestModel.fit(m, RandomForestParams(n_trees=3, seed=9), 2)
     restored = RandomForestModel.from_payload(
         forest.payload(), forest.params, label_count=2, feature_dimension=2
     )
@@ -372,8 +365,8 @@ def test_split_search_matches_per_feature_reference(monkeypatch):
 
 
 def grown_payloads(matrix, seed):
-    forest = train_random_forest(matrix, RandomForestParams(n_trees=4, seed=seed), 4)
-    plain = train_decision_tree(matrix, DecisionTreeParams(), 4)
+    forest = RandomForestModel.fit(matrix, RandomForestParams(n_trees=4, seed=seed), 4)
+    plain = DecisionTreeModel.fit(matrix, DecisionTreeParams(), 4)
     return plain.payload(), forest.payload()
 
 
@@ -461,7 +454,7 @@ def test_nodes_are_flat_preorder_arrays():
     rng = random.Random(43)
     dense = [[rng.uniform(0, 2) for _ in range(5)] for _ in range(40)]
     labels = [rng.randrange(3) for _ in range(40)]
-    forest = train_random_forest(
+    forest = RandomForestModel.fit(
         matrix_from_dense(dense, labels), RandomForestParams(n_trees=6, seed=2), 3
     )
     nodes = forest.nodes
