@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 
 from ..errors import InvalidHyperparameterError
@@ -125,14 +126,31 @@ def _parse_int_or_none(raw: str) -> int | None:
     return None if raw.lower() in ("none", "null") else int(raw)
 
 
-# Per field annotation: the JSON types that may hold a saved value, the
-# parser of a --param string, and what a string it refuses was expected to be.
+def _is_finite(value) -> bool:
+    # Compares a large int exactly, where math.isfinite would overflow.
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
+def _parse_finite(raw: str) -> float:
+    value = float(raw)
+    if not _is_finite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _is(*types):
+    return lambda value: isinstance(value, types)
+
+
+# Per field annotation: the check a saved value must pass, the parser of a
+# --param string, and what a string it refuses was expected to be.  A float
+# field takes only finite values, which JSON can hold.
 _FIELD_TYPES = {
-    "int": (int, int, "int"),
-    "int | None": ((int, type(None)), _parse_int_or_none, "int"),
-    "float": ((int, float), float, "float"),
-    "bool": (bool, _parse_bool, "a boolean"),
-    "str": (str, str, "str"),
+    "int": (_is(int), int, "int"),
+    "int | None": (_is(int, type(None)), _parse_int_or_none, "int"),
+    "float": (_is_finite, _parse_finite, "float"),
+    "bool": (_is(bool), _parse_bool, "a boolean"),
+    "str": (_is(str), str, "str"),
 }
 
 
@@ -148,7 +166,7 @@ def params_from_dict(kind: ModelKind, values: dict):
     if sorted(values) != names:
         raise TypeError(f"hyperparams must name exactly {names}")
     for f in fields:
-        if not isinstance(values[f.name], _FIELD_TYPES[f.type][0]):
+        if not _FIELD_TYPES[f.type][0](values[f.name]):
             raise TypeError(f"hyperparameter {f.name} must be {f.type}")
     return cls(**values)
 

@@ -112,8 +112,12 @@ def strip_noise(text: str) -> str:
 
     URL-shaped substrings (scheme:// or www.) are replaced by a space first;
     other removals drop individual code points. Whitespace is preserved.
+    Every URL match holds "://" or "www.", so a text with neither skips the
+    URL pass.
     """
-    return _NOISE_RE.sub("", _URL_RE.sub(" ", text))
+    if "://" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    return _NOISE_RE.sub("", text)
 
 
 def preprocess_text(text: str) -> list[str]:

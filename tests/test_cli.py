@@ -297,6 +297,22 @@ def test_param_malformed_value_exits_one_naming_the_field(workspace, tmp_path, c
     assert not (tmp_path / "model.json").exists()
 
 
+def test_param_non_finite_float_exits_one(workspace, tmp_path, capsys):
+    assert _train(workspace, tmp_path, "mlp", "adam_epsilon=inf") == 1
+    assert capsys.readouterr().err == "error: adam_epsilon: expected float, got 'inf'\n"
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_bundle_with_non_finite_float_exits_two(workspace, tmp_path, capsys):
+    bundle = json.loads(workspace["bundle"].read_text(encoding="utf-8"))
+    bundle["model"]["hyperparams"]["laplace_alpha"] = float("inf")
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(bundle), encoding="utf-8")  # writes Infinity
+    assert _evaluate(workspace, tmp_path, bundle=edited) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "laplace_alpha must be float" in err
+
+
 @pytest.mark.parametrize(
     "spelling,value",
     [("true", True), ("True", True), ("1", True), ("YES", True),

@@ -1,9 +1,19 @@
-"""The 16-cell evaluation grid: determinism, failure isolation, reports."""
+"""The 16-cell evaluation grid: determinism, failure isolation, reports, and
+the same bytes whether the TFIDF lane runs in a child process or not."""
 
+import concurrent.futures
 import json
+import logging
+import os
+import re
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from test_blas_threads import SOURCE_ROOT, run_python
 
+from pashtext import grid as grid_module
 from pashtext.corpus import SplitSpec, stratified_split
 from pashtext.errors import DataError
 from pashtext.grid import GridCell, GridReport, cell_seed, run_grid
@@ -172,3 +182,180 @@ def test_select_k_grid(small_setup):
 def test_cell_dict_round_trip(small_report):
     cell = small_report.cells[0]
     assert GridCell.from_dict(cell.to_dict()) == cell
+
+
+def report_texts(report):
+    """grid.json and the four tables, as the grid command writes them."""
+    return (
+        report.to_json_text(),
+        report.accuracy_table_markdown(),
+        report.accuracy_table_csv(),
+        report.per_class_tables_markdown(),
+        report.per_class_tables_csv(),
+    )
+
+
+def set_cores(monkeypatch, cores):
+    monkeypatch.setattr(grid_module, "_available_cores", lambda: cores)
+
+
+class CountedPool(concurrent.futures.ProcessPoolExecutor):
+    started = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        CountedPool.started += 1
+
+
+def test_one_lane_and_two_lanes_give_the_same_bytes(small_setup, monkeypatch):
+    corpus, split = small_setup
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    texts = {}
+    for cores in (1, 2):
+        set_cores(monkeypatch, cores)
+        before = CountedPool.started
+        # Default parameters: every cell seeds itself from the grid seed.
+        texts[cores] = report_texts(run_grid(corpus, split, seed=11, select_k=40))
+        assert CountedPool.started - before == cores - 1
+    assert texts[1] == texts[2]
+
+
+def test_one_core_starts_no_process(small_setup, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    set_cores(monkeypatch, 1)
+    corpus, split = small_setup
+    report = run_grid(corpus, split, seed=11, params_by_kind=QUICK_PARAMS)
+    assert all(cell.error is None for cell in report.cells)
+
+
+def cell_log(caplog):
+    """The package's log lines, with each cell's seconds blanked."""
+    return [
+        (r.name, r.levelname, re.sub(r"[0-9.]+s\b", "Ts", r.getMessage()))
+        for r in caplog.records if r.name.startswith("pashtext")
+    ]
+
+
+def test_log_lines_are_the_same_with_one_lane_or_two(small_setup, monkeypatch, caplog):
+    corpus, split = small_setup
+    logs = {}
+    for cores in (1, 2):
+        set_cores(monkeypatch, cores)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="pashtext"):
+            run_grid(corpus, split, seed=11, params_by_kind=QUICK_PARAMS)
+        logs[cores] = cell_log(caplog)
+    assert logs[1] == logs[2]
+    cells = [m.split(":")[0] for _, _, m in logs[2] if m.startswith("grid cell ")]
+    assert cells == [
+        f"grid cell {kind.value}/{mode}" for kind in ModelKind for mode in FEATURE_MODES
+    ]
+    trained = [m for name, _, m in logs[2] if name == "pashtext.models.train"]
+    assert len(trained) == 16
+
+
+def test_cell_failing_in_the_tfidf_lane_yields_its_warning_row(
+    small_setup, monkeypatch, caplog
+):
+    corpus, split = small_setup
+    set_cores(monkeypatch, 2)
+    params = dict(QUICK_PARAMS)
+    params[ModelKind.KNN] = KNNParams(k=100000)
+    report = run_grid(corpus, split, seed=11, params_by_kind=params)
+    cell = report.cell(ModelKind.KNN, TFIDF)
+    assert cell.accuracy is None and "InvalidHyperparameterError" in cell.error
+    assert "failed" in report.accuracy_table_markdown().splitlines()[4]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        f"grid cell knn/{mode} failed: {report.cell(ModelKind.KNN, mode).error}"
+        for mode in FEATURE_MODES
+    ]
+
+
+# Runs one small grid with one lane and with two in a fresh interpreter whose
+# default start method is argv[1], and prints whether all five outputs are
+# byte-identical.
+LANES_UNDER_START_METHOD = textwrap.dedent("""
+    import multiprocessing
+    import sys
+
+    from pashtext import grid
+    from pashtext.corpus import SplitSpec, stratified_split
+    from pashtext.synth import generate_corpus
+
+    def texts(report):
+        return (report.to_json_text(), report.accuracy_table_markdown(),
+                report.accuracy_table_csv(), report.per_class_tables_markdown(),
+                report.per_class_tables_csv())
+
+    if __name__ == "__main__":
+        multiprocessing.set_start_method(sys.argv[1])
+        corpus = generate_corpus(classes=3, per_class=10, seed=5)
+        split = stratified_split(corpus, SplitSpec(train_fraction=0.7, seed=5))
+        outputs = []
+        for cores in (1, 2):
+            grid._available_cores = lambda: cores
+            outputs.append(texts(grid.run_grid(corpus, split, seed=3)))
+        print(outputs[0] == outputs[1])
+""")
+
+
+@pytest.mark.parametrize("method,threads", [("forkserver", None), ("forkserver", "2"),
+                                            ("fork", "2")])
+def test_two_lanes_give_the_same_bytes_whatever_the_default_start_method(
+    tmp_path, method, threads
+):
+    script = tmp_path / "lanes.py"
+    script.write_text(LANES_UNDER_START_METHOD, encoding="utf-8")
+    assert run_python([str(script), method], threads).strip() == "True"
+
+
+# `pashtext` whose TFIDF lane's child process dies as it starts.  The spawned
+# child runs this file again, so it learns the parent's pid from the
+# environment.
+DYING_CHILD = textwrap.dedent("""
+    import os
+    import sys
+
+    from pashtext import cli, grid
+
+    PARENT = int(os.environ.setdefault("DYING_CHILD_PARENT", str(os.getpid())))
+    run_lane = grid._run_lane
+
+    def lane_dying_in_the_child(jobs):
+        if os.getpid() != PARENT:
+            os._exit(1)
+        return run_lane(jobs)
+
+    if __name__ == "__main__":
+        grid._run_lane = lane_dying_in_the_child
+        grid._available_cores = lambda: 2
+        sys.exit(cli.main(sys.argv[1:]))
+""")
+
+
+def test_killed_child_ends_the_grid_with_exit_three(tmp_path):
+    script = tmp_path / "dying.py"
+    script.write_text(DYING_CHILD, encoding="utf-8")
+    run_python(["-m", "pashtext.cli", "synth", "--classes", "3", "--per-class", "8",
+                "--out", str(tmp_path / "corpus.jsonl")], None)
+    env = {key: value for key, value in os.environ.items() if key != "DYING_CHILD_PARENT"}
+    finished = subprocess.run(
+        [sys.executable, str(script), "grid", "--corpus", str(tmp_path / "corpus.jsonl"),
+         "--out", str(tmp_path / "grid")],
+        env={**env, "PYTHONPATH": SOURCE_ROOT}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert finished.returncode == 3
+    errors = [line for line in finished.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "BrokenProcessPool" in errors[0]
+    assert not (tmp_path / "grid" / "grid.json").exists()
+
+
+def test_importing_the_cli_does_not_import_the_process_pool():
+    probe = ("import sys, pashtext.cli, pashtext.grid; "
+             "print('concurrent.futures.process' in sys.modules)")
+    assert run_python(["-c", probe], None).strip() == "False"

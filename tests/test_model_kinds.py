@@ -1,7 +1,12 @@
-"""The kind -> class table: one model class per kind, each describing itself."""
+"""The kind -> class table: one model class per kind, each describing itself,
+and the typing of its hyperparameter record."""
+
+import dataclasses
+import math
 
 import pytest
 
+from pashtext.errors import InvalidHyperparameterError
 from pashtext.models import ModelKind
 from pashtext.models.base import KIND_CLASSES
 from pashtext.models.knn import KNNModel
@@ -16,6 +21,9 @@ from pashtext.models.params import (
     MLPParams,
     MultinomialNBParams,
     RandomForestParams,
+    default_params,
+    params_from_dict,
+    params_with_overrides,
 )
 from pashtext.models.tree import DecisionTreeModel, RandomForestModel
 
@@ -52,3 +60,46 @@ def test_a_second_class_of_a_kind_is_refused():
     with pytest.raises(TypeError, match="linear_svm"):
         type("AnotherSVM", (LinearSVMModel,), {"kind": ModelKind.LINEAR_SVM})
     assert KIND_CLASSES[ModelKind.LINEAR_SVM] is LinearSVMModel
+
+
+# Every float field of every params record, by kind.
+FLOAT_FIELDS = [
+    (kind, f.name)
+    for kind in ModelKind
+    for f in dataclasses.fields(KIND_CLASSES[kind].params_class)
+    if f.type == "float"
+]
+
+
+def test_float_fields_are_found():
+    assert len(FLOAT_FIELDS) == 10
+
+
+@pytest.mark.parametrize("kind,field", FLOAT_FIELDS)
+@pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "Infinity", "1e400", "-1e999"])
+def test_non_finite_float_param_string_is_refused(kind, field, raw):
+    with pytest.raises(InvalidHyperparameterError) as caught:
+        params_with_overrides(kind, 1, {field: raw})
+    assert str(caught.value) == f"{field}: expected float, got {raw!r}"
+
+
+@pytest.mark.parametrize("kind,field", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_saved_float_is_refused(kind, field, value):
+    values = dataclasses.asdict(default_params(kind))
+    params_from_dict(kind, values)
+    values[field] = value
+    with pytest.raises(TypeError, match=f"hyperparameter {field} must be float"):
+        params_from_dict(kind, values)
+
+
+def test_float_fields_take_finite_floats_and_ints_in_float_range():
+    params = params_with_overrides(ModelKind.MLP, 1, {"adam_epsilon": "1e-300"})
+    assert params.adam_epsilon == 1e-300
+    values = dataclasses.asdict(default_params(ModelKind.MULTINOMIAL_NB))
+    for value in (2, 1.5, 2**1000):
+        values["laplace_alpha"] = value
+        assert params_from_dict(ModelKind.MULTINOMIAL_NB, values).laplace_alpha == value
+    values["laplace_alpha"] = 10**400  # beyond the largest float
+    with pytest.raises(TypeError, match="laplace_alpha"):
+        params_from_dict(ModelKind.MULTINOMIAL_NB, values)

@@ -1,12 +1,17 @@
 """Normalization, cleaning and tokenization behaviour."""
 
 import bisect
+import importlib.util
 import random
 import re
 import sys
 import unicodedata
+from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
+from pashtext import pipeline
 from pashtext.corpus import Corpus, Document, LabelSet
 from pashtext.pipeline import (
     ARABIC_SCRIPT_RANGES,
@@ -129,6 +134,42 @@ def test_strip_noise_removes_urls():
     assert strip_noise(text).split() == ["خبر", "پای"]
     text = "خبر www.example.com پای"
     assert strip_noise(text).split() == ["خبر", "پای"]
+
+
+def unguarded_strip_noise(text):
+    """`strip_noise` with its URL pass run on every text."""
+    return pipeline._NOISE_RE.sub("", pipeline._URL_RE.sub(" ", text))
+
+
+def noisy_corpus_texts():
+    """Every text of the benchmark's noisy Pashto-like corpus (URLs, ASCII
+    words, digits, punctuation, invisible marks), raw and normalized."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("noisy_corpus_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    records, _ = gen.generate(per_class=40, seed=3)
+    for record in records:
+        yield record["text"]
+        yield normalize_text(record["text"])
+
+
+def test_url_guard_matches_the_unguarded_pass_on_a_noisy_corpus():
+    texts = list(noisy_corpus_texts())
+    with_url = [t for t in texts if "://" in t or "www." in t]
+    assert 0 < len(with_url) < len(texts)  # both paths are taken
+    for text in texts:
+        assert strip_noise(text) == unguarded_strip_noise(text), repr(text)
+
+
+@pytest.mark.parametrize("text", [
+    "HTTP://x", "WWW.x", "a://", "://", " :// ", "خبر www.", "www.", "wwwx.y",
+    "خبر://پای", "https://خبر", "خبرhttp://t.ly/z پای", "www.خبر.af پای",
+    "د https://www.bbc.com/pashto/123 خبر", "پای www.azadiradio.com/a/9، ښه",
+    "a.www.b ftp://h/p x+y.z://q",
+])
+def test_url_guard_matches_the_unguarded_pass_on_crafted_strings(text):
+    assert strip_noise(text) == unguarded_strip_noise(text)
 
 
 def test_strip_noise_drops_out_of_range_codepoints():
