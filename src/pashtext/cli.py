@@ -105,7 +105,8 @@ def _save_bundle(path: Path, model, vocab: Vocabulary, mode: str,
         else {"kept": mask.kept_indices.tolist(), "scores": mask.scores.tolist()},
         "model": model_document(model),
     }
-    _write_text(path, json.dumps(bundle, sort_keys=True, ensure_ascii=False) + "\n")
+    text = json.dumps(bundle, sort_keys=True, ensure_ascii=False, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
 def _load_bundle(path):
@@ -141,7 +142,8 @@ def _cmd_ingest(args) -> int:
     labels = LabelSet(args.labels.split(",")) if args.labels else None
     corpus = load_corpus(args.corpus, labels)
     report = validate(corpus)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False))
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False,
+                     allow_nan=False))
     return EXIT_OK
 
 

@@ -40,12 +40,18 @@ class TrainingDivergedError(TrainingError):
         super().__init__(f"training diverged at epoch {epoch}: {detail}")
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def read_json(path, what: str):
     """The JSON document in the file `path`, which holds a `what`; a file that
-    cannot be read, is not UTF-8, is not JSON or nests too deeply to parse is
-    a DataError."""
+    cannot be read, is not UTF-8, is not JSON (Python's `json` module would
+    accept `NaN`, `Infinity` and `-Infinity`; this refuses them) or nests too
+    deeply to parse is a DataError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text, parse_constant=_refuse_constant)
     except (OSError, ValueError, RecursionError) as exc:  # decode errors are ValueErrors
         raise DataError(f"cannot read {what} {path}: {exc}") from None
 

@@ -142,7 +142,8 @@ class GridReport:
 
     def to_json_text(self) -> str:
         return (
-            json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False)
+            json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False,
+                       allow_nan=False)
             + "\n"
         )
 

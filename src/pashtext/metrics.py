@@ -216,7 +216,8 @@ class EvalReport:
         return report
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False,
+                          allow_nan=False) + "\n"
 
     def to_markdown(self) -> str:
         lines = [

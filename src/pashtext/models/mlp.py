@@ -12,6 +12,11 @@ The four weight tensors are views into one contiguous float64 buffer,
 the same layout, so an Adam step is one pass of in-place ufuncs over every
 parameter at once.  Elementwise arithmetic does not depend on memory layout,
 so this trains bit-for-bit the same weights as per-tensor updates would.
+
+Adam skips its divide by a bias correction 1 - beta**step once that
+correction rounds to exactly 1.0 in float64, since x / 1.0 == x in IEEE 754
+(`AdamState.apply`), and the row step adds the biases and takes its softmax
+in place, with the same operations in the same order; neither changes a bit.
 """
 
 from __future__ import annotations
@@ -56,26 +61,38 @@ class AdamState:
 
         Computes, in this order, m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
         and w -= (lr*(m/c1)) / (sqrt(v/c2) + eps), with the bias corrections
-        c = 1 - beta**step; no temporary is allocated.
+        c = 1 - beta**step; no temporary is allocated.  A correction that is
+        exactly 1.0 in float64 (from step 356 for beta 0.9, from step 37,412
+        for beta 0.999) skips its divide: x / 1.0 == x in IEEE 754, so the
+        weights are the same bits either way.
         """
         self.step += 1
         b1, b2 = params.adam_beta1, params.adam_beta2
         m, v = self.first, self.second
         delta, denom = self._scratch
-        np.multiply(m, b1, out=m)
-        np.multiply(grad, 1.0 - b1, out=delta)
-        np.add(m, delta, out=m)
-        np.multiply(v, b2, out=v)
-        np.multiply(grad, 1.0 - b2, out=denom)
-        np.multiply(denom, grad, out=denom)
-        np.add(v, denom, out=v)
-        np.divide(m, 1.0 - b1**self.step, out=delta)
-        np.multiply(delta, params.learning_rate, out=delta)
-        np.divide(v, 1.0 - b2**self.step, out=denom)
-        np.sqrt(denom, out=denom)
-        np.add(denom, params.adam_epsilon, out=denom)
-        np.divide(delta, denom, out=delta)
-        np.subtract(model.flat, delta, out=model.flat)
+        multiply, add, divide = np.multiply, np.add, np.divide
+        multiply(m, b1, m)
+        multiply(grad, 1.0 - b1, delta)
+        add(m, delta, m)
+        multiply(v, b2, v)
+        multiply(grad, 1.0 - b2, denom)
+        multiply(denom, grad, denom)
+        add(v, denom, v)
+        correction1 = 1.0 - b1**self.step
+        if correction1 == 1.0:
+            multiply(m, params.learning_rate, delta)
+        else:
+            divide(m, correction1, delta)
+            multiply(delta, params.learning_rate, delta)
+        correction2 = 1.0 - b2**self.step
+        if correction2 == 1.0:
+            np.sqrt(v, denom)
+        else:
+            divide(v, correction2, denom)
+            np.sqrt(denom, denom)
+        add(denom, params.adam_epsilon, denom)
+        divide(delta, denom, delta)
+        np.subtract(model.flat, delta, model.flat)
 
 
 class MLPModel(Model):
@@ -157,16 +174,24 @@ def mlp_loss_and_grads(model: MLPModel, batch, grad=None, parts=None):
         grad = np.zeros_like(model.flat)
     g_w1, g_b1, g_w2, g_b2 = parts or model.split(grad)
     w1, b1, w2, b2 = model.w1, model.b1, model.w2, model.b2
+    maximum, add, exp = np.maximum, np.add, np.exp
     loss = 0.0
     for columns, values, label in batch:
-        hidden_pre = values @ w1.take(columns, axis=0) + b1
-        hidden = relu(hidden_pre)
-        probs = softmax(hidden @ w2 + b2)
+        hidden_pre = values @ w1.take(columns, axis=0)
+        hidden_pre += b1
+        hidden = maximum(hidden_pre, 0.0)  # relu
+        probs = hidden @ w2
+        probs += b2
+        # softmax(probs), the same operations in place on the one vector
+        np.subtract(probs, maximum.reduce(probs), probs)
+        exp(probs, probs)
+        np.divide(probs, add.reduce(probs), probs)
         loss -= float(np.log(probs[label]))
         probs[label] -= 1.0  # probs now holds d(loss)/d(logits)
         g_w2 += hidden[:, None] * probs  # np.outer, without its argument checks
         g_b2 += probs
-        d_hidden = (w2 @ probs) * (hidden_pre > 0)
+        d_hidden = w2 @ probs
+        d_hidden *= hidden_pre > 0
         touched = g_w1.take(columns, axis=0)  # g_w1[columns] +=, gathered faster
         touched += values[:, None] * d_hidden
         g_w1[columns] = touched
@@ -189,7 +214,7 @@ def mlp_epoch(
     SplitMix64(derive_seed(params.seed, 1 + epoch)).shuffle(order)
     grad = np.zeros_like(model.flat)
     parts = model.split(grad)
-    tail = grad[model.w1.size :]  # b1, w2 and b2
+    g_w1, tail = parts[0], grad[model.w1.size :]  # tail: b1, w2 and b2
     epoch_loss = 0.0
     for start in range(0, n, params.batch_size):
         batch = [samples[i] for i in order[start : start + params.batch_size]]
@@ -199,6 +224,6 @@ def mlp_epoch(
         epoch_loss += loss * len(batch)
         adam.apply(model, grad, params)
         for columns, _, _ in batch:  # zero what the batch wrote
-            parts[0][columns] = 0.0
+            g_w1[columns] = 0.0
         tail.fill(0.0)
     return model, epoch_loss / n

@@ -79,9 +79,14 @@ PROFILE_RECORD = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TokenizedDocument:
-    """A document reduced to its ordered, whitespace-free token sequence."""
+    """A document reduced to its ordered, whitespace-free token sequence.
+
+    Slotted rather than frozen: a frozen dataclass takes about three times
+    as long to build, and loading builds one per document.  Nothing hashes
+    or mutates one.
+    """
 
     id: str
     tokens: tuple[str, ...]

@@ -310,7 +310,7 @@ def test_bundle_with_non_finite_float_exits_two(workspace, tmp_path, capsys):
     edited.write_text(json.dumps(bundle), encoding="utf-8")  # writes Infinity
     assert _evaluate(workspace, tmp_path, bundle=edited) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "laplace_alpha must be float" in err
+    assert err.count("error:") == 1 and "Infinity is not a JSON number" in err
 
 
 @pytest.mark.parametrize(
@@ -480,19 +480,27 @@ def mlp_bundle(workspace):
 
 
 @pytest.mark.parametrize(
-    "defect",
+    "defect, named",
     [
-        lambda model: model["payload"]["b1"].pop(),
-        lambda model: model["payload"]["w2"].pop(),
-        lambda model: model["payload"]["b2"].append(0.0),
-        lambda model: model["payload"]["w1"][0].__setitem__(0, float("nan")),
-        lambda model: model["hyperparams"].update(hidden_units=3),
-        lambda model: model["hyperparams"].update(epochs=0),
+        (lambda model: model["payload"]["b1"].pop(), "mlp"),
+        (lambda model: model["payload"]["w2"].pop(), "mlp"),
+        (lambda model: model["payload"]["b2"].append(0.0), "mlp"),
+        # json.dumps writes NaN, Infinity and -Infinity, which are not JSON
+        # and are refused as the bundle is read
+        (lambda model: model["payload"]["w1"][0].__setitem__(0, float("nan")),
+         "NaN is not a JSON number"),
+        (lambda model: model["payload"]["w1"][0].__setitem__(0, float("inf")),
+         "Infinity is not a JSON number"),
+        (lambda model: model["payload"]["w1"][0].__setitem__(0, -float("inf")),
+         "-Infinity is not a JSON number"),
+        (lambda model: model["hyperparams"].update(hidden_units=3), "mlp"),
+        (lambda model: model["hyperparams"].update(epochs=0), "mlp"),
     ],
-    ids=["b1-short", "w2-short", "b2-long", "w1-nan", "hidden-units", "epochs-0"],
+    ids=["b1-short", "w2-short", "b2-long", "w1-nan", "w1-inf", "w1-minus-inf",
+         "hidden-units", "epochs-0"],
 )
 def test_evaluate_rejects_malformed_mlp_bundle(
-    workspace, mlp_bundle, tmp_path, capsys, defect
+    workspace, mlp_bundle, tmp_path, capsys, defect, named
 ):
     bundle = json.loads(json.dumps(mlp_bundle))
     defect(bundle["model"])
@@ -500,7 +508,7 @@ def test_evaluate_rejects_malformed_mlp_bundle(
     broken.write_text(json.dumps(bundle), encoding="utf-8")
     assert _evaluate(workspace, tmp_path, bundle=broken) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "mlp" in err
+    assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 """Corpus loading, validation and stratified splitting."""
 
 import json
+import math
 
 import pytest
 
@@ -75,6 +76,12 @@ def test_jsonl_round_trip_preserves_unicode(tmp_path):
     loaded = load_corpus(path)
     assert len(loaded) == 3
     assert loaded.by_id("سياست-0").text == corpus.by_id("سياست-0").text
+
+
+def test_save_corpus_writes_no_non_json_number(tmp_path):
+    corpus = Corpus([Document("a-0", "متن", "a", source=math.nan)], LabelSet(["a"]))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_corpus(corpus, tmp_path / "corpus.jsonl")
 
 
 def test_jsonl_loader_reports_line_numbers(tmp_path):

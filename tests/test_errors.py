@@ -17,6 +17,14 @@ def test_read_json_rejects_broken_files(tmp_path):
         read_json(path, "model bundle")
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_refuses_non_finite_number_tokens(tmp_path, token):
+    path = tmp_path / "bundle.json"
+    path.write_text(f'{{"w": [1.0, {token}]}}', encoding="utf-8")
+    with pytest.raises(DataError, match=f"cannot read model bundle .*: {token} is not a JSON number"):
+        read_json(path, "model bundle")
+
+
 def test_expect_format_and_malformed():
     expect_format({"format": "pashtext-x", "version": 2}, "pashtext-x", 2)
     for document in ([], {"format": "other", "version": 2}):

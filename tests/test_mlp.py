@@ -343,11 +343,13 @@ def reference_epoch(model, matrix, labels, params, adam):
 
 
 def check_flat_training_against_reference(dense, labels, hidden, label_count,
-                                          batch_size, seed):
-    """Four epochs of flat training equal the per-tensor reference bit for bit."""
+                                          batch_size, seed, epochs=4, **adam_betas):
+    """`epochs` epochs of flat training equal the per-tensor reference bit
+    for bit; returns the number of Adam steps taken."""
     matrix = matrix_from_dense(dense, labels)
     params = MLPParams(
-        hidden_units=hidden, learning_rate=0.05, batch_size=batch_size, seed=seed
+        hidden_units=hidden, learning_rate=0.05, batch_size=batch_size, seed=seed,
+        **adam_betas,
     )
     model = init_mlp(dense.shape[1], label_count, params)
     reference = SimpleNamespace(
@@ -356,7 +358,7 @@ def check_flat_training_against_reference(dense, labels, hidden, label_count,
     adam = AdamState.for_model(model)
     reference_adam = ReferenceAdamState.for_model(reference)
     samples = all_samples(matrix, labels)
-    for _ in range(4):
+    for _ in range(epochs):
         _, loss = mlp_epoch(model, samples, params, adam)
         reference_loss = reference_epoch(
             reference, matrix, labels, params, reference_adam
@@ -367,6 +369,7 @@ def check_flat_training_against_reference(dense, labels, hidden, label_count,
             assert np.array_equal(ours, theirs), name
             assert np.array_equal(np.signbit(ours), np.signbit(theirs)), name
     assert adam.step == reference_adam.step
+    return adam.step
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 3])
@@ -389,6 +392,32 @@ def test_flat_training_matches_per_tensor_reference(
         check_flat_training_against_reference(
             dense, labels, hidden, label_count, batch_size, seed
         )
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3])
+@pytest.mark.parametrize(
+    "dim, hidden, label_count, n_rows, epochs",
+    [(6, 4, 3, 7, 30), (224, 20, 8, 40, 5)],
+)
+def test_flat_training_matches_reference_after_bias_corrections_reach_one(
+    batch_size, dim, hidden, label_count, n_rows, epochs
+):
+    # In float64, 1 - 0.3**step is exactly 1.0 from step 32 and 1 - 0.5**step
+    # from step 54, so these runs cover Adam steps with neither, one and both
+    # bias corrections equal to 1.0.  The default betas reach 1.0 only at
+    # steps 356 and 37,412, beyond the reach of the tests above.
+    betas = {"adam_beta1": 0.3, "adam_beta2": 0.5}
+    assert 1.0 - 0.3**31 != 1.0 and 1.0 - 0.3**32 == 1.0
+    assert 1.0 - 0.5**53 != 1.0 and 1.0 - 0.5**54 == 1.0
+    for seed in (1, 2):
+        rng = np.random.default_rng(seed)
+        dense = rng.uniform(-1.0, 1.0, (n_rows, dim))
+        dense[rng.random((n_rows, dim)) < 0.6] = 0.0
+        labels = rng.integers(0, label_count, n_rows)
+        steps = check_flat_training_against_reference(
+            dense, labels, hidden, label_count, batch_size, seed, epochs, **betas
+        )
+        assert steps >= 64, steps  # at least ten steps past both corrections
 
 
 @pytest.mark.parametrize("batch_size", [2, 3])

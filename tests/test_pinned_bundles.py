@@ -21,6 +21,7 @@ PINNED = {
     ("mlp", "1"): "dd5901bf052da641f2029b5330ed0ce03948287c39b8a729bce3a26e7eb1b850",
     ("mlp", "2"): "3355f17fa4a62e920a98703d12c576c917fdbbf465ccac8b6bf68fa79ad04a1a",
 }
+PINNED_SATURATED_MLP = "c4ab767005a893955e23c3ba734fe94debf475d3574c9312e00247d29511e191"
 PARAMS = {
     "decision_tree": [],
     "random_forest": ["--param", "n_trees=5"],
@@ -39,12 +40,27 @@ def split_corpus(tmp_path_factory):
     return root, corpus, root / "split" / "split.json"
 
 
-@pytest.mark.parametrize("kind, seed", sorted(PINNED))
-def test_saved_bundle_is_pinned(split_corpus, kind, seed):
+def bundle_digest(split_corpus, name, kind, seed, params):
     root, corpus, split = split_corpus
-    out = root / f"{kind}-{seed}"
+    out = root / name
     assert main(["train", "--corpus", str(corpus), "--split", str(split),
                  "--classifier", kind, "--seed", seed, "--out", str(out),
-                 *PARAMS[kind]]) == 0
-    digest = hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+                 *params]) == 0
+    return hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, seed", sorted(PINNED))
+def test_saved_bundle_is_pinned(split_corpus, kind, seed):
+    digest = bundle_digest(split_corpus, f"{kind}-{seed}", kind, seed, PARAMS[kind])
     assert digest == PINNED[(kind, seed)]
+
+
+def test_saved_mlp_bundle_with_saturated_bias_corrections_is_pinned(split_corpus):
+    # Three epochs of the 27 training documents are 81 Adam steps. With these
+    # betas both bias corrections are exactly 1.0 from step 54 on (32 for the
+    # first), which the default betas reach only after 37,412 steps. The
+    # digest was recorded with a step that divides by them on every step.
+    params = ["--param", "adam_beta1=0.3", "--param", "adam_beta2=0.5",
+              "--param", "epochs=3"]
+    digest = bundle_digest(split_corpus, "mlp-saturated", "mlp", "1", params)
+    assert digest == PINNED_SATURATED_MLP
