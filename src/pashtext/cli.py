@@ -288,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for Arabic-script corpora.",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    parser.add_argument(
-        "--verbose", action="store_true", help="enable debug logging"
-    )
     commands = parser.add_subparsers(dest="command", metavar="command")
 
     def command(name, help_text, handler):
@@ -385,7 +382,7 @@ def main(argv=None) -> int:
             print("error: a command is required", file=sys.stderr)
             return EXIT_USAGE
         logging.basicConfig(
-            level=logging.DEBUG if args.verbose else logging.INFO,
+            level=logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
             stream=sys.stderr,
         )

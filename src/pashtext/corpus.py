@@ -1,9 +1,9 @@
 """Labeled document collections: loading, validation, persistence, splitting.
 
 Corpus files are UTF-8 JSON lines with required keys "id", "text" and
-"label" (optional "source" is preserved but unused). A plain directory
-layout is also accepted: one subdirectory per label, one UTF-8 ``.txt``
-file per document, filename stem = document id.
+"label" (an optional string "source" is preserved but unused). A plain
+directory layout is also accepted: one subdirectory per label, one UTF-8
+``.txt`` file per document, filename stem = document id.
 """
 
 from __future__ import annotations
@@ -284,6 +284,9 @@ def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
                 raise DataError(f"{path}:{line_no}: missing required key {key!r}")
             if not isinstance(record[key], str):
                 raise DataError(f"{path}:{line_no}: key {key!r} must be a string")
+        source = record.get("source")
+        if source is not None and not isinstance(source, str):
+            raise DataError(f"{path}:{line_no}: key 'source' must be a string")
         doc_id = record["id"]
         if doc_id in by_id:
             raise DataError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
@@ -294,7 +297,7 @@ def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
             )
         observed_labels.add(label)
         by_id[doc_id] = Document(
-            id=doc_id, text=record["text"], label=label, source=record.get("source")
+            id=doc_id, text=record["text"], label=label, source=source
         )
     if not by_id:
         raise DataError(f"corpus file is empty: {path}")

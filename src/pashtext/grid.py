@@ -2,12 +2,11 @@
 
 Every cell shares one tokenization, one vocabulary and one train/test
 split, isolating the classifier and feature-mode effects.  The cells of one
-feature mode form a lane.  With two or more available cores the unigram lane
-runs in this process while the TFIDF lane runs in one spawned child process;
-with one core both lanes run here.  Every cell draws only from its own seed and
-its results are gathered in canonical order, the log lines included, and the
-report contains no wall-clock data, so a repeated run with the same seed
-serialises byte-for-byte identically however the lanes ran.
+feature mode form a lane: the unigram lane runs in this process while the
+TFIDF lane runs in one spawned child process.  Every cell draws only from
+its own seed and its results are gathered in canonical order, the log lines
+included, and the report contains no wall-clock data, so a repeated run with
+the same seed serialises byte-for-byte identically on any number of cores.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import csv
 import io
 import json
 import logging
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .corpus import Corpus, CorpusSplit
@@ -233,52 +230,19 @@ class GridReport:
         return out.getvalue()
 
 
-class _HeldRecords(logging.Handler):
-    """Keeps log records, their messages formatted so that they pickle."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record):
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-        self.records.append(record)
-
-
-@contextmanager
-def _held_logs(level: int):
-    """Hold the package's log records of `level` and above instead of
-    emitting them, so a cell's records reach the log in canonical order
-    from whichever process ran it."""
-    package = logging.getLogger("pashtext")
-    saved = package.level, package.propagate
-    held = _HeldRecords()
-    package.addHandler(held)
-    package.setLevel(level)
-    package.propagate = False
-    try:
-        yield held.records
-    finally:
-        package.removeHandler(held)
-        package.setLevel(saved[0])
-        package.propagate = saved[1]
-
-
-def _run_cell(kind, mode, train_matrix, test_matrix, label_names, params, log_level):
-    """Train and evaluate one cell: its `GridCell`, its seconds and the log
-    records it held."""
+def _run_cell(kind, mode, train_matrix, test_matrix, label_names, params):
+    """Train and evaluate one cell: its `GridCell` and its seconds."""
     started = time.perf_counter()
-    with _held_logs(log_level) as records:
-        try:
-            model = train(kind, train_matrix, params, label_count=len(label_names))
-            preds = model.predict_rows(test_matrix)
-            report = evaluate_predictions(
-                test_matrix.row_labels, preds, len(label_names), label_names
-            )
-            cell = GridCell(kind, mode, report.accuracy, report, None)
-        except Exception as exc:
-            cell = GridCell(kind, mode, None, None, f"{type(exc).__name__}: {exc}")
-    return cell, time.perf_counter() - started, records
+    try:
+        model = train(kind, train_matrix, params, label_count=len(label_names))
+        preds = model.predict_rows(test_matrix)
+        report = evaluate_predictions(
+            test_matrix.row_labels, preds, len(label_names), label_names
+        )
+        cell = GridCell(kind, mode, report.accuracy, report, None)
+    except Exception as exc:
+        cell = GridCell(kind, mode, None, None, f"{type(exc).__name__}: {exc}")
+    return cell, time.perf_counter() - started
 
 
 def _run_lane(jobs):
@@ -287,13 +251,6 @@ def _run_lane(jobs):
     Module-level and fed only picklable values, so a spawned child process
     can run it."""
     return [_run_cell(*job) for job in jobs]
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS and Windows have no sched_getaffinity
-        return os.cpu_count() or 1
 
 
 def run_grid(
@@ -312,41 +269,34 @@ def run_grid(
     """
     features = split_features(corpus, split, FEATURE_MODES, select_k=select_k)
     label_names = tuple(corpus.labels.names)
-    log_level = logging.getLogger("pashtext").getEffectiveLevel()
 
     def params_for(kind, mode):
         if params_by_kind is not None and kind in params_by_kind:
             return params_by_kind[kind]
         return default_params(kind, seed=cell_seed(seed, kind, mode))
 
-    lanes = [
-        [
+    def lane(mode):
+        return [
             (kind, mode, features.train[mode], features.test[mode], label_names,
-             params_for(kind, mode), log_level)
+             params_for(kind, mode))
             for kind in ModelKind
         ]
-        for mode in FEATURE_MODES
-    ]
-    if _available_cores() < 2:
-        results = [_run_lane(lane) for lane in lanes]
-    else:
-        # Imported here: the pool module is slow to import, and only the
-        # grid needs it.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        # A spawned child starts from a fresh interpreter whatever the
-        # platform's default start method, and is safe to start from a
-        # caller that runs threads, where a forked one can deadlock.
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(len(lanes) - 1, mp_context=spawn) as pool:
-            others = [pool.submit(_run_lane, lane) for lane in lanes[1:]]
-            results = [_run_lane(lanes[0]), *(future.result() for future in others)]
+    # Imported here: the pool module is slow to import, and only the grid
+    # needs it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # A spawned child starts from a fresh interpreter whatever the platform's
+    # default start method, and is safe to start from a caller that runs
+    # threads, where a forked one can deadlock.
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        tfidf = pool.submit(_run_lane, lane(TFIDF))
+        results = zip(_run_lane(lane(UNIGRAM)), tfidf.result())
     cells = []
-    for kind_results in zip(*results):
-        for cell, seconds, records in kind_results:
-            for record in records:
-                logging.getLogger(record.name).handle(record)
+    for kind_results in results:
+        for cell, seconds in kind_results:
             if cell.error is not None:
                 logger.warning("grid cell %s/%s failed: %s",
                                cell.kind.value, cell.mode, cell.error)

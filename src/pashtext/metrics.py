@@ -53,9 +53,6 @@ class ConfusionMatrix:
     def fn(self, i: int) -> int:
         return int(self.grid[i, :].sum()) - self.tp(i)
 
-    def tn(self, i: int) -> int:
-        return self.total - self.tp(i) - self.fp(i) - self.fn(i)
-
     def support(self, i: int) -> int:
         return int(self.grid[i, :].sum())
 

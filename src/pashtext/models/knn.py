@@ -30,26 +30,19 @@ def knn_neighbors(
         raise InvalidHyperparameterError(
             f"k={k} exceeds the {matrix.n_rows} stored training rows"
         )
-    return _nearest(matrix, matrix.row_ids(), matrix.squared_norms(), queries, k, metric)
+    return _nearest(matrix, matrix.squared_norms(), queries, k, metric)
 
 
 def _nearest(
     matrix: FeatureMatrix,
-    row_ids: np.ndarray,
     row_norm_sq: np.ndarray,
     queries: FeatureMatrix,
     k: int,
     metric: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`knn_neighbors` with the training rows' row ids and squared norms given."""
-    query_dense = queries.to_dense()
+    """`knn_neighbors` with the training rows' squared norms given."""
     # dots[q, i] = <query q, training row i>, summed over row i's entries.
-    dots = np.empty((queries.n_rows, matrix.n_rows), dtype=np.float64)
-    for q in range(queries.n_rows):
-        dots[q] = np.bincount(
-            row_ids, weights=matrix.data * query_dense[q, matrix.indices],
-            minlength=matrix.n_rows,
-        )
+    dots = matrix.dot(queries.to_dense().T).T
     query_norm_sq = queries.squared_norms()[:, None]
     if metric == EUCLIDEAN:
         distances = np.sqrt(np.maximum(row_norm_sq - 2.0 * dots + query_norm_sq, 0.0))
@@ -84,7 +77,6 @@ class KNNModel(Model):
         self.params = params
         self.label_count = label_count
         self.feature_dimension = matrix.dim
-        self._row_ids = matrix.row_ids()
         self._row_norm_sq = matrix.squared_norms()
 
     @classmethod
@@ -101,8 +93,7 @@ class KNNModel(Model):
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         neighbors, _ = _nearest(
-            self.matrix, self._row_ids, self._row_norm_sq, matrix,
-            self.params.k, self.params.metric,
+            self.matrix, self._row_norm_sq, matrix, self.params.k, self.params.metric,
         )
         neighbor_labels = self.matrix.row_labels[neighbors]
         votes = np.zeros((matrix.n_rows, self.label_count), dtype=np.float64)

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-import logging
-import time
-
 import numpy as np
 
 from ..errors import DataError, InvalidHyperparameterError
 from ..vectorize import FeatureMatrix
 from .base import KIND_CLASSES, Model, ModelKind
 from .params import default_params
-
-logger = logging.getLogger(__name__)
 
 
 def train(
@@ -47,10 +42,4 @@ def train(
         label_count = int(present.max()) + 1
     elif label_count <= int(present.max()):
         raise DataError("label_count is smaller than the largest label present")
-    started = time.perf_counter()
-    model = model_class.fit(matrix, params, label_count)
-    logger.debug(
-        "trained %s on %d rows x %d features in %.3fs",
-        kind.value, matrix.n_rows, matrix.dim, time.perf_counter() - started,
-    )
-    return model
+    return model_class.fit(matrix, params, label_count)

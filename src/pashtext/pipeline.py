@@ -5,9 +5,9 @@ pure stages on it:
 
     invisible marks removed -> NFC -> strip_noise -> str.split
 
-`normalize_text` is the first two stages plus a whitespace collapse and
-strip; the tokens do not depend on those two, so `preprocess_text` skips
-them.  Tokens are kept in their surface form; there is no stemming,
+No stage collapses or strips whitespace: `str.split` gives the same tokens
+without it, which the tests check against a reference that collapses
+first.  Tokens are kept in their surface form; there is no stemming,
 lemmatization or sentence segmentation. The profile keeps the Arabic script
 blocks and strips URLs, digits and punctuation; each saved model bundle
 records it as `PROFILE_RECORD`.
@@ -47,7 +47,6 @@ _INVISIBLES = (
     "﻿"  # zero-width no-break space / BOM
 )
 _INVISIBLES_RE = re.compile(f"[{_INVISIBLES}]")
-_WHITESPACE_RE = re.compile(r"\s+")
 _URL_RE = re.compile(r"(?:[a-zA-Z][a-zA-Z0-9+.-]*://|www\.)\S+")
 # ASCII, Arabic-Indic and Extended Arabic-Indic digits.
 _DIGITS = set("0123456789") | {chr(c) for c in range(0x0660, 0x066A)} | {
@@ -99,19 +98,6 @@ class PreprocessResult:
     excluded: list[tuple[str, str]] = field(default_factory=list)  # (id, reason)
 
 
-def _visible_nfc(raw: str) -> str:
-    return unicodedata.normalize("NFC", _INVISIBLES_RE.sub("", raw))
-
-
-def normalize_text(raw: str) -> str:
-    """Canonical text form: NFC, invisible marks removed, whitespace collapsed.
-
-    Total and idempotent: invisibles are stripped before NFC so a second
-    pass is a no-op.
-    """
-    return _WHITESPACE_RE.sub(" ", _visible_nfc(raw)).strip()
-
-
 def strip_noise(text: str) -> str:
     """Remove URLs, digits, punctuation and code points outside the script ranges.
 
@@ -126,14 +112,15 @@ def strip_noise(text: str) -> str:
 
 
 def preprocess_text(text: str) -> list[str]:
-    """The tokens of one string: `strip_noise(normalize_text(text)).split()`.
+    """The tokens of one string: invisible marks removed, NFC, `strip_noise`,
+    then `str.split`.
 
-    The whitespace collapse and strip of `normalize_text` are skipped: `\\s`
-    in the regexes and `str.split` agree on what is whitespace, and neither
-    `strip_noise` regex matches a whitespace character, so they cannot
+    Invisibles go before NFC, so NFC composes across them.  `\\s` in the
+    regexes and `str.split` agree on what is whitespace, and neither
+    `strip_noise` regex matches a whitespace character, so no stage can
     change where the tokens split.
     """
-    return strip_noise(_visible_nfc(text)).split()
+    return strip_noise(unicodedata.normalize("NFC", _INVISIBLES_RE.sub("", text))).split()
 
 
 def preprocess(corpus: Corpus) -> PreprocessResult:

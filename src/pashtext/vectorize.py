@@ -70,18 +70,6 @@ class FeatureMatrix:
             if not np.all(np.isfinite(self.data)):
                 raise DataError("sparse values must be finite")
 
-    @classmethod
-    def from_dense(cls, dense, row_labels=None) -> "FeatureMatrix":
-        """Unigram matrix of the nonzero entries of a 2-D array (labels default to 0)."""
-        dense = np.asarray(dense, dtype=np.float64)
-        rows, cols = np.nonzero(dense)
-        if row_labels is None:
-            row_labels = np.zeros(dense.shape[0], dtype=np.int64)
-        return cls(
-            _indptr(rows, dense.shape[0]), cols, dense[rows, cols], row_labels,
-            UNIGRAM, dense.shape[1],
-        )
-
     @property
     def n_rows(self) -> int:
         return self.row_labels.size

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from matrices import matrix_from_dense
 
 from pashtext.cli import main as cli_main
 from pashtext.corpus import Corpus, Document, LabelSet, SplitSpec, stratified_split
@@ -39,13 +40,10 @@ from pashtext.synth import generate_corpus
 from pashtext.vectorize import (
     TFIDF,
     UNIGRAM,
-    FeatureMatrix,
     build_vocabulary,
     chi2_scores,
     vectorize_documents,
 )
-
-matrix_from_dense = FeatureMatrix.from_dense
 
 
 # --------------------------------------------------------------------------

@@ -79,6 +79,13 @@ def test_unknown_flag_is_a_usage_error(capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+def test_verbose_is_not_an_option(tmp_path, capsys):
+    out = tmp_path / "corpus.jsonl"
+    assert main(["--verbose", "synth", "--out", str(out)]) == 1
+    assert "--verbose" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_writes_jsonl(workspace):
     lines = workspace["corpus"].read_text(encoding="utf-8").strip().splitlines()
     assert len(lines) == 24
@@ -142,6 +149,17 @@ def test_ingest_of_unreadable_corpus_is_one_line_exit_two(write, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert where in err
+
+
+@pytest.mark.parametrize("source", ["NaN", "Infinity", "3", '["web"]'])
+def test_ingest_of_non_string_source_is_exit_two(source, tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"id": "a", "text": "x", "label": "l"}\n'
+                      f'{{"id": "b", "text": "y", "label": "l", "source": {source}}}\n',
+                      encoding="utf-8")
+    assert main(["ingest", "--corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {corpus}:2: key 'source' must be a string\n"
 
 
 def test_split_writes_split_file(workspace):

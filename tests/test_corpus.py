@@ -121,6 +121,11 @@ RECORD = '{"id": "a", "text": "x", "label": "l"}'
         '{"id": 1, "text": "x", "label": "l"}',
         '{"id": "a", "text": "x", "label": null}',
         '{"id": "a", "text": "x", "label": "l", "source": "web"}',
+        '{"id": "a", "text": "x", "label": "l", "source": null}',
+        '{"id": "a", "text": "x", "label": "l", "source": NaN}',
+        '{"id": "a", "text": "x", "label": "l", "source": -Infinity}',
+        '{"id": "a", "text": "x", "label": "l", "source": 3}',
+        '{"id": "a", "text": "x", "label": "l", "source": ["web"]}',
         '{"id": "a", "text": "x", "label": "l", "id": "b"}',
         '{1: "a", "text": "x", "label": "l"}',
         '{"id": "a", "text": "x", "label": "l",}',
@@ -145,7 +150,8 @@ def test_jsonl_loader_accepts_exactly_what_json_loads_accepts(tmp_path, line):
         assert str(raised.value) == f"{path}:2: malformed JSON: {exc.msg}"
         return
     keys = ("id", "text", "label")
-    if isinstance(record, dict) and all(isinstance(record.get(k), str) for k in keys):
+    if (isinstance(record, dict) and all(isinstance(record.get(k), str) for k in keys)
+            and isinstance(record.get("source"), (str, type(None)))):
         loaded = load_corpus(path).documents[1]
         assert loaded == Document(*(record[k] for k in keys), record.get("source"))
     else:

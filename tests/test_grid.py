@@ -1,7 +1,10 @@
 """The 16-cell evaluation grid: determinism, failure isolation, reports, and
-the same bytes whether the TFIDF lane runs in a child process or not."""
+the same bytes whether the TFIDF lane runs in its child process or in this
+one."""
 
 import concurrent.futures
+import functools
+import hashlib
 import json
 import logging
 import os
@@ -13,7 +16,6 @@ import textwrap
 import pytest
 from test_blas_threads import SOURCE_ROOT, run_python
 
-from pashtext import grid as grid_module
 from pashtext.corpus import SplitSpec, stratified_split
 from pashtext.errors import DataError
 from pashtext.grid import GridCell, GridReport, cell_seed, run_grid
@@ -195,8 +197,30 @@ def report_texts(report):
     )
 
 
-def set_cores(monkeypatch, cores):
-    monkeypatch.setattr(grid_module, "_available_cores", lambda: cores)
+class InProcessPool:
+    """Stands in for `ProcessPoolExecutor`: `submit` runs the call in this
+    process and returns its done future."""
+
+    def __init__(self, *_args, **_kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def run_in_process(monkeypatch, *args, **kwargs):
+    """`run_grid` with its TFIDF lane run in this process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        return run_grid(*args, **kwargs)
 
 
 class CountedPool(concurrent.futures.ProcessPoolExecutor):
@@ -207,28 +231,14 @@ class CountedPool(concurrent.futures.ProcessPoolExecutor):
         CountedPool.started += 1
 
 
-def test_one_lane_and_two_lanes_give_the_same_bytes(small_setup, monkeypatch):
+def test_spawned_lane_gives_the_in_process_bytes(small_setup, monkeypatch):
     corpus, split = small_setup
+    # Default parameters: every cell seeds itself from the grid seed.
+    expected = report_texts(run_in_process(monkeypatch, corpus, split, seed=11, select_k=40))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    texts = {}
-    for cores in (1, 2):
-        set_cores(monkeypatch, cores)
-        before = CountedPool.started
-        # Default parameters: every cell seeds itself from the grid seed.
-        texts[cores] = report_texts(run_grid(corpus, split, seed=11, select_k=40))
-        assert CountedPool.started - before == cores - 1
-    assert texts[1] == texts[2]
-
-
-def test_one_core_starts_no_process(small_setup, monkeypatch):
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    set_cores(monkeypatch, 1)
-    corpus, split = small_setup
-    report = run_grid(corpus, split, seed=11, params_by_kind=QUICK_PARAMS)
-    assert all(cell.error is None for cell in report.cells)
+    before = CountedPool.started
+    assert report_texts(run_grid(corpus, split, seed=11, select_k=40)) == expected
+    assert CountedPool.started - before == 1
 
 
 def cell_log(caplog):
@@ -239,29 +249,26 @@ def cell_log(caplog):
     ]
 
 
-def test_log_lines_are_the_same_with_one_lane_or_two(small_setup, monkeypatch, caplog):
+def test_cells_log_only_their_grid_lines(small_setup, small_report, monkeypatch, caplog):
     corpus, split = small_setup
-    logs = {}
-    for cores in (1, 2):
-        set_cores(monkeypatch, cores)
+    logs = []
+    for run in (run_grid, functools.partial(run_in_process, monkeypatch)):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="pashtext"):
-            run_grid(corpus, split, seed=11, params_by_kind=QUICK_PARAMS)
-        logs[cores] = cell_log(caplog)
-    assert logs[1] == logs[2]
-    cells = [m.split(":")[0] for _, _, m in logs[2] if m.startswith("grid cell ")]
-    assert cells == [
-        f"grid cell {kind.value}/{mode}" for kind in ModelKind for mode in FEATURE_MODES
+            run(corpus, split, seed=11, params_by_kind=QUICK_PARAMS)
+        logs.append(cell_log(caplog))
+    assert logs[0] == logs[1]
+    assert [(name, m) for name, _, m in logs[0] if "grid cell" in m] == [
+        ("pashtext.grid", f"grid cell {c.kind.value}/{c.mode}: accuracy {c.accuracy:.4f} (Ts)")
+        for c in small_report.cells
     ]
-    trained = [m for name, _, m in logs[2] if name == "pashtext.models.train"]
-    assert len(trained) == 16
+    assert not [name for name, _, _ in logs[0] if name == "pashtext.models.train"]
 
 
 def test_cell_failing_in_the_tfidf_lane_yields_its_warning_row(
     small_setup, monkeypatch, caplog
 ):
     corpus, split = small_setup
-    set_cores(monkeypatch, 2)
     params = dict(QUICK_PARAMS)
     params[ModelKind.KNN] = KNNParams(k=100000)
     report = run_grid(corpus, split, seed=11, params_by_kind=params)
@@ -275,10 +282,10 @@ def test_cell_failing_in_the_tfidf_lane_yields_its_warning_row(
     ]
 
 
-# Runs one small grid with one lane and with two in a fresh interpreter whose
-# default start method is argv[1], and prints whether all five outputs are
-# byte-identical.
+# Runs one small grid in a fresh interpreter whose default start method is
+# argv[1], and prints the SHA-256 of its five outputs.
 LANES_UNDER_START_METHOD = textwrap.dedent("""
+    import hashlib
     import multiprocessing
     import sys
 
@@ -286,31 +293,30 @@ LANES_UNDER_START_METHOD = textwrap.dedent("""
     from pashtext.corpus import SplitSpec, stratified_split
     from pashtext.synth import generate_corpus
 
-    def texts(report):
-        return (report.to_json_text(), report.accuracy_table_markdown(),
-                report.accuracy_table_csv(), report.per_class_tables_markdown(),
-                report.per_class_tables_csv())
-
     if __name__ == "__main__":
         multiprocessing.set_start_method(sys.argv[1])
         corpus = generate_corpus(classes=3, per_class=10, seed=5)
         split = stratified_split(corpus, SplitSpec(train_fraction=0.7, seed=5))
-        outputs = []
-        for cores in (1, 2):
-            grid._available_cores = lambda: cores
-            outputs.append(texts(grid.run_grid(corpus, split, seed=3)))
-        print(outputs[0] == outputs[1])
+        report = grid.run_grid(corpus, split, seed=3)
+        texts = (report.to_json_text(), report.accuracy_table_markdown(),
+                 report.accuracy_table_csv(), report.per_class_tables_markdown(),
+                 report.per_class_tables_csv())
+        print(hashlib.sha256(repr(texts).encode()).hexdigest())
 """)
 
 
 @pytest.mark.parametrize("method,threads", [("forkserver", None), ("forkserver", "2"),
                                             ("fork", "2")])
 def test_two_lanes_give_the_same_bytes_whatever_the_default_start_method(
-    tmp_path, method, threads
+    tmp_path, monkeypatch, method, threads
 ):
+    corpus = generate_corpus(classes=3, per_class=10, seed=5)
+    split = stratified_split(corpus, SplitSpec(train_fraction=0.7, seed=5))
+    texts = report_texts(run_in_process(monkeypatch, corpus, split, seed=3))
     script = tmp_path / "lanes.py"
     script.write_text(LANES_UNDER_START_METHOD, encoding="utf-8")
-    assert run_python([str(script), method], threads).strip() == "True"
+    digest = hashlib.sha256(repr(texts).encode()).hexdigest()
+    assert run_python([str(script), method], threads).strip() == digest
 
 
 # `pashtext` whose TFIDF lane's child process dies as it starts.  The spawned
@@ -332,7 +338,6 @@ DYING_CHILD = textwrap.dedent("""
 
     if __name__ == "__main__":
         grid._run_lane = lane_dying_in_the_child
-        grid._available_cores = lambda: 2
         sys.exit(cli.main(sys.argv[1:]))
 """)
 

@@ -5,17 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from matrices import matrix_from_dense
 
 from pashtext.errors import DataError, InvalidHyperparameterError
 from pashtext.models.knn import KNNModel, knn_neighbors
 from pashtext.models.params import COSINE, EUCLIDEAN, KNNParams
-from pashtext.vectorize import FeatureMatrix
-
-matrix_from_dense = FeatureMatrix.from_dense
 
 
 def queries(*rows):
-    return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
+    return matrix_from_dense(np.array(rows, dtype=np.float64))
 
 
 def brute_distances(dense, query, metric):

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from matrices import matrix_from_dense
 
 from pashtext.errors import InvalidHyperparameterError, TrainingDivergedError
 from pashtext.models.linear import (
@@ -14,13 +15,10 @@ from pashtext.models.linear import (
     svm_loss_and_grads,
 )
 from pashtext.models.params import LinearParams
-from pashtext.vectorize import FeatureMatrix
-
-matrix_from_dense = FeatureMatrix.from_dense
 
 
 def queries(*rows):
-    return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
+    return matrix_from_dense(np.array(rows, dtype=np.float64))
 
 
 def hinge_loss_value(margin: float) -> float:

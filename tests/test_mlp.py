@@ -21,15 +21,14 @@ from pashtext.models.mlp import (
 from pashtext.models.params import MLPParams
 from pashtext.prng import derive_seed
 from pashtext.vectorize import FeatureMatrix
+from matrices import matrix_from_dense
 from scalar_prng import ScalarSplitMix64
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
-matrix_from_dense = FeatureMatrix.from_dense
-
 
 def queries(*rows):
-    return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
+    return matrix_from_dense(np.array(rows, dtype=np.float64))
 
 
 def all_samples(matrix, labels):

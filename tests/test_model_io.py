@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from matrices import matrix_from_dense
 
 from pashtext.errors import DataError, InvalidHyperparameterError
 from pashtext.models import ModelKind, base, train
 from pashtext.models.io import model_document, model_from_document
 from pashtext.models.params import KNNParams, LinearParams, MLPParams, RandomForestParams
-from pashtext.vectorize import UNIGRAM, FeatureMatrix
+from pashtext.vectorize import UNIGRAM
 
 QUICK_PARAMS = {
     ModelKind.KNN: KNNParams(k=2),
@@ -32,7 +33,7 @@ def toy_matrix():
         ]
     )
     labels = np.array([0, 0, 1, 1, 2, 2])
-    return FeatureMatrix.from_dense(dense, labels)
+    return matrix_from_dense(dense, labels)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -44,7 +45,7 @@ def test_round_trip_preserves_predictions(kind):
     assert restored.label_count == model.label_count
     assert restored.feature_dimension == model.feature_dimension
     assert restored.params == model.params
-    probes = FeatureMatrix.from_dense(np.vstack([m.to_dense(), np.zeros((1, 3))]))
+    probes = matrix_from_dense(np.vstack([m.to_dense(), np.zeros((1, 3))]))
     scores = model.predict_scores(probes)
     assert scores.shape == (7, model.label_count)
     assert np.allclose(restored.predict_scores(probes), scores, atol=1e-12)
@@ -55,7 +56,7 @@ def test_round_trip_preserves_predictions(kind):
 def test_blocked_scores_equal_single_block(kind, monkeypatch):
     m = toy_matrix()
     model = train(kind, m, QUICK_PARAMS.get(kind))
-    probes = FeatureMatrix.from_dense(np.vstack([m.to_dense(), np.zeros((1, 3))]))
+    probes = matrix_from_dense(np.vstack([m.to_dense(), np.zeros((1, 3))]))
     whole = model.predict_scores(probes)
     # Six cells per block: one or two probe rows per block, ending on a short one.
     monkeypatch.setattr(base, "_BLOCK_CELLS", 6)
@@ -291,13 +292,13 @@ def test_train_validates_inputs():
         train("quantum_svm", m)
     with pytest.raises(InvalidHyperparameterError, match="expects"):
         train(ModelKind.KNN, m, LinearParams())
-    empty = FeatureMatrix.from_dense(np.zeros((0, 3)))
+    empty = matrix_from_dense(np.zeros((0, 3)))
     with pytest.raises(DataError, match="empty"):
         train(ModelKind.MULTINOMIAL_NB, empty)
-    flat = FeatureMatrix.from_dense(np.zeros((2, 0)), [0, 1])
+    flat = matrix_from_dense(np.zeros((2, 0)), [0, 1])
     with pytest.raises(DataError, match="zero-dimensional"):
         train(ModelKind.MULTINOMIAL_NB, flat)
-    single = FeatureMatrix.from_dense([[1.0], [2.0]], [1, 1])
+    single = matrix_from_dense([[1.0], [2.0]], [1, 1])
     with pytest.raises(DataError, match="two distinct classes"):
         train(ModelKind.MULTINOMIAL_NB, single)
     with pytest.raises(DataError, match="label_count"):

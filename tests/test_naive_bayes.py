@@ -5,17 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from matrices import matrix_from_dense
 
 from pashtext.errors import DataError, InvalidHyperparameterError
 from pashtext.models.naive_bayes import GaussianNBModel, MultinomialNBModel
 from pashtext.models.params import GaussianNBParams, MultinomialNBParams
-from pashtext.vectorize import FeatureMatrix
-
-matrix_from_dense = FeatureMatrix.from_dense
 
 
 def queries(*rows):
-    return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
+    return matrix_from_dense(np.array(rows, dtype=np.float64))
 
 
 def brute_gaussian_posterior(dense, labels, query, label_count, variance_floor):

@@ -13,18 +13,21 @@ import pytest
 
 from pashtext import pipeline
 from pashtext.corpus import Corpus, Document, LabelSet
-from pashtext.pipeline import (
-    ARABIC_SCRIPT_RANGES,
-    normalize_text,
-    preprocess,
-    preprocess_text,
-    strip_noise,
-)
+from pashtext.pipeline import ARABIC_SCRIPT_RANGES, preprocess, preprocess_text, strip_noise
 
 ZWNJ = "‌"
 ZWJ = "‍"
 RLM = "‏"
 BOM = "﻿"
+
+
+def normalize_text(raw):
+    """Canonical text form: invisible marks removed, NFC, whitespace collapsed
+    and stripped.  The reference `preprocess_text` is checked against; it
+    runs neither the collapse nor the strip."""
+    visible = unicodedata.normalize("NFC", pipeline._INVISIBLES_RE.sub("", raw))
+    return re.sub(r"\s+", " ", visible).strip()
+
 
 # The per-character cleaner and punctuation-trimming tokenizer that
 # `strip_noise` and `str.split` replaced, kept verbatim as a reference under

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from matrices import matrix_from_dense
 
 from pashtext.corpus import SplitSpec, stratified_split
 from pashtext.errors import DataError
@@ -12,13 +13,11 @@ from pashtext.models import tree as tree_module
 from pashtext.models.params import DecisionTreeParams, RandomForestParams
 from pashtext.models.tree import DecisionTreeModel, Nodes, RandomForestModel
 from pashtext.synth import generate_corpus
-from pashtext.vectorize import FEATURE_MODES, FeatureMatrix, split_features
-
-matrix_from_dense = FeatureMatrix.from_dense
+from pashtext.vectorize import FEATURE_MODES, split_features
 
 
 def queries(*rows):
-    return FeatureMatrix.from_dense(np.array(rows, dtype=np.float64))
+    return matrix_from_dense(np.array(rows, dtype=np.float64))
 
 
 def gini_impurity(class_counts) -> float:

@@ -7,6 +7,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from matrices import matrix_from_dense
 
 from pashtext.corpus import Corpus, LabelSet, SplitSpec, stratified_split
 from pashtext.errors import DataError
@@ -77,7 +78,7 @@ def test_sparse_vector_invariants():
 
 def test_sparse_vector_round_trips_and_get():
     dense = np.array([[0.0, 2.0, 0.0, -1.5], [0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]])
-    m = FeatureMatrix.from_dense(dense, [1, 0, 1])
+    m = matrix_from_dense(dense, [1, 0, 1])
     assert m.nnz == 3 and m.n_rows == 3 and m.dim == 4
     assert m.indptr.tolist() == [0, 2, 2, 3]
     indices, values = m.row(0)
@@ -86,7 +87,7 @@ def test_sparse_vector_round_trips_and_get():
     assert m.row_ids().tolist() == [0, 0, 2]
     assert m.row_labels.tolist() == [1, 0, 1]
     assert np.array_equal(m.to_dense(), dense)
-    assert FeatureMatrix.from_dense(dense).row_labels.tolist() == [0, 0, 0]
+    assert matrix_from_dense(dense).row_labels.tolist() == [0, 0, 0]
 
 
 def test_sparse_dot_matches_dense_sweep():
@@ -98,7 +99,7 @@ def test_sparse_dot_matches_dense_sweep():
              for _ in range(n)]
         width = rng.randrange(1, 4)
         b = [[rng.uniform(-2, 2) for _ in range(width)] for _ in range(dim)]
-        m = FeatureMatrix.from_dense(a)
+        m = matrix_from_dense(a)
         assert np.allclose(m.dot(np.array(b)), np.dot(a, b), atol=1e-12)
         squares = (np.asarray(a) ** 2).sum(axis=1)
         assert np.allclose(m.squared_norms(), squares, atol=1e-12)
@@ -192,13 +193,13 @@ def test_vectorize_documents_modes_and_labels():
 def test_chi2_worked_examples():
     # Two docs, one per class. Feature present with weight 2 in class 0:
     # O = (2, 0), E = (1, 1), score = (2-1)^2/1 + (0-1)^2/1 = 2.
-    m = FeatureMatrix.from_dense([[2.0], [0.0]], [0, 1])
+    m = matrix_from_dense([[2.0], [0.0]], [0, 1])
     assert chi2_scores(m, 2)[0] == pytest.approx(2.0, abs=1e-12)
     # O = (1, 0), E = (0.5, 0.5) -> 1.0
-    m = FeatureMatrix.from_dense([[1.0], [0.0]], [0, 1])
+    m = matrix_from_dense([[1.0], [0.0]], [0, 1])
     assert chi2_scores(m, 2)[0] == pytest.approx(1.0, abs=1e-12)
     # A feature absent everywhere has E = 0 for every class: score 0.
-    m = FeatureMatrix.from_dense([[0.0, 1.0], [0.0, 1.0]], [0, 1])
+    m = matrix_from_dense([[0.0, 1.0], [0.0, 1.0]], [0, 1])
     assert chi2_scores(m, 2)[0] == 0.0
 
 
@@ -231,16 +232,16 @@ def test_chi2_matches_brute_force_sweep():
         dense = np.array(
             [[rng.choice([0.0, 0.0, 1.0, 2.0]) for _ in range(dim)] for _ in range(n)]
         )
-        m = FeatureMatrix.from_dense(dense, labels)
+        m = matrix_from_dense(dense, labels)
         expected = brute_force_chi2(dense, labels, n_classes)
         assert np.allclose(chi2_scores(m, n_classes), expected, atol=1e-12)
 
 
 def test_chi2_rejects_negative_values_and_bad_labels():
-    m = FeatureMatrix.from_dense([[-1.0], [1.0]], [0, 1])
+    m = matrix_from_dense([[-1.0], [1.0]], [0, 1])
     with pytest.raises(DataError):
         chi2_scores(m, 2)
-    ok = FeatureMatrix.from_dense([[1.0]], [1])
+    ok = matrix_from_dense([[1.0]], [1])
     with pytest.raises(DataError):
         chi2_scores(ok, 1)
 
@@ -269,7 +270,7 @@ def test_apply_mask_matches_dense_slicing():
             [[rng.choice([0.0, 0.0, rng.uniform(0, 3)]) for _ in range(dim)]
              for _ in range(n)]
         )
-        m = FeatureMatrix.from_dense(dense)
+        m = matrix_from_dense(dense)
         k = rng.randrange(1, dim + 1)
         scores = np.array([rng.random() for _ in range(dim)])
         mask = select_top_k(scores, k)
