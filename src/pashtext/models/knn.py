@@ -40,7 +40,9 @@ def _nearest(
     k: int,
     metric: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`knn_neighbors` with the training rows' squared norms given."""
+    """`knn_neighbors` with the training rows' squared norms given.  Each
+    query's distances are computed in full, then `_smallest` picks its k
+    nearest without sorting the whole row."""
     # dots[q, i] = <query q, training row i>, summed over row i's entries.
     dots = matrix.dot(queries.to_dense().T).T
     query_norm_sq = queries.squared_norms()[:, None]
@@ -50,8 +52,34 @@ def _nearest(
         denom = np.sqrt(row_norm_sq * query_norm_sq)
         similarity = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
         distances = 1.0 - similarity
-    order = np.argsort(distances, axis=1, kind="stable")[:, :k]
-    return order, np.take_along_axis(distances, order, axis=1)
+    return _smallest(distances, k)
+
+
+def _smallest(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column indices and values of each row's k smallest distances, in
+    (distance, column) order: exactly the first k columns of a stable
+    `argsort`, which puts NaN after every number, without sorting whole rows.
+
+    `np.partition` finds each row's k-th smallest distance.  The chosen are
+    the distances below it and, of those equal to it, the ones in the lowest
+    columns (a row with more such ties than places is trimmed on its own);
+    a stable sort orders only these k.
+    """
+    # A copy, so that the partitioned rows are freed at once.
+    kth = np.partition(distances, k - 1, axis=1)[:, k - 1].copy()
+    kth_is_nan = np.isnan(kth)
+    chosen = distances <= kth[:, None]
+    # Where the k-th distance is NaN, every number and the first NaNs are chosen.
+    chosen[kth_is_nan] = True
+    excess = np.count_nonzero(chosen, axis=1) - k
+    for row in np.flatnonzero(excess):  # unchoose the k-th place ties in the highest columns
+        tied = np.isnan(distances[row]) if kth_is_nan[row] else distances[row] == kth[row]
+        chosen[row, np.flatnonzero(tied)[-excess[row]:]] = False
+    # The chosen columns of each row, ascending; every row has k of them.
+    columns = (np.flatnonzero(chosen) % distances.shape[1]).reshape(-1, k)
+    values = np.take_along_axis(distances, columns, axis=1)
+    order = np.argsort(values, axis=1, kind="stable")
+    return np.take_along_axis(columns, order, axis=1), np.take_along_axis(values, order, axis=1)
 
 
 class KNNModel(Model):
@@ -88,7 +116,7 @@ class KNNModel(Model):
         return cls(matrix, params, label_count)
 
     def _block_width(self) -> int:
-        # Distances, their sort order and the dense queries: one row each.
+        # Distances, the chosen mask and the dense queries: one row each.
         return max(self.feature_dimension, self.matrix.n_rows)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
@@ -118,11 +146,22 @@ class KNNModel(Model):
         rows = payload["rows"]
         if any(len(entry["indices"]) != len(entry["values"]) for entry in rows):
             raise DataError("each stored row needs as many indices as values")
+        row_labels = payload["row_labels"]
+        indices = [index for entry in rows for index in entry["indices"]]
+        values = [value for entry in rows for value in entry["values"]]
+        # `type`, not `isinstance`: a JSON true or false is no integer here.
+        for name, entries, kinds, what in (
+            ("row_labels", row_labels, {int}, "integers"),
+            ("indices", indices, {int}, "integers"),
+            ("values", values, {int, float}, "numbers"),
+        ):
+            if not set(map(type, entries)) <= kinds:
+                raise DataError(f"knn stored {name} must be {what}")
         matrix = FeatureMatrix(
             indptr=np.cumsum([0] + [len(entry["indices"]) for entry in rows]),
-            indices=[index for entry in rows for index in entry["indices"]],
-            data=[value for entry in rows for value in entry["values"]],
-            row_labels=payload["row_labels"],
+            indices=indices,
+            data=values,
+            row_labels=row_labels,
             mode=payload["mode"],
             dim=payload["dim"],
         )

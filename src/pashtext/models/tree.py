@@ -7,11 +7,16 @@ feature index and then the lowest threshold wins, which makes growth fully
 deterministic and lets a one-tree forest reproduce a plain tree exactly.
 
 Trees are flat node arrays, and every row walks every tree of a model at
-once, one level per step.
+once.  For the walk a leaf reads column 0 and points to itself from both
+child slots, so each step is one gather, one compare and one child lookup
+for every pending (row, tree) pair, and a pair that reached a leaf stays
+there until the pairs at leaves are dropped, every few steps.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -26,17 +31,27 @@ from .params import DecisionTreeParams, RandomForestParams
 
 _SPLIT = object()  # the counts field of a split's record
 
+# Walk steps between drops of the (row, tree) pairs that reached a leaf.  A
+# drop costs about as much as a step, and forests on sparse text features
+# reach their leaves anywhere from 1 to about 50 levels down, so few pairs
+# finish at any one level.
+_STEPS_PER_DROP = 4
+
 
 def _integer_rows(entries: list, label_count: int) -> np.ndarray | None:
     """`entries` as one (len(entries), label_count) int64 array, or None
-    unless each entry is a list of label_count integers."""
+    unless each entry is a list of label_count integers.  The types are
+    read, not converted, so a JSON true or false is refused, not read as 1 or 0."""
     try:
-        rows = np.array(entries)
-    except ValueError:  # entries of different lengths
+        flat = list(chain.from_iterable(entries))
+    except TypeError:  # an entry that is no list
         return None
-    if rows.dtype.kind != "i" or rows.shape != (len(entries), label_count):
+    if set(map(type, flat)) - {int} or set(map(len, entries)) - {label_count}:
         return None
-    return rows.astype(np.int64, copy=False)
+    try:
+        return np.fromiter(flat, np.int64, len(flat)).reshape(len(entries), label_count)
+    except OverflowError:
+        return None
 
 
 class Nodes(NamedTuple):
@@ -93,15 +108,16 @@ def _nodes(records: list, label_count: int, feature_dimension: int) -> Nodes:
     split = np.array([entry is _SPLIT for entry in entries])
     feature = np.array(records[1::4])  # of objects if a value overflows int64
     threshold = np.array(records[2::4], dtype=np.float64)
-    zero = [0] * label_count  # a split's counts
-    counts = _integer_rows([zero if entry is _SPLIT else entry for entry in entries], label_count)
-    if counts is None:  # find the leaves that are not lists of integers
-        rows = [_integer_rows([entry], label_count) for entry in entries]
+    leaves = [entry for entry in entries if entry is not _SPLIT]
+    leaf_counts = _integer_rows(leaves, label_count)
+    if leaf_counts is None:  # find the leaves that are not lists of integers
+        rows = [_integer_rows([entry], label_count) for entry in leaves]
         bad_leaf = [row is None or (row < 0).any() or row.sum() <= 0 for row in rows]
     else:
-        bad_leaf = (counts < 0).any(axis=1) | (counts.sum(axis=1) <= 0)
+        bad_leaf = (leaf_counts < 0).any(axis=1) | (leaf_counts.sum(axis=1) <= 0)
     bad_feature = split & ((feature < 0) | (feature >= feature_dimension))
-    bad = np.where(split, bad_feature | ~np.isfinite(threshold), bad_leaf)
+    bad = bad_feature | ~np.isfinite(threshold)
+    bad[~split] = bad_leaf
     if bad.any():
         at = int(bad.argmax())
         if not split[at]:
@@ -111,6 +127,9 @@ def _nodes(records: list, label_count: int, feature_dimension: int) -> Nodes:
             raise DataError(
                 f"tree split feature {records[4 * at + 1]} outside [0, {feature_dimension})")
         raise DataError(f"tree split threshold {records[4 * at + 2]} is not finite")
+    counts = np.zeros((split.size, label_count), dtype=np.int64)
+    counts[~split] = leaf_counts
+    del leaf_counts  # not held while the child arrays are made, at training's peak
     index, right_of = np.arange(split.size), np.array(records[0::4])
     right = np.full(split.size, -1)
     right[right_of[right_of >= 0]] = index[right_of >= 0]
@@ -226,26 +245,40 @@ class _TreeModel(Model):
         self.label_count = label_count
         self.feature_dimension = feature_dimension
 
+    @cached_property
+    def _walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """The walk's split features and its child table
+        `child[2 * node + goes_left]`, in which a leaf reads column 0 and
+        sends a row either way back to itself.  Made at the first prediction,
+        so that they do not add to the memory of training."""
+        nodes = self.nodes
+        leaf = nodes.feature < 0
+        index = np.arange(leaf.size)
+        child = np.stack([np.where(leaf, index, nodes.right), np.where(leaf, index, nodes.left)],
+                         axis=1)
+        return np.maximum(nodes.feature, 0), child.ravel()
+
     def _block_width(self) -> int:
         # A scored row is one dense row plus one walk position per tree.
         return self.feature_dimension + self.nodes.roots.size
 
     def _leaves(self, matrix: FeatureMatrix) -> np.ndarray:
         """(rows, trees) leaf each row reaches in each tree.  Each step moves
-        every (row, tree) pair still at a split one level down and drops the
-        pairs that reached a leaf."""
+        every pending (row, tree) pair one level down, or keeps it at its
+        leaf; every `_STEPS_PER_DROP` steps the pairs at leaves are dropped."""
         dense = matrix.to_dense().ravel()
-        feature, threshold, left, right = self.nodes[:4]
+        (feature, child), threshold = self._walk, self.nodes.threshold
         reached = np.tile(self.nodes.roots, (matrix.n_rows, 1))
         at = reached.reshape(-1)
-        pending = np.flatnonzero(feature[at] >= 0)  # indices into `at`
+        pending = np.flatnonzero(self.nodes.feature.take(at) >= 0)  # indices into `at`
         node = at[pending]
         row_start = pending // self.nodes.roots.size * matrix.dim  # in `dense`
         while pending.size:
-            goes_left = dense.take(row_start + feature.take(node)) <= threshold.take(node)
-            node = np.where(goes_left, left.take(node), right.take(node))
+            for _ in range(_STEPS_PER_DROP):
+                goes_left = dense.take(row_start + feature.take(node)) <= threshold.take(node)
+                node = child.take(2 * node + goes_left)
             at[pending] = node
-            split = feature.take(node) >= 0
+            split = self.nodes.feature.take(node) >= 0
             pending, node, row_start = pending[split], node[split], row_start[split]
         return reached
 
@@ -312,10 +345,14 @@ class RandomForestModel(_TreeModel):
         nodes = _nodes(records, label_count, dim)
         return cls(nodes, params, label_count, dim)
 
+    @cached_property
+    def _votes(self) -> np.ndarray:
+        """Each leaf's vote: its most frequent class, the lowest on ties."""
+        return self.nodes.counts.argmax(axis=1)
+
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         n, k = matrix.n_rows, self.label_count
-        # Each leaf votes for its most frequent class, the lowest on ties.
-        votes = self.nodes.counts.argmax(axis=1)[self._leaves(matrix)]
+        votes = self._votes[self._leaves(matrix)]
         cells = votes + k * np.arange(n)[:, None]
         return np.bincount(cells.ravel(), minlength=n * k).reshape(n, k).astype(np.float64)
 

@@ -155,6 +155,35 @@ def test_hand_picked_defects_are_refused(saved, artifact, defect, tmp_path, caps
 
 
 @pytest.mark.parametrize(
+    "field, entry, message",
+    [
+        ("indices", 0.5, "knn stored indices must be integers"),
+        ("indices", 1.0, "knn stored indices must be integers"),
+        ("indices", True, "knn stored indices must be integers"),
+        ("row_labels", 1.0, "knn stored row_labels must be integers"),
+        ("row_labels", False, "knn stored row_labels must be integers"),
+        ("values", True, "knn stored values must be numbers"),
+        ("values", "0.5", "knn stored values must be numbers"),
+    ],
+)
+def test_knn_payload_entries_of_another_json_type_are_refused(
+    saved, field, entry, message, tmp_path, capsys
+):
+    """Each entry would otherwise load cast: 0.5 to index 0, true to 1."""
+    with open(saved["bundle-knn"], encoding="utf-8") as handle:
+        bundle = json.load(handle)
+    payload = bundle["model"]["payload"]
+    owner = payload if field == "row_labels" else next(
+        row for row in payload["rows"] if row["indices"])
+    owner[field] = [entry] + owner[field][1:]
+    target = tmp_path / "defective.json"
+    target.write_text(json.dumps(bundle), encoding="utf-8")
+    argv = commands("bundle-knn", str(target), saved, str(tmp_path / "out"))[0]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "artifact, field",
     [("split", ("train_ids",)), ("bundle-decision_tree", ("model", "payload", "root"))],
     ids=["split-train-ids", "bundle-tree-root"],

@@ -8,6 +8,7 @@ import pytest
 from matrices import matrix_from_dense
 
 from pashtext.errors import DataError, InvalidHyperparameterError
+from pashtext.models import knn
 from pashtext.models.knn import KNNModel, knn_neighbors
 from pashtext.models.params import COSINE, EUCLIDEAN, KNNParams
 
@@ -78,6 +79,54 @@ def test_cosine_zero_vector_has_similarity_zero():
     assert distances[0][1] == 1.0
     # a zero query is equidistant from everything under cosine
     assert distances[1].tolist() == [1.0, 1.0]
+
+
+def reference_smallest(distances, k):
+    """The selection `knn._smallest` replaced: a full stable argsort."""
+    order = np.argsort(distances, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(distances, order, axis=1)
+
+
+def assert_same_selection(got, want):
+    """Equal indices and bit-identical distances."""
+    assert np.array_equal(got[0], want[0])
+    assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+
+def test_top_k_equals_stable_argsort_on_tied_distances():
+    rng = np.random.default_rng(13)
+    # Few distinct values, so most rows tie across the k-th place; -0.0
+    # ties with 0.0, and NaN sorts after inf.
+    pool = np.array([0.0, -0.0, 0.5, 1.0, 1.0 + 2**-52, np.inf, np.nan])
+    for _ in range(3000):
+        n = int(rng.integers(1, 12))
+        distances = rng.choice(pool[: rng.integers(1, pool.size + 1)],
+                               size=(int(rng.integers(0, 6)), n))
+        k = int(rng.choice([1, n, rng.integers(1, n + 1)]))
+        assert_same_selection(knn._smallest(distances, k), reference_smallest(distances, k))
+
+
+def test_neighbors_equal_stable_argsort_selection_on_tied_matrices(monkeypatch):
+    rng = np.random.default_rng(17)
+    cases = 0
+    for _ in range(200):
+        dim = int(rng.integers(1, 5))
+        # Few distinct small counts: duplicate rows, all-zero rows and equal
+        # distances across the k-th place.
+        distinct = rng.integers(0, 3, (int(rng.integers(1, 5)), dim)).astype(np.float64)
+        dense = distinct[rng.integers(len(distinct), size=int(rng.integers(1, 20)))]
+        batch = rng.integers(0, 3, (int(rng.integers(1, 8)), dim)).astype(np.float64)
+        n = len(dense)
+        for k in {1, n, int(rng.integers(1, n + 1))}:
+            for metric in (EUCLIDEAN, COSINE):
+                args = (matrix_from_dense(dense), queries(*batch), k, metric)
+                got = knn_neighbors(*args)
+                with monkeypatch.context() as patch:
+                    patch.setattr(knn, "_smallest", reference_smallest)
+                    want = knn_neighbors(*args)
+                assert_same_selection(got, want)
+                cases += 1
+    assert cases >= 800
 
 
 def test_k_larger_than_rows_is_rejected():

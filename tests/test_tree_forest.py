@@ -449,6 +449,72 @@ def test_flat_walk_matches_recursive_payload_walk(monkeypatch):
     assert on_threshold >= 500
 
 
+def reference_leaves(nodes, matrix):
+    """The walk `_TreeModel._leaves` replaced: each step moves every (row,
+    tree) pair still at a split one level down and drops the pairs that
+    reached a leaf."""
+    dense = matrix.to_dense().ravel()
+    feature, threshold, left, right = nodes[:4]
+    reached = np.tile(nodes.roots, (matrix.n_rows, 1))
+    at = reached.reshape(-1)
+    pending = np.flatnonzero(feature[at] >= 0)  # indices into `at`
+    node = at[pending]
+    row_start = pending // nodes.roots.size * matrix.dim  # in `dense`
+    while pending.size:
+        goes_left = dense.take(row_start + feature.take(node)) <= threshold.take(node)
+        node = np.where(goes_left, left.take(node), right.take(node))
+        at[pending] = node
+        split = feature.take(node) >= 0
+        pending, node, row_start = pending[split], node[split], row_start[split]
+    return reached
+
+
+def unbalanced_payload_tree(rng, dim, label_count, depth):
+    """A random nested payload tree up to `depth` levels deep that grows
+    mostly down one side, the side most rows of the half-step grid take."""
+    if depth == 0 or rng.random() < 0.05:
+        counts = rng.integers(0, 4, label_count)
+        counts[rng.integers(label_count)] += 1
+        return {"counts": counts.tolist()}
+    deep = unbalanced_payload_tree(rng, dim, label_count, depth - 1)
+    shallow = unbalanced_payload_tree(rng, dim, label_count, int(rng.integers(depth // 4 + 1)))
+    threshold = float(rng.integers(1, 3)) / 2  # rows at or below it go left
+    if rng.random() < 0.5:
+        return {"feature": int(rng.integers(dim)), "threshold": threshold,
+                "left": deep, "right": shallow}
+    return {"feature": int(rng.integers(dim)), "threshold": -threshold,
+            "left": shallow, "right": deep}
+
+
+@pytest.mark.parametrize("steps_per_drop", [1, 3, tree_module._STEPS_PER_DROP])
+def test_walk_matches_the_replaced_walk_on_deep_unbalanced_forests(steps_per_drop, monkeypatch):
+    monkeypatch.setattr(tree_module, "_STEPS_PER_DROP", steps_per_drop)
+    rng = np.random.default_rng(47)
+    on_threshold = 0
+    for _ in range(12):
+        dim, label_count = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        trees = [{"root": unbalanced_payload_tree(rng, dim, label_count, int(rng.integers(40)))}
+                 for _ in range(int(rng.integers(1, 30)))]
+        dense = rng.integers(-2, 3, (int(rng.integers(1, 80)), dim)) / 2
+        matrix = matrix_from_dense(dense)
+        forest = RandomForestModel.from_payload(
+            {"trees": trees}, RandomForestParams(n_trees=len(trees)), label_count, dim)
+        want = reference_leaves(forest.nodes, matrix)
+        assert np.array_equal(forest._leaves(matrix), want)
+        for tree, reached in zip(trees, want.T):
+            counts = [reference_leaf_counts(tree["root"], row) for row in dense]
+            assert np.array_equal(forest.nodes.counts[reached], counts)
+        # Blocks of one to a few rows.
+        monkeypatch.setattr(base, "_BLOCK_CELLS", int(rng.integers(1, 200)))
+        votes = np.zeros((len(dense), label_count))
+        np.add.at(votes, (np.arange(len(dense))[:, None], forest.nodes.counts[want].argmax(axis=2)), 1)
+        assert np.array_equal(forest.predict_scores(matrix), votes)
+        splits = forest.nodes.feature >= 0
+        on_threshold += np.count_nonzero(
+            dense[:, forest.nodes.feature[splits]] == forest.nodes.threshold[splits])
+    assert on_threshold >= 1000
+
+
 def test_nodes_are_flat_preorder_arrays():
     rng = random.Random(43)
     dense = [[rng.uniform(0, 2) for _ in range(5)] for _ in range(40)]
@@ -509,6 +575,8 @@ def test_deep_payload_loads_walks_and_saves_without_recursion():
         (dict(feature=-1), r"tree split feature -1 outside \[0, 1\)"),
         (dict(left={"counts": [[1], [2]]}), "tree leaf counts"),
         (dict(left={"counts": [1, "2"]}), "tree leaf counts"),
+        (dict(left={"counts": [True, 1]}), r"tree leaf counts \[True, 1\]"),
+        (dict(left={"counts": [True, False]}), r"tree leaf counts \[True, False\]"),
         (dict(left={"counts": [1]}, threshold=float("inf")), "threshold inf"),
         (dict(left={"counts": [1]}, right=dict(feature=5, threshold=0.5, left={"counts": [1]},
                                                 right={"counts": [1]})),
