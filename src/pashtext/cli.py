@@ -36,12 +36,13 @@ from .pipeline import PROFILE_RECORD
 from .synth import generate_corpus
 from .vectorize import (
     FEATURE_MODES,
-    TEST,
-    TRAIN,
     UNIGRAM,
     FeatureMask,
     Vocabulary,
-    split_features,
+    feature_matrix,
+    fit_features,
+    side_documents,
+    vectorize_documents,
 )
 
 logger = logging.getLogger(__name__)
@@ -79,6 +80,13 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type of an integer that must be 1 or more."""
+    if not text.strip().removeprefix("+").isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _parse_params(pairs) -> dict[str, str]:
@@ -166,11 +174,10 @@ def _cmd_train(args) -> int:
     params = params_with_overrides(kind, args.seed, overrides)
     corpus = load_corpus(args.corpus)
     split, _spec = load_split(args.split)
-    features = split_features(
-        corpus, split, [args.features], sides=[TRAIN], select_k=args.select_k
-    )
-    vocab, mask = features.vocab, features.mask
-    matrix = features.train[args.features]
+    docs = side_documents(corpus, split.train_ids, "train")
+    vocab, mask, counts = fit_features(docs, corpus.labels, args.select_k)
+    matrix = feature_matrix(counts, vocab, mask, args.features)
+    del docs, counts  # not held through training and saving
     started = time.perf_counter()
     model = train(kind, matrix, params, label_count=len(corpus.labels))
     elapsed = time.perf_counter() - started
@@ -200,11 +207,10 @@ def _cmd_evaluate(args) -> int:
     split, _spec = load_split(args.split)
     labels: LabelSet = bundle["labels"]
     # Re-labelled with the model's label set, so rows carry its class indices.
-    features = split_features(
-        corpus.relabel(labels), split, [bundle["mode"]],
-        sides=[TEST], vocab=bundle["vocab"], mask=bundle["mask"],
-    )
-    matrix = features.test[bundle["mode"]]
+    docs = side_documents(corpus.relabel(labels), split.test_ids, "test")
+    counts = vectorize_documents(docs, bundle["vocab"], labels)
+    matrix = feature_matrix(counts, bundle["vocab"], bundle["mask"], bundle["mode"])
+    del docs, counts  # not held through prediction
     preds = bundle["model"].predict_rows(matrix)
     report = evaluate_predictions(
         matrix.row_labels, preds, len(labels), labels.names
@@ -321,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                            required=True, help="classifier kind")
     train_cmd.add_argument("--param", action="append", metavar="KEY=VALUE",
                            help="hyperparameter override, repeatable")
-    train_cmd.add_argument("--select-k", type=int, default=None,
+    train_cmd.add_argument("--select-k", type=_at_least_one, default=None,
                            help="keep only the k best chi-square features")
     train_cmd.add_argument("--seed", type=int, default=DEFAULT_SEED,
                            help="training seed")
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="per-class train fraction")
     grid.add_argument("--seed", type=int, default=DEFAULT_SEED,
                       help="seed for the split and all cells")
-    grid.add_argument("--select-k", type=int, default=None,
+    grid.add_argument("--select-k", type=_at_least_one, default=None,
                       help="keep only the k best chi-square features")
     grid.add_argument("--out", required=True, help="output directory")
 

@@ -9,7 +9,6 @@ directory layout is also accepted: one subdirectory per label, one UTF-8
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -18,8 +17,6 @@ from pathlib import Path
 
 from .errors import DataError, malformed, read_json
 from .prng import SplitMix64, derive_seed
-
-logger = logging.getLogger(__name__)
 
 # Default 8-class label set, in canonical order. The ordering defines the
 # integer class index used for tie-breaking everywhere downstream.
@@ -69,10 +66,6 @@ class LabelSet:
             raise DataError("label set contains duplicate names")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
-
-    @classmethod
-    def default(cls) -> "LabelSet":
-        return cls(DEFAULT_LABEL_NAMES)
 
     def index(self, name: str) -> int:
         try:

@@ -25,7 +25,10 @@ from .models import ModelKind, train
 from .models.base import KIND_CLASSES
 from .models.params import DEFAULT_SEED, default_params
 from .prng import derive_seed
-from .vectorize import FEATURE_MODES, TFIDF, UNIGRAM, split_features
+from .vectorize import (
+    FEATURE_MODES, TFIDF, UNIGRAM, feature_matrix, fit_features, side_documents,
+    vectorize_documents,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -100,6 +103,8 @@ class GridReport:
             raise DataError("grid seed, n_train, n_test and select_k must be integers")
         if self.n_train < 0 or self.n_test < 0:
             raise DataError("grid n_train and n_test must not be negative")
+        if self.select_k is not None and self.select_k < 1:
+            raise DataError("grid select_k must be at least 1")
         if any(c.report and c.report.confusion.total != self.n_test for c in self.cells):
             raise DataError("every grid cell must count the grid's n_test test rows")
         if any(c.report and c.report.confusion.label_names != self.label_names
@@ -267,7 +272,18 @@ def run_grid(
     defaults for specific kinds; otherwise each cell gets defaults with a
     seed derived from `seed` and the cell position.
     """
-    features = split_features(corpus, split, FEATURE_MODES, select_k=select_k)
+    train_docs = side_documents(corpus, split.train_ids, "train")
+    test_docs = side_documents(corpus, split.test_ids, "test")
+    vocab, mask, train_counts = fit_features(train_docs, corpus.labels, select_k)
+    test_counts = vectorize_documents(test_docs, vocab, corpus.labels)
+    # Each mode's (train, test) matrices; the documents and unmasked counts
+    # are not held through the cells.
+    matrices = {
+        mode: [feature_matrix(counts, vocab, mask, mode)
+               for counts in (train_counts, test_counts)]
+        for mode in FEATURE_MODES
+    }
+    del train_docs, test_docs, train_counts, test_counts
     label_names = tuple(corpus.labels.names)
 
     def params_for(kind, mode):
@@ -277,8 +293,7 @@ def run_grid(
 
     def lane(mode):
         return [
-            (kind, mode, features.train[mode], features.test[mode], label_names,
-             params_for(kind, mode))
+            (kind, mode, *matrices[mode], label_names, params_for(kind, mode))
             for kind in ModelKind
         ]
 
@@ -306,8 +321,8 @@ def run_grid(
             cells.append(cell)
     report = GridReport(
         seed=seed,
-        n_train=features.train[UNIGRAM].n_rows,
-        n_test=features.test[UNIGRAM].n_rows,
+        n_train=matrices[UNIGRAM][0].n_rows,
+        n_test=matrices[UNIGRAM][1].n_rows,
         select_k=select_k,
         label_names=label_names,
         cells=tuple(cells),

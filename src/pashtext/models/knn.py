@@ -9,6 +9,11 @@ from ..vectorize import FeatureMatrix
 from .base import Model, ModelKind
 from .params import COSINE, EUCLIDEAN, KNNParams
 
+# A bundle's stored values lie in [0, MAX_STORED_VALUE]: no count or TFIDF
+# weight is negative, and below this bound, far above any of them, no squared
+# norm, dot product or norm product in `_nearest` can overflow float64.
+MAX_STORED_VALUE = 1e100
+
 
 def knn_neighbors(
     matrix: FeatureMatrix,
@@ -165,6 +170,6 @@ class KNNModel(Model):
             mode=payload["mode"],
             dim=payload["dim"],
         )
-        if (matrix.data < 0).any():  # no unigram or TFIDF value is negative
-            raise DataError("knn stored feature values must not be negative")
+        if (matrix.data < 0).any() or (matrix.data > MAX_STORED_VALUE).any():
+            raise DataError(f"knn stored values must lie in [0, {MAX_STORED_VALUE:g}]")
         return cls(matrix, params, payload["label_count"])

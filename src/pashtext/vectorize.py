@@ -14,7 +14,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import Corpus, CorpusSplit, LabelSet
+from .corpus import Corpus, LabelSet
 from .errors import DataError, malformed
 from .pipeline import TokenizedDocument, preprocess
 
@@ -228,16 +228,13 @@ def idf_weights(vocab: Vocabulary) -> np.ndarray:
 def vectorize_documents(
     docs: Sequence[TokenizedDocument],
     vocab: Vocabulary,
-    mode: str,
     labels: LabelSet,
 ) -> FeatureMatrix:
-    """Build the unigram or TFIDF matrix for a document sequence.
+    """Build the unigram count matrix of a document sequence.
 
-    Unigram values are raw occurrence counts; TFIDF is `tfidf_from_counts`
-    of them.  Tokens outside the vocabulary are ignored.
+    Tokens outside the vocabulary are ignored; `tfidf_from_counts` weights
+    the counts.
     """
-    if mode not in FEATURE_MODES:
-        raise DataError(f"unknown feature mode {mode!r}")
     dim = len(vocab)
     tokens = list(chain.from_iterable(doc.tokens for doc in docs))
     columns = np.fromiter(
@@ -248,7 +245,7 @@ def vectorize_documents(
     # One sorted (row, column) key per distinct cell gives CSR order directly.
     keys, counts = np.unique(rows[known] * dim + columns[known], return_counts=True)
     cell_rows, indices = np.divmod(keys, max(dim, 1))
-    matrix = FeatureMatrix(
+    return FeatureMatrix(
         indptr=_indptr(cell_rows, len(docs)),
         indices=indices,
         data=counts.astype(np.float64),
@@ -256,7 +253,6 @@ def vectorize_documents(
         mode=UNIGRAM,
         dim=dim,
     )
-    return matrix if mode == UNIGRAM else tfidf_from_counts(matrix, vocab)
 
 
 def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix:
@@ -338,66 +334,46 @@ def apply_mask(mask: FeatureMask, matrix: FeatureMatrix) -> FeatureMatrix:
     )
 
 
-TRAIN = "train"
-TEST = "test"
+def side_documents(
+    corpus: Corpus, ids: Sequence[str], side: str
+) -> list[TokenizedDocument]:
+    """The preprocessed documents of one split side ("train" or "test").
 
-
-@dataclass
-class SplitFeatures:
-    """Vocabulary, optional mask, and each requested side's matrix per mode."""
-
-    vocab: Vocabulary
-    mask: FeatureMask | None
-    train: dict[str, FeatureMatrix]
-    test: dict[str, FeatureMatrix]
-
-
-def split_features(
-    corpus: Corpus,
-    split: CorpusSplit,
-    modes: Sequence[str],
-    sides: Sequence[str] = (TRAIN, TEST),
-    select_k: int | None = None,
-    vocab: Vocabulary | None = None,
-    mask: FeatureMask | None = None,
-) -> SplitFeatures:
-    """Turn split ids into a vocabulary, an optional mask and feature matrices.
-
-    Only the sides that are needed are looked up (ids missing from the corpus
-    are a DataError) and preprocessed.  Without a fitted `vocab`, the
-    vocabulary (and, when `select_k` is set, the top-k chi-square mask over
-    unigram counts) is fitted on the train side.  Each requested side's
-    unigram count matrix is built once (the train side's is the one the
-    chi-square scores read); every requested mode is taken from it, TFIDF by
-    `tfidf_from_counts`, and masked.
+    Ids missing from the corpus, and a side left without a usable document,
+    are a DataError.
     """
-    needed = set(sides) if vocab is not None else {TRAIN, *sides}
-    docs = {}
-    for side, ids in ((TRAIN, split.train_ids), (TEST, split.test_ids)):
-        if side not in needed:
-            continue
-        result = preprocess(corpus.subset(ids))
-        if result.excluded:
-            logger.warning(
-                "%d %s documents were excluded by preprocessing",
-                len(result.excluded), side,
-            )
-        if not result.documents:
-            raise DataError(f"no usable documents on the {side} side of the split")
-        docs[side] = result.documents
-    counts: dict[str, FeatureMatrix] = {}
-    if vocab is None:
-        vocab = build_vocabulary(docs[TRAIN])
-        if select_k is not None:
-            counts[TRAIN] = vectorize_documents(docs[TRAIN], vocab, UNIGRAM, corpus.labels)
-            mask = select_top_k(chi2_scores(counts[TRAIN], len(corpus.labels)), select_k)
-    matrices: dict[str, dict[str, FeatureMatrix]] = {TRAIN: {}, TEST: {}}
-    for side in sides:
-        if side not in counts:
-            counts[side] = vectorize_documents(docs[side], vocab, UNIGRAM, corpus.labels)
-        for mode in modes:
-            if mode not in FEATURE_MODES:
-                raise DataError(f"unknown feature mode {mode!r}")
-            matrix = counts[side] if mode == UNIGRAM else tfidf_from_counts(counts[side], vocab)
-            matrices[side][mode] = matrix if mask is None else apply_mask(mask, matrix)
-    return SplitFeatures(vocab, mask, matrices[TRAIN], matrices[TEST])
+    result = preprocess(corpus.subset(ids))
+    if result.excluded:
+        logger.warning(
+            "%d %s documents were excluded by preprocessing", len(result.excluded), side
+        )
+    if not result.documents:
+        raise DataError(f"no usable documents on the {side} side of the split")
+    return result.documents
+
+
+def fit_features(
+    train_docs: Sequence[TokenizedDocument], labels: LabelSet, select_k: int | None
+) -> tuple[Vocabulary, FeatureMask | None, FeatureMatrix]:
+    """Fit the vocabulary on the training documents and, when `select_k` is
+    set, the top-k chi-square mask over their unigram counts.
+
+    Returns the vocabulary, the mask (None without `select_k`) and the
+    training documents' count matrix.
+    """
+    vocab = build_vocabulary(train_docs)
+    counts = vectorize_documents(train_docs, vocab, labels)
+    if select_k is None:
+        return vocab, None, counts
+    return vocab, select_top_k(chi2_scores(counts, len(labels)), select_k), counts
+
+
+def feature_matrix(
+    counts: FeatureMatrix, vocab: Vocabulary, mask: FeatureMask | None, mode: str
+) -> FeatureMatrix:
+    """The `mode` matrix of a count matrix: the counts themselves or their
+    TFIDF weights, projected onto the mask's features when there is one."""
+    if mode not in FEATURE_MODES:
+        raise DataError(f"unknown feature mode {mode!r}")
+    matrix = counts if mode == UNIGRAM else tfidf_from_counts(counts, vocab)
+    return matrix if mask is None else apply_mask(mask, matrix)

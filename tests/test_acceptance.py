@@ -38,10 +38,9 @@ from pashtext.pipeline import (
 )
 from pashtext.synth import generate_corpus
 from pashtext.vectorize import (
-    TFIDF,
-    UNIGRAM,
     build_vocabulary,
     chi2_scores,
+    tfidf_from_counts,
     vectorize_documents,
 )
 
@@ -67,7 +66,8 @@ def test_criterion_1_tfidf_oracle():
     target = "خير"
     assert target in vocab.token_to_index
     assert int(vocab.document_frequency[vocab.token_to_index[target]]) == 2
-    matrix = vectorize_documents(result.documents, vocab, TFIDF, corpus.labels)
+    counts = vectorize_documents(result.documents, vocab, corpus.labels)
+    matrix = tfidf_from_counts(counts, vocab)
     weights = matrix.to_dense()[:, vocab.token_to_index[target]].tolist()
     expected_single = 1.0 * math.log(3.0 / 2.0)  # 0.405465...
     expected_double = 2.0 * math.log(3.0 / 2.0)  # 0.810930...
@@ -492,8 +492,8 @@ def test_criterion_7_determinism(desk_grid):
     train_docs = [by_id[i] for i in split.train_ids]
     test_docs = [by_id[i] for i in split.test_ids]
     vocab = build_vocabulary(train_docs)
-    train_matrix = vectorize_documents(train_docs, vocab, UNIGRAM, corpus.labels)
-    test_matrix = vectorize_documents(test_docs, vocab, UNIGRAM, corpus.labels)
+    train_matrix = vectorize_documents(train_docs, vocab, corpus.labels)
+    test_matrix = vectorize_documents(test_docs, vocab, corpus.labels)
     tree = DecisionTreeModel.fit(train_matrix, DecisionTreeParams(), 4)
     forest = RandomForestModel.fit(
         train_matrix,
@@ -517,7 +517,7 @@ def test_criterion_8_out_of_vocabulary_robustness():
     corpus = generate_corpus(classes=3, per_class=10, seed=8)
     tokenized = preprocess(corpus)
     vocab = build_vocabulary(tokenized.documents)
-    matrix = vectorize_documents(tokenized.documents, vocab, UNIGRAM, corpus.labels)
+    matrix = vectorize_documents(tokenized.documents, vocab, corpus.labels)
     quick = {
         ModelKind.KNN: KNNParams(k=3),
         ModelKind.RANDOM_FOREST: RandomForestParams(n_trees=5, seed=1),
@@ -528,7 +528,7 @@ def test_criterion_8_out_of_vocabulary_robustness():
     oov_tokens = preprocess_text("کلمات ناپيژندلي بهرنيان")
     assert all(token not in vocab.token_to_index for token in oov_tokens)
     oov_doc = TokenizedDocument(id="oov", tokens=tuple(oov_tokens), label="history")
-    oov_matrix = vectorize_documents([oov_doc], vocab, UNIGRAM, corpus.labels)
+    oov_matrix = vectorize_documents([oov_doc], vocab, corpus.labels)
     assert oov_matrix.nnz == 0
     label_count = len(corpus.labels)
     for kind in ModelKind:

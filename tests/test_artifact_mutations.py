@@ -13,6 +13,7 @@ import pytest
 
 from pashtext.cli import main
 from pashtext.models import ModelKind
+from pashtext.models.knn import MAX_STORED_VALUE
 
 # Small enough that each kind trains in a fraction of a second; the knn
 # bundle also carries a chi-square mask.
@@ -140,10 +141,13 @@ def test_every_mutation_is_refused(saved, artifact, tmp_path, capsys):
         ("bundle-knn", lambda bundle: bundle["model"]["payload"]["rows"][0].update(
             values=[-1.0] + bundle["model"]["payload"]["rows"][0]["values"][1:]
         ) or bundle),
+        ("grid", lambda grid: dict(grid, select_k=0)),
+        ("grid", lambda grid: dict(grid, select_k=-5)),
     ],
     ids=["split-train-ids-5", "split-top-level-list", "grid-kind-zz",
          "eval-ragged-confusion", "mask-scores-one-long", "grid-n-train-negative",
-         "grid-n-test-not-cell-total", "knn-value-negative"],
+         "grid-n-test-not-cell-total", "knn-value-negative", "grid-select-k-0",
+         "grid-select-k-negative"],
 )
 def test_hand_picked_defects_are_refused(saved, artifact, defect, tmp_path, capsys):
     with open(saved[artifact], encoding="utf-8") as handle:
@@ -164,12 +168,15 @@ def test_hand_picked_defects_are_refused(saved, artifact, defect, tmp_path, caps
         ("row_labels", False, "knn stored row_labels must be integers"),
         ("values", True, "knn stored values must be numbers"),
         ("values", "0.5", "knn stored values must be numbers"),
+        ("values", -1.0, "knn stored values must lie in [0, 1e+100]"),
+        ("values", 1e200, "knn stored values must lie in [0, 1e+100]"),
     ],
 )
 def test_knn_payload_entries_of_another_json_type_are_refused(
     saved, field, entry, message, tmp_path, capsys
 ):
-    """Each entry would otherwise load cast: 0.5 to index 0, true to 1."""
+    """Each entry would otherwise load cast (0.5 to index 0, true to 1) or,
+    for 1e200, overflow the distances it takes part in."""
     with open(saved["bundle-knn"], encoding="utf-8") as handle:
         bundle = json.load(handle)
     payload = bundle["model"]["payload"]
@@ -198,3 +205,17 @@ def test_deeply_nested_json_is_refused(saved, artifact, field, tmp_path, capsys)
                       encoding="utf-8")
     for argv in commands(artifact, str(target), saved, str(tmp_path / "out")):
         assert refusal_fault(argv, capsys) is None, argv
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_knn_value_at_the_bound_evaluates_without_overflow(saved, metric, tmp_path):
+    """The largest value a kNN bundle may store loads, and its distances stay
+    finite: a RuntimeWarning from an overflow fails the test."""
+    with open(saved["bundle-knn"], encoding="utf-8") as handle:
+        bundle = json.load(handle)
+    bundle["model"]["hyperparams"]["metric"] = metric
+    row = next(row for row in bundle["model"]["payload"]["rows"] if row["indices"])
+    row["values"] = [MAX_STORED_VALUE] * len(row["values"])
+    target = tmp_path / "largest.json"
+    target.write_text(json.dumps(bundle), encoding="utf-8")
+    assert main(commands("bundle-knn", str(target), saved, str(tmp_path / "out"))[0]) == 0

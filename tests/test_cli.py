@@ -222,6 +222,21 @@ def test_train_with_overrides_and_selection(workspace, tmp_path):
     assert len(bundle["mask"]["kept"]) == 25
 
 
+@pytest.mark.parametrize("command", ["train", "grid"])
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_select_k_below_one_is_a_usage_error_before_any_read(command, value, tmp_path,
+                                                            capsys):
+    """The corpus path does not exist: reading it would exit 2."""
+    argv = [command, "--corpus", str(tmp_path / "missing.jsonl"), "--select-k", value,
+            "--out", str(tmp_path / "out")]
+    if command == "train":
+        argv += ["--split", str(tmp_path / "missing.json"), "--classifier", "knn"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: argument --select-k: must be an integer of at least 1, got {value!r}\n"
+    )
+
+
 def test_train_unknown_override_exits_one(workspace, tmp_path, capsys):
     code = main(
         [

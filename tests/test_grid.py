@@ -16,7 +16,7 @@ import textwrap
 import pytest
 from test_blas_threads import SOURCE_ROOT, run_python
 
-from pashtext.corpus import SplitSpec, stratified_split
+from pashtext.corpus import CorpusSplit, SplitSpec, stratified_split
 from pashtext.errors import DataError
 from pashtext.grid import GridCell, GridReport, cell_seed, run_grid
 from pashtext.models import ModelKind
@@ -179,6 +179,18 @@ def test_select_k_grid(small_setup):
     for cell in report.cells:
         assert cell.error is None
         assert 0.0 <= cell.accuracy <= 1.0
+
+
+def test_grid_reads_the_train_side_before_the_test_side(small_setup):
+    """Each side's unknown ids and emptiness are reported, train side first."""
+    corpus, split = small_setup
+    ghosts = CorpusSplit(split.train_ids + ("ghost-train",), split.test_ids + ("ghost-test",))
+    with pytest.raises(DataError, match="ghost-train"):
+        run_grid(corpus, ghosts, params_by_kind=QUICK_PARAMS)
+    with pytest.raises(DataError, match="no usable documents on the train side"):
+        run_grid(corpus, CorpusSplit((), ()), params_by_kind=QUICK_PARAMS)
+    with pytest.raises(DataError, match="no usable documents on the test side"):
+        run_grid(corpus, CorpusSplit(split.train_ids, ()), params_by_kind=QUICK_PARAMS)
 
 
 def test_cell_dict_round_trip(small_report):

@@ -13,7 +13,7 @@ from pashtext.models import tree as tree_module
 from pashtext.models.params import DecisionTreeParams, RandomForestParams
 from pashtext.models.tree import DecisionTreeModel, Nodes, RandomForestModel
 from pashtext.synth import generate_corpus
-from pashtext.vectorize import FEATURE_MODES, split_features
+from pashtext.vectorize import FEATURE_MODES, feature_matrix, fit_features, side_documents
 
 
 def queries(*rows):
@@ -372,7 +372,9 @@ def grown_payloads(matrix, seed):
 def small_corpus_matrices(seed):
     corpus = generate_corpus(4, 30, noise_rate=0.6, seed=seed)
     split = stratified_split(corpus, SplitSpec(0.8, seed))
-    return split_features(corpus, split, FEATURE_MODES, sides=("train",)).train
+    train_docs = side_documents(corpus, split.train_ids, "train")
+    vocab, _, counts = fit_features(train_docs, corpus.labels, None)
+    return {mode: feature_matrix(counts, vocab, None, mode) for mode in FEATURE_MODES}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

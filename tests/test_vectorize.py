@@ -9,15 +9,13 @@ import numpy as np
 import pytest
 from matrices import matrix_from_dense
 
-from pashtext.corpus import Corpus, LabelSet, SplitSpec, stratified_split
+from pashtext.corpus import Corpus, Document, LabelSet, SplitSpec, stratified_split
 from pashtext.errors import DataError
 from pashtext.pipeline import TokenizedDocument, preprocess
 from pashtext.synth import generate_corpus
 from pashtext.vectorize import (
     FEATURE_MODES,
-    TEST,
     TFIDF,
-    TRAIN,
     UNIGRAM,
     FeatureMatrix,
     Vocabulary,
@@ -25,12 +23,16 @@ from pashtext.vectorize import (
     apply_mask,
     build_vocabulary,
     chi2_scores,
+    feature_matrix,
+    fit_features,
     idf_weights,
     select_top_k,
-    split_features,
+    side_documents,
     tfidf_from_counts,
     vectorize_documents,
 )
+
+TRAIN, TEST = "train", "test"
 
 
 def tdoc(doc_id, tokens, label="a"):
@@ -142,8 +144,7 @@ def test_unigram_vector_counts_and_oov():
     labels = LabelSet(["a"])
     vocab = build_vocabulary([tdoc("1", ["a", "b"]), tdoc("2", ["b", "c"])])
     m = vectorize_documents(
-        [tdoc("q", ["b", "a", "b", "zzz"]), tdoc("oov", ["zzz", "yyy"])],
-        vocab, UNIGRAM, labels,
+        [tdoc("q", ["b", "a", "b", "zzz"]), tdoc("oov", ["zzz", "yyy"])], vocab, labels
     )
     assert m.dim == 3
     dense = m.to_dense()
@@ -165,8 +166,8 @@ def test_idf_is_natural_log_of_inverse_df():
 def test_tfidf_prunes_zero_weights():
     docs = [tdoc("1", ["a", "b"]), tdoc("2", ["b"])]
     vocab = build_vocabulary(docs)
-    weighted = vectorize_documents(
-        [tdoc("q", ["a", "b", "b"])], vocab, TFIDF, LabelSet(["a"])
+    weighted = tfidf_from_counts(
+        vectorize_documents([tdoc("q", ["a", "b", "b"])], vocab, LabelSet(["a"])), vocab
     )
     # "b" appears in every training doc, so its idf (and weight) is 0.
     assert weighted.to_dense()[0, vocab.token_to_index["b"]] == 0.0
@@ -176,18 +177,19 @@ def test_tfidf_prunes_zero_weights():
     )
 
 
-def test_vectorize_documents_modes_and_labels():
+def test_vectorize_documents_counts_and_feature_matrix_modes():
     labels = LabelSet(["x", "y"])
     docs = [tdoc("1", ["a", "a", "b"], "x"), tdoc("2", ["b"], "y")]
     vocab = build_vocabulary(docs)
-    counts = vectorize_documents(docs, vocab, UNIGRAM, labels)
+    counts = vectorize_documents(docs, vocab, labels)
     assert counts.mode == UNIGRAM
     assert counts.row_labels.tolist() == [0, 1]
     assert counts.to_dense()[0, vocab.token_to_index["a"]] == 2.0
-    weighted = vectorize_documents(docs, vocab, TFIDF, labels)
+    assert feature_matrix(counts, vocab, None, UNIGRAM) is counts
+    weighted = feature_matrix(counts, vocab, None, TFIDF)
     assert weighted.mode == TFIDF
-    with pytest.raises(DataError):
-        vectorize_documents(docs, vocab, "bigram", labels)
+    with pytest.raises(DataError, match="^unknown feature mode 'bigram'$"):
+        feature_matrix(counts, vocab, None, "bigram")
 
 
 def test_chi2_worked_examples():
@@ -387,37 +389,63 @@ def test_vocabulary_and_matrices_match_the_per_mode_reference():
         assert vocab.document_frequency.tobytes() == expected_vocab.document_frequency.tobytes()
         assert idf_weights(vocab)[vocab.token_to_index["common"]] == 0.0
         for side in (train_docs, test_docs):
-            counts = vectorize_documents(side, vocab, UNIGRAM, labels)
+            counts = vectorize_documents(side, vocab, labels)
             assert_same_matrix(counts, reference_vectorize_documents(side, vocab, UNIGRAM, labels))
             expected = reference_vectorize_documents(side, vocab, TFIDF, labels)
             assert_same_matrix(tfidf_from_counts(counts, vocab), expected)
-            assert_same_matrix(vectorize_documents(side, vocab, TFIDF, labels), expected)
             assert vocab.token_to_index["common"] not in expected.indices
 
 
 @pytest.mark.parametrize("select_k", [None, 1, 15, 10**6])
 def test_split_features_matches_the_per_mode_reference(select_k):
+    """`side_documents`, `fit_features` and `feature_matrix`, composed as the
+    `grid`, `train` and `evaluate` commands compose them."""
     corpus = generate_corpus(3, 12, noise_rate=0.6, seed=3)
     split = stratified_split(corpus, SplitSpec(0.75, 4))
+    docs = {side: side_documents(corpus, ids, side)
+            for side, ids in ((TRAIN, split.train_ids), (TEST, split.test_ids))}
+    vocab, mask, train_counts = fit_features(docs[TRAIN], corpus.labels, select_k)
+    counts = {TRAIN: train_counts,
+              TEST: vectorize_documents(docs[TEST], vocab, corpus.labels)}
+    # the mask is scored on the train side's unigram counts
+    assert_same_matrix(train_counts, reference_vectorize_documents(
+        docs[TRAIN], vocab, UNIGRAM, corpus.labels))
     for modes in (FEATURE_MODES, [TFIDF], [UNIGRAM]):
         for sides in ((TRAIN, TEST), (TRAIN,), (TEST,)):
-            got = split_features(corpus, split, modes, sides, select_k=select_k)
-            vocab, mask, expected = reference_split_features(corpus, split, modes, sides,
-                                                             select_k)
-            assert got.vocab.to_json_dict() == vocab.to_json_dict()
+            expected_vocab, expected_mask, expected = reference_split_features(
+                corpus, split, modes, sides, select_k)
+            assert vocab.to_json_dict() == expected_vocab.to_json_dict()
             if select_k is None:
-                assert got.mask is None and mask is None
+                assert mask is None and expected_mask is None
             else:
-                assert got.mask.kept_indices.tolist() == mask.kept_indices.tolist()
-                assert got.mask.scores.tobytes() == mask.scores.tobytes()
+                assert mask.kept_indices.tolist() == expected_mask.kept_indices.tolist()
+                assert mask.scores.tobytes() == expected_mask.scores.tobytes()
             # the evaluate path: a fitted vocabulary and mask, the test side only
-            fitted = split_features(corpus, split, modes, [TEST], vocab=vocab, mask=mask)
-            _, _, expected_fitted = reference_split_features(corpus, split, modes, [TEST],
-                                                             vocab=vocab, mask=mask)
-            pairs = [(got.train, expected[TRAIN]), (got.test, expected[TEST]),
-                     (fitted.test, expected_fitted[TEST]), (fitted.train, {})]
-            for matrices, expected_matrices in pairs:
-                assert list(matrices) == list(expected_matrices)
-                for mode, matrix in matrices.items():
-                    assert_same_matrix(matrix, expected_matrices[mode])
+            _, _, expected_fitted = reference_split_features(
+                corpus, split, modes, [TEST], vocab=expected_vocab, mask=expected_mask)
+            fitted_counts = vectorize_documents(
+                side_documents(corpus, split.test_ids, TEST), expected_vocab, corpus.labels)
+            for mode in modes:
+                for side in sides:
+                    assert_same_matrix(feature_matrix(counts[side], vocab, mask, mode),
+                                       expected[side][mode])
+                assert_same_matrix(
+                    feature_matrix(fitted_counts, expected_vocab, expected_mask, mode),
+                    expected_fitted[TEST][mode])
 
+
+def test_side_documents_errors_and_warning_name_the_side(caplog):
+    """Unknown ids and empty sides are data errors naming the side; the
+    exclusion warning names it too."""
+    corpus = Corpus(
+        [Document(id="a", text="کلمه متن", label="x"),
+         Document(id="latin", text="only latin 123", label="x")],
+        LabelSet(["x"]),
+    )
+    with caplog.at_level("WARNING"):
+        assert [doc.id for doc in side_documents(corpus, ["a", "latin"], TRAIN)] == ["a"]
+    assert "1 train documents were excluded by preprocessing" in caplog.text
+    with pytest.raises(DataError, match="^no usable documents on the test side of the split$"):
+        side_documents(corpus, ["latin"], TEST)
+    with pytest.raises(DataError, match="ghost"):
+        side_documents(corpus, ["a", "ghost"], TRAIN)
