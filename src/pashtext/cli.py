@@ -25,7 +25,7 @@ from .corpus import (
     validate,
 )
 from .errors import (
-    DataError, PashtextError, UsageError, expect_format, malformed, read_json,
+    DataError, PashtextError, UsageError, expect_format, malformed, read_json, write_output,
 )
 from .grid import GridReport, run_grid
 from .metrics import EvalReport, evaluate_predictions
@@ -71,17 +71,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _at_least_one(text: str) -> int:
     """argparse type of an integer that must be 1 or more."""
     if not text.strip().removeprefix("+").isdecimal() or int(text) < 1:
@@ -114,7 +103,7 @@ def _save_bundle(path: Path, model, vocab: Vocabulary, mode: str,
         "model": model_document(model),
     }
     text = json.dumps(bundle, sort_keys=True, ensure_ascii=False, allow_nan=False)
-    _write_text(path, text + "\n")
+    write_output(path, text + "\n")
 
 
 def _load_bundle(path):
@@ -159,7 +148,7 @@ def _cmd_split(args) -> int:
     corpus = load_corpus(args.corpus)
     spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
     split = stratified_split(corpus, spec)
-    path = _out_dir(args) / "split.json"
+    path = Path(args.out) / "split.json"
     save_split(split, spec, path)
     print(
         f"split {len(corpus)} documents into {len(split.train_ids)} train / "
@@ -181,7 +170,7 @@ def _cmd_train(args) -> int:
     started = time.perf_counter()
     model = train(kind, matrix, params, label_count=len(corpus.labels))
     elapsed = time.perf_counter() - started
-    out = _out_dir(args)
+    out = Path(args.out)
     bundle_path = out / "model.json"
     _save_bundle(bundle_path, model, vocab, args.features, corpus.labels, mask)
     log_lines = [
@@ -193,7 +182,7 @@ def _cmd_train(args) -> int:
         + (f" (top {mask.kept_indices.size} kept)" if mask is not None else ""),
         f"seconds: {elapsed:.3f}",
     ]
-    _write_text(out / "train.log", "\n".join(log_lines) + "\n")
+    write_output(out / "train.log", "\n".join(log_lines) + "\n")
     print(
         f"trained {kind.value} on {matrix.n_rows} documents "
         f"({matrix.dim} features) in {elapsed:.2f}s -> {bundle_path}"
@@ -216,8 +205,8 @@ def _cmd_evaluate(args) -> int:
         matrix.row_labels, preds, len(labels), labels.names
     )
     suffix, render = _EVAL_FORMATS[args.format]
-    path = _out_dir(args) / f"eval.{suffix}"
-    _write_text(path, render(report))
+    path = Path(args.out) / f"eval.{suffix}"
+    write_output(path, render(report))
     print(
         f"evaluated {matrix.n_rows} documents: accuracy {report.accuracy:.4f} "
         f"-> {path}"
@@ -230,13 +219,13 @@ def _cmd_grid(args) -> int:
     spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
     split = stratified_split(corpus, spec)
     report = run_grid(corpus, split, seed=args.seed, select_k=args.select_k)
-    out = _out_dir(args)
+    out = Path(args.out)
     save_split(split, spec, out / "split.json")
-    _write_text(out / "grid.json", report.to_json_text())
-    _write_text(out / "accuracy_table.md", report.accuracy_table_markdown())
-    _write_text(out / "accuracy_table.csv", report.accuracy_table_csv())
-    _write_text(out / "per_class_tables.md", report.per_class_tables_markdown())
-    _write_text(out / "per_class_tables.csv", report.per_class_tables_csv())
+    write_output(out / "grid.json", report.to_json_text())
+    write_output(out / "accuracy_table.md", report.accuracy_table_markdown())
+    write_output(out / "accuracy_table.csv", report.accuracy_table_csv())
+    write_output(out / "per_class_tables.md", report.per_class_tables_markdown())
+    write_output(out / "per_class_tables.csv", report.per_class_tables_csv())
     failed = [c for c in report.cells if c.error is not None]
     print(report.accuracy_table_markdown())
     print(f"grid complete: {16 - len(failed)}/16 cells succeeded -> {out}")
@@ -263,7 +252,7 @@ def _cmd_report(args) -> int:
     else:
         raise DataError(f"{args.input} is not a known report document")
     if args.out:
-        _write_text(Path(args.out), text)
+        write_output(args.out, text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -279,7 +268,6 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_corpus(corpus, out)
     print(
         f"generated {len(corpus)} documents across {len(corpus.labels)} classes -> {out}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .errors import DataError, malformed, read_json
+from .errors import DataError, malformed, read_json, write_output
 from .prng import SplitMix64, derive_seed
 
 # Default 8-class label set, in canonical order. The ordering defines the
@@ -164,7 +164,7 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:  # a JSON true or false is not one
             raise DataError(f"split seed must be an integer, got {self.seed!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise DataError(
@@ -258,6 +258,18 @@ def _text_lines(path: Path):
             raise DataError(f"{path}:{line_no}: not UTF-8: {exc.reason}") from None
 
 
+def _refuse_surrogates(record: dict, path: Path, line_no: int) -> None:
+    """Refuse a record whose kept strings hold a lone surrogate, which
+    `save_corpus` and `save_split` could not encode as UTF-8."""
+    for key in ("id", "text", "label", "source"):
+        try:
+            (record.get(key) or "").encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(
+                f"{path}:{line_no}: key {key!r} holds a lone surrogate escape"
+            ) from None
+
+
 def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
     by_id: dict[str, Document] = {}
     observed_labels: set[str] = set()
@@ -280,6 +292,8 @@ def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
         source = record.get("source")
         if source is not None and not isinstance(source, str):
             raise DataError(f"{path}:{line_no}: key 'source' must be a string")
+        if "\\u" in line:  # only a \u escape can put a lone surrogate in a string
+            _refuse_surrogates(record, path, line_no)
         doc_id = record["id"]
         if doc_id in by_id:
             raise DataError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
@@ -326,14 +340,13 @@ def _load_directory(path: Path, labels: LabelSet | None) -> Corpus:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the corpus as UTF-8 JSON lines (re-loadable by load_corpus)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for doc in corpus.documents:
-            record = {"id": doc.id, "text": doc.text, "label": doc.label}
-            if doc.source is not None:
-                record["source"] = doc.source
-            handle.write(json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n")
+    lines = []
+    for doc in corpus.documents:
+        record = {"id": doc.id, "text": doc.text, "label": doc.label}
+        if doc.source is not None:
+            record["source"] = doc.source
+        lines.append(json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n")
+    write_output(path, "".join(lines))
 
 
 def validate(corpus: Corpus) -> ValidationReport:
@@ -395,8 +408,6 @@ def stratified_split(corpus: Corpus, spec: SplitSpec) -> CorpusSplit:
 
 def save_split(split: CorpusSplit, spec: SplitSpec, path: str | Path) -> None:
     """Persist a split (with the spec that produced it) as a JSON file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "train_fraction": spec.train_fraction,
         "seed": spec.seed,
@@ -404,7 +415,7 @@ def save_split(split: CorpusSplit, spec: SplitSpec, path: str | Path) -> None:
         "test_ids": list(split.test_ids),
     }
     text = json.dumps(payload, ensure_ascii=False, indent=2, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    write_output(path, text + "\n")
 
 
 def load_split(path: str | Path) -> tuple[CorpusSplit, SplitSpec]:

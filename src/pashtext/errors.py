@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the one way every
-saved artifact is read: `read_json`, `expect_format` and `malformed`.
+"""Exception hierarchy shared across the package, the one way every saved
+artifact is read (`read_json`, `expect_format` and `malformed`) and the one
+way every output file is written (`write_output`).
 
 The CLI maps these onto exit codes: usage problems exit 1, data problems
 exit 2, anything else that escapes exits 3.
@@ -8,6 +9,8 @@ exit 2, anything else that escapes exits 3.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -73,3 +76,29 @@ def malformed(what: str):
         yield
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DataError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
+
+
+def write_output(path, text: str) -> None:
+    """Write `text` as UTF-8 to the file `path`, creating its directory.
+
+    An existing file is rewritten in place: opened without `O_TRUNC`,
+    overwritten, then cut at the end of the new bytes, so it keeps its inode,
+    its links and its mode.  Truncating an existing file to zero on open, or
+    renaming a new file over it, makes ext4 flush its data (`auto_da_alloc`),
+    which stalled each such write by 40-60 ms on a VM disk.  Like a
+    truncating write this is not atomic: a run killed mid-write can leave new
+    bytes in front of old ones.  A target that is not a regular file, such as
+    `/dev/null` or a pipe, is only written to.  The text is encoded before the
+    file is opened, so one that UTF-8 cannot encode (a lone surrogate) is a
+    DataError that leaves the file as it was.
+    """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        handle.write(data)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()

@@ -97,8 +97,9 @@ class GridReport:
         expected = [(kind, mode) for kind in ModelKind for mode in FEATURE_MODES]
         if [(c.kind, c.mode) for c in self.cells] != expected:
             raise DataError("grid cells must cover kinds x modes in canonical order")
-        if not all(isinstance(v, int) for v in (self.seed, self.n_train, self.n_test)) or (
-            self.select_k is not None and not isinstance(self.select_k, int)
+        # type(v) is int: a JSON true or false is not an integer
+        if any(type(v) is not int for v in (self.seed, self.n_train, self.n_test)) or (
+            self.select_k is not None and type(self.select_k) is not int
         ):
             raise DataError("grid seed, n_train, n_test and select_k must be integers")
         if self.n_train < 0 or self.n_test < 0:

@@ -143,11 +143,18 @@ def test_every_mutation_is_refused(saved, artifact, tmp_path, capsys):
         ) or bundle),
         ("grid", lambda grid: dict(grid, select_k=0)),
         ("grid", lambda grid: dict(grid, select_k=-5)),
+        # A JSON true or false is not an integer, although Python's bool is one.
+        ("grid", lambda grid: dict(grid, select_k=True)),
+        ("grid", lambda grid: dict(grid, seed=True)),
+        ("grid", lambda grid: dict(grid, n_train=True)),
+        ("split", lambda split: dict(split, seed=True)),
+        ("split", lambda split: dict(split, seed=False)),
     ],
     ids=["split-train-ids-5", "split-top-level-list", "grid-kind-zz",
          "eval-ragged-confusion", "mask-scores-one-long", "grid-n-train-negative",
          "grid-n-test-not-cell-total", "knn-value-negative", "grid-select-k-0",
-         "grid-select-k-negative"],
+         "grid-select-k-negative", "grid-select-k-true", "grid-seed-true",
+         "grid-n-train-true", "split-seed-true", "split-seed-false"],
 )
 def test_hand_picked_defects_are_refused(saved, artifact, defect, tmp_path, capsys):
     with open(saved[artifact], encoding="utf-8") as handle:

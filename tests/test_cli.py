@@ -2,9 +2,13 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
+from test_blas_threads import run_python
 
+import pashtext.cli
+import pashtext.corpus
 from pashtext.cli import main
 from pashtext.models import ModelKind
 from pashtext.models.params import default_params
@@ -769,3 +773,66 @@ def test_report_rejects_unknown_documents(tmp_path, capsys):
     bogus.write_text('{"format": "other"}', encoding="utf-8")
     assert main(["report", "--input", str(bogus)]) == 2
     assert "not a known report" in capsys.readouterr().err
+
+
+def test_report_to_targets_that_are_not_regular_files(workspace, tmp_path, capsys):
+    """/dev/null cannot be truncated (EINVAL) and a pipe cannot be sought
+    (ESPIPE): the writer only writes to them."""
+    out = tmp_path / "grid"
+    assert main(["grid", "--corpus", str(workspace["corpus"]), "--fraction", "0.75",
+                 "--seed", "9", "--out", str(out)]) == 0
+    report = ["report", "--input", str(out / "grid.json"), "--table", "accuracy",
+              "--format", "csv"]
+    assert main([*report, "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().err == ""
+    piped = run_python(["-m", "pashtext.cli", *report, "--out", "/dev/stdout"], None)
+    assert piped == (out / "accuracy_table.csv").read_text(encoding="utf-8") + (
+        "wrote /dev/stdout\n"
+    )
+
+
+def test_lone_surrogate_escape_in_a_corpus_is_a_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    lines = [f'{{"id": "d{i}", "text": "x", "label": "{"ab"[i % 2]}"}}' for i in range(6)]
+    lines[3] = '{"id": "\\ud800", "text": "x", "label": "b"}'
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "work"
+    assert main(["split", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {corpus}:4: key 'id' holds a lone surrogate escape\n"
+    )
+    assert not out.exists()
+    # A surrogate pair is one character, and an escaped backslash is no escape.
+    lines[3] = '{"id": "\\ud83d\\ude00 \\\\ud800", "text": "x", "label": "b"}'
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["split", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert "\U0001f600 \\\\ud800" in (out / "split.json").read_text(encoding="utf-8")
+
+
+def test_desk_grid_outputs_are_the_bytes_write_text_gives(tmp_path, monkeypatch):
+    """Every output of a seed-1 desk grid, rewritten over longer stale files,
+    holds the bytes `Path.write_text` writes for the same text."""
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--classes", "8", "--per-class", "100", "--noise", "0.3",
+                 "--seed", "42", "--out", str(corpus)]) == 0
+    out = tmp_path / "grid"
+    out.mkdir()
+    names = ("grid.json", "split.json", "accuracy_table.md", "accuracy_table.csv",
+             "per_class_tables.md", "per_class_tables.csv")
+    for name in names:
+        (out / name).write_bytes(b"stale " * 100_000)
+    written = {}
+    real_write = pashtext.cli.write_output
+
+    def spy(path, text):
+        written[Path(path).name] = text
+        real_write(path, text)
+
+    for module in (pashtext.cli, pashtext.corpus):
+        monkeypatch.setattr(module, "write_output", spy)
+    assert main(["grid", "--corpus", str(corpus), "--seed", "1", "--out", str(out)]) == 0
+    assert sorted(written) == sorted(names)
+    reference = tmp_path / "reference"
+    for name, text in written.items():
+        reference.write_text(text, encoding="utf-8")
+        assert (out / name).read_bytes() == reference.read_bytes(), name

@@ -131,12 +131,14 @@ RECORD = '{"id": "a", "text": "x", "label": "l"}'
         '{"id": "a", "text": "x", "label": "l",}',
         '{"id": "a", "text": "x\u0001", "label": "l"}',
         '{"id": "a", "text": "\\ud800", "label": "l"}',
+        '{"id": "a", "text": "x", "label": "l", "source": "\\udc00"}',
         "{broken",
     ],
 )
 def test_jsonl_loader_accepts_exactly_what_json_loads_accepts(tmp_path, line):
     """Each line, after one good line, loads as `json.loads` reads it, or
-    fails with `json.loads`'s message on line 2."""
+    fails with `json.loads`'s message on line 2.  A string that `json.loads`
+    reads as a lone surrogate, which UTF-8 cannot encode, is refused."""
     path = tmp_path / "c.jsonl"
     path.write_text('{"id": "first", "text": "y", "label": "l"}\n' + line + "\n",
                     encoding="utf-8")
@@ -152,6 +154,12 @@ def test_jsonl_loader_accepts_exactly_what_json_loads_accepts(tmp_path, line):
     keys = ("id", "text", "label")
     if (isinstance(record, dict) and all(isinstance(record.get(k), str) for k in keys)
             and isinstance(record.get("source"), (str, type(None)))):
+        try:
+            ("".join(record[k] for k in keys) + (record.get("source") or "")).encode("utf-8")
+        except UnicodeEncodeError:
+            with pytest.raises(DataError, match=r"c\.jsonl:2: key '\w+' holds a lone surrogate"):
+                load_corpus(path)
+            return
         loaded = load_corpus(path).documents[1]
         assert loaded == Document(*(record[k] for k in keys), record.get("source"))
     else:
