@@ -97,9 +97,7 @@ def _save_bundle(path: Path, model, vocab: Vocabulary, mode: str,
         "pipeline": PROFILE_RECORD,
         "mode": mode,
         "vocabulary": vocab.to_json_dict(),
-        "mask": None
-        if mask is None
-        else {"kept": mask.kept_indices.tolist(), "scores": mask.scores.tolist()},
+        "mask": None if mask is None else mask.to_json_dict(),
         "model": model_document(model),
     }
     text = json.dumps(bundle, sort_keys=True, ensure_ascii=False, allow_nan=False)
@@ -120,9 +118,7 @@ def _load_bundle(path):
             "labels": LabelSet(bundle["labels"]),
             "mode": bundle["mode"],
             "vocab": Vocabulary.from_json_dict(bundle["vocabulary"]),
-            "mask": None
-            if mask is None
-            else FeatureMask(kept_indices=mask["kept"], scores=mask["scores"]),
+            "mask": None if mask is None else FeatureMask.from_json_dict(mask),
             "model": model_from_document(bundle["model"]),
         }
     if len(loaded["labels"]) != loaded["model"].label_count:

@@ -222,6 +222,10 @@ def load_corpus(path: str | Path, labels: LabelSet | None = None) -> Corpus:
 # of json.loads's type checks, whitespace regex matches and decode frames.
 _scan_once = json.JSONDecoder().scan_once
 
+# What may follow a record that fills its line: text-mode reading turns every
+# line ending into a newline, and the last line may have none.
+_LINE_ENDS = ("\n", "")
+
 
 def _parse_line(line: str):
     """`json.loads(line)`: the same value, or the same error.
@@ -270,46 +274,71 @@ def _refuse_surrogates(record: dict, path: Path, line_no: int) -> None:
             ) from None
 
 
-def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
-    by_id: dict[str, Document] = {}
-    observed_labels: set[str] = set()
-    for line_no, line in enumerate(_text_lines(path), 1):
-        if line.isspace():
-            continue
-        try:
-            record = _parse_line(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
-        except RecursionError:
-            raise DataError(f"{path}:{line_no}: JSON nested too deeply") from None
-        if not isinstance(record, dict):
-            raise DataError(f"{path}:{line_no}: record is not a JSON object")
-        for key in ("id", "text", "label"):
-            if key not in record:
-                raise DataError(f"{path}:{line_no}: missing required key {key!r}")
-            if not isinstance(record[key], str):
-                raise DataError(f"{path}:{line_no}: key {key!r} must be a string")
-        source = record.get("source")
-        if source is not None and not isinstance(source, str):
-            raise DataError(f"{path}:{line_no}: key 'source' must be a string")
-        if "\\u" in line:  # only a \u escape can put a lone surrogate in a string
-            _refuse_surrogates(record, path, line_no)
-        doc_id = record["id"]
-        if doc_id in by_id:
-            raise DataError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
-        label = record["label"]
-        if labels is not None and label not in labels:
-            raise DataError(
-                f"{path}:{line_no}: label {label!r} outside the supplied label set"
-            )
-        observed_labels.add(label)
-        by_id[doc_id] = Document(
-            id=doc_id, text=record["text"], label=label, source=source
+def _checked_record(line: str, path: Path, line_no: int, labels: LabelSet | None,
+                    by_id: dict[str, Document]) -> Document | None:
+    """The document of one line, checked key by key: None for a blank line,
+    a DataError naming the line's first defect otherwise."""
+    if line.isspace():
+        return None
+    try:
+        record = _parse_line(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
+    except RecursionError:
+        raise DataError(f"{path}:{line_no}: JSON nested too deeply") from None
+    if not isinstance(record, dict):
+        raise DataError(f"{path}:{line_no}: record is not a JSON object")
+    for key in ("id", "text", "label"):
+        if key not in record:
+            raise DataError(f"{path}:{line_no}: missing required key {key!r}")
+        if not isinstance(record[key], str):
+            raise DataError(f"{path}:{line_no}: key {key!r} must be a string")
+    source = record.get("source")
+    if source is not None and not isinstance(source, str):
+        raise DataError(f"{path}:{line_no}: key 'source' must be a string")
+    if "\\u" in line:  # only a \u escape can put a lone surrogate in a string
+        _refuse_surrogates(record, path, line_no)
+    doc_id = record["id"]
+    if doc_id in by_id:
+        raise DataError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
+    label = record["label"]
+    if labels is not None and label not in labels:
+        raise DataError(
+            f"{path}:{line_no}: label {label!r} outside the supplied label set"
         )
+    return Document(id=doc_id, text=record["text"], label=label, source=source)
+
+
+def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
+    """Each line is decoded once by the scanner.  A record that fills its
+    line and passes one combined test is taken as decoded; any other line
+    goes to `_checked_record`, which decodes it again and names its defect."""
+    by_id: dict[str, Document] = {}
+    for line_no, line in enumerate(_text_lines(path), 1):
+        try:
+            record, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            record = None
+        if (
+            type(record) is dict
+            and type(doc_id := record.get("id")) is str
+            and type(text := record.get("text")) is str
+            and type(label := record.get("label")) is str
+            and ((source := record.get("source")) is None or type(source) is str)
+            and doc_id
+            and doc_id not in by_id
+            and (labels is None or label in labels)
+            and line[end:] in _LINE_ENDS
+            and "\\u" not in line
+        ):
+            by_id[doc_id] = Document(doc_id, text, label, source)
+        elif (doc := _checked_record(line, path, line_no, labels, by_id)) is not None:
+            by_id[doc.id] = doc
     if not by_id:
         raise DataError(f"corpus file is empty: {path}")
-    label_set = labels if labels is not None else LabelSet(sorted(observed_labels))
-    return Corpus._checked(tuple(by_id.values()), label_set, by_id)
+    if labels is None:
+        labels = LabelSet(sorted({doc.label for doc in by_id.values()}))
+    return Corpus._checked(tuple(by_id.values()), labels, by_id)
 
 
 def _load_directory(path: Path, labels: LabelSet | None) -> Corpus:

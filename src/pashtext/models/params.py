@@ -127,8 +127,9 @@ def _parse_int_or_none(raw: str) -> int | None:
 
 
 def _is_finite(value) -> bool:
-    # Compares a large int exactly, where math.isfinite would overflow.
-    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    # Refuses a bool; compares a large int exactly, where math.isfinite would
+    # overflow.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _parse_finite(raw: str) -> float:
@@ -139,7 +140,8 @@ def _parse_finite(raw: str) -> float:
 
 
 def _is(*types):
-    return lambda value: isinstance(value, types)
+    # `type`, not `isinstance`: a JSON true or false is no int or float here.
+    return lambda value: type(value) in types
 
 
 # Per field annotation: the check a saved value must pass, the parser of a

@@ -7,7 +7,6 @@ document never mutates the vocabulary; unseen tokens are simply dropped.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -168,16 +167,22 @@ class Vocabulary:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Vocabulary":
         with malformed("vocabulary"):
-            entries = payload["entries"]
-            token_to_index = {token: int(index) for token, index, _ in entries}
+            entries, n_train_docs = payload["entries"], payload["n_train_docs"]
+            if type(entries) is not list:
+                raise TypeError("entries must be a list")
+            # Every entry must unpack as [token, index, frequency].
+            tokens, indices, counts = zip(*entries, strict=True) if entries else ((), (), ())
+            # `type`, not `isinstance`: a JSON true or false is no integer here.
+            if not set(map(type, tokens)) <= {str}:
+                raise TypeError("vocabulary tokens must be strings")
+            kinds = set(map(type, indices)) | set(map(type, counts)) | {type(n_train_docs)}
+            if not kinds <= {int}:
+                raise TypeError(
+                    "vocabulary indices, frequencies and n_train_docs must be integers"
+                )
             df = np.zeros(len(entries), dtype=np.int64)
-            for _, index, count in entries:
-                df[int(index)] = int(count)
-            return cls(
-                token_to_index=token_to_index,
-                document_frequency=df,
-                n_train_docs=int(payload["n_train_docs"]),
-            )
+            df[np.fromiter(indices, np.int64, len(indices))] = np.fromiter(counts, np.int64)
+            return cls(dict(zip(tokens, indices)), df, n_train_docs)
 
 
 @dataclass
@@ -199,25 +204,83 @@ class FeatureMask:
         if np.any(~np.isfinite(self.scores)) or np.any(self.scores < 0):
             raise DataError("selection scores must be finite and non-negative")
 
+    def to_json_dict(self) -> dict:
+        return {"kept": self.kept_indices.tolist(), "scores": self.scores.tolist()}
 
-def build_vocabulary(train_docs: Sequence[TokenizedDocument]) -> Vocabulary:
-    """Collect every token of the training documents.
+    @classmethod
+    def from_json_dict(cls, payload: dict) -> "FeatureMask":
+        with malformed("feature mask"):
+            kept, scores = payload["kept"], payload["scores"]
+            if type(kept) is not list or not set(map(type, kept)) <= {int}:
+                raise TypeError("kept must be a list of integers")
+            if type(scores) is not list or not set(map(type, scores)) <= {int, float}:
+                raise TypeError("scores must be a list of numbers")
+            return cls(kept_indices=kept, scores=scores)
+
+
+def _row_offsets(docs: Sequence[TokenizedDocument], dim: int) -> np.ndarray:
+    """row * dim for every token of `docs`, in token order."""
+    return np.repeat(
+        np.arange(len(docs), dtype=np.int64) * dim, [len(doc.tokens) for doc in docs]
+    )
+
+
+# (rows, columns, counts) of the distinct cells of a count matrix, in CSR order.
+Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _cells(keys: np.ndarray, dim: int) -> Cells:
+    """The cells of row * dim + column keys, each counting the keys in it."""
+    keys, counts = np.unique(keys, return_counts=True)
+    rows, columns = np.divmod(keys, max(dim, 1))
+    return rows, columns, counts
+
+
+def _count_matrix(
+    cells: Cells, docs: Sequence[TokenizedDocument], labels: LabelSet, dim: int
+) -> FeatureMatrix:
+    """The unigram count matrix of `docs` with these cells."""
+    rows, columns, counts = cells
+    return FeatureMatrix(
+        indptr=_indptr(rows, len(docs)),
+        indices=columns,
+        data=counts.astype(np.float64),
+        row_labels=np.array([labels.index(doc.label) for doc in docs], dtype=np.int64),
+        mode=UNIGRAM,
+        dim=dim,
+    )
+
+
+def _fit(train_docs: Sequence[TokenizedDocument]) -> tuple[Vocabulary, Cells]:
+    """The vocabulary of the training documents and the cells of their
+    count matrix, from one pass over their tokens.
 
     Index order is first-occurrence order (document order, then token order
-    within the document).
+    within the document).  Each distinct (row, column) cell is one document
+    holding the column's token, so the cell columns count document frequency.
     """
     if not train_docs:
         raise DataError("cannot build a vocabulary from zero documents")
-    # Each document's distinct tokens in first-occurrence order; the counter
-    # keeps its keys in the order it first meets them.
-    df = Counter(chain.from_iterable(dict.fromkeys(doc.tokens) for doc in train_docs))
-    if not df:
+    tokens = list(chain.from_iterable(doc.tokens for doc in train_docs))
+    index = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+    if not index:
         raise DataError("cannot build a vocabulary from documents without tokens")
-    return Vocabulary(
-        token_to_index={token: index for index, token in enumerate(df)},
-        document_frequency=np.fromiter(df.values(), dtype=np.int64, count=len(df)),
+    dim = len(index)
+    keys = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    del tokens
+    keys += _row_offsets(train_docs, dim)
+    cells = _cells(keys, dim)
+    vocab = Vocabulary(
+        token_to_index=index,
+        document_frequency=np.bincount(cells[1], minlength=dim),
         n_train_docs=len(train_docs),
     )
+    return vocab, cells
+
+
+def build_vocabulary(train_docs: Sequence[TokenizedDocument]) -> Vocabulary:
+    """The vocabulary of the training documents: the fit's token pass."""
+    return _fit(train_docs)[0]
 
 
 def idf_weights(vocab: Vocabulary) -> np.ndarray:
@@ -237,22 +300,13 @@ def vectorize_documents(
     """
     dim = len(vocab)
     tokens = list(chain.from_iterable(doc.tokens for doc in docs))
-    columns = np.fromiter(
+    keys = np.fromiter(
         map(vocab.token_to_index.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens)
     )
-    rows = np.repeat(np.arange(len(docs), dtype=np.int64), [len(doc.tokens) for doc in docs])
-    known = columns >= 0
-    # One sorted (row, column) key per distinct cell gives CSR order directly.
-    keys, counts = np.unique(rows[known] * dim + columns[known], return_counts=True)
-    cell_rows, indices = np.divmod(keys, max(dim, 1))
-    return FeatureMatrix(
-        indptr=_indptr(cell_rows, len(docs)),
-        indices=indices,
-        data=counts.astype(np.float64),
-        row_labels=np.array([labels.index(doc.label) for doc in docs], dtype=np.int64),
-        mode=UNIGRAM,
-        dim=dim,
-    )
+    del tokens
+    known = keys >= 0
+    keys += _row_offsets(docs, dim)
+    return _count_matrix(_cells(keys[known], dim), docs, labels, dim)
 
 
 def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix:
@@ -361,8 +415,8 @@ def fit_features(
     Returns the vocabulary, the mask (None without `select_k`) and the
     training documents' count matrix.
     """
-    vocab = build_vocabulary(train_docs)
-    counts = vectorize_documents(train_docs, vocab, labels)
+    vocab, cells = _fit(train_docs)
+    counts = _count_matrix(cells, train_docs, labels, len(vocab))
     if select_k is None:
         return vocab, None, counts
     return vocab, select_top_k(chi2_scores(counts, len(labels)), select_k), counts

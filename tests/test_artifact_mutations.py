@@ -197,6 +197,50 @@ def test_knn_payload_entries_of_another_json_type_are_refused(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+HYPERPARAMS = ("model", "hyperparams")
+ENTRIES = ("vocabulary", "entries")
+
+
+@pytest.mark.parametrize(
+    "artifact, path, value",
+    [
+        # A JSON true or false is not an integer or a float, although
+        # Python's bool is an int.
+        ("bundle-knn", HYPERPARAMS + ("k",), True),
+        ("bundle-mlp", HYPERPARAMS + ("learning_rate",), True),
+        ("bundle-mlp", HYPERPARAMS + ("seed",), False),
+        ("bundle-mlp", HYPERPARAMS + ("epochs",), True),
+        # Vocabulary and mask numbers are integers, and tokens are strings.
+        ("bundle-multinomial_nb", ENTRIES + (1, 1), 1.5),
+        ("bundle-multinomial_nb", ENTRIES + (1, 1), True),
+        ("bundle-multinomial_nb", ENTRIES + (0, 2), "3"),
+        ("bundle-multinomial_nb", ENTRIES + (0, 2), True),
+        ("bundle-multinomial_nb", ENTRIES + (0, 2), 2.7),
+        ("bundle-multinomial_nb", ENTRIES + (0, 0), 7),
+        ("bundle-multinomial_nb", ("vocabulary", "n_train_docs"), "27"),
+        ("bundle-multinomial_nb", ("vocabulary", "n_train_docs"), 26.9),
+        ("bundle-knn", ("mask", "kept", 0), 1.5),
+        ("bundle-knn", ("mask", "kept", 0), True),
+        ("bundle-knn", ("mask", "scores", 0), True),
+    ],
+    ids=["knn-k-true", "mlp-learning-rate-true", "mlp-seed-false", "mlp-epochs-true",
+         "vocab-index-1.5", "vocab-index-true", "vocab-df-string", "vocab-df-true",
+         "vocab-df-2.7", "vocab-token-7", "vocab-n-train-docs-string",
+         "vocab-n-train-docs-26.9", "mask-kept-1.5", "mask-kept-true", "mask-score-true"],
+)
+def test_values_of_another_json_type_are_refused(
+    saved, artifact, path, value, tmp_path, capsys
+):
+    """Each value would otherwise load cast (1.5 and true to 1, "3" to 3),
+    or as a token no document can hold."""
+    with open(saved[artifact], encoding="utf-8") as handle:
+        document = mutated(json.load(handle), path, value)
+    target = tmp_path / "defective.json"
+    target.write_text(json.dumps(document), encoding="utf-8")
+    for argv in commands(artifact, str(target), saved, str(tmp_path / "out")):
+        assert refusal_fault(argv, capsys) is None, argv
+
+
 @pytest.mark.parametrize(
     "artifact, field",
     [("split", ("train_ids",)), ("bundle-decision_tree", ("model", "payload", "root"))],

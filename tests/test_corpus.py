@@ -18,6 +18,7 @@ from pashtext.corpus import (
     stratified_split,
     validate,
 )
+from pashtext.corpus import _parse_line, _refuse_surrogates, _text_lines
 from pashtext.errors import DataError
 
 
@@ -165,6 +166,114 @@ def test_jsonl_loader_accepts_exactly_what_json_loads_accepts(tmp_path, line):
     else:
         with pytest.raises(DataError, match=rf"c\.jsonl:2: (record is not|key '\w+' must)"):
             load_corpus(path)
+
+
+# The loader's former loop, which put every line through every per-key
+# check, kept verbatim as the reference for the one combined check.
+def reference_load_jsonl(path, labels=None):
+    by_id = {}
+    observed_labels = set()
+    for line_no, line in enumerate(_text_lines(path), 1):
+        if line.isspace():
+            continue
+        try:
+            record = _parse_line(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
+        except RecursionError:
+            raise DataError(f"{path}:{line_no}: JSON nested too deeply") from None
+        if not isinstance(record, dict):
+            raise DataError(f"{path}:{line_no}: record is not a JSON object")
+        for key in ("id", "text", "label"):
+            if key not in record:
+                raise DataError(f"{path}:{line_no}: missing required key {key!r}")
+            if not isinstance(record[key], str):
+                raise DataError(f"{path}:{line_no}: key {key!r} must be a string")
+        source = record.get("source")
+        if source is not None and not isinstance(source, str):
+            raise DataError(f"{path}:{line_no}: key 'source' must be a string")
+        if "\\u" in line:  # only a \u escape can put a lone surrogate in a string
+            _refuse_surrogates(record, path, line_no)
+        doc_id = record["id"]
+        if doc_id in by_id:
+            raise DataError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
+        label = record["label"]
+        if labels is not None and label not in labels:
+            raise DataError(
+                f"{path}:{line_no}: label {label!r} outside the supplied label set"
+            )
+        observed_labels.add(label)
+        by_id[doc_id] = Document(
+            id=doc_id, text=record["text"], label=label, source=source
+        )
+    if not by_id:
+        raise DataError(f"corpus file is empty: {path}")
+    label_set = labels if labels is not None else LabelSet(sorted(observed_labels))
+    return Corpus._checked(tuple(by_id.values()), label_set, by_id)
+
+
+GOOD = b'{"id": "g", "text": "\xd9\x85\xd8\xaa\xd9\x86", "label": "l"}'
+OTHER = b'{"id": "h", "text": "y", "label": "m", "source": "web"}'
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(GOOD + b"\n" + OTHER + b"\n", id="two-records"),
+        pytest.param(GOOD + b"\n\n" + OTHER + b"\n", id="blank-line"),
+        pytest.param(GOOD + b"\n   \n\t\n" + OTHER + b"\n  ", id="whitespace-lines"),
+        pytest.param(b"\n \n", id="only-blank-lines"),
+        pytest.param(b"", id="empty-file"),
+        pytest.param(GOOD + b"\r\n" + OTHER + b"\r\n", id="crlf"),
+        pytest.param(GOOD + b"\r" + OTHER + b"\r", id="lone-cr"),
+        pytest.param(GOOD + b"\n" + OTHER, id="no-final-newline"),
+        pytest.param(GOOD + b"\r\n" + OTHER, id="crlf-no-final-newline"),
+        pytest.param(b"\xef\xbb\xbf" + GOOD + b"\n" + OTHER + b"\n", id="bom-first"),
+        pytest.param(GOOD + b"\n\xef\xbb\xbf" + OTHER + b"\n", id="bom-second"),
+        pytest.param(GOOD + b"\n  " + OTHER + b"\n", id="leading-whitespace"),
+        pytest.param(GOOD + b"\n" + OTHER + b" \t \n", id="trailing-whitespace"),
+        pytest.param(GOOD + b"\n" + OTHER + b" x\n", id="trailing-data"),
+        pytest.param(GOOD + b"\n" + OTHER + OTHER + b"\n", id="two-values"),
+        pytest.param(GOOD + b"\n" + OTHER + b" 1\n", id="record-then-number"),
+        pytest.param(GOOD + b"\n" + DEEP + b"\n", id="deep-line"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": ' + DEEP + b', "label": "l"}\n',
+                     id="deep-text"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": "\\ud800", "label": "l"}\n',
+                     id="lone-surrogate-text"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": "x", "label": "l", "source": "\\udc00"}\n',
+                     id="lone-surrogate-source"),
+        pytest.param(GOOD + b'\n{"id": "\\u0647", "text": "\\ud83d\\ude00 \\u0645", '
+                     b'"label": "l"}\n', id="valid-escapes"),
+        pytest.param(GOOD + b"\n" + GOOD + b"\n", id="duplicate-id"),
+        pytest.param(GOOD + b'\n{"id": "", "text": "x", "label": "l"}\n', id="empty-id"),
+        pytest.param(GOOD + b'\n{"id": "h", "label": "l"}\n', id="missing-text"),
+        pytest.param(GOOD + b'\n{"text": "x", "label": "l"}\n', id="missing-id"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": "x"}\n', id="missing-label"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": "x", "label": "l", "source": 3}\n',
+                     id="source-number"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": "x", "label": "l", "source": null}\n',
+                     id="source-null"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": "x", "label": "zz"}\n',
+                     id="label-outside-set"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": "\xff", "label": "l"}\n', id="not-utf8"),
+        pytest.param(GOOD + b"\n[1, 2]\n", id="not-an-object"),
+    ],
+)
+@pytest.mark.parametrize("labels", [None, LabelSet(["m", "l"])], ids=["inferred", "supplied"])
+def test_jsonl_loader_matches_the_per_key_reference(tmp_path, content, labels):
+    """The same corpus, or the same DataError text with its line number."""
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(content)
+
+    def outcome(load):
+        try:
+            corpus = load(path, labels)
+        except DataError as exc:
+            return str(exc)
+        return [(d.id, d.text, d.label, d.source) for d in corpus], corpus.labels
+
+    assert outcome(load_corpus) == outcome(reference_load_jsonl)
 
 
 def test_jsonl_loader_requires_keys(tmp_path):

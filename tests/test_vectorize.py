@@ -396,6 +396,40 @@ def test_vocabulary_and_matrices_match_the_per_mode_reference():
             assert vocab.token_to_index["common"] not in expected.indices
 
 
+@pytest.mark.parametrize(
+    "tokens",
+    [
+        pytest.param([["b", "a", "b", "b"], ["a", "a"], ["c", "b", "c"]], id="repeats"),
+        pytest.param([["a", "b"], ["c"], ["d", "e", "f"]], id="disjoint"),
+        pytest.param([["a"]], id="one-token"),
+        pytest.param([["a"], ["a"], ["a", "a"]], id="one-distinct-token"),
+        pytest.param([[], ["b", "a"], [], ["a", "c", "c"], []], id="empty-documents"),
+    ],
+)
+@pytest.mark.parametrize("select_k", [None, 2])
+def test_fit_features_matches_the_reference_fit(tokens, select_k):
+    """One token pass gives the reference vocabulary, in order, with its
+    document frequencies and count matrix bit-equal; `build_vocabulary` is
+    that pass."""
+    labels = LabelSet(["x", "y"])
+    docs = [tdoc(str(i), doc, labels.names[i % 2]) for i, doc in enumerate(tokens)]
+    vocab, mask, counts = fit_features(docs, labels, select_k)
+    expected = reference_build_vocabulary(docs)
+    expected_counts = reference_vectorize_documents(docs, expected, UNIGRAM, labels)
+    for fitted in (vocab, build_vocabulary(docs)):
+        assert list(fitted.token_to_index.items()) == list(expected.token_to_index.items())
+        assert fitted.document_frequency.dtype == expected.document_frequency.dtype
+        assert fitted.document_frequency.tobytes() == expected.document_frequency.tobytes()
+        assert fitted.n_train_docs == expected.n_train_docs
+    assert_same_matrix(counts, expected_counts)
+    if select_k is None:
+        assert mask is None
+    else:
+        expected_mask = select_top_k(chi2_scores(expected_counts, len(labels)), select_k)
+        assert mask.kept_indices.tolist() == expected_mask.kept_indices.tolist()
+        assert mask.scores.tobytes() == expected_mask.scores.tobytes()
+
+
 @pytest.mark.parametrize("select_k", [None, 1, 15, 10**6])
 def test_split_features_matches_the_per_mode_reference(select_k):
     """`side_documents`, `fit_features` and `feature_matrix`, composed as the
