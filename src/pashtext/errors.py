@@ -61,10 +61,10 @@ def read_json(path, what: str):
 
 def expect_format(document, name: str, version: int) -> None:
     """Refuse `document` unless it is a JSON object tagged with the format
-    `name` and the version `version`."""
+    `name` and the version `version`, an integer: `true` and `1.0` are not 1."""
     if not isinstance(document, dict) or document.get("format") != name:
         raise DataError(f"not a {name} document")
-    if document.get("version") != version:
+    if type(document.get("version")) is not int or document.get("version") != version:
         raise DataError(f"unsupported {name} version {document.get('version')!r}")
 
 

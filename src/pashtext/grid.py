@@ -11,8 +11,6 @@ the same seed serialises byte-for-byte identically on any number of cores.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import time
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 from .corpus import Corpus, CorpusSplit
 from .errors import DataError, expect_format, malformed
-from .metrics import EvalReport, evaluate_predictions
+from .metrics import EvalReport, csv_table, evaluate_predictions, markdown_table
 from .models import ModelKind, train
 from .models.base import KIND_CLASSES
 from .models.params import DEFAULT_SEED, default_params
@@ -57,7 +55,10 @@ class GridCell:
 
     def __post_init__(self):
         accuracy = None if self.report is None else self.report.accuracy
-        if (self.report is None) == (self.error is None) or self.accuracy != accuracy:
+        # type(): a JSON true equals 1.0 under == but is no accuracy
+        if (self.report is None) == (self.error is None) or self.accuracy != accuracy or (
+            type(self.accuracy) is not type(accuracy)
+        ):
             raise DataError(f"grid cell {self.kind.value}/{self.mode} must hold "
                             "either a report and its accuracy or an error")
 
@@ -150,90 +151,53 @@ class GridReport:
             + "\n"
         )
 
+    def _accuracy_table(self) -> tuple[list, list]:
+        header = ["Classifier", *(MODE_DISPLAY_NAMES[mode] for mode in FEATURE_MODES)]
+        return header, [[KIND_CLASSES[kind].display_name,
+                         *(self.cell(kind, mode).accuracy for mode in FEATURE_MODES)]
+                        for kind in ModelKind]
+
     def accuracy_table_markdown(self) -> str:
-        lines = [
-            "| Classifier | Unigram | TFIDF |",
-            "| --- | --- | --- |",
-        ]
-        for kind in ModelKind:
-            row = [KIND_CLASSES[kind].display_name]
-            for mode in FEATURE_MODES:
-                cell = self.cell(kind, mode)
-                row.append("failed" if cell.accuracy is None else f"{cell.accuracy:.4f}")
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines) + "\n"
+        return markdown_table(*self._accuracy_table())
 
     def accuracy_table_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["classifier", "unigram", "tfidf"])
-        for kind in ModelKind:
-            row = [KIND_CLASSES[kind].display_name]
-            for mode in FEATURE_MODES:
-                cell = self.cell(kind, mode)
-                row.append("" if cell.accuracy is None else f"{cell.accuracy:.6f}")
-            writer.writerow(row)
-        return out.getvalue()
+        return csv_table(*self._accuracy_table())
 
     def per_class_tables_markdown(self) -> str:
+        """One block per classifier: both modes side by side for each class, or
+        the errors of a classifier that failed in both."""
+        columns = [f"{MODE_DISPLAY_NAMES[mode]} {metric}" for mode in FEATURE_MODES
+                   for metric in ("P", "R", "F1")]
         blocks = []
         for kind in ModelKind:
-            lines = [f"## {KIND_CLASSES[kind].display_name}", ""]
-            cells = {mode: self.cell(kind, mode) for mode in FEATURE_MODES}
-            if all(c.report is None for c in cells.values()):
-                errors = "; ".join(
-                    f"{MODE_DISPLAY_NAMES[m]}: {c.error}" for m, c in cells.items()
-                )
-                lines.append(f"_no results ({errors})_")
-                blocks.append("\n".join(lines))
-                continue
-            header = ["Class"]
-            for mode in FEATURE_MODES:
-                display = MODE_DISPLAY_NAMES[mode]
-                header += [f"{display} P", f"{display} R", f"{display} F1"]
-            header.append("Support")
-            lines.append("| " + " | ".join(header) + " |")
-            lines.append("|" + " --- |" * len(header))
-            for index, name in enumerate(self.label_names):
-                row = [name]
-                support = ""
-                for mode in FEATURE_MODES:
-                    report = cells[mode].report
-                    if report is None:
-                        row += ["failed"] * 3
-                        continue
-                    m = report.per_class[index]
-                    row += [f"{m.precision:.4f}", f"{m.recall:.4f}", f"{m.f1:.4f}"]
-                    support = str(m.support)
-                row.append(support)
-                lines.append("| " + " | ".join(row) + " |")
-            blocks.append("\n".join(lines))
-        return "\n\n".join(blocks) + "\n"
+            cells = [self.cell(kind, mode) for mode in FEATURE_MODES]
+            reports = [c.report for c in cells if c.report is not None]
+            if not reports:
+                errors = "; ".join(f"{MODE_DISPLAY_NAMES[c.mode]}: {c.error}"
+                                   for c in cells)
+                table = f"_no results ({errors})_\n"
+            else:
+                rows = []
+                for index, name in enumerate(self.label_names):
+                    row = [name]
+                    for cell in cells:
+                        m = cell.report and cell.report.per_class[index]
+                        row += [None] * 3 if m is None else [m.precision, m.recall, m.f1]
+                    rows.append(row + [reports[-1].per_class[index].support])
+                table = markdown_table(["Class", *columns, "Support"], rows)
+            blocks.append(f"## {KIND_CLASSES[kind].display_name}\n\n{table}")
+        return "\n".join(blocks)
 
     def per_class_tables_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["classifier", "class", "mode", "precision", "recall", "f1", "support"]
-        )
-        for kind in ModelKind:
-            for mode in FEATURE_MODES:
-                report = self.cell(kind, mode).report
-                if report is None:
-                    continue
-                for name, m in zip(self.label_names, report.per_class):
-                    writer.writerow(
-                        [
-                            KIND_CLASSES[kind].display_name,
-                            name,
-                            mode,
-                            f"{m.precision:.6f}",
-                            f"{m.recall:.6f}",
-                            f"{m.f1:.6f}",
-                            m.support,
-                        ]
-                    )
-        return out.getvalue()
+        """One row per classifier, mode and class; a failed cell has no rows."""
+        rows = [
+            [KIND_CLASSES[cell.kind].display_name, name, cell.mode,
+             m.precision, m.recall, m.f1, m.support]
+            for cell in self.cells if cell.report is not None
+            for name, m in zip(self.label_names, cell.report.per_class)
+        ]
+        header = ["Classifier", "Class", "Mode", "Precision", "Recall", "F1", "Support"]
+        return csv_table(header, rows)
 
 
 def _run_cell(kind, mode, train_matrix, test_matrix, label_names, params):

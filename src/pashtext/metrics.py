@@ -166,6 +166,30 @@ def aggregate(per_class) -> tuple[AggregateMetrics, AggregateMetrics]:
     return macro, weighted
 
 
+def _field(value, digits: int):
+    """A float to `digits` decimals; any other field as it is."""
+    return f"{value:.{digits}f}" if isinstance(value, float) else value
+
+
+def markdown_table(header, rows) -> str:
+    """A markdown table of `rows` of raw values under `header`: floats to 4
+    decimals, a failed (None) field as `failed`."""
+    lines = [header, ["---"] * len(header)]
+    lines += [["failed" if value is None else _field(value, 4) for value in row]
+              for row in rows]
+    return "".join(f"| {' | '.join(map(str, line))} |\n" for line in lines)
+
+
+def csv_table(header, rows) -> str:
+    """A CSV table of `rows` of raw values under the lower-cased `header`:
+    floats to 6 decimals, a failed (None) field empty, as `csv` writes None."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([name.lower() for name in header])
+    writer.writerows([_field(value, 6) for value in row] for row in rows)
+    return out.getvalue()
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Full single-split evaluation: confusion matrix and every metric."""
@@ -208,47 +232,29 @@ class EvalReport:
         with malformed("eval report"):
             confusion = ConfusionMatrix(data["confusion"], data["labels"])
             report = cls.from_confusion(confusion)
-            if report.to_dict() != data:
-                raise DataError("eval report fields disagree with its confusion matrix")
+        # As JSON text, true, 1 and 1.0 differ, which == takes for equal.
+        if json.dumps(report.to_dict(), sort_keys=True) != json.dumps(data, sort_keys=True):
+            raise DataError("eval report fields disagree with its confusion matrix")
         return report
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False,
                           allow_nan=False) + "\n"
 
+    def _table(self) -> tuple[list, list]:
+        rows = [[name, m.precision, m.recall, m.f1, m.support]
+                for name, m in zip(self.confusion.label_names, self.per_class)]
+        averages = (("macro avg", self.macro), ("weighted avg", self.weighted))
+        rows += [[tag, agg.precision, agg.recall, agg.f1, self.confusion.total]
+                 for tag, agg in averages]
+        return ["Class", "Precision", "Recall", "F1", "Support"], rows
+
     def to_markdown(self) -> str:
-        lines = [
-            "| Class | Precision | Recall | F1 | Support |",
-            "| --- | --- | --- | --- | --- |",
-        ]
-        for name, m in zip(self.confusion.label_names, self.per_class):
-            lines.append(
-                f"| {name} | {m.precision:.4f} | {m.recall:.4f} "
-                f"| {m.f1:.4f} | {m.support} |"
-            )
-        for tag, agg in (("macro avg", self.macro), ("weighted avg", self.weighted)):
-            lines.append(
-                f"| {tag} | {agg.precision:.4f} | {agg.recall:.4f} "
-                f"| {agg.f1:.4f} | {self.confusion.total} |"
-            )
-        lines.append(f"\nOverall accuracy: {self.accuracy:.4f}")
-        return "\n".join(lines) + "\n"
+        return markdown_table(*self._table()) + f"\nOverall accuracy: {self.accuracy:.4f}\n"
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["class", "precision", "recall", "f1", "support"])
-        for name, m in zip(self.confusion.label_names, self.per_class):
-            writer.writerow(
-                [name, f"{m.precision:.6f}", f"{m.recall:.6f}", f"{m.f1:.6f}", m.support]
-            )
-        for tag, agg in (("macro avg", self.macro), ("weighted avg", self.weighted)):
-            writer.writerow(
-                [tag, f"{agg.precision:.6f}", f"{agg.recall:.6f}",
-                 f"{agg.f1:.6f}", self.confusion.total]
-            )
-        writer.writerow(["accuracy", f"{self.accuracy:.6f}", "", "", ""])
-        return out.getvalue()
+        header, rows = self._table()
+        return csv_table(header, rows + [["accuracy", self.accuracy, "", "", ""]])
 
 
 def evaluate_predictions(truth, preds, label_count: int, label_names=None) -> EvalReport:

@@ -4,7 +4,9 @@ Each dict key of a saved bundle (one per model kind), a split file, a grid
 report and an eval report is deleted, or its value is swapped for one of
 another type: a string becomes [], anything else "x".  Inside a list only
 the first element is visited.  Every command that reads the mutated file
-must then exit 2 with a single `error:` line and no traceback.
+must then exit 2 with a single `error:` line and no traceback.  So must a
+report whose number or boolean leaf is swapped for another JSON type, and
+any versioned file whose `version` is `true` or `1.0`.
 """
 
 import json
@@ -239,6 +241,63 @@ def test_values_of_another_json_type_are_refused(
     target.write_text(json.dumps(document), encoding="utf-8")
     for argv in commands(artifact, str(target), saved, str(tmp_path / "out")):
         assert refusal_fault(argv, capsys) is None, argv
+
+
+def type_swaps(value, path=()):
+    """(key path, replacement) for every number or boolean leaf below `value`:
+    a number becomes `true`, an integer also the equal float and a boolean
+    the equal integer.  Inside a list only the first element is visited."""
+    if isinstance(value, bool):
+        yield path, int(value)
+    elif isinstance(value, (int, float)):
+        yield path, True
+        if isinstance(value, int):
+            yield path, float(value)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from type_swaps(item, path + (key,))
+    elif isinstance(value, list) and value:
+        yield from type_swaps(value[0], path + (0,))
+
+
+@pytest.mark.parametrize("artifact", ["grid", "eval"])
+def test_every_value_of_another_json_type_is_refused(saved, artifact, tmp_path, capsys):
+    """A report's counts, supports and version are integers, its metrics floats
+    and `degenerate` a boolean; under Python's == a swapped leaf (true for
+    1.0, 4.0 for 4, 0 for false) would compare equal and load."""
+    with open(saved[artifact], encoding="utf-8") as handle:
+        original = json.load(handle)
+    target = tmp_path / "swapped.json"
+    faults = []
+    swaps = list(type_swaps(original))
+    for path, replacement in swaps:
+        target.write_text(json.dumps(mutated(original, path, replacement)),
+                          encoding="utf-8")
+        for argv in commands(artifact, str(target), saved, str(tmp_path / "out")):
+            fault = refusal_fault(argv, capsys)
+            if fault is not None:
+                faults.append(f"{'.'.join(map(str, path))} set to {replacement!r}: "
+                              f"{argv[0]} {fault}")
+    assert len(swaps) >= 10
+    assert not faults, "\n".join(faults)
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
+@pytest.mark.parametrize("artifact", [a for a in ARTIFACTS if a != "split"])
+def test_a_version_of_another_json_type_is_refused(saved, artifact, version, tmp_path,
+                                                    capsys):
+    """Every versioned document, a bundle's model document included, refuses a
+    version that equals 1 under Python's == but is no JSON integer.  A split
+    file carries no version."""
+    with open(saved[artifact], encoding="utf-8") as handle:
+        original = json.load(handle)
+    paths = [("version",), ("model", "version")] if artifact.startswith("bundle-") else [
+        ("version",)]
+    for path in paths:
+        target = tmp_path / "versioned.json"
+        target.write_text(json.dumps(mutated(original, path, version)), encoding="utf-8")
+        for argv in commands(artifact, str(target), saved, str(tmp_path / "out")):
+            assert refusal_fault(argv, capsys) is None, (path, argv)
 
 
 @pytest.mark.parametrize(

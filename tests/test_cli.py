@@ -720,7 +720,18 @@ def test_grid_command_and_report_round_trip(workspace, tmp_path, capsys):
     assert grid_data["format"] == "pashtext-grid-report"
     assert len(grid_data["cells"]) == 16
 
-    # report re-emits saved artifacts in all formats
+    # report re-emits every written table, and the report itself, byte for byte
+    for table, fmt, name in [
+        ("accuracy", "markdown", "accuracy_table.md"),
+        ("accuracy", "csv", "accuracy_table.csv"),
+        ("per-class", "markdown", "per_class_tables.md"),
+        ("per-class", "csv", "per_class_tables.csv"),
+        ("accuracy", "json", "grid.json"),
+    ]:
+        target = tmp_path / f"re-emitted-{table}.{fmt}"
+        assert main(["report", "--input", str(out / "grid.json"), "--table", table,
+                     "--format", fmt, "--out", str(target)]) == 0
+        assert target.read_bytes() == (out / name).read_bytes(), name
     assert main(["report", "--input", str(out / "grid.json")]) == 0
     table = capsys.readouterr().out
     assert "Unigram" in table and "TFIDF" in table
@@ -766,6 +777,15 @@ def test_report_on_eval_report(workspace, tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--input", str(out / "eval.json")]) == 0
     assert "Precision" in capsys.readouterr().out
+    # report re-emits the table evaluate writes in each format, byte for byte
+    for fmt, suffix in [("markdown", "md"), ("csv", "csv")]:
+        assert main(["evaluate", "--model", str(workspace["bundle"]),
+                     "--corpus", str(workspace["corpus"]), "--split", str(workspace["split"]),
+                     "--format", fmt, "--out", str(out)]) == 0
+        target = tmp_path / f"re-emitted.{suffix}"
+        assert main(["report", "--input", str(out / "eval.json"), "--format", fmt,
+                     "--out", str(target)]) == 0
+        assert target.read_bytes() == (out / f"eval.{suffix}").read_bytes(), fmt
 
 
 def test_report_rejects_unknown_documents(tmp_path, capsys):
