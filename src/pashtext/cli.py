@@ -108,10 +108,11 @@ def _load_bundle(path):
     bundle = read_json(path, "model bundle")
     expect_format(bundle, BUNDLE_FORMAT, BUNDLE_VERSION)
     with malformed(f"model bundle {path}"):
-        if bundle["pipeline"] != PROFILE_RECORD:
+        # As JSON text, where 1 and true differ, which == takes for equal.
+        profile = json.dumps(bundle["pipeline"], sort_keys=True)
+        if profile != json.dumps(PROFILE_RECORD, sort_keys=True):
             raise DataError(
-                f"model bundle {path} was made with another preprocessing profile: "
-                f"{json.dumps(bundle['pipeline'], sort_keys=True)}"
+                f"model bundle {path} was made with another preprocessing profile: {profile}"
             )
         mask = bundle["mask"]
         loaded = {

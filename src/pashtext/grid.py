@@ -112,6 +112,10 @@ class GridReport:
         if any(c.report and c.report.confusion.label_names != self.label_names
                for c in self.cells):
             raise DataError("every grid cell must report on the grid's labels")
+        # Every cell scores the same test side, so each class has one support.
+        if len({tuple(c.report.confusion.grid.sum(axis=1).tolist())
+                for c in self.cells if c.report}) > 1:
+            raise DataError("every grid cell must count the same test rows of each class")
 
     def cell(self, kind: ModelKind, mode: str) -> GridCell:
         for cell in self.cells:

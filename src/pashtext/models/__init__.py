@@ -8,7 +8,8 @@ matrices at once: ``predict_scores`` returns an (n_rows, K) array and
 
 Each family's model class is the one place that kind is described: its
 ``kind``, its hyperparameter record ``params_class`` (from
-:mod:`.params`), its report ``display_name`` and its ``fit``.  Defining the
+:mod:`.params`), its report ``display_name``, its ``fit`` and, where its
+payload is named float arrays, their names ``payload_arrays``.  Defining the
 class enters it in :data:`.base.KIND_CLASSES`, which training, model
 documents (:mod:`.io`), hyperparameter parsing and the grid tables read.
 Importing this package imports the five family modules, so the table is

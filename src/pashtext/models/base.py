@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -64,6 +65,19 @@ def checked_array(kind: ModelKind, name: str, values, shape: tuple) -> np.ndarra
     return array
 
 
+def _json_numbers(values) -> bool:
+    """Whether every leaf of the nested lists `values` is a JSON number.  The
+    types are read, not converted: a JSON true is a Python int, but no number."""
+    level = [values]
+    while True:
+        types = set(map(type, level))
+        if types - {list, int, float}:
+            return False
+        if list not in types:
+            return True
+        level = list(chain.from_iterable(v for v in level if type(v) is list))
+
+
 class Model(ABC):
     """A trained classifier: immutable, shareable, pure at prediction time.
 
@@ -74,12 +88,16 @@ class Model(ABC):
 
     Each concrete family sets `kind`, its hyperparameter record class
     `params_class` and its report name `display_name`; defining the class
-    enters it in `KIND_CLASSES`.
+    enters it in `KIND_CLASSES`.  A family whose payload is named float
+    arrays lists their attribute names in `payload_arrays`, in constructor
+    order, and inherits `payload` and `from_payload`; any other family sets
+    none and overrides both.
     """
 
     kind: ModelKind
     params_class: type
     display_name: str
+    payload_arrays: tuple[str, ...] = ()
     label_count: int
     feature_dimension: int
 
@@ -121,13 +139,21 @@ class Model(ABC):
         """Predicted class index of every row (lowest index wins ties)."""
         return np.argmax(self.predict_scores(matrix), axis=1).astype(np.int64)
 
-    @abstractmethod
     def payload(self) -> dict:
-        """JSON-serializable family-specific parameters."""
+        """JSON-serializable family-specific parameters: by default each of
+        `payload_arrays` as nested lists."""
+        return {name: getattr(self, name).tolist() for name in self.payload_arrays}
 
     @classmethod
-    @abstractmethod
     def from_payload(cls, payload: dict, params, label_count: int,
                      feature_dimension: int) -> "Model":
         """Rebuild a model from `payload` (inverse of :meth:`payload`) and the
-        document's declared sizes, which kinds whose payload implies them ignore."""
+        document's declared sizes, which kinds whose payload implies them
+        ignore.  By default `cls(*arrays, params)`, where every leaf of each
+        array must be a JSON number: `true` or `"0.5"` would load as 1.0 or 0.5."""
+        arrays = [payload[name] for name in cls.payload_arrays]
+        for name, values in zip(cls.payload_arrays, arrays):
+            if not _json_numbers(values):
+                raise DataError(f"malformed {cls.kind.value} weights: "
+                                f"{name} holds a value that is not a JSON number")
+        return cls(*arrays, params)

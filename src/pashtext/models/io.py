@@ -44,10 +44,11 @@ def model_from_document(document: dict) -> Model:
     try:
         with malformed(f"{kind.value} model document"):
             params = params_from_dict(kind, document["hyperparams"])
-            model = KIND_CLASSES[kind].from_payload(
-                document["payload"], params,
-                document["label_count"], document["feature_dimension"],
-            )
+            sizes = document["label_count"], document["feature_dimension"]
+            if any(type(size) is not int for size in sizes):  # not true, not 3.0
+                raise DataError(f"{kind.value} model document label_count and "
+                                "feature_dimension must be integers")
+            model = KIND_CLASSES[kind].from_payload(document["payload"], params, *sizes)
     except InvalidHyperparameterError as exc:
         raise DataError(
             f"{kind.value} model document has an out-of-range hyperparameter: {exc}"

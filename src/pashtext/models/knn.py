@@ -159,6 +159,8 @@ class KNNModel(Model):
             ("row_labels", row_labels, {int}, "integers"),
             ("indices", indices, {int}, "integers"),
             ("values", values, {int, float}, "numbers"),
+            ("dim and label_count", [payload["dim"], payload["label_count"]], {int},
+             "integers"),
         ):
             if not set(map(type, entries)) <= kinds:
                 raise DataError(f"knn stored {name} must be {what}")

@@ -75,6 +75,7 @@ class _LinearModel(Model):
     the family's `loss_and_grads`."""
 
     params_class = LinearParams
+    payload_arrays = ("weights", "bias")
 
     def __init__(self, weights, bias, params: LinearParams):
         self.weights = checked_array(self.kind, "weights", weights, (None, None))
@@ -99,14 +100,6 @@ class _LinearModel(Model):
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         return matrix.dot(self.weights.T) + self.bias
-
-    def payload(self) -> dict:
-        return {"weights": self.weights.tolist(), "bias": self.bias.tolist()}
-
-    @classmethod
-    def from_payload(cls, payload: dict, params: LinearParams, label_count: int,
-                     feature_dimension: int):
-        return cls(payload["weights"], payload["bias"], params)
 
 
 class LinearSVMModel(_LinearModel):

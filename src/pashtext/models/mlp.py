@@ -31,8 +31,6 @@ from ..vectorize import FeatureMatrix
 from .base import Model, ModelKind, checked_array, softmax
 from .params import MLPParams
 
-_PARAM_NAMES = ("w1", "b1", "w2", "b2")
-
 
 def relu(a):
     """max(0, a), elementwise on arrays.
@@ -101,6 +99,7 @@ class MLPModel(Model):
     kind = ModelKind.MLP
     params_class = MLPParams
     display_name = "Multilayer Perceptron"
+    payload_arrays = ("w1", "b1", "w2", "b2")
 
     def __init__(self, w1, b1, w2, b2, params: MLPParams):
         hidden = params.hidden_units
@@ -132,14 +131,6 @@ class MLPModel(Model):
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         hidden = relu(matrix.dot(self.w1) + self.b1)
         return softmax(hidden @ self.w2 + self.b2)
-
-    def payload(self) -> dict:
-        return {name: getattr(self, name).tolist() for name in _PARAM_NAMES}
-
-    @classmethod
-    def from_payload(cls, payload: dict, params: MLPParams, label_count: int,
-                     feature_dimension: int) -> "MLPModel":
-        return cls(payload["w1"], payload["b1"], payload["w2"], payload["b2"], params)
 
 
 def _he_uniform(rng: SplitMix64, rows: int, cols: int) -> np.ndarray:

@@ -39,6 +39,7 @@ class GaussianNBModel(Model):
     kind = ModelKind.GAUSSIAN_NB
     params_class = GaussianNBParams
     display_name = "Gaussian Naive Bayes"
+    payload_arrays = ("priors", "means", "variances")
 
     def __init__(self, priors, means, variances, params: GaussianNBParams):
         self.means = checked_array(self.kind, "means", means, (None, None))
@@ -81,18 +82,6 @@ class GaussianNBModel(Model):
             joint[:, c] = -0.5 * terms.sum(axis=1)
         return _log_normalize(np.log(self.priors) + joint)
 
-    def payload(self) -> dict:
-        return {
-            "priors": self.priors.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict, params: GaussianNBParams, label_count: int,
-                     feature_dimension: int) -> "GaussianNBModel":
-        return cls(payload["priors"], payload["means"], payload["variances"], params)
-
 
 class MultinomialNBModel(Model):
     """Laplace-smoothed per-class token distributions over sparse counts.
@@ -104,6 +93,7 @@ class MultinomialNBModel(Model):
     kind = ModelKind.MULTINOMIAL_NB
     params_class = MultinomialNBParams
     display_name = "Multinomial Naive Bayes"
+    payload_arrays = ("priors", "log_token_probs")
 
     def __init__(self, priors, log_token_probs, params: MultinomialNBParams):
         self.log_token_probs = checked_array(
@@ -132,14 +122,3 @@ class MultinomialNBModel(Model):
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         return _log_normalize(np.log(self.priors) + matrix.dot(self.log_token_probs.T))
-
-    def payload(self) -> dict:
-        return {
-            "priors": self.priors.tolist(),
-            "log_token_probs": self.log_token_probs.tolist(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict, params: MultinomialNBParams, label_count: int,
-                     feature_dimension: int) -> "MultinomialNBModel":
-        return cls(payload["priors"], payload["log_token_probs"], params)

@@ -5,8 +5,8 @@ report and an eval report is deleted, or its value is swapped for one of
 another type: a string becomes [], anything else "x".  Inside a list only
 the first element is visited.  Every command that reads the mutated file
 must then exit 2 with a single `error:` line and no traceback.  So must a
-report whose number or boolean leaf is swapped for another JSON type, and
-any versioned file whose `version` is `true` or `1.0`.
+bundle or report whose number or boolean leaf is swapped for another JSON
+type, and any versioned file whose `version` is `true` or `1.0`.
 """
 
 import json
@@ -14,6 +14,7 @@ import json
 import pytest
 
 from pashtext.cli import main
+from pashtext.metrics import ConfusionMatrix, EvalReport
 from pashtext.models import ModelKind
 from pashtext.models.knn import MAX_STORED_VALUE
 
@@ -26,7 +27,8 @@ TRAIN_ARGS = {
     "linear_svm": ["--param", "epochs=5", "--features", "tfidf"],
     "knn": ["--param", "k=3", "--select-k", "20"],
 }
-ARTIFACTS = [f"bundle-{kind.value}" for kind in ModelKind] + ["split", "grid", "eval"]
+BUNDLES = [f"bundle-{kind.value}" for kind in ModelKind]
+ARTIFACTS = BUNDLES + ["split", "grid", "eval"]
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +128,20 @@ def test_every_mutation_is_refused(saved, artifact, tmp_path, capsys):
     assert not faults, "\n".join(faults)
 
 
+def moved_test_row(grid, kind, mode):
+    """`grid` with the cell of `kind` and `mode` rebuilt, every field consistent,
+    from its confusion matrix with one test row moved from the first class to
+    the second: the same total, but supports no other cell has."""
+    cell = next(c for c in grid["cells"] if (c["kind"], c["mode"]) == (kind, mode))
+    confusion = cell["report"]["confusion"]
+    column = next(i for i, count in enumerate(confusion[0]) if count)
+    confusion[0][column] -= 1
+    confusion[1][column] += 1
+    report = EvalReport.from_confusion(ConfusionMatrix(confusion, grid["labels"]))
+    cell.update(report=report.to_dict(), accuracy=report.accuracy)
+    return grid
+
+
 @pytest.mark.parametrize(
     "artifact, defect",
     [
@@ -151,12 +167,14 @@ def test_every_mutation_is_refused(saved, artifact, tmp_path, capsys):
         ("grid", lambda grid: dict(grid, n_train=True)),
         ("split", lambda split: dict(split, seed=True)),
         ("split", lambda split: dict(split, seed=False)),
+        ("grid", lambda grid: moved_test_row(grid, "gaussian_nb", "tfidf")),
     ],
     ids=["split-train-ids-5", "split-top-level-list", "grid-kind-zz",
          "eval-ragged-confusion", "mask-scores-one-long", "grid-n-train-negative",
          "grid-n-test-not-cell-total", "knn-value-negative", "grid-select-k-0",
          "grid-select-k-negative", "grid-select-k-true", "grid-seed-true",
-         "grid-n-train-true", "split-seed-true", "split-seed-false"],
+         "grid-n-train-true", "split-seed-true", "split-seed-false",
+         "grid-cell-supports-differ"],
 )
 def test_hand_picked_defects_are_refused(saved, artifact, defect, tmp_path, capsys):
     with open(saved[artifact], encoding="utf-8") as handle:
@@ -200,6 +218,7 @@ def test_knn_payload_entries_of_another_json_type_are_refused(
 
 
 HYPERPARAMS = ("model", "hyperparams")
+PAYLOAD = ("model", "payload")
 ENTRIES = ("vocabulary", "entries")
 
 
@@ -224,11 +243,16 @@ ENTRIES = ("vocabulary", "entries")
         ("bundle-knn", ("mask", "kept", 0), 1.5),
         ("bundle-knn", ("mask", "kept", 0), True),
         ("bundle-knn", ("mask", "scores", 0), True),
+        # Every weight leaf is a JSON number, not only the first one, and a
+        # numeric string is none.
+        ("bundle-mlp", PAYLOAD + ("w1", -1, -1), True),
+        ("bundle-gaussian_nb", PAYLOAD + ("means", 0, 0), "0.5"),
     ],
     ids=["knn-k-true", "mlp-learning-rate-true", "mlp-seed-false", "mlp-epochs-true",
          "vocab-index-1.5", "vocab-index-true", "vocab-df-string", "vocab-df-true",
          "vocab-df-2.7", "vocab-token-7", "vocab-n-train-docs-string",
-         "vocab-n-train-docs-26.9", "mask-kept-1.5", "mask-kept-true", "mask-score-true"],
+         "vocab-n-train-docs-26.9", "mask-kept-1.5", "mask-kept-true", "mask-score-true",
+         "mlp-last-weight-true", "gaussian-nb-mean-string"],
 )
 def test_values_of_another_json_type_are_refused(
     saved, artifact, path, value, tmp_path, capsys
@@ -260,11 +284,14 @@ def type_swaps(value, path=()):
         yield from type_swaps(value[0], path + (0,))
 
 
-@pytest.mark.parametrize("artifact", ["grid", "eval"])
+@pytest.mark.parametrize("artifact", BUNDLES + ["grid", "eval"])
 def test_every_value_of_another_json_type_is_refused(saved, artifact, tmp_path, capsys):
     """A report's counts, supports and version are integers, its metrics floats
     and `degenerate` a boolean; under Python's == a swapped leaf (true for
-    1.0, 4.0 for 4, 0 for false) would compare equal and load."""
+    1.0, 4.0 for 4, 0 for false) would compare equal and load.  A bundle's
+    sizes, indices and counts are integers, its weights and thresholds
+    numbers and its profile flags booleans; numpy would cast a swapped leaf
+    (true to 1.0) and load it."""
     with open(saved[artifact], encoding="utf-8") as handle:
         original = json.load(handle)
     target = tmp_path / "swapped.json"

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from pashtext.errors import InvalidHyperparameterError
-from pashtext.models import ModelKind
+from pashtext.models import Model, ModelKind
 from pashtext.models.base import KIND_CLASSES
 from pashtext.models.knn import KNNModel
 from pashtext.models.linear import LinearSVMModel, LogisticRegressionModel
@@ -27,18 +27,19 @@ from pashtext.models.params import (
 )
 from pashtext.models.tree import DecisionTreeModel, RandomForestModel
 
-# In ModelKind order: kind, class, params class, report name.
+# In ModelKind order: kind, class, params class, report name, payload arrays.
 EXPECTED = [
-    (ModelKind.GAUSSIAN_NB, GaussianNBModel, GaussianNBParams, "Gaussian Naive Bayes"),
+    (ModelKind.GAUSSIAN_NB, GaussianNBModel, GaussianNBParams, "Gaussian Naive Bayes",
+     ("priors", "means", "variances")),
     (ModelKind.MULTINOMIAL_NB, MultinomialNBModel, MultinomialNBParams,
-     "Multinomial Naive Bayes"),
-    (ModelKind.KNN, KNNModel, KNNParams, "K Nearest Neighbor"),
-    (ModelKind.DECISION_TREE, DecisionTreeModel, DecisionTreeParams, "Decision Tree"),
-    (ModelKind.RANDOM_FOREST, RandomForestModel, RandomForestParams, "Random Forest"),
+     "Multinomial Naive Bayes", ("priors", "log_token_probs")),
+    (ModelKind.KNN, KNNModel, KNNParams, "K Nearest Neighbor", ()),
+    (ModelKind.DECISION_TREE, DecisionTreeModel, DecisionTreeParams, "Decision Tree", ()),
+    (ModelKind.RANDOM_FOREST, RandomForestModel, RandomForestParams, "Random Forest", ()),
     (ModelKind.LOGISTIC_REGRESSION, LogisticRegressionModel, LinearParams,
-     "Logistic Regression"),
-    (ModelKind.LINEAR_SVM, LinearSVMModel, LinearParams, "Linear SVM"),
-    (ModelKind.MLP, MLPModel, MLPParams, "Multilayer Perceptron"),
+     "Logistic Regression", ("weights", "bias")),
+    (ModelKind.LINEAR_SVM, LinearSVMModel, LinearParams, "Linear SVM", ("weights", "bias")),
+    (ModelKind.MLP, MLPModel, MLPParams, "Multilayer Perceptron", ("w1", "b1", "w2", "b2")),
 ]
 
 
@@ -49,11 +50,19 @@ def test_each_kind_maps_to_exactly_one_class_in_enum_order():
     assert len(set(KIND_CLASSES.values())) == len(ModelKind)
 
 
-@pytest.mark.parametrize("kind,cls,params_class,display_name", EXPECTED)
-def test_class_describes_its_kind(kind, cls, params_class, display_name):
+@pytest.mark.parametrize("kind,cls,params_class,display_name,payload_arrays", EXPECTED)
+def test_class_describes_its_kind(kind, cls, params_class, display_name, payload_arrays):
     assert cls.kind is kind
     assert cls.params_class is params_class
     assert cls.display_name == display_name
+    assert cls.payload_arrays == payload_arrays
+
+
+@pytest.mark.parametrize("cls", [cls for _, cls, *_, arrays in EXPECTED if not arrays])
+def test_a_class_without_payload_arrays_writes_and_reads_its_own_payload(cls):
+    """The inherited methods would save such a model as {} and could not load it."""
+    assert cls.payload is not Model.payload
+    assert cls.from_payload.__func__ is not Model.from_payload.__func__
 
 
 def test_a_second_class_of_a_kind_is_refused():
