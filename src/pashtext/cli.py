@@ -129,6 +129,10 @@ def _load_bundle(path):
         )
     if mask is not None and loaded["mask"].scores.size != len(loaded["vocab"]):
         raise DataError(f"model bundle {path} has a mask for another vocabulary")
+    model = loaded["model"]
+    if model.kind is ModelKind.KNN and model.matrix.mode != loaded["mode"]:
+        raise DataError(f"model bundle {path} has {loaded['mode']!r} features for "
+                        f"a knn model that stores {model.matrix.mode!r} rows")
     return loaded
 
 

@@ -222,27 +222,8 @@ def load_corpus(path: str | Path, labels: LabelSet | None = None) -> Corpus:
 # of json.loads's type checks, whitespace regex matches and decode frames.
 _scan_once = json.JSONDecoder().scan_once
 
-# What may follow a record that fills its line: text-mode reading turns every
-# line ending into a newline, and the last line may have none.
-_LINE_ENDS = ("\n", "")
-
-
-def _parse_line(line: str):
-    """`json.loads(line)`: the same value, or the same error.
-
-    A line that is one JSON value, starting at its first character and
-    followed only by JSON whitespace (space, tab, newline, carriage return),
-    is decoded by the scanner alone.  Anything else (leading whitespace, a
-    BOM, extra data, a malformed value) goes to `json.loads`, which accepts
-    or refuses it with its own message.
-    """
-    try:
-        value, end = _scan_once(line, 0)
-    except (StopIteration, ValueError):  # no value at 0, or a malformed one
-        return json.loads(line)
-    if end < len(line) and line[end:].strip(" \t\n\r"):
-        return json.loads(line)
-    return value
+# What json.loads skips before and after a value.
+_JSON_SPACE = " \t\n\r"
 
 
 def _text_lines(path: Path):
@@ -274,16 +255,18 @@ def _refuse_surrogates(record: dict, path: Path, line_no: int) -> None:
             ) from None
 
 
-def _checked_record(line: str, path: Path, line_no: int, labels: LabelSet | None,
-                    by_id: dict[str, Document]) -> Document | None:
-    """The document of one line, checked key by key: None for a blank line,
-    a DataError naming the line's first defect otherwise."""
+def _refuse_line(line: str, path: Path, line_no: int, labels: LabelSet | None,
+                 by_id: dict[str, Document]) -> None:
+    """Skip a blank line; otherwise raise a DataError naming the first defect
+    of a line that `_load_jsonl` did not accept, checked key by key."""
     if line.isspace():
-        return None
+        return
     try:
-        record = _parse_line(line)
+        record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
+    except ValueError:  # Python refuses to convert an integer of too many digits
+        raise DataError(f"{path}:{line_no}: integer too long to convert") from None
     except RecursionError:
         raise DataError(f"{path}:{line_no}: JSON nested too deeply") from None
     if not isinstance(record, dict):
@@ -298,25 +281,25 @@ def _checked_record(line: str, path: Path, line_no: int, labels: LabelSet | None
         raise DataError(f"{path}:{line_no}: key 'source' must be a string")
     if "\\u" in line:  # only a \u escape can put a lone surrogate in a string
         _refuse_surrogates(record, path, line_no)
-    doc_id = record["id"]
-    if doc_id in by_id:
-        raise DataError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
-    label = record["label"]
-    if labels is not None and label not in labels:
+    if record["id"] in by_id:
+        raise DataError(f"{path}:{line_no}: duplicate document id {record['id']!r}")
+    if labels is not None and record["label"] not in labels:
         raise DataError(
-            f"{path}:{line_no}: label {label!r} outside the supplied label set"
+            f"{path}:{line_no}: label {record['label']!r} outside the supplied label set"
         )
-    return Document(id=doc_id, text=record["text"], label=label, source=source)
+    raise DataError("document id must be non-empty")  # the one check left
 
 
 def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
-    """Each line is decoded once by the scanner.  A record that fills its
-    line and passes one combined test is taken as decoded; any other line
-    goes to `_checked_record`, which decodes it again and names its defect."""
+    """Each line is decoded once by the scanner, from its first character
+    that is not JSON whitespace.  A record followed only by JSON whitespace
+    that passes one combined test is kept, once a line with a `\\u` escape
+    is known to hold no lone surrogate; `_refuse_line` names the defect of
+    any other line that is not blank."""
     by_id: dict[str, Document] = {}
     for line_no, line in enumerate(_text_lines(path), 1):
         try:
-            record, end = _scan_once(line, 0)
+            record, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
         except (StopIteration, ValueError, RecursionError):
             record = None
         if (
@@ -328,12 +311,13 @@ def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
             and doc_id
             and doc_id not in by_id
             and (labels is None or label in labels)
-            and line[end:] in _LINE_ENDS
-            and "\\u" not in line
+            and not line[end:].strip(_JSON_SPACE)
         ):
+            if "\\u" in line:
+                _refuse_surrogates(record, path, line_no)
             by_id[doc_id] = Document(doc_id, text, label, source)
-        elif (doc := _checked_record(line, path, line_no, labels, by_id)) is not None:
-            by_id[doc.id] = doc
+        else:
+            _refuse_line(line, path, line_no, labels, by_id)
     if not by_id:
         raise DataError(f"corpus file is empty: {path}")
     if labels is None:

@@ -114,18 +114,23 @@ class Model(ABC):
         """Train on the matrix's rows and labels, which `train` has checked."""
 
     def predict_scores(self, matrix: FeatureMatrix) -> np.ndarray:
-        """(n_rows, label_count) per-class scores, computed block by block."""
+        """(n_rows, label_count) per-class scores, computed block by block;
+        weights that overflow them or make them undefined are a DataError."""
         if matrix.dim != self.feature_dimension:
             raise DataError(
                 f"matrix dimension {matrix.dim} does not match model "
                 f"feature dimension {self.feature_dimension}"
             )
         step = max(1, _BLOCK_CELLS // max(self._block_width(), 1))
-        blocks = [
-            self._scores(matrix.row_block(start, start + step))
-            for start in range(0, matrix.n_rows, step)
-        ]
-        return np.concatenate(blocks) if blocks else np.zeros((0, self.label_count))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            blocks = [
+                self._scores(matrix.row_block(start, start + step))
+                for start in range(0, matrix.n_rows, step)
+            ]
+        scores = np.concatenate(blocks) if blocks else np.zeros((0, self.label_count))
+        if not np.isfinite(scores).all():
+            raise DataError(f"{self.kind.value} model gives non-finite scores")
+        return scores
 
     def _block_width(self) -> int:
         """Columns of the widest temporary `_scores` makes per scored row."""

@@ -17,8 +17,12 @@ from .params import GaussianNBParams, MultinomialNBParams
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _log_normalize(joint: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of (n_rows, K) joint log-probabilities."""
+def _log_normalize(priors: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of the (n_rows, K) joint log-probabilities
+    `log(priors) + joint`.  The log prior of a class without training rows
+    (prior 0) is -1e300, not -inf, so that every score is finite and that
+    class's stays below every other."""
+    joint = joint + np.log(priors, out=np.full_like(priors, -1e300), where=priors > 0)
     peak = joint.max(axis=1, keepdims=True)
     return joint - (peak + np.log(np.exp(joint - peak).sum(axis=1, keepdims=True)))
 
@@ -80,7 +84,7 @@ class GaussianNBModel(Model):
         for c in range(self.label_count):
             terms = log_norms[c] + (dense - self.means[c]) ** 2 / self.variances[c]
             joint[:, c] = -0.5 * terms.sum(axis=1)
-        return _log_normalize(np.log(self.priors) + joint)
+        return _log_normalize(self.priors, joint)
 
 
 class MultinomialNBModel(Model):
@@ -121,4 +125,4 @@ class MultinomialNBModel(Model):
         return cls(priors, log_probs, params)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
-        return _log_normalize(np.log(self.priors) + matrix.dot(self.log_token_probs.T))
+        return _log_normalize(self.priors, matrix.dot(self.log_token_probs.T))

@@ -168,13 +168,24 @@ def moved_test_row(grid, kind, mode):
         ("split", lambda split: dict(split, seed=True)),
         ("split", lambda split: dict(split, seed=False)),
         ("grid", lambda grid: moved_test_row(grid, "gaussian_nb", "tfidf")),
+        # TFIDF queries scored against the stored counts of a unigram model.
+        ("bundle-knn", lambda bundle: dict(bundle, mode="tfidf")),
+        # Weights whose scores overflow, and a variance that divides to infinity.
+        ("bundle-logistic_regression", lambda bundle: mutated(
+            bundle, ("model", "payload", "weights"),
+            [[1e308] * len(row) for row in bundle["model"]["payload"]["weights"]],
+        )),
+        ("bundle-gaussian_nb", lambda bundle: mutated(
+            bundle, ("model", "payload", "variances", 0, 0), 1e-320
+        )),
     ],
     ids=["split-train-ids-5", "split-top-level-list", "grid-kind-zz",
          "eval-ragged-confusion", "mask-scores-one-long", "grid-n-train-negative",
          "grid-n-test-not-cell-total", "knn-value-negative", "grid-select-k-0",
          "grid-select-k-negative", "grid-select-k-true", "grid-seed-true",
          "grid-n-train-true", "split-seed-true", "split-seed-false",
-         "grid-cell-supports-differ"],
+         "grid-cell-supports-differ", "knn-mode-tfidf", "linear-weights-1e308",
+         "gaussian-nb-variance-1e-320"],
 )
 def test_hand_picked_defects_are_refused(saved, artifact, defect, tmp_path, capsys):
     with open(saved[artifact], encoding="utf-8") as handle:

@@ -18,7 +18,7 @@ from pashtext.corpus import (
     stratified_split,
     validate,
 )
-from pashtext.corpus import _parse_line, _refuse_surrogates, _text_lines
+from pashtext.corpus import _refuse_surrogates, _text_lines
 from pashtext.errors import DataError
 
 
@@ -169,7 +169,7 @@ def test_jsonl_loader_accepts_exactly_what_json_loads_accepts(tmp_path, line):
 
 
 # The loader's former loop, which put every line through every per-key
-# check, kept verbatim as the reference for the one combined check.
+# check, kept as the reference for what the loader refuses and in what order.
 def reference_load_jsonl(path, labels=None):
     by_id = {}
     observed_labels = set()
@@ -177,7 +177,7 @@ def reference_load_jsonl(path, labels=None):
         if line.isspace():
             continue
         try:
-            record = _parse_line(line)
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
         except RecursionError:
@@ -258,6 +258,16 @@ DEEP = b"[" * 100_000 + b"]" * 100_000
                      id="label-outside-set"),
         pytest.param(GOOD + b'\n{"id": "h", "text": "\xff", "label": "l"}\n', id="not-utf8"),
         pytest.param(GOOD + b"\n[1, 2]\n", id="not-an-object"),
+        pytest.param(GOOD + b'\n \t{"id": "\\u0647", "text": "\\u0645", "label": "l"} \r\n',
+                     id="escapes-padded"),
+        pytest.param(GOOD + b'\n{"id": "g", "text": "\\ud800", "label": "l"}\n',
+                     id="lone-surrogate-duplicate-id"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": "\\ud800", "label": "zz"}\n',
+                     id="lone-surrogate-label-outside-set"),
+        pytest.param(GOOD + b'\n{"id": "", "text": "\\u0645", "label": "l"}\n',
+                     id="escapes-empty-id"),
+        pytest.param(GOOD + b"\n\xc2\xa0\n" + OTHER + b"\n", id="only-no-break-space"),
+        pytest.param(GOOD + b"\n\xc2\xa0" + OTHER + b"\n", id="no-break-space-first"),
     ],
 )
 @pytest.mark.parametrize("labels", [None, LabelSet(["m", "l"])], ids=["inferred", "supplied"])
@@ -274,6 +284,18 @@ def test_jsonl_loader_matches_the_per_key_reference(tmp_path, content, labels):
         return [(d.id, d.text, d.label, d.source) for d in corpus], corpus.labels
 
     assert outcome(load_corpus) == outcome(reference_load_jsonl)
+
+
+@pytest.mark.parametrize("key", ["id", "source", "extra"])
+def test_an_integer_too_long_to_convert_is_bad_data(tmp_path, key):
+    """Python converts no integer of more than 4,300 digits to an int; the
+    loader names the line instead of letting its ValueError escape."""
+    record = json.dumps({"id": "h", "text": "x", "label": "l", key: "DIGITS"})
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(GOOD + b"\n" + record.replace('"DIGITS"', "7" * 5000).encode() + b"\n")
+    with pytest.raises(DataError) as raised:
+        load_corpus(path)
+    assert str(raised.value) == f"{path}:2: integer too long to convert"
 
 
 def test_jsonl_loader_requires_keys(tmp_path):

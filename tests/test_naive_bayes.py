@@ -159,6 +159,18 @@ def test_scores_are_log_posteriors():
         assert np.exp(scores).sum(axis=1) == pytest.approx([1.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("cls", [GaussianNBModel, MultinomialNBModel])
+def test_a_class_without_training_rows_scores_finite_and_lowest(cls):
+    """Its prior is 0: its scores are finite, with no log(0) warning, and
+    below every other class's, so it is never predicted."""
+    dense = [[1.0, 0.0], [0.0, 2.0]]
+    model = cls.fit(matrix_from_dense(dense, [0, 2]), cls.params_class(), 3)
+    assert model.priors[1] == 0.0
+    scores = model.predict_scores(queries([1.0, 0.0], [0.0, 2.0], [1.0, 1.0]))
+    assert np.isfinite(scores).all()
+    assert (scores[:, 1] < scores[:, [0, 2]].min(axis=1)).all()
+
+
 def test_nb_payload_round_trips():
     dense = [[1.0, 0.0], [0.0, 2.0]]
     query = queries([0.5, 0.5])
