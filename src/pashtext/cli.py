@@ -8,6 +8,7 @@ one --seed value per command.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -25,7 +26,8 @@ from .corpus import (
     validate,
 )
 from .errors import (
-    DataError, PashtextError, UsageError, expect_format, malformed, read_json, write_output,
+    DataError, PashtextError, UsageError, expect_format, loads_as_written, malformed,
+    read_json, write_output,
 )
 from .grid import GridReport, run_grid
 from .metrics import EvalReport, evaluate_predictions
@@ -88,9 +90,9 @@ def _parse_params(pairs) -> dict[str, str]:
     return overrides
 
 
-def _save_bundle(path: Path, model, vocab: Vocabulary, mode: str,
-                 labels: LabelSet, mask: FeatureMask | None) -> None:
-    bundle = {
+def _bundle(model: dict, vocab: Vocabulary, mode: str, labels: LabelSet,
+            mask: FeatureMask | None) -> dict:
+    return {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
         "labels": list(labels.names),
@@ -98,49 +100,44 @@ def _save_bundle(path: Path, model, vocab: Vocabulary, mode: str,
         "mode": mode,
         "vocabulary": vocab.to_json_dict(),
         "mask": None if mask is None else mask.to_json_dict(),
-        "model": model_document(model),
+        "model": model,
     }
+
+
+def _save_bundle(path: Path, model, vocab: Vocabulary, mode: str,
+                 labels: LabelSet, mask: FeatureMask | None) -> None:
+    bundle = _bundle(model_document(model), vocab, mode, labels, mask)
     text = json.dumps(bundle, sort_keys=True, ensure_ascii=False, allow_nan=False)
     write_output(path, text + "\n")
 
 
-def _load_bundle(path):
+def _load_bundle(path) -> dict:
     bundle = read_json(path, "model bundle")
     expect_format(bundle, BUNDLE_FORMAT, BUNDLE_VERSION)
     with malformed(f"model bundle {path}"):
-        # As JSON text, where 1 and true differ, which == takes for equal.
-        profile = json.dumps(bundle["pipeline"], sort_keys=True)
-        if profile != json.dumps(PROFILE_RECORD, sort_keys=True):
-            raise DataError(
-                f"model bundle {path} was made with another preprocessing profile: {profile}"
-            )
-        mask = bundle["mask"]
-        loaded = {
-            "labels": LabelSet(bundle["labels"]),
-            "mode": bundle["mode"],
-            "vocab": Vocabulary.from_json_dict(bundle["vocabulary"]),
-            "mask": None if mask is None else FeatureMask.from_json_dict(mask),
-            "model": model_from_document(bundle["model"]),
-        }
-    if len(loaded["labels"]) != loaded["model"].label_count:
-        raise DataError(
-            f"model bundle {path} names {len(loaded['labels'])} labels "
-            f"for a {loaded['model'].label_count}-class model"
-        )
-    if mask is not None and loaded["mask"].scores.size != len(loaded["vocab"]):
+        labels, mode = LabelSet(map(str, bundle["labels"])), str(bundle["mode"])
+        vocab = Vocabulary.from_json_dict(bundle["vocabulary"])
+        mask = None if bundle["mask"] is None else FeatureMask.from_json_dict(bundle["mask"])
+        model = model_from_document(bundle["model"])
+    # model_from_document compared the model document: it is written back as loaded.
+    loads_as_written(_bundle(bundle["model"], vocab, mode, labels, mask), bundle,
+                     f"model bundle {path}")
+    if len(labels) != model.label_count:
+        raise DataError(f"model bundle {path} names {len(labels)} labels "
+                        f"for a {model.label_count}-class model")
+    if mask is not None and mask.scores.size != len(vocab):
         raise DataError(f"model bundle {path} has a mask for another vocabulary")
-    model = loaded["model"]
-    if model.kind is ModelKind.KNN and model.matrix.mode != loaded["mode"]:
-        raise DataError(f"model bundle {path} has {loaded['mode']!r} features for "
+    if model.kind is ModelKind.KNN and model.matrix.mode != mode:
+        raise DataError(f"model bundle {path} has {mode!r} features for "
                         f"a knn model that stores {model.matrix.mode!r} rows")
-    return loaded
+    return {"labels": labels, "mode": mode, "vocab": vocab, "mask": mask, "model": model}
 
 
 def _cmd_ingest(args) -> int:
     labels = LabelSet(args.labels.split(",")) if args.labels else None
     corpus = load_corpus(args.corpus, labels)
     report = validate(corpus)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True, ensure_ascii=False,
+    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, ensure_ascii=False,
                      allow_nan=False))
     return EXIT_OK
 

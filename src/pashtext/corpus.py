@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .errors import DataError, malformed, read_json, write_output
+from .errors import DataError, loads_as_written, malformed, read_json, write_output
 from .prng import SplitMix64, derive_seed
 
 # Default 8-class label set, in canonical order. The ordering defines the
@@ -164,8 +164,6 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
-        if type(self.seed) is not int:  # a JSON true or false is not one
-            raise DataError(f"split seed must be an integer, got {self.seed!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise DataError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
@@ -193,14 +191,6 @@ class ValidationReport:
     per_class_counts: dict[str, int]
     empty_text_ids: list[str]
     imbalance_ratio: float | None  # max/min class count; None if a class is empty
-
-    def to_dict(self) -> dict:
-        return {
-            "n_documents": self.n_documents,
-            "per_class_counts": self.per_class_counts,
-            "empty_text_ids": self.empty_text_ids,
-            "imbalance_ratio": self.imbalance_ratio,
-        }
 
 
 def load_corpus(path: str | Path, labels: LabelSet | None = None) -> Corpus:
@@ -287,7 +277,7 @@ def _refuse_line(line: str, path: Path, line_no: int, labels: LabelSet | None,
         raise DataError(
             f"{path}:{line_no}: label {record['label']!r} outside the supplied label set"
         )
-    raise DataError("document id must be non-empty")  # the one check left
+    raise DataError(f"{path}:{line_no}: document id must be non-empty")  # the one check left
 
 
 def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
@@ -419,24 +409,29 @@ def stratified_split(corpus: Corpus, spec: SplitSpec) -> CorpusSplit:
     return CorpusSplit(train_ids=tuple(train_ids), test_ids=tuple(test_ids))
 
 
-def save_split(split: CorpusSplit, spec: SplitSpec, path: str | Path) -> None:
-    """Persist a split (with the spec that produced it) as a JSON file."""
-    payload = {
+def _split_document(split: CorpusSplit, spec: SplitSpec) -> dict:
+    return {
         "train_fraction": spec.train_fraction,
         "seed": spec.seed,
         "train_ids": list(split.train_ids),
         "test_ids": list(split.test_ids),
     }
-    text = json.dumps(payload, ensure_ascii=False, indent=2, allow_nan=False)
+
+
+def save_split(split: CorpusSplit, spec: SplitSpec, path: str | Path) -> None:
+    """Persist a split (with the spec that produced it) as a JSON file."""
+    text = json.dumps(_split_document(split, spec), ensure_ascii=False, indent=2,
+                      allow_nan=False)
     write_output(path, text + "\n")
 
 
 def load_split(path: str | Path) -> tuple[CorpusSplit, SplitSpec]:
+    """The split and spec saved in the file `path`, which must load as written."""
     payload = read_json(path, "split file")
     with malformed(f"split file {path}"):
-        sides = [payload["train_ids"], payload["test_ids"]]
-        if not all(isinstance(ids, list) for ids in sides):
-            raise TypeError("train_ids and test_ids must be lists")
-        split = CorpusSplit(*map(tuple, sides))
-        spec = SplitSpec(train_fraction=payload["train_fraction"], seed=payload["seed"])
+        split = CorpusSplit(tuple(map(str, payload["train_ids"])),
+                            tuple(map(str, payload["test_ids"])))
+        spec = SplitSpec(train_fraction=float(payload["train_fraction"]),
+                         seed=int(payload["seed"]))
+    loads_as_written(_split_document(split, spec), payload, f"split file {path}")
     return split, spec

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, the one way every saved
-artifact is read (`read_json`, `expect_format` and `malformed`) and the one
-way every output file is written (`write_output`).
+artifact is read (`read_json`, `expect_format`, `malformed` and
+`loads_as_written`) and the one way every output file is written
+(`write_output`).
 
 The CLI maps these onto exit codes: usage problems exit 1, data problems
 exit 2, anything else that escapes exits 3.
@@ -12,6 +13,8 @@ import json
 import os
 import stat
 from contextlib import contextmanager
+from itertools import chain, compress, repeat
+from operator import is_
 from pathlib import Path
 
 
@@ -61,21 +64,79 @@ def read_json(path, what: str):
 
 def expect_format(document, name: str, version: int) -> None:
     """Refuse `document` unless it is a JSON object tagged with the format
-    `name` and the version `version`, an integer: `true` and `1.0` are not 1."""
+    `name` and the version `version`.  (`loads_as_written` refuses a `true`
+    or `1.0` that `==` takes for 1.)"""
     if not isinstance(document, dict) or document.get("format") != name:
         raise DataError(f"not a {name} document")
-    if type(document.get("version")) is not int or document.get("version") != version:
+    if document.get("version") != version:
         raise DataError(f"unsupported {name} version {document.get('version')!r}")
 
 
 @contextmanager
 def malformed(what: str):
     """Turn the lookup and conversion errors raised while reading `what`
-    (a missing key, a value of the wrong type, shape or size) into a DataError."""
+    (a missing key, a value of the wrong type, shape or size, one nested
+    too deeply to convert) into a DataError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as exc:
         raise DataError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
+
+
+def loads_as_written(written, loaded, what: str) -> None:
+    """The one load rule: refuse the artifact `what` unless `written`, the
+    JSON its loaded object writes, equals `loaded`, the JSON it was loaded
+    from, with JSON's types (`true`, `1` and `1.0` differ, which `==` takes
+    for equal) and no key added or lost.  A dict of `written` that is the
+    very dict loaded was checked where it was loaded, and is passed over.
+    The DataError names the first difference, which a slower pass finds."""
+    if written == loaded and _same_types(written, loaded):
+        return
+    difference = _first_difference(written, loaded, "")
+    if difference is not None:
+        raise DataError(f"{what} does not load as written: {difference}")
+
+
+def _same_types(written, loaded) -> bool:
+    """Whether the equal (`==`) JSON values `written` and `loaded` hold the
+    same type at every node, read one level of the tree at a time."""
+    ours, theirs = [written], [loaded]
+    while ours:
+        types = list(map(type, ours))
+        if types != list(map(type, theirs)):
+            return False
+        if not {list, dict} & set(types):  # a level of leaves only: the last one
+            return True
+        lists, dicts = (list(map(is_, types, repeat(kind))) for kind in (list, dict))
+        next_ours = list(chain.from_iterable(compress(ours, lists)))
+        next_theirs = list(chain.from_iterable(compress(theirs, lists)))
+        for mine, other in zip(compress(ours, dicts), compress(theirs, dicts)):
+            if mine is not other:  # equal dicts: the same keys, maybe in another order
+                next_ours += mine.values()
+                next_theirs += map(other.__getitem__, mine)
+        ours, theirs = next_ours, next_theirs
+    return True
+
+
+def _first_difference(ours, theirs, path: str) -> str | None:
+    """How `theirs` first differs from `ours`, depth first in the order of
+    the file, below the JSON Pointer `path`; None where they are the same JSON."""
+    if type(ours) is dict is type(theirs) and ours is not theirs:
+        # A key escaped as in a JSON string, so that the path is one line.
+        paths = {key: f"{path}/{json.dumps(key, ensure_ascii=False)[1:-1]}"
+                 for key in [*theirs, *ours]}
+        for key in paths:
+            if (key in ours) != (key in theirs):
+                return f"{'unknown' if key in theirs else 'missing'} key {paths[key]}"
+        pairs = [(ours[key], theirs[key], paths[key]) for key in theirs]
+    elif type(ours) is list is type(theirs) and len(ours) == len(theirs):
+        pairs = [(*pair, f"{path}/{i}") for i, pair in enumerate(zip(ours, theirs))]
+    elif type(ours) is type(theirs) and ours == theirs:
+        return None
+    else:
+        shown = [json.dumps(value)[:40] for value in (theirs, ours)]  # cut short
+        return f"{path or 'the document'} is {shown[0]}, which loads as {shown[1]}"
+    return next(filter(None, (_first_difference(*pair) for pair in pairs)), None)
 
 
 def write_output(path, text: str) -> None:

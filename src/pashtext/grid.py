@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .corpus import Corpus, CorpusSplit
-from .errors import DataError, expect_format, malformed
+from .errors import DataError, loads_as_written, malformed
 from .metrics import EvalReport, csv_table, evaluate_predictions, markdown_table
 from .models import ModelKind, train
 from .models.base import KIND_CLASSES
@@ -55,10 +55,7 @@ class GridCell:
 
     def __post_init__(self):
         accuracy = None if self.report is None else self.report.accuracy
-        # type(): a JSON true equals 1.0 under == but is no accuracy
-        if (self.report is None) == (self.error is None) or self.accuracy != accuracy or (
-            type(self.accuracy) is not type(accuracy)
-        ):
+        if (self.report is None) == (self.error is None) or self.accuracy != accuracy:
             raise DataError(f"grid cell {self.kind.value}/{self.mode} must hold "
                             "either a report and its accuracy or an error")
 
@@ -73,13 +70,15 @@ class GridCell:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GridCell":
-        report = data["report"]
+        """The cell saved as `data`, with the accuracy of its report."""
+        report, error = data["report"], data["error"]
+        report = None if report is None else EvalReport.from_saved(report)
         return cls(
             kind=ModelKind(data["kind"]),
             mode=data["mode"],
-            accuracy=data["accuracy"],
-            report=EvalReport.from_dict(report) if report is not None else None,
-            error=data["error"],
+            accuracy=None if report is None else report.accuracy,
+            report=report,
+            error=None if error is None else str(error),
         )
 
 
@@ -98,11 +97,6 @@ class GridReport:
         expected = [(kind, mode) for kind in ModelKind for mode in FEATURE_MODES]
         if [(c.kind, c.mode) for c in self.cells] != expected:
             raise DataError("grid cells must cover kinds x modes in canonical order")
-        # type(v) is int: a JSON true or false is not an integer
-        if any(type(v) is not int for v in (self.seed, self.n_train, self.n_test)) or (
-            self.select_k is not None and type(self.select_k) is not int
-        ):
-            raise DataError("grid seed, n_train, n_test and select_k must be integers")
         if self.n_train < 0 or self.n_test < 0:
             raise DataError("grid n_train and n_test must not be negative")
         if self.select_k is not None and self.select_k < 1:
@@ -137,16 +131,19 @@ class GridReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GridReport":
-        expect_format(data, "pashtext-grid-report", 1)
+        """The grid saved as `data`, which must load as written (format and version too)."""
         with malformed("grid report"):
-            return cls(
-                seed=data["seed"],
-                n_train=data["n_train"],
-                n_test=data["n_test"],
-                select_k=data["select_k"],
-                label_names=tuple(data["labels"]),
+            select_k = data["select_k"]
+            report = cls(
+                seed=int(data["seed"]),
+                n_train=int(data["n_train"]),
+                n_test=int(data["n_test"]),
+                select_k=None if select_k is None else int(select_k),
+                label_names=tuple(map(str, data["labels"])),
                 cells=tuple(GridCell.from_dict(entry) for entry in data["cells"]),
             )
+        loads_as_written(report.to_dict(), data, "grid report")
+        return report
 
     def to_json_text(self) -> str:
         return (

@@ -12,11 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, expect_format, malformed
+from .errors import DataError, loads_as_written, malformed
 
 
 class ConfusionMatrix:
@@ -95,15 +95,6 @@ class ClassMetrics:
     support: int
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-            "degenerate": self.degenerate,
-        }
-
 
 def _ratio(numerator: float, denominator: float) -> tuple[float, bool]:
     if denominator == 0:
@@ -135,9 +126,6 @@ class AggregateMetrics:
     precision: float
     recall: float
     f1: float
-
-    def to_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
 
 
 def aggregate(per_class) -> tuple[AggregateMetrics, AggregateMetrics]:
@@ -207,11 +195,11 @@ class EvalReport:
             "labels": list(self.confusion.label_names),
             "confusion": self.confusion.grid.tolist(),
             "per_class": {
-                name: metrics.to_dict()
+                name: asdict(metrics)
                 for name, metrics in zip(self.confusion.label_names, self.per_class)
             },
-            "macro": self.macro.to_dict(),
-            "weighted": self.weighted.to_dict(),
+            "macro": asdict(self.macro),
+            "weighted": asdict(self.weighted),
             "accuracy": self.accuracy,
         }
 
@@ -225,16 +213,17 @@ class EvalReport:
         return cls(cm, per_class, macro, weighted, overall_accuracy(cm))
 
     @classmethod
+    def from_saved(cls, data: dict) -> "EvalReport":
+        """The report of the confusion matrix and labels in `data`, its other fields unread."""
+        return cls.from_confusion(ConfusionMatrix(data["confusion"], map(str, data["labels"])))
+
+    @classmethod
     def from_dict(cls, data: dict) -> "EvalReport":
         """The report of a saved confusion matrix, whose every other field
-        must be exactly what that matrix gives."""
-        expect_format(data, "pashtext-eval-report", 1)
+        must be exactly what that matrix gives, its format and version included."""
         with malformed("eval report"):
-            confusion = ConfusionMatrix(data["confusion"], data["labels"])
-            report = cls.from_confusion(confusion)
-        # As JSON text, true, 1 and 1.0 differ, which == takes for equal.
-        if json.dumps(report.to_dict(), sort_keys=True) != json.dumps(data, sort_keys=True):
-            raise DataError("eval report fields disagree with its confusion matrix")
+            report = cls.from_saved(data)
+        loads_as_written(report.to_dict(), data, "eval report")
         return report
 
     def to_json_text(self) -> str:

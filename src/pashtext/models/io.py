@@ -14,6 +14,7 @@ from ..errors import (
     InvalidHyperparameterError,
     TrainingError,
     expect_format,
+    loads_as_written,
     malformed,
 )
 from .base import KIND_CLASSES, Model, ModelKind
@@ -22,9 +23,17 @@ from .params import params_from_dict
 FORMAT_NAME = "pashtext-model"
 FORMAT_VERSION = 1
 
+# Kinds whose payload is written back as the very object loaded, which the
+# load rule passes over: `Nodes.from_payload` checks each node it walks.
+_NODE_KINDS = (ModelKind.DECISION_TREE, ModelKind.RANDOM_FOREST)
+
 
 def model_document(model: Model) -> dict:
     """JSON-ready container for a trained model."""
+    return _document(model, model.payload())
+
+
+def _document(model: Model, payload) -> dict:
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -32,11 +41,12 @@ def model_document(model: Model) -> dict:
         "label_count": model.label_count,
         "feature_dimension": model.feature_dimension,
         "hyperparams": dataclasses.asdict(model.params),
-        "payload": model.payload(),
+        "payload": payload,
     }
 
 
 def model_from_document(document: dict) -> Model:
+    """The model saved as `document`, which must load as written."""
     expect_format(document, FORMAT_NAME, FORMAT_VERSION)
     if document.get("kind") not in tuple(ModelKind):  # compares, never hashes
         raise DataError(f"unknown model kind {document.get('kind')!r}")
@@ -44,10 +54,7 @@ def model_from_document(document: dict) -> Model:
     try:
         with malformed(f"{kind.value} model document"):
             params = params_from_dict(kind, document["hyperparams"])
-            sizes = document["label_count"], document["feature_dimension"]
-            if any(type(size) is not int for size in sizes):  # not true, not 3.0
-                raise DataError(f"{kind.value} model document label_count and "
-                                "feature_dimension must be integers")
+            sizes = int(document["label_count"]), int(document["feature_dimension"])
             model = KIND_CLASSES[kind].from_payload(document["payload"], params, *sizes)
     except InvalidHyperparameterError as exc:
         raise DataError(
@@ -57,8 +64,6 @@ def model_from_document(document: dict) -> Model:
         raise DataError(
             f"malformed {kind.value} model document: {type(exc).__name__}: {exc}"
         ) from None
-    if model.label_count != document["label_count"]:
-        raise DataError("model payload does not match its declared label count")
-    if model.feature_dimension != document["feature_dimension"]:
-        raise DataError("model payload does not match its declared dimension")
+    payload = document["payload"] if kind in _NODE_KINDS else model.payload()
+    loads_as_written(_document(model, payload), document, f"{kind.value} model document")
     return model

@@ -149,29 +149,14 @@ class KNNModel(Model):
     def from_payload(cls, payload: dict, params: KNNParams, label_count: int,
                      feature_dimension: int) -> "KNNModel":
         rows = payload["rows"]
-        if any(len(entry["indices"]) != len(entry["values"]) for entry in rows):
-            raise DataError("each stored row needs as many indices as values")
-        row_labels = payload["row_labels"]
-        indices = [index for entry in rows for index in entry["indices"]]
-        values = [value for entry in rows for value in entry["values"]]
-        # `type`, not `isinstance`: a JSON true or false is no integer here.
-        for name, entries, kinds, what in (
-            ("row_labels", row_labels, {int}, "integers"),
-            ("indices", indices, {int}, "integers"),
-            ("values", values, {int, float}, "numbers"),
-            ("dim and label_count", [payload["dim"], payload["label_count"]], {int},
-             "integers"),
-        ):
-            if not set(map(type, entries)) <= kinds:
-                raise DataError(f"knn stored {name} must be {what}")
         matrix = FeatureMatrix(
             indptr=np.cumsum([0] + [len(entry["indices"]) for entry in rows]),
-            indices=indices,
-            data=values,
-            row_labels=row_labels,
+            indices=[index for entry in rows for index in entry["indices"]],
+            data=[value for entry in rows for value in entry["values"]],
+            row_labels=np.ravel(payload["row_labels"]),  # a nested list writes back flat
             mode=payload["mode"],
-            dim=payload["dim"],
+            dim=int(payload["dim"]),
         )
         if (matrix.data < 0).any() or (matrix.data > MAX_STORED_VALUE).any():
             raise DataError(f"knn stored values must lie in [0, {MAX_STORED_VALUE:g}]")
-        return cls(matrix, params, payload["label_count"])
+        return cls(matrix, params, int(payload["label_count"]))

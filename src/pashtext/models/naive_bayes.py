@@ -108,7 +108,8 @@ class MultinomialNBModel(Model):
         self.params = params
         if abs(self.priors.sum() - 1.0) > 1e-9:
             raise TrainingError("class priors must sum to 1")
-        prob_sums = np.exp(self.log_token_probs).sum(axis=1)
+        with np.errstate(over="ignore"):  # an overflow fails the sum check below
+            prob_sums = np.exp(self.log_token_probs).sum(axis=1)
         if np.any(np.abs(prob_sums - 1.0) > 1e-9):
             raise TrainingError("per-class token probabilities must sum to 1")
 

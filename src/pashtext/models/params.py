@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-import sys
+import math
 from dataclasses import dataclass
 
 from ..errors import InvalidHyperparameterError
@@ -115,62 +115,50 @@ class MLPParams:
         _require(self.batch_size >= 1, "batch_size must be >= 1")
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
+# Each converter takes a --param string or a saved JSON value to its field's
+# one type; the load rule refuses a saved `true` for an int or `1` for a float.
+def _bool(raw) -> bool:
+    lowered = str(raw).lower()
     if lowered not in ("true", "1", "yes", "false", "0", "no"):
         raise ValueError(raw)
     return lowered in ("true", "1", "yes")
 
 
-def _parse_int_or_none(raw: str) -> int | None:
-    return None if raw.lower() in ("none", "null") else int(raw)
+def _int_or_none(raw) -> int | None:
+    return None if str(raw).lower() in ("none", "null") else int(raw)
 
 
-def _is_finite(value) -> bool:
-    # Refuses a bool; compares a large int exactly, where math.isfinite would
-    # overflow.
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-def _parse_finite(raw: str) -> float:
+def _finite(raw) -> float:
     value = float(raw)
-    if not _is_finite(value):
+    if not math.isfinite(value):
         raise ValueError(raw)
     return value
 
 
-def _is(*types):
-    # `type`, not `isinstance`: a JSON true or false is no int or float here.
-    return lambda value: type(value) in types
-
-
-# Per field annotation: the check a saved value must pass, the parser of a
-# --param string, and what a string it refuses was expected to be.  A float
-# field takes only finite values, which JSON can hold.
+# Per field annotation: the converter, and what a value it refuses was
+# expected to be.  A float field takes only finite values, which JSON can hold.
 _FIELD_TYPES = {
-    "int": (_is(int), int, "int"),
-    "int | None": (_is(int, type(None)), _parse_int_or_none, "int"),
-    "float": (_is_finite, _parse_finite, "float"),
-    "bool": (_is(bool), _parse_bool, "a boolean"),
-    "str": (_is(str), str, "str"),
+    "int": (int, "int"),
+    "int | None": (_int_or_none, "int"),
+    "float": (_finite, "float"),
+    "bool": (_bool, "a boolean"),
+    "str": (str, "str"),
 }
 
 
 def params_from_dict(kind: ModelKind, values: dict):
-    """The params record of `kind` saved as `values`.
-
-    `values` must name every field, each with a value of the field's type;
-    anything else is a TypeError, so no default fills in for a lost value.
-    """
+    """The params record of `kind` saved as `values`, each field converted to
+    its type.  A lost field is a KeyError, so no default fills in for it,
+    and a value that does not convert is a TypeError."""
     cls = KIND_CLASSES[kind].params_class
-    fields = dataclasses.fields(cls)
-    names = sorted(f.name for f in fields)
-    if sorted(values) != names:
-        raise TypeError(f"hyperparams must name exactly {names}")
-    for f in fields:
-        if not _FIELD_TYPES[f.type][0](values[f.name]):
-            raise TypeError(f"hyperparameter {f.name} must be {f.type}")
-    return cls(**values)
+    fields = {}
+    for f in dataclasses.fields(cls):
+        value = values[f.name]
+        try:
+            fields[f.name] = _FIELD_TYPES[f.type][0](value)
+        except (TypeError, ValueError, OverflowError):
+            raise TypeError(f"hyperparameter {f.name} must be {f.type}") from None
+    return cls(**fields)
 
 
 def default_params(kind: ModelKind, seed: int = DEFAULT_SEED):
@@ -194,7 +182,7 @@ def params_with_overrides(kind: ModelKind, seed: int, overrides: dict[str, str])
                 f"unknown hyperparameter {key!r} for {kind.value}; "
                 f"valid names: {sorted(fields)}"
             )
-        _, parse, expected = _FIELD_TYPES[fields[key].type]
+        parse, expected = _FIELD_TYPES[fields[key].type]
         try:
             kwargs[key] = parse(raw)
         except ValueError:

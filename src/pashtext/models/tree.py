@@ -69,23 +69,30 @@ class Nodes(NamedTuple):
     def from_payload(cls, trees, label_count: int, feature_dimension: int) -> "Nodes":
         """The trees of JSON entries `{"root": node}`, where a node is a leaf
         `{"counts"}` or a split `{"feature", "threshold", "left", "right"}`
-        with an integer feature and a number threshold."""
+        with an integer feature and a float threshold.  Only this checks the
+        nodes' keys and types: the load rule passes trees over."""
         records = []
         for tree in trees:
             stack = [(tree["root"], -1)]  # (node, right_of)
+            if len(tree) != 1:
+                raise DataError(f"tree entry {sorted(tree)} holds an unknown key")
             while stack:
                 node, right_of = stack.pop()
                 if "counts" in node:
+                    if len(node) != 1:
+                        raise DataError(f"tree leaf {sorted(node)} holds an unknown key")
                     records += (right_of, -1, 0.0, node["counts"])
                     continue
                 stack += [(node["right"], len(records) // 4), (node["left"], -1)]
                 feature, threshold = node["feature"], node["threshold"]
-                if type(feature) is not int or type(threshold) not in (int, float):
+                if type(feature) is not int or type(threshold) is not float:
                     if records:  # a defect earlier in preorder is named first
                         _nodes(records, label_count, feature_dimension)
                     raise DataError(f"tree split feature {feature!r} and threshold "
-                                    f"{threshold!r} must be an integer and a number")
-                records += (right_of, feature, float(threshold), _SPLIT)
+                                    f"{threshold!r} must be an integer and a float")
+                if len(node) != 4:
+                    raise DataError(f"tree split {sorted(node)} holds an unknown key")
+                records += (right_of, feature, threshold, _SPLIT)
         return _nodes(records, label_count, feature_dimension)
 
     def payload(self) -> list[dict]:
@@ -363,6 +370,8 @@ class RandomForestModel(_TreeModel):
     def from_payload(cls, payload: dict, params: RandomForestParams,
                      label_count: int, feature_dimension: int) -> "RandomForestModel":
         entries = payload["trees"]
+        if len(payload) != 1:
+            raise DataError(f"random forest payload {sorted(payload)} holds an unknown key")
         if len(entries) != params.n_trees:
             raise DataError(
                 f"random forest payload holds {len(entries)} trees, "

@@ -155,34 +155,26 @@ class Vocabulary:
         return len(self.token_to_index)
 
     def to_json_dict(self) -> dict:
-        entries = sorted(self.token_to_index.items(), key=lambda kv: kv[1])
+        # Indices are dense in [0, V), so the token of index i is the i-th.
+        tokens = sorted(self.token_to_index, key=self.token_to_index.__getitem__)
+        frequencies = self.document_frequency.tolist()
         return {
             "n_train_docs": self.n_train_docs,
-            "entries": [
-                [token, index, int(self.document_frequency[index])]
-                for token, index in entries
-            ],
+            "entries": list(map(list, zip(tokens, range(len(tokens)), frequencies))),
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Vocabulary":
+        """The vocabulary saved as `payload`: tokens as strings, numbers as integers."""
         with malformed("vocabulary"):
-            entries, n_train_docs = payload["entries"], payload["n_train_docs"]
-            if type(entries) is not list:
-                raise TypeError("entries must be a list")
+            entries = payload["entries"]
             # Every entry must unpack as [token, index, frequency].
             tokens, indices, counts = zip(*entries, strict=True) if entries else ((), (), ())
-            # `type`, not `isinstance`: a JSON true or false is no integer here.
-            if not set(map(type, tokens)) <= {str}:
-                raise TypeError("vocabulary tokens must be strings")
-            kinds = set(map(type, indices)) | set(map(type, counts)) | {type(n_train_docs)}
-            if not kinds <= {int}:
-                raise TypeError(
-                    "vocabulary indices, frequencies and n_train_docs must be integers"
-                )
-            df = np.zeros(len(entries), dtype=np.int64)
-            df[np.fromiter(indices, np.int64, len(indices))] = np.fromiter(counts, np.int64)
-            return cls(dict(zip(tokens, indices)), df, n_train_docs)
+            index = np.fromiter(indices, np.int64, len(indices))
+            df = np.zeros(index.size, dtype=np.int64)
+            df[index] = np.fromiter(counts, np.int64, index.size)
+            return cls(dict(zip(map(str, tokens), index.tolist())), df,
+                       int(payload["n_train_docs"]))
 
 
 @dataclass
@@ -210,12 +202,8 @@ class FeatureMask:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "FeatureMask":
         with malformed("feature mask"):
-            kept, scores = payload["kept"], payload["scores"]
-            if type(kept) is not list or not set(map(type, kept)) <= {int}:
-                raise TypeError("kept must be a list of integers")
-            if type(scores) is not list or not set(map(type, scores)) <= {int, float}:
-                raise TypeError("scores must be a list of numbers")
-            return cls(kept_indices=kept, scores=scores)
+            # Flattened: a nested or scalar value then writes back as another.
+            return cls(np.ravel(payload["kept"]), np.ravel(payload["scores"]))
 
 
 def _row_offsets(docs: Sequence[TokenizedDocument], dim: int) -> np.ndarray:

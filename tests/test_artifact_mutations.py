@@ -2,11 +2,12 @@
 
 Each dict key of a saved bundle (one per model kind), a split file, a grid
 report and an eval report is deleted, or its value is swapped for one of
-another type: a string becomes [], anything else "x".  Inside a list only
-the first element is visited.  Every command that reads the mutated file
-must then exit 2 with a single `error:` line and no traceback.  So must a
-bundle or report whose number or boolean leaf is swapped for another JSON
-type, and any versioned file whose `version` is `true` or `1.0`.
+another type: a string becomes [], anything else "x".  Each JSON object of
+such a file is also given one key more.  Inside a list only the first
+element is visited.  Every command that reads the mutated file must then
+exit 2 with a single `error:` line and no traceback.  So must a bundle or
+report whose number or boolean leaf is swapped for another JSON type, and
+any versioned file whose `version` is `true` or `1.0`.
 """
 
 import json
@@ -128,6 +129,38 @@ def test_every_mutation_is_refused(saved, artifact, tmp_path, capsys):
     assert not faults, "\n".join(faults)
 
 
+def objects(value, path=()):
+    """The key path of every JSON object in `value`, `value` included.
+    Inside a list only the first element is visited."""
+    if isinstance(value, dict):
+        yield path
+        for key, item in value.items():
+            yield from objects(item, path + (key,))
+    elif isinstance(value, list) and value:
+        yield from objects(value[0], path + (0,))
+
+
+@pytest.mark.parametrize("artifact", ARTIFACTS)
+def test_every_unknown_key_is_refused(saved, artifact, tmp_path, capsys):
+    """No writer writes the key `unknown`, so an object that holds it does
+    not load as written, wherever it sits: a tree node and a bundle's model
+    document included."""
+    with open(saved[artifact], encoding="utf-8") as handle:
+        original = json.load(handle)
+    target = tmp_path / "extended.json"
+    faults = []
+    paths = list(objects(original))
+    for path in paths:
+        target.write_text(json.dumps(mutated(original, path + ("unknown",), 0)),
+                          encoding="utf-8")
+        for argv in commands(artifact, str(target), saved, str(tmp_path / "out")):
+            fault = refusal_fault(argv, capsys)
+            if fault is not None:
+                faults.append(f"{'.'.join(map(str, path)) or 'top'}: {argv[0]} {fault}")
+    assert paths
+    assert not faults, "\n".join(faults)
+
+
 def moved_test_row(grid, kind, mode):
     """`grid` with the cell of `kind` and `mode` rebuilt, every field consistent,
     from its confusion matrix with one test row moved from the first class to
@@ -178,6 +211,13 @@ def moved_test_row(grid, kind, mode):
         ("bundle-gaussian_nb", lambda bundle: mutated(
             bundle, ("model", "payload", "variances", 0, 0), 1e-320
         )),
+        # A log probability whose exp overflows fails the sum check, with no
+        # warning printed before the error line.
+        ("bundle-multinomial_nb", lambda bundle: mutated(
+            bundle, ("model", "payload", "log_token_probs", 0, 0), 1e308
+        )),
+        # Keys that no split file holds, even if they look like a version tag.
+        ("split", lambda split: dict(split, version=True, format=7)),
     ],
     ids=["split-train-ids-5", "split-top-level-list", "grid-kind-zz",
          "eval-ragged-confusion", "mask-scores-one-long", "grid-n-train-negative",
@@ -185,7 +225,7 @@ def moved_test_row(grid, kind, mode):
          "grid-select-k-negative", "grid-select-k-true", "grid-seed-true",
          "grid-n-train-true", "split-seed-true", "split-seed-false",
          "grid-cell-supports-differ", "knn-mode-tfidf", "linear-weights-1e308",
-         "gaussian-nb-variance-1e-320"],
+         "gaussian-nb-variance-1e-320", "mnb-log-prob-1e308", "split-version-true-format-7"],
 )
 def test_hand_picked_defects_are_refused(saved, artifact, defect, tmp_path, capsys):
     with open(saved[artifact], encoding="utf-8") as handle:
@@ -196,19 +236,25 @@ def test_hand_picked_defects_are_refused(saved, artifact, defect, tmp_path, caps
         assert refusal_fault(argv, capsys) is None, argv
 
 
+REWRITTEN = "knn model document does not load as written: "
+
+
 @pytest.mark.parametrize(
     "field, entry, message",
     [
-        ("indices", 0.5, "knn stored indices must be integers"),
-        ("indices", 1.0, "knn stored indices must be integers"),
-        ("indices", True, "knn stored indices must be integers"),
-        ("row_labels", 1.0, "knn stored row_labels must be integers"),
-        ("row_labels", False, "knn stored row_labels must be integers"),
-        ("values", True, "knn stored values must be numbers"),
-        ("values", "0.5", "knn stored values must be numbers"),
+        ("indices", 0.5, f"{REWRITTEN}/payload/rows/0/indices/0 is 0.5, which loads as 0"),
+        # 1.0 and true load as index 1, which the row's next index already is.
+        ("indices", 1.0, "sparse indices must be strictly increasing within a row"),
+        ("indices", True, "sparse indices must be strictly increasing within a row"),
+        ("row_labels", 1.0, f"{REWRITTEN}/payload/row_labels/0 is 1.0, which loads as 1"),
+        ("row_labels", False, f"{REWRITTEN}/payload/row_labels/0 is false, which loads as 0"),
+        ("values", True, f"{REWRITTEN}/payload/rows/0/values/0 is true, which loads as 1.0"),
+        ("values", "0.5", f"{REWRITTEN}/payload/rows/0/values/0 is \"0.5\", which loads as 0.5"),
         ("values", -1.0, "knn stored values must lie in [0, 1e+100]"),
         ("values", 1e200, "knn stored values must lie in [0, 1e+100]"),
     ],
+    ids=["indices-0.5", "indices-1.0", "indices-true", "row-labels-1.0", "row-labels-false",
+         "values-true", "values-string", "values-negative", "values-1e200"],
 )
 def test_knn_payload_entries_of_another_json_type_are_refused(
     saved, field, entry, message, tmp_path, capsys
@@ -280,14 +326,17 @@ def test_values_of_another_json_type_are_refused(
 
 def type_swaps(value, path=()):
     """(key path, replacement) for every number or boolean leaf below `value`:
-    a number becomes `true`, an integer also the equal float and a boolean
-    the equal integer.  Inside a list only the first element is visited."""
+    a number becomes `true`, an integer also the equal float, an integral
+    float the equal integer and a boolean the equal integer.  Inside a list
+    only the first element is visited."""
     if isinstance(value, bool):
         yield path, int(value)
     elif isinstance(value, (int, float)):
         yield path, True
         if isinstance(value, int):
             yield path, float(value)
+        elif value.is_integer():
+            yield path, int(value)
     elif isinstance(value, dict):
         for key, item in value.items():
             yield from type_swaps(item, path + (key,))
@@ -299,10 +348,10 @@ def type_swaps(value, path=()):
 def test_every_value_of_another_json_type_is_refused(saved, artifact, tmp_path, capsys):
     """A report's counts, supports and version are integers, its metrics floats
     and `degenerate` a boolean; under Python's == a swapped leaf (true for
-    1.0, 4.0 for 4, 0 for false) would compare equal and load.  A bundle's
-    sizes, indices and counts are integers, its weights and thresholds
-    numbers and its profile flags booleans; numpy would cast a swapped leaf
-    (true to 1.0) and load it."""
+    1.0, 4.0 for 4, 1 for 1.0, 0 for false) would compare equal and load.  A
+    bundle's sizes, indices and counts are integers, its weights, thresholds
+    and float hyperparameters floats and its profile flags booleans; numpy
+    would cast a swapped leaf (true or 1 to 1.0) and load it."""
     with open(saved[artifact], encoding="utf-8") as handle:
         original = json.load(handle)
     target = tmp_path / "swapped.json"

@@ -494,7 +494,7 @@ def test_evaluate_rejects_bundle_with_another_profile(
     broken.write_text(json.dumps(bundle), encoding="utf-8")
     assert _evaluate(workspace, tmp_path, bundle=broken) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "preprocessing profile" in err
+    assert err.startswith("error: ") and f"does not load as written: /pipeline/{key} " in err
     assert "Traceback" not in err
 
 

@@ -202,6 +202,8 @@ def reference_load_jsonl(path, labels=None):
             raise DataError(
                 f"{path}:{line_no}: label {label!r} outside the supplied label set"
             )
+        if not doc_id:
+            raise DataError(f"{path}:{line_no}: document id must be non-empty")
         observed_labels.add(label)
         by_id[doc_id] = Document(
             id=doc_id, text=record["text"], label=label, source=source

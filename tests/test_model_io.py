@@ -99,10 +99,10 @@ def test_document_validation_errors():
     with pytest.raises(DataError, match="unknown model kind"):
         model_from_document(bad)
     bad = dict(doc, label_count=7)
-    with pytest.raises(DataError, match="label count"):
+    with pytest.raises(DataError, match="/label_count is 7, which loads as 3"):
         model_from_document(bad)
     bad = dict(doc, feature_dimension=99)
-    with pytest.raises(DataError, match="dimension"):
+    with pytest.raises(DataError, match="/feature_dimension is 99, which loads as 3"):
         model_from_document(bad)
 
 
@@ -147,7 +147,7 @@ def test_wrong_types_are_data_errors():
 
 def test_tree_payloads_are_validated_on_load():
     """Splits must name a real feature (an int, not a float, string or bool)
-    with a finite threshold (an int or a float), leaves must
+    with a finite float threshold, leaves must
     hold label_count non-negative integer counts with a positive sum, and a
     forest must hold the n_trees trees its hyperparameters declare."""
     for kind in (ModelKind.DECISION_TREE, ModelKind.RANDOM_FOREST):
@@ -189,11 +189,12 @@ def test_tree_payloads_are_validated_on_load():
         leaf(root(broken))["counts"] = [0, 0, 0]
         with pytest.raises(DataError, match="tree"):
             model_from_document(broken)
-        # a threshold too large for a float
-        broken = json.loads(json.dumps(doc))
-        root(broken)["threshold"] = 10**400
-        with pytest.raises(DataError, match="OverflowError"):
-            model_from_document(broken)
+        # an integer threshold, even one too large for a float, is no float
+        for threshold in (10**400, 1):
+            broken = json.loads(json.dumps(doc))
+            root(broken)["threshold"] = threshold
+            with pytest.raises(DataError, match="must be an integer and a float"):
+                model_from_document(broken)
         assert model_from_document(doc).payload() == doc["payload"]
     # a forest with no trees, or fewer than it declares
     for trees in ([], doc["payload"]["trees"][:1]):
