@@ -33,7 +33,7 @@ from .grid import GridReport, run_grid
 from .metrics import EvalReport, evaluate_predictions
 from .models import ModelKind, train
 from .models.io import model_document, model_from_document
-from .models.params import DEFAULT_SEED, params_with_overrides
+from .models.params import DEFAULT_SEED, make_params
 from .pipeline import PROFILE_RECORD
 from .synth import generate_corpus
 from .vectorize import (
@@ -112,24 +112,29 @@ def _save_bundle(path: Path, model, vocab: Vocabulary, mode: str,
 
 
 def _load_bundle(path) -> dict:
+    what = f"model bundle {path}"
     bundle = read_json(path, "model bundle")
-    expect_format(bundle, BUNDLE_FORMAT, BUNDLE_VERSION)
-    with malformed(f"model bundle {path}"):
-        labels, mode = LabelSet(map(str, bundle["labels"])), str(bundle["mode"])
-        vocab = Vocabulary.from_json_dict(bundle["vocabulary"])
-        mask = None if bundle["mask"] is None else FeatureMask.from_json_dict(bundle["mask"])
-        model = model_from_document(bundle["model"])
-    # model_from_document compared the model document: it is written back as loaded.
-    loads_as_written(_bundle(bundle["model"], vocab, mode, labels, mask), bundle,
-                     f"model bundle {path}")
-    if len(labels) != model.label_count:
-        raise DataError(f"model bundle {path} names {len(labels)} labels "
-                        f"for a {model.label_count}-class model")
-    if mask is not None and mask.scores.size != len(vocab):
-        raise DataError(f"model bundle {path} has a mask for another vocabulary")
-    if model.kind is ModelKind.KNN and model.matrix.mode != mode:
-        raise DataError(f"model bundle {path} has {mode!r} features for "
-                        f"a knn model that stores {model.matrix.mode!r} rows")
+    try:
+        expect_format(bundle, BUNDLE_FORMAT, BUNDLE_VERSION)
+        with malformed(what):
+            labels, mode = LabelSet(map(str, bundle["labels"])), str(bundle["mode"])
+            vocab = Vocabulary.from_json_dict(bundle["vocabulary"])
+            mask = None if bundle["mask"] is None else FeatureMask.from_json_dict(bundle["mask"])
+            model = model_from_document(bundle["model"])
+        # model_from_document compared the model document: it is written back as loaded.
+        loads_as_written(_bundle(bundle["model"], vocab, mode, labels, mask), bundle, what)
+        if len(labels) != model.label_count:
+            raise DataError(f"{what} names {len(labels)} labels "
+                            f"for a {model.label_count}-class model")
+        if mask is not None and mask.scores.size != len(vocab):
+            raise DataError(f"{what} has a mask for another vocabulary")
+        if model.kind is ModelKind.KNN and model.matrix.mode != mode:
+            raise DataError(f"{what} has {mode!r} features for "
+                            f"a knn model that stores {model.matrix.mode!r} rows")
+    except DataError as exc:
+        if what in str(exc):  # named where it was raised
+            raise
+        raise DataError(f"{what}: {exc}") from None
     return {"labels": labels, "mode": mode, "vocab": vocab, "mask": mask, "model": model}
 
 
@@ -157,8 +162,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     kind = ModelKind(args.classifier)
-    overrides = _parse_params(args.param)
-    params = params_with_overrides(kind, args.seed, overrides)
+    params = make_params(kind, _parse_params(args.param), args.seed)
     corpus = load_corpus(args.corpus)
     split, _spec = load_split(args.split)
     docs = side_documents(corpus, split.train_ids, "train")

@@ -76,10 +76,12 @@ def expect_format(document, name: str, version: int) -> None:
 def malformed(what: str):
     """Turn the lookup and conversion errors raised while reading `what`
     (a missing key, a value of the wrong type, shape or size, one nested
-    too deeply to convert) into a DataError."""
+    too deeply to convert), a hyperparameter out of range and a model that
+    its own checks refuse into a DataError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, RecursionError,
+            InvalidHyperparameterError, TrainingError) as exc:
         raise DataError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
 
 

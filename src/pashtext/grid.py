@@ -21,7 +21,7 @@ from .errors import DataError, loads_as_written, malformed
 from .metrics import EvalReport, csv_table, evaluate_predictions, markdown_table
 from .models import ModelKind, train
 from .models.base import KIND_CLASSES
-from .models.params import DEFAULT_SEED, default_params
+from .models.params import DEFAULT_SEED, make_params
 from .prng import derive_seed
 from .vectorize import (
     FEATURE_MODES, TFIDF, UNIGRAM, feature_matrix, fit_features, side_documents,
@@ -255,7 +255,7 @@ def run_grid(
     def params_for(kind, mode):
         if params_by_kind is not None and kind in params_by_kind:
             return params_by_kind[kind]
-        return default_params(kind, seed=cell_seed(seed, kind, mode))
+        return make_params(kind, {}, seed=cell_seed(seed, kind, mode))
 
     def lane(mode):
         return [

@@ -9,16 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..errors import (
-    DataError,
-    InvalidHyperparameterError,
-    TrainingError,
-    expect_format,
-    loads_as_written,
-    malformed,
-)
+from ..errors import DataError, expect_format, loads_as_written, malformed
 from .base import KIND_CLASSES, Model, ModelKind
-from .params import params_from_dict
+from .params import make_params
 
 FORMAT_NAME = "pashtext-model"
 FORMAT_VERSION = 1
@@ -51,19 +44,10 @@ def model_from_document(document: dict) -> Model:
     if document.get("kind") not in tuple(ModelKind):  # compares, never hashes
         raise DataError(f"unknown model kind {document.get('kind')!r}")
     kind = ModelKind(document["kind"])
-    try:
-        with malformed(f"{kind.value} model document"):
-            params = params_from_dict(kind, document["hyperparams"])
-            sizes = int(document["label_count"]), int(document["feature_dimension"])
-            model = KIND_CLASSES[kind].from_payload(document["payload"], params, *sizes)
-    except InvalidHyperparameterError as exc:
-        raise DataError(
-            f"{kind.value} model document has an out-of-range hyperparameter: {exc}"
-        ) from None
-    except TrainingError as exc:
-        raise DataError(
-            f"malformed {kind.value} model document: {type(exc).__name__}: {exc}"
-        ) from None
+    with malformed(f"{kind.value} model document"):
+        params = make_params(kind, dict(document["hyperparams"]))
+        sizes = int(document["label_count"]), int(document["feature_dimension"])
+        model = KIND_CLASSES[kind].from_payload(document["payload"], params, *sizes)
     payload = document["payload"] if kind in _NODE_KINDS else model.payload()
     loads_as_written(_document(model, payload), document, f"{kind.value} model document")
     return model

@@ -146,37 +146,15 @@ _FIELD_TYPES = {
 }
 
 
-def params_from_dict(kind: ModelKind, values: dict):
-    """The params record of `kind` saved as `values`, each field converted to
-    its type.  A lost field is a KeyError, so no default fills in for it,
-    and a value that does not convert is a TypeError."""
-    cls = KIND_CLASSES[kind].params_class
-    fields = {}
-    for f in dataclasses.fields(cls):
-        value = values[f.name]
-        try:
-            fields[f.name] = _FIELD_TYPES[f.type][0](value)
-        except (TypeError, ValueError, OverflowError):
-            raise TypeError(f"hyperparameter {f.name} must be {f.type}") from None
-    return cls(**fields)
-
-
-def default_params(kind: ModelKind, seed: int = DEFAULT_SEED):
-    """Default hyperparameters for a kind, with the seed threaded in."""
-    cls = KIND_CLASSES[kind].params_class
-    if "seed" in {f.name for f in dataclasses.fields(cls)}:
-        return cls(seed=seed)
-    return cls()
-
-
-def params_with_overrides(kind: ModelKind, seed: int, overrides: dict[str, str]):
-    """Build a params record from key=value string overrides (CLI surface)."""
+def make_params(kind: ModelKind, values: dict, seed: int = DEFAULT_SEED):
+    """The params record of `kind`: its defaults, `seed` where it has that
+    field, then each of `values` (a --param string or a saved JSON value)
+    converted to its field's type.  An unknown key or a value that does not
+    convert is an InvalidHyperparameterError."""
     cls = KIND_CLASSES[kind].params_class
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    kwargs = {}
-    if "seed" in fields:
-        kwargs["seed"] = seed
-    for key, raw in overrides.items():
+    kwargs = {"seed": seed} if "seed" in fields else {}
+    for key, raw in values.items():
         if key not in fields:
             raise InvalidHyperparameterError(
                 f"unknown hyperparameter {key!r} for {kind.value}; "
@@ -185,7 +163,7 @@ def params_with_overrides(kind: ModelKind, seed: int, overrides: dict[str, str])
         parse, expected = _FIELD_TYPES[fields[key].type]
         try:
             kwargs[key] = parse(raw)
-        except ValueError:
+        except (TypeError, ValueError, OverflowError):
             raise InvalidHyperparameterError(
                 f"{key}: expected {expected}, got {raw!r}"
             ) from None

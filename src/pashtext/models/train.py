@@ -7,7 +7,7 @@ import numpy as np
 from ..errors import DataError, InvalidHyperparameterError
 from ..vectorize import FeatureMatrix
 from .base import KIND_CLASSES, Model, ModelKind
-from .params import default_params
+from .params import make_params
 
 
 def train(
@@ -25,7 +25,7 @@ def train(
     kind = ModelKind(kind)
     model_class = KIND_CLASSES[kind]
     if params is None:
-        params = default_params(kind)
+        params = make_params(kind, {})
     if not isinstance(params, model_class.params_class):
         raise InvalidHyperparameterError(
             f"{kind.value} expects {model_class.params_class.__name__}, "

@@ -271,7 +271,7 @@ def test_knn_payload_entries_of_another_json_type_are_refused(
     target.write_text(json.dumps(bundle), encoding="utf-8")
     argv = commands("bundle-knn", str(target), saved, str(tmp_path / "out"))[0]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: model bundle {target}: {message}\n"
 
 
 HYPERPARAMS = ("model", "hyperparams")

@@ -11,7 +11,7 @@ import pashtext.cli
 import pashtext.corpus
 from pashtext.cli import main
 from pashtext.models import ModelKind
-from pashtext.models.params import default_params
+from pashtext.models.params import make_params
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +315,7 @@ def test_param_cases_cover_every_field():
     assert covered == {
         (kind.value, f.name)
         for kind in ModelKind
-        for f in dataclasses.fields(default_params(kind))
+        for f in dataclasses.fields(make_params(kind, {}))
     }
 
 
@@ -324,6 +324,9 @@ def test_param_valid_value_reaches_the_bundle(workspace, tmp_path, kind, field, 
                                               value, _bad):
     assert _train(workspace, tmp_path, kind, f"{field}={valid}") == 0
     assert _hyperparams(tmp_path)[field] == value
+    # The saved record loads through the path the --param string took.
+    loaded = pashtext.cli._load_bundle(tmp_path / "model.json")["model"].params
+    assert loaded == make_params(ModelKind(kind), {field: valid})
 
 
 @pytest.mark.parametrize("kind,field,_valid,_value,bad", PARAM_CASES)
@@ -605,6 +608,46 @@ def test_evaluate_rejects_malformed_forest_bundle(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "tree" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def knn_bundle(workspace):
+    out = workspace["root"] / "knn"
+    code = main(
+        [
+            "train",
+            "--corpus", str(workspace["corpus"]),
+            "--split", str(workspace["split"]),
+            "--classifier", "knn",
+            "--select-k", "20",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    return json.loads((out / "model.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        lambda bundle: bundle["model"]["payload"]["rows"][0]["indices"].__setitem__(0, 0.5),
+        lambda bundle: bundle["vocabulary"]["entries"][0].__setitem__(2, 0),
+        lambda bundle: bundle["mask"]["kept"].reverse(),
+        lambda bundle: bundle["model"]["hyperparams"].update(k=0),
+    ],
+    ids=["knn-index-0.5", "document-frequency-0", "unsorted-mask", "k-0"],
+)
+def test_bundle_refusals_name_the_bundle_file_once(
+    workspace, knn_bundle, tmp_path, capsys, defect
+):
+    bundle = json.loads(json.dumps(knn_bundle))
+    defect(bundle)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(bundle), encoding="utf-8")
+    assert _evaluate(workspace, tmp_path, bundle=broken) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("error:") == 1
+    assert err.count(f"model bundle {broken}") == 1
 
 
 def test_split_ids_missing_from_corpus_are_a_data_error(workspace, tmp_path, capsys):

@@ -283,7 +283,8 @@ def test_out_of_range_hyperparameters_are_data_errors(kind, field, value):
     model = train(kind, toy_matrix(), QUICK_PARAMS.get(kind))
     doc = json.loads(json.dumps(model_document(model)))
     doc["hyperparams"][field] = value
-    with pytest.raises(DataError, match="out-of-range hyperparameter"):
+    with pytest.raises(DataError, match=f"^malformed {kind.value} model document: "
+                                        f"InvalidHyperparameterError: {field} must be "):
         model_from_document(doc)
 
 

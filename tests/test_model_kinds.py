@@ -21,9 +21,7 @@ from pashtext.models.params import (
     MLPParams,
     MultinomialNBParams,
     RandomForestParams,
-    default_params,
-    params_from_dict,
-    params_with_overrides,
+    make_params,
 )
 from pashtext.models.tree import DecisionTreeModel, RandomForestModel
 
@@ -88,27 +86,27 @@ def test_float_fields_are_found():
 @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "Infinity", "1e400", "-1e999"])
 def test_non_finite_float_param_string_is_refused(kind, field, raw):
     with pytest.raises(InvalidHyperparameterError) as caught:
-        params_with_overrides(kind, 1, {field: raw})
+        make_params(kind, {field: raw}, 1)
     assert str(caught.value) == f"{field}: expected float, got {raw!r}"
 
 
 @pytest.mark.parametrize("kind,field", FLOAT_FIELDS)
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_saved_float_is_refused(kind, field, value):
-    values = dataclasses.asdict(default_params(kind))
-    params_from_dict(kind, values)
+    values = dataclasses.asdict(make_params(kind, {}))
+    make_params(kind, values)
     values[field] = value
-    with pytest.raises(TypeError, match=f"hyperparameter {field} must be float"):
-        params_from_dict(kind, values)
+    with pytest.raises(InvalidHyperparameterError, match=f"^{field}: expected float, got "):
+        make_params(kind, values)
 
 
 def test_float_fields_take_finite_floats_and_ints_in_float_range():
-    params = params_with_overrides(ModelKind.MLP, 1, {"adam_epsilon": "1e-300"})
+    params = make_params(ModelKind.MLP, {"adam_epsilon": "1e-300"}, 1)
     assert params.adam_epsilon == 1e-300
-    values = dataclasses.asdict(default_params(ModelKind.MULTINOMIAL_NB))
+    values = dataclasses.asdict(make_params(ModelKind.MULTINOMIAL_NB, {}))
     for value in (2, 1.5, 2**1000):
         values["laplace_alpha"] = value
-        assert params_from_dict(ModelKind.MULTINOMIAL_NB, values).laplace_alpha == value
+        assert make_params(ModelKind.MULTINOMIAL_NB, values).laplace_alpha == value
     values["laplace_alpha"] = 10**400  # beyond the largest float
-    with pytest.raises(TypeError, match="laplace_alpha"):
-        params_from_dict(ModelKind.MULTINOMIAL_NB, values)
+    with pytest.raises(InvalidHyperparameterError, match="^laplace_alpha: expected float"):
+        make_params(ModelKind.MULTINOMIAL_NB, values)
