@@ -128,6 +128,12 @@ def _load_bundle(path) -> dict:
                             f"for a {model.label_count}-class model")
         if mask is not None and mask.scores.size != len(vocab):
             raise DataError(f"{what} has a mask for another vocabulary")
+        if mode not in FEATURE_MODES:
+            raise DataError(f"unknown feature mode {mode!r}")
+        features = len(vocab) if mask is None else mask.kept_indices.size
+        if model.feature_dimension != features:
+            raise DataError(f"{what} has {features} features for a model "
+                            f"of feature dimension {model.feature_dimension}")
         if model.kind is ModelKind.KNN and model.matrix.mode != mode:
             raise DataError(f"{what} has {mode!r} features for "
                             f"a knn model that stores {model.matrix.mode!r} rows")
@@ -194,11 +200,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     bundle = _load_bundle(args.model)
-    corpus = load_corpus(args.corpus)
-    split, _spec = load_split(args.split)
     labels: LabelSet = bundle["labels"]
-    # Re-labelled with the model's label set, so rows carry its class indices.
-    docs = side_documents(corpus.relabel(labels), split.test_ids, "test")
+    # Loaded under the model's label set, so rows carry its class indices.
+    corpus = load_corpus(args.corpus, labels)
+    split, _spec = load_split(args.split)
+    docs = side_documents(corpus, split.test_ids, "test")
     counts = vectorize_documents(docs, bundle["vocab"], labels)
     matrix = feature_matrix(counts, bundle["vocab"], bundle["mask"], bundle["mode"])
     del docs, counts  # not held through prediction

@@ -138,17 +138,6 @@ class Corpus:
             return Corpus(documents, self.labels)  # names the repeated id
         return Corpus._checked(documents, self.labels, by_id)
 
-    def relabel(self, labels: LabelSet) -> "Corpus":
-        """The same documents under a model's label set `labels`; a document
-        whose label `labels` lacks is a DataError naming it."""
-        if not all(name in labels for name in self.labels):
-            for doc in self.documents:
-                if doc.label not in labels:
-                    raise DataError(
-                        f"document {doc.id!r} has label {doc.label!r} unknown to the model"
-                    )
-        return Corpus._checked(self.documents, labels, self._by_id)
-
     def label_counts(self) -> dict[str, int]:
         counts = {name: 0 for name in self.labels}
         for doc in self.documents:

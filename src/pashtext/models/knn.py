@@ -7,35 +7,12 @@ import numpy as np
 from ..errors import DataError, InvalidHyperparameterError
 from ..vectorize import FeatureMatrix
 from .base import Model, ModelKind
-from .params import COSINE, EUCLIDEAN, KNNParams
+from .params import EUCLIDEAN, KNNParams
 
 # A bundle's stored values lie in [0, MAX_STORED_VALUE]: no count or TFIDF
 # weight is negative, and below this bound, far above any of them, no squared
 # norm, dot product or norm product in `_nearest` can overflow float64.
 MAX_STORED_VALUE = 1e100
-
-
-def knn_neighbors(
-    matrix: FeatureMatrix,
-    queries: FeatureMatrix,
-    k: int,
-    metric: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The k training rows nearest to each query row.
-
-    Returns (n_queries, k) arrays of training row indices and distances.
-    Distances are Euclidean or cosine distance (1 - cosine similarity, with
-    all-zero vectors treated as similarity 0).  Ties on distance are broken
-    by lower row index; each query's neighbours are sorted by
-    (distance, row_index).
-    """
-    if metric not in (EUCLIDEAN, COSINE):
-        raise InvalidHyperparameterError(f"unknown metric {metric!r}")
-    if k > matrix.n_rows:
-        raise InvalidHyperparameterError(
-            f"k={k} exceeds the {matrix.n_rows} stored training rows"
-        )
-    return _nearest(matrix, matrix.squared_norms(), queries, k, metric)
 
 
 def _nearest(
@@ -45,9 +22,16 @@ def _nearest(
     k: int,
     metric: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`knn_neighbors` with the training rows' squared norms given.  Each
-    query's distances are computed in full, then `_smallest` picks its k
-    nearest without sorting the whole row."""
+    """The k training rows nearest to each query row, given the training
+    rows' squared norms.
+
+    Returns (n_queries, k) arrays of training row indices and distances.
+    Distances are Euclidean or cosine distance (1 - cosine similarity, with
+    all-zero vectors treated as similarity 0).  Ties on distance are broken
+    by lower row index; each query's neighbours are sorted by
+    (distance, row_index).  Each query's distances are computed in full,
+    then `_smallest` picks its k nearest without sorting the whole row.
+    """
     # dots[q, i] = <query q, training row i>, summed over row i's entries.
     dots = matrix.dot(queries.to_dense().T).T
     query_norm_sq = queries.squared_norms()[:, None]
@@ -105,7 +89,9 @@ class KNNModel(Model):
         ):
             raise DataError("knn row labels must lie in [0, label_count)")
         if params.k > matrix.n_rows:
-            raise DataError(f"knn stores {matrix.n_rows} rows, fewer than k={params.k}")
+            raise InvalidHyperparameterError(
+                f"k={params.k} exceeds the {matrix.n_rows} training rows"
+            )
         self.matrix = matrix
         self.params = params
         self.label_count = label_count
@@ -114,10 +100,6 @@ class KNNModel(Model):
 
     @classmethod
     def fit(cls, matrix: FeatureMatrix, params: KNNParams, label_count: int) -> "KNNModel":
-        if params.k > matrix.n_rows:
-            raise InvalidHyperparameterError(
-                f"k={params.k} exceeds the {matrix.n_rows} training rows"
-            )
         return cls(matrix, params, label_count)
 
     def _block_width(self) -> int:

@@ -206,20 +206,21 @@ class FeatureMask:
             return cls(np.ravel(payload["kept"]), np.ravel(payload["scores"]))
 
 
-def _row_offsets(docs: Sequence[TokenizedDocument], dim: int) -> np.ndarray:
-    """row * dim for every token of `docs`, in token order."""
-    return np.repeat(
-        np.arange(len(docs), dtype=np.int64) * dim, [len(doc.tokens) for doc in docs]
-    )
-
-
 # (rows, columns, counts) of the distinct cells of a count matrix, in CSR order.
 Cells = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _cells(keys: np.ndarray, dim: int) -> Cells:
-    """The cells of row * dim + column keys, each counting the keys in it."""
-    keys, counts = np.unique(keys, return_counts=True)
+def _token_cells(docs: Sequence[TokenizedDocument], index: dict[str, int]) -> Cells:
+    """The cells of the count matrix of `docs` over the columns of `index`:
+    each token counts in its document's row and its column; a token that
+    `index` lacks is dropped."""
+    dim = len(index)
+    lengths = [len(doc.tokens) for doc in docs]
+    tokens = chain.from_iterable(doc.tokens for doc in docs)
+    keys = np.fromiter(map(index.get, tokens, repeat(-1)), dtype=np.int64, count=sum(lengths))
+    known = keys >= 0
+    keys += np.repeat(np.arange(len(docs), dtype=np.int64) * dim, lengths)
+    keys, counts = np.unique(keys[known], return_counts=True)
     rows, columns = np.divmod(keys, max(dim, 1))
     return rows, columns, counts
 
@@ -241,33 +242,30 @@ def _count_matrix(
 
 def _fit(train_docs: Sequence[TokenizedDocument]) -> tuple[Vocabulary, Cells]:
     """The vocabulary of the training documents and the cells of their
-    count matrix, from one pass over their tokens.
+    count matrix, which `_token_cells` counts as it counts any other side.
 
-    Index order is first-occurrence order (document order, then token order
-    within the document).  Each distinct (row, column) cell is one document
-    holding the column's token, so the cell columns count document frequency.
+    One pass over the tokens builds the index in first-occurrence order
+    (document order, then token order within the document).  Each distinct
+    (row, column) cell is one document holding the column's token, so the
+    cell columns count document frequency.
     """
     if not train_docs:
         raise DataError("cannot build a vocabulary from zero documents")
-    tokens = list(chain.from_iterable(doc.tokens for doc in train_docs))
+    tokens = chain.from_iterable(doc.tokens for doc in train_docs)
     index = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
     if not index:
         raise DataError("cannot build a vocabulary from documents without tokens")
-    dim = len(index)
-    keys = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    del tokens
-    keys += _row_offsets(train_docs, dim)
-    cells = _cells(keys, dim)
+    cells = _token_cells(train_docs, index)
     vocab = Vocabulary(
         token_to_index=index,
-        document_frequency=np.bincount(cells[1], minlength=dim),
+        document_frequency=np.bincount(cells[1], minlength=len(index)),
         n_train_docs=len(train_docs),
     )
     return vocab, cells
 
 
 def build_vocabulary(train_docs: Sequence[TokenizedDocument]) -> Vocabulary:
-    """The vocabulary of the training documents: the fit's token pass."""
+    """The vocabulary of the training documents, as the fit builds it."""
     return _fit(train_docs)[0]
 
 
@@ -286,15 +284,23 @@ def vectorize_documents(
     Tokens outside the vocabulary are ignored; `tfidf_from_counts` weights
     the counts.
     """
-    dim = len(vocab)
-    tokens = list(chain.from_iterable(doc.tokens for doc in docs))
-    keys = np.fromiter(
-        map(vocab.token_to_index.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens)
+    return _count_matrix(_token_cells(docs, vocab.token_to_index), docs, labels, len(vocab))
+
+
+def _kept_entries(matrix: FeatureMatrix, keep: np.ndarray, indices: np.ndarray,
+                  data: np.ndarray, mode: str, dim: int) -> FeatureMatrix:
+    """The `mode` matrix of width `dim` with the rows and labels of `matrix`
+    and only its entries where `keep` holds, whose new columns and values
+    are `indices` and `data`."""
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    return FeatureMatrix(
+        indptr=kept_before[matrix.indptr],
+        indices=indices,
+        data=data,
+        row_labels=matrix.row_labels.copy(),
+        mode=mode,
+        dim=dim,
     )
-    del tokens
-    known = keys >= 0
-    keys += _row_offsets(docs, dim)
-    return _count_matrix(_cells(keys[known], dim), docs, labels, dim)
 
 
 def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix:
@@ -302,15 +308,7 @@ def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix
     token's idf, with the entries that become exactly zero dropped."""
     values = counts.data * idf_weights(vocab)[counts.indices]
     keep = values != 0.0
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
-    return FeatureMatrix(
-        indptr=kept_before[counts.indptr],
-        indices=counts.indices[keep],
-        data=values[keep],
-        row_labels=counts.row_labels.copy(),
-        mode=TFIDF,
-        dim=counts.dim,
-    )
+    return _kept_entries(counts, keep, counts.indices[keep], values[keep], TFIDF, counts.dim)
 
 
 def class_sums(matrix: FeatureMatrix, n_classes: int) -> np.ndarray:
@@ -365,15 +363,8 @@ def apply_mask(mask: FeatureMask, matrix: FeatureMatrix) -> FeatureMatrix:
     """Project the matrix onto the mask's features, remapped densely."""
     kept = mask.kept_indices
     hit = np.isin(matrix.indices, kept)
-    hits_before = np.concatenate(([0], np.cumsum(hit)))
-    return FeatureMatrix(
-        indptr=hits_before[matrix.indptr],
-        indices=np.searchsorted(kept, matrix.indices[hit]),
-        data=matrix.data[hit],
-        row_labels=matrix.row_labels.copy(),
-        mode=matrix.mode,
-        dim=int(kept.size),
-    )
+    return _kept_entries(matrix, hit, np.searchsorted(kept, matrix.indices[hit]),
+                         matrix.data[hit], matrix.mode, int(kept.size))
 
 
 def side_documents(

@@ -425,7 +425,7 @@ def test_evaluate_rejects_foreign_labels(workspace, tmp_path, capsys):
         ]
     )
     assert code == 2
-    assert "unknown to the model" in capsys.readouterr().err
+    assert "outside the supplied label set" in capsys.readouterr().err
 
 
 def _evaluate(workspace, tmp_path, bundle=None, split=None):
@@ -627,20 +627,36 @@ def knn_bundle(workspace):
     return json.loads((out / "model.json").read_text(encoding="utf-8"))
 
 
+def _append_vocabulary_entry(bundle):
+    entries = bundle["vocabulary"]["entries"]
+    entries.append(["extra-token", len(entries), 1])
+
+
 @pytest.mark.parametrize(
-    "defect",
+    "source, defect",
     [
-        lambda bundle: bundle["model"]["payload"]["rows"][0]["indices"].__setitem__(0, 0.5),
-        lambda bundle: bundle["vocabulary"]["entries"][0].__setitem__(2, 0),
-        lambda bundle: bundle["mask"]["kept"].reverse(),
-        lambda bundle: bundle["model"]["hyperparams"].update(k=0),
+        ("knn",
+         lambda bundle: bundle["model"]["payload"]["rows"][0]["indices"].__setitem__(0, 0.5)),
+        ("knn", lambda bundle: bundle["vocabulary"]["entries"][0].__setitem__(2, 0)),
+        ("knn", lambda bundle: bundle["mask"]["kept"].reverse()),
+        ("knn", lambda bundle: bundle["model"]["hyperparams"].update(k=0)),
+        # Bundles whose parts load one by one but disagree with the model.
+        ("knn", lambda bundle: bundle["mask"]["kept"].pop()),
+        ("knn", lambda bundle: bundle["model"]["hyperparams"].update(
+            k=len(bundle["model"]["payload"]["rows"]) + 1)),
+        ("multinomial_nb", _append_vocabulary_entry),
+        ("multinomial_nb", lambda bundle: bundle.update(mode="bogus")),
     ],
-    ids=["knn-index-0.5", "document-frequency-0", "unsorted-mask", "k-0"],
+    ids=["knn-index-0.5", "document-frequency-0", "unsorted-mask", "k-0", "mask-one-short",
+         "k-above-rows", "vocabulary-one-long", "mode-bogus"],
 )
 def test_bundle_refusals_name_the_bundle_file_once(
-    workspace, knn_bundle, tmp_path, capsys, defect
+    workspace, knn_bundle, tmp_path, capsys, source, defect
 ):
-    bundle = json.loads(json.dumps(knn_bundle))
+    if source == "knn":
+        bundle = json.loads(json.dumps(knn_bundle))
+    else:
+        bundle = json.loads(workspace["bundle"].read_text(encoding="utf-8"))
     defect(bundle)
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(bundle), encoding="utf-8")

