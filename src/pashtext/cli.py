@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -283,7 +284,10 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of all seven commands, built once per process: parsing
+    leaves it unchanged, so every `main` call reuses it."""
     parser = _Parser(
         prog="pashtext",
         description="Dependency-light text-classification experiments "

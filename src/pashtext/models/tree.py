@@ -6,6 +6,17 @@ feature varies within the node.  Among equally good splits the lowest
 feature index and then the lowest threshold wins, which makes growth fully
 deterministic and lets a one-tree forest reproduce a plain tree exactly.
 
+Growth first numbers each column's distinct values in rising order, so a
+split search counts classes per value rank instead of sorting.  A forest's
+trees grow together: on each step the unfinished trees, in order, each
+take the next node of their own preorder that needs a search (as many as a
+step's row budget holds), and one search serves all of those nodes, one
+`bincount` of (node, candidate, value rank, class) keys per chunk.  The
+bits do not move: each tree still asks its feature picker in its own
+preorder, child class counts are exact integers, the Gini terms are the
+per-feature scan's expressions, each node keeps its first minimum, and
+rows are sent left by the same float compare with the same midpoint.
+
 Trees are flat node arrays, and every row walks every tree of a model at
 once.  For the walk a leaf reads column 0 and points to itself from both
 child slots, so each step is one gather, one compare and one child lookup
@@ -145,94 +156,200 @@ def _nodes(records: list, label_count: int, feature_dimension: int) -> Nodes:
                  counts, index[(right_of < 0) & ~left_child])
 
 
-def _best_split(
-    dense: np.ndarray,
-    labels: np.ndarray,
-    row_ids: np.ndarray,
-    feature_ids: np.ndarray,
-    label_count: int,
-) -> tuple[int, float] | None:
-    """Minimum weighted child impurity over midpoint thresholds.
+class _Binned(NamedTuple):
+    """Training rows by value rank: each column's distinct values are
+    numbered in rising order, and each entry's rank is stored with its row's
+    class folded in, `codes[f, row] = rank * label_count + label`."""
 
-    Returns None when every candidate feature is constant on the node.
-    Zero-gain splits are still returned; they keep growth moving toward
-    purity and each one strictly shrinks both children.
+    codes: np.ndarray  # (dim, rows), in the smallest unsigned type that fits
+    values: np.ndarray  # every column's distinct values, column after column
+    starts: np.ndarray  # (dim + 1,) where each column's values start in `values`
+    label_count: int
 
-    All candidate features are scanned together, in blocks whose
-    (rows x classes x features) temporaries fit in `_BLOCK_CELLS`.  Child
-    class counts are exact integers and the Gini terms are summed over the
-    contiguous class axis, so every score equals the one a per-feature scan
-    computes, and the feature-major `argmin` keeps its tie-break: lowest
+    def value_at(self, rows: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """The matrix entries at (rows, features)."""
+        ranks = self.codes[features, rows] // self.label_count
+        return self.values[self.starts[features] + ranks]
+
+
+def _binned(dense: np.ndarray, labels: np.ndarray, label_count: int) -> _Binned:
+    """The rows of `dense`, whose classes are `labels`, by value rank."""
+    n, dim = dense.shape
+    codes = np.empty((dim, n), dtype=np.min_scalar_type(n * label_count))
+    values = []
+    for feature, column in enumerate(dense.T):
+        distinct, ranks = np.unique(column, return_inverse=True)
+        codes[feature] = ranks * label_count + labels
+        values.append(distinct)
+    sizes = np.fromiter(map(len, values), np.int64, dim)
+    return _Binned(codes, np.concatenate(values), np.append(0, sizes.cumsum()), label_count)
+
+
+def _best_splits(binned: _Binned, rows: np.ndarray, sizes: np.ndarray, counts: list,
+                 candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's split: the minimum weighted child impurity over the
+    midpoint thresholds of its candidate features, for nodes whose rows
+    follow one another in `rows`, `sizes[i]` of them for node i, whose
+    class counts are `counts[i]` and whose sorted candidates are the row
+    `candidates[i]`.
+
+    Returns each node's feature, -1 where every candidate is constant on
+    the node, and its threshold.  Zero-gain splits are still returned; they
+    keep growth moving toward purity and each one strictly shrinks both
+    children.
+
+    Every (node, candidate) pair is searched at once, in chunks of nodes
+    and blocks of candidates whose entries and class-count tables fit in
+    about `_BLOCK_CELLS`: one `bincount` counts the classes at each value
+    rank of each pair, a cumsum over the ranks a pair's rows hold gives each
+    threshold's left counts (exact integers), and the Gini terms are summed
+    over the contiguous class axis, so every score equals the one a
+    per-feature scan computes.  Each node keeps its first minimum in
+    candidate-then-threshold order (a strict `<` across blocks): lowest
     feature, then lowest threshold.
     """
-    n = row_ids.size
-    node_labels = labels[row_ids]
-    node_counts = np.bincount(node_labels, minlength=label_count)
-    step = max(1, base._BLOCK_CELLS // (n * label_count))
-    best: tuple[float, int, float] | None = None
-    for start in range(0, feature_ids.size, step):
-        block = feature_ids[start:start + step]
-        values = dense[row_ids[None, :], block[:, None]]  # (features, rows)
-        varies = (values != values[:, :1]).any(axis=1)
-        if not varies.any():
-            continue
-        block, values = block[varies], values[varies]
-        order = values.argsort(axis=1, kind="stable")
-        sorted_values = np.sort(values, axis=1)
-        rises = sorted_values[:, :-1] < sorted_values[:, 1:]
-        # Number the runs of equal values through the whole block, feature
-        # after feature, and count the classes of each run.
-        run_starts = np.ones(values.shape, dtype=bool)
-        run_starts[:, 1:] = rises
-        run_ids = run_starts.ravel().cumsum() - 1
-        run_counts = np.bincount(
-            run_ids * label_count + node_labels[order].ravel(),
-            minlength=(run_ids[-1] + 1) * label_count,
-        ).reshape(-1, label_count)
-        # A threshold follows each rise.  The runs up to it hold its left
-        # child plus all rows of each earlier feature in the block.
-        feature_at, position = rises.nonzero()
-        ends = run_ids.reshape(values.shape)[feature_at, position]
-        left = (
-            run_counts.cumsum(axis=0)[ends] - feature_at[:, None] * node_counts
-        ).astype(np.float64)
-        right = node_counts - left
-        n_left = position + 1.0
-        n_right = n - n_left
-        gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        at = int(weighted.argmin())
-        if best is None or weighted[at] < best[0]:
-            feature, pos = feature_at[at], position[at]
-            threshold = (sorted_values[feature, pos] + sorted_values[feature, pos + 1]) / 2.0
-            best = (float(weighted[at]), int(block[feature]), float(threshold))
-    if best is None:
-        return None
-    return best[1], best[2]
+    k, n_rows = binned.label_count, binned.codes.shape[1]
+    candidates = np.asarray(candidates, dtype=np.int64)
+    row_end = sizes.cumsum()
+    node_counts = np.array(counts, dtype=np.int64)
+    rank_counts = np.diff(binned.starts)
+    score = np.full(sizes.size, np.inf)
+    feature, low, high = np.full((3, sizes.size), -1)
+    per_block = max(1, base._BLOCK_CELLS // int(sizes.max()))
+    for first in range(0, candidates.shape[1], per_block):
+        block = candidates[:, first:first + per_block]
+        width = block.shape[1]
+        block_ranks = rank_counts[block]
+        cost = sizes * width + k * block_ranks.sum(axis=1)  # entries and table cells
+        chunk = (cost.cumsum() - cost) // base._BLOCK_CELLS
+        edges = np.flatnonzero(chunk[1:] != chunk[:-1]) + 1
+        for a, b in zip(np.append(0, edges).tolist(), np.append(edges, sizes.size).tolist()):
+            # Pair p is candidate p % width of node a + p // width; its
+            # table rows are the ranks of its feature, from `cell[p]` on.
+            pair_ranks = block_ranks[a:b].ravel()
+            cell = pair_ranks.cumsum() - pair_ranks
+            of_row = np.repeat(np.arange(b - a), sizes[a:b])
+            index = (block[a:b] * n_rows)[of_row]  # (rows, candidates) into `codes`
+            index += rows[row_end[a] - sizes[a]:row_end[b - 1], None]
+            codes = binned.codes.ravel()[index]
+            del index  # freed before `keys` is made, at the search's peak
+            keys = (k * cell).reshape(b - a, -1)[of_row]
+            keys += codes
+            table = np.bincount(keys.ravel(), minlength=k * (cell[-1] + pair_ranks[-1]))
+            table = table.reshape(-1, k)
+            held = np.flatnonzero(table.any(axis=1))  # the ranks the pairs' rows hold
+            pair = np.searchsorted(cell, held, side="right") - 1
+            # A threshold lies between two successive held ranks of one pair.
+            at = np.flatnonzero(pair[1:] == pair[:-1])
+            if not at.size:
+                continue
+            pair_at = pair[at]
+            node = a + pair_at // width
+            totals = node_counts[a:b].repeat(width, axis=0)
+            left = (table[held].cumsum(axis=0)[at] - (totals.cumsum(axis=0) - totals)[pair_at]
+                    ).astype(np.float64)
+            right = node_counts[node] - left
+            size = sizes[node]
+            n_left = left.sum(axis=1)
+            n_right = size - n_left
+            gini_left = 1.0 - ((left / n_left[:, None]) ** 2).sum(axis=1)
+            gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
+            weighted = (n_left * gini_left + n_right * gini_right) / size
+            # Each node's first minimum here, kept if it beats the last.
+            firsts = np.flatnonzero(np.append(True, node[1:] != node[:-1]))
+            lowest = np.minimum.reduceat(weighted, firsts)
+            hits = np.flatnonzero(
+                weighted == np.repeat(lowest, np.diff(np.append(firsts, node.size))))
+            won = hits[np.append(True, node[hits[1:]] != node[hits[:-1]])]
+            won = won[weighted[won] < score[node[won]]]
+            score[node[won]] = weighted[won]
+            feature[node[won]] = block[a:b].ravel()[pair_at[won]]
+            low[node[won]] = held[at[won]] - cell[pair_at[won]]
+            high[node[won]] = held[at[won] + 1] - cell[pair_at[won]]
+    found = feature >= 0
+    start = binned.starts[feature[found]]
+    threshold = np.zeros(sizes.size)
+    threshold[found] = (binned.values[start + low[found]]
+                        + binned.values[start + high[found]]) / 2.0
+    return feature, threshold
 
 
-def _grow(dense: np.ndarray, labels: np.ndarray, row_ids: np.ndarray, label_count: int,
-          params, feature_picker, records: list) -> None:
-    """Append to `records` (see `_nodes`) the tree grown on the rows
-    `row_ids`.  Nodes are split in preorder, a node before its left subtree
-    before its right, which is the order `feature_picker` is asked for
-    candidate features."""
-    stack = [(row_ids, 0, -1)]  # (rows, depth, right_of)
-    while stack:
-        rows, depth, right_of = stack.pop()
-        counts = np.bincount(labels[rows], minlength=label_count)
-        split = None
-        if (np.count_nonzero(counts) > 1 and rows.size >= params.min_samples_split
-                and (params.max_depth is None or depth < params.max_depth)):
-            split = _best_split(dense, labels, rows, feature_picker(), label_count)
-        if split is None:
-            records += (right_of, -1, 0.0, counts.tolist())
-            continue
-        index = len(records) // 4
-        records += (right_of, *split, _SPLIT)
-        goes_left = dense[rows, split[0]] <= split[1]
-        stack += [(rows[~goes_left], depth + 1, index), (rows[goes_left], depth + 1, -1)]
+def _grow_trees(matrix: FeatureMatrix, label_count: int, params, trees: list) -> Nodes:
+    """The trees grown together from `trees`, pairs of (row ids, feature
+    picker), one after another in that order.
+
+    Each tree splits its nodes in preorder, a node before its left subtree
+    before its right, which is the order its `feature_picker` is asked for
+    candidate features.  On each step the unfinished trees, in order, each
+    take their next node that needs a split search, until those nodes' rows
+    fill the step, and one `_best_splits` call serves them all; a tree's
+    nodes do not depend on which other trees share its steps.  All
+    trees' rows lie in one array, a node's rows in one slice of it, and a
+    split reorders its slice to put its left child's rows first.
+    """
+    labels, k = matrix.row_labels, label_count
+    binned = _binned(matrix.to_dense(), labels, k)
+    order = np.concatenate([rows for rows, _ in trees]).astype(np.min_scalar_type(matrix.n_rows))
+    root_ends = np.cumsum([rows.size for rows, _ in trees]).tolist()
+    stacks = [[(start, end, 0, -1, np.bincount(labels[order[start:end]], minlength=k).tolist())]
+              for start, end in zip([0] + root_ends, root_ends)]
+    records = [[] for _ in trees]  # each tree's, numbered from its root
+    # A step takes trees' nodes, in tree order, until their rows times the
+    # classes fill `_BLOCK_CELLS`, which bounds the step's temporaries.
+    step_rows = max(1, base._BLOCK_CELLS // k)
+    while True:
+        batch, taken = [], 0
+        for tree, stack in enumerate(stacks):
+            while stack:
+                start, end, depth, right_of, counts = node = stack.pop()
+                if (max(counts) < end - start and end - start >= params.min_samples_split
+                        and (params.max_depth is None or depth < params.max_depth)):
+                    batch.append((tree, *node))
+                    taken += end - start
+                    break
+                records[tree] += (right_of, -1, 0.0, counts)
+            if taken >= step_rows:
+                break
+        if not batch:
+            break
+        tree_at, starts, ends, depths, right_ofs, counts = zip(*batch)
+        starts = np.array(starts)
+        sizes = np.array(ends) - starts
+        slots = np.repeat(starts - (sizes.cumsum() - sizes), sizes) + np.arange(sizes.sum())
+        features, thresholds = _best_splits(binned, order[slots], sizes, counts,
+                                            [trees[tree][1]() for tree in tree_at])
+        # Each split node's slice, its left child's rows first (a stable
+        # partition), and the class counts of its children.
+        split = features >= 0
+        slots = slots[np.repeat(split, sizes)]
+        rows, sizes = order[slots], sizes[split]
+        goes_left = (binned.value_at(rows, np.repeat(features[split], sizes))
+                     <= np.repeat(thresholds[split], sizes))
+        side = np.repeat(np.arange(0, 2 * sizes.size, 2), sizes) + ~goes_left
+        order[slots] = rows[side.argsort(kind="stable")]
+        child_counts = np.bincount(side * k + labels[rows],
+                                   minlength=2 * sizes.size * k).reshape(-1, k).tolist()
+        children = iter(zip(np.bincount(side, minlength=2 * sizes.size)[0::2].tolist(),
+                            child_counts[0::2], child_counts[1::2]))
+        for tree, start, end, feature, threshold, node_counts, depth, right_of in zip(
+                tree_at, starts.tolist(), ends, features.tolist(), thresholds.tolist(), counts,
+                depths, right_ofs):
+            if feature < 0:
+                records[tree] += (right_of, -1, 0.0, node_counts)
+                continue
+            n_left, left_counts, right_counts = next(children)
+            index = len(records[tree]) // 4
+            records[tree] += (right_of, feature, threshold, _SPLIT)
+            stacks[tree] += [(start + n_left, end, depth + 1, index, right_counts),
+                             (start, start + n_left, depth + 1, -1, left_counts)]
+    del binned, order
+    flat = []
+    for tree_records in records:
+        offset = len(flat) // 4
+        tree_records[0::4] = [r + offset if r >= 0 else -1 for r in tree_records[0::4]]
+        flat += tree_records
+        tree_records.clear()
+    return _nodes(flat, k, matrix.dim)
 
 
 def _feature_samples(rng: SplitMix64, dim: int, per_split: int):
@@ -240,7 +357,30 @@ def _feature_samples(rng: SplitMix64, dim: int, per_split: int):
     `rng.sample_indices(dim, per_split)` draws, made 64 nodes at a time.
     Drawing ahead only moves the tree's own stream past the tree's last use."""
     while True:
-        yield from np.sort(rng.sample_index_sets(dim, per_split, 64), axis=1)
+        # In the smallest type, as all of a forest's trees hold a block at once.
+        yield from np.sort(rng.sample_index_sets(dim, per_split, 64), axis=1).astype(
+            np.min_scalar_type(dim))
+
+
+def _forest_trees(params: RandomForestParams, n: int, dim: int) -> list:
+    """Each tree's (row ids, feature picker), from its own SplitMix64
+    stream: first its bootstrap rows, then its nodes' candidate features."""
+    per_split = params.features_per_split or max(1, int(np.sqrt(dim)))
+    all_features = np.arange(dim)
+    trees = []
+    for tree_index in range(params.n_trees):
+        rng = SplitMix64(derive_seed(params.seed, tree_index))
+        if params.bootstrap:  # in the smallest type: all trees' rows wait to grow
+            row_ids = rng.next_below_block(np.full(n, n)).astype(np.min_scalar_type(n))
+        else:
+            row_ids = np.arange(n)
+        if per_split >= dim:
+            # Full ordered scan: identical candidate order to a plain tree,
+            # which is what makes the one-tree forest match it exactly.
+            trees.append((row_ids, lambda: all_features))
+        else:
+            trees.append((row_ids, _feature_samples(rng, dim, per_split).__next__))
+    return trees
 
 
 class _TreeModel(Model):
@@ -301,10 +441,8 @@ class DecisionTreeModel(_TreeModel):
     def fit(cls, matrix: FeatureMatrix, params: DecisionTreeParams,
             label_count: int) -> "DecisionTreeModel":
         all_features = np.arange(matrix.dim)
-        records = []
-        _grow(matrix.to_dense(), matrix.row_labels, np.arange(matrix.n_rows), label_count,
-              params, lambda: all_features, records)
-        nodes = _nodes(records, label_count, matrix.dim)
+        nodes = _grow_trees(matrix, label_count, params,
+                            [(np.arange(matrix.n_rows), lambda: all_features)])
         return cls(nodes, params, label_count, matrix.dim)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
@@ -331,26 +469,9 @@ class RandomForestModel(_TreeModel):
     @classmethod
     def fit(cls, matrix: FeatureMatrix, params: RandomForestParams,
             label_count: int) -> "RandomForestModel":
-        dense = matrix.to_dense()
-        n, dim = dense.shape
-        per_split = params.features_per_split or max(1, int(np.sqrt(dim)))
-        all_features = np.arange(dim)
-        records = []
-        for tree_index in range(params.n_trees):
-            rng = SplitMix64(derive_seed(params.seed, tree_index))
-            if params.bootstrap:
-                row_ids = rng.next_below_block(np.full(n, n)).astype(np.int64)
-            else:
-                row_ids = np.arange(n)
-            if per_split >= dim:
-                # Full ordered scan: identical candidate order to a plain tree,
-                # which is what makes the one-tree forest match it exactly.
-                picker = lambda: all_features
-            else:
-                picker = _feature_samples(rng, dim, per_split).__next__
-            _grow(dense, matrix.row_labels, row_ids, label_count, params, picker, records)
-        nodes = _nodes(records, label_count, dim)
-        return cls(nodes, params, label_count, dim)
+        nodes = _grow_trees(matrix, label_count, params,
+                            _forest_trees(params, matrix.n_rows, matrix.dim))
+        return cls(nodes, params, label_count, matrix.dim)
 
     @cached_property
     def _votes(self) -> np.ndarray:

@@ -112,24 +112,23 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, population: int, count: int) -> list[int]:
-        """Draw `count` distinct indices from range(population), order randomised.
+        """Draw `count` distinct indices from range(population), order randomised
+        (a partial Fisher-Yates: only the first `count` positions are settled)."""
+        return self.sample_index_sets(population, count, 1)[0].tolist()
 
-        Partial Fisher-Yates: only the first `count` positions are settled,
-        and only the positions a swap moved are stored.
-        """
-        return self.sample_index_sets(population, count, 1)[0]
-
-    def sample_index_sets(self, population: int, count: int, sets: int) -> list[list[int]]:
-        """`sets` successive `sample_indices(population, count)`, from one block."""
+    def sample_index_sets(self, population: int, count: int, sets: int) -> np.ndarray:
+        """`sets` successive `sample_indices(population, count)`, as the rows
+        of one (sets, count) int64 array: the partial Fisher-Yates shuffles
+        of all sets run together, one swap per position."""
         if count > population:
             raise ValueError("cannot sample more indices than the population size")
-        bounds = population - np.arange(sets * count) % max(count, 1)
-        offsets = iter(self.next_below_block(bounds).tolist())
-        samples = []
-        for _ in range(sets):
-            moved, picked = {}, []  # position -> index, for positions swapped into
-            for i, offset in zip(range(count), offsets):
-                picked.append(moved.get(i + offset, i + offset))
-                moved[i + offset] = moved.get(i, i)
-            samples.append(picked)
-        return samples
+        offsets = self.next_below_block(np.tile(population - np.arange(count), sets))
+        offsets = offsets.astype(np.int64).reshape(sets, count)
+        pool = np.tile(np.arange(population, dtype=np.int64), (sets, 1))
+        each = np.arange(sets)
+        for i in range(count):
+            swapped = i + offsets[:, i]
+            picked = pool[each, swapped]
+            pool[each, swapped] = pool[:, i]
+            pool[:, i] = picked
+        return pool[:, :count].copy()

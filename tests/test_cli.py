@@ -83,6 +83,21 @@ def test_unknown_flag_is_a_usage_error(capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+def test_usage_error_leaves_the_shared_parser_working(tmp_path, capsys):
+    args = ["synth", "--classes", "2", "--per-class", "3", "--seed", "4"]
+    assert main([*args, "--out", str(tmp_path / "first.jsonl")]) == 0
+    first = capsys.readouterr()
+    assert main([*args, "--bogus", "1", "--out", str(tmp_path / "bad.jsonl")]) == 1
+    assert "--bogus" in capsys.readouterr().err
+    assert main([*args, "--out", str(tmp_path / "second.jsonl")]) == 0
+    second = capsys.readouterr()
+    assert second.out == first.out.replace("first.jsonl", "second.jsonl")
+    assert second.err == first.err
+    assert (tmp_path / "first.jsonl").read_bytes() == (tmp_path / "second.jsonl").read_bytes()
+    assert not (tmp_path / "bad.jsonl").exists()
+    assert pashtext.cli.build_parser() is pashtext.cli.build_parser()
+
+
 def test_verbose_is_not_an_option(tmp_path, capsys):
     out = tmp_path / "corpus.jsonl"
     assert main(["--verbose", "synth", "--out", str(out)]) == 1

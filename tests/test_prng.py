@@ -216,7 +216,8 @@ def test_shuffle_equals_scalar_shuffle():
 
 
 def test_sample_indices_equal_scalar_samples():
-    for population, count in ((1, 0), (1, 1), (5, 0), (5, 5), (20, 7), (224, 14)):
+    # count = 0, count = 1 and count = population, population = 1 among them.
+    for population, count in ((1, 0), (1, 1), (5, 0), (5, 1), (5, 5), (20, 7), (224, 14)):
         for seed in (1, 2, 3):
             block, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
             for _ in range(3):
@@ -224,9 +225,14 @@ def test_sample_indices_equal_scalar_samples():
                     scalar.sample_indices(population, count)
                 )
             assert block._state == scalar._state
-            sets = SplitMix64(seed).sample_index_sets(population, count, 3)
-            scalar = ScalarSplitMix64(seed)
-            assert sets == [scalar.sample_indices(population, count) for _ in range(3)]
+            for sets in (1, 3, 64):
+                block, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
+                drawn = block.sample_index_sets(population, count, sets)
+                assert drawn.shape == (sets, count)
+                assert drawn.tolist() == [
+                    scalar.sample_indices(population, count) for _ in range(sets)
+                ]
+                assert block._state == scalar._state
 
 
 def test_sample_index_sets_reject_oversized_count():

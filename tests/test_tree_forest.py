@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 from matrices import matrix_from_dense
+from scalar_prng import ScalarSplitMix64
 
 from pashtext.corpus import SplitSpec, stratified_split
 from pashtext.errors import DataError
@@ -12,6 +13,7 @@ from pashtext.models import base
 from pashtext.models import tree as tree_module
 from pashtext.models.params import DecisionTreeParams, RandomForestParams
 from pashtext.models.tree import DecisionTreeModel, Nodes, RandomForestModel
+from pashtext.prng import derive_seed
 from pashtext.synth import generate_corpus
 from pashtext.vectorize import FEATURE_MODES, feature_matrix, fit_features, side_documents
 
@@ -140,6 +142,16 @@ def test_midpoint_threshold_and_left_rule():
     assert feature == 0 and threshold == 1.0
     # value == threshold goes left
     assert model.predict_rows(queries([1.0], [1.0000001])).tolist() == [0, 1]
+
+
+def test_midpoint_rounded_onto_a_value_sends_its_rows_left():
+    # The midpoint of 1.0 and the next float rounds to 1.0 itself.
+    low, high = 1.0, 1.0 + 2**-52
+    assert (low + high) / 2.0 == low
+    matrix = matrix_from_dense([[low], [high], [low]], [0, 1, 0])
+    model = DecisionTreeModel.fit(matrix, DecisionTreeParams(max_depth=3), 2)
+    assert root_split(model) == (0, low)
+    assert model.predict_rows(matrix).tolist() == [0, 1, 0]
 
 
 def test_split_tie_prefers_lower_feature_index():
@@ -276,7 +288,8 @@ def test_forest_payload_round_trip():
 
 
 def reference_best_split(dense, labels, row_ids, feature_ids, label_count):
-    """The per-feature split search that `tree._best_split` replaced, verbatim."""
+    """The per-feature split search of one node that `tree._best_splits`
+    replaced, verbatim."""
     n = row_ids.size
     best = None
     node_labels = labels[row_ids]
@@ -307,60 +320,115 @@ def reference_best_split(dense, labels, row_ids, feature_ids, label_count):
     return best[1], best[2]
 
 
-def permuted_tie_node(rng, dim, label_count):
+def permuted_tie_matrix(rng, dim, label_count):
     """Ten rows per class; each 0/1 column sends to the left a permutation of
-    one class-count vector, so every split ties before rounding and only
-    the order of the Gini sums picks the winner."""
+    one class-count vector, so every split of all the rows ties before
+    rounding and only the order of the Gini sums picks the winner."""
     labels = np.repeat(np.arange(label_count), 10)
     rank = np.tile(np.arange(10), label_count)
     counts = rng.integers(1, 10, label_count)
     left = np.array([rng.permutation(counts) for _ in range(dim)])
-    dense = (rank[:, None] >= left[:, labels].T).astype(np.float64)
-    return dense, labels, np.arange(labels.size), np.arange(dim), label_count
+    return (rank[:, None] >= left[:, labels].T).astype(np.float64), labels
 
 
-def random_node(rng):
-    """A node of a random matrix: repeated rows, repeated and negative values,
-    duplicated columns (ties across features and blocks), sometimes nothing
-    that varies, sometimes only ties that rounding breaks."""
-    n_total = int(rng.integers(2, 200))
-    dim = int(rng.integers(1, 301))
+def random_batch(rng):
+    """Nodes of one random matrix, as one search step sees them: mixed sizes,
+    repeated rows, repeated and negative values, -0.0, duplicated columns
+    (ties across features and chunks), sometimes nothing that varies,
+    sometimes only ties that rounding breaks.  Every node has the same
+    number of candidate features."""
+    n_total = int(rng.integers(2, 160))
+    dim = int(rng.integers(1, 100))
     label_count = int(rng.integers(2, 9))
     style = int(rng.integers(5))
     if style == 4:
-        return permuted_tie_node(rng, dim, label_count)
-    if style == 0:
-        dense = rng.integers(-3, 4, (n_total, dim)).astype(np.float64)
-    elif style == 1:
-        dense = rng.integers(1, 4, (n_total, dim)) * (rng.random((n_total, dim)) < 0.1)
-        dense = dense.astype(np.float64)
-    elif style == 2:
-        dense = np.round(rng.uniform(-1.0, 1.0, (n_total, dim)), 1)
-        dense[dense == 0.0] = -0.0
+        dense, labels = permuted_tie_matrix(rng, dim, label_count)
+        n_total = labels.size
     else:
-        dense = np.full((n_total, dim), float(rng.integers(-2, 3)))
+        if style == 0:
+            dense = rng.integers(-3, 4, (n_total, dim)).astype(np.float64)
+        elif style == 1:
+            dense = rng.integers(1, 4, (n_total, dim)) * (rng.random((n_total, dim)) < 0.1)
+            dense = dense.astype(np.float64)
+        elif style == 2:
+            dense = np.round(rng.uniform(-1.0, 1.0, (n_total, dim)), 1)
+            dense[dense == 0.0] = -0.0
+        else:
+            dense = np.full((n_total, dim), float(rng.integers(-2, 3)))
+        labels = rng.integers(0, label_count, n_total)
     copies = rng.integers(0, dim, (dim // 3, 2))
     dense[:, copies[:, 0]] = dense[:, copies[:, 1]]
-    labels = rng.integers(0, label_count, n_total)
-    row_ids = rng.integers(0, n_total, int(rng.integers(2, n_total + 2)))
-    feature_ids = np.sort(rng.choice(dim, int(rng.integers(1, dim + 1)), replace=False))
-    return dense, labels, row_ids, feature_ids, label_count
+    width = int(rng.integers(1, dim + 1))
+    rows = [rng.integers(0, n_total, int(rng.integers(2, n_total + 2)))
+            for _ in range(int(rng.integers(1, 9)))]
+    if style == 4:
+        rows[0] = np.arange(n_total)  # all rows: only rounding breaks the ties
+    candidates = np.array([np.sort(rng.choice(dim, width, replace=False)) for _ in rows])
+    return dense, labels, label_count, rows, candidates
 
 
 def test_split_search_matches_per_feature_reference(monkeypatch):
     rng = np.random.default_rng(11)
-    found, blocked = 0, 0
-    for case in range(400):
-        dense, labels, row_ids, feature_ids, label_count = random_node(rng)
-        # Every other node under a smaller budget, so most span several blocks.
-        budget = (1 << 16) if case % 2 else int(rng.integers(1, 1 << 13))
+    found, chunked = 0, 0
+    for case in range(150):
+        dense, labels, label_count, rows, candidates = random_batch(rng)
+        # Three batches in four under a smaller budget, so most span several chunks.
+        budget = (1 << 16) if case % 4 == 0 else int(rng.integers(1, 1 << 10))
         monkeypatch.setattr(base, "_BLOCK_CELLS", budget)
-        want = reference_best_split(dense, labels, row_ids, feature_ids, label_count)
-        got = tree_module._best_split(dense, labels, row_ids, feature_ids, label_count)
-        assert got == want
-        found += want is not None
-        blocked += row_ids.size * label_count * feature_ids.size > budget
-    assert found >= 250 and blocked >= 120
+        binned = tree_module._binned(dense, labels, label_count)
+        counts = [np.bincount(labels[r], minlength=label_count).tolist() for r in rows]
+        sizes = np.array([r.size for r in rows])
+        features, thresholds = tree_module._best_splits(binned, np.concatenate(rows), sizes,
+                                                        counts, candidates)
+        for r, c, feature, threshold in zip(rows, candidates, features, thresholds):
+            want = reference_best_split(dense, labels, r, c, label_count)
+            assert (None if feature < 0 else (feature, threshold)) == want
+            found += want is not None
+        chunked += sum(map(len, rows)) * candidates.shape[1] > budget
+    assert found >= 300 and chunked >= 90
+
+
+def reference_grow(dense, labels, row_ids, label_count, params, feature_picker, records):
+    """The per-node `_grow` that `tree._grow_trees` replaced, verbatim: one split
+    search per node, in preorder, appending each node to `records`."""
+    stack = [(row_ids, 0, -1)]  # (rows, depth, right_of)
+    while stack:
+        rows, depth, right_of = stack.pop()
+        counts = np.bincount(labels[rows], minlength=label_count)
+        split = None
+        if (np.count_nonzero(counts) > 1 and rows.size >= params.min_samples_split
+                and (params.max_depth is None or depth < params.max_depth)):
+            split = reference_best_split(dense, labels, rows, feature_picker(), label_count)
+        if split is None:
+            records += (right_of, -1, 0.0, counts.tolist())
+            continue
+        index = len(records) // 4
+        records += (right_of, *split, tree_module._SPLIT)
+        goes_left = dense[rows, split[0]] <= split[1]
+        stack += [(rows[~goes_left], depth + 1, index), (rows[goes_left], depth + 1, -1)]
+
+
+def reference_payload(matrix, params, label_count):
+    """The trees the per-node grower makes, one after another, each forest
+    tree drawing its rows and candidates through the scalar SplitMix64 loops."""
+    dense, labels, n, dim = matrix.to_dense(), matrix.row_labels, matrix.n_rows, matrix.dim
+    records = []
+    if isinstance(params, DecisionTreeParams):
+        reference_grow(dense, labels, np.arange(n), label_count, params,
+                       lambda: np.arange(dim), records)
+        return tree_module._nodes(records, label_count, dim).payload()
+    per_split = params.features_per_split or max(1, int(np.sqrt(dim)))
+    for tree_index in range(params.n_trees):
+        rng = ScalarSplitMix64(derive_seed(params.seed, tree_index))
+        rows = np.arange(n)
+        if params.bootstrap:
+            rows = np.array([rng.next_below(n) for _ in range(n)])
+        if per_split >= dim:
+            picker = lambda: np.arange(dim)  # noqa: E731
+        else:
+            picker = lambda: np.sort(rng.sample_indices(dim, per_split))  # noqa: E731
+        reference_grow(dense, labels, rows, label_count, params, picker, records)
+    return tree_module._nodes(records, label_count, dim).payload()
 
 
 def grown_payloads(matrix, seed):
@@ -378,21 +446,43 @@ def small_corpus_matrices(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_grown_trees_match_per_feature_reference(seed, monkeypatch):
+def test_grown_trees_match_per_feature_reference(seed):
+    settings = [
+        DecisionTreeParams(),
+        DecisionTreeParams(max_depth=3),
+        DecisionTreeParams(min_samples_split=6),
+        RandomForestParams(n_trees=4, seed=seed),
+        RandomForestParams(n_trees=3, max_depth=4, seed=seed),
+        RandomForestParams(n_trees=3, min_samples_split=5, seed=seed),
+        RandomForestParams(n_trees=3, bootstrap=False, seed=seed),
+        RandomForestParams(n_trees=2, features_per_split=10_000, seed=seed),
+    ]
     for mode, matrix in small_corpus_matrices(seed).items():
-        got = grown_payloads(matrix, seed)
-        with monkeypatch.context() as patched:
-            patched.setattr(tree_module, "_best_split", reference_best_split)
-            assert grown_payloads(matrix, seed) == got, mode
+        for params in settings:
+            model_class = (DecisionTreeModel if isinstance(params, DecisionTreeParams)
+                           else RandomForestModel)
+            got = model_class.fit(matrix, params, 4).nodes.payload()
+            assert got == reference_payload(matrix, params, 4), (mode, params)
+
+
+def test_forest_grown_together_equals_trees_grown_one_at_a_time():
+    matrix = small_corpus_matrices(5)["tfidf"]
+    params = RandomForestParams(n_trees=6, seed=5)
+    together = RandomForestModel.fit(matrix, params, 4).nodes.payload()
+    trees = tree_module._forest_trees(params, matrix.n_rows, matrix.dim)
+    alone = [tree_module._grow_trees(matrix, 4, params, [tree]).payload()[0] for tree in trees]
+    assert together == alone
 
 
 def test_blocked_split_search_equals_single_block(monkeypatch):
     matrix = small_corpus_matrices(4)["tfidf"]
     assert matrix.n_rows * 4 * matrix.dim <= base._BLOCK_CELLS
     whole = grown_payloads(matrix, 4)
-    # 40 cells: at most one feature per block at the root, five near leaves.
-    monkeypatch.setattr(base, "_BLOCK_CELLS", 40)
-    assert grown_payloads(matrix, 4) == whole
+    # 40 cells: one node per growth step and a few candidates per chunk at
+    # the root; 1 cell: one node per step and one candidate per chunk.
+    for budget in (40, 1):
+        monkeypatch.setattr(base, "_BLOCK_CELLS", budget)
+        assert grown_payloads(matrix, 4) == whole
 
 
 def random_payload_tree(rng, dim, label_count, depth=0):
