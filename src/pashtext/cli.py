@@ -172,16 +172,18 @@ def _cmd_train(args) -> int:
     params = make_params(kind, _parse_params(args.param), args.seed)
     corpus = load_corpus(args.corpus)
     split, _spec = load_split(args.split)
+    labels = corpus.labels
     docs = side_documents(corpus, split.train_ids, "train")
-    vocab, mask, counts = fit_features(docs, corpus.labels, args.select_k)
+    del corpus  # its texts are not held through the fit
+    vocab, mask, counts = fit_features(docs, labels, args.select_k)
     matrix = feature_matrix(counts, vocab, mask, args.features)
     del docs, counts  # not held through training and saving
     started = time.perf_counter()
-    model = train(kind, matrix, params, label_count=len(corpus.labels))
+    model = train(kind, matrix, params, label_count=len(labels))
     elapsed = time.perf_counter() - started
     out = Path(args.out)
     bundle_path = out / "model.json"
-    _save_bundle(bundle_path, model, vocab, args.features, corpus.labels, mask)
+    _save_bundle(bundle_path, model, vocab, args.features, labels, mask)
     log_lines = [
         f"classifier: {kind.value}",
         f"features: {args.features}",

@@ -194,9 +194,11 @@ def _best_splits(binned: _Binned, rows: np.ndarray, sizes: np.ndarray, counts: l
     `candidates[i]`.
 
     Returns each node's feature, -1 where every candidate is constant on
-    the node, and its threshold.  Zero-gain splits are still returned; they
-    keep growth moving toward purity and each one strictly shrinks both
-    children.
+    the node, and its threshold: the midpoint of the two values it lies
+    between, or the lower value where the midpoint rounds onto the upper
+    one, so that `value <= threshold` makes the partition that was scored.
+    Zero-gain splits are still returned; they keep growth moving toward
+    purity and each one strictly shrinks both children.
 
     Every (node, candidate) pair is searched at once, in chunks of nodes
     and blocks of candidates whose entries and class-count tables fit in
@@ -268,9 +270,10 @@ def _best_splits(binned: _Binned, rows: np.ndarray, sizes: np.ndarray, counts: l
             high[node[won]] = held[at[won] + 1] - cell[pair_at[won]]
     found = feature >= 0
     start = binned.starts[feature[found]]
+    v_lo, v_hi = binned.values[start + low[found]], binned.values[start + high[found]]
+    midpoint = (v_lo + v_hi) / 2.0
     threshold = np.zeros(sizes.size)
-    threshold[found] = (binned.values[start + low[found]]
-                        + binned.values[start + high[found]]) / 2.0
+    threshold[found] = np.where(midpoint == v_hi, v_lo, midpoint)
     return feature, threshold
 
 

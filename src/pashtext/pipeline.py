@@ -123,13 +123,21 @@ def preprocess_text(text: str) -> list[str]:
     return strip_noise(unicodedata.normalize("NFC", _INVISIBLES_RE.sub("", text))).split()
 
 
-def preprocess(corpus: Corpus) -> PreprocessResult:
+def preprocess(corpus: Corpus, share_tokens: bool = False) -> PreprocessResult:
     """Tokenize every corpus document; documents left with no tokens are
-    excluded from the output and listed in the result instead of raising."""
+    excluded from the output and listed in the result instead of raising.
+
+    With `share_tokens`, each token is the first equal string the corpus
+    gave, so the documents hold one string object per distinct token
+    instead of one per occurrence.  The tokens compare equal either way.
+    """
     result = PreprocessResult(documents=[])
+    seen: dict[str, str] = {}
     for doc in corpus.documents:
         tokens = preprocess_text(doc.text)
         if tokens:
+            if share_tokens:
+                tokens = map(seen.setdefault, tokens, tokens)
             result.documents.append(
                 TokenizedDocument(id=doc.id, tokens=tuple(tokens), label=doc.label)
             )

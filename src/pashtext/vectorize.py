@@ -372,10 +372,15 @@ def side_documents(
 ) -> list[TokenizedDocument]:
     """The preprocessed documents of one split side ("train" or "test").
 
+    The training side shares its token strings (one object per distinct
+    token): the fit holds its documents longest, and there most tokens
+    repeat.  The test side's documents are dropped once counted, so
+    sharing would cost time there and save no memory.
+
     Ids missing from the corpus, and a side left without a usable document,
     are a DataError.
     """
-    result = preprocess(corpus.subset(ids))
+    result = preprocess(corpus.subset(ids), share_tokens=side == "train")
     if result.excluded:
         logger.warning(
             "%d %s documents were excluded by preprocessing", len(result.excluded), side

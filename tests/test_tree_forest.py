@@ -1,6 +1,7 @@
 """Decision trees and random forests against exhaustive split search."""
 
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -79,6 +80,8 @@ def brute_split_candidates(dense, labels, label_count):
         values = sorted(set(dense[i][feature] for i in range(n)))
         for lo, hi in zip(values[:-1], values[1:]):
             threshold = (lo + hi) / 2.0
+            if threshold == hi:
+                threshold = lo
             out.append(
                 (
                     brute_split_score(dense, labels, label_count, feature, threshold),
@@ -144,14 +147,43 @@ def test_midpoint_threshold_and_left_rule():
     assert model.predict_rows(queries([1.0], [1.0000001])).tolist() == [0, 1]
 
 
-def test_midpoint_rounded_onto_a_value_sends_its_rows_left():
-    # The midpoint of 1.0 and the next float rounds to 1.0 itself.
-    low, high = 1.0, 1.0 + 2**-52
-    assert (low + high) / 2.0 == low
-    matrix = matrix_from_dense([[low], [high], [low]], [0, 1, 0])
+@pytest.mark.parametrize(
+    "column, labels",
+    [
+        # The midpoint of 1.0 and the next float rounds to 1.0 itself.
+        ([1.0, 1.0 + 2**-52, 1.0], [0, 1, 0]),
+        # This midpoint rounds onto the upper value, so the threshold is the
+        # lower value: at the midpoint, every row would go left.
+        ([1.0 + 2**-52, 1.0 + 2**-51], [0, 1]),
+    ],
+)
+def test_midpoint_rounded_onto_a_value_sends_its_rows_left(column, labels):
+    low, high = min(column), max(column)
+    assert (low + high) / 2.0 in (low, high)
+    matrix = matrix_from_dense([[value] for value in column], labels)
     model = DecisionTreeModel.fit(matrix, DecisionTreeParams(max_depth=3), 2)
     assert root_split(model) == (0, low)
-    assert model.predict_rows(matrix).tolist() == [0, 1, 0]
+    assert model.predict_rows(matrix).tolist() == labels
+
+
+def test_midpoint_rounded_onto_the_upper_value_ends_growth_without_a_depth_limit():
+    # Grown in a thread, so that growth that never ends fails the test
+    # instead of hanging it.
+    low, high = 1.0 + 2**-52, 1.0 + 2**-51
+    matrix = matrix_from_dense([[low], [high]], [0, 1])
+    fits = {
+        "tree": lambda: DecisionTreeModel.fit(matrix, DecisionTreeParams(), 2),
+        "forest": lambda: RandomForestModel.fit(
+            matrix, RandomForestParams(n_trees=1, bootstrap=False), 2),
+    }
+    models = {}
+    for name, fit in fits.items():
+        thread = threading.Thread(target=lambda: models.setdefault(name, fit()), daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert name in models, f"{name} growth did not end"
+        assert root_split(models[name]) == (0, low)
+        assert models[name].predict_rows(matrix).tolist() == [0, 1]
 
 
 def test_split_tie_prefers_lower_feature_index():
@@ -289,7 +321,8 @@ def test_forest_payload_round_trip():
 
 def reference_best_split(dense, labels, row_ids, feature_ids, label_count):
     """The per-feature split search of one node that `tree._best_splits`
-    replaced, verbatim."""
+    replaced, verbatim but for its threshold: the lower value where the
+    midpoint rounds onto the upper one."""
     n = row_ids.size
     best = None
     node_labels = labels[row_ids]
@@ -311,7 +344,9 @@ def reference_best_split(dense, labels, row_ids, feature_ids, label_count):
         gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
         weighted = (n_left * gini_left + n_right * gini_right) / n
         at = int(np.argmin(weighted))
-        threshold = float((sorted_col[boundaries[at]] + sorted_col[boundaries[at] + 1]) / 2.0)
+        low, high = sorted_col[boundaries[at]], sorted_col[boundaries[at] + 1]
+        midpoint = (low + high) / 2.0
+        threshold = float(low if midpoint == high else midpoint)
         candidate = (float(weighted[at]), int(feature), threshold)
         if best is None or candidate[0] < best[0]:
             best = candidate

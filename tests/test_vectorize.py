@@ -483,3 +483,17 @@ def test_side_documents_errors_and_warning_name_the_side(caplog):
         side_documents(corpus, ["latin"], TEST)
     with pytest.raises(DataError, match="ghost"):
         side_documents(corpus, ["a", "ghost"], TRAIN)
+
+
+def test_training_side_holds_one_string_per_distinct_token():
+    """The training side's documents share one string object per distinct
+    token; the test side keeps `str.split`'s strings, and the two forms of
+    the same documents are equal."""
+    corpus = generate_corpus(3, 12, noise_rate=0.6, seed=3)
+    ids = [doc.id for doc in corpus.documents]
+    train, test = side_documents(corpus, ids, TRAIN), side_documents(corpus, ids, TEST)
+    assert train == test
+    for side, shared in ((train, True), (test, False)):
+        tokens = list(chain.from_iterable(doc.tokens for doc in side))
+        assert len(tokens) > 2 * len(set(tokens))  # the documents repeat tokens
+        assert (len({id(token) for token in tokens}) == len(set(tokens))) is shared
