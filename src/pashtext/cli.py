@@ -3,6 +3,10 @@
 Every command is deterministic given its flags; all randomness flows from
 one --seed value per command.  Exit codes: 0 success, 1 usage error,
 2 data error, 3 runtime failure.
+
+Each handler imports the modules it runs as it runs, so a process loads
+only what its command needs: `ingest`, `split` and `synth` load no model
+code, and the parser needs only the kind and feature-mode names.
 """
 
 from __future__ import annotations
@@ -30,13 +34,9 @@ from .errors import (
     DataError, PashtextError, UsageError, expect_format, loads_as_written, malformed,
     read_json, write_output,
 )
-from .grid import GridReport, run_grid
-from .metrics import EvalReport, evaluate_predictions
-from .models import ModelKind, train
-from .models.io import model_document, model_from_document
-from .models.params import DEFAULT_SEED, make_params
+from .kinds import ModelKind
 from .pipeline import PROFILE_RECORD
-from .synth import generate_corpus
+from .prng import DEFAULT_SEED
 from .vectorize import (
     FEATURE_MODES,
     UNIGRAM,
@@ -58,11 +58,11 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
-# Output file suffix and renderer of each eval report format.
+# Output file suffix and `EvalReport` renderer method of each eval report format.
 _EVAL_FORMATS = {
-    "json": ("json", EvalReport.to_json_text),
-    "markdown": ("md", EvalReport.to_markdown),
-    "csv": ("csv", EvalReport.to_csv),
+    "json": ("json", "to_json_text"),
+    "markdown": ("md", "to_markdown"),
+    "csv": ("csv", "to_csv"),
 }
 
 
@@ -107,12 +107,16 @@ def _bundle(model: dict, vocab: Vocabulary, mode: str, labels: LabelSet,
 
 def _save_bundle(path: Path, model, vocab: Vocabulary, mode: str,
                  labels: LabelSet, mask: FeatureMask | None) -> None:
+    from .models.io import model_document
+
     bundle = _bundle(model_document(model), vocab, mode, labels, mask)
     text = json.dumps(bundle, sort_keys=True, ensure_ascii=False, allow_nan=False)
     write_output(path, text + "\n")
 
 
 def _load_bundle(path) -> dict:
+    from .models.io import model_from_document
+
     what = f"model bundle {path}"
     bundle = read_json(path, "model bundle")
     try:
@@ -168,6 +172,9 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .models import train
+    from .models.params import make_params
+
     kind = ModelKind(args.classifier)
     params = make_params(kind, _parse_params(args.param), args.seed)
     corpus = load_corpus(args.corpus)
@@ -202,12 +209,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .metrics import evaluate_predictions
+
     bundle = _load_bundle(args.model)
     labels: LabelSet = bundle["labels"]
     # Loaded under the model's label set, so rows carry its class indices.
     corpus = load_corpus(args.corpus, labels)
     split, _spec = load_split(args.split)
     docs = side_documents(corpus, split.test_ids, "test")
+    del corpus  # its texts are not held through counting and prediction
     counts = vectorize_documents(docs, bundle["vocab"], labels)
     matrix = feature_matrix(counts, bundle["vocab"], bundle["mask"], bundle["mode"])
     del docs, counts  # not held through prediction
@@ -215,9 +225,9 @@ def _cmd_evaluate(args) -> int:
     report = evaluate_predictions(
         matrix.row_labels, preds, len(labels), labels.names
     )
-    suffix, render = _EVAL_FORMATS[args.format]
+    suffix, method = _EVAL_FORMATS[args.format]
     path = Path(args.out) / f"eval.{suffix}"
-    write_output(path, render(report))
+    write_output(path, getattr(report, method)())
     print(
         f"evaluated {matrix.n_rows} documents: accuracy {report.accuracy:.4f} "
         f"-> {path}"
@@ -226,6 +236,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    from .grid import run_grid
+
     corpus = load_corpus(args.corpus)
     spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
     split = stratified_split(corpus, spec)
@@ -248,6 +260,9 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .grid import GridReport
+    from .metrics import EvalReport
+
     data = read_json(args.input, "report")
     kind = data.get("format") if isinstance(data, dict) else None
     if kind == "pashtext-grid-report":
@@ -259,7 +274,7 @@ def _cmd_report(args) -> int:
             ("per-class", "csv"): report.per_class_tables_csv,
         }.get((args.table, args.format), report.to_json_text)()
     elif kind == "pashtext-eval-report":
-        text = _EVAL_FORMATS[args.format][1](EvalReport.from_dict(data))
+        text = getattr(EvalReport.from_dict(data), _EVAL_FORMATS[args.format][1])()
     else:
         raise DataError(f"{args.input} is not a known report document")
     if args.out:
@@ -271,6 +286,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synth import generate_corpus
+
     corpus = generate_corpus(
         classes=args.classes,
         per_class=args.per_class,

@@ -21,8 +21,8 @@ from .errors import DataError, loads_as_written, malformed
 from .metrics import EvalReport, csv_table, evaluate_predictions, markdown_table
 from .models import ModelKind, train
 from .models.base import KIND_CLASSES
-from .models.params import DEFAULT_SEED, make_params
-from .prng import derive_seed
+from .models.params import make_params
+from .prng import DEFAULT_SEED, derive_seed
 from .vectorize import (
     FEATURE_MODES, TFIDF, UNIGRAM, feature_matrix, fit_features, side_documents,
     vectorize_documents,

@@ -1,32 +1,14 @@
-"""Model kind enumeration, the kind -> class table and the common batched
-predict contract."""
+"""The kind -> class table and the common batched predict contract."""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from enum import Enum
 
 import numpy as np
 
 from ..errors import DataError
+from ..kinds import ModelKind
 from ..vectorize import FeatureMatrix
-
-
-class ModelKind(str, Enum):
-    """The eight supported classifier families, in canonical order.
-
-    The enumeration order is the canonical report and tie-break order for
-    everything that iterates over kinds.
-    """
-
-    GAUSSIAN_NB = "gaussian_nb"
-    MULTINOMIAL_NB = "multinomial_nb"
-    KNN = "knn"
-    DECISION_TREE = "decision_tree"
-    RANDOM_FOREST = "random_forest"
-    LOGISTIC_REGRESSION = "logistic_regression"
-    LINEAR_SVM = "linear_svm"
-    MLP = "mlp"
 
 
 # The class of each kind; the family modules fill it as they define them.

@@ -7,9 +7,8 @@ import math
 from dataclasses import dataclass
 
 from ..errors import InvalidHyperparameterError
+from ..prng import DEFAULT_SEED
 from .base import KIND_CLASSES, ModelKind
-
-DEFAULT_SEED = 42
 
 EUCLIDEAN = "euclidean"
 COSINE = "cosine"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import DataError, InvalidHyperparameterError
 from ..vectorize import FeatureMatrix
 from .base import KIND_CLASSES, Model, ModelKind
@@ -35,11 +33,12 @@ def train(
         raise DataError("cannot train on an empty feature matrix")
     if matrix.dim == 0:
         raise DataError("cannot train on zero-dimensional features")
-    present = np.unique(matrix.row_labels)
-    if present.size < 2:
+    # min and max, not np.unique, which imports numpy.ma on its plain path.
+    lowest, highest = int(matrix.row_labels.min()), int(matrix.row_labels.max())
+    if lowest == highest:
         raise DataError("training requires at least two distinct classes")
     if label_count is None:
-        label_count = int(present.max()) + 1
-    elif label_count <= int(present.max()):
+        label_count = highest + 1
+    elif label_count <= highest:
         raise DataError("label_count is smaller than the largest label present")
     return model_class.fit(matrix, params, label_count)

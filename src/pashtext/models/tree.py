@@ -195,8 +195,9 @@ def _best_splits(binned: _Binned, rows: np.ndarray, sizes: np.ndarray, counts: l
 
     Returns each node's feature, -1 where every candidate is constant on
     the node, and its threshold: the midpoint of the two values it lies
-    between, or the lower value where the midpoint rounds onto the upper
-    one, so that `value <= threshold` makes the partition that was scored.
+    between (each halved before adding where their sum overflows), or the
+    lower value where the midpoint rounds onto the upper one, so that
+    `value <= threshold` makes the partition that was scored.
     Zero-gain splits are still returned; they keep growth moving toward
     purity and each one strictly shrinks both children.
 
@@ -271,7 +272,10 @@ def _best_splits(binned: _Binned, rows: np.ndarray, sizes: np.ndarray, counts: l
     found = feature >= 0
     start = binned.starts[feature[found]]
     v_lo, v_hi = binned.values[start + low[found]], binned.values[start + high[found]]
-    midpoint = (v_lo + v_hi) / 2.0
+    with np.errstate(over="ignore"):
+        total = v_lo + v_hi
+    # Halved first only where the sum overflows, so every other midpoint keeps its bits.
+    midpoint = np.where(np.isfinite(total), total / 2.0, v_lo / 2.0 + v_hi / 2.0)
     threshold = np.zeros(sizes.size)
     threshold[found] = np.where(midpoint == v_hi, v_lo, midpoint)
     return feature, threshold

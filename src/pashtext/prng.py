@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# The root seed of every command, generator and hyperparameter record given none.
+DEFAULT_SEED = 42
+
 _MASK64 = (1 << 64) - 1
 
 # State increment ("golden gamma") and output-mixing multipliers of SplitMix64.

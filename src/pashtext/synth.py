@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from .corpus import DEFAULT_LABEL_NAMES, Corpus, Document, LabelSet
 from .errors import UsageError
-from .models.params import DEFAULT_SEED
-from .prng import SplitMix64, derive_seed
+from .prng import DEFAULT_SEED, SplitMix64, derive_seed
 
 # 32 letters, all inside the U+0600-06FF Arabic block.
 _ALPHABET = "ابتثجحخدذرزسشصضطظعغفقکلمنهویپچړښ"

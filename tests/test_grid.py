@@ -372,7 +372,46 @@ def test_killed_child_ends_the_grid_with_exit_three(tmp_path):
     assert not (tmp_path / "grid" / "grid.json").exists()
 
 
-def test_importing_the_cli_does_not_import_the_process_pool():
+# Prints, on its last line, the pashtext modules loaded so far.
+LOADED = "print(*sorted(name for name in sys.modules if name.startswith('pashtext')))"
+
+
+def test_importing_the_cli_does_not_import_the_process_pool(tmp_path):
     probe = ("import sys, pashtext.cli, pashtext.grid; "
              "print('concurrent.futures.process' in sys.modules)")
     assert run_python(["-c", probe], None).strip() == "False"
+    # The CLI loads the code of a command only when that command runs.
+    loaded = run_python(["-c", f"import sys, pashtext.cli; {LOADED}"], None).split()
+    assert "pashtext.cli" in loaded
+    assert [name for name in loaded if name.startswith(
+        ("pashtext.models", "pashtext.grid", "pashtext.metrics", "pashtext.synth"))] == []
+    probe = ("import sys; from pashtext import cli; "
+             "cli.main(['synth', '--classes', '2', '--per-class', '4', '--out', 'c.jsonl']); "
+             f"cli.main(['ingest', '--corpus', 'c.jsonl']); {LOADED}")
+    loaded = run_python(["-c", probe], None, cwd=tmp_path).splitlines()[-1].split()
+    assert "pashtext.synth" in loaded
+    assert [name for name in loaded if name.startswith("pashtext.models")] == []
+
+
+TRAIN_EVERY_KIND = textwrap.dedent("""
+    import sys
+
+    from pashtext.corpus import SplitSpec, stratified_split
+    from pashtext.models import ModelKind, train
+    from pashtext.synth import generate_corpus
+    from pashtext.vectorize import TFIDF, feature_matrix, fit_features, side_documents
+
+    corpus = generate_corpus(classes=3, per_class=10, seed=5)
+    split = stratified_split(corpus, SplitSpec(train_fraction=0.7, seed=5))
+    docs = side_documents(corpus, split.train_ids, "train")
+    vocab, mask, counts = fit_features(docs, corpus.labels, 5)
+    matrix = feature_matrix(counts, vocab, mask, TFIDF)
+    for kind in ModelKind:
+        train(kind, matrix, label_count=len(corpus.labels))
+    print("numpy.ma" in sys.modules)
+""")
+
+
+def test_training_every_kind_does_not_import_numpy_ma():
+    # A plain np.unique imports numpy.ma, a cost every training process would pay.
+    assert run_python(["-c", TRAIN_EVERY_KIND], None).strip() == "False"

@@ -1,5 +1,6 @@
 """Decision trees and random forests against exhaustive split search."""
 
+import math
 import random
 import threading
 
@@ -59,6 +60,16 @@ def test_gini_matches_direct_formula_sweep():
         assert gini_impurity(counts) == pytest.approx(expected, abs=1e-12)
 
 
+def reference_threshold(low, high) -> float:
+    """The threshold between values low < high: their midpoint, each halved
+    before adding where their sum overflows, or low where the midpoint
+    rounds onto high."""
+    low, high = float(low), float(high)
+    total = low + high
+    midpoint = total / 2.0 if math.isfinite(total) else low / 2.0 + high / 2.0
+    return low if midpoint == high else midpoint
+
+
 def brute_split_score(dense, labels, label_count, feature, threshold):
     n = len(labels)
     left = [labels[i] for i in range(n) if dense[i][feature] <= threshold]
@@ -79,9 +90,7 @@ def brute_split_candidates(dense, labels, label_count):
     for feature in range(dim):
         values = sorted(set(dense[i][feature] for i in range(n)))
         for lo, hi in zip(values[:-1], values[1:]):
-            threshold = (lo + hi) / 2.0
-            if threshold == hi:
-                threshold = lo
+            threshold = reference_threshold(lo, hi)
             out.append(
                 (
                     brute_split_score(dense, labels, label_count, feature, threshold),
@@ -166,10 +175,22 @@ def test_midpoint_rounded_onto_a_value_sends_its_rows_left(column, labels):
     assert model.predict_rows(matrix).tolist() == labels
 
 
-def test_midpoint_rounded_onto_the_upper_value_ends_growth_without_a_depth_limit():
+@pytest.mark.parametrize(
+    "low, high, threshold",
+    [
+        # The midpoint rounds onto the upper value.
+        (1.0 + 2**-52, 1.0 + 2**-51, 1.0 + 2**-52),
+        # The sum overflows to inf or -inf; the halves add up to the midpoint.
+        (1e308, 1.5e308, 1.25e308),
+        (-1.5e308, -1e308, -1.25e308),
+    ],
+)
+def test_midpoint_rounded_or_overflowing_ends_growth_without_a_depth_limit(
+    low, high, threshold
+):
     # Grown in a thread, so that growth that never ends fails the test
     # instead of hanging it.
-    low, high = 1.0 + 2**-52, 1.0 + 2**-51
+    assert reference_threshold(low, high) == threshold
     matrix = matrix_from_dense([[low], [high]], [0, 1])
     fits = {
         "tree": lambda: DecisionTreeModel.fit(matrix, DecisionTreeParams(), 2),
@@ -182,7 +203,7 @@ def test_midpoint_rounded_onto_the_upper_value_ends_growth_without_a_depth_limit
         thread.start()
         thread.join(timeout=30)
         assert name in models, f"{name} growth did not end"
-        assert root_split(models[name]) == (0, low)
+        assert root_split(models[name]) == (0, threshold)
         assert models[name].predict_rows(matrix).tolist() == [0, 1]
 
 
@@ -321,8 +342,7 @@ def test_forest_payload_round_trip():
 
 def reference_best_split(dense, labels, row_ids, feature_ids, label_count):
     """The per-feature split search of one node that `tree._best_splits`
-    replaced, verbatim but for its threshold: the lower value where the
-    midpoint rounds onto the upper one."""
+    replaced, verbatim but for its threshold, `reference_threshold`."""
     n = row_ids.size
     best = None
     node_labels = labels[row_ids]
@@ -344,9 +364,8 @@ def reference_best_split(dense, labels, row_ids, feature_ids, label_count):
         gini_right = 1.0 - ((right / n_right[:, None]) ** 2).sum(axis=1)
         weighted = (n_left * gini_left + n_right * gini_right) / n
         at = int(np.argmin(weighted))
-        low, high = sorted_col[boundaries[at]], sorted_col[boundaries[at] + 1]
-        midpoint = (low + high) / 2.0
-        threshold = float(low if midpoint == high else midpoint)
+        threshold = reference_threshold(sorted_col[boundaries[at]],
+                                        sorted_col[boundaries[at] + 1])
         candidate = (float(weighted[at]), int(feature), threshold)
         if best is None or candidate[0] < best[0]:
             best = candidate
