@@ -1,4 +1,4 @@
-"""Batch command-line surface: ingest, split, train, evaluate, grid, report, synth.
+"""Batch command-line surface: ingest, split, train, evaluate, grid, synth.
 
 Every command is deterministic given its flags; all randomness flows from
 one --seed value per command.  Exit codes: 0 success, 1 usage error,
@@ -259,32 +259,6 @@ def _cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    from .grid import GridReport
-    from .metrics import EvalReport
-
-    data = read_json(args.input, "report")
-    kind = data.get("format") if isinstance(data, dict) else None
-    if kind == "pashtext-grid-report":
-        report = GridReport.from_dict(data)
-        text = {
-            ("accuracy", "markdown"): report.accuracy_table_markdown,
-            ("accuracy", "csv"): report.accuracy_table_csv,
-            ("per-class", "markdown"): report.per_class_tables_markdown,
-            ("per-class", "csv"): report.per_class_tables_csv,
-        }.get((args.table, args.format), report.to_json_text)()
-    elif kind == "pashtext-eval-report":
-        text = getattr(EvalReport.from_dict(data), _EVAL_FORMATS[args.format][1])()
-    else:
-        raise DataError(f"{args.input} is not a known report document")
-    if args.out:
-        write_output(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    return EXIT_OK
-
-
 def _cmd_synth(args) -> int:
     from .synth import generate_corpus
 
@@ -305,7 +279,7 @@ def _cmd_synth(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of all seven commands, built once per process: parsing
+    """The parser of all six commands, built once per process: parsing
     leaves it unchanged, so every `main` call reuses it."""
     parser = _Parser(
         prog="pashtext",
@@ -357,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--model", required=True, help="model bundle from `train`")
     evaluate.add_argument("--corpus", required=True, help="corpus JSONL file or directory")
     evaluate.add_argument("--split", required=True, help="split file from `split`")
-    evaluate.add_argument("--format", choices=("json", "markdown", "csv"),
+    evaluate.add_argument("--format", choices=_EVAL_FORMATS,
                           default="json", help="report format")
     evaluate.add_argument("--out", default=".", help="output directory")
 
@@ -370,16 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--select-k", type=_at_least_one, default=None,
                       help="keep only the k best chi-square features")
     grid.add_argument("--out", required=True, help="output directory")
-
-    report = command("report", "re-emit a saved grid/eval report", _cmd_report)
-    report.add_argument("--input", required=True, help="grid.json or eval.json file")
-    report.add_argument("--format", choices=("json", "markdown", "csv"),
-                        default="markdown", help="output format")
-    report.add_argument("--table", choices=("accuracy", "per-class"),
-                        default="accuracy",
-                        help="which grid table to emit (grid reports only)")
-    report.add_argument("--out", default=None,
-                        help="output file (default: print to stdout)")
 
     synth = command("synth", "generate a deterministic synthetic corpus", _cmd_synth)
     synth.add_argument("--classes", type=int, default=8, help="number of classes")

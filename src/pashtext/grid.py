@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .corpus import Corpus, CorpusSplit
-from .errors import DataError, loads_as_written, malformed
+from .errors import DataError
 from .metrics import EvalReport, csv_table, evaluate_predictions, markdown_table
 from .models import ModelKind, train
 from .models.base import KIND_CLASSES
@@ -49,15 +49,12 @@ class GridCell:
 
     kind: ModelKind
     mode: str
-    accuracy: float | None
     report: EvalReport | None
     error: str | None
 
-    def __post_init__(self):
-        accuracy = None if self.report is None else self.report.accuracy
-        if (self.report is None) == (self.error is None) or self.accuracy != accuracy:
-            raise DataError(f"grid cell {self.kind.value}/{self.mode} must hold "
-                            "either a report and its accuracy or an error")
+    @property
+    def accuracy(self) -> float | None:
+        return None if self.report is None else self.report.accuracy
 
     def to_dict(self) -> dict:
         return {
@@ -67,19 +64,6 @@ class GridCell:
             "error": self.error,
             "report": self.report.to_dict() if self.report is not None else None,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridCell":
-        """The cell saved as `data`, with the accuracy of its report."""
-        report, error = data["report"], data["error"]
-        report = None if report is None else EvalReport.from_saved(report)
-        return cls(
-            kind=ModelKind(data["kind"]),
-            mode=data["mode"],
-            accuracy=None if report is None else report.accuracy,
-            report=report,
-            error=None if error is None else str(error),
-        )
 
 
 @dataclass(frozen=True)
@@ -92,24 +76,6 @@ class GridReport:
     select_k: int | None
     label_names: tuple[str, ...]
     cells: tuple[GridCell, ...]
-
-    def __post_init__(self):
-        expected = [(kind, mode) for kind in ModelKind for mode in FEATURE_MODES]
-        if [(c.kind, c.mode) for c in self.cells] != expected:
-            raise DataError("grid cells must cover kinds x modes in canonical order")
-        if self.n_train < 0 or self.n_test < 0:
-            raise DataError("grid n_train and n_test must not be negative")
-        if self.select_k is not None and self.select_k < 1:
-            raise DataError("grid select_k must be at least 1")
-        if any(c.report and c.report.confusion.total != self.n_test for c in self.cells):
-            raise DataError("every grid cell must count the grid's n_test test rows")
-        if any(c.report and c.report.confusion.label_names != self.label_names
-               for c in self.cells):
-            raise DataError("every grid cell must report on the grid's labels")
-        # Every cell scores the same test side, so each class has one support.
-        if len({tuple(c.report.confusion.grid.sum(axis=1).tolist())
-                for c in self.cells if c.report}) > 1:
-            raise DataError("every grid cell must count the same test rows of each class")
 
     def cell(self, kind: ModelKind, mode: str) -> GridCell:
         for cell in self.cells:
@@ -128,22 +94,6 @@ class GridReport:
             "labels": list(self.label_names),
             "cells": [cell.to_dict() for cell in self.cells],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridReport":
-        """The grid saved as `data`, which must load as written (format and version too)."""
-        with malformed("grid report"):
-            select_k = data["select_k"]
-            report = cls(
-                seed=int(data["seed"]),
-                n_train=int(data["n_train"]),
-                n_test=int(data["n_test"]),
-                select_k=None if select_k is None else int(select_k),
-                label_names=tuple(map(str, data["labels"])),
-                cells=tuple(GridCell.from_dict(entry) for entry in data["cells"]),
-            )
-        loads_as_written(report.to_dict(), data, "grid report")
-        return report
 
     def to_json_text(self) -> str:
         return (
@@ -210,9 +160,9 @@ def _run_cell(kind, mode, train_matrix, test_matrix, label_names, params):
         report = evaluate_predictions(
             test_matrix.row_labels, preds, len(label_names), label_names
         )
-        cell = GridCell(kind, mode, report.accuracy, report, None)
+        cell = GridCell(kind, mode, report, None)
     except Exception as exc:
-        cell = GridCell(kind, mode, None, None, f"{type(exc).__name__}: {exc}")
+        cell = GridCell(kind, mode, None, f"{type(exc).__name__}: {exc}")
     return cell, time.perf_counter() - started
 
 

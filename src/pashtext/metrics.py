@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, loads_as_written, malformed
+from .errors import DataError
 
 
 class ConfusionMatrix:
@@ -211,20 +211,6 @@ class EvalReport:
         per_class = tuple(class_metrics(cm, i) for i in range(cm.k))
         macro, weighted = aggregate(per_class)
         return cls(cm, per_class, macro, weighted, overall_accuracy(cm))
-
-    @classmethod
-    def from_saved(cls, data: dict) -> "EvalReport":
-        """The report of the confusion matrix and labels in `data`, its other fields unread."""
-        return cls.from_confusion(ConfusionMatrix(data["confusion"], map(str, data["labels"])))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
-        """The report of a saved confusion matrix, whose every other field
-        must be exactly what that matrix gives, its format and version included."""
-        with malformed("eval report"):
-            report = cls.from_saved(data)
-        loads_as_written(report.to_dict(), data, "eval report")
-        return report
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False,

@@ -1,13 +1,13 @@
 """Every saved artifact either loads or is refused with one error line.
 
-Each dict key of a saved bundle (one per model kind), a split file, a grid
-report and an eval report is deleted, or its value is swapped for one of
-another type: a string becomes [], anything else "x".  Each JSON object of
-such a file is also given one key more.  Inside a list only the first
-element is visited.  Every command that reads the mutated file must then
-exit 2 with a single `error:` line and no traceback.  So must a bundle or
-report whose number or boolean leaf is swapped for another JSON type, and
-any versioned file whose `version` is `true` or `1.0`.
+Each dict key of a saved bundle (one per model kind) and of a split file
+is deleted, or its value is swapped for one of another type: a string
+becomes [], anything else "x".  Each JSON object of such a file is also
+given one key more.  Inside a list only the first element is visited.
+Every command that reads the mutated file must then exit 2 with a single
+`error:` line and no traceback.  So must a bundle whose number or boolean
+leaf is swapped for another JSON type, and any bundle whose `version` is
+`true` or `1.0`.
 """
 
 import json
@@ -15,7 +15,6 @@ import json
 import pytest
 
 from pashtext.cli import main
-from pashtext.metrics import ConfusionMatrix, EvalReport
 from pashtext.models import ModelKind
 from pashtext.models.knn import MAX_STORED_VALUE
 
@@ -29,7 +28,7 @@ TRAIN_ARGS = {
     "knn": ["--param", "k=3", "--select-k", "20"],
 }
 BUNDLES = [f"bundle-{kind.value}" for kind in ModelKind]
-ARTIFACTS = BUNDLES + ["split", "grid", "eval"]
+ARTIFACTS = BUNDLES + ["split"]
 
 
 @pytest.fixture(scope="module")
@@ -49,19 +48,11 @@ def saved(tmp_path_factory):
                      "--classifier", kind.value, "--out", str(out),
                      *TRAIN_ARGS.get(kind.value, [])]) == 0
         files[f"bundle-{kind.value}"] = str(out / "model.json")
-    assert main(["evaluate", "--model", files["bundle-multinomial_nb"],
-                 "--corpus", corpus, "--split", split, "--out", str(root)]) == 0
-    files["eval"] = str(root / "eval.json")
-    assert main(["grid", "--corpus", corpus, "--fraction", "0.75", "--seed", "9",
-                 "--out", str(root / "grid")]) == 0
-    files["grid"] = str(root / "grid" / "grid.json")
     return files
 
 
 def commands(artifact, path, files, out):
     """Every command line that reads the artifact from `path`."""
-    if artifact in ("grid", "eval"):
-        return [["report", "--input", path]]
     bundle = path if artifact.startswith("bundle-") else files["bundle-multinomial_nb"]
     split = path if artifact == "split" else files["split"]
     lines = [["evaluate", "--model", bundle, "--corpus", files["corpus"],
@@ -161,46 +152,20 @@ def test_every_unknown_key_is_refused(saved, artifact, tmp_path, capsys):
     assert not faults, "\n".join(faults)
 
 
-def moved_test_row(grid, kind, mode):
-    """`grid` with the cell of `kind` and `mode` rebuilt, every field consistent,
-    from its confusion matrix with one test row moved from the first class to
-    the second: the same total, but supports no other cell has."""
-    cell = next(c for c in grid["cells"] if (c["kind"], c["mode"]) == (kind, mode))
-    confusion = cell["report"]["confusion"]
-    column = next(i for i, count in enumerate(confusion[0]) if count)
-    confusion[0][column] -= 1
-    confusion[1][column] += 1
-    report = EvalReport.from_confusion(ConfusionMatrix(confusion, grid["labels"]))
-    cell.update(report=report.to_dict(), accuracy=report.accuracy)
-    return grid
-
-
 @pytest.mark.parametrize(
     "artifact, defect",
     [
         ("split", lambda split: dict(split, train_ids=5)),
         ("split", lambda split: [split]),
-        ("grid", lambda grid: grid["cells"][0].update(kind="zz") or grid),
-        ("eval", lambda report: dict(
-            report, confusion=[report["confusion"][0][1:], *report["confusion"][1:]]
-        )),
         ("bundle-knn", lambda bundle: dict(bundle, mask=dict(
             bundle["mask"], scores=bundle["mask"]["scores"] + [0.0]
         ))),
-        ("grid", lambda grid: dict(grid, n_train=-1)),
-        ("grid", lambda grid: dict(grid, n_test=grid["n_test"] + 1)),
         ("bundle-knn", lambda bundle: bundle["model"]["payload"]["rows"][0].update(
             values=[-1.0] + bundle["model"]["payload"]["rows"][0]["values"][1:]
         ) or bundle),
-        ("grid", lambda grid: dict(grid, select_k=0)),
-        ("grid", lambda grid: dict(grid, select_k=-5)),
         # A JSON true or false is not an integer, although Python's bool is one.
-        ("grid", lambda grid: dict(grid, select_k=True)),
-        ("grid", lambda grid: dict(grid, seed=True)),
-        ("grid", lambda grid: dict(grid, n_train=True)),
         ("split", lambda split: dict(split, seed=True)),
         ("split", lambda split: dict(split, seed=False)),
-        ("grid", lambda grid: moved_test_row(grid, "gaussian_nb", "tfidf")),
         # TFIDF queries scored against the stored counts of a unigram model.
         ("bundle-knn", lambda bundle: dict(bundle, mode="tfidf")),
         # Weights whose scores overflow, and a variance that divides to infinity.
@@ -219,13 +184,10 @@ def moved_test_row(grid, kind, mode):
         # Keys that no split file holds, even if they look like a version tag.
         ("split", lambda split: dict(split, version=True, format=7)),
     ],
-    ids=["split-train-ids-5", "split-top-level-list", "grid-kind-zz",
-         "eval-ragged-confusion", "mask-scores-one-long", "grid-n-train-negative",
-         "grid-n-test-not-cell-total", "knn-value-negative", "grid-select-k-0",
-         "grid-select-k-negative", "grid-select-k-true", "grid-seed-true",
-         "grid-n-train-true", "split-seed-true", "split-seed-false",
-         "grid-cell-supports-differ", "knn-mode-tfidf", "linear-weights-1e308",
-         "gaussian-nb-variance-1e-320", "mnb-log-prob-1e308", "split-version-true-format-7"],
+    ids=["split-train-ids-5", "split-top-level-list", "mask-scores-one-long",
+         "knn-value-negative", "split-seed-true", "split-seed-false", "knn-mode-tfidf",
+         "linear-weights-1e308", "gaussian-nb-variance-1e-320", "mnb-log-prob-1e308",
+         "split-version-true-format-7"],
 )
 def test_hand_picked_defects_are_refused(saved, artifact, defect, tmp_path, capsys):
     with open(saved[artifact], encoding="utf-8") as handle:
@@ -344,14 +306,11 @@ def type_swaps(value, path=()):
         yield from type_swaps(value[0], path + (0,))
 
 
-@pytest.mark.parametrize("artifact", BUNDLES + ["grid", "eval"])
+@pytest.mark.parametrize("artifact", BUNDLES)
 def test_every_value_of_another_json_type_is_refused(saved, artifact, tmp_path, capsys):
-    """A report's counts, supports and version are integers, its metrics floats
-    and `degenerate` a boolean; under Python's == a swapped leaf (true for
-    1.0, 4.0 for 4, 1 for 1.0, 0 for false) would compare equal and load.  A
-    bundle's sizes, indices and counts are integers, its weights, thresholds
-    and float hyperparameters floats and its profile flags booleans; numpy
-    would cast a swapped leaf (true or 1 to 1.0) and load it."""
+    """A bundle's sizes, indices and counts are integers, its weights,
+    thresholds and float hyperparameters floats and its profile flags
+    booleans; numpy would cast a swapped leaf (true or 1 to 1.0) and load it."""
     with open(saved[artifact], encoding="utf-8") as handle:
         original = json.load(handle)
     target = tmp_path / "swapped.json"
@@ -370,17 +329,14 @@ def test_every_value_of_another_json_type_is_refused(saved, artifact, tmp_path, 
 
 
 @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "1.0"])
-@pytest.mark.parametrize("artifact", [a for a in ARTIFACTS if a != "split"])
+@pytest.mark.parametrize("artifact", BUNDLES)
 def test_a_version_of_another_json_type_is_refused(saved, artifact, version, tmp_path,
                                                     capsys):
-    """Every versioned document, a bundle's model document included, refuses a
-    version that equals 1 under Python's == but is no JSON integer.  A split
-    file carries no version."""
+    """A bundle and its model document refuse a version that equals 1 under
+    Python's == but is no JSON integer.  A split file carries no version."""
     with open(saved[artifact], encoding="utf-8") as handle:
         original = json.load(handle)
-    paths = [("version",), ("model", "version")] if artifact.startswith("bundle-") else [
-        ("version",)]
-    for path in paths:
+    for path in [("version",), ("model", "version")]:
         target = tmp_path / "versioned.json"
         target.write_text(json.dumps(mutated(original, path, version)), encoding="utf-8")
         for argv in commands(artifact, str(target), saved, str(tmp_path / "out")):

@@ -5,7 +5,6 @@ import json
 from pathlib import Path
 
 import pytest
-from test_blas_threads import run_python
 
 import pashtext.cli
 import pashtext.corpus
@@ -68,12 +67,15 @@ def workspace(tmp_path_factory):
 def test_no_command_is_a_usage_error(capsys):
     assert main([]) == 1
     assert "command is required" in capsys.readouterr().err
+    assert main(["report", "--input", "x"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: argument command: invalid choice: 'report'")
 
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
-    for name in ("ingest", "split", "train", "evaluate", "grid", "report", "synth"):
+    for name in ("ingest", "split", "train", "evaluate", "grid", "synth"):
         assert name in out
     assert main(["train", "--help"]) == 0
 
@@ -402,18 +404,13 @@ def test_evaluate_writes_report(workspace, tmp_path, capsys):
     assert report["format"] == "pashtext-eval-report"
     assert 0.0 <= report["accuracy"] <= 1.0
     assert "accuracy" in capsys.readouterr().out
-    code = main(
-        [
-            "evaluate",
-            "--model", str(workspace["bundle"]),
-            "--corpus", str(workspace["corpus"]),
-            "--split", str(workspace["split"]),
-            "--format", "markdown",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    assert (out / "eval.md").exists()
+    for fmt, name, start in [("markdown", "eval.md", "| Class | Precision |"),
+                             ("csv", "eval.csv", "class,precision,")]:
+        assert main(["evaluate", "--model", str(workspace["bundle"]),
+                     "--corpus", str(workspace["corpus"]), "--split", str(workspace["split"]),
+                     "--format", fmt, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(f"-> {out / name}\n")
+        assert (out / name).read_text(encoding="utf-8").startswith(start), fmt
 
 
 def test_evaluate_rejects_foreign_labels(workspace, tmp_path, capsys):
@@ -767,7 +764,7 @@ def test_documents_emptied_by_preprocessing_only_warn(tmp_path, caplog):
     assert sum(map(sum, report["confusion"])) == 4
 
 
-def test_grid_command_and_report_round_trip(workspace, tmp_path, capsys):
+def test_grid_command_writes_its_six_files(workspace, tmp_path, capsys):
     out = tmp_path / "grid"
     code = main(
         [
@@ -790,99 +787,10 @@ def test_grid_command_and_report_round_trip(workspace, tmp_path, capsys):
         assert (out / name).exists(), name
     stdout = capsys.readouterr().out
     assert "16/16 cells succeeded" in stdout
+    assert stdout.startswith((out / "accuracy_table.md").read_text(encoding="utf-8") + "\n")
     grid_data = json.loads((out / "grid.json").read_text(encoding="utf-8"))
     assert grid_data["format"] == "pashtext-grid-report"
     assert len(grid_data["cells"]) == 16
-
-    # report re-emits every written table, and the report itself, byte for byte
-    for table, fmt, name in [
-        ("accuracy", "markdown", "accuracy_table.md"),
-        ("accuracy", "csv", "accuracy_table.csv"),
-        ("per-class", "markdown", "per_class_tables.md"),
-        ("per-class", "csv", "per_class_tables.csv"),
-        ("accuracy", "json", "grid.json"),
-    ]:
-        target = tmp_path / f"re-emitted-{table}.{fmt}"
-        assert main(["report", "--input", str(out / "grid.json"), "--table", table,
-                     "--format", fmt, "--out", str(target)]) == 0
-        assert target.read_bytes() == (out / name).read_bytes(), name
-    assert main(["report", "--input", str(out / "grid.json")]) == 0
-    table = capsys.readouterr().out
-    assert "Unigram" in table and "TFIDF" in table
-    assert (
-        main(
-            [
-                "report",
-                "--input", str(out / "grid.json"),
-                "--format", "csv",
-                "--table", "per-class",
-            ]
-        )
-        == 0
-    )
-    csv_text = capsys.readouterr().out
-    assert csv_text.startswith("classifier,class,mode")
-    target = tmp_path / "table.md"
-    assert (
-        main(
-            [
-                "report",
-                "--input", str(out / "grid.json"),
-                "--out", str(target),
-            ]
-        )
-        == 0
-    )
-    assert target.exists()
-    capsys.readouterr()
-
-
-def test_report_on_eval_report(workspace, tmp_path, capsys):
-    out = tmp_path / "eval"
-    main(
-        [
-            "evaluate",
-            "--model", str(workspace["bundle"]),
-            "--corpus", str(workspace["corpus"]),
-            "--split", str(workspace["split"]),
-            "--out", str(out),
-        ]
-    )
-    capsys.readouterr()
-    assert main(["report", "--input", str(out / "eval.json")]) == 0
-    assert "Precision" in capsys.readouterr().out
-    # report re-emits the table evaluate writes in each format, byte for byte
-    for fmt, suffix in [("markdown", "md"), ("csv", "csv")]:
-        assert main(["evaluate", "--model", str(workspace["bundle"]),
-                     "--corpus", str(workspace["corpus"]), "--split", str(workspace["split"]),
-                     "--format", fmt, "--out", str(out)]) == 0
-        target = tmp_path / f"re-emitted.{suffix}"
-        assert main(["report", "--input", str(out / "eval.json"), "--format", fmt,
-                     "--out", str(target)]) == 0
-        assert target.read_bytes() == (out / f"eval.{suffix}").read_bytes(), fmt
-
-
-def test_report_rejects_unknown_documents(tmp_path, capsys):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text('{"format": "other"}', encoding="utf-8")
-    assert main(["report", "--input", str(bogus)]) == 2
-    assert "not a known report" in capsys.readouterr().err
-
-
-def test_report_to_targets_that_are_not_regular_files(workspace, tmp_path, capsys):
-    """/dev/null cannot be truncated (EINVAL) and a pipe cannot be sought
-    (ESPIPE): the writer only writes to them."""
-    out = tmp_path / "grid"
-    assert main(["grid", "--corpus", str(workspace["corpus"]), "--fraction", "0.75",
-                 "--seed", "9", "--out", str(out)]) == 0
-    report = ["report", "--input", str(out / "grid.json"), "--table", "accuracy",
-              "--format", "csv"]
-    assert main([*report, "--out", "/dev/null"]) == 0
-    assert capsys.readouterr().err == ""
-    piped = run_python(["-m", "pashtext.cli", *report, "--out", "/dev/stdout"], None)
-    assert piped == (out / "accuracy_table.csv").read_text(encoding="utf-8") + (
-        "wrote /dev/stdout\n"
-    )
 
 
 def test_lone_surrogate_escape_in_a_corpus_is_a_data_error(tmp_path, capsys):

@@ -99,6 +99,13 @@ def test_a_symlinked_target_is_written_through_and_a_mode_is_kept(tmp_path):
 
 def test_targets_that_are_not_regular_files_are_only_written_to():
     write_output(os.devnull, "discarded\n")  # ftruncate would fail with EINVAL
+    r, w = os.pipe()  # a pipe cannot be sought either (ESPIPE)
+    try:
+        write_output(f"/dev/fd/{w}", "piped\n")
+        assert os.read(r, 64) == b"piped\n"
+    finally:
+        os.close(r)
+        os.close(w)
 
 
 def test_text_that_utf8_cannot_encode_leaves_the_file_as_it_was(tmp_path):

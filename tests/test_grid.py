@@ -5,7 +5,6 @@ one."""
 import concurrent.futures
 import functools
 import hashlib
-import json
 import logging
 import os
 import re
@@ -18,7 +17,7 @@ from test_blas_threads import SOURCE_ROOT, run_python
 
 from pashtext.corpus import CorpusSplit, SplitSpec, stratified_split
 from pashtext.errors import DataError
-from pashtext.grid import GridCell, GridReport, cell_seed, run_grid
+from pashtext.grid import cell_seed, run_grid
 from pashtext.models import ModelKind
 from pashtext.models.params import KNNParams, LinearParams, MLPParams, RandomForestParams
 from pashtext.synth import generate_corpus
@@ -55,9 +54,18 @@ def test_cell_seeds_are_distinct_and_deterministic():
     assert cell_seed(42, ModelKind.KNN, TFIDF) != cell_seed(43, ModelKind.KNN, TFIDF)
 
 
-def test_grid_covers_all_cells_in_canonical_order(small_report):
+def assert_cells_score_one_test_side(report):
+    """The cells come in canonical order, and every successful one counts the
+    grid's test rows with one support per class."""
     expected = [(kind, mode) for kind in ModelKind for mode in FEATURE_MODES]
-    assert [(c.kind, c.mode) for c in small_report.cells] == expected
+    assert [(c.kind, c.mode) for c in report.cells] == expected
+    reports = [c.report for c in report.cells if c.report is not None]
+    assert all(r.confusion.total == report.n_test for r in reports)
+    assert len({tuple(r.confusion.grid.sum(axis=1).tolist()) for r in reports}) == 1
+
+
+def test_grid_covers_all_cells_in_canonical_order(small_report):
+    assert_cells_score_one_test_side(small_report)
     assert len(small_report.cells) == 16
     for cell in small_report.cells:
         assert cell.error is None
@@ -113,6 +121,7 @@ def test_failing_cell_is_recorded_not_fatal(small_setup):
     params = dict(QUICK_PARAMS)
     params[ModelKind.KNN] = KNNParams(k=100000)
     report = run_grid(corpus, split, seed=11, params_by_kind=params)
+    assert_cells_score_one_test_side(report)
     for mode in FEATURE_MODES:
         cell = report.cell(ModelKind.KNN, mode)
         assert cell.accuracy is None and cell.report is None
@@ -121,22 +130,7 @@ def test_failing_cell_is_recorded_not_fatal(small_setup):
     assert healthy.error is None and healthy.accuracy is not None
 
 
-def test_report_round_trip(small_report):
-    data = json.loads(small_report.to_json_text())
-    assert data["format"] == "pashtext-grid-report"
-    restored = GridReport.from_dict(data)
-    assert restored.to_json_text() == small_report.to_json_text()
-    with pytest.raises(DataError):
-        GridReport.from_dict({"format": "other"})
-
-
-def test_report_enforces_canonical_cell_order(small_report):
-    shuffled = tuple(reversed(small_report.cells))
-    with pytest.raises(DataError, match="canonical"):
-        GridReport(
-            seed=1, n_train=1, n_test=1, select_k=None,
-            label_names=small_report.label_names, cells=shuffled,
-        )
+def test_unknown_cell_is_a_data_error(small_report):
     with pytest.raises(DataError):
         small_report.cell(ModelKind.KNN, "bigram")
 
@@ -191,11 +185,6 @@ def test_grid_reads_the_train_side_before_the_test_side(small_setup):
         run_grid(corpus, CorpusSplit((), ()), params_by_kind=QUICK_PARAMS)
     with pytest.raises(DataError, match="no usable documents on the test side"):
         run_grid(corpus, CorpusSplit(split.train_ids, ()), params_by_kind=QUICK_PARAMS)
-
-
-def test_cell_dict_round_trip(small_report):
-    cell = small_report.cells[0]
-    assert GridCell.from_dict(cell.to_dict()) == cell
 
 
 def report_texts(report):

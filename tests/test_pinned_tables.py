@@ -68,7 +68,7 @@ def grids():
     # One cell failed in one mode only: the per-class markdown shows its
     # fields as `failed` beside the other mode's, and the CSV skips its rows.
     cells = tuple(
-        GridCell(c.kind, c.mode, None, None, "RuntimeError: boom")
+        GridCell(c.kind, c.mode, None, "RuntimeError: boom")
         if (c.kind, c.mode) == (ModelKind.MLP, TFIDF) else c
         for c in quick.cells
     )
