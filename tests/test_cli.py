@@ -67,9 +67,21 @@ def workspace(tmp_path_factory):
 def test_no_command_is_a_usage_error(capsys):
     assert main([]) == 1
     assert "command is required" in capsys.readouterr().err
+
+
+def test_the_retired_report_command_is_an_invalid_choice(capsys):
     assert main(["report", "--input", "x"]) == 1
     assert capsys.readouterr().err.startswith(
         "error: argument command: invalid choice: 'report'")
+
+
+def test_evaluate_format_is_one_of_the_eval_formats(capsys):
+    assert main(["evaluate", "--help"]) == 0
+    assert "--format {json,markdown,csv}" in capsys.readouterr().out
+    assert main(["evaluate", "--model", "m", "--corpus", "c", "--split", "s",
+                 "--format", "html"]) == 1
+    assert "argument --format: invalid choice: 'html' (choose from" in (
+        capsys.readouterr().err)
 
 
 def test_help_exits_zero(capsys):

@@ -17,7 +17,7 @@ from test_blas_threads import SOURCE_ROOT, run_python
 
 from pashtext.corpus import CorpusSplit, SplitSpec, stratified_split
 from pashtext.errors import DataError
-from pashtext.grid import cell_seed, run_grid
+from pashtext.grid import GridCell, cell_seed, run_grid
 from pashtext.models import ModelKind
 from pashtext.models.params import KNNParams, LinearParams, MLPParams, RandomForestParams
 from pashtext.synth import generate_corpus
@@ -133,6 +133,19 @@ def test_failing_cell_is_recorded_not_fatal(small_setup):
 def test_unknown_cell_is_a_data_error(small_report):
     with pytest.raises(DataError):
         small_report.cell(ModelKind.KNN, "bigram")
+
+
+def test_cell_accuracy_is_its_reports(small_report):
+    for cell in small_report.cells:
+        assert cell.accuracy == cell.report.accuracy
+        assert cell.to_dict()["accuracy"] == cell.report.accuracy
+
+
+def test_failed_cell_writes_only_its_error():
+    cell = GridCell(ModelKind.MLP, TFIDF, None, "RuntimeError: boom")
+    assert cell.accuracy is None
+    assert cell.to_dict() == {"kind": "mlp", "mode": TFIDF, "accuracy": None,
+                              "error": "RuntimeError: boom", "report": None}
 
 
 def test_accuracy_tables(small_setup, small_report):
