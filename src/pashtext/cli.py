@@ -222,9 +222,7 @@ def _cmd_evaluate(args) -> int:
     matrix = feature_matrix(counts, bundle["vocab"], bundle["mask"], bundle["mode"])
     del docs, counts  # not held through prediction
     preds = bundle["model"].predict_rows(matrix)
-    report = evaluate_predictions(
-        matrix.row_labels, preds, len(labels), labels.names
-    )
+    report = evaluate_predictions(matrix.row_labels, preds, labels.names)
     suffix, method = _EVAL_FORMATS[args.format]
     path = Path(args.out) / f"eval.{suffix}"
     write_output(path, getattr(report, method)())
@@ -250,8 +248,9 @@ def _cmd_grid(args) -> int:
     write_output(out / "per_class_tables.md", report.per_class_tables_markdown())
     write_output(out / "per_class_tables.csv", report.per_class_tables_csv())
     failed = [c for c in report.cells if c.error is not None]
+    cells = len(report.cells)
     print(report.accuracy_table_markdown())
-    print(f"grid complete: {16 - len(failed)}/16 cells succeeded -> {out}")
+    print(f"grid complete: {cells - len(failed)}/{cells} cells succeeded -> {out}")
     if failed:
         for cell in failed:
             print(f"  failed {cell.kind.value}/{cell.mode}: {cell.error}")

@@ -157,9 +157,7 @@ def _run_cell(kind, mode, train_matrix, test_matrix, label_names, params):
     try:
         model = train(kind, train_matrix, params, label_count=len(label_names))
         preds = model.predict_rows(test_matrix)
-        report = evaluate_predictions(
-            test_matrix.row_labels, preds, len(label_names), label_names
-        )
+        report = evaluate_predictions(test_matrix.row_labels, preds, label_names)
         cell = GridCell(kind, mode, report, None)
     except Exception as exc:
         cell = GridCell(kind, mode, None, f"{type(exc).__name__}: {exc}")

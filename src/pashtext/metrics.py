@@ -19,68 +19,6 @@ import numpy as np
 from .errors import DataError
 
 
-class ConfusionMatrix:
-    """K x K count grid; entry (t, p) = samples of true class t predicted p."""
-
-    def __init__(self, grid, label_names=None):
-        self.grid = np.asarray(grid, dtype=np.int64)
-        if self.grid.ndim != 2 or self.grid.shape[0] != self.grid.shape[1]:
-            raise DataError("confusion grid must be square")
-        if np.any(self.grid < 0):
-            raise DataError("confusion grid entries must be non-negative")
-        self.label_names = (
-            tuple(label_names)
-            if label_names is not None
-            else tuple(f"class_{i}" for i in range(self.grid.shape[0]))
-        )
-        if len(self.label_names) != self.grid.shape[0]:
-            raise DataError("label names must match the grid size")
-
-    @property
-    def k(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.grid.sum())
-
-    def tp(self, i: int) -> int:
-        return int(self.grid[i, i])
-
-    def fp(self, i: int) -> int:
-        return int(self.grid[:, i].sum()) - self.tp(i)
-
-    def fn(self, i: int) -> int:
-        return int(self.grid[i, :].sum()) - self.tp(i)
-
-    def support(self, i: int) -> int:
-        return int(self.grid[i, :].sum())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConfusionMatrix)
-            and self.label_names == other.label_names
-            and np.array_equal(self.grid, other.grid)
-        )
-
-
-def confusion_matrix(truth, preds, label_count: int, label_names=None) -> ConfusionMatrix:
-    truth = np.asarray(truth, dtype=np.int64)
-    preds = np.asarray(preds, dtype=np.int64)
-    if truth.size != preds.size:
-        raise DataError(
-            f"truth and predictions differ in length ({truth.size} vs {preds.size})"
-        )
-    if truth.size == 0:
-        raise DataError("cannot evaluate zero samples")
-    for name, values in (("truth", truth), ("prediction", preds)):
-        if values.min() < 0 or values.max() >= label_count:
-            raise DataError(f"{name} labels fall outside [0, {label_count})")
-    grid = np.zeros((label_count, label_count), dtype=np.int64)
-    np.add.at(grid, (truth, preds), 1)
-    return ConfusionMatrix(grid, label_names)
-
-
 @dataclass(frozen=True)
 class ClassMetrics:
     """Precision, recall and F1 of one class, plus its test support.
@@ -93,32 +31,7 @@ class ClassMetrics:
     recall: float
     f1: float
     support: int
-    degenerate: bool = False
-
-
-def _ratio(numerator: float, denominator: float) -> tuple[float, bool]:
-    if denominator == 0:
-        return 0.0, True
-    return numerator / denominator, False
-
-
-def class_metrics(cm: ConfusionMatrix, class_index: int) -> ClassMetrics:
-    tp = cm.tp(class_index)
-    precision, p_degenerate = _ratio(tp, tp + cm.fp(class_index))
-    recall, r_degenerate = _ratio(tp, tp + cm.fn(class_index))
-    f1, f_degenerate = _ratio(2.0 * precision * recall, precision + recall)
-    return ClassMetrics(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        support=cm.support(class_index),
-        degenerate=p_degenerate or r_degenerate or f_degenerate,
-    )
-
-
-def overall_accuracy(cm: ConfusionMatrix) -> float:
-    """Trace over total: the multiclass share of correct predictions."""
-    return float(np.trace(cm.grid)) / cm.total
+    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -128,30 +41,10 @@ class AggregateMetrics:
     f1: float
 
 
-def aggregate(per_class) -> tuple[AggregateMetrics, AggregateMetrics]:
-    """(macro, weighted) averages of a per-class metrics sequence.
-
-    Macro is the plain mean over all classes; weighted scales each class by
-    its support, so support-0 classes drop out of the weighted figures.
-    """
-    per_class = list(per_class)
-    if not per_class:
-        raise DataError("cannot aggregate zero classes")
-    fields = ("precision", "recall", "f1")
-    macro = AggregateMetrics(
-        *(float(np.mean([getattr(m, f) for m in per_class])) for f in fields)
-    )
-    total_support = sum(m.support for m in per_class)
-    if total_support == 0:
-        weighted = AggregateMetrics(0.0, 0.0, 0.0)
-    else:
-        weighted = AggregateMetrics(
-            *(
-                sum(getattr(m, f) * m.support for m in per_class) / total_support
-                for f in fields
-            )
-        )
-    return macro, weighted
+def _ratio(numerator: float, denominator: float) -> tuple[float, bool]:
+    if denominator == 0:
+        return 0.0, True
+    return numerator / denominator, False
 
 
 def _field(value, digits: int):
@@ -161,11 +54,12 @@ def _field(value, digits: int):
 
 def markdown_table(header, rows) -> str:
     """A markdown table of `rows` of raw values under `header`: floats to 4
-    decimals, a failed (None) field as `failed`."""
+    decimals, a failed (None) field as `failed`, a `|` in any field as `\\|`."""
     lines = [header, ["---"] * len(header)]
     lines += [["failed" if value is None else _field(value, 4) for value in row]
               for row in rows]
-    return "".join(f"| {' | '.join(map(str, line))} |\n" for line in lines)
+    lines = [[str(value).replace("|", r"\|") for value in line] for line in lines]
+    return "".join(f"| {' | '.join(line)} |\n" for line in lines)
 
 
 def csv_table(header, rows) -> str:
@@ -180,9 +74,12 @@ def csv_table(header, rows) -> str:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Full single-split evaluation: confusion matrix and every metric."""
+    """Full single-split evaluation: confusion counts and every metric.
 
-    confusion: ConfusionMatrix
+    `confusion[t, p]` counts the samples of true class t predicted as p."""
+
+    label_names: tuple[str, ...]
+    confusion: np.ndarray
     per_class: tuple[ClassMetrics, ...]
     macro: AggregateMetrics
     weighted: AggregateMetrics
@@ -192,25 +89,16 @@ class EvalReport:
         return {
             "format": "pashtext-eval-report",
             "version": 1,
-            "labels": list(self.confusion.label_names),
-            "confusion": self.confusion.grid.tolist(),
+            "labels": list(self.label_names),
+            "confusion": self.confusion.tolist(),
             "per_class": {
                 name: asdict(metrics)
-                for name, metrics in zip(self.confusion.label_names, self.per_class)
+                for name, metrics in zip(self.label_names, self.per_class)
             },
             "macro": asdict(self.macro),
             "weighted": asdict(self.weighted),
             "accuracy": self.accuracy,
         }
-
-    @classmethod
-    def from_confusion(cls, cm: ConfusionMatrix) -> "EvalReport":
-        """Every metric of a confusion matrix that counts at least one sample."""
-        if cm.total == 0:
-            raise DataError("cannot evaluate zero samples")
-        per_class = tuple(class_metrics(cm, i) for i in range(cm.k))
-        macro, weighted = aggregate(per_class)
-        return cls(cm, per_class, macro, weighted, overall_accuracy(cm))
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2, ensure_ascii=False,
@@ -218,10 +106,10 @@ class EvalReport:
 
     def _table(self) -> tuple[list, list]:
         rows = [[name, m.precision, m.recall, m.f1, m.support]
-                for name, m in zip(self.confusion.label_names, self.per_class)]
+                for name, m in zip(self.label_names, self.per_class)]
         averages = (("macro avg", self.macro), ("weighted avg", self.weighted))
-        rows += [[tag, agg.precision, agg.recall, agg.f1, self.confusion.total]
-                 for tag, agg in averages]
+        total = int(self.confusion.sum())
+        rows += [[tag, agg.precision, agg.recall, agg.f1, total] for tag, agg in averages]
         return ["Class", "Precision", "Recall", "F1", "Support"], rows
 
     def to_markdown(self) -> str:
@@ -232,7 +120,39 @@ class EvalReport:
         return csv_table(header, rows + [["accuracy", self.accuracy, "", "", ""]])
 
 
-def evaluate_predictions(truth, preds, label_count: int, label_names=None) -> EvalReport:
-    """Confusion matrix plus the full metric block for one prediction set."""
-    cm = confusion_matrix(truth, preds, label_count, label_names)
-    return EvalReport.from_confusion(cm)
+def evaluate_predictions(truth, preds, label_names) -> EvalReport:
+    """Confusion counts and every metric of one prediction set, whose labels
+    index `label_names`."""
+    label_names = tuple(label_names)
+    k = len(label_names)
+    truth = np.asarray(truth, dtype=np.int64)
+    preds = np.asarray(preds, dtype=np.int64)
+    if truth.size != preds.size:
+        raise DataError(
+            f"truth and predictions differ in length ({truth.size} vs {preds.size})"
+        )
+    if truth.size == 0:
+        raise DataError("cannot evaluate zero samples")
+    for name, values in (("truth", truth), ("prediction", preds)):
+        if values.min() < 0 or values.max() >= k:
+            raise DataError(f"{name} labels fall outside [0, {k})")
+    confusion = np.zeros((k, k), dtype=np.int64)
+    np.add.at(confusion, (truth, preds), 1)
+    per_class = []
+    for tp, predicted, support in zip(np.diagonal(confusion).tolist(),
+                                      confusion.sum(axis=0).tolist(),
+                                      confusion.sum(axis=1).tolist()):
+        precision, p_degenerate = _ratio(tp, predicted)
+        recall, r_degenerate = _ratio(tp, support)
+        f1, f_degenerate = _ratio(2.0 * precision * recall, precision + recall)
+        per_class.append(ClassMetrics(precision, recall, f1, support,
+                                      p_degenerate or r_degenerate or f_degenerate))
+    fields = ("precision", "recall", "f1")
+    macro = AggregateMetrics(
+        *(float(np.mean([getattr(m, f) for m in per_class])) for f in fields)
+    )
+    weighted = AggregateMetrics(
+        *(sum(getattr(m, f) * m.support for m in per_class) / truth.size for f in fields)
+    )
+    accuracy = float(np.trace(confusion)) / truth.size
+    return EvalReport(label_names, confusion, tuple(per_class), macro, weighted, accuracy)

@@ -114,7 +114,9 @@ def test_criterion_2_metric_oracle():
         n = rng.randrange(1, 51)  # n <= 50
         truth = [rng.randrange(label_count) for _ in range(n)]
         preds = [rng.randrange(label_count) for _ in range(n)]
-        report = evaluate_predictions(truth, preds, label_count)
+        report = evaluate_predictions(
+            truth, preds, [f"class_{c}" for c in range(label_count)]
+        )
         per_class, macro, weighted, accuracy = brute_metrics(
             truth, preds, label_count
         )

@@ -60,8 +60,8 @@ def assert_cells_score_one_test_side(report):
     expected = [(kind, mode) for kind in ModelKind for mode in FEATURE_MODES]
     assert [(c.kind, c.mode) for c in report.cells] == expected
     reports = [c.report for c in report.cells if c.report is not None]
-    assert all(r.confusion.total == report.n_test for r in reports)
-    assert len({tuple(r.confusion.grid.sum(axis=1).tolist()) for r in reports}) == 1
+    assert all(r.confusion.sum() == report.n_test for r in reports)
+    assert len({tuple(r.confusion.sum(axis=1).tolist()) for r in reports}) == 1
 
 
 def test_grid_covers_all_cells_in_canonical_order(small_report):

@@ -102,5 +102,5 @@ def test_eval_tables_with_quoted_names_and_an_empty_class_are_pinned():
     names = ("alpha", "beta,gamma", 'say "hi"', "پښتو")
     truth = [0, 0, 0, 1, 1, 2, 2, 2, 2]
     preds = [0, 1, 3, 1, 1, 2, 0, 2, 3]
-    report = evaluate_predictions(truth, preds, len(names), names)
+    report = evaluate_predictions(truth, preds, names)
     assert digests(report, EVAL_RENDERERS) == PINNED["eval-direct"]
