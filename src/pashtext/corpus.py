@@ -208,17 +208,17 @@ _JSON_SPACE = " \t\n\r"
 def _text_lines(path: Path):
     """The lines of the UTF-8 file `path`.  The file iterator decodes ahead
     of the lines it yields, so a byte that is not UTF-8 is looked for again,
-    line by line, to name its line in the DataError."""
+    line by line, to name its line in the DataError.  Both split lines on
+    `\n`, `\r` and `\r\n`, so they number them alike."""
     with open(path, encoding="utf-8") as handle:
         try:
             yield from handle
         except UnicodeDecodeError as exc:
-            with open(path, "rb") as raw:
-                for line_no, line in enumerate(raw, 1):
-                    try:
-                        line.decode("utf-8")
-                    except UnicodeDecodeError:
-                        break
+            for line_no, line in enumerate(path.read_bytes().splitlines(), 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
             raise DataError(f"{path}:{line_no}: not UTF-8: {exc.reason}") from None
 
 

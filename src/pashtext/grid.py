@@ -3,17 +3,22 @@
 Every cell shares one tokenization, one vocabulary and one train/test
 split, isolating the classifier and feature-mode effects.  The cells of one
 feature mode form a lane: the unigram lane runs in this process while the
-TFIDF lane runs in one spawned child process.  Every cell draws only from
-its own seed and its results are gathered in canonical order, the log lines
-included, and the report contains no wall-clock data, so a repeated run with
-the same seed serialises byte-for-byte identically on any number of cores.
+TFIDF lane runs in one `python -c` child process, fed over pipes, that
+imports nothing of the caller's.  Every cell draws only from its own seed
+and its results are gathered in canonical order, the log lines included,
+and the report contains no wall-clock data, so a repeated run with the same
+seed serialises byte-for-byte identically on any number of cores.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import pickle
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import Corpus, CorpusSplit
@@ -164,12 +169,14 @@ def _run_cell(kind, mode, train_matrix, test_matrix, label_names, params):
     return cell, time.perf_counter() - started
 
 
-def _run_lane(jobs):
-    """Run the cells `jobs` (`_run_cell` argument tuples) one after another.
-
-    Module-level and fed only picklable values, so a spawned child process
-    can run it."""
-    return [_run_cell(*job) for job in jobs]
+# The TFIDF lane's child: it puts the parent's `sys.path` (its argv) first,
+# runs the `_run_cell` argument tuples pickled on its stdin and pickles their
+# results to its stdout.
+_LANE_CHILD = """import pickle, sys
+sys.path[:0] = sys.argv[1:]
+from pashtext.grid import _run_cell
+pickle.dump([_run_cell(*job) for job in pickle.load(sys.stdin.buffer)], sys.stdout.buffer)
+"""
 
 
 def run_grid(
@@ -211,20 +218,17 @@ def run_grid(
             for kind in ModelKind
         ]
 
-    # Imported here: the pool module is slow to import, and only the grid
-    # needs it.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # A spawned child starts from a fresh interpreter whatever the platform's
-    # default start method, and is safe to start from a caller that runs
-    # threads, where a forked one can deadlock.
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(1, mp_context=spawn) as pool:
-        tfidf = pool.submit(_run_lane, lane(TFIDF))
-        results = zip(_run_lane(lane(UNIGRAM)), tfidf.result())
+    # The child is fed from a thread: its pickled jobs can be more than a pipe
+    # holds, and the unigram lane runs while the child imports.
+    with ThreadPoolExecutor(1) as feeder:
+        tfidf = feeder.submit(subprocess.run, [sys.executable, "-c", _LANE_CHILD, *sys.path],
+                              input=pickle.dumps(lane(TFIDF)), stdout=subprocess.PIPE)
+        unigram = [_run_cell(*job) for job in lane(UNIGRAM)]
+    child = tfidf.result()
+    if child.returncode != 0:
+        raise RuntimeError(f"the TFIDF lane's process exited with code {child.returncode}")
     cells = []
-    for kind_results in results:
+    for kind_results in zip(unigram, pickle.loads(child.stdout)):
         for cell, seconds in kind_results:
             if cell.error is not None:
                 logger.warning("grid cell %s/%s failed: %s",

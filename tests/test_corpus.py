@@ -288,6 +288,21 @@ def test_jsonl_loader_matches_the_per_key_reference(tmp_path, content, labels):
     assert outcome(load_corpus) == outcome(reference_load_jsonl)
 
 
+@pytest.mark.parametrize("text,message", [
+    (b'"\xff"', "not UTF-8: invalid start byte"),
+    (b"3", "key 'text' must be a string"),
+])
+def test_a_bad_record_after_a_lone_cr_is_named_by_its_line(tmp_path, text, message):
+    """A byte that is not UTF-8 and a record that is not valid name the same
+    line, numbered as the reader splits lines: on `\n`, `\r` and `\r\n`."""
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(GOOD + b"\r" + OTHER + b"\n" + b'{"id": "i", "text": "z", "label": "l"}\r\n'
+                     + b'{"id": "j", "text": ' + text + b', "label": "l"}\n')
+    with pytest.raises(DataError) as raised:
+        load_corpus(path)
+    assert str(raised.value) == f"{path}:4: {message}"
+
+
 @pytest.mark.parametrize("key", ["id", "source", "extra"])
 def test_an_integer_too_long_to_convert_is_bad_data(tmp_path, key):
     """Python converts no integer of more than 4,300 digits to an int; the

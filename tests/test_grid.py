@@ -1,12 +1,11 @@
-"""The 16-cell evaluation grid: determinism, failure isolation, reports, and
-the same bytes whether the TFIDF lane runs in its child process or in this
-one."""
+"""The 16-cell evaluation grid: determinism, failure isolation, reports, the
+same bytes whether the TFIDF lane runs in its child process or in this one,
+and that child started from any script and through the caller's `sys.path`."""
 
-import concurrent.futures
 import functools
-import hashlib
 import logging
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -15,7 +14,8 @@ import textwrap
 import pytest
 from test_blas_threads import SOURCE_ROOT, run_python
 
-from pashtext.corpus import CorpusSplit, SplitSpec, stratified_split
+from pashtext import cli, grid
+from pashtext.corpus import CorpusSplit, SplitSpec, save_corpus, stratified_split
 from pashtext.errors import DataError
 from pashtext.grid import GridCell, cell_seed, run_grid
 from pashtext.models import ModelKind
@@ -211,48 +211,34 @@ def report_texts(report):
     )
 
 
-class InProcessPool:
-    """Stands in for `ProcessPoolExecutor`: `submit` runs the call in this
-    process and returns its done future."""
-
-    def __init__(self, *_args, **_kwargs):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *_exc_info):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+def lane_in_this_process(args, input, stdout):
+    """Stands in for `subprocess.run`: runs the TFIDF lane's cells in this
+    process and returns them as its child would."""
+    cells = [grid._run_cell(*job) for job in pickle.loads(input)]
+    return subprocess.CompletedProcess(args, 0, pickle.dumps(cells))
 
 
 def run_in_process(monkeypatch, *args, **kwargs):
     """`run_grid` with its TFIDF lane run in this process."""
     with monkeypatch.context() as patch:
-        patch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        patch.setattr(subprocess, "run", lane_in_this_process)
         return run_grid(*args, **kwargs)
 
 
-class CountedPool(concurrent.futures.ProcessPoolExecutor):
-    started = 0
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        CountedPool.started += 1
-
-
-def test_spawned_lane_gives_the_in_process_bytes(small_setup, monkeypatch):
+def test_child_lane_gives_the_in_process_bytes(small_setup, monkeypatch):
     corpus, split = small_setup
     # Default parameters: every cell seeds itself from the grid seed.
     expected = report_texts(run_in_process(monkeypatch, corpus, split, seed=11, select_k=40))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    before = CountedPool.started
+    children = []
+    real_run = subprocess.run
+
+    def counted_run(args, **kwargs):
+        children.append(args[0])
+        return real_run(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counted_run)
     assert report_texts(run_grid(corpus, split, seed=11, select_k=40)) == expected
-    assert CountedPool.started - before == 1
+    assert children == [sys.executable]
 
 
 def cell_log(caplog):
@@ -296,103 +282,89 @@ def test_cell_failing_in_the_tfidf_lane_yields_its_warning_row(
     ]
 
 
-# Runs one small grid in a fresh interpreter whose default start method is
-# argv[1], and prints the SHA-256 of its five outputs.
-LANES_UNDER_START_METHOD = textwrap.dedent("""
-    import hashlib
-    import multiprocessing
+def test_failing_child_ends_the_grid_with_exit_three(tmp_path, monkeypatch, capsys):
+    save_corpus(generate_corpus(classes=3, per_class=8, seed=5), tmp_path / "corpus.jsonl")
+    monkeypatch.setattr(grid, "_LANE_CHILD", "raise SystemExit(1)")
+    code = cli.main(["grid", "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--out", str(tmp_path / "grid")])
+    assert code == 3
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: RuntimeError: the TFIDF lane's process exited with code 1"]
+    assert not (tmp_path / "grid").exists()
+
+
+# A script that runs a grid at its top level, with no `__main__` guard.
+UNGUARDED_GRID_SCRIPT = textwrap.dedent("""
+    from pashtext import cli
+
+    print("top")
+    raise SystemExit(cli.main(["grid", "--corpus", "corpus.jsonl", "--out", "script"]))
+""")
+
+
+def test_a_script_runs_a_grid_at_its_top_level(tmp_path):
+    cli_args = ["-m", "pashtext.cli"]
+    run_python([*cli_args, "synth", "--classes", "3", "--per-class", "10",
+                "--out", "corpus.jsonl"], None, cwd=tmp_path)
+    (tmp_path / "grid_script.py").write_text(UNGUARDED_GRID_SCRIPT, encoding="utf-8")
+    out = run_python(["grid_script.py"], None, cwd=tmp_path)  # fails unless exit 0
+    assert out.splitlines().count("top") == 1
+    run_python([*cli_args, "grid", "--corpus", "corpus.jsonl", "--out", "cli"], None,
+               cwd=tmp_path)
+    names = sorted(path.name for path in (tmp_path / "cli").iterdir())
+    assert len(names) == 6
+    assert sorted(path.name for path in (tmp_path / "script").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "script" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+
+
+# Imports pashtext from argv[1] through `sys.path` alone, runs a grid and
+# prints how many of its cells succeeded.
+SYS_PATH_ONLY_GRID = textwrap.dedent("""
     import sys
 
-    from pashtext import grid
+    sys.path.insert(0, sys.argv[1])
     from pashtext.corpus import SplitSpec, stratified_split
+    from pashtext.grid import run_grid
     from pashtext.synth import generate_corpus
 
-    if __name__ == "__main__":
-        multiprocessing.set_start_method(sys.argv[1])
-        corpus = generate_corpus(classes=3, per_class=10, seed=5)
-        split = stratified_split(corpus, SplitSpec(train_fraction=0.7, seed=5))
-        report = grid.run_grid(corpus, split, seed=3)
-        texts = (report.to_json_text(), report.accuracy_table_markdown(),
-                 report.accuracy_table_csv(), report.per_class_tables_markdown(),
-                 report.per_class_tables_csv())
-        print(hashlib.sha256(repr(texts).encode()).hexdigest())
-""")
-
-
-@pytest.mark.parametrize("method,threads", [("forkserver", None), ("forkserver", "2"),
-                                            ("fork", "2")])
-def test_two_lanes_give_the_same_bytes_whatever_the_default_start_method(
-    tmp_path, monkeypatch, method, threads
-):
     corpus = generate_corpus(classes=3, per_class=10, seed=5)
     split = stratified_split(corpus, SplitSpec(train_fraction=0.7, seed=5))
-    texts = report_texts(run_in_process(monkeypatch, corpus, split, seed=3))
-    script = tmp_path / "lanes.py"
-    script.write_text(LANES_UNDER_START_METHOD, encoding="utf-8")
-    digest = hashlib.sha256(repr(texts).encode()).hexdigest()
-    assert run_python([str(script), method], threads).strip() == digest
-
-
-# `pashtext` whose TFIDF lane's child process dies as it starts.  The spawned
-# child runs this file again, so it learns the parent's pid from the
-# environment.
-DYING_CHILD = textwrap.dedent("""
-    import os
-    import sys
-
-    from pashtext import cli, grid
-
-    PARENT = int(os.environ.setdefault("DYING_CHILD_PARENT", str(os.getpid())))
-    run_lane = grid._run_lane
-
-    def lane_dying_in_the_child(jobs):
-        if os.getpid() != PARENT:
-            os._exit(1)
-        return run_lane(jobs)
-
-    if __name__ == "__main__":
-        grid._run_lane = lane_dying_in_the_child
-        sys.exit(cli.main(sys.argv[1:]))
+    print(sum(cell.error is None for cell in run_grid(corpus, split, seed=3).cells))
 """)
 
 
-def test_killed_child_ends_the_grid_with_exit_three(tmp_path):
-    script = tmp_path / "dying.py"
-    script.write_text(DYING_CHILD, encoding="utf-8")
-    run_python(["-m", "pashtext.cli", "synth", "--classes", "3", "--per-class", "8",
-                "--out", str(tmp_path / "corpus.jsonl")], None)
-    env = {key: value for key, value in os.environ.items() if key != "DYING_CHILD_PARENT"}
+def test_the_child_imports_pashtext_through_the_parents_sys_path(tmp_path):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     finished = subprocess.run(
-        [sys.executable, str(script), "grid", "--corpus", str(tmp_path / "corpus.jsonl"),
-         "--out", str(tmp_path / "grid")],
-        env={**env, "PYTHONPATH": SOURCE_ROOT}, capture_output=True, text=True,
-        timeout=120,
+        [sys.executable, "-c", SYS_PATH_ONLY_GRID, SOURCE_ROOT], env=env, cwd=tmp_path,
+        capture_output=True, text=True, check=True,
     )
-    assert finished.returncode == 3
-    errors = [line for line in finished.stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and "BrokenProcessPool" in errors[0]
-    assert not (tmp_path / "grid" / "grid.json").exists()
+    assert finished.stdout == "16\n"
 
 
-# Prints, on its last line, the pashtext modules loaded so far.
+# Prints, on one line, the pashtext modules loaded so far.
 LOADED = "print(*sorted(name for name in sys.modules if name.startswith('pashtext')))"
 
 
-def test_importing_the_cli_does_not_import_the_process_pool(tmp_path):
-    probe = ("import sys, pashtext.cli, pashtext.grid; "
-             "print('concurrent.futures.process' in sys.modules)")
-    assert run_python(["-c", probe], None).strip() == "False"
+def test_the_cli_loads_what_a_command_runs_and_a_grid_no_process_pool(tmp_path):
     # The CLI loads the code of a command only when that command runs.
     loaded = run_python(["-c", f"import sys, pashtext.cli; {LOADED}"], None).split()
     assert "pashtext.cli" in loaded
     assert [name for name in loaded if name.startswith(
         ("pashtext.models", "pashtext.grid", "pashtext.metrics", "pashtext.synth"))] == []
     probe = ("import sys; from pashtext import cli; "
-             "cli.main(['synth', '--classes', '2', '--per-class', '4', '--out', 'c.jsonl']); "
-             f"cli.main(['ingest', '--corpus', 'c.jsonl']); {LOADED}")
-    loaded = run_python(["-c", probe], None, cwd=tmp_path).splitlines()[-1].split()
+             "cli.main(['synth', '--classes', '2', '--per-class', '10', '--out', 'c.jsonl']); "
+             f"cli.main(['ingest', '--corpus', 'c.jsonl']); {LOADED}; "
+             "cli.main(['grid', '--corpus', 'c.jsonl', '--out', 'grid']); "
+             "print([name for name in ('multiprocessing', 'concurrent.futures.process') "
+             "if name in sys.modules])")
+    lines = run_python(["-c", probe], None, cwd=tmp_path).splitlines()
+    loaded = next(line.split() for line in lines if line.startswith("pashtext pashtext."))
     assert "pashtext.synth" in loaded
     assert [name for name in loaded if name.startswith("pashtext.models")] == []
+    assert lines[-1] == "[]"
 
 
 TRAIN_EVERY_KIND = textwrap.dedent("""
