@@ -188,19 +188,8 @@ def _cmd_train(args) -> int:
     started = time.perf_counter()
     model = train(kind, matrix, params, label_count=len(labels))
     elapsed = time.perf_counter() - started
-    out = Path(args.out)
-    bundle_path = out / "model.json"
+    bundle_path = Path(args.out) / "model.json"
     _save_bundle(bundle_path, model, vocab, args.features, labels, mask)
-    log_lines = [
-        f"classifier: {kind.value}",
-        f"features: {args.features}",
-        f"params: {params!r}",
-        f"train_documents: {matrix.n_rows}",
-        f"vocabulary: {len(vocab)} tokens"
-        + (f" (top {mask.kept_indices.size} kept)" if mask is not None else ""),
-        f"seconds: {elapsed:.3f}",
-    ]
-    write_output(out / "train.log", "\n".join(log_lines) + "\n")
     print(
         f"trained {kind.value} on {matrix.n_rows} documents "
         f"({matrix.dim} features) in {elapsed:.2f}s -> {bundle_path}"

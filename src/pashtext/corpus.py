@@ -3,7 +3,8 @@
 Corpus files are UTF-8 JSON lines with required keys "id", "text" and
 "label" (an optional string "source" is preserved but unused). A plain
 directory layout is also accepted: one subdirectory per label, one UTF-8
-``.txt`` file per document, filename stem = document id.
+``.txt`` file per document, whose id is ``<label directory>/<file name>``
+(for example ``sport/a.txt``).
 """
 
 from __future__ import annotations

@@ -88,14 +88,16 @@ class _LinearModel(Model):
         dense = matrix.to_dense()
         weights = np.zeros((label_count, matrix.dim), dtype=np.float64)
         bias = np.zeros(label_count, dtype=np.float64)
-        for epoch in range(params.epochs):
-            loss, grad_w, grad_b = cls.loss_and_grads(
-                weights, bias, dense, matrix.row_labels, params.l2_strength
-            )
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            weights -= params.learning_rate * grad_w
-            bias -= params.learning_rate * grad_b
+        # A diverging fit is reported by the loss check, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for epoch in range(params.epochs):
+                loss, grad_w, grad_b = cls.loss_and_grads(
+                    weights, bias, dense, matrix.row_labels, params.l2_strength
+                )
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(epoch)
+                weights -= params.learning_rate * grad_w
+                bias -= params.learning_rate * grad_b
         return cls(weights, bias, params)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:

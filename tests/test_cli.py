@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -228,8 +229,7 @@ def test_train_bundle_contents(workspace):
         "strip_punctuation": True,
         "strip_urls": True,
     }
-    log_text = (workspace["bundle"].parent / "train.log").read_text(encoding="utf-8")
-    assert "classifier: multinomial_nb" in log_text
+    assert [path.name for path in workspace["bundle"].parent.iterdir()] == ["model.json"]
 
 
 def test_train_with_overrides_and_selection(workspace, tmp_path):
@@ -332,6 +332,15 @@ def _train(workspace, out, kind, *params):
             "--out", str(out),
         ]
     )
+
+
+@pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm", "mlp"])
+def test_diverging_fit_prints_one_error_line_and_no_bundle(workspace, tmp_path, capsys,
+                                                            kind):
+    assert _train(workspace, tmp_path, kind, "learning_rate=1e300", "epochs=3") == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: training diverged at epoch \d+: non-finite loss\n", err), err
+    assert not (tmp_path / "model.json").exists()
 
 
 def _hyperparams(out):
@@ -803,6 +812,25 @@ def test_grid_command_writes_its_six_files(workspace, tmp_path, capsys):
     grid_data = json.loads((out / "grid.json").read_text(encoding="utf-8"))
     assert grid_data["format"] == "pashtext-grid-report"
     assert len(grid_data["cells"]) == 16
+
+
+def test_grid_with_failing_cells_exits_three_and_names_them(tmp_path, capsys):
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "grid"
+    assert main(["synth", "--classes", "2", "--per-class", "2", "--seed", "3",
+                 "--out", str(corpus)]) == 0
+    capsys.readouterr()
+    assert main(["grid", "--corpus", str(corpus), "--fraction", "0.5",
+                 "--out", str(out)]) == 3
+    failure = "InvalidHyperparameterError: k=5 exceeds the 2 training rows"
+    assert capsys.readouterr().out.endswith(
+        f"grid complete: 14/16 cells succeeded -> {out}\n"
+        f"  failed knn/unigram: {failure}\n"
+        f"  failed knn/tfidf: {failure}\n"
+    )
+    assert sorted(path.name for path in out.iterdir()) == [
+        "accuracy_table.csv", "accuracy_table.md", "grid.json",
+        "per_class_tables.csv", "per_class_tables.md", "split.json",
+    ]
 
 
 def test_lone_surrogate_escape_in_a_corpus_is_a_data_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -345,6 +346,22 @@ def test_directory_loader(tmp_path):
     assert len(corpus) == 4
     assert set(corpus.labels.names) == {"muse", "news"}
     assert corpus.by_id("muse/doc0.txt").text == "muse body 0"
+
+
+def test_directory_loader_refusals(tmp_path):
+    (tmp_path / "loose.txt").write_text("no label directory", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(
+            f"corpus directory has no label subdirectories: {tmp_path}")):
+        load_corpus(tmp_path)
+    for label in ("muse", "news"):
+        (tmp_path / label).mkdir()
+        (tmp_path / label / "notes.md").write_text("not a document", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(
+            "label directory 'news' outside the supplied label set")):
+        load_corpus(tmp_path, LabelSet(["muse"]))
+    with pytest.raises(DataError, match=re.escape(
+            f"corpus directory contains no documents: {tmp_path}")):
+        load_corpus(tmp_path)
 
 
 def test_explicit_label_universe_is_enforced(tmp_path):

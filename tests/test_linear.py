@@ -167,7 +167,7 @@ def test_training_loss_decreases():
 def test_divergence_raises_with_epoch():
     dense = [[1e30], [-1e30]]
     m = matrix_from_dense(dense, [0, 1])
-    with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as info:
+    with pytest.raises(TrainingDivergedError) as info:
         LinearSVMModel.fit(m, LinearParams(learning_rate=1e30, epochs=50), 2)
     assert "epoch" in str(info.value)
 

@@ -215,9 +215,8 @@ def test_divergence_raises():
     dense = [[1e200], [-1e200], [1e200]]
     m = matrix_from_dense(dense, [0, 1, 0])
     params = MLPParams(hidden_units=2, learning_rate=1e150, epochs=3, seed=1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        with pytest.raises(TrainingDivergedError):
-            MLPModel.fit(m, params, 2)
+    with pytest.raises(TrainingDivergedError):
+        MLPModel.fit(m, params, 2)
 
 
 def test_scores_are_probabilities_and_zero_vector_works():

@@ -469,8 +469,8 @@ def test_split_features_matches_the_per_mode_reference(select_k):
 
 
 def test_side_documents_errors_and_warning_name_the_side(caplog):
-    """Unknown ids and empty sides are data errors naming the side; the
-    exclusion warning names it too."""
+    """Unknown ids and empty sides are data errors naming the side, and a
+    repeated id is one naming the id; the exclusion warning names the side."""
     corpus = Corpus(
         [Document(id="a", text="کلمه متن", label="x"),
          Document(id="latin", text="only latin 123", label="x")],
@@ -483,6 +483,8 @@ def test_side_documents_errors_and_warning_name_the_side(caplog):
         side_documents(corpus, ["latin"], TEST)
     with pytest.raises(DataError, match="ghost"):
         side_documents(corpus, ["a", "ghost"], TRAIN)
+    with pytest.raises(DataError, match="^duplicate document id 'a'$"):
+        side_documents(corpus, ["a", "a"], TRAIN)
 
 
 def test_training_side_holds_one_string_per_distinct_token():
