@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .corpus import (
     LabelSet,
-    SplitSpec,
     load_corpus,
     load_split,
     save_corpus,
@@ -160,10 +159,9 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_split(args) -> int:
     corpus = load_corpus(args.corpus)
-    spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
-    split = stratified_split(corpus, spec)
+    split = stratified_split(corpus, args.fraction, args.seed)
     path = Path(args.out) / "split.json"
-    save_split(split, spec, path)
+    save_split(split, path)
     print(
         f"split {len(corpus)} documents into {len(split.train_ids)} train / "
         f"{len(split.test_ids)} test -> {path}"
@@ -178,7 +176,7 @@ def _cmd_train(args) -> int:
     kind = ModelKind(args.classifier)
     params = make_params(kind, _parse_params(args.param), args.seed)
     corpus = load_corpus(args.corpus)
-    split, _spec = load_split(args.split)
+    split = load_split(args.split)
     labels = corpus.labels
     docs = side_documents(corpus, split.train_ids, "train")
     del corpus  # its texts are not held through the fit
@@ -204,7 +202,7 @@ def _cmd_evaluate(args) -> int:
     labels: LabelSet = bundle["labels"]
     # Loaded under the model's label set, so rows carry its class indices.
     corpus = load_corpus(args.corpus, labels)
-    split, _spec = load_split(args.split)
+    split = load_split(args.split)
     docs = side_documents(corpus, split.test_ids, "test")
     del corpus  # its texts are not held through counting and prediction
     counts = vectorize_documents(docs, bundle["vocab"], labels)
@@ -226,11 +224,10 @@ def _cmd_grid(args) -> int:
     from .grid import run_grid
 
     corpus = load_corpus(args.corpus)
-    spec = SplitSpec(train_fraction=args.fraction, seed=args.seed)
-    split = stratified_split(corpus, spec)
+    split = stratified_split(corpus, args.fraction, args.seed)
     report = run_grid(corpus, split, seed=args.seed, select_k=args.select_k)
     out = Path(args.out)
-    save_split(split, spec, out / "split.json")
+    save_split(split, out / "split.json")
     write_output(out / "grid.json", report.to_json_text())
     write_output(out / "accuracy_table.md", report.accuracy_table_markdown())
     write_output(out / "accuracy_table.csv", report.accuracy_table_csv())

@@ -83,9 +83,6 @@ class LabelSet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LabelSet) and self.names == other.names
-
     def __repr__(self) -> str:
         return f"LabelSet({list(self.names)!r})"
 
@@ -122,9 +119,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def __iter__(self):
-        return iter(self.documents)
-
     def by_id(self, doc_id: str) -> Document:
         try:
             return self._by_id[doc_id]
@@ -146,28 +140,23 @@ class Corpus:
         return counts
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Train/test split request: fraction of each class sent to train."""
-
-    train_fraction: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise DataError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
+def _check_fraction(train_fraction: float) -> None:
+    if not 0.0 < train_fraction < 1.0:
+        raise DataError(f"train_fraction must be in (0, 1), got {train_fraction}")
 
 
 @dataclass(frozen=True)
 class CorpusSplit:
-    """Disjoint train/test id partition of a corpus."""
+    """Disjoint train/test id partition of a corpus, with the fraction of
+    each class sent to train and the seed that drew it."""
 
+    train_fraction: float
+    seed: int
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
 
     def __post_init__(self):
+        _check_fraction(self.train_fraction)
         for doc_id, n in Counter(self.train_ids + self.test_ids).items():
             if n > 1:
                 raise DataError(f"split id {doc_id!r} appears {n} times")
@@ -364,14 +353,15 @@ def _round_half_up(fraction: float, count: int) -> int:
     return int(value.quantize(Decimal("1"), rounding=ROUND_HALF_UP))
 
 
-def stratified_split(corpus: Corpus, spec: SplitSpec) -> CorpusSplit:
+def stratified_split(corpus: Corpus, train_fraction: float, seed: int) -> CorpusSplit:
     """Per-class deterministic train/test partition.
 
     For each class c with n_c documents, exactly round-half-up(fraction*n_c)
     go to train. Each class's documents are shuffled by a Fisher-Yates pass
-    driven by SplitMix64 seeded with derive_seed(spec.seed, class_index), so
-    the split depends only on (corpus order, spec).
+    driven by SplitMix64 seeded with derive_seed(seed, class_index), so the
+    split depends only on (corpus order, train_fraction, seed).
     """
+    _check_fraction(train_fraction)
     by_class: dict[str, list[str]] = {name: [] for name in corpus.labels}
     for doc in corpus.documents:
         by_class[doc.label].append(doc.id)
@@ -385,43 +375,44 @@ def stratified_split(corpus: Corpus, spec: SplitSpec) -> CorpusSplit:
             raise DataError(
                 f"class {name!r} has {n_class} document(s); need at least 2 to split"
             )
-        n_train = _round_half_up(spec.train_fraction, n_class)
+        n_train = _round_half_up(train_fraction, n_class)
         if n_train < 1 or n_train >= n_class:
             raise DataError(
-                f"fraction {spec.train_fraction} yields an empty train or test "
+                f"fraction {train_fraction} yields an empty train or test "
                 f"side for class {name!r} ({n_class} documents)"
             )
-        rng = SplitMix64(derive_seed(spec.seed, class_index))
+        rng = SplitMix64(derive_seed(seed, class_index))
         shuffled = list(ids)
         rng.shuffle(shuffled)
         train_ids.extend(shuffled[:n_train])
         test_ids.extend(shuffled[n_train:])
-    return CorpusSplit(train_ids=tuple(train_ids), test_ids=tuple(test_ids))
+    return CorpusSplit(train_fraction, seed, tuple(train_ids), tuple(test_ids))
 
 
-def _split_document(split: CorpusSplit, spec: SplitSpec) -> dict:
+def _split_document(split: CorpusSplit) -> dict:
     return {
-        "train_fraction": spec.train_fraction,
-        "seed": spec.seed,
+        "train_fraction": split.train_fraction,
+        "seed": split.seed,
         "train_ids": list(split.train_ids),
         "test_ids": list(split.test_ids),
     }
 
 
-def save_split(split: CorpusSplit, spec: SplitSpec, path: str | Path) -> None:
-    """Persist a split (with the spec that produced it) as a JSON file."""
-    text = json.dumps(_split_document(split, spec), ensure_ascii=False, indent=2,
-                      allow_nan=False)
+def save_split(split: CorpusSplit, path: str | Path) -> None:
+    """Persist a split as a JSON file."""
+    text = json.dumps(_split_document(split), ensure_ascii=False, indent=2, allow_nan=False)
     write_output(path, text + "\n")
 
 
-def load_split(path: str | Path) -> tuple[CorpusSplit, SplitSpec]:
-    """The split and spec saved in the file `path`, which must load as written."""
+def load_split(path: str | Path) -> CorpusSplit:
+    """The split saved in the file `path`, which must load as written."""
     payload = read_json(path, "split file")
     with malformed(f"split file {path}"):
-        split = CorpusSplit(tuple(map(str, payload["train_ids"])),
-                            tuple(map(str, payload["test_ids"])))
-        spec = SplitSpec(train_fraction=float(payload["train_fraction"]),
-                         seed=int(payload["seed"]))
-    loads_as_written(_split_document(split, spec), payload, f"split file {path}")
-    return split, spec
+        try:
+            split = CorpusSplit(float(payload["train_fraction"]), int(payload["seed"]),
+                                tuple(map(str, payload["train_ids"])),
+                                tuple(map(str, payload["test_ids"])))
+        except DataError as exc:
+            raise DataError(f"split file {path}: {exc}") from None
+    loads_as_written(_split_document(split), payload, f"split file {path}")
+    return split

@@ -50,10 +50,6 @@ class AdamState:
         self.step = 0
         self._scratch = (np.empty(size), np.empty(size))
 
-    @classmethod
-    def for_model(cls, model: "MLPModel") -> "AdamState":
-        return cls(model.flat.size)
-
     def apply(self, model: "MLPModel", grad: np.ndarray, params: MLPParams) -> None:
         """One Adam update of `model.flat` from the flat gradient `grad`.
 
@@ -118,7 +114,7 @@ class MLPModel(Model):
     @classmethod
     def fit(cls, matrix: FeatureMatrix, params: MLPParams, label_count: int) -> "MLPModel":
         model = init_mlp(matrix.dim, label_count, params)
-        adam = AdamState.for_model(model)
+        adam = AdamState(model.flat.size)
         samples = row_samples(matrix, range(matrix.n_rows), matrix.row_labels)
         # A diverging fit is reported by the loss check, not by numpy warnings.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -69,7 +69,7 @@ _NOISE_RE = re.compile(f"[^\\s{re.escape(_KEPT)}]+")
 # The profile as each model bundle records it.  A bundle that records
 # anything else was made with preprocessing this version cannot reproduce.
 PROFILE_RECORD = {
-    "allowed_script_ranges": ["0020-0020", "0600-06FF", "0750-077F", "08A0-08FF"],
+    "allowed_script_ranges": [f"{lo:04X}-{hi:04X}" for lo, hi in ARABIC_SCRIPT_RANGES],
     "lowercase_latin": True,
     "stop_words": [],
     "strip_digits": True,

@@ -15,7 +15,7 @@ import pytest
 from matrices import matrix_from_dense
 
 from pashtext.cli import main as cli_main
-from pashtext.corpus import Corpus, Document, LabelSet, SplitSpec, stratified_split
+from pashtext.corpus import Corpus, Document, LabelSet, stratified_split
 from pashtext.metrics import evaluate_predictions
 from pashtext.models import ModelKind, train
 from pashtext.models.naive_bayes import GaussianNBModel, MultinomialNBModel
@@ -488,7 +488,7 @@ def test_criterion_7_determinism(desk_grid):
 
     # a one-tree, no-bootstrap, all-features forest is exactly a plain tree
     corpus = generate_corpus(classes=4, per_class=12, seed=6)
-    split = stratified_split(corpus, SplitSpec(train_fraction=0.75, seed=6))
+    split = stratified_split(corpus, train_fraction=0.75, seed=6)
     tokenized = preprocess(corpus)
     by_id = {doc.id: doc for doc in tokenized.documents}
     train_docs = [by_id[i] for i in split.train_ids]

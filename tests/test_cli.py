@@ -212,6 +212,8 @@ def test_split_bad_fraction(workspace, tmp_path, capsys):
         ]
     )
     assert code == 2
+    # A flag, not a file: the message names no file.
+    assert capsys.readouterr().err == "error: train_fraction must be in (0, 1), got 1.5\n"
 
 
 def test_train_bundle_contents(workspace):
@@ -732,24 +734,28 @@ def test_split_ids_missing_from_corpus_are_a_data_error(workspace, tmp_path, cap
 
 
 def test_overlapping_split_is_a_data_error(workspace, tmp_path, capsys):
+    """A split file that lists an id twice, or holds a fraction outside
+    (0, 1), is refused by name by both commands that read one."""
     split = json.loads(workspace["split"].read_text(encoding="utf-8"))
-    split["train_ids"] += split["test_ids"][:3]
+    overlapping = dict(split, train_ids=split["train_ids"] + split["test_ids"][:1])
+    twice = f"split id {split['test_ids'][0]!r} appears 2 times"
+    out_of_range = dict(split, train_fraction=2)
     path = tmp_path / "split.json"
-    path.write_text(json.dumps(split), encoding="utf-8")
-    code = main(
-        [
-            "train",
-            "--corpus", str(workspace["corpus"]),
-            "--split", str(path),
-            "--classifier", "multinomial_nb",
-            "--out", str(tmp_path / "model"),
-        ]
-    )
-    assert (code, _evaluate(workspace, tmp_path, split=path)) == (2, 2)
-    lines = capsys.readouterr().err.splitlines()  # one line per command
-    assert len(lines) == 2
-    assert all(line.startswith("error: split id ") and "appears 2 times" in line
-               for line in lines)
+    for document, refusal in ((overlapping, twice),
+                              (out_of_range, "train_fraction must be in (0, 1), got 2.0")):
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code = main(
+            [
+                "train",
+                "--corpus", str(workspace["corpus"]),
+                "--split", str(path),
+                "--classifier", "multinomial_nb",
+                "--out", str(tmp_path / "model"),
+            ]
+        )
+        assert (code, _evaluate(workspace, tmp_path, split=path)) == (2, 2)
+        # One line per command.
+        assert capsys.readouterr().err == f"error: split file {path}: {refusal}\n" * 2
 
 
 def test_documents_emptied_by_preprocessing_only_warn(tmp_path, caplog):

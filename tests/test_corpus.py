@@ -11,7 +11,6 @@ from pashtext.corpus import (
     CorpusSplit,
     Document,
     LabelSet,
-    SplitSpec,
     load_corpus,
     load_split,
     save_corpus,
@@ -284,7 +283,8 @@ def test_jsonl_loader_matches_the_per_key_reference(tmp_path, content, labels):
             corpus = load(path, labels)
         except DataError as exc:
             return str(exc)
-        return [(d.id, d.text, d.label, d.source) for d in corpus], corpus.labels
+        return ([(d.id, d.text, d.label, d.source) for d in corpus.documents],
+                corpus.labels.names)
 
     assert outcome(load_corpus) == outcome(reference_load_jsonl)
 
@@ -390,19 +390,22 @@ def test_validate_reports_empty_and_imbalance():
     assert validate(trimmed).imbalance_ratio == 1.0
 
 
-def test_split_spec_bounds():
-    with pytest.raises(DataError):
-        SplitSpec(train_fraction=0.0, seed=1)
-    with pytest.raises(DataError):
-        SplitSpec(train_fraction=1.0, seed=1)
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 2.0, math.nan, math.inf])
+def test_split_fraction_bounds(fraction):
+    message = re.escape(f"train_fraction must be in (0, 1), got {fraction}")
+    with pytest.raises(DataError, match=message):
+        CorpusSplit(fraction, 1, ("a",), ("b",))
+    # Refused before any class is looked at: class "a" alone could not be split.
+    with pytest.raises(DataError, match=message):
+        stratified_split(make_corpus({"a": 1, "b": 5}), fraction, seed=1)
 
 
 def test_stratified_split_partition_and_proportions():
     corpus = make_corpus({"a": 10, "b": 20, "c": 30})
-    split = stratified_split(corpus, SplitSpec(train_fraction=0.8, seed=42))
+    split = stratified_split(corpus, train_fraction=0.8, seed=42)
     all_ids = set(split.train_ids) | set(split.test_ids)
     assert len(split.train_ids) + len(split.test_ids) == 60
-    assert all_ids == {d.id for d in corpus}
+    assert all_ids == {d.id for d in corpus.documents}
     by_label = lambda ids, label: sum(1 for i in ids if i.startswith(label))
     assert by_label(split.train_ids, "a") == 8
     assert by_label(split.train_ids, "b") == 16
@@ -412,16 +415,16 @@ def test_stratified_split_partition_and_proportions():
 def test_stratified_split_rounds_half_up():
     # 0.3 of 5 is 1.5, which rounds up to 2 per class.
     corpus = make_corpus({"a": 5, "b": 5})
-    split = stratified_split(corpus, SplitSpec(train_fraction=0.3, seed=0))
+    split = stratified_split(corpus, train_fraction=0.3, seed=0)
     assert sum(1 for i in split.train_ids if i.startswith("a")) == 2
     assert sum(1 for i in split.train_ids if i.startswith("b")) == 2
 
 
 def test_stratified_split_deterministic_and_seed_sensitive():
     corpus = make_corpus({"a": 12, "b": 12})
-    s1 = stratified_split(corpus, SplitSpec(0.75, seed=7))
-    s2 = stratified_split(corpus, SplitSpec(0.75, seed=7))
-    s3 = stratified_split(corpus, SplitSpec(0.75, seed=8))
+    s1 = stratified_split(corpus, 0.75, seed=7)
+    s2 = stratified_split(corpus, 0.75, seed=7)
+    s3 = stratified_split(corpus, 0.75, seed=8)
     assert s1 == s2
     assert s1 != s3
 
@@ -429,33 +432,30 @@ def test_stratified_split_deterministic_and_seed_sensitive():
 def test_stratified_split_needs_two_docs_per_class():
     corpus = make_corpus({"a": 1, "b": 5})
     with pytest.raises(DataError):
-        stratified_split(corpus, SplitSpec(0.5, seed=1))
+        stratified_split(corpus, 0.5, seed=1)
 
 
 def test_stratified_split_rejects_empty_side():
     corpus = make_corpus({"a": 2, "b": 2})
     # 0.9 of 2 rounds to 2: test side would be empty for every class
     with pytest.raises(DataError):
-        stratified_split(corpus, SplitSpec(0.9, seed=1))
+        stratified_split(corpus, 0.9, seed=1)
 
 
 def test_split_round_trip(tmp_path):
     corpus = make_corpus({"a": 6, "b": 6})
-    spec = SplitSpec(0.5, seed=3)
-    split = stratified_split(corpus, spec)
+    split = stratified_split(corpus, 0.5, seed=3)
+    assert (split.train_fraction, split.seed) == (0.5, 3)
     path = tmp_path / "split.json"
-    save_split(split, spec, path)
-    loaded, loaded_spec = load_split(path)
-    assert loaded == split
-    assert loaded_spec == spec
+    save_split(split, path)
+    assert load_split(path) == split
 
 
 def test_split_file_is_byte_deterministic(tmp_path):
     corpus = make_corpus({"a": 6, "b": 6})
-    spec = SplitSpec(0.5, seed=3)
     p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
-    save_split(stratified_split(corpus, spec), spec, p1)
-    save_split(stratified_split(corpus, spec), spec, p2)
+    save_split(stratified_split(corpus, 0.5, seed=3), p1)
+    save_split(stratified_split(corpus, 0.5, seed=3), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -10,12 +10,13 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import pytest
 from test_blas_threads import SOURCE_ROOT, run_python
 
 from pashtext import cli, grid
-from pashtext.corpus import CorpusSplit, SplitSpec, save_corpus, stratified_split
+from pashtext.corpus import save_corpus, stratified_split
 from pashtext.errors import DataError
 from pashtext.grid import GridCell, cell_seed, run_grid
 from pashtext.models import ModelKind
@@ -35,7 +36,7 @@ QUICK_PARAMS = {
 @pytest.fixture(scope="module")
 def small_setup():
     corpus = generate_corpus(classes=4, per_class=12, seed=5)
-    split = stratified_split(corpus, SplitSpec(train_fraction=0.75, seed=5))
+    split = stratified_split(corpus, train_fraction=0.75, seed=5)
     return corpus, split
 
 
@@ -191,13 +192,15 @@ def test_select_k_grid(small_setup):
 def test_grid_reads_the_train_side_before_the_test_side(small_setup):
     """Each side's unknown ids and emptiness are reported, train side first."""
     corpus, split = small_setup
-    ghosts = CorpusSplit(split.train_ids + ("ghost-train",), split.test_ids + ("ghost-test",))
+    ghosts = replace(split, train_ids=split.train_ids + ("ghost-train",),
+                     test_ids=split.test_ids + ("ghost-test",))
     with pytest.raises(DataError, match="ghost-train"):
         run_grid(corpus, ghosts, params_by_kind=QUICK_PARAMS)
     with pytest.raises(DataError, match="no usable documents on the train side"):
-        run_grid(corpus, CorpusSplit((), ()), params_by_kind=QUICK_PARAMS)
+        run_grid(corpus, replace(split, train_ids=(), test_ids=()),
+                 params_by_kind=QUICK_PARAMS)
     with pytest.raises(DataError, match="no usable documents on the test side"):
-        run_grid(corpus, CorpusSplit(split.train_ids, ()), params_by_kind=QUICK_PARAMS)
+        run_grid(corpus, replace(split, test_ids=()), params_by_kind=QUICK_PARAMS)
 
 
 def report_texts(report):
@@ -325,12 +328,12 @@ SYS_PATH_ONLY_GRID = textwrap.dedent("""
     import sys
 
     sys.path.insert(0, sys.argv[1])
-    from pashtext.corpus import SplitSpec, stratified_split
+    from pashtext.corpus import stratified_split
     from pashtext.grid import run_grid
     from pashtext.synth import generate_corpus
 
     corpus = generate_corpus(classes=3, per_class=10, seed=5)
-    split = stratified_split(corpus, SplitSpec(train_fraction=0.7, seed=5))
+    split = stratified_split(corpus, train_fraction=0.7, seed=5)
     print(sum(cell.error is None for cell in run_grid(corpus, split, seed=3).cells))
 """)
 
@@ -370,13 +373,13 @@ def test_the_cli_loads_what_a_command_runs_and_a_grid_no_process_pool(tmp_path):
 TRAIN_EVERY_KIND = textwrap.dedent("""
     import sys
 
-    from pashtext.corpus import SplitSpec, stratified_split
+    from pashtext.corpus import stratified_split
     from pashtext.models import ModelKind, train
     from pashtext.synth import generate_corpus
     from pashtext.vectorize import TFIDF, feature_matrix, fit_features, side_documents
 
     corpus = generate_corpus(classes=3, per_class=10, seed=5)
-    split = stratified_split(corpus, SplitSpec(train_fraction=0.7, seed=5))
+    split = stratified_split(corpus, train_fraction=0.7, seed=5)
     docs = side_documents(corpus, split.train_ids, "train")
     vocab, mask, counts = fit_features(docs, corpus.labels, 5)
     matrix = feature_matrix(counts, vocab, mask, TFIDF)

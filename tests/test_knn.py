@@ -154,6 +154,26 @@ def test_vote_tie_resolves_to_lower_class_index():
     assert model.predict_rows(queries([1.0])).tolist() == [0]
 
 
+@pytest.mark.parametrize("metric", [EUCLIDEAN, COSINE])
+@pytest.mark.parametrize("scale", [2.0**-3, 2.0**5])
+def test_scaling_all_columns_by_a_power_of_two_keeps_predictions(metric, scale):
+    """Scaling every value by a power of two scales each Euclidean distance
+    by it exactly and leaves each cosine unchanged, ties included."""
+    rng = random.Random(43)
+    for _ in range(40):
+        n, dim, label_count = rng.randrange(1, 10), rng.randrange(1, 5), rng.randrange(1, 4)
+        dense = np.array([[rng.choice([0, 0, rng.randrange(1, 5)]) for _ in range(dim)]
+                          for _ in range(n)], dtype=np.float64)
+        labels = [rng.randrange(label_count) for _ in range(n)]
+        batch = np.array([[rng.randrange(5) for _ in range(dim)] for _ in range(4)],
+                         dtype=np.float64)
+        params = KNNParams(k=rng.randrange(1, n + 1), metric=metric)
+        model = KNNModel.fit(matrix_from_dense(dense, labels), params, label_count)
+        scaled = KNNModel.fit(matrix_from_dense(dense * scale, labels), params, label_count)
+        assert np.array_equal(scaled.predict_rows(matrix_from_dense(batch * scale)),
+                              model.predict_rows(matrix_from_dense(batch)))
+
+
 def test_payload_round_trip():
     dense = [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [1.0, 1.0, 1.0]]
     model = KNNModel.fit(matrix_from_dense(dense, [0, 1, 2]), KNNParams(k=2), 3)

@@ -143,7 +143,7 @@ def test_loss_is_mean_cross_entropy():
 def test_adam_single_update_matches_hand_computation():
     params = MLPParams(hidden_units=1, learning_rate=0.1, seed=0)
     model = MLPModel([[0.5]], [0.0], [[0.25, -0.25]], [0.0, 0.0], params)
-    adam = AdamState.for_model(model)
+    adam = AdamState(model.flat.size)
     # flat layout: w1 (1 x 1), b1 (1), w2 (1 x 2), b2 (2)
     grad = np.array([0.3, 0.0, 0.1, -0.1, 0.0, 0.0])
     adam.apply(model, grad, params)
@@ -178,7 +178,7 @@ def test_epoch_counts_steps_and_reports_mean_loss():
     m = matrix_from_dense(dense, labels)
     params = MLPParams(hidden_units=4, batch_size=2, seed=5)
     model = init_mlp(2, 2, params)
-    adam = AdamState.for_model(model)
+    adam = AdamState(model.flat.size)
     samples = all_samples(m, m.row_labels)
     model, loss = mlp_epoch(model, samples, params, adam)
     assert adam.step == 2  # ceil(3 / 2) batches
@@ -353,7 +353,7 @@ def check_flat_training_against_reference(dense, labels, hidden, label_count,
     reference = SimpleNamespace(
         **{name: getattr(model, name).copy() for name in _PARAM_NAMES}
     )
-    adam = AdamState.for_model(model)
+    adam = AdamState(model.flat.size)
     reference_adam = ReferenceAdamState.for_model(reference)
     samples = all_samples(matrix, labels)
     for _ in range(epochs):

@@ -13,7 +13,7 @@ import hashlib
 import pytest
 from test_grid import QUICK_PARAMS
 
-from pashtext.corpus import SplitSpec, stratified_split
+from pashtext.corpus import stratified_split
 from pashtext.grid import GridCell, run_grid
 from pashtext.metrics import evaluate_predictions
 from pashtext.models import ModelKind
@@ -61,7 +61,7 @@ PINNED = {
 @pytest.fixture(scope="module")
 def grids():
     corpus = generate_corpus(classes=4, per_class=12, seed=5)
-    split = stratified_split(corpus, SplitSpec(train_fraction=0.75, seed=5))
+    split = stratified_split(corpus, train_fraction=0.75, seed=5)
     quick = run_grid(corpus, split, seed=11, params_by_kind=QUICK_PARAMS)
     failing = dict(QUICK_PARAMS, **{ModelKind.KNN: KNNParams(k=100000)})
     knn_failed = run_grid(corpus, split, seed=11, params_by_kind=failing)

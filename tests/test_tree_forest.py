@@ -9,7 +9,7 @@ import pytest
 from matrices import matrix_from_dense
 from scalar_prng import ScalarSplitMix64
 
-from pashtext.corpus import SplitSpec, stratified_split
+from pashtext.corpus import stratified_split
 from pashtext.errors import DataError
 from pashtext.models import base
 from pashtext.models import tree as tree_module
@@ -292,6 +292,31 @@ def test_single_tree_forest_matches_plain_tree():
     assert np.array_equal(forest.predict_rows(m), tree.predict_rows(m))
 
 
+@pytest.mark.parametrize("model_class, params", [
+    (DecisionTreeModel, DecisionTreeParams()),
+    (RandomForestModel, RandomForestParams(n_trees=5, seed=7)),
+], ids=["tree", "forest"])
+def test_scaling_columns_by_powers_of_two_keeps_predictions(model_class, params):
+    """A split compares one column with the midpoint of two of its values.
+    Scaling a column by a power of two scales its values and midpoints
+    exactly, so each column may take its own power."""
+    rng = random.Random(41)
+    for _ in range(40):
+        label_count = rng.randrange(2, 4)
+        n, dim = rng.randrange(label_count, 12), rng.randrange(1, 6)
+        dense = np.array([[rng.choice([0, 0, rng.randrange(1, 5)]) for _ in range(dim)]
+                          for _ in range(n)], dtype=np.float64)
+        labels = [i % label_count for i in range(n)]  # every class present
+        rng.shuffle(labels)
+        batch = np.array([[rng.randrange(5) for _ in range(dim)] for _ in range(4)],
+                         dtype=np.float64)
+        scale = np.array([rng.choice([2.0**-3, 2.0**5]) for _ in range(dim)])
+        model = model_class.fit(matrix_from_dense(dense, labels), params, label_count)
+        scaled = model_class.fit(matrix_from_dense(dense * scale, labels), params, label_count)
+        assert np.array_equal(scaled.predict_rows(matrix_from_dense(batch * scale)),
+                              model.predict_rows(matrix_from_dense(batch)))
+
+
 def test_forest_votes_sum_to_tree_count():
     dense = [[0.0], [1.0], [2.0], [3.0]]
     labels = [0, 0, 1, 1]
@@ -493,7 +518,7 @@ def grown_payloads(matrix, seed):
 
 def small_corpus_matrices(seed):
     corpus = generate_corpus(4, 30, noise_rate=0.6, seed=seed)
-    split = stratified_split(corpus, SplitSpec(0.8, seed))
+    split = stratified_split(corpus, 0.8, seed)
     train_docs = side_documents(corpus, split.train_ids, "train")
     vocab, _, counts = fit_features(train_docs, corpus.labels, None)
     return {mode: feature_matrix(counts, vocab, None, mode) for mode in FEATURE_MODES}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from matrices import matrix_from_dense
 
-from pashtext.corpus import Corpus, Document, LabelSet, SplitSpec, stratified_split
+from pashtext.corpus import Corpus, Document, LabelSet, stratified_split
 from pashtext.errors import DataError
 from pashtext.pipeline import TokenizedDocument, preprocess
 from pashtext.synth import generate_corpus
@@ -345,7 +345,7 @@ def reference_split_features(corpus, split, modes, sides=(TRAIN, TEST), select_k
     for side, ids in ((TRAIN, split.train_ids), (TEST, split.test_ids)):
         if side not in needed:
             continue
-        docs[side] = preprocess(Corpus(corpus.subset(ids), corpus.labels)).documents
+        docs[side] = preprocess(Corpus(corpus.subset(ids).documents, corpus.labels)).documents
     if vocab is None:
         vocab = reference_build_vocabulary(docs[TRAIN])
         if select_k is not None:
@@ -435,7 +435,7 @@ def test_split_features_matches_the_per_mode_reference(select_k):
     """`side_documents`, `fit_features` and `feature_matrix`, composed as the
     `grid`, `train` and `evaluate` commands compose them."""
     corpus = generate_corpus(3, 12, noise_rate=0.6, seed=3)
-    split = stratified_split(corpus, SplitSpec(0.75, 4))
+    split = stratified_split(corpus, 0.75, 4)
     docs = {side: side_documents(corpus, ids, side)
             for side, ids in ((TRAIN, split.train_ids), (TEST, split.test_ids))}
     vocab, mask, train_counts = fit_features(docs[TRAIN], corpus.labels, select_k)
