@@ -12,7 +12,6 @@ code, and the parser needs only the kind and feature-mode names.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import logging
@@ -56,13 +55,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
-
-# Output file suffix and `EvalReport` renderer method of each eval report format.
-_EVAL_FORMATS = {
-    "json": ("json", "to_json_text"),
-    "markdown": ("md", "to_markdown"),
-    "csv": ("csv", "to_csv"),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,11 +140,24 @@ def _load_bundle(path) -> dict:
     return {"labels": labels, "mode": mode, "vocab": vocab, "mask": mask, "model": model}
 
 
+def _split_side(corpus, path, side: str) -> list:
+    """`side_documents` of one side ("train" or "test") of the split file
+    `path`. A split id that the corpus lacks is refused naming the file, as
+    every other defect of a split file is."""
+    split = load_split(path)
+    ids = split.train_ids if side == "train" else split.test_ids
+    try:
+        return side_documents(corpus, ids, side)
+    except DataError as exc:
+        if not str(exc).startswith("unknown document id"):
+            raise
+        raise DataError(f"split file {path}: {exc}") from None
+
+
 def _cmd_ingest(args) -> int:
     labels = LabelSet(args.labels.split(",")) if args.labels else None
     corpus = load_corpus(args.corpus, labels)
-    report = validate(corpus)
-    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True, ensure_ascii=False,
+    print(json.dumps(validate(corpus), indent=2, sort_keys=True, ensure_ascii=False,
                      allow_nan=False))
     return EXIT_OK
 
@@ -176,9 +181,8 @@ def _cmd_train(args) -> int:
     kind = ModelKind(args.classifier)
     params = make_params(kind, _parse_params(args.param), args.seed)
     corpus = load_corpus(args.corpus)
-    split = load_split(args.split)
     labels = corpus.labels
-    docs = side_documents(corpus, split.train_ids, "train")
+    docs = _split_side(corpus, args.split, "train")
     del corpus  # its texts are not held through the fit
     vocab, mask, counts = fit_features(docs, labels, args.select_k)
     matrix = feature_matrix(counts, vocab, mask, args.features)
@@ -202,21 +206,18 @@ def _cmd_evaluate(args) -> int:
     labels: LabelSet = bundle["labels"]
     # Loaded under the model's label set, so rows carry its class indices.
     corpus = load_corpus(args.corpus, labels)
-    split = load_split(args.split)
-    docs = side_documents(corpus, split.test_ids, "test")
+    docs = _split_side(corpus, args.split, "test")
     del corpus  # its texts are not held through counting and prediction
     counts = vectorize_documents(docs, bundle["vocab"], labels)
     matrix = feature_matrix(counts, bundle["vocab"], bundle["mask"], bundle["mode"])
     del docs, counts  # not held through prediction
     preds = bundle["model"].predict_rows(matrix)
     report = evaluate_predictions(matrix.row_labels, preds, labels.names)
-    suffix, method = _EVAL_FORMATS[args.format]
-    path = Path(args.out) / f"eval.{suffix}"
-    write_output(path, getattr(report, method)())
-    print(
-        f"evaluated {matrix.n_rows} documents: accuracy {report.accuracy:.4f} "
-        f"-> {path}"
-    )
+    out = Path(args.out)
+    write_output(out / "eval.json", report.to_json_text())
+    write_output(out / "eval.md", report.to_markdown())
+    write_output(out / "eval.csv", report.to_csv())
+    print(f"evaluated {matrix.n_rows} documents: accuracy {report.accuracy:.4f} -> {out}")
     return EXIT_OK
 
 
@@ -316,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--model", required=True, help="model bundle from `train`")
     evaluate.add_argument("--corpus", required=True, help="corpus JSONL file or directory")
     evaluate.add_argument("--split", required=True, help="split file from `split`")
-    evaluate.add_argument("--format", choices=_EVAL_FORMATS,
-                          default="json", help="report format")
     evaluate.add_argument("--out", default=".", help="output directory")
 
     grid = command("grid", "run the full 16-cell classifier x feature grid", _cmd_grid)

@@ -133,12 +133,6 @@ class Corpus:
             return Corpus(documents, self.labels)  # names the repeated id
         return Corpus._checked(documents, self.labels, by_id)
 
-    def label_counts(self) -> dict[str, int]:
-        counts = {name: 0 for name in self.labels}
-        for doc in self.documents:
-            counts[doc.label] += 1
-        return counts
-
 
 def _check_fraction(train_fraction: float) -> None:
     if not 0.0 < train_fraction < 1.0:
@@ -160,16 +154,6 @@ class CorpusSplit:
         for doc_id, n in Counter(self.train_ids + self.test_ids).items():
             if n > 1:
                 raise DataError(f"split id {doc_id!r} appears {n} times")
-
-
-@dataclass
-class ValidationReport:
-    """Report-only corpus health summary (never raises)."""
-
-    n_documents: int
-    per_class_counts: dict[str, int]
-    empty_text_ids: list[str]
-    imbalance_ratio: float | None  # max/min class count; None if a class is empty
 
 
 def load_corpus(path: str | Path, labels: LabelSet | None = None) -> Corpus:
@@ -331,19 +315,19 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     write_output(path, "".join(lines))
 
 
-def validate(corpus: Corpus) -> ValidationReport:
-    """Summarise per-class counts, empty-after-trim texts and class imbalance."""
-    counts = corpus.label_counts()
-    empty_ids = [doc.id for doc in corpus.documents if not doc.text.strip()]
-    min_count = min(counts.values())
-    max_count = max(counts.values())
-    ratio = (max_count / min_count) if min_count > 0 else None
-    return ValidationReport(
-        n_documents=len(corpus),
-        per_class_counts=counts,
-        empty_text_ids=empty_ids,
-        imbalance_ratio=ratio,
-    )
+def validate(corpus: Corpus) -> dict:
+    """The corpus health summary that `ingest` prints (never raises): the
+    document count, per-class counts, the ids of empty-after-trim texts and
+    the max/min class count ratio, None when a class is empty."""
+    found = Counter(doc.label for doc in corpus.documents)
+    counts = {name: found[name] for name in corpus.labels}
+    low, high = min(counts.values()), max(counts.values())
+    return {
+        "n_documents": len(corpus),
+        "per_class_counts": counts,
+        "empty_text_ids": [doc.id for doc in corpus.documents if not doc.text.strip()],
+        "imbalance_ratio": high / low if low > 0 else None,
+    }
 
 
 def _round_half_up(fraction: float, count: int) -> int:

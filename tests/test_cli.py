@@ -76,13 +76,13 @@ def test_the_retired_report_command_is_an_invalid_choice(capsys):
         "error: argument command: invalid choice: 'report'")
 
 
-def test_evaluate_format_is_one_of_the_eval_formats(capsys):
+def test_evaluate_format_is_a_usage_error(capsys):
+    """`evaluate` writes every report format, so it takes no --format."""
     assert main(["evaluate", "--help"]) == 0
-    assert "--format {json,markdown,csv}" in capsys.readouterr().out
+    assert "--format" not in capsys.readouterr().out
     assert main(["evaluate", "--model", "m", "--corpus", "c", "--split", "s",
-                 "--format", "html"]) == 1
-    assert "argument --format: invalid choice: 'html' (choose from" in (
-        capsys.readouterr().err)
+                 "--format", "json"]) == 1
+    assert capsys.readouterr().err == "error: unrecognized arguments: --format json\n"
 
 
 def test_help_exits_zero(capsys):
@@ -426,14 +426,11 @@ def test_evaluate_writes_report(workspace, tmp_path, capsys):
     report = json.loads((out / "eval.json").read_text(encoding="utf-8"))
     assert report["format"] == "pashtext-eval-report"
     assert 0.0 <= report["accuracy"] <= 1.0
-    assert "accuracy" in capsys.readouterr().out
-    for fmt, name, start in [("markdown", "eval.md", "| Class | Precision |"),
-                             ("csv", "eval.csv", "class,precision,")]:
-        assert main(["evaluate", "--model", str(workspace["bundle"]),
-                     "--corpus", str(workspace["corpus"]), "--split", str(workspace["split"]),
-                     "--format", fmt, "--out", str(out)]) == 0
-        assert capsys.readouterr().out.endswith(f"-> {out / name}\n")
-        assert (out / name).read_text(encoding="utf-8").startswith(start), fmt
+    stdout = capsys.readouterr().out
+    assert "accuracy" in stdout and stdout.endswith(f"-> {out}\n")
+    assert sorted(path.name for path in out.iterdir()) == ["eval.csv", "eval.json", "eval.md"]
+    for name, start in [("eval.md", "| Class | Precision |"), ("eval.csv", "class,precision,")]:
+        assert (out / name).read_text(encoding="utf-8").startswith(start), name
 
 
 def test_evaluate_rejects_foreign_labels(workspace, tmp_path, capsys):
@@ -702,12 +699,16 @@ def test_bundle_refusals_name_the_bundle_file_once(
 
 
 def test_split_ids_missing_from_corpus_are_a_data_error(workspace, tmp_path, capsys):
+    """Both commands that read a split file refuse an id the corpus lacks,
+    naming the split file once."""
     split = json.loads(workspace["split"].read_text(encoding="utf-8"))
     split["test_ids"] += ["ghost-1", "ghost-2"]
     path = tmp_path / "split.json"
     path.write_text(json.dumps(split), encoding="utf-8")
     assert _evaluate(workspace, tmp_path, split=path) == 2
-    assert "ghost-1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: split file {path}: unknown document id 'ghost-1'\n"
+    assert err.count(str(path)) == 1
     code = main(
         [
             "train",
@@ -730,7 +731,9 @@ def test_split_ids_missing_from_corpus_are_a_data_error(workspace, tmp_path, cap
         ]
     )
     assert code == 2
-    assert "ghost-3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: split file {path}: unknown document id 'ghost-3'\n"
+    assert err.count(str(path)) == 1
 
 
 def test_overlapping_split_is_a_data_error(workspace, tmp_path, capsys):

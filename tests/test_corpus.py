@@ -63,7 +63,7 @@ def test_corpus_lookup_and_counts():
     corpus = make_corpus({"a": 2, "b": 3})
     assert len(corpus) == 5
     assert corpus.by_id("b-1").label == "b"
-    assert corpus.label_counts() == {"a": 2, "b": 3}
+    assert validate(corpus)["per_class_counts"] == {"a": 2, "b": 3}
     with pytest.raises(DataError):
         corpus.by_id("nope")
 
@@ -381,13 +381,14 @@ def test_validate_reports_empty_and_imbalance():
         Document("b-0", "متن", "b"),
     ]
     corpus = Corpus(docs, LabelSet(["a", "b", "ghost"]))
-    report = validate(corpus)
-    assert report.n_documents == 3
-    assert report.empty_text_ids == ["a-1"]
-    assert report.per_class_counts == {"a": 2, "b": 1, "ghost": 0}
-    assert report.imbalance_ratio is None  # a class has zero documents
+    assert validate(corpus) == {
+        "n_documents": 3,
+        "per_class_counts": {"a": 2, "b": 1, "ghost": 0},
+        "empty_text_ids": ["a-1"],
+        "imbalance_ratio": None,  # a class has zero documents
+    }
     trimmed = Corpus(docs[:1] + docs[2:], LabelSet(["a", "b"]))
-    assert validate(trimmed).imbalance_ratio == 1.0
+    assert validate(trimmed)["imbalance_ratio"] == 1.0
 
 
 @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 2.0, math.nan, math.inf])

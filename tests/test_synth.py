@@ -1,5 +1,7 @@
 """Synthetic corpus generator: determinism, shape and separability."""
 
+from collections import Counter
+
 import pytest
 
 from pashtext.corpus import DEFAULT_LABEL_NAMES
@@ -12,7 +14,7 @@ def test_shape_and_labels():
     corpus = generate_corpus(classes=3, per_class=5, seed=1)
     assert len(corpus.documents) == 15
     assert corpus.labels.names == DEFAULT_LABEL_NAMES[:3]
-    counts = corpus.label_counts()
+    counts = Counter(doc.label for doc in corpus.documents)
     assert all(counts[name] == 5 for name in corpus.labels.names)
     ids = [doc.id for doc in corpus.documents]
     assert len(set(ids)) == 15

@@ -21,7 +21,7 @@ SELECT_K = 20
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
-    """A noisy corpus, the grid run on it, and one evaluation in each format."""
+    """A noisy corpus, the grid run on it, and one evaluation in every format."""
     root = tmp_path_factory.mktemp("written")
     corpus = str(root / "corpus.jsonl")
     assert main(["synth", "--classes", "4", "--per-class", "10", "--noise", "0.6",
@@ -34,9 +34,8 @@ def written(tmp_path_factory):
     assert main(["train", "--corpus", corpus, "--split", split,
                  "--classifier", "decision_tree", "--out", str(model)]) == 0
     evaluation = root / "eval"
-    for fmt in ("json", "markdown", "csv"):
-        assert main(["evaluate", "--model", str(model / "model.json"), "--corpus", corpus,
-                     "--split", split, "--format", fmt, "--out", str(evaluation)]) == 0
+    assert main(["evaluate", "--model", str(model / "model.json"), "--corpus", corpus,
+                 "--split", split, "--out", str(evaluation)]) == 0
     return {"corpus": corpus, "grid": grid, "eval": evaluation}
 
 
