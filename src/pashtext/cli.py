@@ -142,15 +142,13 @@ def _load_bundle(path) -> dict:
 
 def _split_side(corpus, path, side: str) -> list:
     """`side_documents` of one side ("train" or "test") of the split file
-    `path`. A split id that the corpus lacks is refused naming the file, as
-    every other defect of a split file is."""
+    `path`. A side that names ids the corpus lacks, or no usable document,
+    is refused naming the file, as every other defect of a split file is."""
     split = load_split(path)
     ids = split.train_ids if side == "train" else split.test_ids
     try:
         return side_documents(corpus, ids, side)
     except DataError as exc:
-        if not str(exc).startswith("unknown document id"):
-            raise
         raise DataError(f"split file {path}: {exc}") from None
 
 

@@ -6,6 +6,7 @@ import numpy as np
 
 from ..errors import DataError, InvalidHyperparameterError
 from ..vectorize import FeatureMatrix
+from . import base
 from .base import Model, ModelKind
 from .params import EUCLIDEAN, KNNParams
 
@@ -32,8 +33,8 @@ def _nearest(
     (distance, row_index).  Each query's distances are computed in full,
     then `_smallest` picks its k nearest without sorting the whole row.
     """
-    # dots[q, i] = <query q, training row i>, summed over row i's entries.
-    dots = matrix.dot(queries.to_dense().T).T
+    # dots[q, i] = <query q, training row i>, summed over their shared columns.
+    dots = queries.row_dots(matrix, base._BLOCK_CELLS)
     query_norm_sq = queries.squared_norms()[:, None]
     if metric == EUCLIDEAN:
         distances = np.sqrt(np.maximum(row_norm_sq - 2.0 * dots + query_norm_sq, 0.0))
@@ -103,8 +104,9 @@ class KNNModel(Model):
         return cls(matrix, params, label_count)
 
     def _block_width(self) -> int:
-        # Distances, the chosen mask and the dense queries: one row each.
-        return max(self.feature_dimension, self.matrix.n_rows)
+        # Distances and the chosen mask: one row each; `row_dots` bounds
+        # its own temporaries.
+        return self.matrix.n_rows
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         neighbors, _ = _nearest(

@@ -81,8 +81,14 @@ class GaussianNBModel(Model):
         dense = matrix.to_dense()
         log_norms = _LOG_2PI + np.log(self.variances)
         joint = np.empty((matrix.n_rows, self.label_count), dtype=np.float64)
+        # log_norms[c] + (dense - means[c]) ** 2 / variances[c], the same
+        # ufuncs in the same order, written into one buffer.
+        terms = np.empty_like(dense)
         for c in range(self.label_count):
-            terms = log_norms[c] + (dense - self.means[c]) ** 2 / self.variances[c]
+            np.subtract(dense, self.means[c], out=terms)
+            np.square(terms, out=terms)
+            np.divide(terms, self.variances[c], out=terms)
+            np.add(log_norms[c], terms, out=terms)
             joint[:, c] = -0.5 * terms.sum(axis=1)
         return _log_normalize(self.priors, joint)
 

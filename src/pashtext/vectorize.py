@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -112,6 +113,50 @@ class FeatureMatrix:
             out[:, j] = np.bincount(
                 rows, weights=self.data * weights[self.indices, j], minlength=self.n_rows
             )
+        return out
+
+    @cached_property
+    def _by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored values sorted by column, in row order within a column:
+        per-column offsets, and each value's row and value.  Made at the
+        first `row_dots` against this matrix and kept for the next."""
+        order = np.argsort(self.indices, kind="stable")
+        return _indptr(self.indices[order], self.dim), self.row_ids()[order], self.data[order]
+
+    def row_dots(self, other: "FeatureMatrix", budget: int) -> np.ndarray:
+        """(n_rows, other.n_rows) inner products of this matrix's rows with
+        `other`'s, multiplying only the columns each pair shares.
+
+        Each entry sums its terms in column order, as
+        `other.dot(self.to_dense().T).T` does.  The terms it skips are finite
+        values times 0.0, and adding ±0.0 leaves a sum that starts at +0.0
+        as it is, so the two agree bit for bit.  A new chunk of rows starts
+        where the running count of products passes a multiple of `budget`,
+        so the temporaries stay O(budget + other.nnz) however dense the rows.
+        """
+        column_ptr, column_rows, column_data = other._by_column
+        starts = column_ptr[self.indices]
+        counts = column_ptr[self.indices + 1] - starts  # products of each stored value
+        before = np.concatenate(([0], np.cumsum(counts)))  # products before each value
+        # Product p of value e reads `other`'s value p + shift[e] in column order.
+        shift = starts - before[:-1]
+        row_keys = self.row_ids() * other.n_rows
+        chunk = before[self.indptr[:-1]] // budget
+        edges = np.flatnonzero(chunk[1:] != chunk[:-1]) + 1
+        out = np.empty((self.n_rows, other.n_rows), dtype=np.float64)
+        for a, b in zip(np.append(0, edges).tolist(), np.append(edges, self.n_rows).tolist()):
+            first, last = self.indptr[a], self.indptr[b]
+            repeats = counts[first:last]
+            source = np.arange(before[first], before[last])
+            source += np.repeat(shift[first:last], repeats)
+            keys = np.repeat(row_keys[first:last] - a * other.n_rows, repeats)
+            keys += column_rows[source]
+            weights = column_data[source]
+            weights *= np.repeat(self.data[first:last], repeats)
+            # An empty bincount is int64; `out` takes it as 0.0.
+            out[a:b] = np.bincount(
+                keys, weights, minlength=(b - a) * other.n_rows
+            ).reshape(b - a, other.n_rows)
         return out
 
     def squared_norms(self) -> np.ndarray:

@@ -736,6 +736,34 @@ def test_split_ids_missing_from_corpus_are_a_data_error(workspace, tmp_path, cap
     assert err.count(str(path)) == 1
 
 
+@pytest.mark.parametrize("side", ["train", "test"])
+def test_a_split_side_without_usable_documents_names_the_split_file(
+    workspace, tmp_path, capsys, side
+):
+    """When every text of one side preprocesses to nothing, the command that
+    reads that side refuses it naming the split file once."""
+    split = json.loads(workspace["split"].read_text(encoding="utf-8"))
+    emptied = set(split[f"{side}_ids"])
+    corpus = tmp_path / "corpus.jsonl"
+    with open(workspace["corpus"], encoding="utf-8") as lines, \
+            open(corpus, "w", encoding="utf-8") as out:
+        for line in lines:
+            record = json.loads(line)
+            if record["id"] in emptied:
+                record["text"] = "only latin 123"
+            out.write(json.dumps(record, ensure_ascii=False) + "\n")
+    path = workspace["split"]
+    if side == "test":
+        code = _evaluate({**workspace, "corpus": corpus}, tmp_path)
+    else:
+        code = main(["train", "--corpus", str(corpus), "--split", str(path),
+                     "--classifier", "multinomial_nb", "--out", str(tmp_path / "model")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: split file {path}: no usable documents on the {side} side of the split\n"
+    assert err.count(str(path)) == 1
+
+
 def test_overlapping_split_is_a_data_error(workspace, tmp_path, capsys):
     """A split file that lists an id twice, or holds a fraction outside
     (0, 1), is refused by name by both commands that read one."""

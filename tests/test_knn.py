@@ -8,9 +8,10 @@ import pytest
 from matrices import matrix_from_dense
 
 from pashtext.errors import DataError, InvalidHyperparameterError
-from pashtext.models import knn
-from pashtext.models.knn import KNNModel
+from pashtext.models import base, knn
+from pashtext.models.knn import MAX_STORED_VALUE, KNNModel
 from pashtext.models.params import COSINE, EUCLIDEAN, KNNParams
+from pashtext.vectorize import FeatureMatrix
 
 
 def knn_neighbors(m, q, k, metric):
@@ -132,6 +133,109 @@ def test_neighbors_equal_stable_argsort_selection_on_tied_matrices(monkeypatch):
                 assert_same_selection(got, want)
                 cases += 1
     assert cases >= 800
+
+
+def reference_dots(matrix, queries):
+    """The products `FeatureMatrix.row_dots` replaced: each stored row's
+    entries against the densified queries."""
+    return matrix.dot(queries.to_dense().T).T
+
+
+def random_sparse(rng, n_rows, dim, density, top):
+    """Values in [0, top], about `density` of them nonzero, some of whole
+    rows and of columns dropped, and some stored zeros."""
+    dense = rng.uniform(0, 1, (n_rows, dim)) * (top * 10.0 ** -rng.integers(0, 4, (n_rows, dim)))
+    dense[rng.uniform(size=(n_rows, dim)) >= density] = 0.0
+    dense[rng.uniform(size=n_rows) < 0.2] = 0.0  # all-zero rows
+    dense[:, rng.uniform(size=dim) < 0.2] = 0.0  # columns this side lacks
+    matrix = matrix_from_dense(dense)
+    stored_zeros = rng.uniform(size=matrix.nnz) < 0.05
+    matrix.data[stored_zeros] = 0.0
+    return matrix
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_row_dots_equal_the_dense_products_bit_for_bit():
+    rng = np.random.default_rng(29)
+    cases = 0
+    for _ in range(400):
+        dim = int(rng.integers(0, 12))
+        top = float(rng.choice([1.0, 50.0, MAX_STORED_VALUE]))
+        # Densities from none to fully dense rows, on each side.
+        stored, queried = (
+            random_sparse(rng, int(rng.integers(0, 9)), dim, rng.choice([0.0, 0.3, 1.0]), top)
+            for _ in range(2)
+        )
+        want = reference_dots(stored, queried)
+        for budget in (1, int(rng.integers(1, 40)), base._BLOCK_CELLS):
+            assert_same_bits(queried.row_dots(stored, budget), want)
+            cases += 1
+    assert cases == 1200
+
+
+def test_row_dots_of_empty_matrices():
+    empty = FeatureMatrix([0], [], [], [], "unigram", 3)
+    rows = matrix_from_dense([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+    zeros = matrix_from_dense(np.zeros((2, 3)))
+    for stored, queried in [(empty, empty), (empty, rows), (rows, empty),
+                            (zeros, rows), (rows, zeros), (zeros, zeros)]:
+        assert_same_bits(queried.row_dots(stored, 4), reference_dots(stored, queried))
+
+
+def test_row_dots_chunks_rows_at_the_product_budget(monkeypatch):
+    """Rows are split where the running count of products passes the
+    budget, each row whole: the bincount sees about a budget at a time."""
+    stored = matrix_from_dense(np.ones((3, 4)))  # three products per query value
+    queried = matrix_from_dense([[1.0, 0, 0, 0], [1.0, 1.0, 0, 0], [0, 0, 0, 0], [1.0] * 4])
+    sizes = []
+    bincount = np.bincount
+
+    def counting(keys, weights=None, **kwargs):
+        if weights is not None:
+            sizes.append(keys.size)
+        return bincount(keys, weights, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    got = queried.row_dots(stored, 9)
+    # Products before each row: 0, 3, 9, 9; rows 2-3 start at the budget.
+    assert sizes == [9, 12]
+    assert_same_bits(got, reference_dots(stored, queried))
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, COSINE])
+def test_neighbors_equal_those_from_the_dense_products(metric, monkeypatch):
+    """`_nearest` on chunked sparse products gives the indices and distance
+    bits it gave on the densified queries."""
+    rng = np.random.default_rng(31)
+    row_dots = FeatureMatrix.row_dots
+    budgets = []
+
+    def spy(self, other, budget):
+        budgets.append(budget)
+        return row_dots(self, other, budget)
+
+    for _ in range(150):
+        dim = int(rng.integers(1, 10))
+        stored = random_sparse(rng, int(rng.integers(1, 12)), dim, rng.choice([0.3, 1.0]),
+                               float(rng.choice([4.0, 1e6])))
+        queried = random_sparse(rng, int(rng.integers(0, 10)), dim, rng.choice([0.3, 1.0]),
+                                float(rng.choice([4.0, 1e6])))
+        k = int(rng.integers(1, stored.n_rows + 1))
+        budget = int(rng.integers(1, 30))
+        with monkeypatch.context() as patch:
+            patch.setattr(base, "_BLOCK_CELLS", budget)
+            patch.setattr(FeatureMatrix, "row_dots", spy)
+            got = knn_neighbors(stored, queried, k, metric)
+            assert budgets.pop() == budget and not budgets
+            patch.setattr(FeatureMatrix, "row_dots",
+                          lambda self, other, budget: reference_dots(other, self))
+            want = knn_neighbors(stored, queried, k, metric)
+        assert np.array_equal(got[0], want[0])
+        assert_same_bits(got[1], want[1])
 
 
 def test_k_larger_than_rows_is_rejected():

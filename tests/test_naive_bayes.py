@@ -8,6 +8,7 @@ import pytest
 from matrices import matrix_from_dense
 
 from pashtext.errors import DataError, InvalidHyperparameterError
+from pashtext.models import naive_bayes
 from pashtext.models.naive_bayes import GaussianNBModel, MultinomialNBModel
 from pashtext.models.params import GaussianNBParams, MultinomialNBParams
 
@@ -128,6 +129,38 @@ def test_gaussian_posteriors_match_brute_force():
                 dense, labels, query, label_count, params.variance_floor
             )
             assert np.allclose(np.exp(row_scores), expected, atol=1e-9)
+
+
+def reference_gaussian_scores(model, matrix):
+    """The scores `GaussianNBModel._scores` gave before it wrote its terms
+    into one buffer: four temporaries per class."""
+    dense = matrix.to_dense()
+    log_norms = naive_bayes._LOG_2PI + np.log(model.variances)
+    joint = np.empty((matrix.n_rows, model.label_count), dtype=np.float64)
+    for c in range(model.label_count):
+        terms = log_norms[c] + (dense - model.means[c]) ** 2 / model.variances[c]
+        joint[:, c] = -0.5 * terms.sum(axis=1)
+    return naive_bayes._log_normalize(model.priors, joint)
+
+
+def test_gaussian_scores_equal_the_temporaries_form_bit_for_bit():
+    """Rows of zeros, constant features (variance at the floor) and widths
+    past numpy's pairwise-summation block are all scored as before."""
+    rng = np.random.default_rng(37)
+    for _ in range(60):
+        n, dim, label_count = int(rng.integers(2, 30)), int(rng.integers(1, 300)), 3
+        dense = rng.uniform(-3, 3, (n, dim)) * (rng.uniform(size=(n, dim)) < 0.4)
+        dense[:, rng.uniform(size=dim) < 0.3] = 1.5  # constant: variance is the floor
+        labels = rng.integers(label_count, size=n)
+        params = GaussianNBParams(variance_floor=float(rng.choice([1e-9, 1e-300])))
+        model = GaussianNBModel.fit(matrix_from_dense(dense, labels), params, label_count)
+        batch = rng.uniform(-3, 3, (int(rng.integers(0, 12)), dim))
+        batch[rng.uniform(size=len(batch)) < 0.3] = 0.0  # rows of zeros
+        probes = matrix_from_dense(batch)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            got, want = model._scores(probes), reference_gaussian_scores(model, probes)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_gaussian_variance_floor_keeps_constant_features_finite():
