@@ -145,9 +145,8 @@ def _split_side(corpus, path, side: str) -> list:
     `path`. A side that names ids the corpus lacks, or no usable document,
     is refused naming the file, as every other defect of a split file is."""
     split = load_split(path)
-    ids = split.train_ids if side == "train" else split.test_ids
     try:
-        return side_documents(corpus, ids, side)
+        return side_documents(corpus, split, side)
     except DataError as exc:
         raise DataError(f"split file {path}: {exc}") from None
 
@@ -224,7 +223,7 @@ def _cmd_grid(args) -> int:
 
     corpus = load_corpus(args.corpus)
     split = stratified_split(corpus, args.fraction, args.seed)
-    report = run_grid(corpus, split, seed=args.seed, select_k=args.select_k)
+    report = run_grid(corpus, split, select_k=args.select_k)
     out = Path(args.out)
     save_split(split, out / "split.json")
     write_output(out / "grid.json", report.to_json_text())

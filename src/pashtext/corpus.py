@@ -19,19 +19,6 @@ from pathlib import Path
 from .errors import DataError, loads_as_written, malformed, read_json, write_output
 from .prng import SplitMix64, derive_seed
 
-# Default 8-class label set, in canonical order. The ordering defines the
-# integer class index used for tie-breaking everywhere downstream.
-DEFAULT_LABEL_NAMES = (
-    "history",
-    "technology",
-    "sport",
-    "cultural",
-    "economic",
-    "health",
-    "politic",
-    "scientific",
-)
-
 
 @dataclass(slots=True)
 class Document:

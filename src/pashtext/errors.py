@@ -41,9 +41,9 @@ class TrainingError(PashtextError):
 class TrainingDivergedError(TrainingError):
     """Loss or an update became non-finite; training aborted."""
 
-    def __init__(self, epoch: int, detail: str = "non-finite loss"):
+    def __init__(self, epoch: int):
         self.epoch = epoch
-        super().__init__(f"training diverged at epoch {epoch}: {detail}")
+        super().__init__(f"training diverged at epoch {epoch}: non-finite loss")
 
 
 def _refuse_constant(token: str):

@@ -27,7 +27,7 @@ from .metrics import EvalReport, csv_table, evaluate_predictions, markdown_table
 from .models import ModelKind, train
 from .models.base import KIND_CLASSES
 from .models.params import make_params
-from .prng import DEFAULT_SEED, derive_seed
+from .prng import derive_seed
 from .vectorize import (
     FEATURE_MODES, TFIDF, UNIGRAM, feature_matrix, fit_features, side_documents,
     vectorize_documents,
@@ -156,16 +156,16 @@ class GridReport:
         return csv_table(header, rows)
 
 
-def _run_cell(kind, mode, train_matrix, test_matrix, label_names, params):
+def _run_cell(kind, train_matrix, test_matrix, label_names, params):
     """Train and evaluate one cell: its `GridCell` and its seconds."""
     started = time.perf_counter()
     try:
         model = train(kind, train_matrix, params, label_count=len(label_names))
         preds = model.predict_rows(test_matrix)
         report = evaluate_predictions(test_matrix.row_labels, preds, label_names)
-        cell = GridCell(kind, mode, report, None)
+        cell = GridCell(kind, train_matrix.mode, report, None)
     except Exception as exc:
-        cell = GridCell(kind, mode, None, f"{type(exc).__name__}: {exc}")
+        cell = GridCell(kind, train_matrix.mode, None, f"{type(exc).__name__}: {exc}")
     return cell, time.perf_counter() - started
 
 
@@ -182,7 +182,6 @@ pickle.dump([_run_cell(*job) for job in pickle.load(sys.stdin.buffer)], sys.stdo
 def run_grid(
     corpus: Corpus,
     split: CorpusSplit,
-    seed: int = DEFAULT_SEED,
     select_k: int | None = None,
     params_by_kind: dict | None = None,
 ) -> GridReport:
@@ -191,10 +190,10 @@ def run_grid(
     A failing cell is recorded (accuracy and report None, error message
     set) without aborting the grid.  `params_by_kind` overrides the
     defaults for specific kinds; otherwise each cell gets defaults with a
-    seed derived from `seed` and the cell position.
+    seed derived from the split's seed and the cell position.
     """
-    train_docs = side_documents(corpus, split.train_ids, "train")
-    test_docs = side_documents(corpus, split.test_ids, "test")
+    train_docs = side_documents(corpus, split, "train")
+    test_docs = side_documents(corpus, split, "test")
     vocab, mask, train_counts = fit_features(train_docs, corpus.labels, select_k)
     test_counts = vectorize_documents(test_docs, vocab, corpus.labels)
     # Each mode's (train, test) matrices; the documents and unmasked counts
@@ -210,11 +209,11 @@ def run_grid(
     def params_for(kind, mode):
         if params_by_kind is not None and kind in params_by_kind:
             return params_by_kind[kind]
-        return make_params(kind, {}, seed=cell_seed(seed, kind, mode))
+        return make_params(kind, {}, seed=cell_seed(split.seed, kind, mode))
 
     def lane(mode):
         return [
-            (kind, mode, *matrices[mode], label_names, params_for(kind, mode))
+            (kind, *matrices[mode], label_names, params_for(kind, mode))
             for kind in ModelKind
         ]
 
@@ -238,7 +237,7 @@ def run_grid(
                             cell.kind.value, cell.mode, cell.accuracy, seconds)
             cells.append(cell)
     report = GridReport(
-        seed=seed,
+        seed=split.seed,
         n_train=matrices[UNIGRAM][0].n_rows,
         n_test=matrices[UNIGRAM][1].n_rows,
         select_k=select_k,

@@ -10,7 +10,7 @@ from . import base
 from .base import Model, ModelKind
 from .params import EUCLIDEAN, KNNParams
 
-# A bundle's stored values lie in [0, MAX_STORED_VALUE]: no count or TFIDF
+# A model's stored values lie in [0, MAX_STORED_VALUE]: no count or TFIDF
 # weight is negative, and below this bound, far above any of them, no squared
 # norm, dot product or norm product in `_nearest` can overflow float64.
 MAX_STORED_VALUE = 1e100
@@ -85,6 +85,8 @@ class KNNModel(Model):
     display_name = "K Nearest Neighbor"
 
     def __init__(self, matrix: FeatureMatrix, params: KNNParams, label_count: int):
+        if (matrix.data < 0).any() or (matrix.data > MAX_STORED_VALUE).any():
+            raise DataError(f"knn stored values must lie in [0, {MAX_STORED_VALUE:g}]")
         if matrix.n_rows and (
             matrix.row_labels.min() < 0 or matrix.row_labels.max() >= label_count
         ):
@@ -141,6 +143,4 @@ class KNNModel(Model):
             mode=payload["mode"],
             dim=int(payload["dim"]),
         )
-        if (matrix.data < 0).any() or (matrix.data > MAX_STORED_VALUE).any():
-            raise DataError(f"knn stored values must lie in [0, {MAX_STORED_VALUE:g}]")
         return cls(matrix, params, int(payload["label_count"]))

@@ -11,7 +11,7 @@ the preprocessing pipeline unchanged.
 
 from __future__ import annotations
 
-from .corpus import DEFAULT_LABEL_NAMES, Corpus, Document, LabelSet
+from .corpus import Corpus, Document, LabelSet
 from .errors import UsageError
 from .prng import DEFAULT_SEED, SplitMix64, derive_seed
 
@@ -19,6 +19,19 @@ from .prng import DEFAULT_SEED, SplitMix64, derive_seed
 _ALPHABET = "ابتثجحخدذرزسشصضطظعغفقکلمنهویپچړښ"
 
 NOISE_VOCABULARY_SIZE = 64
+
+# The names of the first eight generated classes, in generation order.  This
+# is the generator's naming only: a saved corpus loads its labels sorted by name.
+DEFAULT_LABEL_NAMES = (
+    "history",
+    "technology",
+    "sport",
+    "cultural",
+    "economic",
+    "health",
+    "politic",
+    "scientific",
+)
 
 _MIN_DOC_TOKENS = 8
 _MAX_DOC_TOKENS = 16
@@ -36,9 +49,8 @@ def _render_token(token_id: int, width: int) -> str:
 
 
 def _label_names(classes: int) -> tuple[str, ...]:
-    names = list(DEFAULT_LABEL_NAMES[:classes])
-    names += [f"class_{i}" for i in range(len(names), classes)]
-    return tuple(names)
+    extra = range(len(DEFAULT_LABEL_NAMES), classes)
+    return DEFAULT_LABEL_NAMES[:classes] + tuple(f"class_{i}" for i in extra)
 
 
 def generate_corpus(

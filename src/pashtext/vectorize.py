@@ -14,7 +14,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import Corpus, LabelSet
+from .corpus import Corpus, CorpusSplit, LabelSet
 from .errors import DataError, malformed
 from .pipeline import TokenizedDocument, preprocess
 
@@ -413,9 +413,9 @@ def apply_mask(mask: FeatureMask, matrix: FeatureMatrix) -> FeatureMatrix:
 
 
 def side_documents(
-    corpus: Corpus, ids: Sequence[str], side: str
+    corpus: Corpus, split: CorpusSplit, side: str
 ) -> list[TokenizedDocument]:
-    """The preprocessed documents of one split side ("train" or "test").
+    """The preprocessed documents of one side ("train" or "test") of `split`.
 
     The training side shares its token strings (one object per distinct
     token): the fit holds its documents longest, and there most tokens
@@ -425,6 +425,7 @@ def side_documents(
     Ids missing from the corpus, and a side left without a usable document,
     are a DataError.
     """
+    ids = split.train_ids if side == "train" else split.test_ids
     result = preprocess(corpus.subset(ids), share_tokens=side == "train")
     if result.excluded:
         logger.warning(

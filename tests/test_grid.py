@@ -3,6 +3,7 @@ same bytes whether the TFIDF lane runs in its child process or in this one,
 and that child started from any script and through the caller's `sys.path`."""
 
 import functools
+import json
 import logging
 import os
 import pickle
@@ -36,14 +37,15 @@ QUICK_PARAMS = {
 @pytest.fixture(scope="module")
 def small_setup():
     corpus = generate_corpus(classes=4, per_class=12, seed=5)
-    split = stratified_split(corpus, train_fraction=0.75, seed=5)
+    # Drawn at seed 5; its cells take their seeds from seed 11.
+    split = replace(stratified_split(corpus, train_fraction=0.75, seed=5), seed=11)
     return corpus, split
 
 
 @pytest.fixture(scope="module")
 def small_report(small_setup):
     corpus, split = small_setup
-    return run_grid(corpus, split, seed=11, params_by_kind=QUICK_PARAMS)
+    return run_grid(corpus, split, params_by_kind=QUICK_PARAMS)
 
 
 def test_cell_seeds_are_distinct_and_deterministic():
@@ -76,9 +78,16 @@ def test_grid_covers_all_cells_in_canonical_order(small_report):
     assert small_report.label_names == ("history", "technology", "sport", "cultural")
 
 
+def test_grid_reports_the_seed_of_its_split(small_setup, small_report):
+    corpus, split = small_setup
+    assert json.loads(small_report.to_json_text())["seed"] == 11
+    other = run_grid(corpus, replace(split, seed=7), params_by_kind=QUICK_PARAMS)
+    assert json.loads(other.to_json_text())["seed"] == 7
+
+
 def test_grid_is_deterministic(small_setup, small_report):
     corpus, split = small_setup
-    again = run_grid(corpus, split, seed=11, params_by_kind=QUICK_PARAMS)
+    again = run_grid(corpus, split, params_by_kind=QUICK_PARAMS)
     assert again.to_json_text() == small_report.to_json_text()
 
 
@@ -121,7 +130,7 @@ def test_failing_cell_is_recorded_not_fatal(small_setup):
     corpus, split = small_setup
     params = dict(QUICK_PARAMS)
     params[ModelKind.KNN] = KNNParams(k=100000)
-    report = run_grid(corpus, split, seed=11, params_by_kind=params)
+    report = run_grid(corpus, split, params_by_kind=params)
     assert_cells_score_one_test_side(report)
     for mode in FEATURE_MODES:
         cell = report.cell(ModelKind.KNN, mode)
@@ -161,7 +170,7 @@ def test_accuracy_tables(small_setup, small_report):
     corpus, split = small_setup
     params = dict(QUICK_PARAMS)
     params[ModelKind.KNN] = KNNParams(k=100000)
-    failed = run_grid(corpus, split, seed=11, params_by_kind=params)
+    failed = run_grid(corpus, split, params_by_kind=params)
     assert "failed" in failed.accuracy_table_markdown()
 
 
@@ -180,9 +189,7 @@ def test_per_class_tables(small_report):
 
 def test_select_k_grid(small_setup):
     corpus, split = small_setup
-    report = run_grid(
-        corpus, split, seed=11, select_k=30, params_by_kind=QUICK_PARAMS
-    )
+    report = run_grid(corpus, split, select_k=30, params_by_kind=QUICK_PARAMS)
     assert report.select_k == 30
     for cell in report.cells:
         assert cell.error is None
@@ -230,8 +237,8 @@ def run_in_process(monkeypatch, *args, **kwargs):
 
 def test_child_lane_gives_the_in_process_bytes(small_setup, monkeypatch):
     corpus, split = small_setup
-    # Default parameters: every cell seeds itself from the grid seed.
-    expected = report_texts(run_in_process(monkeypatch, corpus, split, seed=11, select_k=40))
+    # Default parameters: every cell seeds itself from the split's seed.
+    expected = report_texts(run_in_process(monkeypatch, corpus, split, select_k=40))
     children = []
     real_run = subprocess.run
 
@@ -240,7 +247,7 @@ def test_child_lane_gives_the_in_process_bytes(small_setup, monkeypatch):
         return real_run(args, **kwargs)
 
     monkeypatch.setattr(subprocess, "run", counted_run)
-    assert report_texts(run_grid(corpus, split, seed=11, select_k=40)) == expected
+    assert report_texts(run_grid(corpus, split, select_k=40)) == expected
     assert children == [sys.executable]
 
 
@@ -258,7 +265,7 @@ def test_cells_log_only_their_grid_lines(small_setup, small_report, monkeypatch,
     for run in (run_grid, functools.partial(run_in_process, monkeypatch)):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="pashtext"):
-            run(corpus, split, seed=11, params_by_kind=QUICK_PARAMS)
+            run(corpus, split, params_by_kind=QUICK_PARAMS)
         logs.append(cell_log(caplog))
     assert logs[0] == logs[1]
     assert [(name, m) for name, _, m in logs[0] if "grid cell" in m] == [
@@ -274,7 +281,7 @@ def test_cell_failing_in_the_tfidf_lane_yields_its_warning_row(
     corpus, split = small_setup
     params = dict(QUICK_PARAMS)
     params[ModelKind.KNN] = KNNParams(k=100000)
-    report = run_grid(corpus, split, seed=11, params_by_kind=params)
+    report = run_grid(corpus, split, params_by_kind=params)
     cell = report.cell(ModelKind.KNN, TFIDF)
     assert cell.accuracy is None and "InvalidHyperparameterError" in cell.error
     assert "failed" in report.accuracy_table_markdown().splitlines()[4]
@@ -326,6 +333,7 @@ def test_a_script_runs_a_grid_at_its_top_level(tmp_path):
 # prints how many of its cells succeeded.
 SYS_PATH_ONLY_GRID = textwrap.dedent("""
     import sys
+    from dataclasses import replace
 
     sys.path.insert(0, sys.argv[1])
     from pashtext.corpus import stratified_split
@@ -333,8 +341,8 @@ SYS_PATH_ONLY_GRID = textwrap.dedent("""
     from pashtext.synth import generate_corpus
 
     corpus = generate_corpus(classes=3, per_class=10, seed=5)
-    split = stratified_split(corpus, train_fraction=0.7, seed=5)
-    print(sum(cell.error is None for cell in run_grid(corpus, split, seed=3).cells))
+    split = replace(stratified_split(corpus, train_fraction=0.7, seed=5), seed=3)
+    print(sum(cell.error is None for cell in run_grid(corpus, split).cells))
 """)
 
 
@@ -380,7 +388,7 @@ TRAIN_EVERY_KIND = textwrap.dedent("""
 
     corpus = generate_corpus(classes=3, per_class=10, seed=5)
     split = stratified_split(corpus, train_fraction=0.7, seed=5)
-    docs = side_documents(corpus, split.train_ids, "train")
+    docs = side_documents(corpus, split, "train")
     vocab, mask, counts = fit_features(docs, corpus.labels, 5)
     matrix = feature_matrix(counts, vocab, mask, TFIDF)
     for kind in ModelKind:

@@ -4,10 +4,9 @@ from collections import Counter
 
 import pytest
 
-from pashtext.corpus import DEFAULT_LABEL_NAMES
 from pashtext.errors import UsageError
 from pashtext.pipeline import preprocess
-from pashtext.synth import NOISE_VOCABULARY_SIZE, generate_corpus
+from pashtext.synth import DEFAULT_LABEL_NAMES, NOISE_VOCABULARY_SIZE, generate_corpus
 
 
 def test_shape_and_labels():

@@ -519,7 +519,7 @@ def grown_payloads(matrix, seed):
 def small_corpus_matrices(seed):
     corpus = generate_corpus(4, 30, noise_rate=0.6, seed=seed)
     split = stratified_split(corpus, 0.8, seed)
-    train_docs = side_documents(corpus, split.train_ids, "train")
+    train_docs = side_documents(corpus, split, "train")
     vocab, _, counts = fit_features(train_docs, corpus.labels, None)
     return {mode: feature_matrix(counts, vocab, None, mode) for mode in FEATURE_MODES}
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from matrices import matrix_from_dense
 
-from pashtext.corpus import Corpus, Document, LabelSet, stratified_split
+from pashtext.corpus import Corpus, CorpusSplit, Document, LabelSet, stratified_split
 from pashtext.errors import DataError
 from pashtext.pipeline import TokenizedDocument, preprocess
 from pashtext.synth import generate_corpus
@@ -33,6 +33,12 @@ from pashtext.vectorize import (
 )
 
 TRAIN, TEST = "train", "test"
+
+
+def one_side(ids, side):
+    """A split with `ids` on `side` and none on the other."""
+    ids = tuple(ids)
+    return CorpusSplit(0.5, 0, ids if side == TRAIN else (), ids if side == TEST else ())
 
 
 def tdoc(doc_id, tokens, label="a"):
@@ -436,8 +442,7 @@ def test_split_features_matches_the_per_mode_reference(select_k):
     `grid`, `train` and `evaluate` commands compose them."""
     corpus = generate_corpus(3, 12, noise_rate=0.6, seed=3)
     split = stratified_split(corpus, 0.75, 4)
-    docs = {side: side_documents(corpus, ids, side)
-            for side, ids in ((TRAIN, split.train_ids), (TEST, split.test_ids))}
+    docs = {side: side_documents(corpus, split, side) for side in (TRAIN, TEST)}
     vocab, mask, train_counts = fit_features(docs[TRAIN], corpus.labels, select_k)
     counts = {TRAIN: train_counts,
               TEST: vectorize_documents(docs[TEST], vocab, corpus.labels)}
@@ -458,7 +463,7 @@ def test_split_features_matches_the_per_mode_reference(select_k):
             _, _, expected_fitted = reference_split_features(
                 corpus, split, modes, [TEST], vocab=expected_vocab, mask=expected_mask)
             fitted_counts = vectorize_documents(
-                side_documents(corpus, split.test_ids, TEST), expected_vocab, corpus.labels)
+                side_documents(corpus, split, TEST), expected_vocab, corpus.labels)
             for mode in modes:
                 for side in sides:
                     assert_same_matrix(feature_matrix(counts[side], vocab, mask, mode),
@@ -469,22 +474,24 @@ def test_split_features_matches_the_per_mode_reference(select_k):
 
 
 def test_side_documents_errors_and_warning_name_the_side(caplog):
-    """Unknown ids and empty sides are data errors naming the side, and a
-    repeated id is one naming the id; the exclusion warning names the side."""
+    """Unknown ids and empty sides are data errors naming the side, and the
+    exclusion warning names the side.  A split cannot repeat an id, but
+    `Corpus.subset` still refuses one by name."""
     corpus = Corpus(
         [Document(id="a", text="کلمه متن", label="x"),
          Document(id="latin", text="only latin 123", label="x")],
         LabelSet(["x"]),
     )
     with caplog.at_level("WARNING"):
-        assert [doc.id for doc in side_documents(corpus, ["a", "latin"], TRAIN)] == ["a"]
+        kept = side_documents(corpus, one_side(["a", "latin"], TRAIN), TRAIN)
+    assert [doc.id for doc in kept] == ["a"]
     assert "1 train documents were excluded by preprocessing" in caplog.text
     with pytest.raises(DataError, match="^no usable documents on the test side of the split$"):
-        side_documents(corpus, ["latin"], TEST)
+        side_documents(corpus, one_side(["latin"], TEST), TEST)
     with pytest.raises(DataError, match="ghost"):
-        side_documents(corpus, ["a", "ghost"], TRAIN)
+        side_documents(corpus, one_side(["a", "ghost"], TRAIN), TRAIN)
     with pytest.raises(DataError, match="^duplicate document id 'a'$"):
-        side_documents(corpus, ["a", "a"], TRAIN)
+        corpus.subset(["a", "a"])
 
 
 def test_training_side_holds_one_string_per_distinct_token():
@@ -493,7 +500,8 @@ def test_training_side_holds_one_string_per_distinct_token():
     the same documents are equal."""
     corpus = generate_corpus(3, 12, noise_rate=0.6, seed=3)
     ids = [doc.id for doc in corpus.documents]
-    train, test = side_documents(corpus, ids, TRAIN), side_documents(corpus, ids, TEST)
+    train = side_documents(corpus, one_side(ids, TRAIN), TRAIN)
+    test = side_documents(corpus, one_side(ids, TEST), TEST)
     assert train == test
     for side, shared in ((train, True), (test, False)):
         tokens = list(chain.from_iterable(doc.tokens for doc in side))
