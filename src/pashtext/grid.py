@@ -236,7 +236,7 @@ def run_grid(
                 logger.info("grid cell %s/%s: accuracy %.4f (%.2fs)",
                             cell.kind.value, cell.mode, cell.accuracy, seconds)
             cells.append(cell)
-    report = GridReport(
+    return GridReport(
         seed=split.seed,
         n_train=matrices[UNIGRAM][0].n_rows,
         n_test=matrices[UNIGRAM][1].n_rows,
@@ -244,12 +244,3 @@ def run_grid(
         label_names=label_names,
         cells=tuple(cells),
     )
-    for mode in FEATURE_MODES:
-        mlp = report.cell(ModelKind.MLP, mode).accuracy
-        knn = report.cell(ModelKind.KNN, mode).accuracy
-        if mlp is not None and knn is not None and mlp < knn:
-            logger.warning(
-                "soft expectation violated: MLP (%.4f) below KNN (%.4f) on %s",
-                mlp, knn, mode,
-            )
-    return report

@@ -79,7 +79,9 @@ class Model(ABC):
     @classmethod
     @abstractmethod
     def fit(cls, matrix: FeatureMatrix, params, label_count: int) -> "Model":
-        """Train on the matrix's rows and labels, which `train` has checked."""
+        """Train on the matrix's rows and labels, which `train` has checked;
+        `train` runs this with numpy's overflow, invalid-value and
+        divide-by-zero warnings silenced."""
 
     def predict_scores(self, matrix: FeatureMatrix) -> np.ndarray:
         """(n_rows, label_count) per-class scores, computed block by block;

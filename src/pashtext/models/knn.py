@@ -37,7 +37,12 @@ def _nearest(
     dots = queries.row_dots(matrix, base._BLOCK_CELLS)
     query_norm_sq = queries.squared_norms()[:, None]
     if metric == EUCLIDEAN:
-        distances = np.sqrt(np.maximum(row_norm_sq - 2.0 * dots + query_norm_sq, 0.0))
+        # row_norm_sq - 2.0 * dots + query_norm_sq, 0.0 at least, in `dots`:
+        # a - b is (-b) + a, and -2.0 * x is the negation of 2.0 * x.
+        distances = np.multiply(dots, -2.0, out=dots)
+        np.add(distances, row_norm_sq, out=distances)
+        np.add(distances, query_norm_sq, out=distances)
+        np.sqrt(np.maximum(distances, 0.0, out=distances), out=distances)
     else:
         denom = np.sqrt(row_norm_sq * query_norm_sq)
         similarity = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)

@@ -1,9 +1,10 @@
 """Linear one-vs-rest SVM and multiclass logistic regression.
 
 Both models share the same parameter shape (a weight row and bias per
-class) and the same full-batch gradient descent loop.  Weights start at
-zero, so training is deterministic without consuming the seed; the seed
-field exists to keep the hyperparameter surface uniform across kinds.
+class), the same objective `loss_and_grads` and the same full-batch gradient
+descent loop; a family supplies only its data term.  Weights start at zero,
+so training is deterministic without consuming the seed; the seed field
+exists to keep the hyperparameter surface uniform across kinds.
 """
 
 from __future__ import annotations
@@ -16,63 +17,44 @@ from .base import Model, ModelKind, checked_array, softmax
 from .params import LinearParams
 
 
-def _one_vs_rest_targets(labels: np.ndarray, label_count: int) -> np.ndarray:
-    targets = -np.ones((labels.size, label_count), dtype=np.float64)
-    targets[np.arange(labels.size), labels] = 1.0
-    return targets
+def loss_and_grads(terms, weights: np.ndarray, bias: np.ndarray, dense: np.ndarray,
+                   labels: np.ndarray, l2_strength: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """A family's data term plus L2 on the weights (not the bias), and its
+    gradients with respect to the weights and the bias.
 
-
-def svm_loss_and_grads(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    dense: np.ndarray,
-    labels: np.ndarray,
-    l2_strength: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Summed one-vs-rest L2-regularized hinge objective and its subgradient.
-
-    The data term averages over samples within each class column; samples
-    exactly on the margin contribute zero, matching the stated subgradient
-    convention.  The bias is not regularized.
+    `terms(scores, labels)` returns the data loss of the (n, K) scores and
+    `pull`, the derivative of the summed per-sample losses by the scores.
     """
     n = dense.shape[0]
-    targets = _one_vs_rest_targets(labels, weights.shape[0])
-    margins = targets * (dense @ weights.T + bias)
+    data_loss, pull = terms(dense @ weights.T + bias, labels)
+    loss = float(data_loss + 0.5 * l2_strength * (weights**2).sum())
+    return loss, pull.T @ dense / n + l2_strength * weights, pull.sum(axis=0) / n
+
+
+def hinge_terms(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Summed one-vs-rest hinge loss, averaged over samples, and its
+    subgradient; samples exactly on the margin contribute zero."""
+    targets = np.full_like(scores, -1.0)
+    targets[np.arange(labels.size), labels] = 1.0
+    margins = targets * scores
     violated = margins < 1.0
-    loss = float(
-        np.where(violated, 1.0 - margins, 0.0).sum() / n
-        + 0.5 * l2_strength * (weights**2).sum()
-    )
-    pull = np.where(violated, -targets, 0.0)
-    grad_w = pull.T @ dense / n + l2_strength * weights
-    grad_b = pull.sum(axis=0) / n
-    return loss, grad_w, grad_b
+    data_loss = np.where(violated, 1.0 - margins, 0.0).sum() / labels.size
+    return data_loss, np.where(violated, -targets, 0.0)
 
 
-def logistic_loss_and_grads(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    dense: np.ndarray,
-    labels: np.ndarray,
-    l2_strength: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean softmax cross-entropy with L2 on the weights, plus gradients."""
-    n = dense.shape[0]
-    probs = softmax(dense @ weights.T + bias)
-    picked = probs[np.arange(n), labels]
-    loss = float(
-        -np.log(picked).mean() + 0.5 * l2_strength * (weights**2).sum()
-    )
-    residual = probs.copy()
-    residual[np.arange(n), labels] -= 1.0
-    grad_w = residual.T @ dense / n + l2_strength * weights
-    grad_b = residual.sum(axis=0) / n
-    return loss, grad_w, grad_b
+def cross_entropy_terms(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy and its derivative, the softmax output
+    less 1 at each sample's label."""
+    probs = softmax(scores)
+    rows = np.arange(labels.size)
+    data_loss = -np.log(probs[rows, labels]).mean()
+    probs[rows, labels] -= 1.0
+    return data_loss, probs
 
 
 class _LinearModel(Model):
     """A weight row and bias per class, fit by full-batch gradient descent on
-    the family's `loss_and_grads`."""
+    `loss_and_grads` with the family's `terms`."""
 
     params_class = LinearParams
     payload_arrays = ("weights", "bias")
@@ -88,16 +70,14 @@ class _LinearModel(Model):
         dense = matrix.to_dense()
         weights = np.zeros((label_count, matrix.dim), dtype=np.float64)
         bias = np.zeros(label_count, dtype=np.float64)
-        # A diverging fit is reported by the loss check, not by numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for epoch in range(params.epochs):
-                loss, grad_w, grad_b = cls.loss_and_grads(
-                    weights, bias, dense, matrix.row_labels, params.l2_strength
-                )
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(epoch)
-                weights -= params.learning_rate * grad_w
-                bias -= params.learning_rate * grad_b
+        for epoch in range(params.epochs):
+            loss, grad_w, grad_b = loss_and_grads(
+                cls.terms, weights, bias, dense, matrix.row_labels, params.l2_strength
+            )
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch)
+            weights -= params.learning_rate * grad_w
+            bias -= params.learning_rate * grad_b
         return cls(weights, bias, params)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
@@ -109,7 +89,7 @@ class LinearSVMModel(_LinearModel):
 
     kind = ModelKind.LINEAR_SVM
     display_name = "Linear SVM"
-    loss_and_grads = staticmethod(svm_loss_and_grads)
+    terms = staticmethod(hinge_terms)
 
 
 class LogisticRegressionModel(_LinearModel):
@@ -117,7 +97,7 @@ class LogisticRegressionModel(_LinearModel):
 
     kind = ModelKind.LOGISTIC_REGRESSION
     display_name = "Logistic Regression"
-    loss_and_grads = staticmethod(logistic_loss_and_grads)
+    terms = staticmethod(cross_entropy_terms)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
         return softmax(super()._scores(matrix))

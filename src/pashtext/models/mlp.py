@@ -116,10 +116,8 @@ class MLPModel(Model):
         model = init_mlp(matrix.dim, label_count, params)
         adam = AdamState(model.flat.size)
         samples = row_samples(matrix, range(matrix.n_rows), matrix.row_labels)
-        # A diverging fit is reported by the loss check, not by numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for _ in range(params.epochs):
-                model, _loss = mlp_epoch(model, samples, params, adam)
+        for _ in range(params.epochs):
+            model, _loss = mlp_epoch(model, samples, params, adam)
         return model
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:

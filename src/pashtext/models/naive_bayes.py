@@ -64,19 +64,17 @@ class GaussianNBModel(Model):
         priors = _class_priors(labels, label_count)
         means = np.zeros((label_count, matrix.dim))
         variances = np.zeros((label_count, matrix.dim))
-        # Overflowing statistics are refused by the constructor, not by numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c in range(label_count):
-                rows = dense[labels == c]
-                if rows.size:
-                    means[c] = rows.mean(axis=0)
-                    variances[c] = rows.var(axis=0)  # biased (1/n) variance
-            # Floor: variance_floor times the largest pooled per-feature variance.
-            # Falls back to a tiny absolute value when the whole matrix is constant.
-            floor = params.variance_floor * float(dense.var(axis=0).max())
-            if floor == 0.0:
-                floor = 1e-12
-            variances += floor
+        for c in range(label_count):
+            rows = dense[labels == c]
+            if rows.size:
+                means[c] = rows.mean(axis=0)
+                variances[c] = rows.var(axis=0)  # biased (1/n) variance
+        # Floor: variance_floor times the largest pooled per-feature variance.
+        # Falls back to a tiny absolute value when the whole matrix is constant.
+        floor = params.variance_floor * float(dense.var(axis=0).max())
+        if floor == 0.0:
+            floor = 1e-12
+        variances += floor
         return cls(priors, means, variances, params)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
@@ -127,10 +125,8 @@ class MultinomialNBModel(Model):
         if matrix.nnz and matrix.data.min() < 0:
             raise DataError("multinomial NB requires non-negative feature values")
         priors = _class_priors(matrix.row_labels, label_count)
-        # Overflowing sums are refused by the constructor, not by numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            smoothed = class_sums(matrix, label_count) + params.laplace_alpha
-            log_probs = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
+        smoothed = class_sums(matrix, label_count) + params.laplace_alpha
+        log_probs = np.log(smoothed) - np.log(smoothed.sum(axis=1, keepdims=True))
         return cls(priors, log_probs, params)
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:

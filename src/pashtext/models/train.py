@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import DataError, InvalidHyperparameterError
 from ..vectorize import FeatureMatrix
 from .base import KIND_CLASSES, Model, ModelKind
@@ -35,10 +37,15 @@ def train(
         raise DataError("cannot train on zero-dimensional features")
     # min and max, not np.unique, which imports numpy.ma on its plain path.
     lowest, highest = int(matrix.row_labels.min()), int(matrix.row_labels.max())
+    if lowest < 0:
+        raise DataError("training labels must be non-negative class indices")
     if lowest == highest:
         raise DataError("training requires at least two distinct classes")
     if label_count is None:
         label_count = highest + 1
     elif label_count <= highest:
         raise DataError("label_count is smaller than the largest label present")
-    return model_class.fit(matrix, params, label_count)
+    # An overflowing fit is refused by its loss check or by its model's
+    # constructor, not by a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return model_class.fit(matrix, params, label_count)

@@ -1,5 +1,5 @@
 """Feature matrices written out densely, for tests that spell out small
-examples entry by entry."""
+examples entry by entry, and a bitwise comparison of float64 arrays."""
 
 import numpy as np
 
@@ -14,3 +14,10 @@ def matrix_from_dense(dense, row_labels=None) -> FeatureMatrix:
         row_labels = np.zeros(dense.shape[0], dtype=np.int64)
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(dense, axis=1))))
     return FeatureMatrix(indptr, cols, dense[rows, cols], row_labels, UNIGRAM, dense.shape[1])
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape and bits: -0.0 differs from 0.0, and NaN equals
+    only the NaN of the same bits."""
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

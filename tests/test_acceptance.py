@@ -28,7 +28,7 @@ from pashtext.models.params import (
     MultinomialNBParams,
     RandomForestParams,
 )
-from pashtext.models.linear import logistic_loss_and_grads, svm_loss_and_grads
+from pashtext.models.linear import cross_entropy_terms, hinge_terms, loss_and_grads
 from pashtext.models.mlp import init_mlp, mlp_loss_and_grads, row_samples
 from pashtext.models.tree import DecisionTreeModel, RandomForestModel
 from pashtext.pipeline import (
@@ -237,7 +237,7 @@ def relative_error(analytic, numeric):
     return float(np.abs(analytic - numeric).max()) / scale
 
 
-def check_linear_gradients(loss_and_grads, rng):
+def check_linear_gradients(terms, rng):
     n, dim, label_count = rng.randrange(2, 5), rng.randrange(1, 4), 2
     for _ in range(50):
         dense = np.array([[rng.uniform(-1, 1) for _ in range(dim)] for _ in range(n)])
@@ -255,15 +255,15 @@ def check_linear_gradients(loss_and_grads, rng):
     else:
         raise AssertionError("could not sample an instance away from the hinge kink")
     l2 = 1e-2
-    _, grad_w, grad_b = loss_and_grads(weights, bias, dense, labels, l2)
+    _, grad_w, grad_b = loss_and_grads(terms, weights, bias, dense, labels, l2)
     num_w = np.zeros_like(weights)
     for idx in np.ndindex(weights.shape):
         up, down = weights.copy(), weights.copy()
         up[idx] += _H
         down[idx] -= _H
         num_w[idx] = (
-            loss_and_grads(up, bias, dense, labels, l2)[0]
-            - loss_and_grads(down, bias, dense, labels, l2)[0]
+            loss_and_grads(terms, up, bias, dense, labels, l2)[0]
+            - loss_and_grads(terms, down, bias, dense, labels, l2)[0]
         ) / (2 * _H)
     num_b = np.zeros_like(bias)
     for c in range(bias.size):
@@ -271,8 +271,8 @@ def check_linear_gradients(loss_and_grads, rng):
         up[c] += _H
         down[c] -= _H
         num_b[c] = (
-            loss_and_grads(weights, up, dense, labels, l2)[0]
-            - loss_and_grads(weights, down, dense, labels, l2)[0]
+            loss_and_grads(terms, weights, up, dense, labels, l2)[0]
+            - loss_and_grads(terms, weights, down, dense, labels, l2)[0]
         ) / (2 * _H)
     assert relative_error(grad_w, num_w) < _REL_TOL
     assert relative_error(grad_b, num_b) < _REL_TOL
@@ -316,8 +316,8 @@ def test_criterion_4_gradient_checks():
     rng = random.Random(404)
     for _ in range(20):
         check_mlp_gradients(rng)
-        check_linear_gradients(logistic_loss_and_grads, rng)
-        check_linear_gradients(svm_loss_and_grads, rng)
+        check_linear_gradients(cross_entropy_terms, rng)
+        check_linear_gradients(hinge_terms, rng)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     print(f"CRITERION 4 PASS: MLP, logistic and hinge gradients match central "

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from matrices import matrix_from_dense
+from matrices import assert_same_bits, matrix_from_dense
 
 from pashtext.errors import DataError, InvalidHyperparameterError
 from pashtext.models import base, knn
@@ -154,11 +154,6 @@ def random_sparse(rng, n_rows, dim, density, top):
     return matrix
 
 
-def assert_same_bits(got, want):
-    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 def test_row_dots_equal_the_dense_products_bit_for_bit():
     rng = np.random.default_rng(29)
     cases = 0
@@ -204,6 +199,37 @@ def test_row_dots_chunks_rows_at_the_product_budget(monkeypatch):
     # Products before each row: 0, 3, 9, 9; rows 2-3 start at the budget.
     assert sizes == [9, 12]
     assert_same_bits(got, reference_dots(stored, queried))
+
+
+def reference_euclidean(dots, row_norm_sq, query_norm_sq):
+    """The expression `_nearest` evaluated before it wrote the Euclidean
+    distances into the buffer of `dots`."""
+    return np.sqrt(np.maximum(row_norm_sq - 2.0 * dots + query_norm_sq, 0.0))
+
+
+def test_euclidean_distances_in_place_keep_their_bits(monkeypatch):
+    """With every distance among the k nearest, `_nearest` returns each
+    reference distance's bits, on values that include +-0.0, +-inf, NaN,
+    1e308 and the smallest subnormal."""
+    rng = np.random.default_rng(37)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+    empty = FeatureMatrix([0], [], [], [], "unigram", 1)
+    for _ in range(300):
+        n_queries, n_rows = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        dots = rng.normal(size=(n_queries, n_rows)) * 10.0 ** rng.integers(-3, 4)
+        row_norm_sq = rng.uniform(0, 100, n_rows)
+        query_norm_sq = rng.uniform(0, 100, n_queries)
+        for values in (dots, row_norm_sq, query_norm_sq):
+            hit = rng.uniform(size=values.shape) < 0.15
+            values[hit] = rng.choice(special, int(hit.sum()))
+        with monkeypatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            want = reference_euclidean(dots, row_norm_sq, query_norm_sq[:, None])
+            patch.setattr(FeatureMatrix, "row_dots", lambda self, other, budget: dots.copy())
+            patch.setattr(FeatureMatrix, "squared_norms", lambda self: query_norm_sq)
+            columns, values = knn._nearest(empty, row_norm_sq, empty, n_rows, EUCLIDEAN)
+        got = np.empty_like(want)
+        np.put_along_axis(got, columns, values, axis=1)
+        assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("metric", [EUCLIDEAN, COSINE])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pashtext.errors import TrainingDivergedError
+from pashtext.models import ModelKind, train
 from pashtext.models.mlp import (
     AdamState,
     MLPModel,
@@ -216,7 +217,7 @@ def test_divergence_raises():
     m = matrix_from_dense(dense, [0, 1, 0])
     params = MLPParams(hidden_units=2, learning_rate=1e150, epochs=3, seed=1)
     with pytest.raises(TrainingDivergedError):
-        MLPModel.fit(m, params, 2)
+        train(ModelKind.MLP, m, params, 2)
 
 
 def test_scores_are_probabilities_and_zero_vector_works():

@@ -307,6 +307,15 @@ def test_train_validates_inputs():
         train(ModelKind.MULTINOMIAL_NB, toy_matrix(), label_count=2)
 
 
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_train_refuses_a_negative_row_label(kind):
+    """numpy would read label -1 as the last class, or refuse it in a raw
+    ValueError; `train` refuses it for every kind alike."""
+    matrix = matrix_from_dense([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [-1, 1, 1])
+    with pytest.raises(DataError, match="^training labels must be non-negative"):
+        train(kind, matrix, QUICK_PARAMS.get(kind), label_count=2)
+
+
 def test_train_accepts_kind_by_value_and_defaults_label_count():
     model = train("gaussian_nb", toy_matrix())
     assert model.kind == ModelKind.GAUSSIAN_NB
