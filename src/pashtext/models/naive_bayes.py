@@ -11,10 +11,13 @@ import numpy as np
 
 from ..errors import DataError, TrainingError
 from ..vectorize import FeatureMatrix, class_sums
+from . import base
 from .base import Model, ModelKind, checked_array
 from .params import GaussianNBParams, MultinomialNBParams
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+_FIT_COLUMNS = 64  # fewest columns per fit block, so call overhead does not swamp the sums
 
 
 def _log_normalize(priors: np.ndarray, joint: np.ndarray) -> np.ndarray:
@@ -35,9 +38,10 @@ def _class_priors(row_labels: np.ndarray, label_count: int) -> np.ndarray:
 class GaussianNBModel(Model):
     """Per-class feature means and variances; densifies the scored matrix.
 
-    This family needs per-feature statistics, so fitting and scoring work on
-    dense rows; scoring loops over classes, so each row's log-likelihood is
-    one contiguous sum over the features.
+    Fitting reads the training side a block of columns at a time (its
+    `column_blocks`), so it never holds the whole side densely; scoring
+    densifies each block of scored rows and loops over classes, so each
+    row's log-likelihood is one contiguous sum over the features.
     """
 
     kind = ModelKind.GAUSSIAN_NB
@@ -59,19 +63,24 @@ class GaussianNBModel(Model):
     @classmethod
     def fit(cls, matrix: FeatureMatrix, params: GaussianNBParams,
             label_count: int) -> "GaussianNBModel":
-        dense = matrix.to_dense()
         labels = matrix.row_labels
         priors = _class_priors(labels, label_count)
         means = np.zeros((label_count, matrix.dim))
         variances = np.zeros((label_count, matrix.dim))
-        for c in range(label_count):
-            rows = dense[labels == c]
-            if rows.size:
-                means[c] = rows.mean(axis=0)
-                variances[c] = rows.var(axis=0)  # biased (1/n) variance
+        by_class = np.argsort(labels, kind="stable")  # a class is one slice of a block
+        ends = np.bincount(labels, minlength=label_count).cumsum().tolist()
+        pooled = []  # each block's largest pooled per-feature variance
+        budget = max(base._BLOCK_CELLS, _FIT_COLUMNS * labels.size)
+        for columns, block in matrix.column_blocks(budget):
+            pooled.append(block.var(axis=0).max())
+            block = block[by_class]
+            for c, (start, end) in enumerate(zip([0] + ends, ends)):
+                if end > start:
+                    means[c, columns] = block[start:end].mean(axis=0)
+                    variances[c, columns] = block[start:end].var(axis=0)  # biased (1/n)
         # Floor: variance_floor times the largest pooled per-feature variance.
         # Falls back to a tiny absolute value when the whole matrix is constant.
-        floor = params.variance_floor * float(dense.var(axis=0).max())
+        floor = params.variance_floor * float(np.max(pooled))
         if floor == 0.0:
             floor = 1e-12
         variances += floor

@@ -172,17 +172,20 @@ class _Binned(NamedTuple):
         return self.values[self.starts[features] + ranks]
 
 
-def _binned(dense: np.ndarray, labels: np.ndarray, label_count: int) -> _Binned:
-    """The rows of `dense`, whose classes are `labels`, by value rank."""
-    n, dim = dense.shape
+def _binned(matrix: FeatureMatrix, label_count: int) -> _Binned:
+    """The matrix's rows by value rank, ranked a block of columns at a time."""
+    n, dim, labels = matrix.n_rows, matrix.dim, matrix.row_labels
     codes = np.empty((dim, n), dtype=np.min_scalar_type(n * label_count))
-    values = []
-    for feature, column in enumerate(dense.T):
-        distinct, ranks = np.unique(column, return_inverse=True)
-        codes[feature] = ranks * label_count + labels
-        values.append(distinct)
-    sizes = np.fromiter(map(len, values), np.int64, dim)
-    return _Binned(codes, np.concatenate(values), np.append(0, sizes.cumsum()), label_count)
+    values, starts = [], np.zeros(dim + 1, dtype=np.int64)
+    for columns, block in matrix.column_blocks(base._BLOCK_CELLS):
+        distinct = []
+        for feature, column in zip(range(columns.start, columns.stop), block.T):
+            found, ranks = np.unique(column, return_inverse=True)
+            codes[feature] = ranks * label_count + labels
+            distinct.append(found)
+        values.append(np.concatenate(distinct))  # one array per block, not per column
+        starts[columns.start + 1:columns.stop + 1] = list(map(len, distinct))
+    return _Binned(codes, np.concatenate(values), starts.cumsum(out=starts), label_count)
 
 
 def _best_splits(binned: _Binned, rows: np.ndarray, sizes: np.ndarray, counts: list,
@@ -295,7 +298,7 @@ def _grow_trees(matrix: FeatureMatrix, label_count: int, params, trees: list) ->
     split reorders its slice to put its left child's rows first.
     """
     labels, k = matrix.row_labels, label_count
-    binned = _binned(matrix.to_dense(), labels, k)
+    binned = _binned(matrix, k)
     order = np.concatenate([rows for rows, _ in trees]).astype(np.min_scalar_type(matrix.n_rows))
     root_ends = np.cumsum([rows.size for rows, _ in trees]).tolist()
     stacks = [[(start, end, 0, -1, np.bincount(labels[order[start:end]], minlength=k).tolist())]

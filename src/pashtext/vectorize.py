@@ -117,11 +117,28 @@ class FeatureMatrix:
 
     @cached_property
     def _by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stored values sorted by column, in row order within a column:
-        per-column offsets, and each value's row and value.  Made at the
-        first `row_dots` against this matrix and kept for the next."""
+        """The matrix's one column view: the stored values sorted by column,
+        in row order within a column, as per-column offsets and each value's
+        row and value.  Made at the first `row_dots` against this matrix or
+        `column_blocks` of it, and kept for the next."""
         order = np.argsort(self.indices, kind="stable")
         return _indptr(self.indices[order], self.dim), self.row_ids()[order], self.data[order]
+
+    def column_blocks(self, budget: int):
+        """(column slice, block) pairs, left to right, where a block is
+        `to_dense()[:, slice]` filled from the column view alone.  A block is
+        about `budget` cells and at least two columns wide, so numpy sums an
+        axis-0 reduction of it row by row, as it does the whole matrix's: a
+        lone last column joins the block before it, a narrower matrix is one."""
+        column_ptr, column_rows, column_data = self._by_column
+        width = max(2, budget // max(self.n_rows, 1))
+        starts = list(range(0, max(self.dim - 1, 1), width))
+        for a, b in zip(starts, starts[1:] + [self.dim]):
+            lo, hi = column_ptr[a], column_ptr[b]
+            block = np.zeros((self.n_rows, b - a))
+            columns = np.repeat(np.arange(b - a), np.diff(column_ptr[a:b + 1]))
+            block[column_rows[lo:hi], columns] = column_data[lo:hi]
+            yield slice(a, b), block
 
     def row_dots(self, other: "FeatureMatrix", budget: int) -> np.ndarray:
         """(n_rows, other.n_rows) inner products of this matrix's rows with

@@ -5,10 +5,16 @@ import random
 
 import numpy as np
 import pytest
-from matrices import matrix_from_dense
+from matrices import (
+    assert_same_bits,
+    column_cases,
+    matrix_from_dense,
+    traced_peak,
+    wide_sparse_matrix,
+)
 
 from pashtext.errors import DataError, InvalidHyperparameterError
-from pashtext.models import naive_bayes
+from pashtext.models import ModelKind, base, naive_bayes, train
 from pashtext.models.naive_bayes import GaussianNBModel, MultinomialNBModel
 from pashtext.models.params import GaussianNBParams, MultinomialNBParams
 
@@ -161,6 +167,57 @@ def test_gaussian_scores_equal_the_temporaries_form_bit_for_bit():
             got, want = model._scores(probes), reference_gaussian_scores(model, probes)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def reference_gaussian_fit(matrix, label_count, variance_floor):
+    """The means, floored variances and floor `GaussianNBModel.fit` computed
+    from the whole dense training side before it read column blocks."""
+    dense = matrix.to_dense()
+    labels = matrix.row_labels
+    means = np.zeros((label_count, matrix.dim))
+    variances = np.zeros((label_count, matrix.dim))
+    for c in range(label_count):
+        rows = dense[labels == c]
+        if rows.size:
+            means[c] = rows.mean(axis=0)
+            variances[c] = rows.var(axis=0)  # biased (1/n) variance
+    floor = variance_floor * float(dense.var(axis=0).max())
+    if floor == 0.0:
+        floor = 1e-12
+    variances += floor
+    return means, variances, floor
+
+
+def test_gaussian_fit_equals_the_dense_fit_bit_for_bit(monkeypatch):
+    """Blocks two columns wide to the full width, a lone last column among
+    them, give the dense fit's bits: each class's rows are summed in row
+    order, and the pooled variance in the side's row order."""
+    rng = np.random.default_rng(59)
+    monkeypatch.setattr(naive_bayes, "_FIT_COLUMNS", 2)  # widths from the budget alone
+    lone = 0
+    for _ in range(300):
+        matrix, label_count = column_cases(rng)
+        width = max(2, int(rng.integers(0, matrix.dim + 2)))
+        monkeypatch.setattr(base, "_BLOCK_CELLS", matrix.n_rows * width)
+        params = GaussianNBParams(variance_floor=float(rng.choice([1e-9, 0.5])))
+        model = GaussianNBModel.fit(matrix, params, label_count)
+        means, variances, floor = reference_gaussian_fit(matrix, label_count,
+                                                         params.variance_floor)
+        assert_same_bits(model.means, means)
+        assert_same_bits(model.variances, variances)
+        zero_columns = ~matrix.to_dense().any(axis=0)
+        assert_same_bits(model.variances[:, zero_columns],
+                         np.full((label_count, zero_columns.sum()), floor))
+        lone += matrix.dim > width and matrix.dim % width == 1
+    assert lone >= 20
+
+
+def test_gaussian_fit_peaks_below_a_quarter_of_the_dense_copy():
+    matrix = wide_sparse_matrix()
+    dense_bytes = matrix.n_rows * matrix.dim * 8
+    assert dense_bytes >= 60e6
+    peak = traced_peak(lambda: train(ModelKind.GAUSSIAN_NB, matrix, GaussianNBParams()))
+    assert peak < dense_bytes / 4
 
 
 def test_gaussian_variance_floor_keeps_constant_features_finite():

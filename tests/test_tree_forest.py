@@ -6,18 +6,32 @@ import threading
 
 import numpy as np
 import pytest
-from matrices import matrix_from_dense
+from matrices import (
+    assert_same_bits,
+    column_cases,
+    matrix_from_dense,
+    matrix_of_every_cell,
+    traced_peak,
+    wide_sparse_matrix,
+)
 from scalar_prng import ScalarSplitMix64
 
 from pashtext.corpus import stratified_split
 from pashtext.errors import DataError
-from pashtext.models import base
+from pashtext.models import ModelKind, base, train
 from pashtext.models import tree as tree_module
 from pashtext.models.params import DecisionTreeParams, RandomForestParams
 from pashtext.models.tree import DecisionTreeModel, Nodes, RandomForestModel
 from pashtext.prng import derive_seed
 from pashtext.synth import generate_corpus
-from pashtext.vectorize import FEATURE_MODES, feature_matrix, fit_features, side_documents
+from pashtext.vectorize import (
+    FEATURE_MODES,
+    TFIDF,
+    UNIGRAM,
+    feature_matrix,
+    fit_features,
+    side_documents,
+)
 
 
 def queries(*rows):
@@ -454,7 +468,9 @@ def test_split_search_matches_per_feature_reference(monkeypatch):
         # Three batches in four under a smaller budget, so most span several chunks.
         budget = (1 << 16) if case % 4 == 0 else int(rng.integers(1, 1 << 10))
         monkeypatch.setattr(base, "_BLOCK_CELLS", budget)
-        binned = tree_module._binned(dense, labels, label_count)
+        # Every cell stored in odd cases, so -0.0 reaches the binning too.
+        matrix = (matrix_of_every_cell if case % 2 else matrix_from_dense)(dense, labels)
+        binned = tree_module._binned(matrix, label_count)
         counts = [np.bincount(labels[r], minlength=label_count).tolist() for r in rows]
         sizes = np.array([r.size for r in rows])
         features, thresholds = tree_module._best_splits(binned, np.concatenate(rows), sizes,
@@ -465,6 +481,74 @@ def test_split_search_matches_per_feature_reference(monkeypatch):
             found += want is not None
         chunked += sum(map(len, rows)) * candidates.shape[1] > budget
     assert found >= 300 and chunked >= 90
+
+
+def reference_binned(dense, labels, label_count):
+    """The binning `tree._binned` did on the whole dense training side
+    before it ranked blocks of columns, verbatim."""
+    n, dim = dense.shape
+    codes = np.empty((dim, n), dtype=np.min_scalar_type(n * label_count))
+    values = []
+    for feature, column in enumerate(dense.T):
+        distinct, ranks = np.unique(column, return_inverse=True)
+        codes[feature] = ranks * label_count + labels
+        values.append(distinct)
+    sizes = np.fromiter(map(len, values), np.int64, dim)
+    return tree_module._Binned(codes, np.concatenate(values), np.append(0, sizes.cumsum()),
+                               label_count)
+
+
+def test_binning_equals_the_dense_binning_bit_for_bit(monkeypatch):
+    """Blocks two columns wide to the full width, a lone last column among
+    them, give the dense binning's codes, values and starts; `np.unique`
+    keeps the same one of a column's 0.0 and -0.0."""
+    rng = np.random.default_rng(61)
+    lone = 0
+    for _ in range(300):
+        matrix, label_count = column_cases(rng)
+        width = max(2, int(rng.integers(0, matrix.dim + 2)))
+        monkeypatch.setattr(base, "_BLOCK_CELLS", matrix.n_rows * width)
+        got = tree_module._binned(matrix, label_count)
+        want = reference_binned(matrix.to_dense(), matrix.row_labels, label_count)
+        assert got.codes.dtype == want.codes.dtype and np.array_equal(got.codes, want.codes)
+        assert_same_bits(got.values, want.values)
+        assert got.starts.dtype == want.starts.dtype and np.array_equal(got.starts, want.starts)
+        assert got.label_count == label_count
+        lone += matrix.dim > width and matrix.dim % width == 1
+    assert lone >= 20
+
+
+def test_a_shallow_tree_fit_peaks_below_a_quarter_of_the_dense_copy():
+    """Depth 1, so the fit is mostly its binning; the codes are one byte
+    per cell, an eighth of the dense copy."""
+    matrix = wide_sparse_matrix()
+    dense_bytes = matrix.n_rows * matrix.dim * 8
+    assert dense_bytes >= 60e6
+    params = DecisionTreeParams(max_depth=1)
+    peak = traced_peak(lambda: train(ModelKind.DECISION_TREE, matrix, params))
+    assert peak < dense_bytes / 4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_trees_split_tfidf_rows_as_they_split_counts(seed):
+    """TFIDF scales each column by its idf, above 0 where no token is in
+    every training document, so each column keeps the order of its values
+    and a tree or forest splits the training rows as on counts; only the
+    thresholds move."""
+    matrices = small_corpus_matrices(seed)
+    counts, tfidf = matrices[UNIGRAM], matrices[TFIDF]
+    assert tfidf.nnz == counts.nnz  # no zero idf dropped an entry
+    for model_class, params in [(DecisionTreeModel, DecisionTreeParams()),
+                                (RandomForestModel, RandomForestParams(n_trees=5, seed=seed))]:
+        on_counts = model_class.fit(counts, params, 4)
+        on_tfidf = model_class.fit(tfidf, params, 4)
+        for field in ("feature", "left", "right", "counts", "roots"):
+            assert np.array_equal(getattr(on_counts.nodes, field), getattr(on_tfidf.nodes, field))
+        assert np.array_equal(on_counts._leaves(counts), on_tfidf._leaves(tfidf))
+        split = on_counts.nodes.feature >= 0
+        assert split.any()
+        assert not np.array_equal(on_counts.nodes.threshold[split],
+                                  on_tfidf.nodes.threshold[split])
 
 
 def reference_grow(dense, labels, row_ids, label_count, params, feature_picker, records):

@@ -7,7 +7,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from matrices import matrix_from_dense
+from matrices import assert_same_bits, column_cases, matrix_from_dense
 
 from pashtext.corpus import Corpus, CorpusSplit, Document, LabelSet, stratified_split
 from pashtext.errors import DataError
@@ -286,6 +286,29 @@ def test_apply_mask_matches_dense_slicing():
         assert masked.dim == k
         assert np.array_equal(masked.to_dense(), dense[:, mask.kept_indices])
         assert masked.row_labels.tolist() == m.row_labels.tolist()
+
+
+def test_column_blocks_are_the_dense_columns_in_blocks_of_two_or_more():
+    """Blocks are read from the column view alone, bit for bit the dense
+    columns; each but the last is `budget // n_rows` columns wide (at least
+    two), and a lone last column joins the block before it."""
+    rng = np.random.default_rng(53)
+    lone = 0
+    for _ in range(300):
+        matrix, _ = column_cases(rng)
+        n, dim = matrix.n_rows, matrix.dim
+        budget = n * int(rng.integers(0, dim + 2)) + int(rng.integers(n))
+        width = max(2, budget // n)
+        blocks = list(matrix.column_blocks(budget))
+        widths = [columns.stop - columns.start for columns, _ in blocks]
+        assert [columns.start for columns, _ in blocks] == np.cumsum([0] + widths[:-1]).tolist()
+        assert sum(widths) == dim and set(widths[:-1]) <= {width}
+        assert min(2, dim) <= widths[-1] <= width + 1
+        lone += widths[-1] == width + 1
+        dense = matrix.to_dense()
+        for columns, block in blocks:
+            assert_same_bits(block, np.ascontiguousarray(dense[:, columns]))
+    assert lone >= 20
 
 
 def test_vocabulary_round_trip_and_validation():
