@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -70,6 +71,18 @@ def _at_least_one(text: str) -> int:
     if not text.strip().removeprefix("+").isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
     return int(text)
+
+
+def _train_fraction(text: str) -> float:
+    """argparse type of a per-class train fraction, a number strictly
+    between 0 and 1 (not NaN)."""
+    try:
+        fraction = float(text)
+    except ValueError:
+        fraction = math.nan
+    if not 0.0 < fraction < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+    return fraction
 
 
 def _parse_params(pairs) -> dict[str, str]:
@@ -289,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     split = command("split", "persist a stratified train/test split", _cmd_split)
     split.add_argument("--corpus", required=True, help="corpus JSONL file or directory")
-    split.add_argument("--fraction", type=float, default=0.8,
+    split.add_argument("--fraction", type=_train_fraction, default=0.8,
                        help="per-class train fraction")
     split.add_argument("--seed", type=int, default=DEFAULT_SEED, help="split seed")
     split.add_argument("--out", required=True, help="output directory")
@@ -318,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid = command("grid", "run the full 16-cell classifier x feature grid", _cmd_grid)
     grid.add_argument("--corpus", required=True, help="corpus JSONL file or directory")
-    grid.add_argument("--fraction", type=float, default=0.8,
+    grid.add_argument("--fraction", type=_train_fraction, default=0.8,
                       help="per-class train fraction")
     grid.add_argument("--seed", type=int, default=DEFAULT_SEED,
                       help="seed for the split and all cells")

@@ -15,8 +15,15 @@ so this trains bit-for-bit the same weights as per-tensor updates would.
 
 Adam skips its divide by a bias correction 1 - beta**step once that
 correction rounds to exactly 1.0 in float64, since x / 1.0 == x in IEEE 754
-(`AdamState.apply`), and the row step adds the biases and takes its softmax
-in place, with the same operations in the same order; neither changes a bit.
+(`AdamState.apply`).  A training epoch binds Adam's constants and one set of
+row buffers once (`AdamState.updater`, `_row_step`): the hidden
+pre-activations and activations, the logits, the ReLU mask, and one buffer
+laid out as the gradient after w1, which takes a row's hidden gradient,
+outer product and output gradient.  Each row's forward and backward pass
+writes into them, and one add puts the b1, w2 and b2 gradients into the
+flat gradient.  Every floating-point operation, its operands and its order
+are those of a per-tensor step that allocates its results, so neither
+changes a bit.
 """
 
 from __future__ import annotations
@@ -60,33 +67,44 @@ class AdamState:
         for beta 0.999) skips its divide: x / 1.0 == x in IEEE 754, so the
         weights are the same bits either way.
         """
-        self.step += 1
+        self.updater(model, grad, params)()
+
+    def updater(self, model: "MLPModel", grad: np.ndarray, params: MLPParams):
+        """`apply(model, grad, params)` as a function of no arguments, with
+        the buffers, the constants and the ufuncs bound once for a loop."""
         b1, b2 = params.adam_beta1, params.adam_beta2
-        m, v = self.first, self.second
+        one_minus_b1, one_minus_b2 = 1.0 - b1, 1.0 - b2
+        rate, epsilon = params.learning_rate, params.adam_epsilon
+        m, v, flat = self.first, self.second, model.flat
         delta, denom = self._scratch
-        multiply, add, divide = np.multiply, np.add, np.divide
-        multiply(m, b1, m)
-        multiply(grad, 1.0 - b1, delta)
-        add(m, delta, m)
-        multiply(v, b2, v)
-        multiply(grad, 1.0 - b2, denom)
-        multiply(denom, grad, denom)
-        add(v, denom, v)
-        correction1 = 1.0 - b1**self.step
-        if correction1 == 1.0:
-            multiply(m, params.learning_rate, delta)
-        else:
-            divide(m, correction1, delta)
-            multiply(delta, params.learning_rate, delta)
-        correction2 = 1.0 - b2**self.step
-        if correction2 == 1.0:
-            np.sqrt(v, denom)
-        else:
-            divide(v, correction2, denom)
-            np.sqrt(denom, denom)
-        add(denom, params.adam_epsilon, denom)
-        divide(delta, denom, delta)
-        np.subtract(model.flat, delta, model.flat)
+        multiply, add, divide, sqrt = np.multiply, np.add, np.divide, np.sqrt
+
+        def update() -> None:
+            self.step = step = self.step + 1
+            multiply(m, b1, m)
+            multiply(grad, one_minus_b1, delta)
+            add(m, delta, m)
+            multiply(v, b2, v)
+            multiply(grad, one_minus_b2, denom)
+            multiply(denom, grad, denom)
+            add(v, denom, v)
+            correction1 = 1.0 - b1**step
+            if correction1 == 1.0:
+                multiply(m, rate, delta)
+            else:
+                divide(m, correction1, delta)
+                multiply(delta, rate, delta)
+            correction2 = 1.0 - b2**step
+            if correction2 == 1.0:
+                sqrt(v, denom)
+            else:
+                divide(v, correction2, denom)
+                sqrt(denom, denom)
+            add(denom, epsilon, denom)
+            divide(delta, denom, delta)
+            np.subtract(flat, delta, flat)
+
+        return update
 
 
 class MLPModel(Model):
@@ -149,43 +167,95 @@ def row_samples(matrix: FeatureMatrix, rows, labels) -> list[tuple]:
     return [(*matrix.row(row), int(label)) for row, label in zip(rows, labels)]
 
 
+def _as_rows(array: np.ndarray) -> np.ndarray:
+    """A C-contiguous 2-D array as a 1-D view of whole rows, one raw record
+    each: `put` on it writes rows in a fraction of the time that fancy
+    indexing of the 2-D array takes, and copies their bytes unchanged."""
+    return array.view(np.dtype((np.void, array.shape[1] * array.itemsize))).ravel()
+
+
+def _row_step(model: MLPModel, grad: np.ndarray, parts):
+    """`step(columns, values, label)`: one row's forward and backward pass.
+
+    It adds the row's gradient into the flat buffer `grad`, whose
+    `model.split` views are `parts`, and returns log p(label).  Its buffers,
+    views and ufuncs are bound here once, so a row allocates only the arrays
+    sized by its stored entries.  The row's b1, w2 and b2 gradients are
+    written into one buffer laid out as `grad` after w1, which one add puts
+    into `grad`: each value still gets its one add.
+    """
+    w1, b1, w2, b2 = model.w1, model.b1, model.w2, model.b2
+    g_w1, g_tail = parts[0], grad[w1.size :]
+    g_w1_rows = _as_rows(g_w1)
+    row_record = g_w1_rows.dtype
+    row_tail = np.empty_like(g_tail)
+    d_hidden = row_tail[: b1.size]
+    outer = row_tail[b1.size : -b2.size].reshape(w2.shape)
+    probs = row_tail[-b2.size :]
+    hidden_pre, hidden, logits = np.empty_like(b1), np.empty_like(b1), np.empty_like(b2)
+    relu_mask = np.empty(b1.shape, dtype=bool)
+    hidden_column = hidden[:, None]
+    matmul, add, multiply, maximum = np.matmul, np.add, np.multiply, np.maximum
+
+    def log_prob(shift: float, label) -> float:
+        """log softmax(logits)[label], computed as logits - shift; the
+        softmax is left in `probs`."""
+        np.subtract(logits, shift, probs)
+        np.exp(probs, probs)
+        np.divide(probs, add.reduce(probs), probs)
+        return float(np.log(probs[label]))
+
+    def step(columns, values, label) -> float:
+        matmul(values, w1.take(columns, axis=0), hidden_pre)
+        add(hidden_pre, b1, hidden_pre)
+        maximum(hidden_pre, 0.0, out=hidden)  # relu
+        matmul(hidden, w2, logits)
+        add(logits, b2, logits)
+        # Softmax shifted by the largest logit.  max() of the list is faster
+        # than np.max and gives the same shift unless a logit is NaN; then
+        # every probability is NaN, and the row is redone with np.max's
+        # shift, whose NaN decides the sign bits of the NaNs.
+        log_p = log_prob(max(logits.tolist()), label)
+        if log_p != log_p:
+            log_p = log_prob(maximum.reduce(logits), label)
+        probs[label] -= 1.0  # probs now holds d(loss)/d(logits)
+        multiply(hidden_column, probs, outer)  # np.outer(hidden, probs)
+        matmul(w2, probs, d_hidden)
+        np.greater(hidden_pre, 0.0, relu_mask)
+        multiply(d_hidden, relu_mask, d_hidden)
+        add(g_tail, row_tail, g_tail)
+        touched = g_w1.take(columns, axis=0)  # g_w1[columns] +=, gathered faster
+        touched += values[:, None] * d_hidden
+        g_w1_rows.put(columns, touched.view(row_record))
+        return log_p
+
+    return step
+
+
+def _batch_loss(step, grad: np.ndarray, batch) -> float:
+    """Mean loss of `batch` through `step`, whose gradient sum in `grad`
+    becomes the mean."""
+    loss = 0.0
+    for columns, values, label in batch:
+        loss -= step(columns, values, label)
+    if len(batch) > 1:  # x / 1 == x exactly, so a batch of one skips the pass
+        grad /= len(batch)
+    return loss / len(batch)
+
+
 def mlp_loss_and_grads(model: MLPModel, batch, grad=None, parts=None):
     """Mean cross-entropy and mean gradient over a batch of `row_samples`.
 
-    Each row's forward and backward pass touches only its stored entries.
-    The gradient is added into `grad`, a flat buffer in the model's layout
-    that must hold zeros (a new one when None); `parts` are its
-    `model.split` views, which a training loop takes once.
+    Each row's forward and backward pass touches only its stored entries;
+    it is the training loop's row step, with its row buffers bound once per
+    call.  The gradient is added into `grad`, a flat buffer in the model's
+    layout that must hold zeros (a new one when None); `parts` are its
+    `model.split` views.
     """
     if grad is None:
         grad = np.zeros_like(model.flat)
-    g_w1, g_b1, g_w2, g_b2 = parts or model.split(grad)
-    w1, b1, w2, b2 = model.w1, model.b1, model.w2, model.b2
-    maximum, add, exp = np.maximum, np.add, np.exp
-    loss = 0.0
-    for columns, values, label in batch:
-        hidden_pre = values @ w1.take(columns, axis=0)
-        hidden_pre += b1
-        hidden = maximum(hidden_pre, 0.0)  # relu
-        probs = hidden @ w2
-        probs += b2
-        # softmax(probs), the same operations in place on the one vector
-        np.subtract(probs, maximum.reduce(probs), probs)
-        exp(probs, probs)
-        np.divide(probs, add.reduce(probs), probs)
-        loss -= float(np.log(probs[label]))
-        probs[label] -= 1.0  # probs now holds d(loss)/d(logits)
-        g_w2 += hidden[:, None] * probs  # np.outer, without its argument checks
-        g_b2 += probs
-        d_hidden = w2 @ probs
-        d_hidden *= hidden_pre > 0
-        touched = g_w1.take(columns, axis=0)  # g_w1[columns] +=, gathered faster
-        touched += values[:, None] * d_hidden
-        g_w1[columns] = touched
-        g_b1 += d_hidden
-    if len(batch) > 1:  # x / 1 == x exactly, so a batch of one skips the pass
-        grad /= len(batch)
-    return loss / len(batch), grad
+    step = _row_step(model, grad, parts or model.split(grad))
+    return _batch_loss(step, grad, batch), grad
 
 
 def mlp_epoch(
@@ -195,22 +265,26 @@ def mlp_epoch(
     the model, updated in place, and the mean batch loss.  The epoch index
     is recovered from adam.step, so repeated calls walk distinct shuffles.
     """
-    n = len(samples)
-    epoch = adam.step // -(-n // params.batch_size)
+    n, size = len(samples), params.batch_size
+    epoch = adam.step // -(-n // size)
     order = list(range(n))
     SplitMix64(derive_seed(params.seed, 1 + epoch)).shuffle(order)
+    shuffled = [samples[i] for i in order]
     grad = np.zeros_like(model.flat)
     parts = model.split(grad)
-    g_w1, tail = parts[0], grad[model.w1.size :]  # tail: b1, w2 and b2
+    step = _row_step(model, grad, parts)
+    update = adam.updater(model, grad, params)
+    g_w1_rows, tail = _as_rows(parts[0]), grad[model.w1.size :]  # tail: b1, w2 and b2
+    zero_row = np.zeros(1, g_w1_rows.dtype)
     epoch_loss = 0.0
-    for start in range(0, n, params.batch_size):
-        batch = [samples[i] for i in order[start : start + params.batch_size]]
-        loss, _ = mlp_loss_and_grads(model, batch, grad, parts)
+    for start in range(0, n, size):
+        batch = shuffled[start : start + size]
+        loss = _batch_loss(step, grad, batch)
         if not math.isfinite(loss):
             raise TrainingDivergedError(epoch)
         epoch_loss += loss * len(batch)
-        adam.apply(model, grad, params)
+        update()
         for columns, _, _ in batch:  # zero what the batch wrote
-            g_w1[columns] = 0.0
+            g_w1_rows.put(columns, zero_row)
         tail.fill(0.0)
     return model, epoch_loss / n

@@ -202,18 +202,17 @@ def test_split_writes_split_file(workspace):
     assert len(data["test_ids"]) == 6
 
 
-def test_split_bad_fraction(workspace, tmp_path, capsys):
-    code = main(
-        [
-            "split",
-            "--corpus", str(workspace["corpus"]),
-            "--fraction", "1.5",
-            "--out", str(tmp_path),
-        ]
+@pytest.mark.parametrize("command", ["split", "grid"])
+@pytest.mark.parametrize("value", ["1.5", "0", "1", "-0.2", "nan", "inf", "x"])
+def test_split_bad_fraction(command, value, tmp_path, capsys):
+    """A flag out of range is a usage error, refused before any read: the
+    corpus path does not exist, and reading it would exit 2."""
+    argv = [command, "--corpus", str(tmp_path / "missing.jsonl"), "--fraction", value,
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: argument --fraction: must be a number in (0, 1), got {value!r}\n"
     )
-    assert code == 2
-    # A flag, not a file: the message names no file.
-    assert capsys.readouterr().err == "error: train_fraction must be in (0, 1), got 1.5\n"
 
 
 def test_train_bundle_contents(workspace):

@@ -445,3 +445,89 @@ def test_gradient_matches_per_tensor_reference():
         for name, part in named_grads(model, grad).items():
             assert np.array_equal(part, reference[name]), name
             assert np.array_equal(np.signbit(part), np.signbit(reference[name])), name
+
+
+# Logits that are NaN (of either sign bit), +inf or -inf, alone and together,
+# set through the output bias; "w1 +inf" reaches them through an infinite
+# hidden unit, where inf - inf makes NaNs of the CPU's own sign bit.  The row
+# step shifts its softmax by max() of a list, which skips a NaN that is not
+# first, so these rows check that it takes np.max's shift whenever it matters.
+_HOSTILE_LOGITS = {
+    "nan": {0: np.nan},
+    "negative nan last": {3: -np.nan},
+    "+inf": {1: np.inf},
+    "-inf": {2: -np.inf},
+    "-inf of a label no row has": {4: -np.inf},
+    "two +inf": {0: np.inf, 3: np.inf},
+    "all -inf": {0: -np.inf, 1: -np.inf, 2: -np.inf, 3: -np.inf},
+    "nan after +inf": {0: np.inf, 2: np.nan},
+    "negative nan, +inf and -inf": {1: -np.nan, 2: np.inf, 3: -np.inf},
+    "both nans, +inf and -inf": {0: np.inf, 1: np.nan, 2: -np.inf, 3: -np.nan},
+    "w1 +inf": None,
+}
+
+
+def hostile_instance(case):
+    """A model of five classes with the case's logits on every row, and five
+    rows of labels 0-3, one of them empty."""
+    dense = np.array([[0.5, 0.0, -1.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0],
+                      [1.5, -0.5, 0.25], [0.0, 0.75, -2.0]])
+    labels = np.array([0, 1, 2, 3, 1])
+    model = init_mlp(3, 5, MLPParams(hidden_units=3, seed=9))
+    if _HOSTILE_LOGITS[case] is None:
+        model.w1[1] = np.inf
+    else:
+        for position, value in _HOSTILE_LOGITS[case].items():
+            model.b2[position] = value
+    return model, matrix_from_dense(dense, labels), labels
+
+
+def assert_same_values_nans_and_signs(got, want, name):
+    assert np.array_equal(got, want, equal_nan=True), name  # NaN where want has NaN
+    assert np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+@pytest.mark.parametrize("case", list(_HOSTILE_LOGITS))
+def test_gradient_matches_reference_on_hostile_logits(case):
+    assert np.signbit(-np.nan) and not np.signbit(np.nan)
+    model, matrix, labels = hostile_instance(case)
+    with np.errstate(all="ignore"):
+        for rows in ([0], [1], [2], [4, 3], list(range(5))):
+            loss, grad = mlp_loss_and_grads(model, row_samples(matrix, rows, labels[rows]))
+            reference_loss, reference = reference_loss_and_grads(
+                model, matrix, rows, labels[rows]
+            )
+            assert math.isnan(loss) == math.isnan(reference_loss)
+            assert math.isnan(loss) or loss == reference_loss
+            for name, part in named_grads(model, grad).items():
+                assert_same_values_nans_and_signs(part, reference[name], name)
+
+
+@pytest.mark.parametrize("batch_size", [1, 2])
+@pytest.mark.parametrize("case", list(_HOSTILE_LOGITS))
+def test_fit_from_hostile_logits_diverges_with_the_reference(case, batch_size):
+    model, matrix, labels = hostile_instance(case)
+    reference = SimpleNamespace(
+        **{name: getattr(model, name).copy() for name in _PARAM_NAMES}
+    )
+    params = MLPParams(hidden_units=3, learning_rate=0.05, batch_size=batch_size, seed=9)
+    adam, reference_adam = AdamState(model.flat.size), ReferenceAdamState.for_model(reference)
+    samples = all_samples(matrix, labels)
+
+    def diverged_at(run_epoch):
+        try:
+            for _ in range(3):
+                run_epoch()
+        except TrainingDivergedError as exc:
+            return exc.epoch
+        return None
+
+    with np.errstate(all="ignore"):
+        diverged = diverged_at(lambda: mlp_epoch(model, samples, params, adam))
+        reference_diverged = diverged_at(
+            lambda: reference_epoch(reference, matrix, labels, params, reference_adam)
+        )
+    assert diverged == reference_diverged
+    assert adam.step == reference_adam.step
+    for name in _PARAM_NAMES:
+        assert_same_values_nans_and_signs(getattr(model, name), getattr(reference, name), name)
