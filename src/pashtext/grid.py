@@ -4,10 +4,11 @@ Every cell shares one tokenization, one vocabulary and one train/test
 split, isolating the classifier and feature-mode effects.  The cells of one
 feature mode form a lane: the unigram lane runs in this process while the
 TFIDF lane runs in one `python -c` child process, fed over pipes, that
-imports nothing of the caller's.  Every cell draws only from its own seed
-and its results are gathered in canonical order, the log lines included,
-and the report contains no wall-clock data, so a repeated run with the same
-seed serialises byte-for-byte identically on any number of cores.
+imports nothing of the caller's.  Every cell draws only from its own seed,
+`cell_seed` of the split's seed and the cell's position, its results are
+gathered in canonical order, the log lines included, and the report
+contains no wall-clock data, so a repeated run with the same seed
+serialises byte-for-byte identically on any number of cores.
 """
 
 from __future__ import annotations
@@ -179,18 +180,13 @@ pickle.dump([_run_cell(*job) for job in pickle.load(sys.stdin.buffer)], sys.stdo
 """
 
 
-def run_grid(
-    corpus: Corpus,
-    split: CorpusSplit,
-    select_k: int | None = None,
-    params_by_kind: dict | None = None,
-) -> GridReport:
+def run_grid(corpus: Corpus, split: CorpusSplit, select_k: int | None = None) -> GridReport:
     """Train and evaluate all 16 cells on one shared split.
 
     A failing cell is recorded (accuracy and report None, error message
-    set) without aborting the grid.  `params_by_kind` overrides the
-    defaults for specific kinds; otherwise each cell gets defaults with a
-    seed derived from the split's seed and the cell position.
+    set) without aborting the grid.  Each cell gets its kind's default
+    params with the seed `cell_seed` derives from the split's seed and the
+    cell's position.
     """
     train_docs = side_documents(corpus, split, "train")
     test_docs = side_documents(corpus, split, "test")
@@ -206,14 +202,10 @@ def run_grid(
     del train_docs, test_docs, train_counts, test_counts
     label_names = tuple(corpus.labels.names)
 
-    def params_for(kind, mode):
-        if params_by_kind is not None and kind in params_by_kind:
-            return params_by_kind[kind]
-        return make_params(kind, {}, seed=cell_seed(split.seed, kind, mode))
-
     def lane(mode):
         return [
-            (kind, *matrices[mode], label_names, params_for(kind, mode))
+            (kind, *matrices[mode], label_names,
+             make_params(kind, {}, seed=cell_seed(split.seed, kind, mode)))
             for kind in ModelKind
         ]
 

@@ -15,8 +15,8 @@ so this trains bit-for-bit the same weights as per-tensor updates would.
 
 Adam skips its divide by a bias correction 1 - beta**step once that
 correction rounds to exactly 1.0 in float64, since x / 1.0 == x in IEEE 754
-(`AdamState.apply`).  A training epoch binds Adam's constants and one set of
-row buffers once (`AdamState.updater`, `_row_step`): the hidden
+(`AdamState.updater`).  A training epoch binds Adam's constants and one set
+of row buffers once (`AdamState.updater`, `_row_step`): the hidden
 pre-activations and activations, the logits, the ReLU mask, and one buffer
 laid out as the gradient after w1, which takes a row's hidden gradient,
 outer product and output gradient.  Each row's forward and backward pass
@@ -39,14 +39,6 @@ from .base import Model, ModelKind, checked_array, softmax
 from .params import MLPParams
 
 
-def relu(a):
-    """max(0, a), elementwise on arrays.
-
-    The backprop subgradient is 0 for a <= 0 and 1 for a > 0.
-    """
-    return np.maximum(a, 0.0)
-
-
 class AdamState:
     """Flat first/second moments, the shared step counter and two scratch
     buffers, all in the model's flat layout."""
@@ -57,21 +49,18 @@ class AdamState:
         self.step = 0
         self._scratch = (np.empty(size), np.empty(size))
 
-    def apply(self, model: "MLPModel", grad: np.ndarray, params: MLPParams) -> None:
-        """One Adam update of `model.flat` from the flat gradient `grad`.
-
-        Computes, in this order, m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g
-        and w -= (lr*(m/c1)) / (sqrt(v/c2) + eps), with the bias corrections
-        c = 1 - beta**step; no temporary is allocated.  A correction that is
-        exactly 1.0 in float64 (from step 356 for beta 0.9, from step 37,412
-        for beta 0.999) skips its divide: x / 1.0 == x in IEEE 754, so the
-        weights are the same bits either way.
-        """
-        self.updater(model, grad, params)()
-
     def updater(self, model: "MLPModel", grad: np.ndarray, params: MLPParams):
-        """`apply(model, grad, params)` as a function of no arguments, with
-        the buffers, the constants and the ufuncs bound once for a loop."""
+        """One Adam update of `model.flat` from the flat gradient `grad`, as a
+        function of no arguments, with the buffers, the constants and the
+        ufuncs bound once for a loop.
+
+        Each call computes, in this order, m = b1*m + (1-b1)*g,
+        v = b2*v + ((1-b2)*g)*g and w -= (lr*(m/c1)) / (sqrt(v/c2) + eps),
+        with the bias corrections c = 1 - beta**step; no temporary is
+        allocated.  A correction that is exactly 1.0 in float64 (from step
+        356 for beta 0.9, from step 37,412 for beta 0.999) skips its divide:
+        x / 1.0 == x in IEEE 754, so the weights are the same bits either way.
+        """
         b1, b2 = params.adam_beta1, params.adam_beta2
         one_minus_b1, one_minus_b2 = 1.0 - b1, 1.0 - b2
         rate, epsilon = params.learning_rate, params.adam_epsilon
@@ -135,7 +124,7 @@ class MLPModel(Model):
         adam = AdamState(model.flat.size)
         samples = row_samples(matrix, range(matrix.n_rows), matrix.row_labels)
         for _ in range(params.epochs):
-            model, _loss = mlp_epoch(model, samples, params, adam)
+            mlp_epoch(model, samples, params, adam)
         return model
 
     def split(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -143,7 +132,7 @@ class MLPModel(Model):
         return [flat[start:end].reshape(shape) for start, end, shape in self._layout]
 
     def _scores(self, matrix: FeatureMatrix) -> np.ndarray:
-        hidden = relu(matrix.dot(self.w1) + self.b1)
+        hidden = np.maximum(matrix.dot(self.w1) + self.b1, 0.0)  # relu
         return softmax(hidden @ self.w2 + self.b2)
 
 
@@ -243,27 +232,25 @@ def _batch_loss(step, grad: np.ndarray, batch) -> float:
     return loss / len(batch)
 
 
-def mlp_loss_and_grads(model: MLPModel, batch, grad=None, parts=None):
-    """Mean cross-entropy and mean gradient over a batch of `row_samples`.
+def mlp_loss_and_grads(model: MLPModel, batch):
+    """Mean cross-entropy and mean gradient, a new flat buffer in the model's
+    layout, over a batch of `row_samples`.
 
     Each row's forward and backward pass touches only its stored entries;
     it is the training loop's row step, with its row buffers bound once per
-    call.  The gradient is added into `grad`, a flat buffer in the model's
-    layout that must hold zeros (a new one when None); `parts` are its
-    `model.split` views.
+    call.
     """
-    if grad is None:
-        grad = np.zeros_like(model.flat)
-    step = _row_step(model, grad, parts or model.split(grad))
+    grad = np.zeros_like(model.flat)
+    step = _row_step(model, grad, model.split(grad))
     return _batch_loss(step, grad, batch), grad
 
 
 def mlp_epoch(
     model: MLPModel, samples: list[tuple], params: MLPParams, adam: AdamState
-) -> tuple[MLPModel, float]:
-    """One pass over a shuffled epoch of all training `row_samples`; returns
-    the model, updated in place, and the mean batch loss.  The epoch index
-    is recovered from adam.step, so repeated calls walk distinct shuffles.
+) -> float:
+    """One pass over a shuffled epoch of all training `row_samples`, updating
+    the model in place; returns the mean batch loss.  The epoch index is
+    recovered from adam.step, so repeated calls walk distinct shuffles.
     """
     n, size = len(samples), params.batch_size
     epoch = adam.step // -(-n // size)
@@ -287,4 +274,4 @@ def mlp_epoch(
         for columns, _, _ in batch:  # zero what the batch wrote
             g_w1_rows.put(columns, zero_row)
         tail.fill(0.0)
-    return model, epoch_loss / n
+    return epoch_loss / n

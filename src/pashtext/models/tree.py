@@ -364,7 +364,7 @@ def _grow_trees(matrix: FeatureMatrix, label_count: int, params, trees: list) ->
 
 def _feature_samples(rng: SplitMix64, dim: int, per_split: int):
     """Each node's sorted candidate features: successive
-    `rng.sample_indices(dim, per_split)` draws, made 64 nodes at a time.
+    `rng.sample_index_sets(dim, per_split, 1)` draws, made 64 nodes at a time.
     Drawing ahead only moves the tree's own stream past the tree's last use."""
     while True:
         # In the smallest type, as all of a forest's trees hold a block at once.

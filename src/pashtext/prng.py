@@ -114,15 +114,12 @@ class SplitMix64:
         for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
-    def sample_indices(self, population: int, count: int) -> list[int]:
-        """Draw `count` distinct indices from range(population), order randomised
-        (a partial Fisher-Yates: only the first `count` positions are settled)."""
-        return self.sample_index_sets(population, count, 1)[0].tolist()
-
     def sample_index_sets(self, population: int, count: int, sets: int) -> np.ndarray:
-        """`sets` successive `sample_indices(population, count)`, as the rows
-        of one (sets, count) int64 array: the partial Fisher-Yates shuffles
-        of all sets run together, one swap per position."""
+        """`sets` successive draws of `count` distinct indices from
+        range(population), order randomised, as the rows of one (sets, count)
+        int64 array: partial Fisher-Yates shuffles, which settle only the
+        first `count` positions, of all sets run together, one swap per
+        position."""
         if count > population:
             raise ValueError("cannot sample more indices than the population size")
         offsets = self.next_below_block(np.tile(population - np.arange(count), sets))

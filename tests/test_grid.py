@@ -34,6 +34,31 @@ QUICK_PARAMS = {
 }
 
 
+def use_params(patch, params_by_kind):
+    """Patches the grid's `make_params`: each kind of `params_by_kind` gets
+    those params in both modes, any other kind its defaults at the seed it is
+    given.  Returns the list the patch appends each call's (kind, values,
+    seed) to.  The grid builds every cell's params in this process, the
+    TFIDF lane's included."""
+    make_params, calls = grid.make_params, []
+
+    def patched(kind, values, seed):
+        calls.append((kind, values, seed))
+        if kind in params_by_kind:
+            return params_by_kind[kind]
+        return make_params(kind, values, seed=seed)
+
+    patch.setattr(grid, "make_params", patched)
+    return calls
+
+
+def run_with(params_by_kind, *args, **kwargs):
+    """`run_grid` under `use_params(params_by_kind)`."""
+    with pytest.MonkeyPatch.context() as patch:
+        use_params(patch, params_by_kind)
+        return run_grid(*args, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def small_setup():
     corpus = generate_corpus(classes=4, per_class=12, seed=5)
@@ -45,7 +70,7 @@ def small_setup():
 @pytest.fixture(scope="module")
 def small_report(small_setup):
     corpus, split = small_setup
-    return run_grid(corpus, split, params_by_kind=QUICK_PARAMS)
+    return run_with(QUICK_PARAMS, corpus, split)
 
 
 def test_cell_seeds_are_distinct_and_deterministic():
@@ -55,6 +80,20 @@ def test_cell_seeds_are_distinct_and_deterministic():
     assert len(seeds) == 16
     assert cell_seed(42, ModelKind.KNN, TFIDF) == cell_seed(42, ModelKind.KNN, TFIDF)
     assert cell_seed(42, ModelKind.KNN, TFIDF) != cell_seed(43, ModelKind.KNN, TFIDF)
+
+
+def test_every_cell_gets_its_kinds_defaults_at_its_own_seed(small_setup, monkeypatch):
+    corpus, split = small_setup
+    calls = use_params(monkeypatch, QUICK_PARAMS)
+    run_grid(corpus, split)
+    assert len(calls) == 16
+    assert all(values == {} for _, values, _ in calls)
+    assert {seed: kind for kind, _, seed in calls} == {
+        cell_seed(split.seed, kind, mode): kind
+        for kind in ModelKind for mode in FEATURE_MODES
+    }
+    for kind in ModelKind:  # each mode of a kind has its own seed
+        assert len({seed for called, _, seed in calls if called is kind}) == 2
 
 
 def assert_cells_score_one_test_side(report):
@@ -81,13 +120,13 @@ def test_grid_covers_all_cells_in_canonical_order(small_report):
 def test_grid_reports_the_seed_of_its_split(small_setup, small_report):
     corpus, split = small_setup
     assert json.loads(small_report.to_json_text())["seed"] == 11
-    other = run_grid(corpus, replace(split, seed=7), params_by_kind=QUICK_PARAMS)
+    other = run_with(QUICK_PARAMS, corpus, replace(split, seed=7))
     assert json.loads(other.to_json_text())["seed"] == 7
 
 
 def test_grid_is_deterministic(small_setup, small_report):
     corpus, split = small_setup
-    again = run_grid(corpus, split, params_by_kind=QUICK_PARAMS)
+    again = run_with(QUICK_PARAMS, corpus, split)
     assert again.to_json_text() == small_report.to_json_text()
 
 
@@ -128,9 +167,8 @@ def test_cell_confusion_matrices_are_pinned(small_report):
 
 def test_failing_cell_is_recorded_not_fatal(small_setup):
     corpus, split = small_setup
-    params = dict(QUICK_PARAMS)
-    params[ModelKind.KNN] = KNNParams(k=100000)
-    report = run_grid(corpus, split, params_by_kind=params)
+    params = dict(QUICK_PARAMS, **{ModelKind.KNN: KNNParams(k=100000)})
+    report = run_with(params, corpus, split)
     assert_cells_score_one_test_side(report)
     for mode in FEATURE_MODES:
         cell = report.cell(ModelKind.KNN, mode)
@@ -168,9 +206,8 @@ def test_accuracy_tables(small_setup, small_report):
     assert len(rows) == 1 + len(ModelKind)
     # a failed cell renders as "failed" in markdown and empty in csv
     corpus, split = small_setup
-    params = dict(QUICK_PARAMS)
-    params[ModelKind.KNN] = KNNParams(k=100000)
-    failed = run_grid(corpus, split, params_by_kind=params)
+    params = dict(QUICK_PARAMS, **{ModelKind.KNN: KNNParams(k=100000)})
+    failed = run_with(params, corpus, split)
     assert "failed" in failed.accuracy_table_markdown()
 
 
@@ -189,7 +226,7 @@ def test_per_class_tables(small_report):
 
 def test_select_k_grid(small_setup):
     corpus, split = small_setup
-    report = run_grid(corpus, split, select_k=30, params_by_kind=QUICK_PARAMS)
+    report = run_with(QUICK_PARAMS, corpus, split, select_k=30)
     assert report.select_k == 30
     for cell in report.cells:
         assert cell.error is None
@@ -202,12 +239,11 @@ def test_grid_reads_the_train_side_before_the_test_side(small_setup):
     ghosts = replace(split, train_ids=split.train_ids + ("ghost-train",),
                      test_ids=split.test_ids + ("ghost-test",))
     with pytest.raises(DataError, match="ghost-train"):
-        run_grid(corpus, ghosts, params_by_kind=QUICK_PARAMS)
+        run_with(QUICK_PARAMS, corpus, ghosts)
     with pytest.raises(DataError, match="no usable documents on the train side"):
-        run_grid(corpus, replace(split, train_ids=(), test_ids=()),
-                 params_by_kind=QUICK_PARAMS)
+        run_with(QUICK_PARAMS, corpus, replace(split, train_ids=(), test_ids=()))
     with pytest.raises(DataError, match="no usable documents on the test side"):
-        run_grid(corpus, replace(split, test_ids=()), params_by_kind=QUICK_PARAMS)
+        run_with(QUICK_PARAMS, corpus, replace(split, test_ids=()))
 
 
 def report_texts(report):
@@ -261,11 +297,12 @@ def cell_log(caplog):
 
 def test_cells_log_only_their_grid_lines(small_setup, small_report, monkeypatch, caplog):
     corpus, split = small_setup
+    use_params(monkeypatch, QUICK_PARAMS)
     logs = []
     for run in (run_grid, functools.partial(run_in_process, monkeypatch)):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="pashtext"):
-            run(corpus, split, params_by_kind=QUICK_PARAMS)
+            run(corpus, split)
         logs.append(cell_log(caplog))
     assert logs[0] == logs[1]
     assert [(name, m) for name, _, m in logs[0] if "grid cell" in m] == [
@@ -279,9 +316,8 @@ def test_cell_failing_in_the_tfidf_lane_yields_its_warning_row(
     small_setup, monkeypatch, caplog
 ):
     corpus, split = small_setup
-    params = dict(QUICK_PARAMS)
-    params[ModelKind.KNN] = KNNParams(k=100000)
-    report = run_grid(corpus, split, params_by_kind=params)
+    params = dict(QUICK_PARAMS, **{ModelKind.KNN: KNNParams(k=100000)})
+    report = run_with(params, corpus, split)
     cell = report.cell(ModelKind.KNN, TFIDF)
     assert cell.accuracy is None and "InvalidHyperparameterError" in cell.error
     assert "failed" in report.accuracy_table_markdown().splitlines()[4]

@@ -16,7 +16,6 @@ from pashtext.models.mlp import (
     init_mlp,
     mlp_epoch,
     mlp_loss_and_grads,
-    relu,
     row_samples,
 )
 from pashtext.models.params import MLPParams
@@ -40,12 +39,6 @@ def mlp_loss(model: MLPModel, matrix: FeatureMatrix, labels: np.ndarray) -> floa
     """Mean categorical cross-entropy of the model over the matrix rows."""
     probs = model.predict_scores(matrix)
     return float(-np.log(probs[np.arange(matrix.n_rows), labels]).mean())
-
-
-def test_relu_values():
-    assert relu(np.array([-2.0, -0.0, 0.0, 3.5])).tolist() == [0.0, 0.0, 0.0, 3.5]
-    assert relu(-1.0) == 0.0
-    assert relu(2.0) == 2.0
 
 
 def test_init_is_deterministic_and_bounded():
@@ -147,7 +140,7 @@ def test_adam_single_update_matches_hand_computation():
     adam = AdamState(model.flat.size)
     # flat layout: w1 (1 x 1), b1 (1), w2 (1 x 2), b2 (2)
     grad = np.array([0.3, 0.0, 0.1, -0.1, 0.0, 0.0])
-    adam.apply(model, grad, params)
+    adam.updater(model, grad, params)()
     assert adam.step == 1
     # first step: m_hat = g, v_hat = g^2, delta = lr * g / (|g| + eps)
     lr, eps = params.learning_rate, params.adam_epsilon
@@ -167,7 +160,7 @@ def test_adam_single_update_matches_hand_computation():
     v_hat = v / (1 - b2**2)
     before = float(model.w1[0, 0])
     grad[0] = g2
-    adam.apply(model, grad, params)
+    adam.updater(model, grad, params)()
     assert adam.step == 2
     expected = before - lr * m_hat / (math.sqrt(v_hat) + eps)
     assert model.w1[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -181,10 +174,10 @@ def test_epoch_counts_steps_and_reports_mean_loss():
     model = init_mlp(2, 2, params)
     adam = AdamState(model.flat.size)
     samples = all_samples(m, m.row_labels)
-    model, loss = mlp_epoch(model, samples, params, adam)
+    loss = mlp_epoch(model, samples, params, adam)
     assert adam.step == 2  # ceil(3 / 2) batches
     assert loss > 0.0
-    model, _ = mlp_epoch(model, samples, params, adam)
+    mlp_epoch(model, samples, params, adam)
     assert adam.step == 4
 
 
@@ -307,7 +300,7 @@ def reference_loss_and_grads(model, matrix: FeatureMatrix, rows, labels):
     for row, label in zip(rows, labels):
         columns, values = matrix.row(row)
         hidden_pre = values @ model.w1[columns] + model.b1
-        hidden = relu(hidden_pre)
+        hidden = np.maximum(hidden_pre, 0.0)
         probs = reference_softmax(hidden @ model.w2 + model.b2)
         loss -= float(np.log(probs[label]))
         d_logits = probs.copy()
@@ -358,7 +351,7 @@ def check_flat_training_against_reference(dense, labels, hidden, label_count,
     reference_adam = ReferenceAdamState.for_model(reference)
     samples = all_samples(matrix, labels)
     for _ in range(epochs):
-        _, loss = mlp_epoch(model, samples, params, adam)
+        loss = mlp_epoch(model, samples, params, adam)
         reference_loss = reference_epoch(
             reference, matrix, labels, params, reference_adam
         )

@@ -11,10 +11,10 @@ import dataclasses
 import hashlib
 
 import pytest
-from test_grid import QUICK_PARAMS
+from test_grid import QUICK_PARAMS, run_with
 
 from pashtext.corpus import stratified_split
-from pashtext.grid import GridCell, run_grid
+from pashtext.grid import GridCell
 from pashtext.metrics import evaluate_predictions
 from pashtext.models import ModelKind
 from pashtext.models.params import KNNParams
@@ -63,9 +63,9 @@ def grids():
     corpus = generate_corpus(classes=4, per_class=12, seed=5)
     split = dataclasses.replace(
         stratified_split(corpus, train_fraction=0.75, seed=5), seed=11)
-    quick = run_grid(corpus, split, params_by_kind=QUICK_PARAMS)
+    quick = run_with(QUICK_PARAMS, corpus, split)
     failing = dict(QUICK_PARAMS, **{ModelKind.KNN: KNNParams(k=100000)})
-    knn_failed = run_grid(corpus, split, params_by_kind=failing)
+    knn_failed = run_with(failing, corpus, split)
     # One cell failed in one mode only: the per-class markdown shows its
     # fields as `failed` beside the other mode's, and the CSV skips its rows.
     cells = tuple(

@@ -99,20 +99,20 @@ def test_shuffle_deterministic_and_seed_sensitive():
 def test_sample_indices_distinct_and_in_range():
     rng = SplitMix64(11)
     for _ in range(50):
-        picked = rng.sample_indices(20, 7)
+        picked = rng.sample_index_sets(20, 7, 1)[0].tolist()
         assert len(picked) == 7
         assert len(set(picked)) == 7
         assert all(0 <= p < 20 for p in picked)
 
 
 def test_sample_indices_full_population_is_permutation():
-    picked = SplitMix64(2).sample_indices(10, 10)
+    picked = SplitMix64(2).sample_index_sets(10, 10, 1)[0].tolist()
     assert sorted(picked) == list(range(10))
 
 
 def test_sample_indices_rejects_oversized_count():
     with pytest.raises(ValueError):
-        SplitMix64(1).sample_indices(3, 4)
+        SplitMix64(1).sample_index_sets(3, 4, 1)
 
 
 # Draw outputs and end states pinned from the scalar implementation, so a
@@ -144,13 +144,13 @@ def test_pinned_shuffles():
 
 def test_pinned_samples():
     rng = SplitMix64(99)
-    assert rng.sample_indices(50, 6) == [3, 18, 45, 29, 42, 9]
+    assert rng.sample_index_sets(50, 6, 1)[0].tolist() == [3, 18, 45, 29, 42, 9]
     assert rng._state == 13064056694810536161
     rng = SplitMix64(4)
-    assert rng.sample_indices(224, 14) == [
+    assert rng.sample_index_sets(224, 14, 1)[0].tolist() == [
         202, 16, 221, 100, 165, 108, 72, 156, 25, 18, 184, 143, 76, 0,
     ]
-    assert rng.sample_indices(224, 14) == [
+    assert rng.sample_index_sets(224, 14, 1)[0].tolist() == [
         201, 144, 89, 182, 222, 132, 30, 139, 66, 42, 200, 108, 157, 155,
     ]
     assert rng._state == 5625365687987180112
@@ -221,7 +221,7 @@ def test_sample_indices_equal_scalar_samples():
         for seed in (1, 2, 3):
             block, scalar = SplitMix64(seed), ScalarSplitMix64(seed)
             for _ in range(3):
-                assert block.sample_indices(population, count) == (
+                assert block.sample_index_sets(population, count, 1)[0].tolist() == (
                     scalar.sample_indices(population, count)
                 )
             assert block._state == scalar._state
