@@ -85,6 +85,15 @@ def _train_fraction(text: str) -> float:
     return fraction
 
 
+def _label_set(text: str) -> LabelSet | None:
+    """argparse type of a comma-separated label set; empty means the labels
+    found in the corpus."""
+    try:
+        return LabelSet(text.split(",")) if text else None
+    except DataError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_params(pairs) -> dict[str, str]:
     overrides = {}
     for pair in pairs or ():
@@ -165,8 +174,7 @@ def _split_side(corpus, path, side: str) -> list:
 
 
 def _cmd_ingest(args) -> int:
-    labels = LabelSet(args.labels.split(",")) if args.labels else None
-    corpus = load_corpus(args.corpus, labels)
+    corpus = load_corpus(args.corpus, args.labels)
     print(json.dumps(validate(corpus), indent=2, sort_keys=True, ensure_ascii=False,
                      allow_nan=False))
     return EXIT_OK
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = command("ingest", "validate a corpus and print its summary", _cmd_ingest)
     ingest.add_argument("--corpus", required=True, help="corpus JSONL file or directory")
     ingest.add_argument(
-        "--labels", default=None,
+        "--labels", type=_label_set, default=None,
         help="comma-separated label universe (default: labels found in the corpus)",
     )
 

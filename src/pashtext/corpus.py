@@ -195,69 +195,52 @@ def _refuse_surrogates(record: dict, path: Path, line_no: int) -> None:
             ) from None
 
 
-def _refuse_line(line: str, path: Path, line_no: int, labels: LabelSet | None,
-                 by_id: dict[str, Document]) -> None:
-    """Skip a blank line; otherwise raise a DataError naming the first defect
-    of a line that `_load_jsonl` did not accept, checked key by key."""
-    if line.isspace():
-        return
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
-    except ValueError:  # Python refuses to convert an integer of too many digits
-        raise DataError(f"{path}:{line_no}: integer too long to convert") from None
-    except RecursionError:
-        raise DataError(f"{path}:{line_no}: JSON nested too deeply") from None
-    if not isinstance(record, dict):
-        raise DataError(f"{path}:{line_no}: record is not a JSON object")
-    for key in ("id", "text", "label"):
-        if key not in record:
-            raise DataError(f"{path}:{line_no}: missing required key {key!r}")
-        if not isinstance(record[key], str):
-            raise DataError(f"{path}:{line_no}: key {key!r} must be a string")
-    source = record.get("source")
-    if source is not None and not isinstance(source, str):
-        raise DataError(f"{path}:{line_no}: key 'source' must be a string")
-    if "\\u" in line:  # only a \u escape can put a lone surrogate in a string
-        _refuse_surrogates(record, path, line_no)
-    if record["id"] in by_id:
-        raise DataError(f"{path}:{line_no}: duplicate document id {record['id']!r}")
-    if labels is not None and record["label"] not in labels:
-        raise DataError(
-            f"{path}:{line_no}: label {record['label']!r} outside the supplied label set"
-        )
-    raise DataError(f"{path}:{line_no}: document id must be non-empty")  # the one check left
-
-
 def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
-    """Each line is decoded once by the scanner, from its first character
-    that is not JSON whitespace.  A record followed only by JSON whitespace
-    that passes one combined test is kept, once a line with a `\\u` escape
-    is known to hold no lone surrogate; `_refuse_line` names the defect of
-    any other line that is not blank."""
+    """One loop reads each line once.  The scanner decodes it from its first
+    character that is not JSON whitespace; a line it refuses, or that holds
+    more than JSON whitespace after its value, is skipped when blank and
+    otherwise decoded again by `json.loads` for its error message.  The
+    record is then checked in a fixed order, and the first defect is named
+    with its line: not an object; `id`, `text` or `label` missing or not a
+    string; `source` neither a string nor null; a lone surrogate escape; a
+    duplicate id; a label outside `labels`; an empty id."""
     by_id: dict[str, Document] = {}
     for line_no, line in enumerate(_text_lines(path), 1):
         try:
             record, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+            refused = line[end:].strip(_JSON_SPACE)
         except (StopIteration, ValueError, RecursionError):
-            record = None
-        if (
-            type(record) is dict
-            and type(doc_id := record.get("id")) is str
-            and type(text := record.get("text")) is str
-            and type(label := record.get("label")) is str
-            and ((source := record.get("source")) is None or type(source) is str)
-            and doc_id
-            and doc_id not in by_id
-            and (labels is None or label in labels)
-            and not line[end:].strip(_JSON_SPACE)
-        ):
-            if "\\u" in line:
-                _refuse_surrogates(record, path, line_no)
-            by_id[doc_id] = Document(doc_id, text, label, source)
-        else:
-            _refuse_line(line, path, line_no, labels, by_id)
+            refused = True
+        if refused:
+            if line.isspace():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{line_no}: malformed JSON: {exc.msg}") from None
+            except ValueError:  # Python refuses to convert an integer of too many digits
+                raise DataError(f"{path}:{line_no}: integer too long to convert") from None
+            except RecursionError:
+                raise DataError(f"{path}:{line_no}: JSON nested too deeply") from None
+        if type(record) is not dict:
+            raise DataError(f"{path}:{line_no}: record is not a JSON object")
+        if not (type(doc_id := record.get("id")) is str
+                and type(text := record.get("text")) is str
+                and type(label := record.get("label")) is str):
+            key = next(k for k in ("id", "text", "label") if type(record.get(k)) is not str)
+            raise DataError(f"{path}:{line_no}: key {key!r} must be a string" if key in record
+                            else f"{path}:{line_no}: missing required key {key!r}")
+        if (source := record.get("source")) is not None and type(source) is not str:
+            raise DataError(f"{path}:{line_no}: key 'source' must be a string")
+        if "\\u" in line:  # only a \u escape can put a lone surrogate in a string
+            _refuse_surrogates(record, path, line_no)
+        if doc_id in by_id:
+            raise DataError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
+        if labels is not None and label not in labels:
+            raise DataError(f"{path}:{line_no}: label {label!r} outside the supplied label set")
+        if not doc_id:
+            raise DataError(f"{path}:{line_no}: document id must be non-empty")
+        by_id[doc_id] = Document(doc_id, text, label, source)
     if not by_id:
         raise DataError(f"corpus file is empty: {path}")
     if labels is None:

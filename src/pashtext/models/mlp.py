@@ -232,19 +232,6 @@ def _batch_loss(step, grad: np.ndarray, batch) -> float:
     return loss / len(batch)
 
 
-def mlp_loss_and_grads(model: MLPModel, batch):
-    """Mean cross-entropy and mean gradient, a new flat buffer in the model's
-    layout, over a batch of `row_samples`.
-
-    Each row's forward and backward pass touches only its stored entries;
-    it is the training loop's row step, with its row buffers bound once per
-    call.
-    """
-    grad = np.zeros_like(model.flat)
-    step = _row_step(model, grad, model.split(grad))
-    return _batch_loss(step, grad, batch), grad
-
-
 def mlp_epoch(
     model: MLPModel, samples: list[tuple], params: MLPParams, adam: AdamState
 ) -> float:

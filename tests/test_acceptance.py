@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 from matrices import matrix_from_dense
+from mlp_grads import mlp_loss_and_grads
 
 from pashtext.cli import main as cli_main
 from pashtext.corpus import Corpus, Document, LabelSet, stratified_split
@@ -29,7 +30,7 @@ from pashtext.models.params import (
     RandomForestParams,
 )
 from pashtext.models.linear import cross_entropy_terms, hinge_terms, loss_and_grads
-from pashtext.models.mlp import init_mlp, mlp_loss_and_grads, row_samples
+from pashtext.models.mlp import init_mlp, row_samples
 from pashtext.models.tree import DecisionTreeModel, RandomForestModel
 from pashtext.pipeline import (
     TokenizedDocument,

@@ -151,6 +151,23 @@ def test_ingest_with_wrong_label_universe(workspace, capsys):
     assert code == 2
 
 
+def test_ingest_labels_with_a_repeated_name_is_a_usage_error(tmp_path, capsys):
+    """Refused before any read: the corpus path does not exist, and reading
+    it would exit 2."""
+    argv = ["ingest", "--corpus", str(tmp_path / "missing.jsonl"),
+            "--labels", "history,history"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: argument --labels: label set contains duplicate names\n"
+    )
+
+
+def test_ingest_with_empty_labels_infers_them(workspace, capsys):
+    assert main(["ingest", "--corpus", str(workspace["corpus"]), "--labels", ""]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data["per_class_counts"]) == {"history", "technology", "sport"}
+
+
 def _write_deep_jsonl(root):
     path = root / "deep.jsonl"
     path.write_text('{"id": "a", "text": "x", "label": "l"}\n'

@@ -270,6 +270,15 @@ DEEP = b"[" * 100_000 + b"]" * 100_000
                      id="escapes-empty-id"),
         pytest.param(GOOD + b"\n\xc2\xa0\n" + OTHER + b"\n", id="only-no-break-space"),
         pytest.param(GOOD + b"\n\xc2\xa0" + OTHER + b"\n", id="no-break-space-first"),
+        # Two defects on one line: the first in the reference's order is named.
+        pytest.param(GOOD + b'\n{"id": "g", "text": "x", "label": "zz"}\n',
+                     id="duplicate-id-label-outside-set"),
+        pytest.param(GOOD + b'\n{"id": "g", "text": "x", "label": "l", "source": 3}\n',
+                     id="duplicate-id-source-number"),
+        pytest.param(GOOD + b'\n{"id": "", "text": "x", "label": "zz"}\n',
+                     id="empty-id-label-outside-set"),
+        pytest.param(GOOD + b'\n{"text": 1, "label": "l"}\n', id="missing-id-text-number"),
+        pytest.param(GOOD + b"\n[1] x\n", id="not-an-object-trailing-data"),
     ],
 )
 @pytest.mark.parametrize("labels", [None, LabelSet(["m", "l"])], ids=["inferred", "supplied"])

@@ -15,13 +15,13 @@ from pashtext.models.mlp import (
     MLPModel,
     init_mlp,
     mlp_epoch,
-    mlp_loss_and_grads,
     row_samples,
 )
 from pashtext.models.params import MLPParams
 from pashtext.prng import derive_seed
 from pashtext.vectorize import FeatureMatrix
 from matrices import matrix_from_dense
+from mlp_grads import mlp_loss_and_grads
 from scalar_prng import ScalarSplitMix64
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2")
