@@ -94,14 +94,12 @@ def _label_set(text: str) -> LabelSet | None:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_params(pairs) -> dict[str, str]:
-    overrides = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise UsageError(f"--param expects key=value, got {pair!r}")
-        overrides[key] = value
-    return overrides
+def _param(text: str) -> tuple[str, str]:
+    """argparse type of one `key=value` hyperparameter override."""
+    key, sep, value = text.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"expects key=value, got {text!r}")
+    return key, value
 
 
 def _bundle(model: dict, vocab: Vocabulary, mode: str, labels: LabelSet,
@@ -197,7 +195,7 @@ def _cmd_train(args) -> int:
     from .models.params import make_params
 
     kind = ModelKind(args.classifier)
-    params = make_params(kind, _parse_params(args.param), args.seed)
+    params = make_params(kind, dict(args.param or ()), args.seed)
     corpus = load_corpus(args.corpus)
     labels = corpus.labels
     docs = _split_side(corpus, args.split, "train")
@@ -322,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="feature mode")
     train_cmd.add_argument("--classifier", choices=[k.value for k in ModelKind],
                            required=True, help="classifier kind")
-    train_cmd.add_argument("--param", action="append", metavar="KEY=VALUE",
+    train_cmd.add_argument("--param", type=_param, action="append", metavar="KEY=VALUE",
                            help="hyperparameter override, repeatable")
     train_cmd.add_argument("--select-k", type=_at_least_one, default=None,
                            help="keep only the k best chi-square features")

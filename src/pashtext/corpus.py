@@ -34,10 +34,6 @@ class Document:
     label: str
     source: str | None = None
 
-    def __post_init__(self):
-        if not self.id:
-            raise DataError("document id must be non-empty")
-
 
 class LabelSet:
     """Ordered, duplicate-free set of class names.
@@ -50,6 +46,8 @@ class LabelSet:
         names = tuple(names)
         if not names:
             raise DataError("label set must be non-empty")
+        if "" in names:
+            raise DataError("label set contains an empty name")
         if len(set(names)) != len(names):
             raise DataError("label set contains duplicate names")
         self.names = names
@@ -81,6 +79,8 @@ class Corpus:
         documents = tuple(documents)
         by_id: dict[str, Document] = {}
         for doc in documents:
+            if not doc.id:
+                raise DataError("document id must be non-empty")
             if doc.id in by_id:
                 raise DataError(f"duplicate document id {doc.id!r}")
             if doc.label not in labels:
@@ -203,7 +203,7 @@ def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
     record is then checked in a fixed order, and the first defect is named
     with its line: not an object; `id`, `text` or `label` missing or not a
     string; `source` neither a string nor null; a lone surrogate escape; a
-    duplicate id; a label outside `labels`; an empty id."""
+    duplicate id; a label outside `labels`; an empty id; an empty label."""
     by_id: dict[str, Document] = {}
     for line_no, line in enumerate(_text_lines(path), 1):
         try:
@@ -240,6 +240,8 @@ def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
             raise DataError(f"{path}:{line_no}: label {label!r} outside the supplied label set")
         if not doc_id:
             raise DataError(f"{path}:{line_no}: document id must be non-empty")
+        if not label:
+            raise DataError(f"{path}:{line_no}: document label must be non-empty")
         by_id[doc_id] = Document(doc_id, text, label, source)
     if not by_id:
         raise DataError(f"corpus file is empty: {path}")

@@ -83,26 +83,30 @@ class Nodes(NamedTuple):
         with an integer feature and a float threshold.  Only this checks the
         nodes' keys and types: the load rule passes trees over."""
         records = []
+
+        def refuse(message: str):
+            if records:  # a defect earlier in preorder is named first
+                _nodes(records, label_count, feature_dimension)
+            raise DataError(message)
+
         for tree in trees:
             stack = [(tree["root"], -1)]  # (node, right_of)
             if len(tree) != 1:
-                raise DataError(f"tree entry {sorted(tree)} holds an unknown key")
+                refuse(f"tree entry {sorted(tree)} holds an unknown key")
             while stack:
                 node, right_of = stack.pop()
                 if "counts" in node:
                     if len(node) != 1:
-                        raise DataError(f"tree leaf {sorted(node)} holds an unknown key")
+                        refuse(f"tree leaf {sorted(node)} holds an unknown key")
                     records += (right_of, -1, 0.0, node["counts"])
                     continue
                 stack += [(node["right"], len(records) // 4), (node["left"], -1)]
                 feature, threshold = node["feature"], node["threshold"]
                 if type(feature) is not int or type(threshold) is not float:
-                    if records:  # a defect earlier in preorder is named first
-                        _nodes(records, label_count, feature_dimension)
-                    raise DataError(f"tree split feature {feature!r} and threshold "
-                                    f"{threshold!r} must be an integer and a float")
+                    refuse(f"tree split feature {feature!r} and threshold "
+                           f"{threshold!r} must be an integer and a float")
                 if len(node) != 4:
-                    raise DataError(f"tree split {sorted(node)} holds an unknown key")
+                    refuse(f"tree split {sorted(node)} holds an unknown key")
                 records += (right_of, feature, threshold, _SPLIT)
         return _nodes(records, label_count, feature_dimension)
 

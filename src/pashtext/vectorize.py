@@ -193,7 +193,7 @@ class Vocabulary:
     """Token-to-index mapping plus per-token document frequency.
 
     Built from training documents only; indices are dense in [0, V) in
-    first-occurrence order.
+    first-occurrence order, and the dict holds its tokens in index order.
     """
 
     token_to_index: dict[str, int]
@@ -203,8 +203,8 @@ class Vocabulary:
     def __post_init__(self):
         self.document_frequency = np.asarray(self.document_frequency, dtype=np.int64)
         size = len(self.token_to_index)
-        if sorted(self.token_to_index.values()) != list(range(size)):
-            raise DataError("vocabulary indices must be dense in [0, V)")
+        if list(self.token_to_index.values()) != list(range(size)):
+            raise DataError("vocabulary indices must be 0, 1, ..., V-1 in token order")
         if self.document_frequency.size != size:
             raise DataError("document_frequency length must equal vocabulary size")
         if size and (
@@ -217,12 +217,11 @@ class Vocabulary:
         return len(self.token_to_index)
 
     def to_json_dict(self) -> dict:
-        # Indices are dense in [0, V), so the token of index i is the i-th.
-        tokens = sorted(self.token_to_index, key=self.token_to_index.__getitem__)
         frequencies = self.document_frequency.tolist()
         return {
             "n_train_docs": self.n_train_docs,
-            "entries": list(map(list, zip(tokens, range(len(tokens)), frequencies))),
+            "entries": list(map(list, zip(self.token_to_index, self.token_to_index.values(),
+                                          frequencies))),
         }
 
     @classmethod
@@ -233,10 +232,8 @@ class Vocabulary:
             # Every entry must unpack as [token, index, frequency].
             tokens, indices, counts = zip(*entries, strict=True) if entries else ((), (), ())
             index = np.fromiter(indices, np.int64, len(indices))
-            df = np.zeros(index.size, dtype=np.int64)
-            df[index] = np.fromiter(counts, np.int64, index.size)
-            return cls(dict(zip(map(str, tokens), index.tolist())), df,
-                       int(payload["n_train_docs"]))
+            return cls(dict(zip(map(str, tokens), index.tolist())),
+                       np.fromiter(counts, np.int64, index.size), int(payload["n_train_docs"]))
 
 
 @dataclass

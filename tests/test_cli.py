@@ -151,15 +151,18 @@ def test_ingest_with_wrong_label_universe(workspace, capsys):
     assert code == 2
 
 
-def test_ingest_labels_with_a_repeated_name_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("labels,message", [
+    ("history,history", "label set contains duplicate names"),
+    ("history,,sport", "label set contains an empty name"),
+    (",", "label set contains an empty name"),
+])
+def test_ingest_labels_with_a_repeated_or_empty_name_is_a_usage_error(tmp_path, capsys,
+                                                                      labels, message):
     """Refused before any read: the corpus path does not exist, and reading
     it would exit 2."""
-    argv = ["ingest", "--corpus", str(tmp_path / "missing.jsonl"),
-            "--labels", "history,history"]
+    argv = ["ingest", "--corpus", str(tmp_path / "missing.jsonl"), "--labels", labels]
     assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        "error: argument --labels: label set contains duplicate names\n"
-    )
+    assert capsys.readouterr().err == f"error: argument --labels: {message}\n"
 
 
 def test_ingest_with_empty_labels_infers_them(workspace, capsys):
@@ -184,6 +187,13 @@ def _write_non_utf8_jsonl(root):
     return path, "latin.jsonl:2501:"
 
 
+def _write_empty_label_jsonl(root):
+    path = root / "nolabel.jsonl"
+    path.write_text('{"id": "a", "text": "x", "label": "l"}\n'
+                    '{"id": "b", "text": "y", "label": ""}\n', encoding="utf-8")
+    return path, "nolabel.jsonl:2: document label must be non-empty"
+
+
 def _write_non_utf8_directory(root):
     (root / "tree" / "l").mkdir(parents=True)
     (root / "tree" / "l" / "a.txt").write_text("ok", encoding="utf-8")
@@ -192,7 +202,8 @@ def _write_non_utf8_directory(root):
 
 
 @pytest.mark.parametrize(
-    "write", [_write_deep_jsonl, _write_non_utf8_jsonl, _write_non_utf8_directory]
+    "write", [_write_deep_jsonl, _write_non_utf8_jsonl, _write_non_utf8_directory,
+              _write_empty_label_jsonl]
 )
 def test_ingest_of_unreadable_corpus_is_one_line_exit_two(write, tmp_path, capsys):
     corpus, where = write(tmp_path)
@@ -285,6 +296,19 @@ def test_select_k_below_one_is_a_usage_error_before_any_read(command, value, tmp
     assert main(argv) == 1
     assert capsys.readouterr().err == (
         f"error: argument --select-k: must be an integer of at least 1, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("pair", ["x", "=3", ""])
+def test_param_that_is_not_key_value_is_a_usage_error_before_any_read(tmp_path, capsys,
+                                                                       pair):
+    """The corpus path does not exist: reading it would exit 2."""
+    argv = ["train", "--corpus", str(tmp_path / "missing.jsonl"),
+            "--split", str(tmp_path / "missing.json"), "--classifier", "knn",
+            "--param", "k=3", "--param", pair, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: argument --param: expects key=value, got {pair!r}\n"
     )
 
 

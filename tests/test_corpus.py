@@ -30,9 +30,9 @@ def make_corpus(counts: dict[str, int]) -> Corpus:
     return Corpus(docs, LabelSet(counts.keys()))
 
 
-def test_document_requires_id():
-    with pytest.raises(DataError):
-        Document(id="", text="x", label="a")
+def test_corpus_requires_document_ids():
+    with pytest.raises(DataError, match="document id must be non-empty"):
+        Corpus([Document(id="", text="x", label="a")], LabelSet(["a"]))
 
 
 def test_label_set_order_and_duplicates():
@@ -43,6 +43,8 @@ def test_label_set_order_and_duplicates():
         LabelSet(["a", "a"])
     with pytest.raises(DataError):
         LabelSet([])
+    with pytest.raises(DataError, match="label set contains an empty name"):
+        LabelSet(["a", ""])
     with pytest.raises(DataError):
         labels.index("missing")
 
@@ -204,6 +206,8 @@ def reference_load_jsonl(path, labels=None):
             )
         if not doc_id:
             raise DataError(f"{path}:{line_no}: document id must be non-empty")
+        if not label:
+            raise DataError(f"{path}:{line_no}: document label must be non-empty")
         observed_labels.add(label)
         by_id[doc_id] = Document(
             id=doc_id, text=record["text"], label=label, source=source
@@ -249,6 +253,7 @@ DEEP = b"[" * 100_000 + b"]" * 100_000
                      b'"label": "l"}\n', id="valid-escapes"),
         pytest.param(GOOD + b"\n" + GOOD + b"\n", id="duplicate-id"),
         pytest.param(GOOD + b'\n{"id": "", "text": "x", "label": "l"}\n', id="empty-id"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": "x", "label": ""}\n', id="empty-label"),
         pytest.param(GOOD + b'\n{"id": "h", "label": "l"}\n', id="missing-text"),
         pytest.param(GOOD + b'\n{"text": "x", "label": "l"}\n', id="missing-id"),
         pytest.param(GOOD + b'\n{"id": "h", "text": "x"}\n', id="missing-label"),
@@ -277,6 +282,10 @@ DEEP = b"[" * 100_000 + b"]" * 100_000
                      id="duplicate-id-source-number"),
         pytest.param(GOOD + b'\n{"id": "", "text": "x", "label": "zz"}\n',
                      id="empty-id-label-outside-set"),
+        pytest.param(GOOD + b'\n{"id": "", "text": "x", "label": ""}\n',
+                     id="empty-id-empty-label"),
+        pytest.param(GOOD + b'\n{"id": "g", "text": "x", "label": ""}\n',
+                     id="duplicate-id-empty-label"),
         pytest.param(GOOD + b'\n{"text": 1, "label": "l"}\n', id="missing-id-text-number"),
         pytest.param(GOOD + b"\n[1] x\n", id="not-an-object-trailing-data"),
     ],

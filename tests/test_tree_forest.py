@@ -847,10 +847,26 @@ def test_deep_payload_loads_walks_and_saves_without_recursion():
         (dict(left={"counts": [1]}, right=dict(feature=0.0, threshold=0.5,
                                                 left={"counts": [1]}, right={"counts": [1]})),
          r"tree leaf counts \[1\]"),
+        (dict(left={"counts": [-1, 0]}, right=dict(feature=0, threshold=0.5, x=1,
+                                                    left={"counts": [1, 0]},
+                                                    right={"counts": [0, 1]})),
+         r"tree leaf counts \[-1, 0\]"),
+        (dict(left={"counts": [-1, 0]}, right={"counts": [0, 1], "x": 1}),
+         r"tree leaf counts \[-1, 0\]"),
+        (dict(right={"counts": [0, 1], "x": 1}), r"tree leaf \['counts', 'x'\] holds an unknown"),
+        (dict(left={"counts": [-1, 0]}, next_tree={"root": {"counts": [1, 0]}, "x": 1}),
+         r"tree leaf counts \[-1, 0\]"),
+        (dict(next_tree={"root": {"counts": [1, 0]}, "x": 1}),
+         r"tree entry \['root', 'x'\] holds an unknown key"),
     ],
 )
 def test_first_defect_in_preorder_is_named(defect, message):
+    """`defect` replaces keys of a one-split tree's root, except that its
+    `next_tree` is a second tree entry after that tree."""
     root = {"feature": 0, "threshold": 0.5, "left": {"counts": [1, 0]},
             "right": {"counts": [0, 1]}, **defect}
+    trees = [{"root": root}]
+    if "next_tree" in root:
+        trees.append(root.pop("next_tree"))
     with pytest.raises(DataError, match=message):
-        DecisionTreeModel.from_payload({"root": root}, None, 2, 1)
+        Nodes.from_payload(trees, 2, 1)

@@ -322,6 +322,11 @@ def test_vocabulary_round_trip_and_validation():
         Vocabulary({"a": 0, "b": 2}, np.array([1, 1]), 2)
     with pytest.raises(DataError):
         Vocabulary({"a": 0}, np.array([5]), 2)
+    # Indices follow the tokens' order, in the dict and in a saved payload.
+    with pytest.raises(DataError, match="0, 1, ..., V-1 in token order"):
+        Vocabulary({"b": 1, "a": 0}, np.array([1, 1]), 2)
+    with pytest.raises(DataError, match="0, 1, ..., V-1 in token order"):
+        Vocabulary.from_json_dict({"entries": [["b", 1, 1], ["a", 0, 2]], "n_train_docs": 2})
     # malformed payloads fail as data errors, not as KeyError/TypeError
     for payload in ({"n_train_docs": 2}, {"entries": []}, {"entries": [["a", 0]],
                     "n_train_docs": 1}, {"entries": 5, "n_train_docs": 1}):
