@@ -86,10 +86,10 @@ def _train_fraction(text: str) -> float:
 
 
 def _label_set(text: str) -> LabelSet | None:
-    """argparse type of a comma-separated label set; empty means the labels
-    found in the corpus."""
+    """argparse type of a comma-separated label set, each name stripped of
+    the whitespace around it; empty means the labels found in the corpus."""
     try:
-        return LabelSet(text.split(",")) if text else None
+        return LabelSet(name.strip() for name in text.split(",")) if text else None
     except DataError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -36,7 +36,8 @@ class Document:
 
 
 class LabelSet:
-    """Ordered, duplicate-free set of class names.
+    """Ordered, duplicate-free set of class names, none of them empty or
+    only whitespace.
 
     The position of a name is its class index; that ordering is stable and
     is the canonical tie-break order for every classifier and metric.
@@ -46,7 +47,7 @@ class LabelSet:
         names = tuple(names)
         if not names:
             raise DataError("label set must be non-empty")
-        if "" in names:
+        if any(not name or name.isspace() for name in names):
             raise DataError("label set contains an empty name")
         if len(set(names)) != len(names):
             raise DataError("label set contains duplicate names")
@@ -79,7 +80,7 @@ class Corpus:
         documents = tuple(documents)
         by_id: dict[str, Document] = {}
         for doc in documents:
-            if not doc.id:
+            if not doc.id or doc.id.isspace():
                 raise DataError("document id must be non-empty")
             if doc.id in by_id:
                 raise DataError(f"duplicate document id {doc.id!r}")
@@ -203,7 +204,8 @@ def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
     record is then checked in a fixed order, and the first defect is named
     with its line: not an object; `id`, `text` or `label` missing or not a
     string; `source` neither a string nor null; a lone surrogate escape; a
-    duplicate id; a label outside `labels`; an empty id; an empty label."""
+    duplicate id; a label outside `labels`; an id that is empty or only
+    whitespace; a label that is."""
     by_id: dict[str, Document] = {}
     for line_no, line in enumerate(_text_lines(path), 1):
         try:
@@ -238,9 +240,9 @@ def _load_jsonl(path: Path, labels: LabelSet | None) -> Corpus:
             raise DataError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
         if labels is not None and label not in labels:
             raise DataError(f"{path}:{line_no}: label {label!r} outside the supplied label set")
-        if not doc_id:
+        if not doc_id or doc_id.isspace():
             raise DataError(f"{path}:{line_no}: document id must be non-empty")
-        if not label:
+        if not label or label.isspace():
             raise DataError(f"{path}:{line_no}: document label must be non-empty")
         by_id[doc_id] = Document(doc_id, text, label, source)
     if not by_id:

@@ -155,6 +155,8 @@ def test_ingest_with_wrong_label_universe(workspace, capsys):
     ("history,history", "label set contains duplicate names"),
     ("history,,sport", "label set contains an empty name"),
     (",", "label set contains an empty name"),
+    ("history, ,sport", "label set contains an empty name"),
+    (" history , history", "label set contains duplicate names"),
 ])
 def test_ingest_labels_with_a_repeated_or_empty_name_is_a_usage_error(tmp_path, capsys,
                                                                       labels, message):
@@ -163,6 +165,14 @@ def test_ingest_labels_with_a_repeated_or_empty_name_is_a_usage_error(tmp_path, 
     argv = ["ingest", "--corpus", str(tmp_path / "missing.jsonl"), "--labels", labels]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: argument --labels: {message}\n"
+
+
+def test_ingest_labels_are_stripped_of_the_whitespace_around_them(workspace, capsys):
+    argv = ["ingest", "--corpus", str(workspace["corpus"]),
+            "--labels", "sport, history ,\ttechnology"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert set(data["per_class_counts"]) == {"history", "technology", "sport"}
 
 
 def test_ingest_with_empty_labels_infers_them(workspace, capsys):
@@ -194,6 +204,13 @@ def _write_empty_label_jsonl(root):
     return path, "nolabel.jsonl:2: document label must be non-empty"
 
 
+def _write_blank_label_jsonl(root):
+    path = root / "blank.jsonl"
+    path.write_text('{"id": "a", "text": "x", "label": "l"}\n'
+                    '{"id": " ", "text": "y", "label": " "}\n', encoding="utf-8")
+    return path, "blank.jsonl:2: document id must be non-empty"
+
+
 def _write_non_utf8_directory(root):
     (root / "tree" / "l").mkdir(parents=True)
     (root / "tree" / "l" / "a.txt").write_text("ok", encoding="utf-8")
@@ -203,7 +220,7 @@ def _write_non_utf8_directory(root):
 
 @pytest.mark.parametrize(
     "write", [_write_deep_jsonl, _write_non_utf8_jsonl, _write_non_utf8_directory,
-              _write_empty_label_jsonl]
+              _write_empty_label_jsonl, _write_blank_label_jsonl]
 )
 def test_ingest_of_unreadable_corpus_is_one_line_exit_two(write, tmp_path, capsys):
     corpus, where = write(tmp_path)

@@ -30,9 +30,10 @@ def make_corpus(counts: dict[str, int]) -> Corpus:
     return Corpus(docs, LabelSet(counts.keys()))
 
 
-def test_corpus_requires_document_ids():
+@pytest.mark.parametrize("doc_id", ["", " ", "\t\u00a0"])
+def test_corpus_requires_document_ids(doc_id):
     with pytest.raises(DataError, match="document id must be non-empty"):
-        Corpus([Document(id="", text="x", label="a")], LabelSet(["a"]))
+        Corpus([Document(id=doc_id, text="x", label="a")], LabelSet(["a"]))
 
 
 def test_label_set_order_and_duplicates():
@@ -43,8 +44,10 @@ def test_label_set_order_and_duplicates():
         LabelSet(["a", "a"])
     with pytest.raises(DataError):
         LabelSet([])
-    with pytest.raises(DataError, match="label set contains an empty name"):
-        LabelSet(["a", ""])
+    for blank in ("", " ", "\n\u2003"):
+        with pytest.raises(DataError, match="label set contains an empty name"):
+            LabelSet(["a", blank])
+    assert LabelSet([" a", "b c"]).names == (" a", "b c")
     with pytest.raises(DataError):
         labels.index("missing")
 
@@ -204,9 +207,9 @@ def reference_load_jsonl(path, labels=None):
             raise DataError(
                 f"{path}:{line_no}: label {label!r} outside the supplied label set"
             )
-        if not doc_id:
+        if not doc_id.strip():
             raise DataError(f"{path}:{line_no}: document id must be non-empty")
-        if not label:
+        if not label.strip():
             raise DataError(f"{path}:{line_no}: document label must be non-empty")
         observed_labels.add(label)
         by_id[doc_id] = Document(
@@ -254,6 +257,13 @@ DEEP = b"[" * 100_000 + b"]" * 100_000
         pytest.param(GOOD + b"\n" + GOOD + b"\n", id="duplicate-id"),
         pytest.param(GOOD + b'\n{"id": "", "text": "x", "label": "l"}\n', id="empty-id"),
         pytest.param(GOOD + b'\n{"id": "h", "text": "x", "label": ""}\n', id="empty-label"),
+        pytest.param(GOOD + b'\n{"id": " ", "text": "x", "label": "l"}\n', id="blank-id"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": "x", "label": "\\t\\n"}\n',
+                     id="blank-label"),
+        pytest.param(GOOD + b'\n{"id": "\\u00a0", "text": "x", "label": "l"}\n',
+                     id="no-break-space-id"),
+        pytest.param(GOOD + b'\n{"id": " h ", "text": "x", "label": "l m"}\n',
+                     id="spaces-inside-id-and-label"),
         pytest.param(GOOD + b'\n{"id": "h", "label": "l"}\n', id="missing-text"),
         pytest.param(GOOD + b'\n{"text": "x", "label": "l"}\n', id="missing-id"),
         pytest.param(GOOD + b'\n{"id": "h", "text": "x"}\n', id="missing-label"),
@@ -286,6 +296,10 @@ DEEP = b"[" * 100_000 + b"]" * 100_000
                      id="empty-id-empty-label"),
         pytest.param(GOOD + b'\n{"id": "g", "text": "x", "label": ""}\n',
                      id="duplicate-id-empty-label"),
+        pytest.param(GOOD + b'\n{"id": " ", "text": "x", "label": " "}\n',
+                     id="blank-id-blank-label"),
+        pytest.param(GOOD + b'\n{"id": "h", "text": "x", "label": " "}\n' + OTHER + b"\n",
+                     id="blank-label-before-a-good-record"),
         pytest.param(GOOD + b'\n{"text": 1, "label": "l"}\n', id="missing-id-text-number"),
         pytest.param(GOOD + b"\n[1] x\n", id="not-an-object-trailing-data"),
     ],

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from pashtext.models.mlp import (
 from pashtext.models.params import MLPParams
 from pashtext.prng import derive_seed
 from pashtext.vectorize import FeatureMatrix
+from flat_adam import FlatAdamState, flat_mlp_epoch
 from matrices import matrix_from_dense
 from mlp_grads import mlp_loss_and_grads
 from scalar_prng import ScalarSplitMix64
@@ -138,9 +140,10 @@ def test_adam_single_update_matches_hand_computation():
     params = MLPParams(hidden_units=1, learning_rate=0.1, seed=0)
     model = MLPModel([[0.5]], [0.0], [[0.25, -0.25]], [0.0, 0.0], params)
     adam = AdamState(model.flat.size)
-    # flat layout: w1 (1 x 1), b1 (1), w2 (1 x 2), b2 (2)
-    grad = np.array([0.3, 0.0, 0.1, -0.1, 0.0, 0.0])
-    adam.updater(model, grad, params)()
+    # w1 (1 x 1) is given by its touched rows; the tail is b1 (1), w2 (1 x 2), b2 (2)
+    touched, tail = np.array([0]), np.array([0.0, 0.1, -0.1, 0.0, 0.0])
+    update = adam.updater(model, tail, params)
+    update(touched, np.array([[0.3]]))
     assert adam.step == 1
     # first step: m_hat = g, v_hat = g^2, delta = lr * g / (|g| + eps)
     lr, eps = params.learning_rate, params.adam_epsilon
@@ -159,8 +162,7 @@ def test_adam_single_update_matches_hand_computation():
     m_hat = m / (1 - b1**2)
     v_hat = v / (1 - b2**2)
     before = float(model.w1[0, 0])
-    grad[0] = g2
-    adam.updater(model, grad, params)()
+    update(touched, np.array([[g2]]))
     assert adam.step == 2
     expected = before - lr * m_hat / (math.sqrt(v_hat) + eps)
     assert model.w1[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -412,18 +414,23 @@ def test_flat_training_matches_reference_after_bias_corrections_reach_one(
         assert steps >= 64, steps  # at least ten steps past both corrections
 
 
+def shared_columns_rows(seed):
+    """13 rows of 12 columns and their labels of 3 classes.  Every row stores
+    columns 0 and 1, and the other columns are each held by a few rows, so
+    batches write some gradient rows twice or more and consecutive batches
+    write overlapping, but not equal, sets of rows."""
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((13, 12))
+    dense[:, :2] = rng.uniform(0.1, 1.0, (13, 2))
+    for row in range(13):
+        dense[row, 2 + rng.choice(10, 3, replace=False)] = rng.uniform(-1, 1, 3)
+    return dense, rng.integers(0, 3, 13)
+
+
 @pytest.mark.parametrize("batch_size", [2, 3])
 def test_flat_training_with_shared_columns_matches_reference(batch_size):
-    # Every row stores columns 0 and 1, and the other columns are each held
-    # by a few rows, so batches write some gradient rows twice or more and
-    # consecutive batches write overlapping, but not equal, sets of rows.
     for seed in (4, 5):
-        rng = np.random.default_rng(seed)
-        dense = np.zeros((13, 12))
-        dense[:, :2] = rng.uniform(0.1, 1.0, (13, 2))
-        for row in range(13):
-            dense[row, 2 + rng.choice(10, 3, replace=False)] = rng.uniform(-1, 1, 3)
-        labels = rng.integers(0, 3, 13)
+        dense, labels = shared_columns_rows(seed)
         check_flat_training_against_reference(dense, labels, 4, 3, batch_size, seed)
 
 
@@ -524,3 +531,90 @@ def test_fit_from_hostile_logits_diverges_with_the_reference(case, batch_size):
     assert adam.step == reference_adam.step
     for name in _PARAM_NAMES:
         assert_same_values_nans_and_signs(getattr(model, name), getattr(reference, name), name)
+
+
+def sparse_rows(rng, n_rows, dim, label_count):
+    """Rows of mixed sign with about 60 % zeros, so some products are -0.0,
+    and their labels."""
+    dense = rng.uniform(-1.0, 1.0, (n_rows, dim))
+    dense[rng.random((n_rows, dim)) < 0.6] = 0.0
+    return dense, rng.integers(0, label_count, n_rows)
+
+
+def flat_reference_case(case):
+    """(model, matrix, labels) of one case of the touched-rows Adam check."""
+    if case in _HOSTILE_LOGITS:
+        return hostile_instance(case)
+    if case == "shared columns":
+        dense, labels = shared_columns_rows(4)
+        label_count, hidden = 3, 4
+    elif case == "empty row":
+        dense, labels = sparse_rows(np.random.default_rng(6), 7, 6, 3)
+        dense[3] = 0.0
+        label_count, hidden = 3, 4
+    else:  # the desk grid's shape: 224 features, 20 hidden units, 8 classes
+        dense, labels = sparse_rows(np.random.default_rng(7), 40, 224, 8)
+        label_count, hidden = 8, 20
+    model = init_mlp(dense.shape[1], label_count, MLPParams(hidden_units=hidden, seed=9))
+    return model, matrix_from_dense(dense, labels), labels
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3])
+@pytest.mark.parametrize(
+    "case", [*_HOSTILE_LOGITS, "shared columns", "empty row", "desk shape"]
+)
+def test_touched_rows_adam_matches_the_flat_gradient_update(case, batch_size):
+    # Adam reads the gradient only at the w1 rows a batch touched and in the
+    # b1, w2 and b2 tail; the flat-gradient update it replaced reads a dense
+    # gradient, +0.0 elsewhere.  Weights, both moments and every epoch loss
+    # must be the same bits, NaNs and signs of zeros included, up to and
+    # including a divergence.
+    model, matrix, labels = flat_reference_case(case)
+    reference = init_mlp(model.feature_dimension, model.label_count, model.params)
+    reference.flat[...] = model.flat
+    params = MLPParams(hidden_units=model.b1.size, learning_rate=0.05,
+                       batch_size=batch_size, seed=9)
+    adam, flat_adam = AdamState(model.flat.size), FlatAdamState(model.flat.size)
+    samples = all_samples(matrix, labels)
+
+    def outcome(run_epoch):
+        try:
+            return run_epoch()
+        except TrainingDivergedError as exc:
+            return ("diverged", exc.epoch)
+
+    with np.errstate(all="ignore"):
+        for _ in range(4):
+            loss = outcome(lambda: mlp_epoch(model, samples, params, adam))
+            reference_loss = outcome(
+                lambda: flat_mlp_epoch(reference, samples, params, flat_adam)
+            )
+            assert loss == reference_loss
+            assert adam.step == flat_adam.step
+            for name, ours, theirs in (("weights", model.flat, reference.flat),
+                                       ("first", adam.first, flat_adam.first),
+                                       ("second", adam.second, flat_adam.second)):
+                assert_same_values_nans_and_signs(ours, theirs, name)
+            if isinstance(loss, tuple):
+                break
+
+
+def test_an_epoch_allocates_no_dense_w1_buffer():
+    # At batch size 1 an epoch's buffers are sized by the rows' stored
+    # entries and by b1, w2 and b2; a buffer of w1's size would exceed this.
+    rng = np.random.default_rng(8)
+    dense = np.zeros((30, 4000))
+    for row in dense:
+        row[rng.choice(4000, 12, replace=False)] = rng.uniform(0.1, 2.0, 12)
+    labels = rng.integers(0, 4, 30)
+    params = MLPParams(seed=3)
+    model = init_mlp(4000, 4, params)
+    adam = AdamState(model.flat.size)
+    samples = all_samples(matrix_from_dense(dense, labels), labels)
+    tracemalloc.start()
+    try:
+        mlp_epoch(model, samples, params, adam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.w1.nbytes, (peak, model.w1.nbytes)
