@@ -8,27 +8,26 @@ zero.  RNG streams: stream 0 of the seed initialises weights, stream 1+e
 shuffles epoch e.
 
 The four weight tensors are views into one contiguous float64 buffer,
-`MLPModel.flat`, laid out w1, b1, w2, b2, and Adam's moments use the same
-layout.  A feature row stores a few columns, and its w1 gradient is
-nonzero only at their w1 rows, so it is kept as those rows alone
-(`_row_step`); a larger batch adds its rows' gradients into one w1-shaped
-buffer and takes the union of their rows from a bool mark array
-(`_batch_step`).  The b1, w2 and b2 gradient is one buffer laid out as
-`flat` after w1, the tail.  An Adam step decays both moments and moves the
-weights in passes of in-place ufuncs over every parameter at once, but runs
-the five passes that read the gradient only over the touched w1 rows and
-the tail (`AdamState.updater`): an untouched gradient is +0.0, which would
-leave each moment as it is.  Elementwise arithmetic does not depend on
-memory layout, so this trains bit-for-bit the same weights as per-tensor
-updates of a dense gradient would.
+`MLPModel.flat`, laid out w1, b1, w2, b2.  Adam keeps both moments in one
+block of H-wide rows, per moment w1's V rows and then the T rows of the
+b1/w2/b2 tail, padded with +0.0 (`AdamState`).  A feature row's w1 gradient
+is nonzero only at its stored columns' rows, so a row step writes the tail's
+rows and those alone into one gradient block (`_row_step`), and a fit
+appends each row's index of them into Adam's block to its sample once
+(`AdamState.rows_of`); a larger batch adds its rows' blocks into one sums
+block (`_batch_step`).  An Adam step decays both moments and moves the
+weights in passes of in-place ufuncs over every parameter, but reads the
+gradient through one gather and one scatter of the rows it holds
+(`AdamState.updater`): an untouched gradient is +0.0, which would leave each
+moment as it is.  Elementwise arithmetic does not depend on memory layout,
+so this trains bit-for-bit the same weights as per-tensor updates of a dense
+gradient would.
 
-A training epoch binds Adam's constants and one set of row buffers once:
-the hidden pre-activations and activations, the logits, the ReLU mask and
-the tail, which takes a row's hidden gradient, outer product and output
-gradient.  Every floating-point operation, its operands and its order are
-those of a per-tensor step that allocates its results, but for one: a batch
-of one row does not add its gradient into zeros, which would only turn a
--0.0 into +0.0, and Adam treats both alike (`AdamState.updater`).
+An epoch binds Adam's constants and the row step's buffers once.  Every
+floating-point operation, its operands and its order are those of a
+per-tensor step that allocates its results, but for one: a batch of one row
+does not add its gradient into zeros, which would only turn a -0.0 into
++0.0, and Adam treats both alike (`AdamState.updater`).
 """
 
 from __future__ import annotations
@@ -45,67 +44,69 @@ from .params import MLPParams
 
 
 class AdamState:
-    """Flat first/second moments, the shared step counter and two scratch
-    buffers, all in the model's flat layout."""
+    """Adam's step counter, two scratch buffers in the model's flat layout,
+    and both moments as one zeroed (2, V+T, H) float64 `block`.  A moment
+    holds w1's V rows, then `tail_rows` T rows that hold b1, w2 and b2 in the
+    flat layout, the last padded with +0.0; `first` and `second` are the
+    moments' flat views without the pad."""
 
-    def __init__(self, size: int):
-        self.first = np.zeros(size)
-        self.second = np.zeros(size)
-        self.step = 0
-        self._scratch = (np.empty(size), np.empty(size))
+    def __init__(self, model: "MLPModel"):
+        size, width, features = model.flat.size, model.b1.size, model.feature_dimension
+        self.tail_rows = -(-(size - model.w1.size) // width)
+        rows = features + self.tail_rows
+        self.block = np.zeros((2, rows, width))
+        self.first, self.second = (moment.reshape(-1)[:size] for moment in self.block)
+        self.step, self._scratch = 0, (np.empty(size), np.empty(size))
+        self._tail, self.offsets = np.arange(features, rows), np.array([[0], [rows]])
 
-    def updater(self, model: "MLPModel", tail: np.ndarray, params: MLPParams):
-        """`update(touched, rows)`: one Adam update of `model.flat`, with the
+    def rows_of(self, columns: np.ndarray) -> np.ndarray:
+        """A sample's (2, T + len(columns)) index into the block's
+        (2(V+T), H) record view: the tail rows, then the rows `columns`, of
+        the first moment and then of the second."""
+        return self.offsets + np.concatenate((self._tail, columns))
+
+    def updater(self, model: "MLPModel", params: MLPParams):
+        """`update(index, rows)`: one Adam update of `model.flat`, with the
         buffers, the constants and the ufuncs bound once for a loop.
 
-        The gradient is `rows` at the strictly increasing w1 rows `touched`,
-        +0.0 at every other w1 row, and the buffer `tail` for b1, w2 and b2,
-        laid out as `model.flat` after w1.  Each call computes, in this
-        order, m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+        The gradient is `rows` at the block rows `index[0]` (no row twice),
+        +0.0 elsewhere.  Each call computes, in this order,
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
         w -= (lr*(m/c1)) / (sqrt(v/c2) + eps), with the bias corrections
-        c = 1 - beta**step; only arrays sized by `touched` are allocated.
-        The decays and the passes from the moments to the weights run over
-        every parameter, the five passes that read g only over the touched
-        rows and the tail.  For g = ±0.0 those passes would leave a moment
-        as it is unless it were -0.0, and neither is for beta1 > 0.5: a
-        moment starts at +0.0, an exact cancellation rounds to +0.0, beta1
-        times a negative subnormal stays negative, and v is never negative.
-        (For beta1 <= 0.5 a first moment can decay to -0.0 where the dense
-        update made it +0.0; the weights are the same bits either way.)
-        A correction that is exactly 1.0 in float64 (from step 356 for beta
-        0.9, from step 37,412 for beta 0.999) skips its divide: x / 1.0 == x
-        in IEEE 754, so the weights are the same bits either way.
+        c = 1 - beta**step; only arrays sized by `index` are allocated.  The
+        decays and the passes to the weights run over every parameter, the
+        passes that read g on one gather of both moments' rows at `index`.
+        For g = ±0.0 they would leave a moment as it is unless it were -0.0,
+        and neither is for beta1 > 0.5: a moment starts at +0.0, an exact
+        cancellation rounds to +0.0, beta1 times a negative subnormal stays
+        negative, and v is never negative.  (For beta1 <= 0.5 a first moment
+        can decay to -0.0 where the dense update made it +0.0; the weights
+        are the same bits either way.)  The pad's gradient is +0.0, so the
+        pad stays +0.0.  A correction that is exactly 1.0 in float64 (from
+        step 356 for beta 0.9, from step 37,412 for beta 0.999) skips its
+        divide: x / 1.0 == x in IEEE 754, so the weights are the same bits.
         """
         b1, b2 = params.adam_beta1, params.adam_beta2
-        # Constant operands as 0-d arrays, which a ufunc takes faster than floats.
-        decay1, decay2, one_minus_b1, one_minus_b2, rate, epsilon = map(np.array, (
-            b1, b2, 1.0 - b1, 1.0 - b2, params.learning_rate, params.adam_epsilon
-        ))
+        # Constant operands as arrays, which a ufunc takes faster than floats.
+        constants = (b1, b2, params.learning_rate, params.adam_epsilon)
+        decay1, decay2, rate, epsilon = map(np.array, constants)
+        scales = np.array([1.0 - b1, 1.0 - b2]).reshape(2, 1, 1)  # per moment
         m, v, flat = self.first, self.second, model.flat
         delta, denom = self._scratch
-        split = model.w1.size
-        m_w1, v_w1 = m[:split].reshape(model.w1.shape), v[:split].reshape(model.w1.shape)
-        m_records, v_records = _as_rows(m_w1), _as_rows(v_w1)
-        record = m_records.dtype
-        m_tail, v_tail, delta_tail, denom_tail = m[split:], v[split:], delta[split:], denom[split:]
+        moments = self.block.reshape(-1, self.block.shape[2])  # 2(V+T) rows
+        records = _as_rows(moments)
         multiply, add, divide, sqrt = np.multiply, np.add, np.divide, np.sqrt
 
-        def update(touched, rows) -> None:
+        def update(index, rows) -> None:
             self.step = step = self.step + 1
             multiply(m, decay1, m)
             multiply(v, decay2, v)
-            moment = m_w1.take(touched, axis=0)  # m[touched] += (1-b1)*g
-            add(moment, multiply(rows, one_minus_b1), moment)
-            m_records.put(touched, moment.view(record))
-            multiply(tail, one_minus_b1, delta_tail)
-            add(m_tail, delta_tail, m_tail)
-            moment = v_w1.take(touched, axis=0)  # v[touched] += ((1-b2)*g)*g
-            square = multiply(rows, one_minus_b2)
-            add(moment, multiply(square, rows, square), moment)
-            v_records.put(touched, moment.view(record))
-            multiply(tail, one_minus_b2, denom_tail)
-            multiply(denom_tail, tail, denom_tail)
-            add(v_tail, denom_tail, v_tail)
+            moment = moments.take(index, axis=0)  # both moments' rows
+            scaled = multiply(rows, scales)  # (1-b1)*g, then (1-b2)*g
+            square = scaled[1]
+            multiply(square, rows, square)
+            add(moment, scaled, moment)
+            records.put(index, moment.view(records.dtype))
             correction1 = 1.0 - b1**step
             if correction1 == 1.0:
                 multiply(m, rate, delta)
@@ -150,8 +151,9 @@ class MLPModel(Model):
     @classmethod
     def fit(cls, matrix: FeatureMatrix, params: MLPParams, label_count: int) -> "MLPModel":
         model = init_mlp(matrix.dim, label_count, params)
-        adam = AdamState(model.flat.size)
+        adam = AdamState(model)
         samples = row_samples(matrix, range(matrix.n_rows), matrix.row_labels)
+        samples = [(*sample, adam.rows_of(sample[0])) for sample in samples]
         for _ in range(params.epochs):
             mlp_epoch(model, samples, params, adam)
         return model
@@ -192,16 +194,19 @@ def _as_rows(array: np.ndarray) -> np.ndarray:
     return array.view(np.dtype((np.void, array.shape[1] * array.itemsize))).ravel()
 
 
-def _row_step(model: MLPModel, tail: np.ndarray):
+def _row_step(model: MLPModel, adam: AdamState, samples: list[tuple]):
     """`step(columns, values, label)`: one row's forward and backward pass.
-
-    It writes the row's b1, w2 and b2 gradient into `tail`, laid out as
-    `model.flat` after w1, and returns log p(label) and the row's w1
-    gradient at its rows `columns`.  Its buffers, views and ufuncs are bound
-    here once, so a row allocates only the arrays sized by its stored
-    entries.
+    It writes the row's b1/w2/b2 gradient into the first T rows of one
+    gradient block, laid out as in `adam`, and its w1 gradient rows after
+    them, and returns log p(label) and those rows, which the row's
+    `AdamState.rows_of(columns)` indexes.  The block holds the longest index
+    of `samples`; it, the views and the ufuncs are bound once, so a row
+    allocates only arrays sized by its stored entries.
     """
     w1, b1, w2, b2 = model.w1, model.b1, model.w2, model.b2
+    size, tail_rows = model.flat.size - w1.size, adam.tail_rows
+    gradient = np.zeros((max(sample[3].shape[1] for sample in samples), b1.size))
+    tail, w1_rows = gradient[:tail_rows].reshape(-1)[:size], gradient[tail_rows:]
     d_hidden = tail[: b1.size]
     outer = tail[b1.size : -b2.size].reshape(w2.shape)
     probs = tail[-b2.size :]
@@ -237,81 +242,75 @@ def _row_step(model: MLPModel, tail: np.ndarray):
         matmul(w2, probs, d_hidden)
         np.greater(hidden_pre, zero, relu_mask)
         multiply(d_hidden, relu_mask, d_hidden)
-        return log_p, values[:, None] * d_hidden  # np.outer(values, d_hidden)
+        count = len(columns)
+        multiply(values[:, None], d_hidden, w1_rows[:count])  # np.outer(values, d_hidden)
+        return log_p, gradient[: tail_rows + count]
 
     return step
 
 
-def _batch_step(model: MLPModel, tail: np.ndarray, size: int):
-    """`batch_step(batch)`: the mean loss of a batch of at most `size`
-    `row_samples`, the w1 rows it touched, strictly increasing, and their
-    mean gradient; the mean b1, w2 and b2 gradient is left in `tail`.
-
-    At batch size 1 a batch is its row step.  Otherwise each row's w1
-    gradient is added into one zeroed w1-shaped buffer, its rows are marked
-    in a bool array, and its b1, w2 and b2 gradient is added into a second
-    tail; so each value gets its adds in row order, as into a dense zeroed
-    gradient, and then its one divide (by 1.0 for a last batch of one row,
-    which is exact).  Both buffers are zeroed again for the next batch.
+def _batch_step(step, adam: AdamState):
+    """`batch_step(batch)`: the mean loss of a batch of samples (as
+    `mlp_epoch` takes them), and the index and mean gradient of the block
+    rows it touched.  Each row's gradient is added into a zeroed sums block
+    at its index, whose rows (the tail's among them) it marks in a bool
+    array: each value gets its adds in row order, as into a dense zeroed
+    gradient, then one divide (exact by 1.0 for a last batch of one row).
     """
-    step = _row_step(model, tail)
-    if size == 1:
-
-        def one_row_step(batch) -> tuple[float, np.ndarray, np.ndarray]:
-            (columns, values, label), = batch
-            log_p, rows = step(columns, values, label)
-            return -log_p, columns, rows
-
-        return one_row_step
-    sums, tail_sum = np.zeros_like(model.w1), np.zeros_like(tail)
-    marks = np.zeros(model.feature_dimension, dtype=bool)
+    sums = np.zeros(adam.block.shape[1:])
+    marks = np.zeros(len(sums), dtype=bool)
     sum_records = _as_rows(sums)
     record, zero_record = sum_records.dtype, np.zeros(1, sum_records.dtype)
 
     def batch_step(batch) -> tuple[float, np.ndarray, np.ndarray]:
         loss = 0.0
-        for columns, values, label in batch:
+        for columns, values, label, index in batch:
             log_p, rows = step(columns, values, label)
             loss -= log_p
-            np.add(tail_sum, tail, tail_sum)
-            total = sums.take(columns, axis=0)  # sums[columns] +=, gathered faster
+            at = index[0]
+            total = sums.take(at, axis=0)  # sums[at] +=, gathered faster
             total += rows
-            sum_records.put(columns, total.view(record))
-            marks.put(columns, True)
+            sum_records.put(at, total.view(record))
+            marks.put(at, True)
         touched = np.flatnonzero(marks)
         marks.fill(False)
         rows = sums.take(touched, axis=0)
         sum_records.put(touched, zero_record)
         count = np.array(float(len(batch)))  # 0-d, which a ufunc takes faster than an int
         np.divide(rows, count, rows)
-        np.divide(tail_sum, count, tail)
-        tail_sum.fill(0.0)
-        return loss / len(batch), touched, rows
+        return loss / len(batch), adam.offsets + touched, rows
 
     return batch_step
 
 
-def mlp_epoch(
-    model: MLPModel, samples: list[tuple], params: MLPParams, adam: AdamState
-) -> float:
-    """One pass over a shuffled epoch of all training `row_samples`, updating
-    the model in place; returns the mean batch loss.  The epoch index is
-    recovered from adam.step, so repeated calls walk distinct shuffles.
+def mlp_epoch(model: MLPModel, samples: list[tuple], params: MLPParams,
+              adam: AdamState) -> float:
+    """One pass over a shuffled epoch of all training `row_samples`, each
+    with its `adam.rows_of(columns)` appended, updating the model in place;
+    returns the mean batch loss.  The epoch index is recovered from
+    adam.step, so repeated calls walk distinct shuffles.
     """
     n, size = len(samples), params.batch_size
     epoch = adam.step // -(-n // size)
     order = list(range(n))
     SplitMix64(derive_seed(params.seed, 1 + epoch)).shuffle(order)
     shuffled = [samples[i] for i in order]
-    tail = np.empty(model.flat.size - model.w1.size)  # b1, w2 and b2
-    batch_step = _batch_step(model, tail, size)
-    update = adam.updater(model, tail, params)
+    step, update = _row_step(model, adam, samples), adam.updater(model, params)
     epoch_loss = 0.0
+    if size == 1:
+        for columns, values, label, index in shuffled:
+            log_p, rows = step(columns, values, label)
+            if not math.isfinite(log_p):
+                raise TrainingDivergedError(epoch)
+            epoch_loss -= log_p
+            update(index, rows)
+        return epoch_loss / n
+    batch_step = _batch_step(step, adam)
     for start in range(0, n, size):
         batch = shuffled[start : start + size]
-        loss, touched, rows = batch_step(batch)
+        loss, index, rows = batch_step(batch)
         if not math.isfinite(loss):
             raise TrainingDivergedError(epoch)
         epoch_loss += loss * len(batch)
-        update(touched, rows)
+        update(index, rows)
     return epoch_loss / n

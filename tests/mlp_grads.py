@@ -3,7 +3,7 @@ against finite differences and the per-tensor reference."""
 
 import numpy as np
 
-from pashtext.models.mlp import MLPModel, _batch_step
+from pashtext.models.mlp import AdamState, MLPModel, _batch_step, _row_step
 
 
 def mlp_loss_and_grads(model: MLPModel, batch):
@@ -12,12 +12,18 @@ def mlp_loss_and_grads(model: MLPModel, batch):
 
     It is the training loop's batch step, with its buffers bound once per
     call: each row's forward and backward pass touches only its stored
-    entries, and the batch's touched w1 rows and its b1, w2 and b2 gradient
-    are added into a zeroed flat buffer.
+    entries, and the batch's touched rows of Adam's block, the w1 rows and
+    the b1, w2 and b2 tail, are added into a zeroed block of that shape.
     """
-    tail = np.empty(model.flat.size - model.w1.size)
-    loss, touched, rows = _batch_step(model, tail, len(batch))(batch)
-    grad = np.zeros_like(model.flat)
-    grad[model.w1.size :] += tail
-    model.split(grad)[0][touched] += rows
-    return loss, grad
+    adam = AdamState(model)
+    batch = indexed(adam, batch)
+    loss, index, rows = _batch_step(_row_step(model, adam, batch), adam)(batch)
+    grad = np.zeros(adam.block.shape[1:])
+    grad[index[0]] += rows
+    return loss, grad.reshape(-1)[: model.flat.size]
+
+
+def indexed(adam: AdamState, samples):
+    """`row_samples` with each one's `adam.rows_of` appended, as `mlp_epoch`
+    and `MLPModel.fit` take them."""
+    return [(*sample, adam.rows_of(sample[0])) for sample in samples]

@@ -23,7 +23,7 @@ from pashtext.prng import derive_seed
 from pashtext.vectorize import FeatureMatrix
 from flat_adam import FlatAdamState, flat_mlp_epoch
 from matrices import matrix_from_dense
-from mlp_grads import mlp_loss_and_grads
+from mlp_grads import indexed, mlp_loss_and_grads
 from scalar_prng import ScalarSplitMix64
 
 _PARAM_NAMES = ("w1", "b1", "w2", "b2")
@@ -139,11 +139,11 @@ def test_loss_is_mean_cross_entropy():
 def test_adam_single_update_matches_hand_computation():
     params = MLPParams(hidden_units=1, learning_rate=0.1, seed=0)
     model = MLPModel([[0.5]], [0.0], [[0.25, -0.25]], [0.0, 0.0], params)
-    adam = AdamState(model.flat.size)
-    # w1 (1 x 1) is given by its touched rows; the tail is b1 (1), w2 (1 x 2), b2 (2)
-    touched, tail = np.array([0]), np.array([0.0, 0.1, -0.1, 0.0, 0.0])
-    update = adam.updater(model, tail, params)
-    update(touched, np.array([[0.3]]))
+    adam = AdamState(model)
+    # the gradient rows are the tail's, b1 (1), w2 (1 x 2) and b2 (2), then w1's row 0
+    index, tail = adam.rows_of(np.array([0])), [[0.0], [0.1], [-0.1], [0.0], [0.0]]
+    update = adam.updater(model, params)
+    update(index, np.array([*tail, [0.3]]))
     assert adam.step == 1
     # first step: m_hat = g, v_hat = g^2, delta = lr * g / (|g| + eps)
     lr, eps = params.learning_rate, params.adam_epsilon
@@ -162,7 +162,7 @@ def test_adam_single_update_matches_hand_computation():
     m_hat = m / (1 - b1**2)
     v_hat = v / (1 - b2**2)
     before = float(model.w1[0, 0])
-    update(touched, np.array([[g2]]))
+    update(index, np.array([*tail, [g2]]))
     assert adam.step == 2
     expected = before - lr * m_hat / (math.sqrt(v_hat) + eps)
     assert model.w1[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -174,8 +174,8 @@ def test_epoch_counts_steps_and_reports_mean_loss():
     m = matrix_from_dense(dense, labels)
     params = MLPParams(hidden_units=4, batch_size=2, seed=5)
     model = init_mlp(2, 2, params)
-    adam = AdamState(model.flat.size)
-    samples = all_samples(m, m.row_labels)
+    adam = AdamState(model)
+    samples = indexed(adam, all_samples(m, m.row_labels))
     loss = mlp_epoch(model, samples, params, adam)
     assert adam.step == 2  # ceil(3 / 2) batches
     assert loss > 0.0
@@ -349,9 +349,9 @@ def check_flat_training_against_reference(dense, labels, hidden, label_count,
     reference = SimpleNamespace(
         **{name: getattr(model, name).copy() for name in _PARAM_NAMES}
     )
-    adam = AdamState(model.flat.size)
+    adam = AdamState(model)
     reference_adam = ReferenceAdamState.for_model(reference)
-    samples = all_samples(matrix, labels)
+    samples = indexed(adam, all_samples(matrix, labels))
     for _ in range(epochs):
         loss = mlp_epoch(model, samples, params, adam)
         reference_loss = reference_epoch(
@@ -511,8 +511,8 @@ def test_fit_from_hostile_logits_diverges_with_the_reference(case, batch_size):
         **{name: getattr(model, name).copy() for name in _PARAM_NAMES}
     )
     params = MLPParams(hidden_units=3, learning_rate=0.05, batch_size=batch_size, seed=9)
-    adam, reference_adam = AdamState(model.flat.size), ReferenceAdamState.for_model(reference)
-    samples = all_samples(matrix, labels)
+    adam, reference_adam = AdamState(model), ReferenceAdamState.for_model(reference)
+    samples = indexed(adam, all_samples(matrix, labels))
 
     def diverged_at(run_epoch):
         try:
@@ -552,30 +552,57 @@ def flat_reference_case(case):
         dense, labels = sparse_rows(np.random.default_rng(6), 7, 6, 3)
         dense[3] = 0.0
         label_count, hidden = 3, 4
+    elif case == "tail fills its rows":  # b1, w2, b2: 4 + 16 + 4 values, six rows of 4
+        dense, labels = sparse_rows(np.random.default_rng(10), 7, 5, 4)
+        label_count, hidden = 4, 4
+    elif case == "one hidden unit":
+        dense, labels = sparse_rows(np.random.default_rng(11), 7, 5, 3)
+        label_count, hidden = 3, 1
+    elif case == "dead unit, stale column":  # nonnegative rows: unit 0 never fires
+        dense, labels = sparse_rows(np.random.default_rng(7), 12, 8, 3)
+        np.abs(dense, dense)
+        label_count, hidden = 3, 4
     else:  # the desk grid's shape: 224 features, 20 hidden units, 8 classes
         dense, labels = sparse_rows(np.random.default_rng(7), 40, 224, 8)
         label_count, hidden = 8, 20
     model = init_mlp(dense.shape[1], label_count, MLPParams(hidden_units=hidden, seed=9))
+    if case == "dead unit, stale column":
+        model.w1[:, 0] = -np.abs(model.w1[:, 0])
+        model.b1[0] = -0.5
     return model, matrix_from_dense(dense, labels), labels
 
 
+def subnormal_count(values):
+    return int(np.count_nonzero((values != 0) & (np.abs(values) < np.finfo(float).tiny)))
+
+
 @pytest.mark.parametrize("batch_size", [1, 2, 3])
-@pytest.mark.parametrize(
-    "case", [*_HOSTILE_LOGITS, "shared columns", "empty row", "desk shape"]
-)
+@pytest.mark.parametrize("case", [
+    *_HOSTILE_LOGITS, "shared columns", "empty row", "tail fills its rows",
+    "one hidden unit", "dead unit, stale column", "desk shape",
+])
 def test_touched_rows_adam_matches_the_flat_gradient_update(case, batch_size):
     # Adam reads the gradient only at the w1 rows a batch touched and in the
     # b1, w2 and b2 tail; the flat-gradient update it replaced reads a dense
     # gradient, +0.0 elsewhere.  Weights, both moments and every epoch loss
     # must be the same bits, NaNs and signs of zeros included, up to and
-    # including a divergence.
+    # including a divergence.  In the "dead unit, stale column" case column 0
+    # leaves every row after the first epoch, so the nonzero first moments of
+    # its w1 row get no gradient for the next 6,900 steps and decay by 0.9 into
+    # the subnormals (0.9**6,700 is below 1e-306) and stay there, since 0.9
+    # times the smallest subnormal rounds back to it.  Unit 0 never fires, so
+    # its moments show that one that never had a gradient stays +0.0.
     model, matrix, labels = flat_reference_case(case)
     reference = init_mlp(model.feature_dimension, model.label_count, model.params)
     reference.flat[...] = model.flat
     params = MLPParams(hidden_units=model.b1.size, learning_rate=0.05,
                        batch_size=batch_size, seed=9)
-    adam, flat_adam = AdamState(model.flat.size), FlatAdamState(model.flat.size)
+    adam, flat_adam = AdamState(model), FlatAdamState(model.flat.size)
     samples = all_samples(matrix, labels)
+    later = samples  # the samples of every epoch after the first
+    if case == "dead unit, stale column":
+        later = [(c[c != 0], v[c != 0], label) for c, v, label in samples]
+    phases = [(indexed(adam, samples), samples), (indexed(adam, later), later)]
 
     def outcome(run_epoch):
         try:
@@ -583,11 +610,14 @@ def test_touched_rows_adam_matches_the_flat_gradient_update(case, batch_size):
         except TrainingDivergedError as exc:
             return ("diverged", exc.epoch)
 
+    steps_per_epoch = -(-len(samples) // batch_size)
+    epochs = -(-7000 // steps_per_epoch) if samples is not later else 4
     with np.errstate(all="ignore"):
-        for _ in range(4):
-            loss = outcome(lambda: mlp_epoch(model, samples, params, adam))
+        for epoch in range(epochs):
+            our_samples, flat_samples = phases[min(epoch, 1)]
+            loss = outcome(lambda: mlp_epoch(model, our_samples, params, adam))
             reference_loss = outcome(
-                lambda: flat_mlp_epoch(reference, samples, params, flat_adam)
+                lambda: flat_mlp_epoch(reference, flat_samples, params, flat_adam)
             )
             assert loss == reference_loss
             assert adam.step == flat_adam.step
@@ -597,6 +627,18 @@ def test_touched_rows_adam_matches_the_flat_gradient_update(case, batch_size):
                 assert_same_values_nans_and_signs(ours, theirs, name)
             if isinstance(loss, tuple):
                 break
+    # The pad after each moment's b1/w2/b2 rows stays +0.0, and the flat
+    # moments are views of the block.
+    pad = adam.block.reshape(2, -1)[:, model.flat.size :]
+    assert pad.size == 2 * (-(model.flat.size - model.w1.size) % model.b1.size)
+    assert np.array_equal(pad, np.zeros_like(pad)) and not np.signbit(pad).any()
+    assert np.shares_memory(adam.first, adam.block)
+    assert np.shares_memory(adam.second, adam.block)
+    if samples is not later:
+        w1_first, b1_first = model.split(adam.first)[:2]
+        assert adam.step >= 7000 and subnormal_count(w1_first[0]) > 0, w1_first[0]
+        assert not np.signbit(w1_first[:, 0]).any() and not w1_first[:, 0].any()
+        assert b1_first[0] == 0.0 and not np.signbit(b1_first[0])
 
 
 def test_an_epoch_allocates_no_dense_w1_buffer():
@@ -609,8 +651,8 @@ def test_an_epoch_allocates_no_dense_w1_buffer():
     labels = rng.integers(0, 4, 30)
     params = MLPParams(seed=3)
     model = init_mlp(4000, 4, params)
-    adam = AdamState(model.flat.size)
-    samples = all_samples(matrix_from_dense(dense, labels), labels)
+    adam = AdamState(model)
+    samples = indexed(adam, all_samples(matrix_from_dense(dense, labels), labels))
     tracemalloc.start()
     try:
         mlp_epoch(model, samples, params, adam)
