@@ -5,8 +5,12 @@ one --seed value per command.  Exit codes: 0 success, 1 usage error,
 2 data error, 3 runtime failure.
 
 Each handler imports the modules it runs as it runs, so a process loads
-only what its command needs: `ingest`, `split` and `synth` load no model
-code, and the parser needs only the kind and feature-mode names.
+only what its command needs, and the parser needs only the kind and
+feature-mode names of `kinds`:
+- `synth`, `ingest` and `split` load no feature, preprocessing, model,
+  metric or logging code, and only `split` loads `decimal`, to round;
+- `train`, `evaluate` and `grid` load what they run, and only they send
+  log records to stderr, as `LEVEL logger: message` lines.
 """
 
 from __future__ import annotations
@@ -14,11 +18,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import math
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .corpus import (
     LabelSet,
@@ -33,21 +37,11 @@ from .errors import (
     DataError, PashtextError, UsageError, expect_format, loads_as_written, malformed,
     read_json, write_output,
 )
-from .kinds import ModelKind
-from .pipeline import PROFILE_RECORD
+from .kinds import FEATURE_MODES, UNIGRAM, ModelKind
 from .prng import DEFAULT_SEED
-from .vectorize import (
-    FEATURE_MODES,
-    UNIGRAM,
-    FeatureMask,
-    Vocabulary,
-    feature_matrix,
-    fit_features,
-    side_documents,
-    vectorize_documents,
-)
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .vectorize import FeatureMask, Vocabulary
 
 BUNDLE_FORMAT = "pashtext-bundle"
 BUNDLE_VERSION = 1
@@ -102,8 +96,23 @@ def _param(text: str) -> tuple[str, str]:
     return key, value
 
 
+def _log_to_stderr():
+    """The logger of this module, once the package's INFO and higher records
+    go to stderr; the first call in a process sets that up."""
+    import logging
+
+    logging.basicConfig(
+        level=logging.INFO,
+        format="%(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr,
+    )
+    return logging.getLogger(__name__)
+
+
 def _bundle(model: dict, vocab: Vocabulary, mode: str, labels: LabelSet,
             mask: FeatureMask | None) -> dict:
+    from .pipeline import PROFILE_RECORD
+
     return {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
@@ -127,6 +136,7 @@ def _save_bundle(path: Path, model, vocab: Vocabulary, mode: str,
 
 def _load_bundle(path) -> dict:
     from .models.io import model_from_document
+    from .vectorize import FeatureMask, Vocabulary
 
     what = f"model bundle {path}"
     bundle = read_json(path, "model bundle")
@@ -164,6 +174,8 @@ def _split_side(corpus, path, side: str) -> list:
     """`side_documents` of one side ("train" or "test") of the split file
     `path`. A side that names ids the corpus lacks, or no usable document,
     is refused naming the file, as every other defect of a split file is."""
+    from .vectorize import side_documents
+
     split = load_split(path)
     try:
         return side_documents(corpus, split, side)
@@ -193,7 +205,9 @@ def _cmd_split(args) -> int:
 def _cmd_train(args) -> int:
     from .models import train
     from .models.params import make_params
+    from .vectorize import feature_matrix, fit_features
 
+    _log_to_stderr()
     kind = ModelKind(args.classifier)
     params = make_params(kind, dict(args.param or ()), args.seed)
     corpus = load_corpus(args.corpus)
@@ -217,7 +231,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     from .metrics import evaluate_predictions
+    from .vectorize import feature_matrix, vectorize_documents
 
+    _log_to_stderr()
     bundle = _load_bundle(args.model)
     labels: LabelSet = bundle["labels"]
     # Loaded under the model's label set, so rows carry its class indices.
@@ -240,6 +256,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_grid(args) -> int:
     from .grid import run_grid
 
+    _log_to_stderr()
     corpus = load_corpus(args.corpus)
     split = stratified_split(corpus, args.fraction, args.seed)
     report = run_grid(corpus, split, select_k=args.select_k)
@@ -370,11 +387,6 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a command is required", file=sys.stderr)
             return EXIT_USAGE
-        logging.basicConfig(
-            level=logging.INFO,
-            format="%(levelname)s %(name)s: %(message)s",
-            stream=sys.stderr,
-        )
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -386,7 +398,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception as exc:  # keep the one-line diagnostic contract
-        logger.exception("unexpected failure")
+        _log_to_stderr().exception("unexpected failure")
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -13,7 +13,6 @@ import json
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .errors import DataError, loads_as_written, malformed, read_json, write_output
@@ -305,6 +304,10 @@ def validate(corpus: Corpus) -> dict:
 
 
 def _round_half_up(fraction: float, count: int) -> int:
+    # Imported here: only splitting rounds, and `ingest` and `synth` load no
+    # decimal module.
+    from decimal import ROUND_HALF_UP, Decimal
+
     # Decimal(str(...)) so that e.g. 0.3 * 5 rounds as the decimal 1.5, not
     # as the binary float 1.4999...
     value = Decimal(str(fraction)) * count

@@ -1,10 +1,16 @@
-"""The classifier kinds, named without importing any model code.
+"""The classifier kinds and feature modes, named without importing any
+model or feature code.
 
 The command-line parser lists them, so this module stays free of the model
-families: a command that trains no model loads none of them.
+families and of `vectorize`: a command that builds no features loads
+neither.
 """
 
 from enum import Enum
+
+UNIGRAM = "unigram"
+TFIDF = "tfidf"
+FEATURE_MODES = (UNIGRAM, TFIDF)
 
 
 class ModelKind(str, Enum):

@@ -80,6 +80,9 @@ def generate_corpus(
     while 32**width <= highest_id:
         width += 1
     names = _label_names(classes)
+    # Each id drawn is rendered once.  Only drawn ids are kept: the id range
+    # grows with classes * signature_size, which has no bound.
+    rendered: dict[int, str] = {}
     documents = []
     for class_index, label in enumerate(names):
         rng = SplitMix64(derive_seed(seed, class_index))
@@ -94,7 +97,10 @@ def generate_corpus(
                     token_id = rng.next_below(NOISE_VOCABULARY_SIZE)
                 else:
                     token_id = signature_base + rng.next_below(signature_size)
-                tokens.append(_render_token(token_id, width))
+                token = rendered.get(token_id)
+                if token is None:
+                    token = rendered[token_id] = _render_token(token_id, width)
+                tokens.append(token)
             documents.append(
                 Document(
                     id=f"{label}-{doc_index:04d}",

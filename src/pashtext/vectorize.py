@@ -16,13 +16,10 @@ import numpy as np
 
 from .corpus import Corpus, CorpusSplit, LabelSet
 from .errors import DataError, malformed
+from .kinds import FEATURE_MODES, TFIDF, UNIGRAM
 from .pipeline import TokenizedDocument, preprocess
 
 logger = logging.getLogger(__name__)
-
-UNIGRAM = "unigram"
-TFIDF = "tfidf"
-FEATURE_MODES = (UNIGRAM, TFIDF)
 
 
 @dataclass(eq=False)
@@ -362,10 +359,15 @@ def _kept_entries(matrix: FeatureMatrix, keep: np.ndarray, indices: np.ndarray,
     )
 
 
-def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary) -> FeatureMatrix:
+def tfidf_from_counts(counts: FeatureMatrix, vocab: Vocabulary,
+                      mask: FeatureMask | None) -> FeatureMatrix:
     """The TFIDF matrix of a unigram count matrix: each count times its
-    token's idf, with the entries that become exactly zero dropped."""
-    values = counts.data * idf_weights(vocab)[counts.indices]
+    token's idf, with the entries that become exactly zero dropped.  With a
+    mask, `counts` holds the mask's columns (`apply_mask` of the counts)."""
+    idf = idf_weights(vocab)
+    if mask is not None:
+        idf = idf[mask.kept_indices]
+    values = counts.data * idf[counts.indices]
     keep = values != 0.0
     return _kept_entries(counts, keep, counts.indices[keep], values[keep], TFIDF, counts.dim)
 
@@ -470,8 +472,12 @@ def feature_matrix(
     counts: FeatureMatrix, vocab: Vocabulary, mask: FeatureMask | None, mode: str
 ) -> FeatureMatrix:
     """The `mode` matrix of a count matrix: the counts themselves or their
-    TFIDF weights, projected onto the mask's features when there is one."""
+    TFIDF weights, projected onto the mask's features when there is one.
+
+    The mask applies to the counts first, so only the kept entries are
+    weighted: each weight is the same product, and the same exact zeros
+    are dropped, as weighting every count and then masking."""
     if mode not in FEATURE_MODES:
         raise DataError(f"unknown feature mode {mode!r}")
-    matrix = counts if mode == UNIGRAM else tfidf_from_counts(counts, vocab)
-    return matrix if mask is None else apply_mask(mask, matrix)
+    matrix = counts if mask is None else apply_mask(mask, counts)
+    return matrix if mode == UNIGRAM else tfidf_from_counts(matrix, vocab, mask)

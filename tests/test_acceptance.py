@@ -68,7 +68,7 @@ def test_criterion_1_tfidf_oracle():
     assert target in vocab.token_to_index
     assert int(vocab.document_frequency[vocab.token_to_index[target]]) == 2
     counts = vectorize_documents(result.documents, vocab, corpus.labels)
-    matrix = tfidf_from_counts(counts, vocab)
+    matrix = tfidf_from_counts(counts, vocab, None)
     weights = matrix.to_dense()[:, vocab.token_to_index[target]].tolist()
     expected_single = 1.0 * math.log(3.0 / 2.0)  # 0.405465...
     expected_double = 2.0 * math.log(3.0 / 2.0)  # 0.810930...

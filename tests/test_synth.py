@@ -1,9 +1,12 @@
 """Synthetic corpus generator: determinism, shape and separability."""
 
+import hashlib
+import time
 from collections import Counter
 
 import pytest
 
+from pashtext.corpus import save_corpus
 from pashtext.errors import UsageError
 from pashtext.pipeline import preprocess
 from pashtext.synth import DEFAULT_LABEL_NAMES, NOISE_VOCABULARY_SIZE, generate_corpus
@@ -103,3 +106,28 @@ def test_wide_ids_render_at_larger_width():
     corpus = generate_corpus(classes=2, per_class=2, signature_size=20000, seed=5)
     token = corpus.documents[0].text.split(" ")[0]
     assert len(token) == 4
+
+
+@pytest.mark.parametrize(
+    "arguments, digest",
+    [
+        pytest.param(dict(classes=8, per_class=100, noise_rate=0.3, seed=42),
+                     "bcf945487afec6805ae121495646cc33ce0ec060316f43b1348e11e9848cb8f6",
+                     id="desk"),
+        pytest.param(dict(per_class=150, noise_rate=0.7, seed=1),
+                     "c4d9b3465f7e6057d3210be6fdda3b1909686c60b9f48d034e69a89d68b53f4d",
+                     id="bundle_predict"),
+        pytest.param(dict(signature_size=1_000_000, per_class=2),
+                     "24dbe919bcec418fe92be7c81ce5f7bd8674fcaf8f26ce47f78f4eef14e13623",
+                     id="million-token-signatures"),
+    ],
+)
+def test_saved_corpus_bytes_are_pinned(tmp_path, arguments, digest):
+    """The bytes `synth` writes, pinned from the generator that rendered
+    every token as it was drawn.  Eight million signature ids cost no more
+    than the ids a corpus draws."""
+    started = time.perf_counter()
+    corpus = generate_corpus(**arguments)
+    assert time.perf_counter() - started < 1.0
+    save_corpus(corpus, tmp_path / "corpus.jsonl")
+    assert hashlib.sha256((tmp_path / "corpus.jsonl").read_bytes()).hexdigest() == digest

@@ -17,6 +17,7 @@ from pashtext.vectorize import (
     FEATURE_MODES,
     TFIDF,
     UNIGRAM,
+    FeatureMask,
     FeatureMatrix,
     Vocabulary,
     _indptr,
@@ -173,7 +174,7 @@ def test_tfidf_prunes_zero_weights():
     docs = [tdoc("1", ["a", "b"]), tdoc("2", ["b"])]
     vocab = build_vocabulary(docs)
     weighted = tfidf_from_counts(
-        vectorize_documents([tdoc("q", ["a", "b", "b"])], vocab, LabelSet(["a"])), vocab
+        vectorize_documents([tdoc("q", ["a", "b", "b"])], vocab, LabelSet(["a"])), vocab, None
     )
     # "b" appears in every training doc, so its idf (and weight) is 0.
     assert weighted.to_dense()[0, vocab.token_to_index["b"]] == 0.0
@@ -426,8 +427,39 @@ def test_vocabulary_and_matrices_match_the_per_mode_reference():
             counts = vectorize_documents(side, vocab, labels)
             assert_same_matrix(counts, reference_vectorize_documents(side, vocab, UNIGRAM, labels))
             expected = reference_vectorize_documents(side, vocab, TFIDF, labels)
-            assert_same_matrix(tfidf_from_counts(counts, vocab), expected)
+            assert_same_matrix(tfidf_from_counts(counts, vocab, None), expected)
             assert vocab.token_to_index["common"] not in expected.indices
+
+
+def test_feature_matrix_weights_only_the_kept_entries_with_the_same_bits():
+    """Masking the counts and then weighting the kept entries gives the
+    matrix that weighting every count and then masking gives, bit for bit:
+    seeded documents, both modes, with and without a mask, and a token in
+    every training document (idf 0, so each of its TFIDF entries drops)."""
+    rng = random.Random(11)
+    labels = LabelSet(["x", "y", "z"])
+    for case in range(40):
+        alphabet = [f"t{i}" for i in range(rng.randrange(1, 30))]
+        docs = [
+            tdoc(f"{case}-{i}", [rng.choice(alphabet) for _ in range(rng.randrange(0, 12))]
+                 + ["common"], rng.choice(labels.names))
+            for i in range(rng.randrange(1, 25))
+        ]
+        vocab, _, counts = fit_features(docs, labels, None)
+        common = vocab.token_to_index["common"]
+        kept = sorted(rng.sample(range(len(vocab)), rng.randrange(1, len(vocab) + 1)))
+        if common not in kept:
+            kept = sorted([*kept[1:], common])
+        scores = np.array([rng.random() for _ in range(len(vocab))])
+        for mask in (None, FeatureMask(np.array(kept), scores)):
+            for mode in FEATURE_MODES:
+                weighted = counts if mode == UNIGRAM else tfidf_from_counts(counts, vocab, None)
+                expected = weighted if mask is None else apply_mask(mask, weighted)
+                got = feature_matrix(counts, vocab, mask, mode)
+                assert_same_matrix(got, expected)
+                if mode == TFIDF:
+                    column = common if mask is None else kept.index(common)
+                    assert column not in got.indices
 
 
 @pytest.mark.parametrize(
